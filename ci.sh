@@ -22,7 +22,9 @@
 #   6. dependency-scheme gate: solve a generated example suite twice
 #      (--dep-scheme trivial vs rp) under --check full, diff the verdict
 #      lines byte-for-byte, assert rp never grows the MaxSAT elimination
-#      set and prunes at least one edge on the c432 PEC family
+#      set and prunes at least one edge on the c432 PEC family, and cmp
+#      each instance's `hqs analyze` report against its pinned fixture
+#      under test/fixtures/analysis/
 #   7. inprocessing gate: re-solve the example suite with the CNF
 #      inprocessing engine on vs off under --check full and diff the
 #      verdict lines byte-for-byte; run `hqs analyze` on the committed
@@ -202,7 +204,14 @@ for f in "$tmp/an"/*.dqdimacs; do
     echo "== ci FAILED: rp grew the MaxSAT elimination set on $id ($ms_trivial -> $ms_rp) =="
     exit 1
   fi
-  pruned=$("$HQS_BIN" analyze "$f" | sed -n 's/^s analysis pruned=\([0-9]*\).*/\1/p')
+  # the refinement report is pinned byte-for-byte to its committed fixture
+  "$HQS_BIN" analyze "$f" >"$tmp/an.report"
+  cmp "$tmp/an.report" "test/fixtures/analysis/$id.analysis" || {
+    echo "== ci FAILED: hqs analyze report on $id differs from test/fixtures/analysis/$id.analysis =="
+    diff "test/fixtures/analysis/$id.analysis" "$tmp/an.report" || true
+    exit 1
+  }
+  pruned=$(sed -n 's/^s analysis pruned=\([0-9]*\).*/\1/p' "$tmp/an.report")
   total_pruned=$((total_pruned + ${pruned:-0}))
 done
 cmp "$tmp/verdicts.trivial" "$tmp/verdicts.rp" || {

@@ -15,11 +15,14 @@
     [(x ⇝ y ∧ ¬x ⇝ ¬y) ∨ (x ⇝ ¬y ∧ ¬x ⇝ y)]; otherwise no Skolem
     function for [y] can be forced to read [x] and the edge is pruned.
 
-    The reachability sweep runs two BFS passes per universal over the
-    clause/literal incidence graph; a clause is expanded at most twice
-    (first entry expands every exit variable but the entry variable, a
-    second entry through a different variable releases the one skipped
-    literal), so each pass is linear in the formula size.
+    The reachability sweep runs two passes per universal over a flat
+    (CSR) copy of the clause/literal incidence graph, reusing its
+    pass-stamped work arrays and an int stack sized 2n + 1; a clause is
+    scanned at most once per pass (first entry expands every exit variable
+    but the entry variable, a second entry through a different variable
+    releases the one skipped literal), so each pass is linear in the
+    formula size. The incomparable-pair counts group equal dependency sets
+    into classes first: O(|E| + d²) subset tests for d distinct sets.
 
     Pruned prefixes only shrink: every refined dependency set is a subset
     of the declared one, so downstream universal reduction, MaxSAT

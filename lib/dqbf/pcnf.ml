@@ -5,21 +5,43 @@ type t = {
   clauses : int list list;
 }
 
-let tokenize s =
-  String.split_on_char '\n' s
-  |> List.filter (fun line ->
-         let line = String.trim line in
-         not (String.length line = 0 || line.[0] = 'c'))
-  |> List.map (fun line ->
-         String.split_on_char ' ' line
-         |> List.concat_map (String.split_on_char '\t')
-         |> List.filter (fun tok -> tok <> ""))
+(* [f] on the tokens of each non-empty, non-comment line, in order. Lines
+   are cut one at a time, so a line's tokens die young instead of the
+   whole file's token lists being promoted and left to the major GC. *)
+let iter_token_lines f s =
+  let len = String.length s in
+  let rec go i =
+    if i <= len then begin
+      let j = Option.value (String.index_from_opt s i '\n') ~default:len in
+      let line = String.sub s i (j - i) in
+      let trimmed = String.trim line in
+      if not (String.length trimmed = 0 || trimmed.[0] = 'c') then
+        f
+          (String.split_on_char ' ' line
+          |> List.concat_map (String.split_on_char '\t')
+          |> List.filter (fun tok -> tok <> ""));
+      go (j + 1)
+    end
+  in
+  go 0
 
 let parse_string s =
   let num_vars = ref 0 in
-  let univs = ref [] in
-  let exists = ref [] in
+  (* prefix lists are accumulated reversed and reversed once at the end;
+     [univs_so_far] is the declaration-order list an [e] line depends on,
+     rebuilt only after a new [a] line and shared by the [e] lines after it *)
+  let univs_rev = ref [] in
+  let univs_so_far = ref (Some []) in
+  let exists_rev = ref [] in
   let clauses = ref [] in
+  let declared_univs () =
+    match !univs_so_far with
+    | Some l -> l
+    | None ->
+        let l = List.rev !univs_rev in
+        univs_so_far := Some l;
+        l
+  in
   let int_of tok = try int_of_string tok with Failure _ -> failwith ("Dqdimacs: bad token " ^ tok) in
   let var_of tok =
     let i = int_of tok in
@@ -28,18 +50,20 @@ let parse_string s =
     i - 1
   in
   let vars_of toks = List.filter_map (fun tok -> if int_of tok = 0 then None else Some (var_of tok)) toks in
-  List.iter
+  iter_token_lines
     (fun line ->
       match line with
       | [] -> ()
       | "p" :: "cnf" :: nv :: _ -> num_vars := max !num_vars (int_of nv)
-      | "a" :: rest -> univs := !univs @ vars_of rest
+      | "a" :: rest ->
+          univs_rev := List.rev_append (vars_of rest) !univs_rev;
+          univs_so_far := None
       | "e" :: rest ->
-          let deps = !univs in
-          List.iter (fun v -> exists := !exists @ [ (v, deps) ]) (vars_of rest)
+          let deps = declared_univs () in
+          List.iter (fun v -> exists_rev := (v, deps) :: !exists_rev) (vars_of rest)
       | "d" :: rest -> (
           match vars_of rest with
-          | y :: deps -> exists := !exists @ [ (y, deps) ]
+          | y :: deps -> exists_rev := (y, deps) :: !exists_rev
           | [] -> failwith "Dqdimacs: empty d-line")
       | toks ->
           let current = ref [] in
@@ -56,8 +80,13 @@ let parse_string s =
               end)
             toks;
           if !current <> [] then failwith "Dqdimacs: clause not terminated by 0")
-    (tokenize s);
-  { num_vars = !num_vars; univs = !univs; exists = !exists; clauses = List.rev !clauses }
+    s;
+  {
+    num_vars = !num_vars;
+    univs = declared_univs ();
+    exists = List.rev !exists_rev;
+    clauses = List.rev !clauses;
+  }
 
 let parse_file path =
   let ic = open_in path in

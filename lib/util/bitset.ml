@@ -127,7 +127,26 @@ let fold f (s : t) init =
   !acc
 
 let to_list (s : t) = List.rev (fold (fun i acc -> i :: acc) s [])
-let of_list l = List.fold_left (fun s i -> add i s) empty l
+(* one array sized by the largest element; its word is the last and holds
+   a set bit, so the result is already normalized *)
+let of_list l =
+  match l with
+  | [] -> empty
+  | _ ->
+      let hi =
+        List.fold_left
+          (fun m i ->
+            check_elt i;
+            max m i)
+          0 l
+      in
+      let a = Array.make ((hi / bits_per_word) + 1) 0 in
+      List.iter
+        (fun i ->
+          let w = i / bits_per_word and b = i mod bits_per_word in
+          a.(w) <- a.(w) lor (1 lsl b))
+        l;
+      a
 
 let choose (s : t) =
   let exception Found of int in

@@ -166,6 +166,85 @@ let prop_rp_preserves_truth =
       Dqbf.Reference.by_expansion (Pcnf.to_formula p)
       = Dqbf.Reference.by_expansion (Pcnf.to_formula refined))
 
+(* Differential reference for the exact Rp output: a naive search over
+   (clause, entry variable) states — no two-visit state machine — that
+   applies the polarity-consistent rule to every declared edge, plus a
+   plain pairwise incomparable count over dependency lists. *)
+let reference_reached ~clauses ~connecting start =
+  let reached = Hashtbl.create 16 and seen = Hashtbl.create 16 in
+  let rec enter c via =
+    if not (Hashtbl.mem seen (c, via)) then begin
+      Hashtbl.add seen (c, via) ();
+      List.iter
+        (fun l ->
+          let v = abs l - 1 in
+          if v <> via then begin
+            Hashtbl.replace reached l ();
+            if connecting v then
+              Array.iteri (fun d cl -> if List.mem (-l) cl then enter d v) clauses
+          end)
+        clauses.(c)
+    end
+  in
+  Array.iteri (fun c cl -> if List.mem start cl then enter c (abs start - 1)) clauses;
+  Hashtbl.mem reached
+
+let reference_incomparable sets =
+  let rec pairs = function
+    | [] -> 0
+    | a :: rest ->
+        List.length (List.filter (fun b -> not (subset a b || subset b a)) rest) + pairs rest
+  in
+  pairs sets
+
+let reference_analysis (p : Pcnf.t) =
+  let clauses = Array.of_list p.Pcnf.clauses in
+  let keeps x y =
+    let connecting v =
+      match List.assoc_opt v p.Pcnf.exists with Some deps -> List.mem x deps | None -> false
+    in
+    let pos = reference_reached ~clauses ~connecting (x + 1)
+    and neg = reference_reached ~clauses ~connecting (-(x + 1)) in
+    (pos (y + 1) && neg (-(y + 1))) || (pos (-(y + 1)) && neg (y + 1))
+  in
+  let refinements =
+    List.map
+      (fun (y, deps) -> { Rp.var = y; before = deps; after = List.filter (fun x -> keeps x y) deps })
+      p.Pcnf.exists
+  in
+  let pruned =
+    List.concat_map
+      (fun r -> List.filter_map (fun x -> if List.mem x r.Rp.after then None else Some (x, r.Rp.var)) r.Rp.before)
+      refinements
+  in
+  let before = reference_incomparable (List.map (fun r -> r.Rp.before) refinements)
+  and after = reference_incomparable (List.map (fun r -> r.Rp.after) refinements) in
+  (refinements, pruned, before, after)
+
+(* larger than [instance_gen], so that paths through connecting variables
+   (and hence both kept and pruned edges) are common *)
+let wide_instance_gen =
+  QCheck.Gen.(
+    int_range 1 4 >>= fun nu ->
+    int_range 1 6 >>= fun ne ->
+    list_repeat ne (int_bound ((1 lsl nu) - 1)) >>= fun dep_masks ->
+    let n = nu + ne in
+    list_size (int_range 1 20) (list_size (int_range 1 4) (pair (int_bound (n - 1)) bool))
+    >>= fun clauses -> return { nu; ne; dep_masks; clauses })
+
+let prop_rp_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"rp output equals the naive state-space reference"
+    (QCheck.make ~print:instance_print wide_instance_gen) (fun inst ->
+      let p = to_pcnf inst in
+      let refined, r = Rp.analyze ~scheme:Scheme.Rp p in
+      let refinements, pruned, before, after = reference_analysis p in
+      r.Rp.pruned = pruned
+      && r.Rp.refinements = refinements
+      && r.Rp.incomparable_before = before
+      && r.Rp.incomparable_after = after
+      && r.Rp.linearized = (after = 0 && before > 0)
+      && refined.Pcnf.exists = List.map (fun r -> (r.Rp.var, r.Rp.after)) refinements)
+
 (* end-to-end: the full solver under either scheme and a Full auditor
    agrees, and rp never enlarges the MaxSAT elimination set *)
 let prop_solver_agreement =
@@ -205,6 +284,7 @@ let () =
             prop_refinement_shrinks;
             prop_trivial_fixpoint;
             prop_rp_preserves_truth;
+            prop_rp_matches_reference;
             prop_solver_agreement;
           ] );
     ]

@@ -254,7 +254,24 @@ let test_pcnf_e_line_deps () =
   let p = Dqbf.Pcnf.parse_string text in
   (* e-declared var depends on universals declared so far: just x1 *)
   check "e deps" true (p.Dqbf.Pcnf.exists = [ (1, [ 0 ]) ]);
-  check "univs" true (p.Dqbf.Pcnf.univs = [ 0; 2 ])
+  check "univs" true (p.Dqbf.Pcnf.univs = [ 0; 2 ]);
+  (* two a blocks, multi-variable e lines (each sees the universals declared
+     so far, in declaration order) and explicit d lines, all in file order *)
+  let text =
+    "p cnf 10 1\na 1 2 0\ne 3 4 0\nd 5 2 0\na 6 7 0\ne 8 9 0\nd 10 7 1 0\ne 0\n1 3 0\n"
+  in
+  let p = Dqbf.Pcnf.parse_string text in
+  check "univs across blocks" true (p.Dqbf.Pcnf.univs = [ 0; 1; 5; 6 ]);
+  check "exists across blocks" true
+    (p.Dqbf.Pcnf.exists
+    = [
+        (2, [ 0; 1 ]);
+        (3, [ 0; 1 ]);
+        (4, [ 1 ]);
+        (7, [ 0; 1; 5; 6 ]);
+        (8, [ 0; 1; 5; 6 ]);
+        (9, [ 6; 0 ]);
+      ])
 
 let test_pcnf_validate_errors () =
   let bad = { Dqbf.Pcnf.num_vars = 2; univs = [ 0; 0 ]; exists = []; clauses = [] } in

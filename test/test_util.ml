@@ -96,7 +96,15 @@ let prop_bitset_model =
       let module S = Set.Make (Int) in
       let sa = S.of_list la and sb = S.of_list lb in
       let a = Bitset.of_list la and b = Bitset.of_list lb in
-      Bitset.to_list (Bitset.union a b) = S.elements (S.union sa sb)
+      (* of_list builds the same normalized set as folding add, for
+         unsorted input with duplicates and for [] *)
+      let same_as_fold l =
+        let folded = List.fold_left (fun s i -> Bitset.add i s) Bitset.empty l in
+        let built = Bitset.of_list l in
+        Bitset.equal built folded && Bitset.hash built = Bitset.hash folded
+      in
+      List.for_all same_as_fold [ la; lb; la @ la; List.rev_append lb la; [] ]
+      && Bitset.to_list (Bitset.union a b) = S.elements (S.union sa sb)
       && Bitset.to_list (Bitset.inter a b) = S.elements (S.inter sa sb)
       && Bitset.to_list (Bitset.diff a b) = S.elements (S.diff sa sb)
       && Bitset.subset a b = S.subset sa sb
