@@ -31,27 +31,31 @@
 #      fixture and assert at least one SCC merge and one subsumption
 #      were found and audited; prove the no-stdout lint rule fires on a
 #      seeded stdout write under lib/
-#   8. chaos-enabled smoke solve: generate a small PEC instance and
+#   8. elimination gate: solve the example suite (minus the c432 SAT
+#      instance) plus one adder and one z4 instance three ways under
+#      --check full — default, --search-backend and --no-fraig — and diff
+#      the verdict lines byte-for-byte
+#   9. chaos-enabled smoke solve: generate a small PEC instance and
 #      solve it with fault injection armed AND the soundness auditor at
 #      full depth (HQS_CHECK=full), proving the degradation ladder and
 #      the stage audits end-to-end through the real CLI
-#   9. traced smoke solve: solve an instance with incomparable dependency
+#  10. traced smoke solve: solve an instance with incomparable dependency
 #      sets under --trace and validate the trace with bin/tracecheck
 #      (well-formed Chrome JSON, balanced spans, >= 6 pipeline phases)
-#  10. supervised mini-sweep: run `hqs sweep` over a generated instance
+#  11. supervised mini-sweep: run `hqs sweep` over a generated instance
 #      directory with 2 workers and a chaos-injected worker kill,
 #      asserting the victim is quarantined as a CRASH row while the rest
 #      solve; then kill a journaled sweep midway (SIGKILL, torn tail and
 #      all) and prove --resume completes exactly the remaining tasks and
 #      that a second resume executes nothing and reproduces the report
 #      byte-for-byte
-#  11. serve gate: start the persistent daemon with a cache, a trace and
+#  12. serve gate: start the persistent daemon with a cache, a trace and
 #      a chaos-armed worker kill; fire 8 concurrent queries (with
 #      duplicates), assert every client gets a structured verdict, a
 #      sequential duplicate is served from the cache, the serve.*
 #      metrics counted the crash/respawn/hits, SIGTERM drains to exit 0,
 #      and the emitted trace tracecheck-validates with serve.* events
-#  12. distobs gate: a traced chaos-kill sweep must merge worker span
+#  13. distobs gate: a traced chaos-kill sweep must merge worker span
 #      buffers under their own pid rows with cross-pid parent links
 #      (tracecheck --min-pids/--min-cross-links); benchdiff passes on
 #      the committed trajectory baseline and trips on a seeded 25%
@@ -60,7 +64,7 @@
 #      and leaves a complete, trace-correlated JSONL event trail; the
 #      raw-fd/no-stdout/mono-clock-span lint rules fire on seeded
 #      fixtures
-#  13. cert gate: assert the isolated verifier links zero libraries
+#  14. cert gate: assert the isolated verifier links zero libraries
 #      (dune describe) and that the cert-isolation lint rule fires on a
 #      seeded solver reference; certify every example-suite instance
 #      under --check full and verify each artifact with bin/certcheck
@@ -282,6 +286,50 @@ if [ "$nostdout_status" != 1 ] || ! grep -q 'no-stdout' "$tmp/lintbad.out"; then
   exit 1
 fi
 echo "c inproc gate: verdicts identical, fixture merged+subsumed, no-stdout armed"
+
+echo "== elim =="
+# the AIG elimination back end must agree with the independent QDPLL search
+# back end, and with itself without FRAIG, verdict byte for byte under the
+# full auditor: the analysis suite plus one adder and one z4 instance. The
+# c432 SAT instance is left out: the search back end needs about two
+# minutes on it.
+mkdir -p "$tmp/el"
+dune exec bin/genpec.exe -- one adder --size 2 --boxes 1 --out "$tmp/el" >/dev/null
+dune exec bin/genpec.exe -- one z4 --size 2 --boxes 1 --out "$tmp/el" >/dev/null
+for mode in default search nofraig; do : >"$tmp/verdicts.elim-$mode"; done
+n_el=0
+for f in "$tmp/an"/*.dqdimacs "$tmp/el"/*.dqdimacs; do
+  id=$(basename "$f" .dqdimacs)
+  case "$id" in c432_*_ok) continue ;; esac
+  n_el=$((n_el + 1))
+  for mode in default search nofraig; do
+    case "$mode" in
+    search) flags="--search-backend" ;;
+    nofraig) flags="--no-fraig" ;;
+    *) flags="" ;;
+    esac
+    el_status=0
+    # $flags is deliberately unquoted: empty for the default mode
+    "$HQS_BIN" "$f" $flags --check full --timeout 60 >"$tmp/el.out" 2>&1 || el_status=$?
+    case "$el_status" in
+    10 | 20) : ;;
+    *)
+      echo "== ci FAILED: $mode solve on $id exited $el_status =="
+      cat "$tmp/el.out"
+      exit 1
+      ;;
+    esac
+    grep '^s ' "$tmp/el.out" | sed "s|^|$id |" >>"$tmp/verdicts.elim-$mode"
+  done
+done
+for mode in search nofraig; do
+  cmp "$tmp/verdicts.elim-default" "$tmp/verdicts.elim-$mode" || {
+    echo "== ci FAILED: the default and $mode solves disagree on a verdict =="
+    diff "$tmp/verdicts.elim-default" "$tmp/verdicts.elim-$mode" || true
+    exit 1
+  }
+done
+echo "c elim gate: $n_el instances, elimination, search and no-FRAIG verdicts identical"
 
 echo "== chaos smoke solve =="
 f=$(dune exec bin/genpec.exe -- one pec_xor --size 3 --boxes 1 --out "$tmp")

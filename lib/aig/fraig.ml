@@ -155,8 +155,8 @@ let reduce ?(seed = 0x51) ?(base_words = 6) ?(conflict_limit = 150) ?(max_candid
   (* remember nodes already proven equal to a representative *)
   let merged_to : (int, Man.lit) Hashtbl.t = Hashtbl.create 64 in
   (* map old nodes into [out], merging equivalents *)
-  let table : (int, Man.lit) Hashtbl.t = Hashtbl.create 256 in
-  let get edge = Man.apply_sign (Hashtbl.find table (Man.node_of edge)) ~neg:(Man.is_compl edge) in
+  let table = Array.make (Man.num_nodes man) Man.false_ in
+  let get edge = Man.apply_sign table.(Man.node_of edge) ~neg:(Man.is_compl edge) in
   Man.iter_cone man roots (fun n ->
       let mapped =
         if n = 0 then Man.false_
@@ -219,7 +219,7 @@ let reduce ?(seed = 0x51) ?(base_words = 6) ?(conflict_limit = 150) ?(max_candid
           end
         end
       in
-      Hashtbl.replace table n mapped);
+      table.(n) <- mapped);
   let mapped_roots = List.map get roots in
   let reduced_man, reduced_roots = Man.compact out mapped_roots in
   Obs.Span.event "fraig.done"

@@ -2,13 +2,41 @@ open Hqs_util
 
 type lit = int
 
+(* Nodes stay below 2^30, so literals stay below 2^31 and an ordered fanin
+   pair packs into one int key [(a lsl 31) lor b] without collisions. *)
+let max_nodes = 1 lsl 30
+let pack a b = (a lsl 31) lor b
+let lit_mask = (1 lsl 31) - 1
+
+module Strash = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  (* multiplicative mix: Hashtbl.Make picks buckets by the low bits *)
+  let hash k =
+    let h = k * 0x2545F4914F6CDD1D in
+    h lxor (h lsr 29)
+end)
+
+(* Node-indexed buffers of one walk. A walk takes a scratch from its
+   manager's pool and returns it when done, so a walk started from inside
+   another walk's callback gets buffers of its own. A walk that raises
+   simply drops its scratch; the next walk allocates a fresh one. *)
+type scratch = { mutable order : int array; mutable vals : int array }
+
 type t = {
-  fanin0 : int Vec.t; (* AND: fanin edge; input: -1; const: -2 *)
-  fanin1 : int Vec.t; (* AND: fanin edge; input: variable id; const: -2 *)
-  strash : (int * int, int) Hashtbl.t;
+  mutable fanin0 : int array; (* AND: fanin edge; input: -1; const: -2 *)
+  mutable fanin1 : int array; (* AND: fanin edge; input: variable id; const: -2 *)
+  mutable size : int;
+  strash : int Strash.t; (* packed fanin pair -> node *)
   input_of_var : int Vec.t; (* var -> node index, -1 if absent *)
   mutable num_inputs : int;
-  mutable node_limit : int; (* max_int = unlimited *)
+  mutable node_limit : int; (* at most max_nodes *)
+  mutable mark : int array; (* [mark.(n) = stamp]: n reached by the current walk *)
+  mutable stamp : int;
+  mutable stack : int array; (* DFS stack of [cone_order] *)
+  mutable pool : scratch list; (* free scratches *)
 }
 
 let false_ = 0
@@ -20,26 +48,32 @@ let c_strash_hits = Obs.Metrics.counter "aig.strash_hits"
 let c_strash_misses = Obs.Metrics.counter "aig.strash_misses"
 let c_nodes_alloc = Obs.Metrics.counter "aig.nodes_alloc"
 
+let clamp_limit = function None -> max_nodes | Some n -> Int.min n max_nodes
+
 let create ?node_limit () =
   let m =
     {
-      fanin0 = Vec.create ~dummy:min_int ();
-      fanin1 = Vec.create ~dummy:min_int ();
-      strash = Hashtbl.create 1024;
+      fanin0 = Array.make 16 min_int;
+      fanin1 = Array.make 16 min_int;
+      size = 1;
+      strash = Strash.create 1024;
       input_of_var = Vec.create ~dummy:(-1) ();
       num_inputs = 0;
-      node_limit = (match node_limit with None -> max_int | Some n -> n);
+      node_limit = clamp_limit node_limit;
+      mark = [||];
+      stamp = 0;
+      stack = [||];
+      pool = [];
     }
   in
   (* node 0: constant false *)
-  Vec.push m.fanin0 (-2);
-  Vec.push m.fanin1 (-2);
+  m.fanin0.(0) <- -2;
+  m.fanin1.(0) <- -2;
   m
 
-let set_node_limit m limit =
-  m.node_limit <- (match limit with None -> max_int | Some n -> n)
-
-let num_nodes m = Vec.size m.fanin0
+let set_node_limit m limit = m.node_limit <- clamp_limit limit
+let node_limit m = if m.node_limit >= max_nodes then None else Some m.node_limit
+let num_nodes m = m.size
 let num_ands m = num_nodes m - m.num_inputs - 1
 let num_inputs m = m.num_inputs
 
@@ -51,26 +85,43 @@ let is_const l = node_of l = 0
 let is_true l = l = true_
 let is_false l = l = false_
 
-let node_is_input m n = n > 0 && Vec.get m.fanin0 n = -1
-let node_is_and m n = n > 0 && Vec.get m.fanin0 n >= 0
+let check_node m n = if n < 0 || n >= m.size then invalid_arg "Aig.Man: node out of range"
+let node_is_input m n =
+  check_node m n;
+  n > 0 && m.fanin0.(n) = -1
+
+let node_is_and m n =
+  check_node m n;
+  n > 0 && m.fanin0.(n) >= 0
+
 let is_input m l = node_is_input m (node_of l)
 let is_and m l = node_is_and m (node_of l)
 
 let var_of_input m l =
   let n = node_of l in
   if not (node_is_input m n) then invalid_arg "Aig.var_of_input";
-  Vec.get m.fanin1 n
+  m.fanin1.(n)
 
 let fanins m l =
   let n = node_of l in
   if not (node_is_and m n) then invalid_arg "Aig.fanins";
-  (Vec.get m.fanin0 n, Vec.get m.fanin1 n)
+  (m.fanin0.(n), m.fanin1.(n))
+
+let grow a cap =
+  let b = Array.make cap min_int in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
 let alloc_node m f0 f1 =
-  if num_nodes m >= m.node_limit then raise Budget.Out_of_memory_budget;
-  let n = num_nodes m in
-  Vec.push m.fanin0 f0;
-  Vec.push m.fanin1 f1;
+  let n = m.size in
+  if n >= m.node_limit then raise Budget.Out_of_memory_budget;
+  if n = Array.length m.fanin0 then begin
+    m.fanin0 <- grow m.fanin0 (2 * n);
+    m.fanin1 <- grow m.fanin1 (2 * n)
+  end;
+  m.fanin0.(n) <- f0;
+  m.fanin1.(n) <- f1;
+  m.size <- n + 1;
   Obs.Metrics.incr c_nodes_alloc;
   n
 
@@ -93,15 +144,16 @@ let mk_and m a b =
   else if a = b then a
   else if a = compl_ b then false_
   else begin
-    let a, b = if a <= b then (a, b) else (b, a) in
-    match Hashtbl.find_opt m.strash (a, b) with
-    | Some n ->
+    let lo = if a <= b then a else b and hi = if a <= b then b else a in
+    let key = pack lo hi in
+    match Strash.find m.strash key with
+    | n ->
         Obs.Metrics.incr c_strash_hits;
         n * 2
-    | None ->
+    | exception Not_found ->
         Obs.Metrics.incr c_strash_misses;
-        let n = alloc_node m a b in
-        Hashtbl.add m.strash (a, b) n;
+        let n = alloc_node m lo hi in
+        Strash.add m.strash key n;
         n * 2
   end
 
@@ -137,74 +189,157 @@ let mk_or_list m l = balanced_reduce (mk_or m) false_ l
 
 (* ------------------------------------------------------------- traversal *)
 
-let iter_cone m roots f =
-  let visited = Hashtbl.create 256 in
-  let stack = Stack.create () in
-  List.iter (fun r -> Stack.push (node_of r, false) stack) roots;
-  while not (Stack.is_empty stack) do
-    let n, expanded = Stack.pop stack in
-    if expanded then f n
-    else if not (Hashtbl.mem visited n) then begin
-      Hashtbl.add visited n ();
-      Stack.push (n, true) stack;
-      if node_is_and m n then begin
-        Stack.push (node_of (Vec.get m.fanin0 n), false) stack;
-        Stack.push (node_of (Vec.get m.fanin1 n), false) stack
+let take m =
+  match m.pool with
+  | s :: rest ->
+      m.pool <- rest;
+      s
+  | [] -> { order = [||]; vals = [||] }
+
+let give m s = m.pool <- s :: m.pool
+
+(* a fresh stamp and a mark array covering every node *)
+let new_stamp m =
+  if Array.length m.mark < m.size then m.mark <- Array.make (Array.length m.fanin0) 0;
+  m.stamp <- m.stamp + 1;
+  m.stamp
+
+(* [s.vals] covering every node; entries are garbage until a walk writes them *)
+let node_vals m s =
+  if Array.length s.vals < m.size then s.vals <- Array.make (Array.length m.fanin0) 0;
+  s.vals
+
+(* The cone of [roots] in DFS postorder (fanins first, each node once),
+   written to [s.order]; returns its length. Roots are pushed in list order
+   and popped last-first, and fanin1 is explored before fanin0: exactly the
+   order of the reference Hashtbl/Stack DFS, on which compaction and FRAIG
+   numbering depend. The order is complete before any caller code runs. *)
+let cone_order m s roots =
+  let stamp = new_stamp m in
+  let mark = m.mark and f0 = m.fanin0 and f1 = m.fanin1 in
+  let rec push_roots sp = function
+    | [] -> sp
+    | r :: rest ->
+        let n = node_of r in
+        check_node m n;
+        if sp = Array.length m.stack then m.stack <- grow m.stack ((2 * sp) + 16);
+        m.stack.(sp) <- n lsl 1;
+        push_roots (sp + 1) rest
+  in
+  let sp = ref (push_roots 0 roots) and len = ref 0 in
+  while !sp > 0 do
+    decr sp;
+    let e = m.stack.(!sp) in
+    let n = e lsr 1 in
+    if e land 1 = 1 then begin
+      if !len = Array.length s.order then s.order <- grow s.order ((2 * !len) + 16);
+      s.order.(!len) <- n;
+      incr len
+    end
+    else if mark.(n) <> stamp then begin
+      mark.(n) <- stamp;
+      (* room for the three pushes below *)
+      if !sp + 3 > Array.length m.stack then m.stack <- grow m.stack ((2 * !sp) + 16);
+      let stack = m.stack in
+      stack.(!sp) <- e lor 1;
+      incr sp;
+      let a = f0.(n) in
+      if n > 0 && a >= 0 then begin
+        (* a child marked now stays marked: skipping it here is what the
+           reference's pop-time check would do anyway *)
+        let c0 = a lsr 1 and c1 = f1.(n) lsr 1 in
+        if mark.(c0) <> stamp then begin
+          stack.(!sp) <- c0 lsl 1;
+          incr sp
+        end;
+        if mark.(c1) <> stamp then begin
+          stack.(!sp) <- c1 lsl 1;
+          incr sp
+        end
       end
     end
-  done
+  done;
+  !len
+
+(* run [k order len] over the cone of [roots], on a scratch of its own *)
+let walk m roots k =
+  let s = take m in
+  let len = cone_order m s roots in
+  let r = k s len in
+  give m s;
+  r
+
+let iter_cone m roots f =
+  walk m roots (fun s len ->
+      for i = 0 to len - 1 do
+        f s.order.(i)
+      done)
 
 let support m root =
-  let acc = ref Bitset.empty in
-  iter_cone m [ root ] (fun n -> if node_is_input m n then acc := Bitset.add (Vec.get m.fanin1 n) !acc);
-  !acc
+  walk m [ root ] (fun s len ->
+      let acc = ref [] in
+      for i = 0 to len - 1 do
+        let n = s.order.(i) in
+        if n > 0 && m.fanin0.(n) = -1 then acc := m.fanin1.(n) :: !acc
+      done;
+      Bitset.of_list !acc)
 
 let cone_size m root =
-  let count = ref 0 in
-  iter_cone m [ root ] (fun n -> if node_is_and m n then incr count);
-  !count
+  walk m [ root ] (fun s len ->
+      let count = ref 0 in
+      for i = 0 to len - 1 do
+        let n = s.order.(i) in
+        if n > 0 && m.fanin0.(n) >= 0 then incr count
+      done;
+      !count)
 
-(* generic bottom-up evaluation over the cone; [leaf] gives input values *)
-let eval_gen (type a) m root ~(leaf : int -> a) ~(band : a -> a -> a) ~(bnot : a -> a)
-    ~(bfalse : a) : a =
-  let table : (int, a) Hashtbl.t = Hashtbl.create 256 in
-  let get edge =
-    let v = Hashtbl.find table (node_of edge) in
-    if is_compl edge then bnot v else v
-  in
-  iter_cone m [ root ] (fun n ->
-      let v =
-        if n = 0 then bfalse
-        else if node_is_input m n then leaf (Vec.get m.fanin1 n)
-        else band (get (Vec.get m.fanin0 n)) (get (Vec.get m.fanin1 n))
+(* Bottom-up evaluation over the cone of [roots], sharing one memo across
+   them: each node gets an int from its fanins' ints. [leaf] gives the
+   value of an input variable, [band] combines the two fanin values of an
+   AND and [bnot] complements a value read through a complemented edge. *)
+let eval_gen m roots ~leaf ~band ~bnot ~bfalse =
+  walk m roots (fun s len ->
+      let vals = node_vals m s in
+      let get e =
+        let v = vals.(node_of e) in
+        if is_compl e then bnot v else v
       in
-      Hashtbl.replace table n v);
-  get root
+      for i = 0 to len - 1 do
+        let n = s.order.(i) in
+        let a = m.fanin0.(n) in
+        vals.(n) <-
+          (if n = 0 then bfalse
+           else if a = -1 then leaf m.fanin1.(n)
+           else band (get a) (get m.fanin1.(n)))
+      done;
+      List.map get roots)
+
+let eval_one m root ~leaf ~band ~bnot ~bfalse =
+  match eval_gen m [ root ] ~leaf ~band ~bnot ~bfalse with [ v ] -> v | _ -> assert false
+
+let sim_words m root var_word = eval_one m root ~leaf:var_word ~band:( land ) ~bnot:lnot ~bfalse:0
 
 let eval m root assignment =
-  eval_gen m root ~leaf:assignment ~band:( && ) ~bnot:not ~bfalse:false
+  eval_one m root
+    ~leaf:(fun v -> if assignment v then 1 else 0)
+    ~band:( land ) ~bnot:(fun b -> 1 - b) ~bfalse:0
+  = 1
 
-let sim_words m root var_word =
-  eval_gen m root ~leaf:var_word ~band:( land ) ~bnot:lnot ~bfalse:0
+let depends_on m roots v =
+  List.map
+    (fun d -> d = 1)
+    (eval_gen m roots ~leaf:(fun w -> if w = v then 1 else 0) ~band:( lor ) ~bnot:Fun.id ~bfalse:0)
 
 (* --------------------------------------------------------- substitutions *)
 
+(* the cone of [roots] rebuilt bottom-up in manager [dst], inputs mapped by [leaf] *)
+let rebuild m roots dst ~leaf = eval_gen m roots ~leaf ~band:(mk_and dst) ~bnot:compl_ ~bfalse:false_
+
+let compose_list m roots subst =
+  rebuild m roots m ~leaf:(fun var -> match subst var with Some f -> f | None -> input m var)
+
 let compose m root subst =
-  let table = Hashtbl.create 256 in
-  let get edge =
-    let v = Hashtbl.find table (node_of edge) in
-    if is_compl edge then compl_ v else v
-  in
-  iter_cone m [ root ] (fun n ->
-      let v =
-        if n = 0 then false_
-        else if node_is_input m n then begin
-          match subst (Vec.get m.fanin1 n) with Some f -> f | None -> n * 2
-        end
-        else mk_and m (get (Vec.get m.fanin0 n)) (get (Vec.get m.fanin1 n))
-      in
-      Hashtbl.replace table n v);
-  get root
+  match compose_list m [ root ] subst with [ r ] -> r | _ -> assert false
 
 let cofactor m root ~var ~value =
   let c = if value then true_ else false_ in
@@ -217,63 +352,61 @@ let forall m root ~var =
   mk_and m (cofactor m root ~var ~value:false) (cofactor m root ~var ~value:true)
 
 let compact m roots =
-  let fresh =
-    create
-      ?node_limit:(if m.node_limit = max_int then None else Some m.node_limit)
-      ()
-  in
-  let table = Hashtbl.create 256 in
-  let get edge =
-    let v = Hashtbl.find table (node_of edge) in
-    if is_compl edge then compl_ v else v
-  in
-  iter_cone m roots (fun n ->
-      let v =
-        if n = 0 then false_
-        else if node_is_input m n then input fresh (Vec.get m.fanin1 n)
-        else mk_and fresh (get (Vec.get m.fanin0 n)) (get (Vec.get m.fanin1 n))
-      in
-      Hashtbl.replace table n v);
-  (fresh, List.map get roots)
-
-let node_limit m = if m.node_limit = max_int then None else Some m.node_limit
+  let fresh = create ?node_limit:(node_limit m) () in
+  (fresh, rebuild m roots fresh ~leaf:(input fresh))
 
 (* ----------------------------------------------------------- introspection *)
 
 module Internal = struct
-  let raw_fanin0 m n = Vec.get m.fanin0 n
-  let raw_fanin1 m n = Vec.get m.fanin1 n
-  let strash_find m a b = Hashtbl.find_opt m.strash (a, b)
-  let strash_iter m f = Hashtbl.iter (fun (a, b) n -> f a b n) m.strash
-  let strash_size m = Hashtbl.length m.strash
+  let raw_fanin0 m n =
+    check_node m n;
+    m.fanin0.(n)
+
+  let raw_fanin1 m n =
+    check_node m n;
+    m.fanin1.(n)
+
+  let strash_find m a b = Strash.find_opt m.strash (pack a b)
+  let strash_iter m f = Strash.iter (fun k n -> f (k lsr 31) (k land lit_mask) n) m.strash
+  let strash_size m = Strash.length m.strash
   let input_vars_size m = Vec.size m.input_of_var
 
   let input_node_of_var m v =
     if v >= 0 && v < Vec.size m.input_of_var then Vec.get m.input_of_var v else -1
 
   let set_fanin m ~node ~f0 ~f1 =
-    Vec.set m.fanin0 node f0;
-    Vec.set m.fanin1 node f1
+    check_node m node;
+    m.fanin0.(node) <- f0;
+    m.fanin1.(node) <- f1
 
-  let strash_add m a b n = Hashtbl.add m.strash (a, b) n
-  let strash_remove m a b = Hashtbl.remove m.strash (a, b)
+  let strash_add m a b n = Strash.add m.strash (pack a b) n
+  let strash_remove m a b = Strash.remove m.strash (pack a b)
 end
 
+(* Walks the top AND-tree through non-complemented edges. A literal is seen
+   once: [vals.(n)] holds the polarities of node [n] seen so far, valid
+   while [mark.(n)] carries this call's stamp. *)
 let and_conjuncts m root =
-  let seen = Hashtbl.create 16 in
+  let s = take m in
+  let vals = node_vals m s in
+  let stamp = new_stamp m in
   let acc = ref [] in
-  let rec walk l =
-    if not (Hashtbl.mem seen l) then begin
-      Hashtbl.add seen l ();
-      if (not (is_compl l)) && node_is_and m (node_of l) then begin
-        let e0, e1 = fanins m l in
-        walk e0;
-        walk e1
+  let rec go l =
+    let n = node_of l and bit = 1 lsl (l land 1) in
+    let seen = if m.mark.(n) = stamp then vals.(n) else 0 in
+    if seen land bit = 0 then begin
+      m.mark.(n) <- stamp;
+      vals.(n) <- seen lor bit;
+      if (not (is_compl l)) && n > 0 && m.fanin0.(n) >= 0 then begin
+        go m.fanin0.(n);
+        go m.fanin1.(n)
       end
       else acc := l :: !acc
     end
   in
-  walk root;
+  check_node m (node_of root);
+  go root;
+  give m s;
   List.rev !acc
 
 let or_disjuncts m root = List.map compl_ (and_conjuncts m (compl_ root))

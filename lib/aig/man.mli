@@ -8,7 +8,13 @@
 
     The manager optionally enforces a node budget; exceeding it raises
     {!Hqs_util.Budget.Out_of_memory_budget}, which the benchmark harness
-    reports as a memout (the paper's 8 GB cap). *)
+    reports as a memout (the paper's 8 GB cap). Every manager is capped at
+    2^30 nodes in any case, so a fanin pair packs into one int key.
+
+    Cone walks run on node-indexed int buffers owned by the manager. Each
+    walk fixes its node order before any callback runs, and a walk started
+    from inside another walk's callback (on the same manager) gets buffers
+    of its own, so nesting is safe. *)
 
 type t
 type lit = int
@@ -68,6 +74,10 @@ val mk_or_list : t -> lit list -> lit
 val support : t -> lit -> Hqs_util.Bitset.t
 (** Set of variable ids the cone of [lit] depends on (syntactically). *)
 
+val depends_on : t -> lit list -> int -> bool list
+(** [depends_on m roots v]: for each root, whether variable [v] is in its
+    {!support}. One walk over the union of the cones. *)
+
 val cone_size : t -> lit -> int
 (** Number of AND nodes in the cone. *)
 
@@ -80,7 +90,10 @@ val sim_words : t -> lit -> (int -> int) -> int
 
 val iter_cone : t -> lit list -> (int -> unit) -> unit
 (** Apply a function to every node index in the cones of the given roots, in
-    topological (fanin-first) order, each node once. *)
+    topological (fanin-first) order, each node once. The order is that of a
+    depth-first search that pushes the roots in list order onto a stack and
+    explores fanin1 before fanin0; it is fixed before [f] first runs, so [f]
+    may build nodes and start other walks. *)
 
 (* ------------------------------------------------------- transformations *)
 
@@ -90,6 +103,10 @@ val cofactor : t -> lit -> var:int -> value:bool -> lit
 val compose : t -> lit -> (int -> lit option) -> lit
 (** Simultaneous substitution of input variables by functions. Variables
     mapped to [None] stay. *)
+
+val compose_list : t -> lit list -> (int -> lit option) -> lit list
+(** [compose] applied to each root, in one walk whose memo is shared across
+    the roots: a subgraph common to several roots is substituted once. *)
 
 val exists : t -> lit -> var:int -> lit
 (** [cofactor 0 OR cofactor 1] — existential quantification. *)

@@ -2,32 +2,25 @@ type status = { pos_unit : bool; neg_unit : bool; pos_pure : bool; neg_pure : bo
 
 let no_status = { pos_unit = false; neg_unit = false; pos_pure = false; neg_pure = false }
 
-(* Per-variable marks collected during the walk. *)
-type marks = {
-  mutable seen_even : bool; (* reached along a path with an even number of negations *)
-  mutable seen_odd : bool;
-  mutable unit_pos : bool; (* reached along a completely negation-free path *)
-  mutable unit_neg : bool; (* negation-free path ending in a complemented edge *)
-}
+(* Per-node marks, one node-indexed array for both kinds of node. An input
+   node collects the marks of its variable: *)
+let seen_even = 1 (* reached along a path with an even number of negations *)
+let seen_odd = 2
+let unit_pos = 4 (* reached along a completely negation-free path *)
+let unit_neg = 8 (* negation-free path ending in a complemented edge *)
 
-(* Node states: (parity of negations so far, negation-free so far).
-   Negation-free implies even parity, so only three states are reachable;
-   we encode them as 0 = (even, negfree), 1 = (even, not negfree),
-   2 = (odd, not negfree) and keep a 3-bit visited mask per node. *)
+(* An AND node collects the states it was entered in: (parity of negations
+   so far, negation-free so far). Negation-free implies even parity, so
+   only three states are reachable; we encode them as 0 = (even, negfree),
+   1 = (even, not negfree), 2 = (odd, not negfree) and keep a 3-bit visited
+   mask per node. *)
 let state ~parity ~negfree = if negfree then 0 else if parity = 0 then 1 else 2
 
 let scan man root =
-  let var_marks : (int, marks) Hashtbl.t = Hashtbl.create 64 in
-  let mark v =
-    match Hashtbl.find_opt var_marks v with
-    | Some m -> m
-    | None ->
-        let m = { seen_even = false; seen_odd = false; unit_pos = false; unit_neg = false } in
-        Hashtbl.add var_marks v m;
-        m
-  in
-  let visited : (int, int) Hashtbl.t = Hashtbl.create 256 in
-  let stack = Stack.create () in
+  let size = Man.num_nodes man in
+  let marks = Array.make size 0 in
+  (* pending AND nodes as [node * 4 + state] *)
+  let stack = Hqs_util.Vec.create ~dummy:0 () in
   (* visit an edge from a context with the given parity/negfree state *)
   let push_edge edge ~parity ~negfree =
     let c = Man.is_compl edge in
@@ -35,38 +28,45 @@ let scan man root =
     let parity' = parity lxor if c then 1 else 0 in
     let negfree' = negfree && not c in
     if Man.is_input man (n * 2) then begin
-      let v = Man.var_of_input man (n * 2) in
-      let m = mark v in
-      if parity' = 0 then m.seen_even <- true else m.seen_odd <- true;
-      if negfree' then m.unit_pos <- true;
-      if negfree && c then m.unit_neg <- true
+      let bits =
+        (if parity' = 0 then seen_even else seen_odd)
+        lor (if negfree' then unit_pos else 0)
+        lor if negfree && c then unit_neg else 0
+      in
+      marks.(n) <- marks.(n) lor bits
     end
     else if Man.is_and man (n * 2) then begin
       let s = state ~parity:parity' ~negfree:negfree' in
-      let mask = try Hashtbl.find visited n with Not_found -> 0 in
-      if mask land (1 lsl s) = 0 then begin
-        Hashtbl.replace visited n (mask lor (1 lsl s));
-        Stack.push (n, parity', negfree') stack
+      if marks.(n) land (1 lsl s) = 0 then begin
+        marks.(n) <- marks.(n) lor (1 lsl s);
+        Hqs_util.Vec.push stack ((n * 4) + s)
       end
     end
     (* constant node: nothing to record *)
   in
   push_edge root ~parity:0 ~negfree:true;
-  while not (Stack.is_empty stack) do
-    let n, parity, negfree = Stack.pop stack in
+  while not (Hqs_util.Vec.is_empty stack) do
+    let e = Hqs_util.Vec.pop stack in
+    let n = e / 4 and s = e land 3 in
+    let parity = if s = 2 then 1 else 0 and negfree = s = 0 in
     let e0, e1 = Man.fanins man (n * 2) in
     push_edge e0 ~parity ~negfree;
     push_edge e1 ~parity ~negfree
   done;
-  Hashtbl.fold
-    (fun v m acc ->
+  let acc = ref [] in
+  for n = size - 1 downto 1 do
+    let m = marks.(n) in
+    if m <> 0 && Man.is_input man (n * 2) then begin
+      let has bit = m land bit <> 0 in
       let st =
         {
-          pos_unit = m.unit_pos;
-          neg_unit = m.unit_neg;
-          pos_pure = m.seen_even && not m.seen_odd;
-          neg_pure = m.seen_odd && not m.seen_even;
+          pos_unit = has unit_pos;
+          neg_unit = has unit_neg;
+          pos_pure = has seen_even && not (has seen_odd);
+          neg_pure = has seen_odd && not (has seen_even);
         }
       in
-      (v, st) :: acc)
-    var_marks []
+      acc := (Man.var_of_input man (n * 2), st) :: !acc
+    end
+  done;
+  !acc

@@ -13,12 +13,13 @@ let default_config =
   { use_unitpure = true; use_fraig = true; fraig_node_threshold = 50000; sat_shortcut = true }
 
 (* For each variable in [vars], the number of cone nodes whose support
-   contains it: a cheap proxy for elimination cost. *)
+   contains it: a cheap proxy for elimination cost. [masks.(n)] is the set
+   of positions (in [vars]) of the variables node [n] depends on. *)
 let var_costs man root vars =
   let index = Hashtbl.create 16 in
   List.iteri (fun i v -> Hashtbl.replace index v i) vars;
   let counts = Array.make (List.length vars) 0 in
-  let masks : (int, Bitset.t) Hashtbl.t = Hashtbl.create 256 in
+  let masks = Array.make (M.num_nodes man) Bitset.empty in
   M.iter_cone man [ root ] (fun n ->
       let mask =
         if n = 0 then Bitset.empty
@@ -29,13 +30,13 @@ let var_costs man root vars =
         end
         else begin
           let e0, e1 = M.fanins man (n * 2) in
-          Bitset.union
-            (Hashtbl.find masks (M.node_of e0))
-            (Hashtbl.find masks (M.node_of e1))
+          let a = masks.(M.node_of e0) and b = masks.(M.node_of e1) in
+          (* most nodes share a fanin's set: reuse it instead of copying *)
+          if Bitset.subset a b then b else if Bitset.subset b a then a else Bitset.union a b
         end
       in
       Bitset.iter (fun i -> counts.(i) <- counts.(i) + 1) mask;
-      Hashtbl.replace masks n mask);
+      masks.(n) <- mask);
   fun v -> match Hashtbl.find_opt index v with Some i -> counts.(i) | None -> 0
 
 exception Decided of bool
@@ -106,17 +107,27 @@ let unitpure_step ~notify st prefix_quant =
 (* Quantify one variable, exploiting structure as AIGSOLVE does: forall
    distributes over the root conjunction and exists over the root
    disjunction, so only the parts that actually contain [v] are
-   cofactored and duplicated. *)
+   cofactored and duplicated. One walk finds those parts; each cofactor
+   is then one walk over all of them, so shared subgraphs are rebuilt
+   once. *)
 let quantify_structured man root q v =
-  let parts, recombine, quantify1 =
+  let parts, recombine, join =
     match q with
-    | Prefix.Forall -> (M.and_conjuncts man root, M.mk_and_list man, fun p -> M.forall man p ~var:v)
-    | Prefix.Exists -> (M.or_disjuncts man root, M.mk_or_list man, fun p -> M.exists man p ~var:v)
+    | Prefix.Forall -> (M.and_conjuncts man root, M.mk_and_list man, M.mk_and man)
+    | Prefix.Exists -> (M.or_disjuncts man root, M.mk_or_list man, M.mk_or man)
   in
-  recombine
-    (List.map
-       (fun part -> if Bitset.mem v (M.support man part) then quantify1 part else part)
-       parts)
+  let deps = M.depends_on man parts v in
+  let touched = List.concat (List.map2 (fun p d -> if d then [ p ] else []) parts deps) in
+  let cofactors value = M.compose_list man touched (fun w -> if w = v then Some value else None) in
+  let c0 = cofactors M.false_ in
+  let c1 = cofactors M.true_ in
+  let rec merge parts deps c0 c1 =
+    match (parts, deps, c0, c1) with
+    | p :: parts, false :: deps, _, _ -> p :: merge parts deps c0 c1
+    | _ :: parts, true :: deps, a :: c0, b :: c1 -> join a b :: merge parts deps c0 c1
+    | _ -> []
+  in
+  recombine (merge parts deps c0 c1)
 
 (* returns the answer plus a variable valuation (meaningful on SAT) *)
 let sat_check ~budget man root ~negate =

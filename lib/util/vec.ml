@@ -4,12 +4,6 @@ let create ?(capacity = 16) ~dummy () =
   let capacity = max capacity 1 in
   { data = Array.make capacity dummy; size = 0; dummy }
 
-let make n ~dummy x =
-  let cap = max n 1 in
-  let data = Array.make cap x in
-  (* fill the unused tail with dummy so values are not retained *)
-  { data; size = n; dummy }
-
 let size v = v.size
 let is_empty v = v.size = 0
 

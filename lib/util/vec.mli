@@ -4,7 +4,6 @@
 type 'a t
 
 val create : ?capacity:int -> dummy:'a -> unit -> 'a t
-val make : int -> dummy:'a -> 'a -> 'a t
 
 val size : 'a t -> int
 val is_empty : 'a t -> bool

@@ -201,6 +201,102 @@ let prop_compact =
       M.num_nodes m' <= M.num_nodes m
       && forall_envs (fun env -> M.eval m' root' env = eval_form env f))
 
+(* ------------------------------------------------------------- traversal *)
+
+(* A random AIG with shared subgraphs: ANDs over random earlier literals,
+   plus a few random roots. *)
+let random_aig seed =
+  let rng = Random.State.make [| seed |] in
+  let m = M.create () in
+  let lits = ref (Array.init max_vars (fun v -> M.input m v)) in
+  for _ = 1 to 5 + Random.State.int rng 40 do
+    let pick () =
+      let a = !lits in
+      M.apply_sign a.(Random.State.int rng (Array.length a)) ~neg:(Random.State.bool rng)
+    in
+    let l = M.mk_and m (pick ()) (pick ()) in
+    lits := Array.append !lits [| l |]
+  done;
+  let a = !lits in
+  let roots =
+    List.init (1 + Random.State.int rng 4) (fun _ ->
+        M.apply_sign a.(Random.State.int rng (Array.length a)) ~neg:(Random.State.bool rng))
+  in
+  (m, roots, rng)
+
+(* the depth-first search iter_cone must reproduce node for node *)
+let reference_cone m roots =
+  let visited = Hashtbl.create 64 and stack = Stack.create () and acc = ref [] in
+  List.iter (fun r -> Stack.push (M.node_of r, false) stack) roots;
+  while not (Stack.is_empty stack) do
+    let n, expanded = Stack.pop stack in
+    if expanded then acc := n :: !acc
+    else if not (Hashtbl.mem visited n) then begin
+      Hashtbl.add visited n ();
+      Stack.push (n, true) stack;
+      if M.is_and m (2 * n) then begin
+        let e0, e1 = M.fanins m (2 * n) in
+        Stack.push (M.node_of e0, false) stack;
+        Stack.push (M.node_of e1, false) stack
+      end
+    end
+  done;
+  List.rev !acc
+
+let cone_list m roots =
+  let acc = ref [] in
+  M.iter_cone m roots (fun n -> acc := n :: !acc);
+  List.rev !acc
+
+let same_ints = List.equal Int.equal
+
+let prop_iter_cone_order =
+  QCheck.Test.make ~name:"iter_cone order matches the reference DFS" ~count:300 QCheck.small_nat
+    (fun seed ->
+      let m, roots, _ = random_aig seed in
+      same_ints (cone_list m roots) (reference_cone m roots))
+
+let prop_iter_cone_nested =
+  QCheck.Test.make ~name:"iter_cone nested in its own callback" ~count:200 QCheck.small_nat
+    (fun seed ->
+      let m, roots, _ = random_aig seed in
+      let expected = reference_cone m roots in
+      let ok = ref true and outer = ref [] in
+      M.iter_cone m roots (fun n ->
+          outer := n :: !outer;
+          (* grow the manager and walk other cones while the outer walk
+             runs: the new node's, and the roots' in reverse order *)
+          let fresh = M.mk_and m (M.input m 0) (M.compl_ (2 * n)) in
+          List.iter
+            (fun rs -> if not (same_ints (cone_list m rs) (reference_cone m rs)) then ok := false)
+            [ [ fresh ]; List.rev roots ]);
+      !ok && same_ints (List.rev !outer) expected)
+
+let prop_compose_list =
+  QCheck.Test.make ~name:"compose_list equals compose per root" ~count:300 QCheck.small_nat
+    (fun seed ->
+      let m, roots, rng = random_aig seed in
+      let images =
+        Array.init max_vars (fun _ ->
+            match Random.State.int rng 4 with
+            | 0 -> None
+            | 1 -> Some M.true_
+            | 2 -> Some M.false_
+            | _ -> Some (M.apply_sign (M.input m (Random.State.int rng max_vars)) ~neg:true))
+      in
+      let subst v = images.(v) in
+      let batched = M.compose_list m roots subst in
+      same_ints batched (List.map (fun r -> M.compose m r subst) roots))
+
+let prop_depends_on =
+  QCheck.Test.make ~name:"depends_on agrees with support" ~count:300 QCheck.small_nat (fun seed ->
+      let m, roots, _ = random_aig seed in
+      List.for_all
+        (fun v ->
+          List.equal Bool.equal (M.depends_on m roots v)
+            (List.map (fun r -> Bitset.mem v (M.support m r)) roots))
+        (List.init (max_vars + 2) Fun.id))
+
 (* -------------------------------------------------------- decompositions *)
 
 let prop_and_conjuncts =
@@ -434,5 +530,7 @@ let () =
           Alcotest.test_case "disguised constant" `Quick test_fraig_constant_collapse;
         ]
         @ qsuite [ prop_fraig_preserves; prop_fraig_merges_equivalents ] );
+      ( "traversal",
+        qsuite [ prop_iter_cone_order; prop_iter_cone_nested; prop_compose_list; prop_depends_on ] );
       ("cnf_enc", qsuite [ prop_cnf_enc ]);
     ]

@@ -77,6 +77,20 @@ let test_removed_strash_key () =
   I.strash_remove man a b;
   check "AND without its hash key trips" true (trips (fun () -> Check.audit_man ~stage man))
 
+let test_shadowed_strash_key () =
+  let f = sample_formula () in
+  let man = F.man f in
+  let n = find_and man in
+  let a = I.raw_fanin0 man n and b = I.raw_fanin1 man n in
+  let bogus = M.num_nodes man - 1 in
+  (* a second binding under the real key: lookups now find the bogus node *)
+  I.strash_add man a b bogus;
+  let bound = ref [] in
+  I.strash_iter man (fun a' b' node -> if a' = a && b' = b then bound := node :: !bound);
+  check "strash_iter reports both bindings" true
+    (List.equal Int.equal (List.sort Int.compare !bound) (List.sort Int.compare [ n; bogus ]));
+  check "shadowing entry trips" true (trips (fun () -> Check.audit_man ~stage man))
+
 let test_input_bijectivity () =
   let f = sample_formula () in
   let man = F.man f in
@@ -232,6 +246,7 @@ let () =
           Alcotest.test_case "poisoned strash" `Quick test_poisoned_strash;
           Alcotest.test_case "dangling strash" `Quick test_dangling_strash;
           Alcotest.test_case "removed strash key" `Quick test_removed_strash_key;
+          Alcotest.test_case "shadowed strash key" `Quick test_shadowed_strash_key;
           Alcotest.test_case "input bijectivity" `Quick test_input_bijectivity;
         ] );
       ( "formula",

@@ -56,11 +56,12 @@ let test_three_level () =
 
 (* ------------------------------------------------- randomized validation *)
 
-let qbf_gen =
-  (* random CNF over n <= 6 vars + random quantifier per var, random order *)
+(* random CNF over [vars] variables + random quantifier per var, random order *)
+let qbf_gen_sized ~vars:(lo, hi) ~clauses:(cmin, cmax) ~width:(wmin, wmax) =
   QCheck.Gen.(
-    int_range 2 6 >>= fun n ->
-    list_size (int_range 1 20) (list_size (int_range 1 3) (map2 (fun v s -> (v, s)) (int_bound (n - 1)) bool))
+    int_range lo hi >>= fun n ->
+    list_size (int_range cmin cmax)
+      (list_size (int_range wmin wmax) (map2 (fun v s -> (v, s)) (int_bound (n - 1)) bool))
     >>= fun clauses ->
     list_repeat n bool >>= fun quants ->
     (* permutation of vars via sorting by random keys *)
@@ -71,6 +72,14 @@ let qbf_gen =
       |> List.map snd
     in
     return (n, clauses, quants, order))
+
+let qbf_gen = qbf_gen_sized ~vars:(2, 6) ~clauses:(1, 20) ~width:(1, 3)
+
+(* wide matrices: dozens of root conjuncts sharing subgraphs, so one
+   elimination cofactors many parts through the shared memo; clauses of 4-6
+   literals keep about a fifth of the instances true and leave several
+   eliminations per solve *)
+let wide_qbf_gen = qbf_gen_sized ~vars:(8, 12) ~clauses:(20, 60) ~width:(4, 6)
 
 let qbf_print (n, clauses, quants, order) =
   Printf.sprintf "n=%d order=%s quants=%s clauses=%s" n
@@ -84,6 +93,7 @@ let qbf_print (n, clauses, quants, order) =
           clauses))
 
 let qbf_arb = QCheck.make ~print:qbf_print qbf_gen
+let wide_qbf_arb = QCheck.make ~print:qbf_print wide_qbf_gen
 
 let build_qbf (n, clauses, quants, order) =
   let man = M.create () in
@@ -94,8 +104,8 @@ let build_qbf (n, clauses, quants, order) =
   ignore n;
   (man, matrix, P.normalize prefix)
 
-let prop_matches_brute config name =
-  QCheck.Test.make ~name ~count:300 qbf_arb (fun inst ->
+let prop_matches_brute ?(count = 300) ?(arb = qbf_arb) config name =
+  QCheck.Test.make ~name ~count arb (fun inst ->
       let man, matrix, prefix = build_qbf inst in
       Qbf.Solver.solve ~config man matrix prefix = Qbf.Brute.solve man matrix prefix)
 
@@ -115,6 +125,15 @@ let prop_aggressive_fraig =
   prop_matches_brute
     { Qbf.Solver.default_config with fraig_node_threshold = 1 }
     "solver matches brute force (fraig every step)"
+
+let prop_wide_default =
+  prop_matches_brute ~count:100 ~arb:wide_qbf_arb Qbf.Solver.default_config
+    "wide matrices: solver matches brute force"
+
+let prop_wide_fraig =
+  prop_matches_brute ~count:100 ~arb:wide_qbf_arb
+    { Qbf.Solver.default_config with fraig_node_threshold = 1 }
+    "wide matrices: solver matches brute force (fraig every step)"
 
 let prop_negation_flips =
   QCheck.Test.make ~name:"negating matrix and flipping quantifiers negates result" ~count:200
@@ -245,6 +264,8 @@ let () =
             prop_no_shortcut;
             prop_no_unitpure;
             prop_aggressive_fraig;
+            prop_wide_default;
+            prop_wide_fraig;
             prop_negation_flips;
           ] );
       ( "qdpll",
