@@ -238,11 +238,6 @@ let ablations () =
       ("no-fraig", { Hqs.default_config with use_fraig = false });
       ("expand-all", { Hqs.default_config with mode = Hqs.Expand_all });
       ("qdpll-qbf", { Hqs.default_config with qbf_backend = Hqs.Search_backend });
-      ( "bce",
-        {
-          Hqs.default_config with
-          preprocess = { Dqbf.Preprocess.default_config with blocked_clauses = true };
-        } );
     ]
   in
   let buf = Buffer.create 1024 in

@@ -59,7 +59,7 @@ let resolve_inproc = function
           Printf.eprintf "error: %s\n" msg;
           exit 2)
 
-let solve file timeout mem_limit node_limit no_preprocess no_unitpure no_maxsat no_thm2 bce
+let solve file timeout mem_limit node_limit no_preprocess no_unitpure no_maxsat no_thm2
     expand_all sat_probe no_fraig search_backend no_restart chaos_seed chaos_points check
     dep_scheme inproc certify show_model show_stats trace show_metrics =
   install_signal_handlers ();
@@ -116,12 +116,7 @@ let solve file timeout mem_limit node_limit no_preprocess no_unitpure no_maxsat 
       Hqs.default_config with
       preprocess =
         (if no_preprocess then Dqbf.Preprocess.off
-         else
-           {
-             Dqbf.Preprocess.default_config with
-             blocked_clauses = bce;
-             inproc = resolve_inproc inproc;
-           });
+         else { Dqbf.Preprocess.default_config with inproc = resolve_inproc inproc });
       use_unitpure = not no_unitpure;
       use_maxsat = not no_maxsat;
       use_thm2 = not no_thm2;
@@ -338,10 +333,11 @@ let inproc =
     & opt (some string) None
     & info [ "inproc" ] ~docv:"MODE"
         ~doc:
-          "CNF inprocessing engine run between parsing and AIG construction: off, on (unit \
-           propagation, universal reduction, BIG/SCC equivalence substitution, subsumption \
-           and self-subsumption; the default) or full (additionally failed-literal probing \
-           and dependency-aware bounded variable elimination); overrides \\$(b,HQS_INPROC)")
+          "CNF inprocessing engine run between parsing and AIG construction: off (no CNF \
+           rule; gate detection and AIG build only), on (unit propagation, universal \
+           reduction, BIG/SCC equivalence substitution, subsumption and self-subsumption; \
+           the default) or full (additionally failed-literal probing and dependency-aware \
+           bounded variable elimination); overrides \\$(b,HQS_INPROC)")
 
 let certify_arg =
   Arg.(
@@ -1183,7 +1179,6 @@ let solve_term =
     $ flag [ "no-unitpure" ] "disable unit/pure detection on the AIG"
     $ flag [ "no-maxsat" ] "use the greedy elimination set instead of MaxSAT"
     $ flag [ "no-thm2" ] "disable elimination of fully-dependent existentials"
-    $ flag [ "bce" ] "enable blocked-clause elimination (SAT'15 extension)"
     $ flag [ "expand-all" ] "eliminate every universal (ICCD'13 baseline)"
     $ flag [ "sat-probe" ] "start with a plain SAT call on the matrix"
     $ flag [ "no-fraig" ] "disable FRAIG sweeping"

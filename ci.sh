@@ -230,13 +230,14 @@ fi
 echo "c analysis gate: $total_pruned edge(s) pruned, verdicts identical"
 
 echo "== inproc =="
-# 1) engine on vs off must not move a single verdict byte under the full
-#    auditor, across the same example suite the analysis gate used
-: >"$tmp/verdicts.inproc-on"
-: >"$tmp/verdicts.inproc-off"
+# 1) engine on, off and full must not move a single verdict byte under
+#    the full auditor, across the same example suite the analysis gate
+#    used
+modes="on off full"
+for ip in $modes; do : >"$tmp/verdicts.inproc-$ip"; done
 for f in "$tmp/an"/*.dqdimacs; do
   id=$(basename "$f" .dqdimacs)
-  for ip in on off; do
+  for ip in $modes; do
     ip_status=0
     "$HQS_BIN" "$f" --inproc "$ip" --check full --timeout 60 \
       >"$tmp/ip.$ip.out" 2>&1 || ip_status=$?
@@ -251,11 +252,13 @@ for f in "$tmp/an"/*.dqdimacs; do
     grep '^s ' "$tmp/ip.$ip.out" | sed "s|^|$id |" >>"$tmp/verdicts.inproc-$ip"
   done
 done
-cmp "$tmp/verdicts.inproc-on" "$tmp/verdicts.inproc-off" || {
-  echo "== ci FAILED: inproc on and off disagree on a verdict =="
-  diff "$tmp/verdicts.inproc-on" "$tmp/verdicts.inproc-off" || true
-  exit 1
-}
+for ip in off full; do
+  cmp "$tmp/verdicts.inproc-on" "$tmp/verdicts.inproc-$ip" || {
+    echo "== ci FAILED: inproc on and $ip disagree on a verdict =="
+    diff "$tmp/verdicts.inproc-on" "$tmp/verdicts.inproc-$ip" || true
+    exit 1
+  }
+done
 # 2) the committed fixture must exhibit (and pass the audit for) at least
 #    one SCC merge and one subsumption
 ip_line=$("$HQS_BIN" analyze test/fixtures/inproc_basic.dqdimacs --check full \

@@ -477,15 +477,6 @@ let record_analysis stats (report : Analysis.Rp.report) =
   stats.analysis_edges_pruned <- List.length report.Analysis.Rp.pruned;
   stats.analysis_linearized <- report.Analysis.Rp.linearized
 
-(* the inprocessing hook handed to [Dqbf.Preprocess.run]: audit the
-   engine run against the refined CNF it consumed, and capture the
-   result so its counters can be lifted into [stats] once those exist *)
-let inproc_hook ~(config : config) ~budget refined captured outcome =
-  Check.audit_inproc ~budget ~level:config.check_level refined outcome;
-  match outcome with
-  | Inproc.Simplified res -> captured := Some res
-  | Inproc.Unsat -> ()
-
 let record_inproc ~(config : config) stats captured =
   stats.inproc_mode <- Inproc.mode_name config.preprocess.Dqbf.Preprocess.inproc;
   match captured with
@@ -502,26 +493,37 @@ let record_inproc ~(config : config) stats captured =
       stats.inproc_clauses_removed <- max 0 (s.Inproc.clauses_before - s.Inproc.clauses_after);
       stats.inproc_lits_removed <- max 0 (s.Inproc.lits_before - s.Inproc.lits_after)
 
-let solve_pcnf ?(config = default_config) ?(budget = Budget.unlimited) pcnf =
+(* the front end shared by every PCNF entry point: refine the prefix,
+   preprocess (auditing the engine run against the refined CNF it
+   consumed), solve, and lift the analysis and engine counters into the
+   stats on either verdict *)
+let solve_refined ~config ~budget ~trail pcnf =
   let refined, report = refine_pcnf ~config ~budget pcnf in
   let captured = ref None in
-  let on_inproc = inproc_hook ~config ~budget refined captured in
-  match
-    Dqbf.Preprocess.run ~config:config.preprocess ?node_limit:config.node_limit ~on_inproc
-      refined
-  with
-  | Dqbf.Preprocess.Unsat ->
-      let stats = fresh_stats () in
-      record_analysis stats report;
-      record_inproc ~config stats !captured;
-      (Unsat, stats)
-  | Dqbf.Preprocess.Formula (f, pre) ->
-      Check.audit_stage ~level:config.check_level Check.Post_preprocess f;
-      let verdict, stats = solve_recoverable ~config ~budget ~trail:None f in
-      stats.pre_stats <- Some pre;
-      record_analysis stats report;
-      record_inproc ~config stats !captured;
-      (verdict, stats)
+  let on_inproc outcome =
+    Check.audit_inproc ~budget ~level:config.check_level refined outcome;
+    match outcome with
+    | Inproc.Simplified res -> captured := Some res
+    | Inproc.Unsat -> ()
+  in
+  let verdict, stats =
+    match
+      Dqbf.Preprocess.run ~config:config.preprocess ?node_limit:config.node_limit ?trail
+        ~on_inproc refined
+    with
+    | Dqbf.Preprocess.Unsat -> (Unsat, fresh_stats ())
+    | Dqbf.Preprocess.Formula (f, pre) ->
+        Check.audit_stage ~level:config.check_level Check.Post_preprocess f;
+        let verdict, stats = solve_recoverable ~config ~budget ~trail f in
+        stats.pre_stats <- Some pre;
+        (verdict, stats)
+  in
+  record_analysis stats report;
+  record_inproc ~config stats !captured;
+  (verdict, stats)
+
+let solve_pcnf ?(config = default_config) ?(budget = Budget.unlimited) pcnf =
+  solve_refined ~config ~budget ~trail:None pcnf
 
 (* shared body of the model-producing entry points: the returned Skolem
    witness is unrestricted — it also covers variables the preprocessor
@@ -529,35 +531,17 @@ let solve_pcnf ?(config = default_config) ?(budget = Budget.unlimited) pcnf =
    original (unpreprocessed) formula *)
 let solve_pcnf_witness ~config ~budget pcnf =
   let trail = Dqbf.Model_trail.create () in
-  let refined, report = refine_pcnf ~config ~budget pcnf in
-  let captured = ref None in
-  let on_inproc = inproc_hook ~config ~budget refined captured in
-  match
-    Dqbf.Preprocess.run ~config:config.preprocess ?node_limit:config.node_limit ~trail
-      ~on_inproc refined
-  with
-  | Dqbf.Preprocess.Unsat ->
-      let stats = fresh_stats () in
-      record_analysis stats report;
-      record_inproc ~config stats !captured;
-      (Unsat, None, stats)
-  | Dqbf.Preprocess.Formula (f, pre) ->
-      Check.audit_stage ~level:config.check_level Check.Post_preprocess f;
-      let verdict, stats = solve_recoverable ~config ~budget ~trail:(Some trail) f in
-      stats.pre_stats <- Some pre;
-      record_analysis stats report;
-      record_inproc ~config stats !captured;
-      let model =
-        match verdict with
-        | Unsat -> None
-        | Sat ->
-            let skolem = Dqbf.Model_trail.reconstruct trail in
-            if config.check_level = Check.Full then
-              Check.audit_model ~budget ~stage:Check.Post_solve (Dqbf.Pcnf.to_formula pcnf)
-                skolem;
-            Some skolem
-      in
-      (verdict, model, stats)
+  let verdict, stats = solve_refined ~config ~budget ~trail:(Some trail) pcnf in
+  let model =
+    match verdict with
+    | Unsat -> None
+    | Sat ->
+        let skolem = Dqbf.Model_trail.reconstruct trail in
+        if config.check_level = Check.Full then
+          Check.audit_model ~budget ~stage:Check.Post_solve (Dqbf.Pcnf.to_formula pcnf) skolem;
+        Some skolem
+  in
+  (verdict, model, stats)
 
 let restrict_to_declared pcnf skolem =
   let declared = Hqs_util.Bitset.of_list (List.map fst pcnf.Dqbf.Pcnf.exists) in

@@ -113,8 +113,9 @@ type stats = {
       (** the analyzer alone made the dependency graph linearly orderable
           — the solve skipped universal expansion *)
   mutable inproc_mode : string;
-      (** the {!Inproc} engine mode the solve ran under (["off"] when the
-          legacy preprocessing fixpoint was used) *)
+      (** the {!Inproc} engine mode the solve ran under (["off"]: the
+          engine applied no CNF rule; gate detection and the AIG build
+          only) *)
   mutable inproc_rounds : int;  (** engine fixpoint rounds *)
   mutable inproc_units : int;  (** units propagated by the engine *)
   mutable inproc_scc_merges : int;  (** BIG/SCC equivalence substitutions *)
@@ -160,7 +161,7 @@ val solve_pcnf_model :
   Dqbf.Pcnf.t ->
   verdict * Dqbf.Skolem.t option * stats
 (** Like {!solve_pcnf} with Skolem reconstruction; preprocessing steps
-    (units, equivalences, gate substitutions) are folded into the model. *)
+    (units, equivalences, eliminations, gate substitutions) are folded into the model. *)
 
 val solve_pcnf_certified :
   ?config:config ->

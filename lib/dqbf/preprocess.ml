@@ -2,340 +2,30 @@ open Hqs_util
 module L = Sat.Lit
 module M = Aig.Man
 
-type stats = { units : int; reduced_lits : int; equivs : int; gates : int; blocked : int }
+type stats = { gates : int }
 
-type config = {
-  unit_propagation : bool;
-  universal_reduction : bool;
-  equivalences : bool;
-  gate_detection : bool;
-  blocked_clauses : bool;
-  inproc : Inproc.mode;
-}
+type config = { gate_detection : bool; inproc : Inproc.mode }
 
-let default_config =
-  {
-    unit_propagation = true;
-    universal_reduction = true;
-    equivalences = true;
-    gate_detection = true;
-    blocked_clauses = false;
-    inproc = Inproc.default_mode;
-  }
-
-let off =
-  {
-    unit_propagation = false;
-    universal_reduction = false;
-    equivalences = false;
-    gate_detection = false;
-    blocked_clauses = false;
-    inproc = Inproc.Off;
-  }
+let default_config = { gate_detection = true; inproc = Inproc.default_mode }
+let off = { gate_detection = false; inproc = Inproc.Off }
 
 type outcome = Unsat | Formula of Formula.t * stats
 
-exception Refuted
-
-(* the stats record predates the metrics registry; publish the counters
-   so --metrics and the CSV metric columns see preprocessing activity *)
-let c_units = Obs.Metrics.counter "preprocess.units"
-let c_reduced_lits = Obs.Metrics.counter "preprocess.reduced_lits"
-let c_equivs = Obs.Metrics.counter "preprocess.equivs"
+(* the engine publishes its own inproc.* counters; gate detection is the
+   work only this module does *)
 let c_gates = Obs.Metrics.counter "preprocess.gates"
-let c_blocked = Obs.Metrics.counter "preprocess.blocked"
 
-(* working state; literals use the MiniSat encoding of {!Sat.Lit} *)
+(* working state of gate detection and the AIG build; literals use the
+   MiniSat encoding of {!Sat.Lit} *)
 type state = {
   trail : Model_trail.t option;
-  mutable univs : Bitset.t;
+  univs : Bitset.t;
   deps : (int, Bitset.t) Hashtbl.t; (* existential -> dependency set *)
   mutable clauses : int list list;
-  mutable units : int;
-  mutable reduced_lits : int;
-  mutable equivs : int;
-  mutable gates : int;
-  mutable blocked : int;
 }
 
 let is_univ st v = Bitset.mem v st.univs
 let is_exist st v = Hashtbl.mem st.deps v
-
-(* --------------------------------------------------------- normalization *)
-
-(* sort, dedupe, detect tautologies (returns None) and empty clauses *)
-let normalize_clause clause =
-  let sorted = List.sort_uniq Int.compare clause in
-  let rec taut = function
-    | a :: (b :: _ as rest) -> (L.var a = L.var b && a <> b) || taut rest
-    | [ _ ] | [] -> false
-  in
-  if taut sorted then None else Some sorted
-
-(* ------------------------------------------------------------ unit facts *)
-
-let apply_assignment st v value =
-  if is_exist st v then
-    Option.iter (fun trail -> Model_trail.record_const trail v value) st.trail;
-  let true_lit = L.mk v ~neg:(not value) in
-  let false_lit = L.neg true_lit in
-  st.clauses <-
-    List.filter_map
-      (fun clause ->
-        if List.mem true_lit clause then None
-        else Some (List.filter (fun l -> l <> false_lit) clause))
-      st.clauses;
-  if is_exist st v then Hashtbl.remove st.deps v
-  else st.univs <- Bitset.remove v st.univs
-
-(* -------------------------------------------------------------- one pass *)
-
-let universal_reduction st clause =
-  let needed u =
-    List.exists
-      (fun l ->
-        let y = L.var l in
-        is_exist st y && Bitset.mem u (Hashtbl.find st.deps y))
-      clause
-  in
-  let kept, dropped =
-    List.partition (fun l -> (not (is_univ st (L.var l))) || needed (L.var l)) clause
-  in
-  st.reduced_lits <- st.reduced_lits + List.length dropped;
-  (kept, dropped <> [])
-
-(* union-find over variables with parity: var ~ rep xor parity *)
-type uf = { parent : (int, int) Hashtbl.t; parity : (int, bool) Hashtbl.t }
-
-let uf_create () = { parent = Hashtbl.create 64; parity = Hashtbl.create 64 }
-
-let rec uf_find uf v =
-  match Hashtbl.find_opt uf.parent v with
-  | None -> (v, false)
-  | Some p ->
-      let root, par_p = uf_find uf p in
-      let par_v = Hashtbl.find uf.parity v <> par_p in
-      Hashtbl.replace uf.parent v root;
-      Hashtbl.replace uf.parity v par_v;
-      (root, par_v)
-
-(* declare v ~ w with the given relative parity; false = contradiction *)
-let uf_union uf v w ~opposite =
-  let rv, pv = uf_find uf v and rw, pw = uf_find uf w in
-  if rv = rw then pv <> pw = opposite
-  else begin
-    (* attach rv under rw *)
-    Hashtbl.replace uf.parent rv rw;
-    Hashtbl.replace uf.parity rv (pv <> pw <> opposite);
-    true
-  end
-
-let find_equivalences st =
-  (* binary clauses (a|b) and (!a|!b) together force a = !b *)
-  let binaries = Hashtbl.create 64 in
-  List.iter
-    (fun clause ->
-      match clause with
-      | [ a; b ] -> Hashtbl.replace binaries (min a b, max a b) ()
-      | _ -> ())
-    st.clauses;
-  let uf = uf_create () in
-  let contradictory = ref false in
-  Hashtbl.iter
-    (fun (a, b) () ->
-      let na = L.neg a and nb = L.neg b in
-      if Hashtbl.mem binaries (min na nb, max na nb) then begin
-        (* a = !b, i.e. var a ~ var b with parity (sign a = sign b) *)
-        let opposite = L.is_neg a = L.is_neg b in
-        if not (uf_union uf (L.var a) (L.var b) ~opposite) then contradictory := true
-      end)
-    binaries;
-  if !contradictory then raise Refuted;
-  uf
-
-let apply_equivalences st uf =
-  (* group variables by root *)
-  let classes : (int, (int * bool) list ref) Hashtbl.t = Hashtbl.create 64 in
-  let vars = Hashtbl.create 64 in
-  Hashtbl.iter (fun v _ -> Hashtbl.replace vars v ()) uf.parent;
-  Hashtbl.iter
-    (fun v () ->
-      let root, par = uf_find uf v in
-      if root <> v || Hashtbl.mem uf.parent v then begin
-        let cell =
-          match Hashtbl.find_opt classes root with
-          | Some c -> c
-          | None ->
-              let c = ref [] in
-              Hashtbl.add classes root c;
-              c
-        in
-        cell := (v, par) :: !cell
-      end)
-    vars;
-  (* substitution: var -> (rep, parity) *)
-  let subst : (int, int * bool) Hashtbl.t = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun root members ->
-      let members = !members in
-      let members =
-        if List.mem_assoc root members then members else (root, false) :: members
-      in
-      let members = List.filter (fun (v, _) -> is_univ st v || is_exist st v) members in
-      match members with
-      | [] | [ _ ] -> ()
-      | _ ->
-          let universals = List.filter (fun (v, _) -> is_univ st v) members in
-          (match universals with
-          | _ :: _ :: _ -> raise Refuted (* two universals forced equal *)
-          | [ (x, px) ] ->
-              List.iter
-                (fun (y, py) ->
-                  if y <> x then begin
-                    if not (Bitset.mem x (Hashtbl.find st.deps y)) then raise Refuted;
-                    Hashtbl.replace subst y (x, px <> py);
-                    Option.iter
-                      (fun trail -> Model_trail.record_literal trail y ~var:x ~neg:(px <> py))
-                      st.trail;
-                    Hashtbl.remove st.deps y;
-                    st.equivs <- st.equivs + 1
-                  end)
-                members
-          | [] ->
-              (* all existential: representative keeps the dependency
-                 intersection *)
-              let (rep, prep), rest =
-                match members with m :: rest -> (m, rest) | [] -> assert false
-              in
-              let inter =
-                List.fold_left
-                  (fun acc (y, _) -> Bitset.inter acc (Hashtbl.find st.deps y))
-                  (Hashtbl.find st.deps rep) rest
-              in
-              Hashtbl.replace st.deps rep inter;
-              List.iter
-                (fun (y, py) ->
-                  Hashtbl.replace subst y (rep, prep <> py);
-                  Option.iter
-                    (fun trail -> Model_trail.record_literal trail y ~var:rep ~neg:(prep <> py))
-                    st.trail;
-                  Hashtbl.remove st.deps y;
-                  st.equivs <- st.equivs + 1)
-                rest))
-    classes;
-  if Hashtbl.length subst = 0 then false
-  else begin
-    let map_lit l =
-      match Hashtbl.find_opt subst (L.var l) with
-      | None -> l
-      | Some (rep, opposite) -> L.apply_sign (L.of_var rep) ~neg:(L.is_neg l <> opposite)
-    in
-    st.clauses <- List.map (List.map map_lit) st.clauses;
-    true
-  end
-
-(* Blocked clause elimination, lifted to DQBF (Wimmer et al., SAT 2015):
-   a clause C is blocked by an existential literal l over y when every
-   clause C' containing the complement of l resolves tautologically on a
-   variable v whose dependencies are contained in D_y (universal v: v in
-   D_y; existential v: D_v subset of D_y). Removing C preserves
-   satisfiability: the Skolem function of y can be flipped on the region
-   where C would be falsified, and that region is observable from D_y.
-   Certification is not supported through this rule, so it is skipped
-   when a model trail is attached. *)
-let blocked_clause_elimination st =
-  let dep_below v y =
-    if is_univ st v then Bitset.mem v (Hashtbl.find st.deps y)
-    else if is_exist st v then Bitset.subset (Hashtbl.find st.deps v) (Hashtbl.find st.deps y)
-    else false
-  in
-  let changed = ref false in
-  let continue_ = ref true in
-  while !continue_ do
-    continue_ := false;
-    (* occurrence index for the current clause set *)
-    let occ : (int, int list list ref) Hashtbl.t = Hashtbl.create 256 in
-    List.iter
-      (fun clause ->
-        List.iter
-          (fun l ->
-            match Hashtbl.find_opt occ l with
-            | Some cell -> cell := clause :: !cell
-            | None -> Hashtbl.add occ l (ref [ clause ]))
-          clause)
-      st.clauses;
-    let resolves_taut y c c' =
-      List.exists
-        (fun k -> List.mem (L.neg k) c' && dep_below (L.var k) y)
-        c
-    in
-    let blocked clause =
-      List.exists
-        (fun l ->
-          let y = L.var l in
-          is_exist st y
-          && begin
-               let others = List.filter (fun k -> k <> l) clause in
-               let opposed =
-                 match Hashtbl.find_opt occ (L.neg l) with Some cell -> !cell | None -> []
-               in
-               List.for_all (fun c' -> resolves_taut y others c') opposed
-             end)
-        clause
-    in
-    let keep, drop = List.partition (fun c -> not (blocked c)) st.clauses in
-    if drop <> [] then begin
-      st.clauses <- keep;
-      st.blocked <- st.blocked + List.length drop;
-      changed := true;
-      continue_ := true
-    end
-  done;
-  !changed
-
-let pass config st =
-  let changed = ref false in
-  (* normalize + universal reduction *)
-  st.clauses <-
-    List.filter_map
-      (fun clause ->
-        match normalize_clause clause with
-        | None ->
-            changed := true;
-            None
-        | Some c ->
-            let c, reduced =
-              if config.universal_reduction then universal_reduction st c else (c, false)
-            in
-            if reduced then changed := true;
-            if c = [] then raise Refuted;
-            Some c)
-      st.clauses;
-  (* unit propagation *)
-  if config.unit_propagation then begin
-    let continue_ = ref true in
-    while !continue_ do
-      match List.find_opt (fun c -> match c with [ _ ] -> true | _ -> false) st.clauses with
-      | Some [ l ] ->
-          let v = L.var l in
-          if is_univ st v then raise Refuted;
-          apply_assignment st v (L.is_pos l);
-          st.units <- st.units + 1;
-          changed := true;
-          if List.exists (fun c -> c = []) st.clauses then raise Refuted
-      | _ -> continue_ := false
-    done
-  end;
-  (* equivalent variables *)
-  if config.equivalences then begin
-    let uf = find_equivalences st in
-    if apply_equivalences st uf then changed := true
-  end;
-  (* blocked clauses: sound for satisfiability but not certifying, so
-     only without a model trail *)
-  if config.blocked_clauses && st.trail = None then
-    if blocked_clause_elimination st then changed := true;
-  !changed
 
 (* -------------------------------------------------------- gate detection *)
 
@@ -537,7 +227,6 @@ let build_formula ?node_limit st gates =
   let matrix = M.compose man matrix subst in
   List.iter
     (fun g ->
-      st.gates <- st.gates + 1;
       Option.iter
         (fun trail -> Model_trail.record_def trail man g.out_var (resolve_var g.out_var))
         st.trail;
@@ -547,17 +236,6 @@ let build_formula ?node_limit st gates =
   f
 
 (* -------------------------------------------------- inproc delegation *)
-
-(* the engine's per-rule switches, masked by this module's config so
-   callers that disable a rule here see it disabled in the engine too *)
-let engine_config (c : config) mode =
-  let base = Inproc.config_of_mode mode in
-  {
-    base with
-    Inproc.unit_propagation = base.Inproc.unit_propagation && c.unit_propagation;
-    universal_reduction = base.Inproc.universal_reduction && c.universal_reduction;
-    equivalences = base.Inproc.equivalences && c.equivalences;
-  }
 
 let problem_of_pcnf (pcnf : Pcnf.t) =
   let deps = List.map (fun (y, d) -> (y, Bitset.of_list d)) pcnf.Pcnf.exists in
@@ -606,16 +284,6 @@ let replay_steps trail steps =
       | Inproc.Reduced _ | Inproc.Subsumed _ | Inproc.Strengthened _ -> ())
     steps
 
-(* load an engine result back into the working state *)
-let absorb_result st (res : Inproc.result) =
-  st.clauses <- res.Inproc.clauses;
-  st.univs <- res.Inproc.univs;
-  Hashtbl.reset st.deps;
-  List.iter (fun (y, d) -> Hashtbl.replace st.deps y d) res.Inproc.deps;
-  st.units <- st.units + res.Inproc.stats.Inproc.units;
-  st.reduced_lits <- st.reduced_lits + res.Inproc.stats.Inproc.reduced_lits;
-  st.equivs <- st.equivs + res.Inproc.stats.Inproc.scc_merges
-
 let run_inproc ?(mode = Inproc.default_mode) (pcnf : Pcnf.t) =
   match Inproc.run ~config:(Inproc.config_of_mode mode) (problem_of_pcnf pcnf) with
   | Inproc.Unsat -> `Unsat
@@ -630,13 +298,6 @@ let run_inproc ?(mode = Inproc.default_mode) (pcnf : Pcnf.t) =
       in
       `Done (simplified, res)
 
-let record_metrics st =
-  Obs.Metrics.incr ~by:st.units c_units;
-  Obs.Metrics.incr ~by:st.reduced_lits c_reduced_lits;
-  Obs.Metrics.incr ~by:st.equivs c_equivs;
-  Obs.Metrics.incr ~by:st.gates c_gates;
-  Obs.Metrics.incr ~by:st.blocked c_blocked
-
 let run ?(config = default_config) ?node_limit ?trail ?on_inproc (pcnf : Pcnf.t) =
   Obs.Span.with_ "preprocess"
     ~attrs:
@@ -645,77 +306,25 @@ let run ?(config = default_config) ?node_limit ?trail ?on_inproc (pcnf : Pcnf.t)
         ("vars", Obs.Int pcnf.Pcnf.num_vars);
       ]
   @@ fun () ->
-  let st =
-    {
-      trail;
-      univs = Bitset.of_list pcnf.Pcnf.univs;
-      deps = Hashtbl.create 64;
-      clauses = List.map (List.map L.of_dimacs) pcnf.Pcnf.clauses;
-      units = 0;
-      reduced_lits = 0;
-      equivs = 0;
-      gates = 0;
-      blocked = 0;
-    }
-  in
-  List.iter (fun (y, d) -> Hashtbl.replace st.deps y (Bitset.of_list d)) pcnf.Pcnf.exists;
-  (* undeclared variables: existential, no dependencies *)
-  let declared = Bitset.of_list (pcnf.Pcnf.univs @ List.map fst pcnf.Pcnf.exists) in
-  for v = 0 to pcnf.Pcnf.num_vars - 1 do
-    if not (Bitset.mem v declared) then Hashtbl.replace st.deps v Bitset.empty
-  done;
-  try
-    (match config.inproc with
-    | Inproc.Off ->
-        (* legacy single-module fixpoint: kept verbatim as the engine-off
-           baseline so --inproc off really measures the old pipeline *)
-        let rounds = ref 0 in
-        while pass config st && !rounds < 100 do
-          incr rounds
-        done
-    | mode -> (
-        let prob =
-          {
-            Inproc.num_vars = pcnf.Pcnf.num_vars;
-            univs = st.univs;
-            deps = Hashtbl.fold (fun y d acc -> (y, d) :: acc) st.deps [];
-            clauses = st.clauses;
-          }
-        in
-        match Inproc.run ~config:(engine_config config mode) prob with
-        | Inproc.Unsat ->
-            Option.iter (fun k -> k Inproc.Unsat) on_inproc;
-            raise Refuted
-        | Inproc.Simplified res as outcome ->
-            Option.iter (fun k -> replay_steps k res.Inproc.steps) trail;
-            absorb_result st res;
-            Option.iter (fun k -> k outcome) on_inproc;
-            (* blocked-clause elimination stays outside the engine: it is
-               not certifying, so it only runs without a model trail *)
-            if config.blocked_clauses && st.trail = None then
-              ignore (blocked_clause_elimination st)));
-    let gates = if config.gate_detection then detect_gates st else [] in
-    let f = build_formula ?node_limit st gates in
-    record_metrics st;
-    Obs.Span.event "preprocess.done"
-      ~attrs:
-        [
-          ("units", Obs.Int st.units);
-          ("reduced_lits", Obs.Int st.reduced_lits);
-          ("equivs", Obs.Int st.equivs);
-          ("gates", Obs.Int st.gates);
-          ("blocked", Obs.Int st.blocked);
-        ]
-      ();
-    Formula
-      ( f,
+  match Inproc.run ~config:(Inproc.config_of_mode config.inproc) (problem_of_pcnf pcnf) with
+  | Inproc.Unsat as outcome ->
+      Option.iter (fun k -> k outcome) on_inproc;
+      Unsat
+  | Inproc.Simplified res as outcome ->
+      Option.iter (fun k -> replay_steps k res.Inproc.steps) trail;
+      Option.iter (fun k -> k outcome) on_inproc;
+      let st =
         {
-          units = st.units;
-          reduced_lits = st.reduced_lits;
-          equivs = st.equivs;
-          gates = st.gates;
-          blocked = st.blocked;
-        } )
-  with Refuted ->
-    record_metrics st;
-    Unsat
+          trail;
+          univs = res.Inproc.univs;
+          deps = Hashtbl.create 64;
+          clauses = res.Inproc.clauses;
+        }
+      in
+      List.iter (fun (y, d) -> Hashtbl.replace st.deps y d) res.Inproc.deps;
+      let gates = if config.gate_detection then detect_gates st else [] in
+      let f = build_formula ?node_limit st gates in
+      let n = List.length gates in
+      Obs.Metrics.incr ~by:n c_gates;
+      Obs.Span.event "preprocess.done" ~attrs:[ ("gates", Obs.Int n) ] ();
+      Formula (f, { gates = n })

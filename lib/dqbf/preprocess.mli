@@ -1,47 +1,26 @@
 (** CNF-level preprocessing (Section III-C of the paper), applied before
-    the AIG is built:
+    the AIG is built. One path for every mode:
 
-    - unit literal propagation (universal unit literals refute the formula);
-    - generalized universal reduction: a universal literal is dropped from
-      a clause when no existential literal of the clause depends on it;
-    - equivalent-variable detection from binary clauses, adapted to DQBF:
-      merging two existentials narrows the representative's dependency set
-      to the intersection; an existential forced equal to a universal
-      outside its dependency set — or two universals forced equal — make
-      the formula unsatisfiable;
+    - the {!Inproc} engine runs the CNF rules to a fixpoint: unit
+      propagation (universal unit literals refute the formula),
+      generalized universal reduction, equivalent-variable substitution
+      adapted to DQBF (merged existentials keep the intersection of their
+      dependency sets) and (self-)subsumption, plus failed-literal probing
+      and bounded variable elimination in [Full] mode; its step witnesses
+      are replayed into the model trail;
     - Tseitin gate detection for AND/OR/XOR gates with arbitrarily negated
-      inputs; detected definitions are removed from the clause set and
-      substituted structurally into the AIG (dependency-legal gates only).
+      inputs then removes the detected definitions from the clause set,
+      and they are substituted structurally into the AIG
+      (dependency-legal gates only) as the {!Formula.t} is assembled. *)
 
-    The first three run in alternation to a fixpoint, then gates are
-    harvested and the {!Formula.t} is assembled. *)
-
-type stats = {
-  units : int;  (** unit literals propagated *)
-  reduced_lits : int;  (** universal literals removed by reduction *)
-  equivs : int;  (** variables merged away *)
-  gates : int;  (** gate definitions substituted *)
-  blocked : int;  (** clauses removed by blocked-clause elimination *)
-}
+type stats = { gates : int  (** gate definitions substituted *) }
 
 type config = {
-  unit_propagation : bool;
-  universal_reduction : bool;
-  equivalences : bool;
   gate_detection : bool;
-  blocked_clauses : bool;
-      (** DQBF blocked-clause elimination (Wimmer et al., SAT 2015) — the
-          "more sophisticated preprocessing" the paper's conclusion points
-          to. Off by default (not part of the DATE'15 pipeline); skipped
-          automatically when a model trail is attached, because the rule
-          does not preserve Skolem certificates. *)
   inproc : Inproc.mode;
-      (** Delegate the CNF fixpoint to the occurrence-indexed {!Inproc}
-          engine. [Off] keeps the legacy single-module pass (the
-          engine-off baseline); [On]/[Full] run the engine with the rule
-          switches above masked in, then replay its step witnesses into
-          the model trail. Gate detection and blocked-clause elimination
-          remain on this side either way. *)
+      (** The engine's rule set. [Off] loads the clauses into the engine
+          and returns them with no rule applied, so only gate detection
+          and the AIG build act on them. *)
 }
 
 val default_config : config
@@ -49,6 +28,8 @@ val default_config : config
     resolve [HQS_INPROC] / [--inproc] override the field. *)
 
 val off : config
+(** No CNF rule and no gate detection: the clauses go into the AIG
+    unsimplified. *)
 
 type outcome =
   | Unsat  (** refuted during preprocessing *)
@@ -61,11 +42,12 @@ val run :
   ?on_inproc:(Inproc.outcome -> unit) ->
   Pcnf.t ->
   outcome
-(** [on_inproc] fires once when the engine ran (config [inproc] not
-    [Off]), after trail replay, with the raw engine outcome — the hook
-    the solver uses to audit the run ({!Check.audit_inproc} lives above
-    this library) and to lift the engine counters into [Hqs.stats].
-    Exceptions raised by the callback propagate. *)
+(** [on_inproc] fires exactly once in every mode, after trail replay,
+    with the raw engine outcome ([Off] gives [Simplified] with no steps
+    and zero rounds) — the hook the solver uses to audit the run
+    ({!Check.audit_inproc} lives above this library) and to lift the
+    engine counters into [Hqs.stats]. Exceptions raised by the callback
+    propagate. *)
 
 val run_inproc :
   ?mode:Inproc.mode -> Pcnf.t -> [ `Unsat | `Done of Pcnf.t * Inproc.result ]

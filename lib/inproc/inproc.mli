@@ -29,7 +29,8 @@
     validate the run structurally (and semantically at [--check full]). *)
 
 type mode = Off | On | Full
-(** [Off]: engine disabled. [On] (default): unit propagation, universal
+(** [Off]: no rule; {!run} loads the clauses and returns them unchanged
+    (zero rounds, no steps). [On] (default): unit propagation, universal
     reduction, BIG/SCC equivalence substitution, subsumption and
     self-subsumption. [Full]: additionally failed-literal probing on BIG
     roots and Henkin-legal bounded variable elimination. *)

@@ -317,18 +317,49 @@ let test_preprocess_universal_unit () =
   in
   check "unsat" true (Dqbf.Preprocess.run pcnf = Dqbf.Preprocess.Unsat)
 
+(* the default pipeline's outcome plus the counters of the engine run
+   that [on_inproc] reported *)
+let preprocess_with_engine_stats ?config pcnf =
+  let engine = ref None in
+  let on_inproc = function
+    | Inproc.Simplified res -> engine := Some res.Inproc.stats
+    | Inproc.Unsat -> ()
+  in
+  let outcome = Dqbf.Preprocess.run ?config ~on_inproc pcnf in
+  match (outcome, !engine) with
+  | Dqbf.Preprocess.Formula (f, _), Some stats -> (f, stats)
+  | Dqbf.Preprocess.Unsat, _ -> Alcotest.fail "not unsat"
+  | Dqbf.Preprocess.Formula _, None -> Alcotest.fail "on_inproc did not report a run"
+
 let test_preprocess_universal_reduction () =
   (* clause (x1 | y) where y does not depend on x1: x1 is reduced away,
      leaving unit y *)
   let pcnf =
     { Dqbf.Pcnf.num_vars = 2; univs = [ 0 ]; exists = [ (1, []) ]; clauses = [ [ 1; 2 ] ] }
   in
-  match Dqbf.Preprocess.run pcnf with
+  let f, stats = preprocess_with_engine_stats pcnf in
+  check_int "one reduction" 1 stats.Inproc.reduced_lits;
+  check_int "one unit" 1 stats.Inproc.units;
+  check "matrix true" true (M.is_true (F.matrix f))
+
+let test_preprocess_off_applies_no_rule () =
+  (* Off still goes through the engine, which loads the clauses and hands
+     them back untouched: the hook fires once, with no step and no round,
+     and the reducible universal literal survives into the matrix *)
+  let pcnf =
+    { Dqbf.Pcnf.num_vars = 2; univs = [ 0 ]; exists = [ (1, []) ]; clauses = [ [ 1; 2 ] ] }
+  in
+  let calls = ref [] in
+  let config = { Dqbf.Preprocess.default_config with Dqbf.Preprocess.inproc = Inproc.Off } in
+  match Dqbf.Preprocess.run ~config ~on_inproc:(fun o -> calls := o :: !calls) pcnf with
   | Dqbf.Preprocess.Unsat -> Alcotest.fail "not unsat"
-  | Dqbf.Preprocess.Formula (f, stats) ->
-      check_int "one reduction" 1 stats.Dqbf.Preprocess.reduced_lits;
-      check_int "one unit" 1 stats.Dqbf.Preprocess.units;
-      check "matrix true" true (M.is_true (F.matrix f))
+  | Dqbf.Preprocess.Formula (f, _) -> (
+      check "matrix not reduced" false (M.is_true (F.matrix f));
+      match !calls with
+      | [ Inproc.Simplified res ] ->
+          check "no steps" true (res.Inproc.steps = []);
+          check_int "no rounds" 0 res.Inproc.stats.Inproc.rounds
+      | _ -> Alcotest.fail "on_inproc must fire exactly once, with Simplified")
 
 let test_preprocess_equiv_universal_unsat () =
   (* y = x forced but x not in D_y: unsatisfiable *)
@@ -352,15 +383,13 @@ let test_preprocess_equiv_merge_deps () =
       clauses = [ [ 3; -4 ]; [ -3; 4 ]; [ 3; 1; 2 ] ];
     }
   in
-  match Dqbf.Preprocess.run pcnf with
-  | Dqbf.Preprocess.Unsat -> Alcotest.fail "not unsat"
-  | Dqbf.Preprocess.Formula (f, stats) ->
-      check_int "one merge" 1 stats.Dqbf.Preprocess.equivs;
-      (* the merged variable's dependency set becomes empty, so universal
-         reduction strips the remaining clause down to a unit, which is then
-         propagated: the whole formula collapses to true *)
-      check_int "unit propagated" 1 stats.Dqbf.Preprocess.units;
-      check "matrix true" true (M.is_true (F.matrix f))
+  let f, stats = preprocess_with_engine_stats pcnf in
+  check_int "one merge" 1 stats.Inproc.scc_merges;
+  (* the merged variable's dependency set becomes empty, so universal
+     reduction strips the remaining clause down to a unit, which is then
+     propagated: the whole formula collapses to true *)
+  check_int "unit propagated" 1 stats.Inproc.units;
+  check "matrix true" true (M.is_true (F.matrix f))
 
 let test_preprocess_gate_detection () =
   (* Tseitin AND gate g = a & b (vars a=1, b=2, g=3), plus a ternary use
@@ -373,7 +402,7 @@ let test_preprocess_gate_detection () =
       clauses = [ [ -4; 2 ]; [ -4; 3 ]; [ 4; -2; -3 ]; [ 4; 2; 3 ] ];
     }
   in
-  (* inproc off: this test exercises the legacy gate detector on the exact
+  (* inproc off: this test exercises the gate detector on the exact
      Tseitin clause pattern, which the engine's self-subsumption rewrites *)
   let config =
     { Dqbf.Preprocess.default_config with Dqbf.Preprocess.inproc = Inproc.Off }
@@ -406,60 +435,6 @@ let test_preprocess_xor_gate () =
   | Dqbf.Preprocess.Formula (f, stats) ->
       check "xor gate found" true (stats.Dqbf.Preprocess.gates >= 1);
       check "semantics preserved" reference (Dqbf.Reference.by_expansion f)
-
-let bce_config = { Dqbf.Preprocess.default_config with Dqbf.Preprocess.blocked_clauses = true }
-
-let prop_preprocess_bce_preserves =
-  QCheck.Test.make ~name:"blocked clause elimination preserves truth" ~count:400 instance_arb
-    (fun inst ->
-      let pcnf = pcnf_of_instance inst in
-      let reference = Dqbf.Reference.by_expansion (Dqbf.Pcnf.to_formula pcnf) in
-      match Dqbf.Preprocess.run ~config:bce_config pcnf with
-      | Dqbf.Preprocess.Unsat -> reference = false
-      | Dqbf.Preprocess.Formula (f, _) -> Dqbf.Reference.by_expansion f = reference)
-
-let test_bce_removes_blocked () =
-  (* y occurs only positively except in (y | x) vs (!y | !x): the clause
-     (y | x) is blocked by y (the resolvent with (!y | !x) is a tautology
-     on x, and x is in D_y) *)
-  let pcnf =
-    {
-      Dqbf.Pcnf.num_vars = 3;
-      univs = [ 0 ];
-      exists = [ (1, [ 0 ]); (2, [ 0 ]) ];
-      clauses = [ [ 2; 1 ]; [ -2; -1 ]; [ 2; 3 ]; [ -2; 3 ] ];
-    }
-  in
-  let config =
-    {
-      Dqbf.Preprocess.off with
-      Dqbf.Preprocess.blocked_clauses = true;
-    }
-  in
-  match Dqbf.Preprocess.run ~config pcnf with
-  | Dqbf.Preprocess.Unsat -> Alcotest.fail "not unsat"
-  | Dqbf.Preprocess.Formula (_, stats) ->
-      check "clauses removed" true (stats.Dqbf.Preprocess.blocked > 0)
-
-let prop_preprocess_ablations_preserve =
-  QCheck.Test.make ~name:"each preprocessing stage alone preserves truth" ~count:150
-    instance_arb (fun inst ->
-      let pcnf = pcnf_of_instance inst in
-      let reference = Dqbf.Reference.by_expansion (Dqbf.Pcnf.to_formula pcnf) in
-      let configs =
-        [
-          { Dqbf.Preprocess.off with Dqbf.Preprocess.unit_propagation = true };
-          { Dqbf.Preprocess.off with Dqbf.Preprocess.universal_reduction = true };
-          { Dqbf.Preprocess.off with Dqbf.Preprocess.equivalences = true };
-          { Dqbf.Preprocess.off with Dqbf.Preprocess.gate_detection = true };
-        ]
-      in
-      List.for_all
-        (fun config ->
-          match Dqbf.Preprocess.run ~config pcnf with
-          | Dqbf.Preprocess.Unsat -> reference = false
-          | Dqbf.Preprocess.Formula (f, _) -> Dqbf.Reference.by_expansion f = reference)
-        configs)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -498,16 +473,11 @@ let () =
         [
           Alcotest.test_case "universal unit refutes" `Quick test_preprocess_universal_unit;
           Alcotest.test_case "universal reduction" `Quick test_preprocess_universal_reduction;
+          Alcotest.test_case "off applies no rule" `Quick test_preprocess_off_applies_no_rule;
           Alcotest.test_case "equivalence with universal" `Quick test_preprocess_equiv_universal_unsat;
           Alcotest.test_case "equivalence merges deps" `Quick test_preprocess_equiv_merge_deps;
           Alcotest.test_case "gate detection" `Quick test_preprocess_gate_detection;
           Alcotest.test_case "xor gate detection" `Quick test_preprocess_xor_gate;
         ]
-        @ [ Alcotest.test_case "bce removes blocked clauses" `Quick test_bce_removes_blocked ]
-        @ qsuite
-            [
-              prop_preprocess_preserves;
-              prop_preprocess_bce_preserves;
-              prop_preprocess_ablations_preserve;
-            ] );
+        @ qsuite [ prop_preprocess_preserves ] );
     ]

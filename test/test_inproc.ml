@@ -113,13 +113,14 @@ type instance = {
   clauses : (int * bool) list list;
 }
 
-let instance_gen =
+let instance_gen ~max_clauses ~min_width =
   QCheck.Gen.(
     int_range 1 3 >>= fun nu ->
     int_range 1 3 >>= fun ne ->
     list_repeat ne (int_bound ((1 lsl nu) - 1)) >>= fun dep_masks ->
     let n = nu + ne in
-    list_size (int_range 1 12) (list_size (int_range 1 3) (pair (int_bound (n - 1)) bool))
+    list_size (int_range 1 max_clauses)
+      (list_size (int_range min_width 3) (pair (int_bound (n - 1)) bool))
     >>= fun clauses -> return { nu; ne; dep_masks; clauses })
 
 let instance_print { nu; ne; dep_masks; clauses } =
@@ -132,7 +133,14 @@ let instance_print { nu; ne; dep_masks; clauses } =
               (List.map (fun (v, s) -> string_of_int (if s then -(v + 1) else v + 1)) c))
           clauses))
 
-let instance_arb = QCheck.make ~print:instance_print instance_gen
+let instance_arb =
+  QCheck.make ~print:instance_print (instance_gen ~max_clauses:12 ~min_width:1)
+
+(* no unit clauses and fewer of them: about a third of these instances are
+   satisfiable (a fifth of [instance_arb]'s), so a rule that wrongly
+   strengthens a clause is caught far more often *)
+let wide_instance_arb =
+  QCheck.make ~print:instance_print (instance_gen ~max_clauses:10 ~min_width:2)
 
 let to_pcnf { nu; ne; dep_masks; clauses } =
   pcnf ~num_vars:(nu + ne)
@@ -177,6 +185,40 @@ let prop_solver_mode_agreement =
         match Hqs.solve_pcnf ~config p with Hqs.Sat, _ -> true | Hqs.Unsat, _ -> false
       in
       solve Inproc.Off = solve Inproc.Full)
+
+(* every rule is sound on its own: no rule leans on another having run
+   first. Each config switches one rule on over the Off rule set. *)
+let single_rule_configs =
+  let none = { (Inproc.config_of_mode Inproc.Off) with Inproc.max_rounds = 50 } in
+  [
+    { none with Inproc.unit_propagation = true };
+    { none with Inproc.universal_reduction = true };
+    { none with Inproc.equivalences = true };
+    { none with Inproc.subsumption = true; self_subsumption = true };
+    { none with Inproc.probe = true };
+    { none with Inproc.bve = true; bve_cap = full_config.Inproc.bve_cap };
+  ]
+
+let pcnf_of_result (p : Pcnf.t) (res : Inproc.result) =
+  pcnf ~num_vars:p.Pcnf.num_vars
+    ~univs:(Bitset.to_list res.Inproc.univs)
+    ~exists:(List.map (fun (y, d) -> (y, Bitset.to_list d)) res.Inproc.deps)
+    ~clauses:(List.map (List.map L.to_dimacs) res.Inproc.clauses)
+
+let prop_each_rule_alone_preserves_truth =
+  QCheck.Test.make ~count:300 ~name:"each engine rule alone preserves truth" wide_instance_arb
+    (fun inst ->
+      let p = to_pcnf inst in
+      let reference = Dqbf.Reference.by_expansion (Pcnf.to_formula p) in
+      List.for_all
+        (fun config ->
+          let outcome = Inproc.run ~config (problem_of_pcnf p) in
+          Check.audit_inproc ~level:Check.Full p outcome;
+          match outcome with
+          | Inproc.Unsat -> reference = false
+          | Inproc.Simplified res ->
+              Dqbf.Reference.by_expansion (Pcnf.to_formula (pcnf_of_result p res)) = reference)
+        single_rule_configs)
 
 let subsumption_only =
   {
@@ -271,6 +313,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_engine_preserves_truth;
+            prop_each_rule_alone_preserves_truth;
             prop_solver_mode_agreement;
             prop_subsumption_shrinks;
             prop_scc_idempotent;

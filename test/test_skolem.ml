@@ -220,26 +220,6 @@ let prop_pcnf_model =
       | Hqs.Sat, None, _ -> false
       | Hqs.Unsat, _, _ -> not expected)
 
-let prop_pcnf_model_with_bce_config =
-  (* blocked-clause elimination is not certifying, so the pipeline must
-     skip it when a model is requested — and still produce a verifiable
-     model *)
-  QCheck.Test.make ~name:"pcnf model verifies (BCE requested)" ~count:200 instance_arb
-    (fun inst ->
-      let pcnf = pcnf_of_instance inst in
-      let original = Dqbf.Pcnf.to_formula pcnf in
-      let config =
-        {
-          Hqs.default_config with
-          preprocess =
-            { Dqbf.Preprocess.default_config with Dqbf.Preprocess.blocked_clauses = true };
-        }
-      in
-      match Hqs.solve_pcnf_model ~config pcnf with
-      | Hqs.Sat, Some model, _ -> Sk.verify original model = Ok ()
-      | Hqs.Sat, None, _ -> false
-      | Hqs.Unsat, _, _ -> not (Dqbf.Reference.by_expansion original))
-
 let prop_pcnf_model_no_preprocess =
   QCheck.Test.make ~name:"pcnf model verifies (preprocessing off)" ~count:200 instance_arb
     (fun inst ->
@@ -317,7 +297,6 @@ let () =
               prop_model_fraig;
               prop_model_search_backend;
               prop_pcnf_model;
-              prop_pcnf_model_with_bce_config;
               prop_pcnf_model_no_preprocess;
             ] );
       ("idq", qsuite [ prop_idq_model ]);

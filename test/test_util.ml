@@ -143,19 +143,6 @@ let prop_heap_pop_order =
       List.sort (fun a b -> Float.compare b a) sorted_scores = sorted_scores
       && List.length popped = Array.length scores)
 
-(* ----------------------------------------------------------- Union-find *)
-
-let test_union_find () =
-  let u = Union_find.create 5 in
-  Union_find.union u 0 1;
-  Union_find.union u 2 3;
-  check "0~1" true (Union_find.same u 0 1);
-  check "0!~2" false (Union_find.same u 0 2);
-  Union_find.union u 1 2;
-  check "0~3 transitively" true (Union_find.same u 0 3);
-  Union_find.ensure u 10;
-  check "fresh singleton" false (Union_find.same u 10 0)
-
 (* ------------------------------------------------------------------ Rng *)
 
 let test_rng_deterministic () =
@@ -277,7 +264,6 @@ let () =
           Alcotest.test_case "update" `Quick test_heap_update;
         ]
         @ qsuite [ prop_heap_pop_order ] );
-      ("union_find", [ Alcotest.test_case "basic" `Quick test_union_find ]);
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
