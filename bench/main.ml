@@ -21,8 +21,7 @@
      BENCH_INPROC_OUT  path of that file (default BENCH_inproc.json)
      BENCH_JOBS     supervised sweep workers           (default 1)
      BENCH_JOURNAL  append completed tasks to this crash-safe JSONL file
-     BENCH_RESUME   skip tasks already journaled in this file
-     BENCH_INPROC=1 legacy in-process sweep (no fork isolation) *)
+     BENCH_RESUME   skip tasks already journaled in this file *)
 
 module Fam = Circuit.Families
 module R = Harness.Runner
@@ -158,21 +157,11 @@ let short = function
   | R.Memout _ -> "MO"
   | R.Crash _ -> "CRASH"
 
-let run_suite_inproc instances =
-  let n = List.length instances in
-  List.mapi
-    (fun i inst ->
-      Printf.eprintf "[%3d/%d] %-28s%!" (i + 1) n inst.Fam.id;
-      let r = R.run_instance ~hqs_config:bench_hqs_config ~timeout ~node_limit inst in
-      Printf.eprintf " hqs: %-12s idq: %-12s\n%!" (short r.R.hqs) (short r.R.idq);
-      r)
-    instances
-
-(* default path: every (instance, solver) task in its own forked worker
+(* every (instance, solver) task runs in its own forked worker
    under the supervisor, so one wedged or crashing solve cannot take the
    whole benchmark down; the kernel wall limit is a backstop over the
    in-process timeout *)
-let run_suite_supervised instances =
+let run_suite instances =
   let jobs = env_int "BENCH_JOBS" 1 in
   let journal = Sys.getenv_opt "BENCH_JOURNAL" in
   let resume = Sys.getenv_opt "BENCH_RESUME" in
@@ -205,10 +194,6 @@ let run_suite_supervised instances =
        Printf.sprintf ", %d torn journal lines dropped" rep.Harness.Sweep.journal_dropped
      else "");
   rep.Harness.Sweep.results
-
-let run_suite instances =
-  if env_bool "BENCH_INPROC" false then run_suite_inproc instances
-  else run_suite_supervised instances
 
 (* ------------------------------------------------------------- ablations *)
 
@@ -369,7 +354,6 @@ let obs_baseline () =
   let n = List.length cases in
   List.iteri
     (fun i inst ->
-      Obs.Sampler.reset ();
       Obs.Trace.reset ();
       Obs.Trace.start ();
       let before = Obs.Metrics.snapshot () in
@@ -484,13 +468,13 @@ let analysis_baseline () =
     (fun i inst ->
       let o_triv, s_triv = solve Analysis.Scheme.Trivial inst.Fam.pcnf in
       let o_rp, s_rp = solve Analysis.Scheme.Rp inst.Fam.pcnf in
-      let ms = Option.map (fun (s : Hqs.stats) -> s.Hqs.maxsat_set_size) in
-      let ms_triv = ms s_triv and ms_rp = ms s_rp in
+      let metric name = Option.map (fun s -> int_of_float (Hqs.metric s name)) in
+      let ms_triv = metric "hqs.maxsat_set" s_triv and ms_rp = metric "hqs.maxsat_set" s_rp in
       let delta =
         match (ms_triv, ms_rp) with Some a, Some b -> Some (a - b) | _ -> None
       in
-      let pruned = Option.map (fun (s : Hqs.stats) -> s.Hqs.analysis_edges_pruned) s_rp in
-      let linearized = Option.map (fun (s : Hqs.stats) -> s.Hqs.analysis_linearized) s_rp in
+      let pruned = metric "analysis.edges_pruned" s_rp in
+      let linearized = Option.map (fun n -> n > 0) (metric "analysis.linearized" s_rp) in
       if verdict_str o_triv <> verdict_str o_rp then
         Printf.eprintf "analysis baseline: scheme verdicts differ on %s (%s vs %s)\n%!"
           inst.Fam.id (verdict_str o_triv) (verdict_str o_rp);

@@ -242,7 +242,7 @@ let solve file timeout mem_limit node_limit no_preprocess no_unitpure no_maxsat 
   in
   match run () with
   | verdict, stats ->
-      if show_stats then Format.eprintf "c %a@." Hqs.pp_stats stats;
+      if show_stats then Format.eprintf "c %a@." (Hqs.pp_stats ~config ~verdict) stats;
       finish_obs ();
       (match verdict with
       | Hqs.Sat ->

@@ -204,7 +204,13 @@ for f in "$tmp/an"/*.dqdimacs; do
   done
   ms_trivial=$(cat "$tmp/ms.trivial")
   ms_rp=$(cat "$tmp/ms.rp")
-  if [ -n "$ms_trivial" ] && [ -n "$ms_rp" ] && [ "$ms_rp" -gt "$ms_trivial" ]; then
+  # a --stats line without the key must fail the gate, not skip it
+  if [ -z "$ms_trivial" ] || [ -z "$ms_rp" ]; then
+    echo "== ci FAILED: no maxsat-set= key in the --stats line on $id =="
+    cat "$tmp/an.trivial.out" "$tmp/an.rp.out"
+    exit 1
+  fi
+  if [ "$ms_rp" -gt "$ms_trivial" ]; then
     echo "== ci FAILED: rp grew the MaxSAT elimination set on $id ($ms_trivial -> $ms_rp) =="
     exit 1
   fi

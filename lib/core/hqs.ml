@@ -66,78 +66,7 @@ let degraded_config config =
     qbf_backend = Search_backend;
   }
 
-type stats = {
-  mutable pre_stats : Dqbf.Preprocess.stats option;
-  mutable univ_elims : int;
-  mutable exist_elims : int;
-  mutable unitpure_elims : int;
-  mutable maxsat_runs : int;
-  mutable maxsat_set_size : int;
-  mutable maxsat_time : float;
-  mutable unitpure_time : float;
-  mutable qbf_time : float;
-  mutable peak_nodes : int;
-  mutable total_time : float;
-  mutable restarts : int;
-  mutable degraded : string list;
-  mutable check_level : string;
-  mutable checks_run : int;
-  mutable sat_conflicts : int;
-  mutable sat_propagations : int;
-  mutable fraig_merges : int;
-  mutable dep_scheme : string;
-  mutable analysis_edges_pruned : int;
-  mutable analysis_linearized : bool;
-  mutable inproc_mode : string;
-  mutable inproc_rounds : int;
-  mutable inproc_units : int;
-  mutable inproc_scc_merges : int;
-  mutable inproc_subsumed : int;
-  mutable inproc_strengthened : int;
-  mutable inproc_failed_lits : int;
-  mutable inproc_bve : int;
-  mutable inproc_clauses_removed : int;
-  mutable inproc_lits_removed : int;
-  mutable cert_status : string;
-  mutable metrics : (string * float) list;
-}
-
-let fresh_stats () =
-  {
-    pre_stats = None;
-    univ_elims = 0;
-    exist_elims = 0;
-    unitpure_elims = 0;
-    maxsat_runs = 0;
-    maxsat_set_size = 0;
-    maxsat_time = 0.0;
-    unitpure_time = 0.0;
-    qbf_time = 0.0;
-    peak_nodes = 0;
-    total_time = 0.0;
-    restarts = 0;
-    degraded = [];
-    check_level = "off";
-    checks_run = 0;
-    sat_conflicts = 0;
-    sat_propagations = 0;
-    fraig_merges = 0;
-    dep_scheme = Analysis.Scheme.name Analysis.Scheme.Trivial;
-    analysis_edges_pruned = 0;
-    analysis_linearized = false;
-    inproc_mode = Inproc.mode_name Inproc.Off;
-    inproc_rounds = 0;
-    inproc_units = 0;
-    inproc_scc_merges = 0;
-    inproc_subsumed = 0;
-    inproc_strengthened = 0;
-    inproc_failed_lits = 0;
-    inproc_bve = 0;
-    inproc_clauses_removed = 0;
-    inproc_lits_removed = 0;
-    cert_status = "-";
-    metrics = [];
-  }
+type stats = { metrics : (string * float) list; degraded : string list }
 
 exception Done of verdict
 
@@ -158,11 +87,9 @@ let rollback_opt trail mark =
 
 let g_heap = Obs.Metrics.gauge "gc.heap_words.peak"
 
-(* mirrors of [stats] fields that otherwise live only in the in-process
-   record: shipping them through the metric registry lets the sweep
-   supervisor rebuild a partial stats row for a worker that was killed by
-   the wall-clock or memory governor before it could send its result
-   frame (the registry delta rides in every partial IPC flush) *)
+(* per-solve levels of the main loop. They are gauges, so [measured]
+   zeroes them at the entry of every public call; counters need no reset,
+   the call's delta already isolates them *)
 let g_restarts = Obs.Metrics.gauge "hqs.restarts"
 let g_peak_nodes = Obs.Metrics.gauge "hqs.peak_nodes"
 let m_unitpure_elims = Obs.Metrics.counter "hqs.unitpure_elims"
@@ -171,16 +98,13 @@ let g_maxsat_time = Obs.Metrics.gauge "hqs.maxsat_time_s"
 let g_unitpure_time = Obs.Metrics.gauge "hqs.unitpure_time_s"
 let g_qbf_time = Obs.Metrics.gauge "hqs.qbf_time_s"
 
-let metric_int m name =
-  match Obs.Metrics.find m name with Some v -> int_of_float v | None -> 0
+let per_call_gauges =
+  [ g_restarts; g_peak_nodes; g_maxsat_set; g_maxsat_time; g_unitpure_time; g_qbf_time ]
 
-let solve_impl ~config ~budget ~trail ~ledger ~restarts f0 =
-  let t_start = Budget.now () in
-  let m_before = Obs.Metrics.snapshot () in
-  let stats = fresh_stats () in
-  stats.restarts <- restarts;
+let add_seconds g t0 = Obs.Metrics.set g (Obs.Metrics.gauge_value g +. (Budget.now () -. t0))
+
+let solve_impl ~(config : config) ~budget ~trail ~ledger ~restarts f0 =
   Obs.Metrics.set_max g_restarts (float_of_int restarts);
-  stats.check_level <- Check.level_name (config : config).check_level;
   Obs.Span.with_ "hqs.solve"
     ~attrs:[ ("restarts", Obs.Int restarts); ("vars", Obs.Int (F.next_var f0)) ]
   @@ fun () ->
@@ -199,9 +123,9 @@ let solve_impl ~config ~budget ~trail ~ledger ~restarts f0 =
   let queue = ref [] in
   let last_size = ref (M.num_nodes (F.man f)) in
   let fraig_floor = ref 0 in
+  let first_select = ref true in
   let note_size () =
-    stats.peak_nodes <- max stats.peak_nodes (M.num_nodes (F.man f));
-    Obs.Metrics.set_max g_peak_nodes (float_of_int stats.peak_nodes);
+    Obs.Metrics.set_max g_peak_nodes (float_of_int (M.num_nodes (F.man f)));
     Obs.Metrics.set_max g_heap (float_of_int (Budget.heap_words ()))
   in
   (* the soundness gate at each stage boundary (free when check_level=Off) *)
@@ -256,12 +180,11 @@ let solve_impl ~config ~budget ~trail ~ledger ~restarts f0 =
               ()
           else Dqbf.Elimset.greedy_all f
     in
-    stats.maxsat_time <- stats.maxsat_time +. (Budget.now () -. t0);
-    Obs.Metrics.set_max g_maxsat_time stats.maxsat_time;
-    stats.maxsat_runs <- stats.maxsat_runs + 1;
-    if stats.maxsat_runs = 1 then begin
-      stats.maxsat_set_size <- List.length set;
-      Obs.Metrics.set_max g_maxsat_set (float_of_int stats.maxsat_set_size)
+    add_seconds g_maxsat_time t0;
+    (* the paper's elimination-set size is that of the first selection *)
+    if !first_select then begin
+      first_select := false;
+      Obs.Metrics.set_max g_maxsat_set (float_of_int (List.length set))
     end;
     queue := Dqbf.Elimset.ordered_queue f set
   in
@@ -271,7 +194,6 @@ let solve_impl ~config ~budget ~trail ~ledger ~restarts f0 =
       let continue_ = ref true in
       while !continue_ do
         Budget.check budget;
-        Obs.Sampler.tick ();
         note_size ();
         if M.is_true (F.matrix f) then raise (Done Sat);
         if M.is_false (F.matrix f) then raise (Done Unsat);
@@ -282,12 +204,10 @@ let solve_impl ~config ~budget ~trail ~ledger ~restarts f0 =
           else begin
             let t0 = Budget.now () in
             let r = Obs.Span.with_ "elim.unitpure" (fun () -> Dqbf.Elim.unit_pure_round ?trail f) in
-            stats.unitpure_time <- stats.unitpure_time +. (Budget.now () -. t0);
-            Obs.Metrics.set_max g_unitpure_time stats.unitpure_time;
+            add_seconds g_unitpure_time t0;
             match r with
             | `Unsat -> raise (Done Unsat)
             | `Eliminated n ->
-                stats.unitpure_elims <- stats.unitpure_elims + n;
                 Obs.Metrics.incr ~by:n m_unitpure_elims;
                 true
             | `None -> false
@@ -307,7 +227,6 @@ let solve_impl ~config ~budget ~trail ~ledger ~restarts f0 =
               let k =
                 Obs.Span.with_ "elim.thm2" (fun () -> Dqbf.Elim.eliminate_full_existentials ?trail f)
               in
-              stats.exist_elims <- stats.exist_elims + k;
               if k > 0 then audit Check.Post_elimination
             end;
             if not (M.is_const (F.matrix f)) then begin
@@ -333,7 +252,6 @@ let solve_impl ~config ~budget ~trail ~ledger ~restarts f0 =
                     raise Budget.Out_of_memory_budget
                   end;
                   Dqbf.Elim.universal ?trail f x;
-                  stats.univ_elims <- stats.univ_elims + 1;
                   audit ~queue:!queue Check.Post_elimination;
                   compact_or_fraig ()
               | None ->
@@ -397,8 +315,7 @@ let solve_impl ~config ~budget ~trail ~ledger ~restarts f0 =
                           run_search budget)
                         ()
                 in
-                stats.qbf_time <- stats.qbf_time +. (Budget.now () -. t0);
-                Obs.Metrics.set_max g_qbf_time stats.qbf_time;
+                add_seconds g_qbf_time t0;
                 raise (Done (if answer then Sat else Unsat))
           end
         end
@@ -411,52 +328,54 @@ let solve_impl ~config ~budget ~trail ~ledger ~restarts f0 =
   | Sat, Some trail ->
       List.iter (fun (y, _) -> Dqbf.Model_trail.record_const trail y false) (F.existentials f)
   | _ -> ());
-  stats.degraded <- List.map Degrade.event_label (Degrade.events ledger);
-  (* per-solve view of the process-wide metric registry *)
-  let m_delta = Obs.Metrics.delta ~before:m_before ~after:(Obs.Metrics.snapshot ()) in
-  stats.checks_run <- metric_int m_delta "check.audits";
-  stats.sat_conflicts <- metric_int m_delta "sat.conflicts";
-  stats.sat_propagations <- metric_int m_delta "sat.propagations";
-  stats.fraig_merges <- metric_int m_delta "fraig.merges";
-  stats.metrics <- Obs.Metrics.to_assoc m_delta;
-  stats.total_time <- Budget.now () -. t_start;
-  (verdict, stats)
+  verdict
 
 (* one bounded restart: a mid-elimination memout (node limit, not the
    heap governor) retries the whole solve once with the degraded config
    before the memout is allowed to escape *)
-let solve_recoverable ~config ~budget ~trail f0 =
-  let t_start = Budget.now () in
-  let ledger = Degrade.create () in
+let solve_recoverable ~config ~budget ~trail ~ledger f0 =
   let mark = Option.map Dqbf.Model_trail.mark trail in
-  let verdict, stats =
-    try solve_impl ~config ~budget ~trail ~ledger ~restarts:0 f0
-    with Budget.Out_of_memory_budget
-    when config.restart_on_memout && not (Budget.expired budget)
-         && not (Budget.mem_exceeded budget) ->
-      rollback_opt trail mark;
-      Degrade.record ledger ~point:"solve" ~action:"restart-degraded" ~reason:Degrade.Node_limit;
-      solve_impl ~config:(degraded_config config) ~budget ~trail ~ledger ~restarts:1 f0
-  in
-  stats.total_time <- Budget.now () -. t_start;
-  (verdict, stats)
+  try solve_impl ~config ~budget ~trail ~ledger ~restarts:0 f0
+  with Budget.Out_of_memory_budget
+  when config.restart_on_memout && not (Budget.expired budget)
+       && not (Budget.mem_exceeded budget) ->
+    rollback_opt trail mark;
+    Degrade.record ledger ~point:"solve" ~action:"restart-degraded" ~reason:Degrade.Node_limit;
+    solve_impl ~config:(degraded_config config) ~budget ~trail ~ledger ~restarts:1 f0
+
+(* every public entry point runs its whole call under [measured]: the
+   stats are the registry delta from entry to return, so they cover the
+   analysis, inproc, gate detection, the solve, a degraded restart and
+   certification alike *)
+let measured run =
+  List.iter (fun g -> Obs.Metrics.set g 0.0) per_call_gauges;
+  let before = Obs.Metrics.snapshot () in
+  let ledger = Degrade.create () in
+  let result = run ledger in
+  let delta = Obs.Metrics.delta ~before ~after:(Obs.Metrics.snapshot ()) in
+  ( result,
+    {
+      metrics = Obs.Metrics.to_assoc delta;
+      degraded = List.map Degrade.event_label (Degrade.events ledger);
+    } )
 
 let solve_formula ?(config = default_config) ?(budget = Budget.unlimited) f0 =
-  solve_recoverable ~config ~budget ~trail:None f0
+  measured (fun ledger -> solve_recoverable ~config ~budget ~trail:None ~ledger f0)
 
 let solve_formula_model ?(config = default_config) ?(budget = Budget.unlimited) f0 =
   let trail = Dqbf.Model_trail.create () in
-  let verdict, stats = solve_recoverable ~config ~budget ~trail:(Some trail) f0 in
-  let model =
+  let (verdict, model), stats =
+    measured @@ fun ledger ->
+    let verdict = solve_recoverable ~config ~budget ~trail:(Some trail) ~ledger f0 in
     match verdict with
-    | Unsat -> None
+    | Unsat -> (verdict, None)
     | Sat ->
         let skolem = Dqbf.Model_trail.reconstruct trail in
         (* certify the witness against the original matrix before handing
            it out: a wrong Skolem function here means some stage lied *)
         if config.check_level = Check.Full then
           Check.audit_model ~budget ~stage:Check.Post_solve f0 skolem;
-        Some (Dqbf.Skolem.restrict skolem ~keep:(Dqbf.Formula.is_existential f0))
+        (verdict, Some (Dqbf.Skolem.restrict skolem ~keep:(Dqbf.Formula.is_existential f0)))
   in
   (verdict, model, stats)
 
@@ -470,117 +389,128 @@ let refine_pcnf ~(config : config) ~budget pcnf =
   let refined, report = Analysis.Rp.analyze ~scheme:config.dep_scheme pcnf in
   Check.audit_dep_pruning ~budget ~level:config.check_level pcnf
     ~pruned:report.Analysis.Rp.pruned;
-  (refined, report)
-
-let record_analysis stats (report : Analysis.Rp.report) =
-  stats.dep_scheme <- Analysis.Scheme.name report.Analysis.Rp.scheme;
-  stats.analysis_edges_pruned <- List.length report.Analysis.Rp.pruned;
-  stats.analysis_linearized <- report.Analysis.Rp.linearized
-
-let record_inproc ~(config : config) stats captured =
-  stats.inproc_mode <- Inproc.mode_name config.preprocess.Dqbf.Preprocess.inproc;
-  match captured with
-  | None -> ()
-  | Some (res : Inproc.result) ->
-      let s = res.Inproc.stats in
-      stats.inproc_rounds <- s.Inproc.rounds;
-      stats.inproc_units <- s.Inproc.units;
-      stats.inproc_scc_merges <- s.Inproc.scc_merges;
-      stats.inproc_subsumed <- s.Inproc.subsumed;
-      stats.inproc_strengthened <- s.Inproc.strengthened;
-      stats.inproc_failed_lits <- s.Inproc.failed_lits;
-      stats.inproc_bve <- s.Inproc.bve_eliminated;
-      stats.inproc_clauses_removed <- max 0 (s.Inproc.clauses_before - s.Inproc.clauses_after);
-      stats.inproc_lits_removed <- max 0 (s.Inproc.lits_before - s.Inproc.lits_after)
+  refined
 
 (* the front end shared by every PCNF entry point: refine the prefix,
    preprocess (auditing the engine run against the refined CNF it
-   consumed), solve, and lift the analysis and engine counters into the
-   stats on either verdict *)
-let solve_refined ~config ~budget ~trail pcnf =
-  let refined, report = refine_pcnf ~config ~budget pcnf in
-  let captured = ref None in
-  let on_inproc outcome =
-    Check.audit_inproc ~budget ~level:config.check_level refined outcome;
-    match outcome with
-    | Inproc.Simplified res -> captured := Some res
-    | Inproc.Unsat -> ()
-  in
-  let verdict, stats =
-    match
-      Dqbf.Preprocess.run ~config:config.preprocess ?node_limit:config.node_limit ?trail
-        ~on_inproc refined
-    with
-    | Dqbf.Preprocess.Unsat -> (Unsat, fresh_stats ())
-    | Dqbf.Preprocess.Formula (f, pre) ->
-        Check.audit_stage ~level:config.check_level Check.Post_preprocess f;
-        let verdict, stats = solve_recoverable ~config ~budget ~trail f in
-        stats.pre_stats <- Some pre;
-        (verdict, stats)
-  in
-  record_analysis stats report;
-  record_inproc ~config stats !captured;
-  (verdict, stats)
+   consumed), then solve *)
+let solve_refined ~config ~budget ~trail ~ledger pcnf =
+  let refined = refine_pcnf ~config ~budget pcnf in
+  let on_inproc outcome = Check.audit_inproc ~budget ~level:config.check_level refined outcome in
+  match
+    Dqbf.Preprocess.run ~config:config.preprocess ?node_limit:config.node_limit ?trail ~on_inproc
+      refined
+  with
+  | Dqbf.Preprocess.Unsat -> Unsat
+  | Dqbf.Preprocess.Formula (f, _) ->
+      Check.audit_stage ~level:config.check_level Check.Post_preprocess f;
+      solve_recoverable ~config ~budget ~trail ~ledger f
 
 let solve_pcnf ?(config = default_config) ?(budget = Budget.unlimited) pcnf =
-  solve_refined ~config ~budget ~trail:None pcnf
+  measured (fun ledger -> solve_refined ~config ~budget ~trail:None ~ledger pcnf)
 
 (* shared body of the model-producing entry points: the returned Skolem
    witness is unrestricted — it also covers variables the preprocessor
    folded away and undeclared existentials, so it certifies against the
    original (unpreprocessed) formula *)
-let solve_pcnf_witness ~config ~budget pcnf =
+let solve_pcnf_witness ~config ~budget ~ledger pcnf =
   let trail = Dqbf.Model_trail.create () in
-  let verdict, stats = solve_refined ~config ~budget ~trail:(Some trail) pcnf in
-  let model =
-    match verdict with
-    | Unsat -> None
-    | Sat ->
-        let skolem = Dqbf.Model_trail.reconstruct trail in
-        if config.check_level = Check.Full then
-          Check.audit_model ~budget ~stage:Check.Post_solve (Dqbf.Pcnf.to_formula pcnf) skolem;
-        Some skolem
-  in
-  (verdict, model, stats)
+  match solve_refined ~config ~budget ~trail:(Some trail) ~ledger pcnf with
+  | Unsat -> (Unsat, None)
+  | Sat ->
+      let skolem = Dqbf.Model_trail.reconstruct trail in
+      if config.check_level = Check.Full then
+        Check.audit_model ~budget ~stage:Check.Post_solve (Dqbf.Pcnf.to_formula pcnf) skolem;
+      (Sat, Some skolem)
 
 let restrict_to_declared pcnf skolem =
   let declared = Hqs_util.Bitset.of_list (List.map fst pcnf.Dqbf.Pcnf.exists) in
   Dqbf.Skolem.restrict skolem ~keep:(fun y -> Hqs_util.Bitset.mem y declared)
 
 let solve_pcnf_model ?(config = default_config) ?(budget = Budget.unlimited) pcnf =
-  let verdict, model, stats = solve_pcnf_witness ~config ~budget pcnf in
+  let (verdict, model), stats =
+    measured (fun ledger -> solve_pcnf_witness ~config ~budget ~ledger pcnf)
+  in
   (verdict, Option.map (restrict_to_declared pcnf) model, stats)
 
 let solve_pcnf_certified ?(config = default_config) ?(budget = Budget.unlimited)
     ~instance_text pcnf =
-  let verdict, model, stats = solve_pcnf_witness ~config ~budget pcnf in
-  let cert =
-    match (verdict, model) with
-    | Sat, Some skolem -> Cert.of_skolem ~instance_text pcnf skolem
-    | Sat, None ->
-        (* the witness entry point always reconstructs a model on Sat *)
-        assert false
-    | Unsat, _ -> Cert.of_unsat ~budget ~instance_text pcnf
+  let (verdict, cert, model), stats =
+    measured @@ fun ledger ->
+    let verdict, model = solve_pcnf_witness ~config ~budget ~ledger pcnf in
+    let cert =
+      match (verdict, model) with
+      | Sat, Some skolem -> Cert.of_skolem ~instance_text pcnf skolem
+      | Sat, None ->
+          (* the witness entry point always reconstructs a model on Sat *)
+          assert false
+      | Unsat, _ -> Cert.of_unsat ~budget ~instance_text pcnf
+    in
+    (* audit before handing the artifact out: a failure here is the
+       recovery-loop trigger, raised as a Check.Violation *)
+    Check.audit_certificate ~budget ~level:config.check_level ~instance_text pcnf cert;
+    (verdict, cert, model)
   in
-  stats.cert_status <- Cert.status cert;
-  (* audit before handing the artifact out: a failure here is the
-     recovery-loop trigger, raised as a Check.Violation *)
-  Check.audit_certificate ~budget ~level:config.check_level ~instance_text pcnf cert;
   (verdict, cert, Option.map (restrict_to_declared pcnf) model, stats)
 
-let pp_stats fmt s =
-  Format.fprintf fmt
-    "univ-elims=%d exist-elims=%d unit/pure=%d maxsat-runs=%d maxsat-set=%d maxsat-time=%.3fs \
-     unitpure-time=%.3fs qbf-time=%.3fs peak-nodes=%d sat-conflicts=%d sat-propagations=%d \
-     fraig-merges=%d checks=%d check-level=%s total=%.3fs restarts=%d degraded=%s \
-     dep-scheme=%s dep-pruned=%d linearized=%b inproc=%s inproc-rounds=%d inproc-units=%d \
-     inproc-merges=%d inproc-subsumed=%d inproc-strengthened=%d inproc-failed-lits=%d \
-     inproc-bve=%d inproc-clauses-removed=%d inproc-lits-removed=%d cert=%s"
-    s.univ_elims s.exist_elims s.unitpure_elims s.maxsat_runs s.maxsat_set_size s.maxsat_time
-    s.unitpure_time s.qbf_time s.peak_nodes s.sat_conflicts s.sat_propagations s.fraig_merges
-    s.checks_run s.check_level s.total_time s.restarts
-    (match s.degraded with [] -> "-" | l -> String.concat "," l)
-    s.dep_scheme s.analysis_edges_pruned s.analysis_linearized s.inproc_mode s.inproc_rounds
-    s.inproc_units s.inproc_scc_merges s.inproc_subsumed s.inproc_strengthened
-    s.inproc_failed_lits s.inproc_bve s.inproc_clauses_removed s.inproc_lits_removed
-    s.cert_status
+(* ------------------------------------------------- per-solve statistics *)
+
+type stat = Count of string | Seconds of string | Dep_scheme | Inproc_mode | Cert_status
+
+(* every per-solve statistic, declared once in CSV column order: the
+   harness CSV and [pp_stats] both iterate this list, so a new metric is
+   one entry here *)
+let stat_columns =
+  [
+    ("hqs_restarts", Count "hqs.restarts");
+    ("hqs_peak_nodes", Count "hqs.peak_nodes");
+    ("hqs_univ_elims", Count "elim.universal");
+    ("hqs_exist_elims", Count "elim.existential");
+    ("hqs_unitpure_elims", Count "hqs.unitpure_elims");
+    ("hqs_maxsat_set", Count "hqs.maxsat_set");
+    ("hqs_maxsat_time", Seconds "hqs.maxsat_time_s");
+    ("hqs_qbf_time", Seconds "hqs.qbf_time_s");
+    ("hqs_sat_conflicts", Count "sat.conflicts");
+    ("hqs_sat_propagations", Count "sat.propagations");
+    ("hqs_fraig_merges", Count "fraig.merges");
+    ("hqs_checks", Count "check.audits");
+    ("hqs_dep_scheme", Dep_scheme);
+    ("hqs_analysis_edges_pruned", Count "analysis.edges_pruned");
+    ("hqs_analysis_linearized", Count "analysis.linearized");
+    ("hqs_inproc_mode", Inproc_mode);
+    ("hqs_inproc_rounds", Count "inproc.rounds");
+    ("hqs_inproc_units", Count "inproc.units");
+    ("hqs_inproc_scc_merges", Count "inproc.scc_merges");
+    ("hqs_inproc_subsumed", Count "inproc.subsumed");
+    ("hqs_inproc_strengthened", Count "inproc.strengthened");
+    ("hqs_inproc_failed_lits", Count "inproc.failed_lits");
+    ("hqs_inproc_bve", Count "inproc.bve_eliminated");
+    ("hqs_inproc_clauses_removed", Count "inproc.clauses_removed");
+    ("hqs_inproc_lits_removed", Count "inproc.lits_removed");
+    ("hqs_cert_status", Cert_status);
+  ]
+
+let metric stats name = Option.value ~default:0.0 (List.assoc_opt name stats.metrics)
+
+let stat_cell ~config ~verdict stats = function
+  | Count name -> string_of_int (int_of_float (metric stats name))
+  | Seconds name -> Printf.sprintf "%.3f" (metric stats name)
+  | Dep_scheme -> Analysis.Scheme.name config.dep_scheme
+  | Inproc_mode -> Inproc.mode_name config.preprocess.Dqbf.Preprocess.inproc
+  | Cert_status -> (
+      if metric stats "cert.uncertified" > 0.0 then "UNCERTIFIED"
+      else if metric stats "cert.emitted" = 0.0 then "-"
+      else match verdict with Some Sat -> "SAT" | Some Unsat -> "UNSAT" | None -> "-")
+
+(* the --stats key of a CSV column: hqs_maxsat_set -> maxsat-set *)
+let stat_key column =
+  String.map (fun c -> if c = '_' then '-' else c) (String.sub column 4 (String.length column - 4))
+
+let pp_stats ~config ~verdict fmt stats =
+  List.iter
+    (fun (column, stat) ->
+      Format.fprintf fmt "%s=%s " (stat_key column)
+        (stat_cell ~config ~verdict:(Some verdict) stats stat))
+    stat_columns;
+  Format.fprintf fmt "degraded=%s"
+    (match stats.degraded with [] -> "-" | l -> String.concat "," l)

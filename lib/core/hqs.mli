@@ -83,56 +83,16 @@ val degraded_config : config -> config
     not grow the AIG. *)
 
 type stats = {
-  mutable pre_stats : Dqbf.Preprocess.stats option;
-  mutable univ_elims : int;
-  mutable exist_elims : int;
-  mutable unitpure_elims : int;
-  mutable maxsat_runs : int;
-  mutable maxsat_set_size : int;  (** size of the first elimination set *)
-  mutable maxsat_time : float;
-  mutable unitpure_time : float;
-  mutable qbf_time : float;
-  mutable peak_nodes : int;
-  mutable total_time : float;
-  mutable restarts : int;  (** degraded restarts taken (0 or 1) *)
-  mutable degraded : string list;
+  metrics : (string * float) list;
+      (** the {!Obs.Metrics} delta over the whole public call, sorted by
+          name: counters and histogram series as flows, gauges as levels.
+          The per-solve gauges ([hqs.peak_nodes], [hqs.maxsat_set],
+          [hqs.restarts], [hqs.*_time_s]) start every call from zero, so
+          two solves in one process never leak into each other. *)
+  degraded : string list;
       (** chronological degradation labels, e.g.
           ["maxsat.minset->greedy[timeout]"; "solve->restart-degraded[node-limit]"];
           empty when every stage ran at full strength *)
-  mutable check_level : string;  (** the auditor depth this solve ran under *)
-  mutable checks_run : int;  (** stage audits executed (see {!Check}) *)
-  mutable sat_conflicts : int;  (** CDCL conflicts across every embedded SAT call *)
-  mutable sat_propagations : int;
-  mutable fraig_merges : int;  (** equivalence classes collapsed by FRAIG sweeping *)
-  mutable dep_scheme : string;
-      (** the dependency scheme the prefix was refined under (["trivial"]
-          for the [solve_formula] entry points, which skip the analyzer) *)
-  mutable analysis_edges_pruned : int;
-      (** dependency edges removed by the static analyzer *)
-  mutable analysis_linearized : bool;
-      (** the analyzer alone made the dependency graph linearly orderable
-          — the solve skipped universal expansion *)
-  mutable inproc_mode : string;
-      (** the {!Inproc} engine mode the solve ran under (["off"]: the
-          engine applied no CNF rule; gate detection and the AIG build
-          only) *)
-  mutable inproc_rounds : int;  (** engine fixpoint rounds *)
-  mutable inproc_units : int;  (** units propagated by the engine *)
-  mutable inproc_scc_merges : int;  (** BIG/SCC equivalence substitutions *)
-  mutable inproc_subsumed : int;  (** clauses removed by subsumption *)
-  mutable inproc_strengthened : int;  (** literals struck by self-subsumption *)
-  mutable inproc_failed_lits : int;  (** failed literals found by BIG probing *)
-  mutable inproc_bve : int;  (** existentials removed by Henkin-legal BVE *)
-  mutable inproc_clauses_removed : int;  (** net clause reduction by the engine *)
-  mutable inproc_lits_removed : int;  (** net literal reduction by the engine *)
-  mutable cert_status : string;
-      (** certificate outcome of a {!solve_pcnf_certified} run: ["SAT"],
-          ["UNSAT"], ["UNCERTIFIED"], or ["-"] when no artifact was
-          requested *)
-  mutable metrics : (string * float) list;
-      (** full per-solve snapshot of the {!Obs.Metrics} registry (counters
-          and histogram series as deltas over the solve, gauges as final
-          values), sorted by name — the source for the harness CSV columns *)
 }
 
 val solve_formula :
@@ -179,4 +139,31 @@ val solve_pcnf_certified :
     {!Check.Violation} at the [Post_certify] stage, which callers treat
     like a crash (re-solve escalated, evict caches, quarantine). *)
 
-val pp_stats : Format.formatter -> stats -> unit
+val metric : stats -> string -> float
+(** The named metric of the call, [0.] when the call never touched it. *)
+
+(** How a declared statistic is read off a finished call. *)
+type stat =
+  | Count of string  (** an integer-valued metric of {!stats.metrics} *)
+  | Seconds of string  (** a seconds gauge, printed with three decimals *)
+  | Dep_scheme  (** echo of [config.dep_scheme] *)
+  | Inproc_mode  (** echo of the preprocessing [inproc] mode *)
+  | Cert_status
+      (** ["SAT"]/["UNSAT"] (the verdict) when the call emitted a
+          certificate, ["UNCERTIFIED"] when it emitted the marker, ["-"]
+          when no artifact was requested — read off the [cert.emitted]
+          and [cert.uncertified] deltas *)
+
+val stat_columns : (string * stat) list
+(** Every per-solve statistic, declared once as (CSV column, source) in
+    CSV column order. The harness CSV and {!pp_stats} both iterate this
+    list: a new metric needs its declaration plus one entry here. *)
+
+val stat_cell : config:config -> verdict:verdict option -> stats -> stat -> string
+(** Render one statistic of a call run under [config]; [verdict] is
+    [None] for a call that did not finish (a salvaged timeout row). *)
+
+val pp_stats : config:config -> verdict:verdict -> Format.formatter -> stats -> unit
+(** One [key=value] pair per {!stat_columns} entry (the column without
+    its [hqs_] prefix, underscores as dashes: [maxsat-set=2]), then
+    [degraded=]. *)

@@ -45,9 +45,8 @@ val run :
 (** [on_inproc] fires exactly once in every mode, after trail replay,
     with the raw engine outcome ([Off] gives [Simplified] with no steps
     and zero rounds) — the hook the solver uses to audit the run
-    ({!Check.audit_inproc} lives above this library) and to lift the
-    engine counters into [Hqs.stats]. Exceptions raised by the callback
-    propagate. *)
+    ({!Check.audit_inproc} lives above this library). Exceptions raised
+    by the callback propagate. *)
 
 val run_inproc :
   ?mode:Inproc.mode -> Pcnf.t -> [ `Unsat | `Done of Pcnf.t * Inproc.result ]

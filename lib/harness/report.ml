@@ -32,7 +32,8 @@ let summarize pick other results =
 let families results =
   List.fold_left (fun acc r -> if List.mem r.family acc then acc else acc @ [ r.family ]) [] results
 
-let degraded_count rs = List.length (List.filter (fun r -> r.hqs_degraded <> []) rs)
+let degraded r = match r.hqs_stats with Some s -> s.Hqs.degraded | None -> []
+let degraded_count rs = List.length (List.filter (fun r -> degraded r <> []) rs)
 let disagreements rs = List.filter (fun r -> r.soundness <> Consistent) rs
 
 let is_crash = function Crash _ -> true | Solved _ | Timeout _ | Memout _ -> false
@@ -168,106 +169,69 @@ let headline results =
 let json_int_cell = function Some n -> string_of_int n | None -> "null"
 let json_bool_cell = function Some b -> string_of_bool b | None -> "null"
 
-(* stable CSV schema: base columns first, then the per-solve metric
-   columns in this fixed order. Rows whose solve did not finish (TO/MO
-   before a verdict) leave the metric cells empty rather than shifting
-   the layout. *)
-let csv_metric_columns =
+let outcome_cell = function
+  | Solved (true, _) -> "SAT"
+  | Solved (false, _) -> "UNSAT"
+  | Timeout _ -> "TO"
+  | Memout _ -> "MO"
+  | Crash _ -> "CRASH"
+
+let time_cell o = Printf.sprintf "%.3f" (time_of o)
+
+let verdict_of = function
+  | Solved (v, _) -> Some (if v then Hqs.Sat else Hqs.Unsat)
+  | Timeout _ | Memout _ | Crash _ -> None
+
+(* executor columns: [outcome] classifies the HQS run *)
+let executor_columns =
   [
-    ("hqs_restarts", fun (s : Hqs.stats) -> string_of_int s.Hqs.restarts);
-    ("hqs_peak_nodes", fun s -> string_of_int s.Hqs.peak_nodes);
-    ("hqs_univ_elims", fun s -> string_of_int s.Hqs.univ_elims);
-    ("hqs_exist_elims", fun s -> string_of_int s.Hqs.exist_elims);
-    ("hqs_unitpure_elims", fun s -> string_of_int s.Hqs.unitpure_elims);
-    ("hqs_maxsat_set", fun s -> string_of_int s.Hqs.maxsat_set_size);
-    ("hqs_maxsat_time", fun s -> Printf.sprintf "%.3f" s.Hqs.maxsat_time);
-    ("hqs_qbf_time", fun s -> Printf.sprintf "%.3f" s.Hqs.qbf_time);
-    ("hqs_sat_conflicts", fun s -> string_of_int s.Hqs.sat_conflicts);
-    ("hqs_sat_propagations", fun s -> string_of_int s.Hqs.sat_propagations);
-    ("hqs_fraig_merges", fun s -> string_of_int s.Hqs.fraig_merges);
-    ("hqs_checks", fun s -> string_of_int s.Hqs.checks_run);
+    ( "outcome",
+      fun r ->
+        match r.hqs with
+        | Solved _ -> "solved"
+        | Timeout _ -> "timeout"
+        | Memout _ -> "memout"
+        | Crash _ -> "crash" );
+    ("attempts", fun r -> string_of_int r.attempts);
+    ("worker_pid", fun r -> match r.worker_pid with Some p -> string_of_int p | None -> "");
   ]
 
-(* the static-analysis columns ride behind the executor block (again so
-   the pre-existing columns keep their byte positions); cells are empty
-   for runs without stats, like the metric block *)
-let csv_analysis_columns =
-  [
-    ("hqs_dep_scheme", fun (s : Hqs.stats) -> s.Hqs.dep_scheme);
-    ("hqs_analysis_edges_pruned", fun s -> string_of_int s.Hqs.analysis_edges_pruned);
-    ("hqs_analysis_linearized", fun s -> if s.Hqs.analysis_linearized then "1" else "0");
-  ]
+(* a declared per-solve statistic; empty for a run that left no stats *)
+let stat_column (name, stat) =
+  ( name,
+    fun r ->
+      match r.hqs_stats with
+      | None -> ""
+      | Some s -> Hqs.stat_cell ~config:r.hqs_config ~verdict:(verdict_of r.hqs) s stat )
 
-(* the inprocessing-engine columns append after the analysis block, same
-   stable-schema rule: new columns only ever ride at the end *)
-let csv_inproc_columns =
+(* stable CSV schema: the base columns, then every statistic of
+   [Hqs.stat_columns] in its declared order, then the certificate path.
+   The executor block was appended when the statistics still ended at
+   [hqs_checks], so it keeps that byte position in front of
+   [hqs_dep_scheme]. *)
+let csv_columns =
   [
-    ("hqs_inproc_mode", fun (s : Hqs.stats) -> s.Hqs.inproc_mode);
-    ("hqs_inproc_rounds", fun s -> string_of_int s.Hqs.inproc_rounds);
-    ("hqs_inproc_units", fun s -> string_of_int s.Hqs.inproc_units);
-    ("hqs_inproc_scc_merges", fun s -> string_of_int s.Hqs.inproc_scc_merges);
-    ("hqs_inproc_subsumed", fun s -> string_of_int s.Hqs.inproc_subsumed);
-    ("hqs_inproc_strengthened", fun s -> string_of_int s.Hqs.inproc_strengthened);
-    ("hqs_inproc_failed_lits", fun s -> string_of_int s.Hqs.inproc_failed_lits);
-    ("hqs_inproc_bve", fun s -> string_of_int s.Hqs.inproc_bve);
-    ("hqs_inproc_clauses_removed", fun s -> string_of_int s.Hqs.inproc_clauses_removed);
-    ("hqs_inproc_lits_removed", fun s -> string_of_int s.Hqs.inproc_lits_removed);
+    ("id", fun r -> r.id);
+    ("family", fun r -> r.family);
+    ("hqs_outcome", fun r -> outcome_cell r.hqs);
+    ("hqs_time", fun r -> time_cell r.hqs);
+    ("idq_outcome", fun r -> outcome_cell r.idq);
+    ("idq_time", fun r -> time_cell r.idq);
+    ("hqs_degraded", fun r -> match degraded r with [] -> "-" | l -> String.concat ";" l);
+    ("check", fun r -> match r.soundness with Consistent -> "ok" | Disagreement _ -> "DISAGREE");
   ]
+  @ List.concat_map
+      (fun ((name, _) as c) ->
+        (if name = "hqs_dep_scheme" then executor_columns else []) @ [ stat_column c ])
+      Hqs.stat_columns
+  @ [ ("cert", fun r -> Option.value r.cert_path ~default:"") ]
 
 let csv results =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf "id,family,hqs_outcome,hqs_time,idq_outcome,idq_time,hqs_degraded,check";
-  List.iter (fun (name, _) -> Buffer.add_string buf ("," ^ name)) csv_metric_columns;
-  (* executor columns, appended after the metric block so every
-     pre-existing column keeps its position byte-for-byte *)
-  Buffer.add_string buf ",outcome,attempts,worker_pid";
-  List.iter (fun (name, _) -> Buffer.add_string buf ("," ^ name)) csv_analysis_columns;
-  List.iter (fun (name, _) -> Buffer.add_string buf ("," ^ name)) csv_inproc_columns;
-  (* certification columns, last per the stable-schema rule *)
-  Buffer.add_string buf ",hqs_cert_status,cert";
-  Buffer.add_char buf '\n';
-  let cells = function
-    | Solved (true, t) -> ("SAT", t)
-    | Solved (false, t) -> ("UNSAT", t)
-    | Timeout t -> ("TO", t)
-    | Memout t -> ("MO", t)
-    | Crash t -> ("CRASH", t)
+  let line cells =
+    Buffer.add_string buf (String.concat "," cells);
+    Buffer.add_char buf '\n'
   in
-  let classify = function
-    | Solved _ -> "solved"
-    | Timeout _ -> "timeout"
-    | Memout _ -> "memout"
-    | Crash _ -> "crash"
-  in
-  List.iter
-    (fun r ->
-      let ho, ht = cells r.hqs and io, it = cells r.idq in
-      let degr = match r.hqs_degraded with [] -> "-" | l -> String.concat ";" l in
-      let chk = match r.soundness with Consistent -> "ok" | Disagreement _ -> "DISAGREE" in
-      Buffer.add_string buf
-        (Printf.sprintf "%s,%s,%s,%.3f,%s,%.3f,%s,%s" r.id r.family ho ht io it degr chk);
-      List.iter
-        (fun (_, cell) ->
-          Buffer.add_char buf ',';
-          match r.hqs_stats with Some s -> Buffer.add_string buf (cell s) | None -> ())
-        csv_metric_columns;
-      Buffer.add_string buf
-        (Printf.sprintf ",%s,%d,%s" (classify r.hqs) r.attempts
-           (match r.worker_pid with Some p -> string_of_int p | None -> ""));
-      List.iter
-        (fun (_, cell) ->
-          Buffer.add_char buf ',';
-          match r.hqs_stats with Some s -> Buffer.add_string buf (cell s) | None -> ())
-        csv_analysis_columns;
-      List.iter
-        (fun (_, cell) ->
-          Buffer.add_char buf ',';
-          match r.hqs_stats with Some s -> Buffer.add_string buf (cell s) | None -> ())
-        csv_inproc_columns;
-      Buffer.add_string buf
-        (Printf.sprintf ",%s,%s"
-           (match r.hqs_stats with Some s -> s.Hqs.cert_status | None -> "")
-           (match r.cert_path with Some p -> p | None -> ""));
-      Buffer.add_char buf '\n')
-    results;
+  line (List.map fst csv_columns);
+  List.iter (fun r -> line (List.map (fun (_, cell) -> cell r) csv_columns)) results;
   Buffer.contents buf

@@ -18,20 +18,10 @@ val fig4 : ?timeout:float -> Runner.result list -> string
 val headline : Runner.result list -> string
 val csv : Runner.result list -> string
 (** One line per instance: id, family, solver outcomes and times, the
-    degradation/soundness columns, then a fixed set of per-solve metric
-    columns ([hqs_restarts], [hqs_peak_nodes], elimination counts, stage
-    times, SAT conflict/propagation counts, FRAIG merges, audits run),
-    then the executor columns [outcome] (solved/timeout/memout/crash,
-    classifying the HQS run), [attempts] and [worker_pid] (empty for
-    in-process runs), then the static-analysis columns [hqs_dep_scheme],
-    [hqs_analysis_edges_pruned] and [hqs_analysis_linearized], then the
-    inprocessing-engine columns [hqs_inproc_mode], [hqs_inproc_rounds],
-    [hqs_inproc_units], [hqs_inproc_scc_merges], [hqs_inproc_subsumed],
-    [hqs_inproc_strengthened], [hqs_inproc_failed_lits],
-    [hqs_inproc_bve], [hqs_inproc_clauses_removed] and
-    [hqs_inproc_lits_removed], then the certification columns
-    [hqs_cert_status] (SAT/UNSAT/UNCERTIFIED, ["-"] when no artifact was
-    requested) and [cert] (the artifact path from a certifying sweep).
-    The pre-existing columns keep their positions byte-for-byte; metric,
-    analysis, inproc and certification cells are empty for runs that
-    timed or memed out before a verdict. *)
+    degradation/soundness columns, then one column per
+    {!Hqs.stat_columns} entry in its declared order — with the executor
+    columns [outcome] (solved/timeout/memout/crash, classifying the HQS
+    run), [attempts] and [worker_pid] kept at their historical position
+    in front of [hqs_dep_scheme] — and last the [cert] artifact path
+    from a certifying sweep. The header is byte-stable; statistic cells
+    are empty for runs that left no stats. *)

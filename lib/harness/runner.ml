@@ -9,7 +9,7 @@ type result = {
   sat_expected : bool option;
   hqs : outcome;
   idq : outcome;
-  hqs_degraded : string list;
+  hqs_config : Hqs.config;
   hqs_stats : Hqs.stats option;
   soundness : soundness;
   attempts : int;
@@ -72,28 +72,3 @@ let run_hqs_certified ?(config = Hqs.default_config) ~timeout ~node_limit ~dir ~
 
 let run_idq ~timeout ~node_limit pcnf =
   timed ~timeout (fun budget -> fst (Idq.solve_pcnf ~budget ~node_limit pcnf))
-
-let run_instance ?hqs_config ~timeout ~node_limit (inst : Circuit.Families.instance) =
-  let hqs, hqs_stats =
-    run_hqs ?config:hqs_config ~timeout ~node_limit inst.Circuit.Families.pcnf
-  in
-  let hqs_degraded = match hqs_stats with Some s -> s.Hqs.degraded | None -> [] in
-  let idq = run_idq ~timeout ~node_limit inst.Circuit.Families.pcnf in
-  let soundness =
-    match (hqs, idq) with
-    | Solved (a, _), Solved (b, _) when a <> b -> Disagreement { hqs_sat = a; idq_sat = b }
-    | _ -> Consistent
-  in
-  {
-    id = inst.Circuit.Families.id;
-    family = inst.Circuit.Families.family;
-    sat_expected = None;
-    hqs;
-    idq;
-    hqs_degraded;
-    hqs_stats;
-    soundness;
-    attempts = 1;
-    worker_pid = None;
-    cert_path = None;
-  }

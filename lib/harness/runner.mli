@@ -25,20 +25,16 @@ type result = {
   sat_expected : bool option;  (** ground truth when known *)
   hqs : outcome;
   idq : outcome;
-  hqs_degraded : string list;
-      (** degradation labels from {!Hqs.stats} (empty when every stage ran
-          at full strength, or when the run did not finish) *)
+  hqs_config : Hqs.config;
+      (** the configuration the HQS task ran under — the source of the
+          configuration-echo cells of {!Report.csv} *)
   hqs_stats : Hqs.stats option;
-      (** full solve statistics, [None] when the run timed or memed out
-          before producing a verdict — the source of the metric columns in
-          {!Report.csv} *)
+      (** the call's metric delta and degradation labels, [None] when the
+          run did not finish and left nothing to salvage — the source of
+          the per-solve columns of {!Report.csv} *)
   soundness : soundness;
-  attempts : int;
-      (** worker processes spawned for the HQS solve under the supervised
-          executor; always 1 for in-process runs *)
-  worker_pid : int option;
-      (** pid of the (final) HQS worker when process-isolated, [None] for
-          in-process runs *)
+  attempts : int;  (** worker processes spawned for the HQS solve *)
+  worker_pid : int option;  (** pid of the (final) HQS worker *)
   cert_path : string option;
       (** path of the certificate artifact when the sweep ran with a
           certify directory and the HQS solve finished, [None] otherwise *)
@@ -71,13 +67,3 @@ val run_hqs_certified :
     times or bails out leaves no artifact ([None]). *)
 
 val run_idq : timeout:float -> node_limit:int -> Dqbf.Pcnf.t -> outcome
-
-val run_instance :
-  ?hqs_config:Hqs.config ->
-  timeout:float ->
-  node_limit:int ->
-  Circuit.Families.instance ->
-  result
-(** Run both solvers on a PEC instance. If both solve it, their verdicts
-    are compared; a mismatch is recorded as {!Disagreement} in
-    [soundness]. *)

@@ -68,106 +68,27 @@ let outcome_of_json j =
 (* ----------------------------------------------------- stats (de)coding *)
 
 let stats_to_json (s : Hqs.stats) =
-  let i k v = (k, Json.Num (float_of_int v)) in
-  let f k v = (k, Json.Num v) in
   Json.Obj
     [
-      i "univ_elims" s.Hqs.univ_elims;
-      i "exist_elims" s.Hqs.exist_elims;
-      i "unitpure_elims" s.Hqs.unitpure_elims;
-      i "maxsat_runs" s.Hqs.maxsat_runs;
-      i "maxsat_set_size" s.Hqs.maxsat_set_size;
-      f "maxsat_time" s.Hqs.maxsat_time;
-      f "unitpure_time" s.Hqs.unitpure_time;
-      f "qbf_time" s.Hqs.qbf_time;
-      i "peak_nodes" s.Hqs.peak_nodes;
-      f "total_time" s.Hqs.total_time;
-      i "restarts" s.Hqs.restarts;
-      ("degraded", Json.Arr (List.map (fun d -> Json.Str d) s.Hqs.degraded));
-      ("check_level", Json.Str s.Hqs.check_level);
-      i "checks_run" s.Hqs.checks_run;
-      i "sat_conflicts" s.Hqs.sat_conflicts;
-      i "sat_propagations" s.Hqs.sat_propagations;
-      i "fraig_merges" s.Hqs.fraig_merges;
-      ("dep_scheme", Json.Str s.Hqs.dep_scheme);
-      i "analysis_edges_pruned" s.Hqs.analysis_edges_pruned;
-      i "analysis_linearized" (if s.Hqs.analysis_linearized then 1 else 0);
-      ("inproc_mode", Json.Str s.Hqs.inproc_mode);
-      i "inproc_rounds" s.Hqs.inproc_rounds;
-      i "inproc_units" s.Hqs.inproc_units;
-      i "inproc_scc_merges" s.Hqs.inproc_scc_merges;
-      i "inproc_subsumed" s.Hqs.inproc_subsumed;
-      i "inproc_strengthened" s.Hqs.inproc_strengthened;
-      i "inproc_failed_lits" s.Hqs.inproc_failed_lits;
-      i "inproc_bve" s.Hqs.inproc_bve;
-      i "inproc_clauses_removed" s.Hqs.inproc_clauses_removed;
-      i "inproc_lits_removed" s.Hqs.inproc_lits_removed;
-      ("cert_status", Json.Str s.Hqs.cert_status);
       ("metrics", Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) s.Hqs.metrics));
+      ("degraded", Json.Arr (List.map (fun d -> Json.Str d) s.Hqs.degraded));
     ]
 
-(* [pre_stats] does not cross the process boundary: it is a nested record
-   only the preprocessing tests look at, and the harness CSV never reads
-   it — decoded stats carry [pre_stats = None] *)
+(* older journal lines carry more keys next to [metrics] and [degraded];
+   they are ignored, so those lines still decode *)
 let stats_of_json j =
-  let num key = Option.bind (Json.member key j) Json.to_number in
-  let int key = Option.map int_of_float (num key) in
-  let get0 o = Option.value o ~default:0 in
-  let get0f o = Option.value o ~default:0.0 in
-  match (int "univ_elims", num "total_time") with
-  | None, _ | _, None -> None
-  | Some univ_elims, Some total_time ->
+  match Json.member "metrics" j with
+  | Some (Json.Obj kvs) ->
       Some
         {
-          Hqs.pre_stats = None;
-          univ_elims;
-          exist_elims = get0 (int "exist_elims");
-          unitpure_elims = get0 (int "unitpure_elims");
-          maxsat_runs = get0 (int "maxsat_runs");
-          maxsat_set_size = get0 (int "maxsat_set_size");
-          maxsat_time = get0f (num "maxsat_time");
-          unitpure_time = get0f (num "unitpure_time");
-          qbf_time = get0f (num "qbf_time");
-          peak_nodes = get0 (int "peak_nodes");
-          total_time;
-          restarts = get0 (int "restarts");
+          Hqs.metrics =
+            List.filter_map (fun (k, v) -> Option.map (fun n -> (k, n)) (Json.to_number v)) kvs;
           degraded =
             (match Option.bind (Json.member "degraded" j) Json.to_list with
             | None -> []
             | Some l -> List.filter_map Json.to_string l);
-          check_level =
-            Option.value ~default:"off"
-              (Option.bind (Json.member "check_level" j) Json.to_string);
-          checks_run = get0 (int "checks_run");
-          sat_conflicts = get0 (int "sat_conflicts");
-          sat_propagations = get0 (int "sat_propagations");
-          fraig_merges = get0 (int "fraig_merges");
-          dep_scheme =
-            Option.value ~default:"trivial"
-              (Option.bind (Json.member "dep_scheme" j) Json.to_string);
-          analysis_edges_pruned = get0 (int "analysis_edges_pruned");
-          analysis_linearized = get0 (int "analysis_linearized") <> 0;
-          inproc_mode =
-            Option.value ~default:"off"
-              (Option.bind (Json.member "inproc_mode" j) Json.to_string);
-          inproc_rounds = get0 (int "inproc_rounds");
-          inproc_units = get0 (int "inproc_units");
-          inproc_scc_merges = get0 (int "inproc_scc_merges");
-          inproc_subsumed = get0 (int "inproc_subsumed");
-          inproc_strengthened = get0 (int "inproc_strengthened");
-          inproc_failed_lits = get0 (int "inproc_failed_lits");
-          inproc_bve = get0 (int "inproc_bve");
-          inproc_clauses_removed = get0 (int "inproc_clauses_removed");
-          inproc_lits_removed = get0 (int "inproc_lits_removed");
-          cert_status =
-            Option.value ~default:"-"
-              (Option.bind (Json.member "cert_status" j) Json.to_string);
-          metrics =
-            (match Json.member "metrics" j with
-            | Some (Json.Obj kvs) ->
-                List.filter_map (fun (k, v) -> Option.map (fun n -> (k, n)) (Json.to_number v)) kvs
-            | _ -> []);
         }
+  | _ -> None
 
 (* ---------------------------------------------------------------- worker *)
 
@@ -220,73 +141,20 @@ let outcome_of_completion (c : Sup.completion) =
              protocol failure rather than inventing a verdict *)
           Runner.Crash c.Sup.elapsed_s)
 
-(* a timed-out or memory-killed worker never sends its stats record, but
-   the supervisor salvages its last partial registry delta from the pipe;
-   the [hqs.*] mirror gauges plus the pipeline counters rebuild a partial
-   stats row, so TO/MO lines report exactly the data that explains the
-   blowup instead of going blank *)
-let stats_of_salvage (c : Sup.completion) =
-  match c.Sup.salvaged_metrics with
-  | [] -> None
-  | samples ->
-      let get name = Obs.Metrics.find samples name in
-      let i0 name = match get name with Some v -> int_of_float v | None -> 0 in
-      let f0 name = match get name with Some v -> v | None -> 0.0 in
-      Some
-        {
-          Hqs.pre_stats = None;
-          univ_elims = i0 "elim.universal";
-          exist_elims = i0 "elim.existential";
-          unitpure_elims = i0 "hqs.unitpure_elims";
-          maxsat_runs = 0;
-          maxsat_set_size = i0 "hqs.maxsat_set";
-          maxsat_time = f0 "hqs.maxsat_time_s";
-          unitpure_time = f0 "hqs.unitpure_time_s";
-          qbf_time = f0 "hqs.qbf_time_s";
-          peak_nodes = i0 "hqs.peak_nodes";
-          total_time = c.Sup.elapsed_s;
-          restarts = i0 "hqs.restarts";
-          degraded = [];
-          check_level = "off";
-          checks_run = i0 "check.audits";
-          sat_conflicts = i0 "sat.conflicts";
-          sat_propagations = i0 "sat.propagations";
-          fraig_merges = i0 "fraig.merges";
-          dep_scheme = "trivial";
-          analysis_edges_pruned = i0 "analysis.edges_pruned";
-          analysis_linearized = i0 "analysis.linearized" <> 0;
-          inproc_mode = "off";
-          inproc_rounds = i0 "inproc.runs";
-          inproc_units = i0 "inproc.units";
-          inproc_scc_merges = i0 "inproc.scc_merges";
-          inproc_subsumed = i0 "inproc.subsumed";
-          inproc_strengthened = i0 "inproc.strengthened";
-          inproc_failed_lits = i0 "inproc.failed_lits";
-          inproc_bve = i0 "inproc.bve_eliminated";
-          inproc_clauses_removed = i0 "inproc.clauses_removed";
-          inproc_lits_removed = i0 "inproc.lits_removed";
-          cert_status = "-";
-          metrics = Obs.Metrics.to_assoc samples;
-        }
-
+(* a timed-out or memory-killed worker never sends its stats record,
+   but the supervisor salvages its last partial registry delta from the
+   pipe: the same record built from those samples, so TO/MO lines report
+   exactly the data that explains the blowup instead of going blank *)
 let stats_of_completion (c : Sup.completion) =
   match c.Sup.status with
-  | Sup.Value v -> (
-      match Json.member "stats" v with
-      | Some (Json.Obj _ as s) -> stats_of_json s
-      | Some _ | None -> None)
-  | Sup.Timeout _ | Sup.Memout _ -> stats_of_salvage c
+  | Sup.Value v -> Option.bind (Json.member "stats" v) stats_of_json
+  | Sup.Timeout _ | Sup.Memout _ -> (
+      match c.Sup.salvaged_metrics with
+      | [] -> None
+      | samples -> Some { Hqs.metrics = Obs.Metrics.to_assoc samples; degraded = [] })
   | Sup.Crash _ -> None
 
-let assemble completions item =
-  let find solver =
-    let id = task_id item solver in
-    match Hashtbl.find_opt completions id with
-    | Some c -> c
-    | None -> invalid_arg ("Sweep.run: missing completion for " ^ id)
-  in
-  let hc = find Hqs_run in
-  let ic = find Idq_run in
+let assemble config item ~hqs:hc ~idq:ic =
   let hqs = outcome_of_completion hc in
   let idq = outcome_of_completion ic in
   let hqs_stats = stats_of_completion hc in
@@ -295,7 +163,6 @@ let assemble completions item =
     | Sup.Value v -> Option.bind (Json.member "cert" v) Json.to_string
     | Sup.Timeout _ | Sup.Memout _ | Sup.Crash _ -> None
   in
-  let hqs_degraded = match hqs_stats with Some s -> s.Hqs.degraded | None -> [] in
   let soundness =
     match (hqs, idq) with
     | Runner.Solved (a, _), Runner.Solved (b, _) when a <> b ->
@@ -308,7 +175,7 @@ let assemble completions item =
     sat_expected = None;
     hqs;
     idq;
-    hqs_degraded;
+    hqs_config = Option.value config.hqs_config ~default:Hqs.default_config;
     hqs_stats;
     soundness;
     attempts = hc.Sup.attempts;
@@ -343,7 +210,17 @@ let run ?(config = default_config ~timeout:5.0 ~node_limit:200_000) ?journal ?re
   let by_id = Hashtbl.create 64 in
   List.iter (fun (c : Sup.completion) -> Hashtbl.replace by_id c.Sup.task_id c) report.Sup.completions;
   {
-    results = List.map (assemble by_id) items;
+    results =
+      List.map
+        (fun item ->
+          let find solver =
+            let id = task_id item solver in
+            match Hashtbl.find_opt by_id id with
+            | Some c -> c
+            | None -> invalid_arg ("Sweep.run: missing completion for " ^ id)
+          in
+          assemble config item ~hqs:(find Hqs_run) ~idq:(find Idq_run))
+        items;
     executed = report.Sup.executed;
     journaled = report.Sup.journaled;
     journal_dropped = report.Sup.journal_dropped;

@@ -73,8 +73,8 @@ val run :
     fully-journaled sweep that forks nothing.
 
     The [attempts]/[worker_pid] of each {!Runner.result} come from the
-    instance's HQS task. [Hqs.stats.pre_stats] does not survive the
-    process boundary (always [None] here). *)
+    instance's HQS task, its [hqs_config] from [config.hqs_config]
+    ({!Hqs.default_config} when unset, as in the workers). *)
 
 val run_instances :
   ?config:config ->
@@ -92,5 +92,15 @@ val outcome_of_json : Obs.Json.t -> Runner.outcome option
 val stats_to_json : Hqs.stats -> Obs.Json.t
 val stats_of_json : Obs.Json.t -> Hqs.stats option
 (** Wire codecs, exposed for tests. *)
+
+val assemble :
+  config ->
+  item ->
+  hqs:Exec.Supervisor.completion ->
+  idq:Exec.Supervisor.completion ->
+  Runner.result
+(** The one place a {!Runner.result} is built: from the instance's two
+    task completions (a salvaged TO/MO completion yields stats from its
+    salvaged samples). Exposed for tests. *)
 
 (**/**)

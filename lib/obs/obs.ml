@@ -1,5 +1,5 @@
-(* Zero-dependency observability: hierarchical tracing spans, a metrics
-   registry, and a sampling phase profiler.
+(* Zero-dependency observability: hierarchical tracing spans and a
+   metrics registry.
 
    Tracing is off by default and gated by one mutable flag: a disabled
    [Span.with_] is a single branch plus the call to the thunk. Metrics
@@ -533,34 +533,6 @@ let push ev =
     st.count <- st.count + 1
   end
 
-(* ------------------------------------------------------ sampling profiler *)
-
-module Sampler = struct
-  type t = { mutable last : float; phases : (string, float * int) Hashtbl.t }
-
-  let state = { last = 0.0; phases = Hashtbl.create 16 }
-
-  let reset () =
-    state.last <- now_s ();
-    Hashtbl.reset state.phases
-
-  let tick () =
-    if st.on then begin
-      let now = now_s () in
-      let dt = now -. state.last in
-      state.last <- now;
-      if dt >= 0.0 then begin
-        let phase = match st.stack with (name, _) :: _ -> name | [] -> "(idle)" in
-        let s, n = Option.value ~default:(0.0, 0) (Hashtbl.find_opt state.phases phase) in
-        Hashtbl.replace state.phases phase (s +. dt, n + 1)
-      end
-    end
-
-  let phase_seconds () =
-    let acc = Hashtbl.fold (fun name (s, n) acc -> (name, s, n) :: acc) state.phases [] in
-    List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) acc
-end
-
 module Trace = struct
   type nonrec ph = ph = Begin | End | Instant
 
@@ -587,8 +559,7 @@ module Trace = struct
     reset ();
     st.t0 <- now_s ();
     st.pid <- Unix.getpid ();
-    st.on <- true;
-    Sampler.reset ()
+    st.on <- true
 
   let stop () = st.on <- false
   let events () = List.rev st.rev_events
@@ -817,14 +788,6 @@ module Trace = struct
       tot;
     if st.dropped > 0 then
       Buffer.add_string buf (Printf.sprintf "(%d events dropped past the %d cap)\n" st.dropped max_events);
-    (match Sampler.phase_seconds () with
-    | [] -> ()
-    | phases ->
-        Buffer.add_string buf "sampler (wall time attributed at tick granularity):\n";
-        List.iter
-          (fun (name, s, n) ->
-            Buffer.add_string buf (Printf.sprintf "  %-22s %12.3fms %8d ticks\n" name (s *. 1e3) n))
-          phases);
     Buffer.contents buf
 end
 

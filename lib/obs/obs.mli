@@ -1,7 +1,7 @@
 (** Observability substrate for the HQS pipeline: hierarchical tracing
-    spans, a metrics registry, and a sampling phase profiler — all
-    zero-dependency (Unix clock + [Gc.quick_stat] only), so every solver
-    layer can be instrumented without new libraries.
+    spans and a metrics registry — both zero-dependency (Unix clock +
+    [Gc.quick_stat] only), so every solver layer can be instrumented
+    without new libraries.
 
     Cost model, by design:
     - a {e disabled} {!Span.with_} is one branch plus the thunk call, so
@@ -201,7 +201,7 @@ module Trace : sig
       sorted by inclusive time, descending. *)
 
   val flame_summary : unit -> string
-  (** Human-readable table of {!totals} plus the sampler profile. *)
+  (** Human-readable table of {!totals}. *)
 end
 
 (** Hierarchical spans over {!Trace}. *)
@@ -239,16 +239,3 @@ val fork_reinit : unit -> unit
     deepcheck fork-safety analysis sanctions the underlying mutable
     globals on the strength of this reset running on every worker entry
     path. *)
-
-(** Statistical cross-check of the exact span timings: {!tick} is called
-    from coarse poll points of the solve loop and attributes the wall
-    time since the previous tick to the innermost open span. Active only
-    while tracing is enabled. *)
-module Sampler : sig
-  val tick : unit -> unit
-
-  val phase_seconds : unit -> (string * float * int) list
-  (** [(phase, seconds, ticks)] sorted by phase name. *)
-
-  val reset : unit -> unit
-end

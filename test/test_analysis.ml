@@ -264,7 +264,8 @@ let prop_solver_agreement =
       in
       let v_triv, s_triv = solve Scheme.Trivial in
       let v_rp, s_rp = solve Scheme.Rp in
-      v_triv = v_rp && s_rp.Hqs.maxsat_set_size <= s_triv.Hqs.maxsat_set_size)
+      let maxsat_set s = Hqs.metric s "hqs.maxsat_set" in
+      v_triv = v_rp && maxsat_set s_rp <= maxsat_set s_triv)
 
 let () =
   Alcotest.run "analysis"

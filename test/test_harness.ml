@@ -34,11 +34,15 @@ let test_run_hqs_memout () =
   | R.Crash _ -> Alcotest.fail "expected memout, got crash"
 
 let test_run_instance_agreement () =
-  let r = R.run_instance ~timeout:20.0 ~node_limit:400_000 small_unsat in
-  check "both solved" true (R.is_solved r.R.hqs && R.is_solved r.R.idq);
-  check "family" true (r.R.family = "pec_xor");
-  check "consistent" true (r.R.soundness = R.Consistent);
-  check "times readable" true (R.time_of r.R.hqs >= 0.0 && R.time_of r.R.idq >= 0.0)
+  let config = Harness.Sweep.default_config ~timeout:20.0 ~node_limit:400_000 in
+  match (Harness.Sweep.run_instances ~config [ small_unsat ]).Harness.Sweep.results with
+  | [ r ] ->
+      check "both solved" true (R.is_solved r.R.hqs && R.is_solved r.R.idq);
+      check "family" true (r.R.family = "pec_xor");
+      check "consistent" true (r.R.soundness = R.Consistent);
+      check "times readable" true (R.time_of r.R.hqs >= 0.0 && R.time_of r.R.idq >= 0.0);
+      check "stats crossed the fork" true (Option.is_some r.R.hqs_stats)
+  | rs -> Alcotest.failf "expected one result, got %d" (List.length rs)
 
 (* ---------------------------------------------------------------- report *)
 
@@ -50,7 +54,7 @@ let fake_results =
       sat_expected = None;
       hqs = R.Solved (true, 0.1);
       idq = R.Solved (true, 2.0);
-      hqs_degraded = [];
+      hqs_config = Hqs.default_config;
       hqs_stats = None;
       soundness = R.Consistent;
       attempts = 1;
@@ -63,8 +67,8 @@ let fake_results =
       sat_expected = None;
       hqs = R.Solved (false, 0.2);
       idq = R.Timeout 5.0;
-      hqs_degraded = [ "maxsat.minset->greedy[timeout]" ];
-      hqs_stats = None;
+      hqs_config = Hqs.default_config;
+      hqs_stats = Some { Hqs.metrics = []; degraded = [ "maxsat.minset->greedy[timeout]" ] };
       soundness = R.Consistent;
       attempts = 1;
       worker_pid = None;
@@ -76,7 +80,7 @@ let fake_results =
       sat_expected = None;
       hqs = R.Memout 3.0;
       idq = R.Solved (false, 0.5);
-      hqs_degraded = [];
+      hqs_config = Hqs.default_config;
       hqs_stats = None;
       soundness = R.Consistent;
       attempts = 1;
@@ -170,7 +174,7 @@ let disagreeing_results =
         sat_expected = None;
         hqs = R.Solved (true, 0.1);
         idq = R.Solved (false, 0.1);
-        hqs_degraded = [];
+        hqs_config = Hqs.default_config;
         hqs_stats = None;
         soundness = R.Disagreement { hqs_sat = true; idq_sat = false };
         attempts = 1;
@@ -199,7 +203,7 @@ let crashy_results =
         sat_expected = None;
         hqs = R.Crash 0.4;
         idq = R.Solved (false, 0.5);
-        hqs_degraded = [];
+        hqs_config = Hqs.default_config;
         hqs_stats = None;
         soundness = R.Consistent;
         attempts = 3;
@@ -237,6 +241,61 @@ let test_csv_executor_columns () =
   check "in-process rows: solved, 1 attempt, empty pid, blank analysis/inproc/cert cells"
     true
     (contains s ",solved,1,,,,,,,,,,,,,,,,\n")
+
+(* a worker killed on its wall limit sends no stats frame; the row is
+   rebuilt from the salvaged samples alone, and its configuration cells
+   echo the sweep's own config instead of invented defaults *)
+let test_salvaged_row () =
+  let module Sup = Exec.Supervisor in
+  let module S = Harness.Sweep in
+  let hqs_config =
+    {
+      Hqs.default_config with
+      Hqs.dep_scheme = Analysis.Scheme.Rp;
+      preprocess = { Dqbf.Preprocess.default_config with Dqbf.Preprocess.inproc = Inproc.Full };
+    }
+  in
+  let config =
+    { (S.default_config ~timeout:1.0 ~node_limit:1000) with S.hqs_config = Some hqs_config }
+  in
+  let item = S.item_of_instance small_unsat in
+  let completion solver status salvaged_metrics =
+    {
+      Sup.task_id = S.task_id item solver;
+      status;
+      attempts = 1;
+      worker_pid = 4242;
+      elapsed_s = 1.0;
+      crash_log = [];
+      from_journal = false;
+      salvaged_metrics;
+    }
+  in
+  let sample name kind v = { Obs.Metrics.name; kind; v } in
+  let salvaged =
+    [
+      sample "hqs.peak_nodes" Obs.Metrics.Gauge 900.0;
+      sample "inproc.rounds" Obs.Metrics.Counter 3.0;
+      sample "inproc.runs" Obs.Metrics.Counter 1.0;
+    ]
+  in
+  let r =
+    S.assemble config item
+      ~hqs:(completion S.Hqs_run (Sup.Timeout 1.0) salvaged)
+      ~idq:(completion S.Idq_run (Sup.Value (S.outcome_to_json (R.Solved (false, 0.1)))) [])
+  in
+  check "salvaged stats" true (Option.is_some r.R.hqs_stats);
+  match String.split_on_char '\n' (Harness.Report.csv [ r ]) with
+  | header :: row :: _ ->
+      let cells = List.combine (String.split_on_char ',' header) (String.split_on_char ',' row) in
+      let cell name = List.assoc name cells in
+      Alcotest.(check string) "outcome" "timeout" (cell "outcome");
+      Alcotest.(check string) "dep scheme echo" "rp" (cell "hqs_dep_scheme");
+      Alcotest.(check string) "inproc mode echo" "full" (cell "hqs_inproc_mode");
+      Alcotest.(check string) "rounds, not runs" "3" (cell "hqs_inproc_rounds");
+      Alcotest.(check string) "salvaged gauge" "900" (cell "hqs_peak_nodes");
+      Alcotest.(check string) "no artifact" "-" (cell "hqs_cert_status")
+  | _ -> Alcotest.fail "csv has no data row"
 
 (* regression for the BENCH_analysis.json sentinel leak: a run without
    stats must render as JSON [null], never as [-1] (which downstream
@@ -280,5 +339,6 @@ let () =
           Alcotest.test_case "crash reported" `Quick test_crash_reported;
           Alcotest.test_case "csv executor columns" `Quick test_csv_executor_columns;
           Alcotest.test_case "json null cells" `Quick test_json_null_cells;
+          Alcotest.test_case "salvaged row echoes the sweep config" `Quick test_salvaged_row;
         ] );
     ]

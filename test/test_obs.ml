@@ -347,16 +347,52 @@ let test_end_to_end_solve () =
   check "summary lists hqs.solve" true (contains summary "hqs.solve");
   check "summary lists qbf.backend" true (contains summary "qbf.backend")
 
+let count stats name = int_of_float (Hqs.metric stats name)
+
 let test_solve_metrics_flow () =
-  (* the same counters surface in Hqs.stats via the registry delta *)
-  let inst = Fam.pec_xor ~length:3 ~boxes:2 ~fault:true in
+  (* the stats are the registry delta over the whole call: the analysis
+     and inproc front end land next to the solve's own counters *)
+  let inst = Fam.c432 ~groups:3 ~lines:3 ~boxes:3 ~fault:false in
+  let _, report = Analysis.Rp.analyze ~scheme:Analysis.Scheme.Rp inst.Fam.pcnf in
   let _, stats = Hqs.solve_pcnf inst.Fam.pcnf in
-  check "univ elims counted" true
-    (match List.assoc_opt "elim.universal" stats.Hqs.metrics with
-    | Some v -> int_of_float v = stats.Hqs.univ_elims
-    | None -> false);
-  check "propagations flow into stats" true (stats.Hqs.sat_propagations >= 0);
-  check_str "check level recorded" "off" stats.Hqs.check_level
+  check "solve counters" true (count stats "sat.solves" >= 1);
+  check_int "analysis delta" (List.length report.Analysis.Rp.pruned)
+    (count stats "analysis.edges_pruned");
+  check "analysis pruned something" true (count stats "analysis.edges_pruned" > 0);
+  check_int "one inproc run" 1 (count stats "inproc.runs");
+  check "inproc rounds" true (count stats "inproc.rounds" >= 1);
+  check "inproc work" true (count stats "inproc.clauses_removed" > 0);
+  (* every declared column renders, and the --stats keys derive from it *)
+  let line =
+    Format.asprintf "%a" (Hqs.pp_stats ~config:Hqs.default_config ~verdict:Hqs.Sat) stats
+  in
+  List.iter
+    (fun key ->
+      let re = Str.regexp_string (key ^ "=") in
+      check key true (try ignore (Str.search_forward re line 0); true with Not_found -> false))
+    [ "maxsat-set"; "univ-elims"; "inproc-rounds"; "dep-scheme"; "cert-status"; "degraded" ]
+
+(* the integer-valued declared statistics of one call, as the CSV shows them *)
+let declared_counts stats =
+  List.filter_map
+    (fun (column, stat) ->
+      match stat with
+      | Hqs.Count _ ->
+          Some (column, Hqs.stat_cell ~config:Hqs.default_config ~verdict:None stats stat)
+      | Hqs.Seconds _ | Hqs.Dep_scheme | Hqs.Inproc_mode | Hqs.Cert_status -> None)
+    Hqs.stat_columns
+
+let test_stats_per_call () =
+  (* a bigger solve in between must not leak its peak-style gauges
+     (hqs.peak_nodes, hqs.maxsat_set, ...) into the next call's stats *)
+  let small = Fam.pec_xor ~length:2 ~boxes:1 ~fault:true in
+  let big = Fam.pec_xor ~length:4 ~boxes:2 ~fault:true in
+  let solo = declared_counts (snd (Hqs.solve_pcnf small.Fam.pcnf)) in
+  let big_peak = count (snd (Hqs.solve_pcnf big.Fam.pcnf)) "hqs.peak_nodes" in
+  let again = declared_counts (snd (Hqs.solve_pcnf small.Fam.pcnf)) in
+  check "the big solve peaks higher" true
+    (big_peak > int_of_string (List.assoc "hqs_peak_nodes" solo));
+  List.iter2 (fun (column, a) (_, b) -> check_str column a b) solo again
 
 let () =
   Alcotest.run "obs"
@@ -388,5 +424,6 @@ let () =
         [
           Alcotest.test_case "pipeline span order" `Quick test_end_to_end_solve;
           Alcotest.test_case "metrics flow into stats" `Quick test_solve_metrics_flow;
+          Alcotest.test_case "stats are per call" `Quick test_stats_per_call;
         ] );
     ]
