@@ -330,6 +330,34 @@ let depends_on m roots v =
     (fun d -> d = 1)
     (eval_gen m roots ~leaf:(fun w -> if w = v then 1 else 0) ~band:( lor ) ~bnot:Fun.id ~bfalse:0)
 
+(* Walks the top AND-tree through non-complemented edges. A literal is seen
+   once: [vals.(n)] holds the polarities of node [n] seen so far, valid
+   while [mark.(n)] carries this call's stamp. *)
+let and_conjuncts m root =
+  let s = take m in
+  let vals = node_vals m s in
+  let stamp = new_stamp m in
+  let acc = ref [] in
+  let rec go l =
+    let n = node_of l and bit = 1 lsl (l land 1) in
+    let seen = if m.mark.(n) = stamp then vals.(n) else 0 in
+    if seen land bit = 0 then begin
+      m.mark.(n) <- stamp;
+      vals.(n) <- seen lor bit;
+      if (not (is_compl l)) && n > 0 && m.fanin0.(n) >= 0 then begin
+        go m.fanin0.(n);
+        go m.fanin1.(n)
+      end
+      else acc := l :: !acc
+    end
+  in
+  check_node m (node_of root);
+  go root;
+  give m s;
+  List.rev !acc
+
+let or_disjuncts m root = List.map compl_ (and_conjuncts m (compl_ root))
+
 (* --------------------------------------------------------- substitutions *)
 
 (* the cone of [roots] rebuilt bottom-up in manager [dst], inputs mapped by [leaf] *)
@@ -350,6 +378,136 @@ let exists m root ~var =
 
 let forall m root ~var =
   mk_and m (cofactor m root ~var ~value:false) (cofactor m root ~var ~value:true)
+
+(* ------------------------------------------------ localized quantification *)
+
+(* [parts] cofactored in one walk per value, the memo shared across parts *)
+let cofactor_list m parts ~var ~value =
+  compose_list m parts (fun w -> if w = var then Some value else None)
+
+let exists_root m root ~var =
+  match or_disjuncts m root with
+  | _ :: _ :: _ as parts ->
+      (* ∃ distributes over a disjunction: each disjunct with [var] is
+         replaced by the disjunction of its cofactors, in place *)
+      let tagged = List.combine parts (depends_on m parts var) in
+      let touched = List.filter_map (fun (p, d) -> if d then Some p else None) tagged in
+      let rec merge tagged c0 c1 =
+        match (tagged, c0, c1) with
+        | (p, false) :: tagged, _, _ -> p :: merge tagged c0 c1
+        | (_, true) :: tagged, a :: c0, b :: c1 -> mk_or m a b :: merge tagged c0 c1
+        | _ -> []
+      in
+      mk_or_list m
+        (merge tagged
+           (cofactor_list m touched ~var ~value:false_)
+           (cofactor_list m touched ~var ~value:true_))
+  | _ -> (
+      (* ∃v.(A ∧ B) = A ∧ ∃v.B when [var] is not in the support of A *)
+      let parts = and_conjuncts m root in
+      match List.partition snd (List.combine parts (depends_on m parts var)) with
+      | [], _ -> root
+      | touched, free ->
+          let free = List.map fst free in
+          (* with nothing to move past, the root is cofactored as it is
+             rather than re-associated from its conjuncts *)
+          let b = if free = [] then [ root ] else List.map fst touched in
+          let cof value = mk_and_list m (cofactor_list m b ~var ~value) in
+          mk_and_list m (free @ [ mk_or m (cof false_) (cof true_) ]))
+
+(* [s.vals] covering every literal; entries are garbage until written *)
+let lit_vals m s =
+  if Array.length s.vals < 2 * m.size then s.vals <- Array.make (2 * Array.length m.fanin0) 0;
+  s.vals
+
+(* Three passes over the cone of [root]. Bottom-up, bit 0 of [flags.(n)]
+   records whether node [n] depends on [var]. Top-down, ∃ is pushed from
+   the root: bits 1 and 2 mark the plain and the complemented literal of
+   [n] as reached, bit 3 a plain AND whose fanins both depend on [var] and
+   which is therefore cofactored whole. Those ANDs are cofactored in one
+   [compose_list] walk per value. Bottom-up again, [ex.(l)] is built as
+   ∃var.l for every reached literal [l]. The fanin arrays are read afresh
+   in that pass: building nodes may reallocate them. *)
+let exists_pushed m root ~var =
+  let s = take m in
+  let len = cone_order m s [ root ] in
+  let order = s.order and flags = node_vals m s in
+  for i = 0 to len - 1 do
+    let n = order.(i) in
+    let a = m.fanin0.(n) in
+    flags.(n) <-
+      (if a >= 0 then (flags.(node_of a) lor flags.(node_of m.fanin1.(n))) land 1
+       else Bool.to_int (a = -1 && m.fanin1.(n) = var))
+  done;
+  let dep l = flags.(node_of l) land 1 = 1 in
+  let reach l = if dep l then flags.(node_of l) <- flags.(node_of l) lor (2 lsl (l land 1)) in
+  reach root;
+  let whole = ref [] in
+  for i = len - 1 downto 0 do
+    let n = order.(i) in
+    let f = flags.(n) and a = m.fanin0.(n) and b = m.fanin1.(n) in
+    if a >= 0 && f land 1 = 1 then begin
+      if f land 4 <> 0 then begin
+        (* ¬(a ∧ b) = ¬a ∨ ¬b, over which ∃ distributes *)
+        reach (compl_ a);
+        reach (compl_ b)
+      end;
+      if f land 2 <> 0 then
+        if dep a && dep b then begin
+          flags.(n) <- f lor 8;
+          whole := (n * 2) :: !whole
+        end
+        else begin
+          (* ∃ moves past the fanin free of [var] *)
+          reach a;
+          reach b
+        end
+    end
+  done;
+  let whole = !whole in
+  let c0 = cofactor_list m whole ~var ~value:false_ in
+  let c1 = cofactor_list m whole ~var ~value:true_ in
+  let t = take m in
+  let ex = lit_vals m t in
+  let rec set_whole ls c0 c1 =
+    match (ls, c0, c1) with
+    | l :: ls, a :: c0, b :: c1 ->
+        ex.(l) <- mk_or m a b;
+        set_whole ls c0 c1
+    | _ -> ()
+  in
+  set_whole whole c0 c1;
+  let value l = if dep l then ex.(l) else l in
+  for i = 0 to len - 1 do
+    let n = order.(i) in
+    let f = flags.(n) in
+    if f land 1 = 1 then begin
+      let a = m.fanin0.(n) and b = m.fanin1.(n) in
+      if a < 0 then begin
+        (* the input of [var] itself *)
+        ex.(2 * n) <- true_;
+        ex.((2 * n) + 1) <- true_
+      end
+      else begin
+        if f land 4 <> 0 then ex.((2 * n) + 1) <- mk_or m (value (compl_ a)) (value (compl_ b));
+        if f land 10 = 2 then ex.(2 * n) <- mk_and m (value a) (value b)
+      end
+    end
+  done;
+  let r = value root in
+  give m t;
+  give m s;
+  r
+
+let exists_localized m root ~var ~cone =
+  let r = exists_root m root ~var in
+  let size = cone_size m r in
+  if size <= cone then (r, size)
+  else begin
+    let r' = exists_pushed m root ~var in
+    let size' = cone_size m r' in
+    if size' < size then (r', size') else (r, size)
+  end
 
 let compact m roots =
   let fresh = create ?node_limit:(node_limit m) () in
@@ -382,31 +540,3 @@ module Internal = struct
   let strash_add m a b n = Strash.add m.strash (pack a b) n
   let strash_remove m a b = Strash.remove m.strash (pack a b)
 end
-
-(* Walks the top AND-tree through non-complemented edges. A literal is seen
-   once: [vals.(n)] holds the polarities of node [n] seen so far, valid
-   while [mark.(n)] carries this call's stamp. *)
-let and_conjuncts m root =
-  let s = take m in
-  let vals = node_vals m s in
-  let stamp = new_stamp m in
-  let acc = ref [] in
-  let rec go l =
-    let n = node_of l and bit = 1 lsl (l land 1) in
-    let seen = if m.mark.(n) = stamp then vals.(n) else 0 in
-    if seen land bit = 0 then begin
-      m.mark.(n) <- stamp;
-      vals.(n) <- seen lor bit;
-      if (not (is_compl l)) && n > 0 && m.fanin0.(n) >= 0 then begin
-        go m.fanin0.(n);
-        go m.fanin1.(n)
-      end
-      else acc := l :: !acc
-    end
-  in
-  check_node m (node_of root);
-  go root;
-  give m s;
-  List.rev !acc
-
-let or_disjuncts m root = List.map compl_ (and_conjuncts m (compl_ root))

@@ -78,6 +78,14 @@ val depends_on : t -> lit list -> int -> bool list
 (** [depends_on m roots v]: for each root, whether variable [v] is in its
     {!support}. One walk over the union of the cones. *)
 
+val and_conjuncts : t -> lit -> lit list
+(** Maximal decomposition of the root as a conjunction: walks the top
+    AND-tree through non-complemented edges, returning the deduplicated
+    leaves. A literal that is not a plain AND node is returned alone. *)
+
+val or_disjuncts : t -> lit -> lit list
+(** Dual decomposition as a disjunction. *)
+
 val cone_size : t -> lit -> int
 (** Number of AND nodes in the cone. *)
 
@@ -114,6 +122,32 @@ val exists : t -> lit -> var:int -> lit
 val forall : t -> lit -> var:int -> lit
 (** [cofactor 0 AND cofactor 1] — universal quantification. *)
 
+(** {2 Localized quantification}
+
+    Each of these equals {!exists} semantically, but moves the quantifier
+    past the parts of the formula that do not mention [var], so that only
+    the parts that do are cofactored. Universal quantification is the dual,
+    [compl_ (exists_* m (compl_ root) ~var)]. *)
+
+val exists_root : t -> lit -> var:int -> lit
+(** Root-level rule. ∃ distributes over the root's {!or_disjuncts}; when
+    the root is not a disjunction, ∃v.(A ∧ B) = A ∧ ∃v.B over its
+    {!and_conjuncts}, where A is the conjunction of those free of [var].
+    The literals of A appear unchanged among the result's conjuncts. *)
+
+val exists_pushed : t -> lit -> var:int -> lit
+(** Node-level rule: ∃ is pushed down the graph, memoised per literal. It
+    distributes over every OR (complemented AND) and stays on the one fanin
+    of an AND that depends on [var]. The ANDs whose fanins both depend on
+    [var] are cofactored, all of them in one {!compose_list} walk per
+    value. *)
+
+val exists_localized : t -> lit -> var:int -> cone:int -> lit * int
+(** The guarded combination, given [cone = cone_size m root]: the result of
+    {!exists_root}, unless its cone is larger than [cone]; then also that of
+    {!exists_pushed}, and the one with the smaller cone. Returns the result
+    and its {!cone_size}. *)
+
 val compact : t -> lit list -> t * lit list
 (** Copy the cones of the given roots into a fresh manager (dropping garbage
     nodes); input variable ids are preserved. The new manager inherits the
@@ -123,14 +157,6 @@ val set_node_limit : t -> int option -> unit
 
 val node_limit : t -> int option
 (** Current node budget, if any. *)
-
-val and_conjuncts : t -> lit -> lit list
-(** Maximal decomposition of the root as a conjunction: walks the top
-    AND-tree through non-complemented edges, returning the deduplicated
-    leaves. A literal that is not a plain AND node is returned alone. *)
-
-val or_disjuncts : t -> lit -> lit list
-(** Dual decomposition as a disjunction. *)
 
 (* --------------------------------------------------------- introspection *)
 

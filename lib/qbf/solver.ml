@@ -14,12 +14,14 @@ let default_config =
 
 (* For each variable in [vars], the number of cone nodes whose support
    contains it: a cheap proxy for elimination cost. [masks.(n)] is the set
-   of positions (in [vars]) of the variables node [n] depends on. *)
+   of positions (in [vars]) of the variables node [n] depends on. Also
+   returns the cone's AND count, which the elimination guard needs. *)
 let var_costs man root vars =
   let index = Hashtbl.create 16 in
   List.iteri (fun i v -> Hashtbl.replace index v i) vars;
   let counts = Array.make (List.length vars) 0 in
   let masks = Array.make (M.num_nodes man) Bitset.empty in
+  let cone = ref 0 in
   M.iter_cone man [ root ] (fun n ->
       let mask =
         if n = 0 then Bitset.empty
@@ -29,6 +31,7 @@ let var_costs man root vars =
           | None -> Bitset.empty
         end
         else begin
+          incr cone;
           let e0, e1 = M.fanins man (n * 2) in
           let a = masks.(M.node_of e0) and b = masks.(M.node_of e1) in
           (* most nodes share a fanin's set: reuse it instead of copying *)
@@ -37,7 +40,7 @@ let var_costs man root vars =
       in
       Bitset.iter (fun i -> counts.(i) <- counts.(i) + 1) mask;
       masks.(n) <- mask);
-  fun v -> match Hashtbl.find_opt index v with Some i -> counts.(i) | None -> 0
+  ((fun v -> match Hashtbl.find_opt index v with Some i -> counts.(i) | None -> 0), !cone)
 
 exception Decided of bool
 
@@ -59,10 +62,10 @@ let compact_if_grown st =
 (* sweep only when the cone is big AND has doubled since the last sweep,
    otherwise every elimination would pay for a full SAT sweep; each sweep
    is also time-boxed — when it cannot finish quickly we keep the
-   unreduced cone instead of burning the whole budget *)
-let fraig_if_large config budget st =
+   unreduced cone instead of burning the whole budget; [cone] is the
+   root's cone size *)
+let fraig_if_large config budget st cone =
   if config.use_fraig then begin
-    let cone = M.cone_size st.man st.root in
     if cone > config.fraig_node_threshold && cone > 2 * st.fraig_floor then begin
       let sweep_budget = Budget.of_seconds (min 2.0 (0.2 *. Budget.remaining budget)) in
       match Aig.Fraig.reduce ~budget:sweep_budget st.man [ st.root ] with
@@ -104,30 +107,13 @@ let unitpure_step ~notify st prefix_quant =
     true
   end
 
-(* Quantify one variable, exploiting structure as AIGSOLVE does: forall
-   distributes over the root conjunction and exists over the root
-   disjunction, so only the parts that actually contain [v] are
-   cofactored and duplicated. One walk finds those parts; each cofactor
-   is then one walk over all of them, so shared subgraphs are rebuilt
-   once. *)
-let quantify_structured man root q v =
-  let parts, recombine, join =
-    match q with
-    | Prefix.Forall -> (M.and_conjuncts man root, M.mk_and_list man, M.mk_and man)
-    | Prefix.Exists -> (M.or_disjuncts man root, M.mk_or_list man, M.mk_or man)
-  in
-  let deps = M.depends_on man parts v in
-  let touched = List.concat (List.map2 (fun p d -> if d then [ p ] else []) parts deps) in
-  let cofactors value = M.compose_list man touched (fun w -> if w = v then Some value else None) in
-  let c0 = cofactors M.false_ in
-  let c1 = cofactors M.true_ in
-  let rec merge parts deps c0 c1 =
-    match (parts, deps, c0, c1) with
-    | p :: parts, false :: deps, _, _ -> p :: merge parts deps c0 c1
-    | _ :: parts, true :: deps, a :: c0, b :: c1 -> join a b :: merge parts deps c0 c1
-    | _ -> []
-  in
-  recombine (merge parts deps c0 c1)
+(* Quantify one variable with the quantifier localized (see
+   [M.exists_localized]); a universal one through ∀v.f = ¬∃v.¬f. [cone] is
+   the root's cone size; returns the result and its cone size. *)
+let quantify_structured man root ~cone q v =
+  let neg = q = Prefix.Forall in
+  let r, size = M.exists_localized man (M.apply_sign root ~neg) ~var:v ~cone in
+  (M.apply_sign r ~neg, size)
 
 (* returns the answer plus a variable valuation (meaningful on SAT) *)
 let sat_check ~budget man root ~negate =
@@ -194,7 +180,7 @@ let solve ?(config = default_config) ?(budget = Budget.unlimited) ?on_define man
               | b :: rest -> split_last (b :: acc) rest
             in
             let outer, (q, vs) = split_last [] blocks in
-            let cost = var_costs st.man st.root vs in
+            let cost, cone = var_costs st.man st.root vs in
             let v =
               List.fold_left (fun best v -> if cost v < cost best then v else best)
                 (List.hd vs) vs
@@ -203,10 +189,11 @@ let solve ?(config = default_config) ?(budget = Budget.unlimited) ?on_define man
               (* the standard choice function: pick 1 iff phi[1/v] holds *)
               define v (M.cofactor st.man st.root ~var:v ~value:true);
             Obs.Metrics.incr c_eliminations;
-            st.root <- quantify_structured st.man st.root q v;
+            let root, cone = quantify_structured st.man st.root ~cone q v in
+            st.root <- root;
             prefix := outer @ [ (q, List.filter (fun w -> w <> v) vs) ];
             compact_if_grown st;
-            fraig_if_large config budget st
+            fraig_if_large config budget st cone
       end
     done;
     assert false

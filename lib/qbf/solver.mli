@@ -2,7 +2,9 @@
     AIGSOLVE (Pigorsch-Scholl), which the paper uses as its back end.
 
     Blocks are eliminated innermost-first: existential variables by
-    or-ing, universal variables by and-ing the two cofactors. Between
+    or-ing, universal variables by and-ing the two cofactors. Each
+    elimination is localized ({!Aig.Man.exists_localized}): only the part of
+    the graph that contains the variable is cofactored. Between
     eliminations the solver applies unit/pure reductions (Theorems 5-6),
     compacts the graph, and runs FRAIG sweeps when the graph grows. Once a
     single quantifier kind remains, a single SAT call finishes the job. *)

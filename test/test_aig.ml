@@ -138,6 +138,43 @@ let prop_quantify =
           M.eval m ex env = (eval_form (ef false) f || eval_form (ef true) f)
           && M.eval m fa env = (eval_form (ef false) f && eval_form (ef true) f)))
 
+(* Each localized rule, and its dual through ∀v.f = ¬∃v.¬f (the way
+   [Qbf.Solver] quantifies universals), must equal plain cofactoring. *)
+let prop_localized_quantify =
+  QCheck.Test.make ~name:"localized quantification matches exists/forall" ~count:500
+    (QCheck.pair form_arb (QCheck.int_bound (max_vars - 1))) (fun (f, v) ->
+      let m = M.create () in
+      let root = build m f in
+      let ex = M.exists m root ~var:v and fa = M.forall m root ~var:v in
+      let guarded m r ~var =
+        let r', size = M.exists_localized m r ~var ~cone:(M.cone_size m r) in
+        if size <> M.cone_size m r' then failwith "exists_localized: wrong cone size";
+        r'
+      in
+      List.for_all
+        (fun rule ->
+          let ex' = rule m root ~var:v and fa' = M.compl_ (rule m (M.compl_ root) ~var:v) in
+          forall_envs (fun env -> M.eval m ex' env = M.eval m ex env && M.eval m fa' env = M.eval m fa env))
+        [ M.exists_root; M.exists_pushed; guarded ])
+
+let test_exists_keeps_free_conjuncts () =
+  (* ∃x1. x0 ∧ (x1 ∨ x2) ∧ (x3 ⊕ x4) ∧ (¬x1 ∨ x3): the conjuncts without x1
+     must come back as the very same literals *)
+  let m = M.create () in
+  let x i = M.input m i in
+  let a = x 0 and c = M.mk_xor m (x 3) (x 4) in
+  let root = M.mk_and_list m [ a; M.mk_or m (x 1) (x 2); c; M.mk_or m (M.compl_ (x 1)) (x 3) ] in
+  let ex = M.exists m root ~var:1 in
+  List.iter
+    (fun (name, r) ->
+      let conj = M.and_conjuncts m r in
+      List.iter (fun l -> check (name ^ ": free conjunct kept") true (List.mem l conj)) [ a; c ];
+      check (name ^ ": exact") true (forall_envs (fun env -> M.eval m r env = M.eval m ex env)))
+    [
+      ("root-level", M.exists_root m root ~var:1);
+      ("guarded", fst (M.exists_localized m root ~var:1 ~cone:(M.cone_size m root)));
+    ]
+
 let prop_compose =
   QCheck.Test.make ~name:"compose semantics" ~count:300
     (QCheck.triple form_arb form_arb (QCheck.int_bound (max_vars - 1)))
@@ -515,6 +552,9 @@ let () =
             prop_or_disjuncts;
             prop_fraig_idempotent;
           ] );
+      ( "localized quantification",
+        Alcotest.test_case "exists keeps free conjuncts" `Quick test_exists_keeps_free_conjuncts
+        :: qsuite [ prop_localized_quantify ] );
       ( "unitpure",
         [
           Alcotest.test_case "literals" `Quick test_unitpure_literal;

@@ -135,6 +135,13 @@ let prop_wide_fraig =
     { Qbf.Solver.default_config with fraig_node_threshold = 1 }
     "wide matrices: solver matches brute force (fraig every step)"
 
+(* without unit/pure and the SAT shortcut every variable is quantified by
+   elimination, on wide matrices whose root conjuncts localize ∃ *)
+let prop_wide_eliminate_all =
+  prop_matches_brute ~count:100 ~arb:wide_qbf_arb
+    { Qbf.Solver.default_config with use_unitpure = false; sat_shortcut = false }
+    "wide matrices: solver matches brute force (every variable eliminated)"
+
 let prop_negation_flips =
   QCheck.Test.make ~name:"negating matrix and flipping quantifiers negates result" ~count:200
     qbf_arb (fun inst ->
@@ -266,6 +273,7 @@ let () =
             prop_aggressive_fraig;
             prop_wide_default;
             prop_wide_fraig;
+            prop_wide_eliminate_all;
             prop_negation_flips;
           ] );
       ( "qdpll",
