@@ -552,7 +552,7 @@ let () =
             prop_or_disjuncts;
             prop_fraig_idempotent;
           ] );
-      ( "localized quantification",
+      ( "localize",
         Alcotest.test_case "exists keeps free conjuncts" `Quick test_exists_keeps_free_conjuncts
         :: qsuite [ prop_localized_quantify ] );
       ( "unitpure",
