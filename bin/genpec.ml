@@ -41,6 +41,106 @@ let sweep family sizes boxes out_dir =
         boxes)
     sizes
 
+(* scaled-down analogue of the paper's 1820 instances; the SAT/UNSAT mix
+   is UNSAT-heavy, as in Table I *)
+let suite () =
+  let adder =
+    List.concat_map
+      (fun bits ->
+        List.concat_map
+          (fun boxes ->
+            Fam.adder ~bits ~boxes ~fault:true
+            :: (if boxes <= 2 then [ Fam.adder ~bits ~boxes ~fault:false ] else []))
+          [ 1; 2; 3 ])
+      [ 1; 2; 3; 4 ]
+    @ [
+        Fam.adder ~bits:5 ~boxes:1 ~fault:true;
+        Fam.adder ~bits:5 ~boxes:2 ~fault:true;
+        Fam.adder ~bits:5 ~boxes:1 ~fault:false;
+        Fam.adder ~bits:5 ~boxes:2 ~fault:false;
+      ]
+  in
+  let chain_family make sizes =
+    List.concat_map
+      (fun cells ->
+        [
+          make ~cells ~boxes:1 ~fault:true;
+          make ~cells ~boxes:2 ~fault:true;
+          make ~cells ~boxes:2 ~fault:false;
+        ])
+      sizes
+    @ [ make ~cells:16 ~boxes:3 ~fault:true; make ~cells:16 ~boxes:3 ~fault:false ]
+  in
+  let bitcell = chain_family (fun ~cells ~boxes ~fault -> Fam.bitcell ~cells ~boxes ~fault)
+      [ 2; 3; 4; 6; 8; 10; 12; 14 ]
+  in
+  let lookahead = chain_family (fun ~cells ~boxes ~fault -> Fam.lookahead ~cells ~boxes ~fault)
+      [ 2; 3; 4; 6; 8; 10; 12; 14 ]
+  in
+  let pec_xor =
+    List.concat_map
+      (fun length ->
+        [ Fam.pec_xor ~length ~boxes:1 ~fault:true; Fam.pec_xor ~length ~boxes:2 ~fault:true ])
+      [ 3; 4; 5; 6; 8; 10; 12 ]
+    @ List.map (fun length -> Fam.pec_xor ~length ~boxes:2 ~fault:false) [ 3; 4; 5; 6; 8; 10 ]
+  in
+  let z4 =
+    List.concat_map
+      (fun add_bits ->
+        List.concat_map
+          (fun boxes ->
+            [ Fam.z4 ~add_bits ~boxes ~fault:true; Fam.z4 ~add_bits ~boxes ~fault:false ])
+          [ 1; 2; 3 ])
+      [ 1; 2 ]
+    @ [
+        Fam.z4 ~add_bits:3 ~boxes:1 ~fault:true;
+        Fam.z4 ~add_bits:3 ~boxes:1 ~fault:false;
+        Fam.z4 ~add_bits:3 ~boxes:2 ~fault:true;
+        Fam.z4 ~add_bits:3 ~boxes:2 ~fault:false;
+      ]
+  in
+  let comp =
+    List.concat_map
+      (fun bits ->
+        [ Fam.comp ~bits ~boxes:1 ~fault:true; Fam.comp ~bits ~boxes:2 ~fault:true ])
+      [ 2; 4; 6; 8; 10; 12 ]
+    @ List.map (fun bits -> Fam.comp ~bits ~boxes:2 ~fault:false) [ 2; 4; 6; 8; 10 ]
+    @ [
+        Fam.comp ~bits:12 ~boxes:3 ~fault:false;
+        Fam.comp ~bits:14 ~boxes:3 ~fault:false;
+        Fam.comp ~bits:14 ~boxes:3 ~fault:true;
+        Fam.comp ~bits:16 ~boxes:3 ~fault:true;
+        Fam.comp ~bits:16 ~boxes:3 ~fault:false;
+      ]
+  in
+  let c432 =
+    List.concat_map
+      (fun lines ->
+        List.concat_map
+          (fun boxes ->
+            [
+              Fam.c432 ~groups:3 ~lines ~boxes ~fault:true;
+              Fam.c432 ~groups:3 ~lines ~boxes ~fault:false;
+            ])
+          [ 1; 2 ])
+      [ 2; 3; 5; 7 ]
+    @ [
+        Fam.c432 ~groups:2 ~lines:2 ~boxes:1 ~fault:true;
+        Fam.c432 ~groups:2 ~lines:2 ~boxes:1 ~fault:false;
+        Fam.c432 ~groups:3 ~lines:9 ~boxes:3 ~fault:true;
+        Fam.c432 ~groups:3 ~lines:9 ~boxes:3 ~fault:false;
+      ]
+  in
+  adder @ bitcell @ lookahead @ pec_xor @ z4 @ comp @ c432
+
+let write_suite out_dir =
+  List.iter
+    (fun (inst : Fam.instance) ->
+      let dir = Filename.concat out_dir inst.Fam.family in
+      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+      print_endline (write_instance dir inst))
+    (suite ())
+
 let family_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"FAMILY" ~doc:"benchmark family")
 
@@ -68,9 +168,17 @@ let sweep_cmd =
     (Cmd.info "sweep" ~doc:"emit a parameter sweep (both SAT and UNSAT variants)")
     Term.(const sweep $ family_arg $ sizes_arg $ boxes_list_arg $ out_arg)
 
+let suite_cmd =
+  Cmd.v
+    (Cmd.info "suite"
+       ~doc:
+         "emit the fixed Table I suite into one subdirectory per family (hqs sweep takes an \
+          instance's family from its directory name)")
+    Term.(const write_suite $ out_arg)
+
 let cmd =
   Cmd.group
     (Cmd.info "genpec" ~doc:"generate partial-equivalence-checking DQBF benchmarks")
-    [ one_cmd; sweep_cmd ]
+    [ one_cmd; sweep_cmd; suite_cmd ]
 
 let () = exit (Cmd.eval cmd)

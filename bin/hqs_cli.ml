@@ -506,6 +506,7 @@ let sweep files jobs timeout node_limit retries journal resume mem_limit cpu_lim
      else "");
   let results = rep.Harness.Sweep.results in
   prerr_string (Harness.Report.table1 results);
+  prerr_string (Harness.Report.fig4 ~timeout results);
   prerr_string (Harness.Report.headline results);
   print_string (Harness.Report.csv results);
   (match trace with
@@ -604,7 +605,7 @@ let sweep_cmd =
          worker process under kernel resource limits. Worker deaths the result protocol \
          cannot explain are retried with exponential backoff and eventually quarantined as \
          CRASH rows instead of aborting the sweep. The per-instance CSV goes to stdout; \
-         progress, Table I and the headline summary go to stderr.";
+         progress, Table I, the Fig. 4 scatter and the headline summary go to stderr.";
       `S "EXIT STATUS";
       `P "0 on a clean sweep; 2 on usage or input errors; 3 when the sweep finished but \
           contains CRASH rows or an HQS/iDQ verdict disagreement; 1 on internal errors.";

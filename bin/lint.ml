@@ -7,7 +7,7 @@
    unreadable paths, and paths contributing no .ml/.mli files — a gate
    must never silently skip what it was pointed at). *)
 
-let default_paths = [ "lib"; "bin"; "bench"; "test"; "examples" ]
+let default_paths = [ "lib"; "bin"; "test"; "examples" ]
 
 let format_arg =
   let open Cmdliner in
@@ -23,7 +23,7 @@ let format_arg =
 
 let paths_arg =
   let open Cmdliner in
-  Arg.(value (pos_all string default_paths (info [] ~docv:"PATH" ~doc:"Files or directories to lint (default: $(b,lib bin bench test examples)).")))
+  Arg.(value (pos_all string default_paths (info [] ~docv:"PATH" ~doc:"Files or directories to lint (default: $(b,lib bin test examples)).")))
 
 let rules_doc =
   List.map

@@ -58,8 +58,9 @@
 #  13. distobs gate: a traced chaos-kill sweep must merge worker span
 #      buffers under their own pid rows with cross-pid parent links
 #      (tracecheck --min-pids/--min-cross-links); benchdiff passes on
-#      the committed trajectory baseline and trips on a seeded 25%
-#      phase-time inflation; a chaos-killed daemon with --event-log
+#      the committed layer baseline (BENCH_layers.json) and trips on a
+#      seeded 25% time inflation on each workload, a 25% counter
+#      inflation and a 20% ratio drop; a chaos-killed daemon with --event-log
 #      shows nonzero crash counters and latency quantiles via hqs top
 #      and leaves a complete, trace-correlated JSONL event trail; the
 #      raw-fd/no-stdout/mono-clock-span lint rules fire on seeded
@@ -89,7 +90,7 @@ else
 fi
 
 echo "== lint =="
-dune exec bin/lint.exe -- lib bin bench test examples
+dune exec bin/lint.exe -- lib bin test examples
 # the driver must refuse paths it cannot lint, not silently pass them
 lint_status=0
 dune exec bin/lint.exe -- /nonexistent/path >/dev/null 2>&1 || lint_status=$?
@@ -119,7 +120,7 @@ DEEPCHECK=_build/default/bin/deepcheck.exe
 #    through Obs.Json (same checker the trace pipeline uses)
 "$DEEPCHECK" --json >"$tmp/deepcheck.json"
 dune exec bin/tracecheck.exe -- "$tmp/deepcheck.json" --json-only
-dune exec bin/lint.exe -- --json lib bin bench test examples >"$tmp/lint.json"
+dune exec bin/lint.exe -- --json lib bin test examples >"$tmp/lint.json"
 dune exec bin/tracecheck.exe -- "$tmp/lint.json" --json-only
 # 3) seeded escape: drop one allowlisted exception and the exn-escape
 #    rule must fire — an allowlist edit nobody notices is not a gate
@@ -598,19 +599,29 @@ fi
 dune exec bin/tracecheck.exe -- "$tmp/sweep_trace.json" \
   --min-spans 3 --min-pids 2 --min-cross-links 1 --verbose
 
-# 2) bench regression gate: the committed trajectory baseline passes
-#    against itself, and a seeded 25% phase-time inflation trips it —
-#    a gate that cannot fail is not a gate
-dune exec bin/benchdiff.exe -- BENCH_trajectory.json BENCH_trajectory.json \
-  >"$tmp/bd.ok.out"
-bd_status=0
-dune exec bin/benchdiff.exe -- BENCH_trajectory.json BENCH_trajectory.json \
-  --inflate '.*/phase\..*\.total_s=1.25' >"$tmp/bd.bad.out" 2>&1 || bd_status=$?
-if [ "$bd_status" != 1 ] || ! grep -q '^REGRESSION ' "$tmp/bd.bad.out"; then
-  echo "== ci FAILED: seeded regression not caught by benchdiff (exit $bd_status) =="
-  cat "$tmp/bd.bad.out"
+# 2) bench regression gate: the committed layer baseline passes against
+#    itself; a seeded 25% time inflation on each workload, a 25% counter
+#    inflation and a 20% drop of a higher-is-better ratio each trip it,
+#    and a 25% rise of that ratio (an improvement) does not — a gate
+#    that cannot fail is not a gate
+dune exec bin/benchdiff.exe -- BENCH_layers.json BENCH_layers.json >"$tmp/bd.ok.out"
+for inf in 'ladder/.*_s=1.25' 'frontend/.*_s=1.25' 'ladder/aig.nodes_alloc=1.25' \
+  'ladder/aig.strash_hit_ratio=0.8'; do
+  bd_status=0
+  dune exec bin/benchdiff.exe -- BENCH_layers.json BENCH_layers.json \
+    --inflate "$inf" >"$tmp/bd.bad.out" 2>&1 || bd_status=$?
+  if [ "$bd_status" != 1 ] || ! grep -q '^REGRESSION ' "$tmp/bd.bad.out"; then
+    echo "== ci FAILED: seeded regression $inf not caught by benchdiff (exit $bd_status) =="
+    cat "$tmp/bd.bad.out"
+    exit 1
+  fi
+done
+dune exec bin/benchdiff.exe -- BENCH_layers.json BENCH_layers.json \
+  --inflate 'ladder/aig.strash_hit_ratio=1.25' >"$tmp/bd.up.out" || {
+  echo "== ci FAILED: benchdiff flagged an improved higher-is-better ratio =="
+  cat "$tmp/bd.up.out"
   exit 1
-fi
+}
 
 # 3) live daemon introspection: a chaos-killed daemon with an event log
 #    must expose nonzero crash counters and latency quantiles to hqs top,

@@ -162,13 +162,6 @@ let headline results =
   | bad -> line "SOUNDNESS ALARM: verdict disagreements: %d" (List.length bad));
   Buffer.contents buf
 
-(* JSON cells for counters that only exist when the solve reached a
-   verdict. Baseline writers must not leak an in-band sentinel (-1)
-   into the artifact: a missing counter is [null], never a number a
-   downstream aggregate could sum. *)
-let json_int_cell = function Some n -> string_of_int n | None -> "null"
-let json_bool_cell = function Some b -> string_of_bool b | None -> "null"
-
 let outcome_cell = function
   | Solved (true, _) -> "SAT"
   | Solved (false, _) -> "UNSAT"

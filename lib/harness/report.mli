@@ -6,13 +6,6 @@
     headline claims of Section IV. Verdict disagreements recorded by the
     runner are surfaced as SOUNDNESS ALARM lines. *)
 
-val json_int_cell : int option -> string
-val json_bool_cell : bool option -> string
-(** Render an optional counter as a JSON cell: the value itself, or
-    [null] when the solve produced no stats (timeout/memout/crash).
-    Baseline writers use these instead of in-band sentinels like [-1],
-    which leak into downstream sums and CSV imports as real data. *)
-
 val table1 : Runner.result list -> string
 val fig4 : ?timeout:float -> Runner.result list -> string
 val headline : Runner.result list -> string

