@@ -853,10 +853,10 @@ let serve_cmd =
     [
       `S Manpage.s_description;
       `P
-        "Listens on a Unix-domain socket and dispatches DQDIMACS solve requests to a pool of \
-         forked solver workers under per-request wall/heap budgets. Crashed workers are \
-         respawned with exponential-backoff quarantine and the affected request is retried; \
-         clients always receive a structured reply (verdict, timeout, memout, crash, \
+        "Listens on a Unix-domain socket and solves each DQDIMACS request in its own forked \
+         child, at most $(b,--workers) at a time, under per-request wall/heap budgets. A \
+         crashed solve is retried after an exponential backoff, ahead of newly admitted \
+         requests; clients always receive a structured reply (verdict, timeout, memout, crash, \
          overloaded, draining) — never a hung connection. Verdicts are memoized under a \
          canonical form of the instance (variable renaming + clause reordering invariant); \
          with $(b,--check full), every $(b,--audit-period)-th cache hit is re-solved and \
@@ -870,7 +870,7 @@ let serve_cmd =
     (Cmd.info "serve" ~doc ~man)
     Term.(
       const serve $ socket_arg
-      $ Arg.(value & opt int 2 & info [ "workers"; "j" ] ~docv:"N" ~doc:"worker pool size")
+      $ Arg.(value & opt int 2 & info [ "workers"; "j" ] ~docv:"N" ~doc:"concurrent forked solves (pool size)")
       $ Arg.(
           value
           & opt int 16
@@ -889,7 +889,7 @@ let serve_cmd =
           value
           & opt float 2.0
           & info [ "kill-grace" ] ~docv:"SECONDS"
-              ~doc:"SIGKILL a worker this long past its request deadline")
+              ~doc:"SIGKILL a solve this long past its request deadline")
       $ Arg.(
           value
           & opt int 3
@@ -918,7 +918,7 @@ let serve_cmd =
           & info [ "event-log" ] ~docv:"FILE"
               ~doc:
                 "append one checksummed JSONL line per lifecycle event (admissions, sheds, \
-                 crashes, retries, quarantines, timeouts, cache audits, respawns, drain) \
+                 crashes, retries, quarantines, timeouts, cache audits, drain) \
                  with per-request trace ids; the file is size-rotated to $(i,FILE).1 at 1 \
                  MiB")
       $ chaos_seed $ chaos_points
@@ -976,8 +976,7 @@ let render_health (h : Serve.Proto.health) =
   else print_endline "c latency n=0";
   Printf.printf "c requests %.0f  shed %.0f  timeouts %.0f\n" (m "serve.requests")
     (m "serve.shed") (m "serve.timeouts");
-  Printf.printf "c crashes %.0f  respawns %.0f\n" (m "serve.worker_crashes")
-    (m "serve.respawns");
+  Printf.printf "c crashes %.0f\n" (m "serve.worker_crashes");
   Printf.printf "c cache hits %.0f  misses %.0f  audits %.0f  audit_failures %.0f\n"
     (m "serve.cache_hits") (m "serve.cache_misses") (m "serve.cache_audits")
     (m "serve.cache_audit_failures");
@@ -1155,9 +1154,9 @@ let top_cmd =
       `S Manpage.s_description;
       `P
         "Polls the daemon at $(b,--socket) with `health' requests and renders a refreshing \
-         snapshot: worker pool states, queue depth, in-flight jobs, rolling request-latency \
-         quantiles (p50/p95/p99 over the last 512 requests), and the shed / crash / respawn \
-         / cache counters. $(b,--once) prints a single snapshot and exits — the scriptable \
+         snapshot: pool slot states, queue depth, in-flight jobs, rolling request-latency \
+         quantiles (p50/p95/p99 over the last 512 requests), and the shed / crash / cache \
+         counters. $(b,--once) prints a single snapshot and exits — the scriptable \
          form used by CI.";
       `S "EXIT STATUS";
       `P "0 on clean exit; 2 when the daemon is unreachable.";

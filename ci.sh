@@ -53,7 +53,7 @@
 #      a chaos-armed worker kill; fire 8 concurrent queries (with
 #      duplicates), assert every client gets a structured verdict, a
 #      sequential duplicate is served from the cache, the serve.*
-#      metrics counted the crash/respawn/hits, SIGTERM drains to exit 0,
+#      metrics counted the crash and the hits, SIGTERM drains to exit 0,
 #      and the emitted trace tracecheck-validates with serve.* events
 #  13. distobs gate: a traced chaos-kill sweep must merge worker span
 #      buffers under their own pid rows with cross-pid parent links
@@ -63,8 +63,8 @@
 #      inflation and a 20% ratio drop; a chaos-killed daemon with --event-log
 #      shows nonzero crash counters and latency quantiles via hqs top
 #      and leaves a complete, trace-correlated JSONL event trail; the
-#      raw-fd/no-stdout/mono-clock-span lint rules fire on seeded
-#      fixtures
+#      raw-fd/no-stdout/mono-clock-span/fork-site lint rules fire on
+#      seeded fixtures
 #  14. cert gate: assert the isolated verifier links zero libraries
 #      (dune describe) and that the cert-isolation lint rule fires on a
 #      seeded solver reference; certify every example-suite instance
@@ -538,13 +538,11 @@ grep -q '(cached)' "$tmp/dup.out" || {
   cat "$tmp/dup.out"
   exit 1
 }
-# serve.respawns lags serve.worker_crashes by the backoff quarantine
-# delay, so poll the stats until every floor is met
 stats_missing=""
 for _ in $(seq 1 25); do
   "$HQS_BIN" query --socket "$sock" --stats >"$tmp/serve_stats.out"
   stats_missing=""
-  for m in serve.requests serve.cache_hits serve.worker_crashes serve.respawns; do
+  for m in serve.requests serve.cache_hits serve.worker_crashes; do
     v=$(sed -n "s/^c metric $m \([0-9][0-9.]*\).*/\1/p" "$tmp/serve_stats.out")
     if [ -z "$v" ] || [ "${v%%.*}" -lt 1 ]; then
       stats_missing="$m is '${v:-missing}'"
@@ -691,8 +689,8 @@ for ev in '"ev":"start"' '"ev":"admit"' '"ev":"crash"' '"ev":"retry"' \
 done
 
 # 4) lint fixtures: an event-log-writer-shaped module that bypasses the
-#    fd/stdout discipline, and a stray timestamp source, must both be
-#    flagged
+#    fd/stdout discipline, a stray timestamp source, and a second fork
+#    site next to Exec.Pool must all be flagged
 mkdir -p "$tmp/distlint/lib/fake"
 cat >"$tmp/distlint/lib/fake/writer.ml" <<'EOF'
 let log path msg =
@@ -706,6 +704,10 @@ let stamp () = Hqs_util.Mono.now ()
 let cpu () = Sys.time ()
 EOF
 printf 'val stamp : unit -> float\nval cpu : unit -> float\n' >"$tmp/distlint/lib/fake/stamp.mli"
+cat >"$tmp/distlint/lib/fake/spawn.ml" <<'EOF'
+let spawn f = match Unix.fork () with 0 -> f (); Unix._exit 0 | pid -> pid
+EOF
+printf 'val spawn : (unit -> unit) -> int\n' >"$tmp/distlint/lib/fake/spawn.mli"
 distlint_status=0
 dune exec bin/lint.exe -- "$tmp/distlint" >"$tmp/distlint.out" 2>&1 || distlint_status=$?
 if [ "$distlint_status" != 1 ]; then
@@ -713,7 +715,7 @@ if [ "$distlint_status" != 1 ]; then
   cat "$tmp/distlint.out"
   exit 1
 fi
-for rule in raw-fd no-stdout mono-clock-span; do
+for rule in raw-fd no-stdout mono-clock-span fork-site; do
   grep -q "\[$rule\]" "$tmp/distlint.out" || {
     echo "== ci FAILED: seeded $rule violation not flagged =="
     cat "$tmp/distlint.out"

@@ -7,7 +7,7 @@
        library serve
          Serve.Daemon.Shutdown   # clean-stop control flow
    deepcheck.forkinit — fork entry points and sanctioned globals:
-       entry Exec.Supervisor.run_child
+       entry Exec.Pool.run_child
        allow Obs.Trace.st  reset by Obs.fork_reinit
    deepcheck.layers   — the allowed inter-library DAG:
        library serve -> core obs util

@@ -166,8 +166,8 @@ let reachable t ~entries =
   done;
   seen
 
-(* call-path witness for a reachable node: "Exec.Supervisor.run_child ->
-   Obs.Metrics.observe (at lib/exec/supervisor.ml:160)" *)
+(* call-path witness for a reachable node: "Exec.Pool.run_child ->
+   Obs.Metrics.observe (at lib/exec/pool.ml:160)" *)
 let reach_path (seen : (string, reach) Hashtbl.t) name =
   let rec up name acc depth =
     if depth > 64 then "..." :: acc

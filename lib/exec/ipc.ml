@@ -36,24 +36,6 @@ let frame_string json =
 
 let write_frame fd json = write_all fd (Bytes.of_string (frame_string json))
 
-let parse_frame buf =
-  let n = String.length buf in
-  if n < header_len then Error (Printf.sprintf "short frame: %d bytes" n)
-  else if buf.[header_len - 1] <> '\n' then Error "malformed frame header"
-  else
-    match int_of_string_opt (String.sub buf 0 (header_len - 1)) with
-    | None -> Error "malformed frame length"
-    | Some len when len < 0 -> Error "negative frame length"
-    | Some len ->
-        if n - header_len < len then
-          Error (Printf.sprintf "truncated frame: %d of %d payload bytes" (n - header_len) len)
-        else if n - header_len > len then
-          Error (Printf.sprintf "oversized frame: %d extra bytes" (n - header_len - len))
-        else (
-          match Json.parse (String.sub buf header_len len) with
-          | Ok v -> Ok v
-          | Error msg -> Error ("bad frame JSON: " ^ msg))
-
 (* --------------------------------------------------- incremental reading *)
 
 (* Byte stream with possibly many frames in flight (the serve daemon's

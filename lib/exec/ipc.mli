@@ -6,11 +6,10 @@
     classified as a crash) from one that sent a complete message — EOF
     alone cannot tell the two apart.
 
-    Two consumption styles:
-    - the sweep supervisor reads a worker pipe to EOF and hands the whole
-      buffer to {!parse_frame} (one frame per worker lifetime);
-    - the serve daemon keeps persistent connections with many frames in
-      flight and decodes incrementally through a {!reader}.
+    Readers decode incrementally through a {!reader}: the worker pool
+    ({!Pool}) peels a child's partial frames and its final frame off the
+    pipe as they arrive, the serve daemon does the same on its client
+    connections, and one-shot clients use {!read_frame}.
 
     All reads and writes in this module retry on [EINTR], so signal
     delivery (SIGCHLD, SIGTERM during drain) can never tear a frame. *)
@@ -20,12 +19,6 @@ val ignore_sigpipe : unit -> unit
     mid-write then surfaces as an [EPIPE] error from [write] instead of
     killing the process. Call once at the top of any long-lived loop
     that writes to pipes or sockets. *)
-
-val retry_read : Unix.file_descr -> Bytes.t -> int -> int -> int
-(** [Unix.read], retried on [EINTR]. *)
-
-val retry_write : Unix.file_descr -> Bytes.t -> int -> int -> int
-(** [Unix.write], retried on [EINTR]. *)
 
 val write_all : Unix.file_descr -> Bytes.t -> unit
 (** Write the whole buffer, looping over partial and interrupted
@@ -37,10 +30,6 @@ val frame_string : Obs.Json.t -> string
 
 val write_frame : Unix.file_descr -> Obs.Json.t -> unit
 (** Render and write one frame via {!write_all}. *)
-
-val parse_frame : string -> (Obs.Json.t, string) result
-(** Parse a complete byte stream holding exactly one frame (the
-    read-to-EOF style). [Error] describes the protocol violation. *)
 
 (** {1 Incremental decoding} *)
 
@@ -60,11 +49,7 @@ val next_frame : reader -> (Obs.Json.t, string) result option
 
 type read_result = Frame of Obs.Json.t | Eof | Malformed of string
 
-val read_next : reader -> Unix.file_descr -> read_result
-(** Blocking read of the next frame: drains [next_frame], else reads
-    more bytes and retries. [Eof] only on a clean frame boundary; EOF
-    mid-frame is [Malformed]. *)
-
 val read_frame : Unix.file_descr -> read_result
-(** [read_next] with a fresh throwaway reader — for one-shot
-    request/reply clients. *)
+(** Blocking read of one frame, for one-shot request/reply clients.
+    [Eof] only on a clean frame boundary; EOF mid-frame is
+    [Malformed]. *)

@@ -5,7 +5,7 @@ type t = { wall_s : float option; cpu_s : int option; mem_bytes : int option }
 let none = { wall_s = None; cpu_s = None; mem_bytes = None }
 
 (* RLIMIT_CPU: the soft limit delivers SIGXCPU (classified as a CPU
-   timeout by the supervisor); the hard limit, two seconds later, is the
+   timeout by the pool); the hard limit, two seconds later, is the
    kernel's SIGKILL backstop should the worker ignore it. *)
 let apply_in_child t =
   (match t.cpu_s with

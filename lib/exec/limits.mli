@@ -1,7 +1,7 @@
 (** Per-worker OS resource limits, mirroring the paper's per-instance
     abort criteria (Section IV: wall-clock timeout and memory cap).
 
-    [wall_s] is enforced by the {e supervisor} (it SIGKILLs the worker's
+    [wall_s] is enforced by the {e parent} ({!Pool} SIGKILLs the worker's
     process group past the deadline); [cpu_s] and [mem_bytes] are applied
     {e inside the child} between [fork] and the task body, via
     [setrlimit] (bound by a local C stub — the OCaml [Unix] library does
@@ -20,4 +20,4 @@ val none : t
 val apply_in_child : t -> unit
 (** Apply [cpu_s]/[mem_bytes] to the calling process. Call only in a
     freshly forked worker. Failures are ignored (the limit is then simply
-    not enforced; the supervisor's wall-clock kill still applies). *)
+    not enforced; the pool's wall-clock kill still applies). *)

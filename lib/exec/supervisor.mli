@@ -1,42 +1,17 @@
-(** Process-isolated supervised task executor.
+(** Supervised sweeps: a batch of tasks run to completion on one
+    {!Pool}, plus the crash-safe journal that lets an interrupted sweep
+    resume.
 
-    Each task runs in a forked child in its own session/process group,
-    under kernel resource limits ({!Limits}); results travel back to the
-    parent over a pipe as length-prefixed JSON frames ({!Ipc}): any
-    number of throttled ["partial"] state flushes (latest metric delta
-    plus span buffer, written at span exits) followed by one final result
-    frame. The parent uses the newest partial only when the final frame
-    never arrives (the attempt was killed), salvaging the metrics and
-    trace of a timed-out worker.
+    Every task runs in its own forked child under kernel resource limits,
+    with the pool's crash taxonomy, throttled partial frames and salvage,
+    per-task backoff retry and quarantine, and [sup.task]/[sup.child]
+    trace stitching (see {!Pool}). This module adds the batch view: tasks
+    are given up front, completions come back in input order, and with
+    [?journal] every completion is appended to a crash-safe JSONL file
+    ({!Journal}) so a sweep killed midway can be [?resume]d without
+    re-running finished tasks. *)
 
-    When tracing is enabled in the parent, the run is stitched into one
-    multi-process trace: the supervisor emits a [sup.task] span per
-    attempt on a per-task thread row carrying [trace_id]/[span_id] args,
-    each worker opens a [sup.child] root span carrying the matching
-    [parent_span] link, and worker span buffers are merged under their
-    own pid rows via {!Obs.Trace.inject} (mid-span deaths are repaired
-    and flagged [truncated]).
-    The parent multiplexes up to [jobs] workers with [select], classifies
-    every child death, retries transient crashes on a deterministic
-    backoff schedule ({!Backoff}), quarantines a task as {!Crash} after
-    [max_attempts], and optionally journals every completion to a
-    crash-safe JSONL file ({!Journal}) so an interrupted sweep can be
-    [?resume]d without re-running finished tasks.
-
-    Crash taxonomy (how a child death maps to a {!status}):
-    - clean exit 0 + ["ok"] frame — {!Value} (child metric deltas are
-      {!Obs.Metrics.absorb}ed into the parent registry)
-    - clean exit 0 + ["memout"] frame — {!Memout} (the child's allocator
-      hit [RLIMIT_AS] or the in-process governor and raised
-      [Out_of_memory])
-    - parent wall-deadline SIGKILL of the process group — {!Timeout}
-    - death by [SIGXCPU] (soft [RLIMIT_CPU]) — {!Timeout}
-    - anything else — nonzero exit, other fatal signal, ["error"] frame
-      (worker exception, incl. [Stack_overflow]), or a torn/invalid frame
-      — is a crash {e attempt}: retried after backoff, {!Crash} once
-      [max_attempts] are exhausted. *)
-
-type status =
+type status = Pool.status =
   | Value of Obs.Json.t  (** worker returned this payload *)
   | Timeout of float  (** wall or CPU limit hit after [s] seconds *)
   | Memout of float  (** memory limit hit after [s] seconds *)
@@ -58,7 +33,7 @@ type completion = {
           clean completions. *)
 }
 
-type config = {
+type config = Pool.config = {
   jobs : int;  (** concurrent workers, >= 1 *)
   limits : Limits.t;  (** per-child kernel limits *)
   max_attempts : int;  (** spawns before quarantine, >= 1 *)
@@ -101,9 +76,6 @@ val run :
 
     @raise Invalid_argument on duplicate task ids or a nonsensical
     config. *)
-
-val signal_name : int -> string
-(** Human name for an OCaml [Sys] signal number (["SIGKILL"], ...). *)
 
 val completion_to_json : completion -> Obs.Json.t
 (** The journal payload for a completion, exposed for tests. *)

@@ -27,7 +27,11 @@
    - a direct stdout write ([Printf.printf]/[print_endline]/...) in
      [lib/] outside [lib/harness] corrupts the machine-readable solver
      output (DIMACS verdict lines, CSV, JSON baselines) — reports must go
-     through the harness or the Obs sinks.
+     through the harness or the Obs sinks;
+   - a [Unix.fork] under [lib/] or [bin/] outside [lib/exec/pool.ml]
+     grows a second forked-process executor next to the pool, without
+     its rlimits, fork-state reset, descriptor hygiene and crash
+     classification.
 
    Diagnostics can be suppressed by a comment containing
    "lint: allow <rule-name>" on the offending line or the line above. *)
@@ -42,6 +46,7 @@ type rule =
   | Wall_clock
   | Mono_clock_span
   | No_stdout
+  | Fork_site
   | Cert_isolation
   | Syntax
 
@@ -55,13 +60,14 @@ let rule_name = function
   | Wall_clock -> "wall-clock"
   | Mono_clock_span -> "mono-clock-span"
   | No_stdout -> "no-stdout"
+  | Fork_site -> "fork-site"
   | Cert_isolation -> "cert-isolation"
   | Syntax -> "syntax"
 
 let all_rules =
   [
     Catch_all; Poly_compare; Obj_magic; Failwith_lib; Missing_mli; Raw_fd; Wall_clock;
-    Mono_clock_span; No_stdout; Cert_isolation; Syntax;
+    Mono_clock_span; No_stdout; Fork_site; Cert_isolation; Syntax;
   ]
 
 let rule_doc = function
@@ -96,6 +102,10 @@ let rule_doc = function
   | No_stdout ->
       "stdout write (Printf.printf, print_endline, ...) under lib/ outside lib/harness: \
        solver stdout is a machine-readable channel (verdict lines, CSV, JSON baselines)."
+  | Fork_site ->
+      "Unix.fork under lib/ or bin/ outside lib/exec/pool.ml: every forked child goes \
+       through Exec.Pool, the one place that applies rlimits, resets fork-inherited state, \
+       closes the parent's descriptors and classifies the child's death."
   | Cert_isolation ->
       "a module-qualified reference, open or module alias rooted in any repo library inside \
        bin/certcheck.ml: the independent certificate verifier must share no code with the \
@@ -188,6 +198,7 @@ let dir_segments path =
 
 (* in a path like "lib/sat/dimacs.ml", is some directory segment "lib"? *)
 let in_lib path = List.mem "lib" (dir_segments path)
+let in_bin path = List.mem "bin" (dir_segments path)
 
 (* is the file under the "lib/<sub>" directory (at any depth prefix)? the
    scope carve-outs for the fd and wall-clock rules *)
@@ -312,6 +323,15 @@ let collect_structure ~path structure =
               add No_stdout
                 "stdout write in library code outside lib/harness: solver stdout is a \
                  machine-readable channel — report through the harness or Obs"
+                loc
+        | "Unix.fork" | "UnixLabels.fork" ->
+            if
+              (in_lib path || in_bin path)
+              && not (in_lib_sub "exec" path && Filename.basename path = "pool.ml")
+            then
+              add Fork_site
+                "Unix.fork outside lib/exec/pool.ml: submit the child's work to Exec.Pool, \
+                 the one fork site"
                 loc
         | ("=" | "<>") when not (Hashtbl.mem blessed loc) ->
             add Poly_compare

@@ -27,6 +27,10 @@
       under [lib/] outside [lib/harness]: solver stdout is a
       machine-readable channel (verdict lines, CSV, JSON baselines), so
       library code must report through the harness or the Obs sinks;
+    - [Fork_site] — [Unix.fork] under [lib/] or [bin/] outside
+      [lib/exec/pool.ml]: [Exec.Pool] is the one fork site, the one
+      place that applies rlimits, resets fork-inherited state, closes
+      the parent's descriptors and classifies the child's death;
     - [Cert_isolation] — a module-qualified reference, [open] or module
       alias rooted in any repo library inside [bin/certcheck.ml]: the
       independent certificate verifier's trust story is that it shares
@@ -49,13 +53,14 @@ type rule =
   | Wall_clock
   | Mono_clock_span
   | No_stdout
+  | Fork_site
   | Cert_isolation
   | Syntax
 
 val rule_name : rule -> string
 (** ["catch-all"], ["poly-compare"], ["obj-magic"], ["failwith-lib"],
     ["missing-mli"], ["raw-fd"], ["wall-clock"], ["mono-clock-span"],
-    ["no-stdout"], ["cert-isolation"], ["syntax"] — the names used by
+    ["no-stdout"], ["fork-site"], ["cert-isolation"], ["syntax"] — the names used by
     suppression comments. *)
 
 val all_rules : rule list

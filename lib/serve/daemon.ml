@@ -4,6 +4,7 @@ module Span = Obs.Span
 module Budget = Hqs_util.Budget
 module Chaos = Hqs_util.Chaos
 module Ipc = Exec.Ipc
+module Pool = Exec.Pool
 
 (* ---------------------------------------------------------------- config *)
 
@@ -63,7 +64,6 @@ let poison_cert (c : Cert.t) =
 let m_requests = Metrics.counter "serve.requests"
 let m_queue_depth = Metrics.gauge "serve.queue_depth"
 let m_shed = Metrics.counter "serve.shed"
-let m_respawns = Metrics.counter "serve.respawns"
 let m_crashes = Metrics.counter "serve.worker_crashes"
 let m_cache_hits = Metrics.counter "serve.cache_hits"
 let m_cache_misses = Metrics.counter "serve.cache_misses"
@@ -79,174 +79,99 @@ let m_latency = Metrics.histogram "serve.request_latency_s"
    latency, not its lifetime average *)
 let w_latency = Metrics.window "serve.request_latency_s"
 
-(* ---------------------------------------------------------------- worker *)
-
-(* The pool worker: a forked child in its own session, looping over
-   requests on its socketpair end until the daemon closes it (clean
-   shutdown) or a request tells it to chaos-kill itself. All failure
-   modes of a solve come back as structured results over the same frame
-   channel; the worker only dies on chaos kills, rlimit SIGKILLs, or
-   genuine solver bugs — exactly the cases the daemon's crash taxonomy
-   and respawn path are built for. *)
-let rec list_drop n l = if n <= 0 then l else match l with [] -> [] | _ :: t -> list_drop (n - 1) t
-
-let worker_main (config : config) fd =
-  Ipc.ignore_sigpipe ();
-  (* drop the daemon's span buffer but keep its enabled flag: when the
-     daemon traces, each job's spans are recorded here and shipped back
-     in the reply for merging under this worker's pid row. fork_reinit
-     also clears any inherited partial-frame flush hook — a daemon that
-     is itself running under a sweep worker would otherwise hand this
-     pool worker a hook writing onto the sweep supervisor's pipe — and
-     resets the fallback clock mark *)
-  Obs.fork_reinit ();
-  (* hard address-space backstop at 2x the soft heap budget: the Budget
-     governor raises a clean, recoverable memout first in the common
-     case; the rlimit catches runaway native allocations *)
-  (match config.mem_limit_mb with
-  | Some mb ->
-      Exec.Limits.apply_in_child
-        { Exec.Limits.none with Exec.Limits.mem_bytes = Some (2 * mb * 1024 * 1024) }
-  | None -> ());
-  let rd = Ipc.reader () in
-  let rec loop () =
-    match Ipc.read_next rd fd with
-    | Ipc.Eof -> Unix._exit 0
-    | Ipc.Malformed _ -> Unix._exit 3
-    | Ipc.Frame j -> (
-        match Proto.wreq_of_json j with
-        | Error _ -> Unix._exit 3
-        | Ok { Proto.jid; text; timeout_s; kill; sleep_s; trace; cert; escalate; poison } ->
-            if kill then Unix.kill (Unix.getpid ()) Sys.sigkill;
-            let t0 = Budget.now () in
-            let budget = Budget.of_seconds timeout_s in
-            let budget =
-              match config.mem_limit_mb with
-              | Some mb -> Budget.with_mem_limit_mb budget mb
-              | None -> budget
-            in
-            if sleep_s > 0. then Unix.sleepf sleep_s;
-            let before = Metrics.snapshot () in
-            let ev_mark = List.length (Obs.Trace.events ()) in
-            let solver =
-              (* escalated re-solve after a certificate audit failure:
-                 full checks, no chaos, no degraded restart — the answer
-                 must be earned, not salvaged *)
-              if escalate then
-                {
-                  config.solver with
-                  Hqs.check_level = Check.Full;
-                  chaos = Chaos.off;
-                  restart_on_memout = false;
-                }
-              else config.solver
-            in
-            let solve () =
-              let pcnf = Dqbf.Pcnf.parse_string text in
-              if not cert then begin
-                let v, _stats = Hqs.solve_pcnf ~config:solver ~budget pcnf in
-                (Proto.W_sat (v = Hqs.Sat), false, None)
-              end
-              else begin
-                (* the solver's own Post_certify audit is disabled here:
-                   the audit must run in this frame, after the chaos
-                   poison hook, so fault injection exercises exactly the
-                   gate the daemon's recovery loop listens to *)
-                let v, art, _model, _stats =
-                  Hqs.solve_pcnf_certified
-                    ~config:{ solver with Hqs.check_level = Check.Off }
-                    ~budget ~instance_text:text pcnf
-                in
-                let art = if poison then poison_cert art else art in
-                let level = if escalate then Check.Full else config.check_level in
-                match Check.audit_certificate ~budget ~level ~instance_text:text pcnf art with
-                | () -> (Proto.W_sat (v = Hqs.Sat), false, Some (Cert.render art))
-                | exception Check.Violation viol ->
-                    ( Proto.W_cert_failed (Format.asprintf "%a" Check.pp_violation viol),
-                      false,
-                      None )
-              end
-            in
-            let solve =
-              match trace with
-              | None -> solve
-              | Some id ->
-                  fun () ->
-                    Span.with_ "serve.solve"
-                      ~attrs:[ ("jid", Obs.Int jid); ("trace_id", Obs.Str id) ]
-                      solve
-            in
-            let result, retiring, cert_blob =
-              match solve () with
-              | r -> r
-              | exception Budget.Timeout -> (Proto.W_timeout, false, None)
-              | exception Budget.Out_of_memory_budget -> (Proto.W_memout, false, None)
-              | exception Out_of_memory ->
-                  (* the rlimit backstop fired: the reply still goes out,
-                     but the heap is pinned near the ceiling — retire and
-                     let the daemon respawn a fresh worker *)
-                  (Proto.W_memout, true, None)
-              | exception Failure msg -> (Proto.W_error msg, false, None)
-              | exception Check.Violation v ->
-                  ( Proto.W_error (Format.asprintf "check violation: %a" Check.pp_violation v),
-                    false,
-                    None )
-            in
-            let samples = Metrics.delta ~before ~after:(Metrics.snapshot ()) in
-            let w_events =
-              if trace = None then [] else list_drop ev_mark (Obs.Trace.events ())
-            in
-            (match
-               Ipc.write_frame fd
-                 (Proto.wreply_to_json
-                    {
-                      Proto.w_jid = jid;
-                      result;
-                      w_elapsed_s = Budget.now () -. t0;
-                      retiring;
-                      samples;
-                      w_events;
-                      cert_blob;
-                    })
-             with
-            | () -> ()
-            | exception Unix.Unix_error (Unix.EPIPE, _, _) -> Unix._exit 0);
-            if retiring then Unix._exit 0 else loop ())
-  in
-  loop ()
-
-(* ------------------------------------------------------- daemon state *)
+(* ------------------------------------------------------------------ jobs *)
 
 type job = {
   jid : int;
   cid : int;
   key : Dqbf.Canon.key;
-  text : string;
+  pcnf : Dqbf.Pcnf.t;  (** parsed and validated at admission *)
+  text : string;  (** the instance bytes, for certificates *)
   timeout_s : float;
   sleep_s : float;
-  mutable attempts : int;  (** dispatches so far *)
   enqueued_at : float;
   trace : string;  (** request trace id, minted at admission *)
   audit_of : Cache.entry option;  (** [Some e]: sampled re-solve of a cache hit *)
   want_cert : bool;  (** the client asked for the artifact inline *)
-  mutable escalate : bool;
-      (** re-dispatch after a certificate audit failure: the worker runs
-          the solve under full checks with degradation disabled *)
+  escalate : bool;
+      (** re-solve after a certificate audit failure: the solve runs
+          under full checks with degradation disabled *)
 }
 
-type wstate =
-  | Idle
-  | Busy of job * float  (** job and its absolute wall-kill deadline *)
-  | Respawning of float  (** absolute time the replacement may be forked *)
+(* The body of one pool task: runs in the forked child, solves the
+   formula the daemon parsed at admission and returns the job result.
+   Every failure mode of a solve comes back as a structured result; the
+   child only dies on chaos kills, rlimit kills or genuine solver bugs,
+   which the pool classifies as crash attempts. [attempt] is the job's
+   n-th dispatch, counting escalated re-solves: the chaos state is a
+   fresh copy in every child, so the point names carry it. *)
+let solve_job (config : config) job ~attempt =
+  if Chaos.fire config.chaos (kill_point ~jid:job.jid ~attempt) then
+    Unix.kill (Unix.getpid ()) Sys.sigkill;
+  let poison = config.certify && Chaos.fire config.chaos (cert_point ~jid:job.jid ~attempt) in
+  let t0 = Budget.now () in
+  let budget = Budget.of_seconds job.timeout_s in
+  let budget =
+    match config.mem_limit_mb with
+    | Some mb -> Budget.with_mem_limit_mb budget mb
+    | None -> budget
+  in
+  if job.sleep_s > 0. then Unix.sleepf job.sleep_s;
+  let solver =
+    (* escalated re-solve after a certificate audit failure: full checks,
+       no chaos, no degraded restart — the answer must be earned, not
+       salvaged *)
+    if job.escalate then
+      {
+        config.solver with
+        Hqs.check_level = Check.Full;
+        chaos = Chaos.off;
+        restart_on_memout = false;
+      }
+    else config.solver
+  in
+  let solve () =
+    if not config.certify then begin
+      let v, _stats = Hqs.solve_pcnf ~config:solver ~budget job.pcnf in
+      (Proto.W_sat (v = Hqs.Sat), None)
+    end
+    else begin
+      (* the solver's own Post_certify audit is disabled here: the audit
+         must run in this frame, after the chaos poison hook, so fault
+         injection exercises exactly the gate the daemon's recovery loop
+         listens to *)
+      let v, art, _model, _stats =
+        Hqs.solve_pcnf_certified
+          ~config:{ solver with Hqs.check_level = Check.Off }
+          ~budget ~instance_text:job.text job.pcnf
+      in
+      let art = if poison then poison_cert art else art in
+      let level = if job.escalate then Check.Full else config.check_level in
+      match Check.audit_certificate ~budget ~level ~instance_text:job.text job.pcnf art with
+      | () -> (Proto.W_sat (v = Hqs.Sat), Some (Cert.render art))
+      | exception Check.Violation viol ->
+          (Proto.W_cert_failed (Format.asprintf "%a" Check.pp_violation viol), None)
+    end
+  in
+  let solve () =
+    if Obs.Trace.enabled () then
+      Span.with_ "serve.solve"
+        ~attrs:[ ("jid", Obs.Int job.jid); ("trace_id", Obs.Str job.trace) ]
+        solve
+    else solve ()
+  in
+  let result, cert_blob =
+    match solve () with
+    | r -> r
+    | exception Budget.Timeout -> (Proto.W_timeout, None)
+    | exception Budget.Out_of_memory_budget -> (Proto.W_memout, None)
+    | exception Failure msg -> (Proto.W_error msg, None)
+    | exception Check.Violation v ->
+        (Proto.W_error (Format.asprintf "check violation: %a" Check.pp_violation v), None)
+  in
+  Proto.wreply_to_json { Proto.result; w_elapsed_s = Budget.now () -. t0; cert_blob }
 
-type wslot = {
-  widx : int;
-  mutable pid : int;
-  mutable wfd : Unix.file_descr;
-  mutable wrd : Ipc.reader;
-  mutable state : wstate;
-  mutable failures : int;  (** consecutive crashes, drives quarantine backoff *)
-}
+(* --------------------------------------------------------------- clients *)
 
 type client = {
   cid : int;
@@ -257,10 +182,10 @@ type client = {
 }
 
 (* Read whatever is available on a nonblocking fd into [rd]. [`Closed
-   got] reports EOF *and* whether bytes were buffered first: a peer that
-   writes its last frame and immediately closes (a fire-and-forget
-   client, a retiring worker) delivers data and EOF in one batch, and
-   the buffered frames must be processed before the fd is dropped. *)
+   got] reports EOF *and* whether bytes were buffered first: a client
+   that writes its last frame and immediately closes delivers data and
+   EOF in one batch, and the buffered frames must be processed before
+   the fd is dropped. *)
 let read_avail fd rd =
   let chunk = Bytes.create 8192 in
   let rec go got =
@@ -275,31 +200,6 @@ let read_avail fd rd =
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> `Closed got
   in
   go false
-
-(* Write a whole frame to a (possibly nonblocking) worker fd, waiting on
-   writability for the large-instance case. The worker is either blocked
-   reading or solving, and drains its socketpair eventually; a worker
-   that died instead surfaces as EPIPE, which the caller maps to the
-   crash path. *)
-let write_frame_waiting fd bytes =
-  let n = Bytes.length bytes in
-  let off = ref 0 in
-  while !off < n do
-    match Unix.write fd bytes !off (n - !off) with
-    | written -> off := !off + written
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> (
-        match Unix.select [] [ fd ] [] 1.0 with
-        | _ -> ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
-  done
-
-let rec waitpid_retry pid =
-  match Unix.waitpid [] pid with
-  | r -> r
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> waitpid_retry pid
-
-let kill_group pid signal = try Unix.kill (-pid) signal with Unix.Unix_error _ -> ()
 
 (* ------------------------------------------------------------------ run *)
 
@@ -327,51 +227,53 @@ let run (config : config) =
   let prev_term = Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> draining := true)) in
   let prev_int = Sys.signal Sys.sigint (Sys.Signal_handle (fun _ -> draining := true)) in
 
-  let slots =
-    Array.init config.workers (fun widx ->
-        {
-          widx;
-          pid = -1;
-          wfd = Unix.stdin;
-          wrd = Ipc.reader ();
-          state = Respawning 0.;
-          failures = 0;
-        })
-  in
   let clients : (int, client) Hashtbl.t = Hashtbl.create 16 in
-  let pending : job Queue.t = Queue.create () in
-  let requeued : job list ref = ref [] in
+  (* every page the daemon writes while a forked solve is alive gets
+     copied, and the minor heap is the set it writes most: the daemon
+     keeps a small one, and each child gets the normal size back on
+     fresh pages *)
+  let gc = Gc.get () in
+  Gc.set { gc with Gc.minor_heap_size = 32_768 };
+  (* a forked solve holds none of the daemon's sockets: an inherited
+     client connection would keep it open past the daemon's close *)
+  let at_fork () =
+    Gc.set gc;
+    (try Unix.close listen_fd with Unix.Unix_error _ -> ());
+    Hashtbl.iter (fun _ c -> try Unix.close c.cfd with Unix.Unix_error _ -> ()) clients
+  in
+  let pool =
+    Pool.create ~at_fork
+      {
+        Pool.jobs = config.workers;
+        (* hard address-space backstop at 2x the soft heap budget: the
+           Budget governor raises a clean, recoverable memout first in
+           the common case; the rlimit catches runaway native allocations *)
+        limits =
+          {
+            Exec.Limits.none with
+            Exec.Limits.mem_bytes =
+              Option.map (fun mb -> 2 * mb * 1024 * 1024) config.mem_limit_mb;
+          };
+        max_attempts = config.max_attempts;
+        backoff = config.backoff;
+        (* the daemon's chaos points are queried inside [solve_job] *)
+        chaos = Chaos.off;
+      }
+  in
   let next_jid = ref 0 in
   let next_cid = ref 0 in
   let hit_count = ref 0 in
 
-  let queue_depth () = Queue.length pending + List.length !requeued in
+  let queue_depth () = Pool.queued pool in
   let update_depth () = Metrics.set m_queue_depth (float_of_int (queue_depth ())) in
 
-  let spawn slot =
-    let parent_fd, child_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    match Unix.fork () with
-    | 0 ->
-        (* worker: drop every parent-side descriptor so EOF tracking on
-           sockets stays precise — an inherited duplicate of another
-           worker's channel or a client connection would defeat it *)
-        ignore (Unix.setsid ());
-        (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-        (try Unix.close parent_fd with Unix.Unix_error _ -> ());
-        Hashtbl.iter (fun _ c -> try Unix.close c.cfd with Unix.Unix_error _ -> ()) clients;
-        Array.iter
-          (fun s ->
-            if s.widx <> slot.widx && s.pid >= 0 then
-              try Unix.close s.wfd with Unix.Unix_error _ -> ())
-          slots;
-        worker_main config child_fd
-    | pid ->
-        Unix.close child_fd;
-        Unix.set_nonblock parent_fd;
-        slot.pid <- pid;
-        slot.wfd <- parent_fd;
-        slot.wrd <- Ipc.reader ();
-        slot.state <- Idle
+  (* the wall kill comes [kill_grace_s] past the solve budget (the budget
+     clock starts in the child), so a job still running then is stuck,
+     not slow *)
+  let dispatch ?spent job =
+    Pool.submit pool ~wall_s:(job.timeout_s +. config.kill_grace_s) ?spent
+      ~id:(Printf.sprintf "serve.job%d" job.jid) job (solve_job config job);
+    update_depth ()
   in
 
   let send_reply cid reply =
@@ -407,13 +309,17 @@ let run (config : config) =
     go ()
   in
 
-  let complete ~wpid job (wr : Proto.wreply) =
-    Metrics.absorb wr.Proto.samples;
+  let quarantine job detail =
+    ev "quarantine" ~trace:job.trace ~fields:[ ("jid", Json.Num (float_of_int job.jid)) ];
+    send_reply job.cid
+      (Proto.Failed
+         { failure = Proto.F_crash; elapsed_s = Budget.now () -. job.enqueued_at; detail })
+  in
+
+  let complete job ~attempts (wr : Proto.wreply) =
     let latency = Budget.now () -. job.enqueued_at in
     Metrics.observe m_latency latency;
     Metrics.wobserve w_latency latency;
-    if wr.Proto.w_events <> [] && Obs.Trace.enabled () then
-      Obs.Trace.inject ~pid:wpid wr.Proto.w_events;
     ev "complete" ~trace:job.trace
       ~fields:
         [
@@ -500,7 +406,7 @@ let run (config : config) =
           (Proto.Failed
              { failure = Proto.F_crash; elapsed_s = wr.Proto.w_elapsed_s; detail = msg })
     | Proto.W_cert_failed detail ->
-        (* the worker's certificate audit tripped: treat like a crash —
+        (* the child's certificate audit tripped: treat like a crash —
            tombstone the canonical-form cache entry (the verdict is now
            suspect), re-dispatch escalated, quarantine past the attempt
            budget *)
@@ -515,140 +421,61 @@ let run (config : config) =
             [
               ("jid", Json.Num (float_of_int job.jid));
               ("key", Json.Str job.key.Dqbf.Canon.h1);
-              ("attempts", Json.Num (float_of_int job.attempts));
+              ("attempts", Json.Num (float_of_int attempts));
               ("detail", Json.Str detail);
             ];
-        if job.attempts >= config.max_attempts then begin
-          ev "quarantine" ~trace:job.trace
-            ~fields:[ ("jid", Json.Num (float_of_int job.jid)) ];
-          send_reply job.cid
-            (Proto.Failed
-               {
-                 failure = Proto.F_crash;
-                 elapsed_s = Budget.now () -. job.enqueued_at;
-                 detail =
-                   Printf.sprintf "certificate audit failed (%d attempts): %s" job.attempts
-                     detail;
-               })
-        end
+        if attempts >= config.max_attempts then
+          quarantine job
+            (Printf.sprintf "certificate audit failed (%d attempts): %s" attempts detail)
         else begin
-          job.escalate <- true;
           ev "retry" ~trace:job.trace
             ~fields:[ ("jid", Json.Num (float_of_int job.jid)); ("escalate", Json.Bool true) ];
-          requeued := !requeued @ [ job ];
-          update_depth ()
+          dispatch ~spent:attempts { job with escalate = true }
         end
   in
 
-  let respawn_after_failure slot =
-    slot.failures <- slot.failures + 1;
-    let delay =
-      Exec.Backoff.delay config.backoff
-        ~task:(Printf.sprintf "serve.worker%d" slot.widx)
-        ~attempt:slot.failures
-    in
-    slot.pid <- -1;
-    slot.state <- Respawning (Budget.now () +. delay)
-  in
-
-  (* EOF or torn frame from a worker: classify, settle its job, schedule
-     the respawn under quarantine backoff. *)
-  let worker_died slot =
-    (try Unix.close slot.wfd with Unix.Unix_error _ -> ());
-    if slot.pid >= 0 then ignore (waitpid_retry slot.pid);
-    (match slot.state with
-    | Busy (job, _) ->
+  (* the pool's report on one attempt or one finished job *)
+  let on_event = function
+    | Pool.Crashed (job, attempt, detail) ->
         Metrics.incr m_crashes;
         Span.event "serve.worker.crash"
-          ~attrs:[ ("worker", Obs.Int slot.widx); ("jid", Obs.Int job.jid) ]
+          ~attrs:[ ("jid", Obs.Int job.jid); ("attempt", Obs.Int attempt) ]
           ();
         ev "crash" ~trace:job.trace
           ~fields:
             [
-              ("worker", Json.Num (float_of_int slot.widx));
               ("jid", Json.Num (float_of_int job.jid));
-              ("attempts", Json.Num (float_of_int job.attempts));
+              ("attempts", Json.Num (float_of_int attempt));
+              ("detail", Json.Str detail);
             ];
-        if job.attempts >= config.max_attempts then begin
-          ev "quarantine" ~trace:job.trace
-            ~fields:[ ("jid", Json.Num (float_of_int job.jid)) ];
-          send_reply job.cid
-            (Proto.Failed
-               {
-                 failure = Proto.F_crash;
-                 elapsed_s = Budget.now () -. job.enqueued_at;
-                 detail = Printf.sprintf "worker crashed (%d attempts)" job.attempts;
-               })
-        end
-        else begin
-          (* retry ahead of newly admitted work *)
-          ev "retry" ~trace:job.trace ~fields:[ ("jid", Json.Num (float_of_int job.jid)) ];
-          requeued := !requeued @ [ job ];
-          update_depth ()
-        end
-    | Idle | Respawning _ -> ());
-    respawn_after_failure slot
-  in
-
-  (* A worker finished its job and retired on purpose (post-memout): not
-     a crash, no quarantine, fresh replacement as soon as possible. *)
-  let worker_retired slot =
-    (try Unix.close slot.wfd with Unix.Unix_error _ -> ());
-    if slot.pid >= 0 then ignore (waitpid_retry slot.pid);
-    slot.failures <- 0;
-    slot.pid <- -1;
-    slot.state <- Respawning (Budget.now ())
-  in
-
-  let dispatch () =
-    Array.iter
-      (fun slot ->
-        match slot.state with
-        | Idle when queue_depth () > 0 ->
-            let job =
-              match !requeued with
-              | j :: rest ->
-                  requeued := rest;
-                  j
-              | [] -> Queue.pop pending
-            in
-            update_depth ();
-            job.attempts <- job.attempts + 1;
-            let kill =
-              Chaos.fire config.chaos (kill_point ~jid:job.jid ~attempt:job.attempts)
-            in
-            let poison =
-              config.certify
-              && Chaos.fire config.chaos (cert_point ~jid:job.jid ~attempt:job.attempts)
-            in
-            let frame =
-              Ipc.frame_string
-                (Proto.wreq_to_json
-                   {
-                     Proto.jid = job.jid;
-                     text = job.text;
-                     timeout_s = job.timeout_s;
-                     kill;
-                     sleep_s = job.sleep_s;
-                     trace = (if Obs.Trace.enabled () then Some job.trace else None);
-                     cert = config.certify;
-                     escalate = job.escalate;
-                     poison;
-                   })
-            in
-            (match write_frame_waiting slot.wfd (Bytes.of_string frame) with
-            | () ->
-                (* the budget clock starts at dispatch (the worker's sleep
-                   hook runs inside it), so a worker still silent at
-                   deadline + grace is stuck, not slow *)
-                slot.state <-
-                  Busy (job, Budget.now () +. job.timeout_s +. config.kill_grace_s)
-            | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) ->
-                (* worker died between jobs; settle as a crash attempt *)
-                slot.state <- Busy (job, Budget.now ());
-                worker_died slot)
-        | Idle | Busy _ | Respawning _ -> ())
-      slots
+        (* the pool forks the retry ahead of newly admitted work *)
+        if attempt < config.max_attempts then
+          ev "retry" ~trace:job.trace ~fields:[ ("jid", Json.Num (float_of_int job.jid)) ]
+    | Pool.Finished (job, (r : Pool.result)) -> (
+        match r.status with
+        | Pool.Value v -> (
+            match Proto.wreply_of_json v with
+            | Ok wr -> complete job ~attempts:r.attempts wr
+            | Error msg -> quarantine job ("protocol: " ^ msg))
+        | Pool.Memout elapsed ->
+            (* the rlimit backstop fired in the child *)
+            complete job ~attempts:r.attempts
+              { Proto.result = Proto.W_memout; w_elapsed_s = elapsed; cert_blob = None }
+        | Pool.Timeout _ ->
+            (* the wall kill: deadline plus grace passed without a result
+               (no retry: the instance earned its kill) *)
+            Metrics.incr m_timeouts;
+            Span.event "serve.worker.wall_kill" ~attrs:[ ("jid", Obs.Int job.jid) ] ();
+            ev "timeout" ~trace:job.trace ~fields:[ ("jid", Json.Num (float_of_int job.jid)) ];
+            send_reply job.cid
+              (Proto.Failed
+                 {
+                   failure = Proto.F_timeout;
+                   elapsed_s = Budget.now () -. job.enqueued_at;
+                   detail = "deadline expired; worker killed";
+                 })
+        | Pool.Crash _ ->
+            quarantine job (Printf.sprintf "worker crashed (%d attempts)" r.attempts))
   in
 
   let admit cid (req : Proto.request) =
@@ -656,37 +483,24 @@ let run (config : config) =
     match req with
     | Proto.Ping -> send_reply cid Proto.Pong
     | Proto.Stats ->
-        let workers =
-          Array.fold_left
-            (fun acc s -> match s.state with Respawning _ -> acc | Idle | Busy _ -> acc + 1)
-            0 slots
-        in
         send_reply cid
           (Proto.Stats_reply
              {
-               workers;
+               workers = config.workers;
                queue_depth = queue_depth ();
                metrics = Metrics.to_assoc (Metrics.snapshot ());
              })
     | Proto.Health ->
-        let state_name s =
-          match s.state with Idle -> "idle" | Busy _ -> "busy" | Respawning _ -> "respawning"
-        in
+        let busy = Pool.running pool in
         send_reply cid
           (Proto.Health_reply
              {
-               Proto.live_workers =
-                 Array.fold_left
-                   (fun acc s -> match s.state with Respawning _ -> acc | Idle | Busy _ -> acc + 1)
-                   0 slots;
+               Proto.live_workers = config.workers;
                h_queue_depth = queue_depth ();
-               in_flight =
-                 Array.fold_left
-                   (fun acc s -> match s.state with Busy _ -> acc + 1 | Idle | Respawning _ -> acc)
-                   0 slots;
+               in_flight = busy;
                draining = !draining;
                uptime_s = Budget.now () -. t_start;
-               states = Array.to_list (Array.map state_name slots);
+               states = List.init config.workers (fun i -> if i < busy then "busy" else "idle");
                lat_n = Metrics.window_count w_latency;
                lat_p50 = Metrics.quantile w_latency 0.5;
                lat_p95 = Metrics.quantile w_latency 0.95;
@@ -720,23 +534,21 @@ let run (config : config) =
                            ("queue_depth", Json.Num (float_of_int (queue_depth () + 1)));
                          ]
                         @ if audit_of = None then [] else [ ("audit", Json.Bool true) ]);
-                    Queue.push
+                    dispatch
                       {
                         jid = !next_jid;
                         cid;
                         key = canon.Dqbf.Canon.key;
+                        pcnf;
                         text;
                         timeout_s;
                         sleep_s;
-                        attempts = 0;
                         enqueued_at = Budget.now ();
                         trace;
                         audit_of;
                         want_cert = want_cert && config.certify;
                         escalate = false;
                       }
-                      pending;
-                    update_depth ()
                   in
                   match Cache.find cache canon.Dqbf.Canon.key with
                   | Some entry ->
@@ -796,94 +608,6 @@ let run (config : config) =
         if Hashtbl.mem clients c.cid then drop_client c
   in
 
-  let handle_worker_input slot =
-    let rec frames () =
-      match Ipc.next_frame slot.wrd with
-      | None -> `Alive
-      | Some (Error _) ->
-          worker_died slot;
-          `Settled
-      | Some (Ok j) -> (
-          match (Proto.wreply_of_json j, slot.state) with
-          | Ok wr, Busy (job, _) when wr.Proto.w_jid = job.jid ->
-              complete ~wpid:slot.pid job wr;
-              slot.failures <- 0;
-              if wr.Proto.retiring then begin
-                worker_retired slot;
-                `Settled
-              end
-              else begin
-                slot.state <- Idle;
-                frames ()
-              end
-          | Ok _, _ -> frames () (* stale frame from a superseded job *)
-          | Error _, _ ->
-              worker_died slot;
-              `Settled)
-    in
-    match read_avail slot.wfd slot.wrd with
-    | `Nothing -> ()
-    | `Data -> ignore (frames ())
-    | `Closed got ->
-        (* a retiring worker's last reply can arrive in the same batch as
-           its EOF: settle the frames first so a planned retirement is
-           not misread as a crash *)
-        let settled = if got then frames () else `Alive in
-        if settled = `Alive then worker_died slot
-  in
-
-  (* late-worker wall kill: the request's deadline plus grace has passed
-     without a reply — SIGKILL the worker's session and settle the job
-     as a structured timeout (no retry: the instance earned its kill) *)
-  let enforce_deadlines now =
-    Array.iter
-      (fun slot ->
-        match slot.state with
-        | Busy (job, kill_at) when now >= kill_at ->
-            kill_group slot.pid Sys.sigkill;
-            (try Unix.close slot.wfd with Unix.Unix_error _ -> ());
-            ignore (waitpid_retry slot.pid);
-            Metrics.incr m_timeouts;
-            Span.event "serve.worker.wall_kill"
-              ~attrs:[ ("worker", Obs.Int slot.widx); ("jid", Obs.Int job.jid) ]
-              ();
-            ev "timeout" ~trace:job.trace
-              ~fields:
-                [
-                  ("worker", Json.Num (float_of_int slot.widx));
-                  ("jid", Json.Num (float_of_int job.jid));
-                ];
-            send_reply job.cid
-              (Proto.Failed
-                 {
-                   failure = Proto.F_timeout;
-                   elapsed_s = now -. job.enqueued_at;
-                   detail = "deadline expired; worker killed";
-                 });
-            slot.failures <- 0;
-            slot.pid <- -1;
-            slot.state <- Respawning now
-        | Idle | Busy _ | Respawning _ -> ())
-      slots
-  in
-
-  let respawn_due now =
-    Array.iter
-      (fun slot ->
-        match slot.state with
-        | Respawning at when now >= at ->
-            if slot.pid >= 0 then () (* unreachable; pid cleared on death *)
-            else begin
-              Metrics.incr m_respawns;
-              ev "respawn" ~fields:[ ("worker", Json.Num (float_of_int slot.widx)) ];
-              spawn slot
-            end
-        | Idle | Busy _ | Respawning _ -> ())
-      slots
-  in
-
-  (* initial pool, not counted as respawns *)
-  Array.iter spawn slots;
   ev "start"
     ~fields:
       [
@@ -909,56 +633,24 @@ let run (config : config) =
   in
 
   let all_flushed () = Hashtbl.fold (fun _ c acc -> acc && c.outq = []) clients true in
-  let all_idle () =
-    Array.for_all (fun s -> match s.state with Busy _ -> false | Idle | Respawning _ -> true) slots
-  in
-
-  let finished () =
-    !draining && queue_depth () = 0 && all_idle () && all_flushed ()
-  in
+  let finished () = !draining && Pool.idle pool && all_flushed () in
 
   while not (finished ()) do
-    let now = Budget.now () in
     if !draining && not !drain_logged then begin
       drain_logged := true;
       ev "drain" ~fields:[ ("queue_depth", Json.Num (float_of_int (queue_depth ()))) ]
     end;
-    enforce_deadlines now;
-    respawn_due now;
-    dispatch ();
     (* the OCaml-level SIGTERM handler only runs at a safe point after
        select returns, so the idle timeout bounds drain responsiveness —
        keep it short *)
-    let wait =
-      Array.fold_left
-        (fun acc s ->
-          match s.state with
-          | Busy (_, kill_at) -> Float.min acc (kill_at -. now)
-          | Respawning at -> Float.min acc (at -. now)
-          | Idle -> acc)
-        0.1 slots
-    in
-    let wait = Float.max 0.01 (if !draining then Float.min wait 0.05 else wait) in
-    let worker_fds =
-      Array.fold_left
-        (fun acc s -> match s.state with Respawning _ -> acc | Idle | Busy _ -> s.wfd :: acc)
-        [] slots
-    in
-    let rfds = (listen_fd :: Hashtbl.fold (fun _ c acc -> c.cfd :: acc) clients []) @ worker_fds in
+    let rfds = listen_fd :: Hashtbl.fold (fun _ c acc -> c.cfd :: acc) clients [] in
     let wfds = Hashtbl.fold (fun _ c acc -> if c.outq = [] then acc else c.cfd :: acc) clients [] in
-    let readable, writable, _ =
-      match Unix.select rfds wfds [] wait with
-      | r -> r
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-      | exception Unix.Unix_error (Unix.EBADF, _, _) -> ([], [], [])
+    let events, readable, writable =
+      Pool.wait pool ~read:rfds ~write:wfds (if !draining then 0.05 else 0.1)
     in
+    update_depth ();
+    List.iter on_event events;
     if List.memq listen_fd readable then accept_clients ();
-    Array.iter
-      (fun slot ->
-        match slot.state with
-        | Respawning _ -> ()
-        | Idle | Busy _ -> if List.memq slot.wfd readable then handle_worker_input slot)
-      slots;
     let snapshot = Hashtbl.fold (fun _ c acc -> c :: acc) clients [] in
     List.iter
       (fun c -> if Hashtbl.mem clients c.cid && List.memq c.cfd readable then handle_client_input c)
@@ -967,20 +659,11 @@ let run (config : config) =
       (fun c ->
         if Hashtbl.mem clients c.cid && (List.memq c.cfd writable || c.outq <> []) then
           flush_client c)
-      snapshot;
-    dispatch ()
+      snapshot
   done;
 
-  (* graceful shutdown: workers get EOF on their request channel and
-     exit 0; everything else is closed and the socket path removed *)
-  Array.iter
-    (fun slot ->
-      match slot.state with
-      | Respawning _ -> ()
-      | Idle | Busy _ ->
-          (try Unix.close slot.wfd with Unix.Unix_error _ -> ());
-          if slot.pid >= 0 then ignore (waitpid_retry slot.pid))
-    slots;
+  (* graceful shutdown: the pool is idle; close everything else and
+     remove the socket path *)
   Hashtbl.iter (fun _ c -> try Unix.close c.cfd with Unix.Unix_error _ -> ()) clients;
   (try Unix.close listen_fd with Unix.Unix_error _ -> ());
   (try Sys.remove config.socket_path with Sys_error _ -> ());
@@ -998,4 +681,5 @@ let run (config : config) =
       Obs.Trace.reset ()
   | None -> ());
   Sys.set_signal Sys.sigterm prev_term;
-  Sys.set_signal Sys.sigint prev_int
+  Sys.set_signal Sys.sigint prev_int;
+  Gc.set gc

@@ -1,17 +1,21 @@
-(** The persistent solver daemon behind [hqs serve].
+(** The solver daemon behind [hqs serve]: admission, verdict cache and
+    client protocol in front of one {!Exec.Pool}.
 
-    A single-threaded select loop owns a Unix-domain listen socket, the
-    client connections, and a pool of forked solver workers (one
-    socketpair each, {!Exec.Ipc} frames both ways). Robustness
+    A single-threaded select loop ({!Exec.Pool.wait}) owns a Unix-domain
+    listen socket and the client connections. Each solve request is
+    parsed, validated and canonicalized at admission; a cache miss
+    becomes one pool task whose forked child solves that parsed formula,
+    so the instance text never crosses a second socket. Robustness
     properties, in order of importance:
 
-    - a client always receives a structured reply — worker crashes map
-      to retries and then a [crash] reply, budget exhaustion to
-      [timeout]/[memout], a stuck worker is SIGKILLed at deadline + grace
-      and reported as [timeout]; never a hung or torn connection;
-    - crashed workers are respawned under the seeded exponential
-      {!Exec.Backoff} quarantine, so a poisoned instance cannot turn the
-      pool into a fork bomb;
+    - a client always receives a structured reply — a crashed solve is
+      retried and then answered with [crash], budget exhaustion with
+      [timeout]/[memout], a solve still running at deadline + grace is
+      SIGKILLed and answered with [timeout]; never a hung or torn
+      connection;
+    - crash retries wait out the seeded exponential {!Exec.Backoff}
+      delay and then run ahead of newly admitted jobs, so a poisoned
+      instance cannot turn the pool into a fork bomb;
     - admission is bounded: past [queue_cap] queued jobs, new solves are
       shed with an explicit [overloaded] reply and counted;
     - SIGTERM/SIGINT drain gracefully: in-flight jobs finish, new solves
@@ -23,10 +27,10 @@
       re-solved from scratch and compared ({!Check.audit_cache_hit}) —
       a mismatch evicts the entry and tells the client;
     - with [certify] on, every solve runs through
-      {!Hqs.solve_pcnf_certified} and the worker audits the artifact
+      {!Hqs.solve_pcnf_certified} and the child audits the artifact
       in-frame ({!Check.audit_certificate}); an audit failure is treated
       like a crash: the cache entry is tombstoned ([cert_audit] event,
-      [serve.cert_audit_failed] metric), the job re-dispatched with
+      [serve.cert_audit_failed] metric), the job re-submitted with
       checks escalated to [Full] and degradation off, and quarantined
       past [max_attempts]. Clients that set the request's cert flag get
       the verified artifact inline in their verdict reply.
@@ -36,35 +40,37 @@
 
 type config = {
   socket_path : string;
-  workers : int;  (** pool size, >= 1 *)
+  workers : int;  (** concurrent forked solves (pool size), >= 1 *)
   queue_cap : int;  (** queued (not yet dispatched) job bound, >= 1 *)
   default_timeout_s : float;  (** per-request budget when the client sends none *)
   max_timeout_s : float;  (** ceiling on client-requested budgets *)
-  kill_grace_s : float;  (** SIGKILL a worker this long past its request deadline *)
+  kill_grace_s : float;  (** SIGKILL a solve this long past its request deadline *)
   max_attempts : int;  (** dispatches per job before a [crash] reply *)
   mem_limit_mb : int option;  (** per-request heap budget; rlimit backstop at 2x *)
-  backoff : Exec.Backoff.policy;  (** respawn quarantine schedule *)
+  backoff : Exec.Backoff.policy;  (** crash-retry delay schedule *)
   chaos : Hqs_util.Chaos.t;
       (** arms ["serve.worker.kill:<jid>#<attempt>"] points — a fired
-          point makes the dispatched worker SIGKILL itself mid-request —
+          point makes that dispatch's child SIGKILL itself mid-request —
           and, with [certify] on, ["serve.cert.poison:<jid>#<attempt>"]
-          points, which corrupt the worker's certificate before its audit
-          to drive the recovery loop deterministically *)
+          points, which corrupt the child's certificate before its audit
+          to drive the recovery loop deterministically. Both are queried
+          in the child, on its fresh copy of the chaos state, so the
+          attempt in the name is the job's n-th dispatch *)
   check_level : Check.level;  (** [Full] enables sampled cache-hit audits *)
   audit_period : int;  (** re-solve every Nth cache hit (0 disables) *)
   cache_path : string option;  (** persistent cache journal *)
   trace_path : string option;
-      (** write a Chrome trace on exit: daemon spans plus each worker's
-          per-job span buffer (shipped back in its reply frame) merged
-          under the worker's own pid row, linked by per-request trace ids *)
+      (** write a Chrome trace on exit: daemon spans plus each forked
+          solve's span buffer merged under its own pid row ({!Exec.Pool}),
+          its [serve.solve] span carrying the request's trace id *)
   event_log : string option;
       (** size-rotated {!Exec.Eventlog} of lifecycle events (admissions,
           sheds, crashes, retries, quarantines, timeouts, cache audits,
-          respawns, drain), each tagged with the request's trace id *)
+          drain), each tagged with the request's trace id *)
   solver : Hqs.config;
   certify : bool;
       (** solve through the certifying entry point and audit every
-          artifact in the worker, at [check_level] ([Full] when the job
+          artifact in the child, at [check_level] ([Full] when the job
           is an escalated re-solve) *)
 }
 

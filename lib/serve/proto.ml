@@ -1,5 +1,4 @@
 module Json = Obs.Json
-module Metrics = Obs.Metrics
 
 (* ------------------------------------------------------- client protocol *)
 
@@ -84,27 +83,6 @@ let request_of_json j =
       | _ -> Error "solve request lacks a dqdimacs string")
   | Some (Json.Str op) -> Error ("unknown op: " ^ op)
   | _ -> Error "request lacks an op field"
-
-let metrics_to_json samples =
-  Json.Arr
-    (List.map
-       (fun { Metrics.name; kind; v } ->
-         Json.Arr [ Json.Str name; Json.Str (Metrics.kind_name kind); Json.Num v ])
-       samples)
-
-let metrics_of_json j =
-  match Json.to_list j with
-  | None -> Error "metrics: expected an array"
-  | Some items ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | Json.Arr [ Json.Str name; Json.Str kind; Json.Num v ] :: rest -> (
-            match Metrics.kind_of_name kind with
-            | Some kind -> go ({ Metrics.name; kind; v } :: acc) rest
-            | None -> Error ("metrics: unknown kind " ^ kind))
-        | _ -> Error "metrics: malformed sample"
-      in
-      go [] items
 
 let reply_to_json = function
   | Verdict { sat; elapsed_s; cached; audited; cert } ->
@@ -245,19 +223,7 @@ let reply_of_json j =
   | Some r -> Error ("unknown reply kind: " ^ r)
   | None -> Error "reply lacks an r field"
 
-(* ------------------------------------------------------- worker protocol *)
-
-type wreq = {
-  jid : int;
-  text : string;
-  timeout_s : float;
-  kill : bool;
-  sleep_s : float;
-  trace : string option;
-  cert : bool;  (** solve through the certifying entry point *)
-  escalate : bool;  (** re-solve after a certificate audit failure: full checks *)
-  poison : bool;  (** chaos: corrupt the certificate before the audit *)
-}
+(* ------------------------------------------------------- job result *)
 
 type wresult =
   | W_sat of bool
@@ -267,60 +233,10 @@ type wresult =
   | W_cert_failed of string
 
 type wreply = {
-  w_jid : int;
   result : wresult;
   w_elapsed_s : float;
-  retiring : bool;  (** the worker exits after this reply (planned, not a crash) *)
-  samples : Metrics.sample list;
-  w_events : Obs.Trace.event list;
   cert_blob : string option;  (** the rendered certificate on a certifying solve *)
 }
-
-let wreq_to_json { jid; text; timeout_s; kill; sleep_s; trace; cert; escalate; poison } =
-  Json.Obj
-    ([
-       ("jid", Json.Num (float_of_int jid));
-       ("text", Json.Str text);
-       ("timeout_s", Json.Num timeout_s);
-       ("kill", Json.Bool kill);
-       ("sleep_s", Json.Num sleep_s);
-     ]
-    @ (match trace with Some id -> [ ("trace", Json.Str id) ] | None -> [])
-    @ (if cert then [ ("cert", Json.Bool true) ] else [])
-    @ (if escalate then [ ("escalate", Json.Bool true) ] else [])
-    @ if poison then [ ("poison", Json.Bool true) ] else [])
-
-let wreq_of_json j =
-  match
-    ( Json.member "jid" j,
-      Json.member "text" j,
-      Json.member "timeout_s" j,
-      Json.member "kill" j,
-      Json.member "sleep_s" j )
-  with
-  | Some jid, Some (Json.Str text), Some t, Some (Json.Bool kill), Some s -> (
-      match (Json.to_number jid, Json.to_number t, Json.to_number s) with
-      | Some jid, Some timeout_s, Some sleep_s ->
-          let trace =
-            match Json.member "trace" j with Some (Json.Str id) -> Some id | _ -> None
-          in
-          let flag name =
-            match Json.member name j with Some (Json.Bool b) -> b | _ -> false
-          in
-          Ok
-            {
-              jid = int_of_float jid;
-              text;
-              timeout_s;
-              kill;
-              sleep_s;
-              trace;
-              cert = flag "cert";
-              escalate = flag "escalate";
-              poison = flag "poison";
-            }
-      | _ -> Error "malformed worker request numbers")
-  | _ -> Error "malformed worker request"
 
 let wresult_to_json = function
   | W_sat b -> Json.Str (if b then "sat" else "unsat")
@@ -341,46 +257,19 @@ let wresult_of_json = function
       | _ -> Error "malformed worker result")
   | _ -> Error "malformed worker result"
 
-let wreply_to_json { w_jid; result; w_elapsed_s; retiring; samples; w_events; cert_blob } =
+let wreply_to_json { result; w_elapsed_s; cert_blob } =
   Json.Obj
-    ([
-       ("jid", Json.Num (float_of_int w_jid));
-       ("result", wresult_to_json result);
-       ("elapsed_s", Json.Num w_elapsed_s);
-       ("retiring", Json.Bool retiring);
-       ("samples", metrics_to_json samples);
-     ]
-    @ (if w_events = [] then [] else [ ("events", Obs.Trace.events_to_json w_events) ])
+    ([ ("result", wresult_to_json result); ("elapsed_s", Json.Num w_elapsed_s) ]
     @ match cert_blob with Some c -> [ ("cert", Json.Str c) ] | None -> [])
 
 let wreply_of_json j =
-  match
-    ( Json.member "jid" j,
-      Json.member "result" j,
-      Json.member "elapsed_s" j,
-      Json.member "retiring" j,
-      Json.member "samples" j )
-  with
-  | Some jid, Some r, Some e, Some (Json.Bool retiring), Some s -> (
-      match (Json.to_number jid, wresult_of_json r, Json.to_number e, metrics_of_json s) with
-      | Some jid, Ok result, Some w_elapsed_s, Ok samples ->
-          let w_events =
-            match Json.member "events" j with
-            | Some ev -> Obs.Trace.events_of_json ev
-            | None -> []
-          in
+  match (Option.map wresult_of_json (Json.member "result" j), Json.member "elapsed_s" j) with
+  | Some (Ok result), Some e -> (
+      match Json.to_number e with
+      | Some w_elapsed_s ->
           let cert_blob =
             match Json.member "cert" j with Some (Json.Str c) -> Some c | _ -> None
           in
-          Ok
-            {
-              w_jid = int_of_float jid;
-              result;
-              w_elapsed_s;
-              retiring;
-              samples;
-              w_events;
-              cert_blob;
-            }
-      | _ -> Error "malformed worker reply fields")
+          Ok { result; w_elapsed_s; cert_blob }
+      | None -> Error "malformed worker reply fields")
   | _ -> Error "malformed worker reply"

@@ -1,13 +1,12 @@
-(** Wire protocol of the serve daemon, both sides.
+(** Wire protocol of the serve daemon.
 
     Everything travels as length-prefixed {!Obs.Json} frames
     ({!Exec.Ipc}). The client protocol is request/reply over a Unix
     domain socket: one [Solve] per connection is the supported shape
     ([hqs query]); a connection that pipelines several solves receives
-    the replies in completion order, not submission order. The worker
-    protocol runs over a private socketpair between the daemon and each
-    pool worker and is not a public interface — it is exposed here so
-    the daemon and its tests share one codec. *)
+    the replies in completion order, not submission order. The job
+    result is the payload a forked solve returns to the daemon through
+    {!Exec.Pool}; it is not a public interface. *)
 
 type request =
   | Solve of {
@@ -34,12 +33,12 @@ type failure = F_timeout | F_memout | F_crash
     histogram. Quantiles are [nan] (and omitted on the wire) until at
     least one request has completed. *)
 type health = {
-  live_workers : int;  (** slots with a live worker process *)
+  live_workers : int;  (** pool slots: each busy slot runs one forked solve *)
   h_queue_depth : int;
   in_flight : int;  (** slots currently solving *)
   draining : bool;
   uptime_s : float;
-  states : string list;  (** one of ["idle"|"busy"|"respawning"] per slot *)
+  states : string list;  (** ["idle"] or ["busy"] per pool slot *)
   lat_n : int;  (** observations in the latency window *)
   lat_p50 : float;
   lat_p95 : float;
@@ -77,31 +76,7 @@ val request_of_json : Obs.Json.t -> (request, string) result
 val reply_to_json : reply -> Obs.Json.t
 val reply_of_json : Obs.Json.t -> (reply, string) result
 
-val metrics_to_json : Obs.Metrics.sample list -> Obs.Json.t
-val metrics_of_json : Obs.Json.t -> (Obs.Metrics.sample list, string) result
-
-(** {1 Worker protocol (daemon-internal)} *)
-
-type wreq = {
-  jid : int;
-  text : string;
-  timeout_s : float;
-  kill : bool;  (** chaos: the worker SIGKILLs itself mid-request *)
-  sleep_s : float;
-  trace : string option;
-      (** request trace id, present only while the daemon is tracing —
-          the worker brackets the solve in a span carrying it, so worker
-          rows in the merged trace link back to the daemon's request *)
-  cert : bool;
-      (** solve through {!Hqs.solve_pcnf_certified} and ship the rendered
-          artifact back in [cert_blob] *)
-  escalate : bool;
-      (** this is a re-solve after a certificate audit failure: the
-          worker runs with checks forced to [Full] and degradation off *)
-  poison : bool;
-      (** chaos: the worker corrupts the certificate before its own audit
-          — the deterministic fault injection for the recovery loop *)
-}
+(** {1 Job result (daemon-internal)} *)
 
 type wresult =
   | W_sat of bool
@@ -114,23 +89,11 @@ type wresult =
           crash: evict the cache entry, retry escalated, quarantine *)
 
 type wreply = {
-  w_jid : int;
   result : wresult;
   w_elapsed_s : float;
-  retiring : bool;
-      (** the worker exits right after this reply (e.g. after a hard
-          memout left its heap near the rlimit) — a planned retirement
-          the daemon must not count as a crash *)
-  samples : Obs.Metrics.sample list;  (** per-job metrics delta to absorb *)
-  w_events : Obs.Trace.event list;
-      (** the worker's span buffer for this job (empty unless the request
-          carried a trace id) — merged under the worker's pid row via
-          {!Obs.Trace.inject} *)
   cert_blob : string option;
       (** the rendered certificate on a successful certifying solve *)
 }
 
-val wreq_to_json : wreq -> Obs.Json.t
-val wreq_of_json : Obs.Json.t -> (wreq, string) result
 val wreply_to_json : wreply -> Obs.Json.t
 val wreply_of_json : Obs.Json.t -> (wreply, string) result

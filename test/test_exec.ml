@@ -231,6 +231,126 @@ let test_timeout_salvages_partial_metrics () =
   | None -> Alcotest.fail "salvaged delta misses the child-side counter"
   | Some v -> Alcotest.(check bool) "a flushed prefix of the steps" true (v >= 1.0)
 
+(* ------------------------------------------------------------------ pool *)
+
+module Pool = Exec.Pool
+
+(* step a pool until it is idle, collecting its events in order *)
+let drain pool =
+  let rec go acc =
+    if Pool.idle pool then List.rev acc
+    else
+      let events, _, _ = Pool.wait pool 0.5 in
+      go (List.rev_append events acc)
+  in
+  go []
+
+let finished events key =
+  match
+    List.find_map
+      (function Pool.Finished (k, r) when String.equal k key -> Some r | _ -> None)
+      events
+  with
+  | Some r -> r
+  | None -> Alcotest.failf "no Finished event for %s" key
+
+(* position of a task's Finished event in the event stream *)
+let finish_rank events key =
+  let rec go i = function
+    | [] -> Alcotest.failf "no Finished event for %s" key
+    | Pool.Finished (k, _) :: _ when String.equal k key -> i
+    | _ :: rest -> go (i + 1) rest
+  in
+  go 0 events
+
+let test_pool_per_task_deadlines () =
+  (* one pool, two deadlines: only the task past its own wall limit is
+     killed *)
+  let pool = Pool.create { Pool.default_config with jobs = 2; max_attempts = 1 } in
+  let sleeper s ~attempt:_ =
+    Unix.sleepf s;
+    Json.Str "done"
+  in
+  Pool.submit pool ~wall_s:0.3 ~id:"short" "short" (sleeper 30.0);
+  Pool.submit pool ~wall_s:20.0 ~id:"long" "long" (sleeper 0.6);
+  let events = drain pool in
+  (match (finished events "short").Pool.status with
+  | Pool.Timeout _ -> ()
+  | s -> Alcotest.failf "short: expected Timeout, got %s" (status_label s));
+  match (finished events "long").Pool.status with
+  | Pool.Value (Json.Str "done") -> ()
+  | s -> Alcotest.failf "long: expected Value, got %s" (status_label s)
+
+let test_pool_submit_while_running () =
+  (* a task submitted while another runs gets the free slot at once and
+     finishes first *)
+  let pool = Pool.create { Pool.default_config with jobs = 2 } in
+  Pool.submit pool ~id:"first" "first" (fun ~attempt:_ ->
+      Unix.sleepf 0.8;
+      Json.Num 1.0);
+  let early, _, _ = Pool.wait pool 0.05 in
+  Alcotest.(check int) "nothing finished yet" 0 (List.length early);
+  Alcotest.(check int) "first is running" 1 (Pool.running pool);
+  Pool.submit pool ~id:"second" "second" (fun ~attempt:_ -> Json.Num 2.0);
+  let events = drain pool in
+  Alcotest.(check bool) "second finished before first" true
+    (finish_rank events "second" < finish_rank events "first");
+  List.iter
+    (fun key ->
+      match (finished events key).Pool.status with
+      | Pool.Value _ -> ()
+      | s -> Alcotest.failf "%s: expected Value, got %s" key (status_label s))
+    [ "first"; "second" ];
+  Alcotest.(check int) "one fork per task" 2 (Pool.spawned pool)
+
+let test_pool_retry_ahead_of_queued () =
+  (* one slot; "a" is killed on its first attempt while "b" waits in the
+     queue: a's retry (zero backoff) is forked before b *)
+  let chaos =
+    Chaos.create ~seed:1 ~points:[ Chaos.worker_kill_point ~task:"a" ~attempt:1 ] ()
+  in
+  let backoff = { Backoff.default with base_s = 0.0; jitter = 0.0 } in
+  let pool = Pool.create { Pool.default_config with jobs = 1; chaos; backoff } in
+  Pool.submit pool ~id:"a" "a" (fun ~attempt -> Json.Num (float_of_int attempt));
+  Pool.submit pool ~id:"b" "b" (fun ~attempt:_ -> Json.Num 0.0);
+  let events = drain pool in
+  (match events with
+  | Pool.Crashed ("a", 1, detail) :: _ ->
+      Alcotest.(check bool) "crash names the signal" true (contains ~needle:"SIGKILL" detail)
+  | _ -> Alcotest.fail "expected a's first attempt to crash first");
+  Alcotest.(check bool) "a's retry finished before b" true
+    (finish_rank events "a" < finish_rank events "b");
+  let a = finished events "a" in
+  Alcotest.(check int) "a took two attempts" 2 a.Pool.attempts;
+  match a.Pool.status with
+  | Pool.Value (Json.Num v) -> Alcotest.(check (float 0.0)) "value from attempt 2" 2.0 v
+  | s -> Alcotest.failf "a: expected Value, got %s" (status_label s)
+
+let test_pool_wait_returns_caller_fds () =
+  (* caller descriptors ride in the pool's select: the ready ones come
+     back, the idle one and the pool's own pipe do not *)
+  (* lint: allow raw-fd *)
+  let ready_r, ready_w = Unix.pipe () in
+  (* lint: allow raw-fd *)
+  let idle_r, idle_w = Unix.pipe () in
+  Fun.protect
+    ~finally:(fun () -> List.iter Unix.close [ ready_r; ready_w; idle_r; idle_w ])
+    (fun () ->
+      let pool = Pool.create Pool.default_config in
+      Pool.submit pool ~id:"sleeper" "sleeper" (fun ~attempt:_ ->
+          Unix.sleepf 0.3;
+          Json.Null);
+      ignore (Unix.write_substring ready_w "x" 0 1);
+      let events, readable, writable =
+        Pool.wait pool ~read:[ ready_r; idle_r ] ~write:[ ready_w ] 5.0
+      in
+      Alcotest.(check int) "no task finished" 0 (List.length events);
+      Alcotest.(check bool) "ready read fd returned" true (List.mem ready_r readable);
+      Alcotest.(check bool) "idle read fd not returned" false (List.mem idle_r readable);
+      Alcotest.(check int) "only caller fds come back" 1 (List.length readable);
+      Alcotest.(check bool) "write fd returned" true (List.mem ready_w writable);
+      ignore (drain pool))
+
 (* -------------------------------------------------------------- event log *)
 
 let test_eventlog_rotation_and_torn_tail () =
@@ -441,6 +561,15 @@ let () =
             test_trace_spans_fork;
           Alcotest.test_case "timeout salvages partial metrics" `Slow
             test_timeout_salvages_partial_metrics;
+        ] );
+      ( "pool",
+        [
+          Alcotest.test_case "per-task wall deadlines" `Quick test_pool_per_task_deadlines;
+          Alcotest.test_case "submit while a task runs" `Quick test_pool_submit_while_running;
+          Alcotest.test_case "crash retry ahead of queued task" `Quick
+            test_pool_retry_ahead_of_queued;
+          Alcotest.test_case "wait returns ready caller fds" `Quick
+            test_pool_wait_returns_caller_fds;
         ] );
       ( "event-log",
         [

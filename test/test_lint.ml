@@ -100,6 +100,22 @@ let test_no_stdout () =
   check "Buffer/Format sinks pass" false
     (has Linter.No_stdout ~path:lib_path "let f b s = Buffer.add_string b s\n")
 
+let test_fork_site () =
+  check "Unix.fork flagged under lib/" true
+    (has Linter.Fork_site ~path:lib_path "let f () = Unix.fork ()\n");
+  check "flagged in lib/serve too" true
+    (has Linter.Fork_site ~path:"lib/serve/daemon.ml" "let f () = Unix.fork ()\n");
+  check "flagged in another lib/exec module" true
+    (has Linter.Fork_site ~path:"lib/exec/supervisor.ml" "let f () = Unix.fork ()\n");
+  check "flagged under bin/" true
+    (has Linter.Fork_site ~path:"bin/tool.ml" "let f () = Unix.fork ()\n");
+  check "lib/exec/pool.ml is the one fork site" false
+    (has Linter.Fork_site ~path:"lib/exec/pool.ml" "let f () = Unix.fork ()\n");
+  check "tests may fork a daemon" false
+    (has Linter.Fork_site ~path:"test/test_serve.ml" "let f () = Unix.fork ()\n");
+  check "other Unix process calls pass" false
+    (has Linter.Fork_site ~path:lib_path "let f pid = Unix.waitpid [] pid\n")
+
 let test_cert_isolation () =
   let cc = "bin/certcheck.ml" in
   check "qualified solver reference flagged" true
@@ -281,6 +297,7 @@ let () =
           Alcotest.test_case "raw-fd scope" `Quick test_raw_fd;
           Alcotest.test_case "wall-clock scope" `Quick test_wall_clock;
           Alcotest.test_case "no-stdout scope" `Quick test_no_stdout;
+          Alcotest.test_case "fork-site scope" `Quick test_fork_site;
           Alcotest.test_case "cert isolation" `Quick test_cert_isolation;
           Alcotest.test_case "syntax" `Quick test_syntax;
           Alcotest.test_case "missing mli" `Quick test_missing_mli;
