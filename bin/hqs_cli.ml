@@ -113,14 +113,13 @@ let solve file timeout mem_limit node_limit no_preprocess no_unitpure no_maxsat 
   in
   let config =
     {
-      Hqs.default_config with
-      preprocess =
+      Hqs.preprocess =
         (if no_preprocess then Dqbf.Preprocess.off
          else { Dqbf.Preprocess.default_config with inproc = resolve_inproc inproc });
       use_unitpure = not no_unitpure;
       use_maxsat = not no_maxsat;
       use_thm2 = not no_thm2;
-      use_fraig = not no_fraig;
+      qbf = { Qbf.Solver.default_config with use_fraig = not no_fraig };
       mode = (if expand_all then Hqs.Expand_all else Hqs.Elimination);
       use_sat_probe = sat_probe;
       qbf_backend = (if search_backend then Hqs.Search_backend else Hqs.Elim_backend);
@@ -1181,7 +1180,7 @@ let solve_term =
     $ flag [ "no-thm2" ] "disable elimination of fully-dependent existentials"
     $ flag [ "expand-all" ] "eliminate every universal (ICCD'13 baseline)"
     $ flag [ "sat-probe" ] "start with a plain SAT call on the matrix"
-    $ flag [ "no-fraig" ] "disable FRAIG sweeping"
+    $ flag [ "no-fraig" ] "disable FRAIG sweeping (QBF back end and degraded restart)"
     $ flag [ "search-backend" ] "use the QDPLL search back end instead of AIG elimination"
     $ flag [ "no-restart" ] "disable the degraded restart after a node-limit memout"
     $ chaos_seed $ chaos_points $ check $ dep_scheme $ inproc $ certify_arg

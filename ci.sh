@@ -32,9 +32,11 @@
 #      were found and audited; prove the no-stdout lint rule fires on a
 #      seeded stdout write under lib/
 #   8. elimination gate: solve the example suite (minus the c432 SAT
-#      instance) plus one adder and one z4 instance three ways under
-#      --check full — default, --search-backend and --no-fraig — and diff
-#      the verdict lines byte-for-byte
+#      instance) plus adder, z4, c432 and pec_xor instances four ways
+#      under --check full — default, --search-backend, --no-fraig and
+#      --model — and diff the verdict lines byte-for-byte; on the one
+#      instance the back end sweeps, assert FRAIG ran by default and not
+#      under --no-fraig
 #   9. chaos-enabled smoke solve: generate a small PEC instance and
 #      solve it with fault injection armed AND the soundness auditor at
 #      full depth (HQS_CHECK=full), proving the degradation ladder and
@@ -302,18 +304,22 @@ echo "== elim =="
 # back end, with itself without FRAIG, and with itself under --model, verdict
 # byte for byte under the full auditor; every SAT verdict of the model mode
 # must come with a verified Skolem model. The instances: the analysis suite,
-# one small adder and z4 instance, and the two ladder shapes on which
+# one small adder and z4 instance, the two ladder shapes on which
 # quantifier localization changes the elimination most (adder_b6_k1_ok,
-# SAT; c432_g3l5_k2_f, UNSAT), whose known verdicts are asserted. The search
-# back end skips those two (36 s on the adder, over 70 s on the c432),
-# and the c432 SAT instance of the analysis suite is left out entirely: the
+# SAT; c432_g3l5_k2_f, UNSAT), and the smallest PEC instance whose back end
+# runs a FRAIG sweep (pec_xor_n15_k3_ok, SAT); the known verdicts of the
+# last three are asserted, and so is the sweep: fraig.sat_checks > 0 by
+# default and = 0 under --no-fraig. The search back end skips those three
+# (36 s on the adder, over 70 s on the c432, over 90 s on the pec_xor), and
+# the c432 SAT instance of the analysis suite is left out entirely: the
 # search back end needs about two minutes on it.
 mkdir -p "$tmp/el"
 dune exec bin/genpec.exe -- one adder --size 2 --boxes 1 --out "$tmp/el" >/dev/null
 dune exec bin/genpec.exe -- one z4 --size 2 --boxes 1 --out "$tmp/el" >/dev/null
 dune exec bin/genpec.exe -- one adder --size 6 --boxes 1 --out "$tmp/el" >/dev/null
 dune exec bin/genpec.exe -- one c432 --size 5 --boxes 2 --fault --out "$tmp/el" >/dev/null
-search_skip='^(adder_b6_k1_ok|c432_g3l5_k2_f) '
+dune exec bin/genpec.exe -- one pec_xor --size 15 --boxes 3 --out "$tmp/el" >/dev/null
+search_skip='^(adder_b6_k1_ok|c432_g3l5_k2_f|pec_xor_n15_k3_ok) '
 for mode in default search nofraig model; do : >"$tmp/verdicts.elim-$mode"; done
 n_el=0
 for f in "$tmp/an"/*.dqdimacs "$tmp/el"/*.dqdimacs; do
@@ -332,7 +338,7 @@ for f in "$tmp/an"/*.dqdimacs "$tmp/el"/*.dqdimacs; do
     esac
     el_status=0
     # $flags is deliberately unquoted: empty for the default mode
-    "$HQS_BIN" "$f" $flags --check full --timeout 60 >"$tmp/el.out" 2>&1 || el_status=$?
+    "$HQS_BIN" "$f" $flags --check full --metrics --timeout 60 >"$tmp/el.out" 2>&1 || el_status=$?
     case "$el_status" in
     10 | 20) : ;;
     *)
@@ -346,10 +352,22 @@ for f in "$tmp/an"/*.dqdimacs "$tmp/el"/*.dqdimacs; do
       grep -v '^v ' "$tmp/el.out"
       exit 1
     fi
+    if [ "$id" = pec_xor_n15_k3_ok ]; then
+      swept=$(awk '$3 == "fraig.sat_checks" { print ($4 > 0) ? "yes" : "no" }' "$tmp/el.out")
+      case "$mode:$swept" in
+      default:yes | nofraig:no | search:* | model:*) : ;;
+      *)
+        echo "== ci FAILED: $mode solve on $id: FRAIG sweep ran = '$swept' =="
+        grep '^c metric fraig' "$tmp/el.out" || true
+        exit 1
+        ;;
+      esac
+    fi
     grep '^s ' "$tmp/el.out" | sed "s|^|$id |" >>"$tmp/verdicts.elim-$mode"
   done
 done
-for known in 'adder_b6_k1_ok s cnf SAT' 'c432_g3l5_k2_f s cnf UNSAT'; do
+for known in 'adder_b6_k1_ok s cnf SAT' 'c432_g3l5_k2_f s cnf UNSAT' \
+  'pec_xor_n15_k3_ok s cnf SAT'; do
   grep -qx "$known" "$tmp/verdicts.elim-default" || {
     echo "== ci FAILED: expected verdict '$known' =="
     cat "$tmp/verdicts.elim-default"
@@ -366,7 +384,7 @@ for mode in search nofraig model; do
     exit 1
   }
 done
-echo "c elim gate: $n_el instances, elimination, search, no-FRAIG and model verdicts identical"
+echo "c elim gate: $n_el instances, elimination, search, no-FRAIG and model verdicts identical, FRAIG swept by default only"
 
 echo "== chaos smoke solve =="
 f=$(dune exec bin/genpec.exe -- one pec_xor --size 3 --boxes 1 --out "$tmp")

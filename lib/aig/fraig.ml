@@ -31,8 +31,16 @@ let c_merges = Obs.Metrics.counter "fraig.merges"
 let c_sat_checks = Obs.Metrics.counter "fraig.sat_checks"
 let c_cex = Obs.Metrics.counter "fraig.cex"
 
-let reduce ?(seed = 0x51) ?(base_words = 6) ?(conflict_limit = 150) ?(max_candidates = 3)
-    ?(max_sat_checks = 1500) ?(budget = Budget.unlimited) man roots =
+(* Tuning constants. [max_propagations] bounds the SAT work of one sweep
+   on its own solver's propagation count, so a sweep does the same work on
+   every run; once it is spent, the rest of the sweep is a linear copy. *)
+let seed = 0x51
+let base_words = 6
+let conflict_limit = 150
+let max_candidates = 3
+let max_propagations = 1_500_000
+
+let reduce ?(budget = Budget.unlimited) man roots =
   Obs.Span.with_ "fraig.reduce" ~attrs:[ ("nodes", Obs.Int (Man.num_nodes man)) ]
   @@ fun () ->
   Obs.Metrics.incr c_sim_rounds (* the initial bit-parallel simulation *);
@@ -131,26 +139,36 @@ let reduce ?(seed = 0x51) ?(base_words = 6) ?(conflict_limit = 150) ?(max_candid
     pending_cex := pattern :: !pending_cex;
     if List.length !pending_cex >= Sys.int_size - 2 then flush_cex ()
   in
-  (* prove a = b (if [compl_] then a = not b) *)
-  let prove_equal a b ~compl_ =
-    Budget.check budget;
-    incr sat_checks;
-    Obs.Metrics.incr c_sat_checks;
-    let la = Cnf_enc.sat_lit out enc a in
-    let lb = Cnf_enc.sat_lit out enc b in
-    let lb = if compl_ then L.neg lb else lb in
-    match S.solve ~assumptions:[ la; L.neg lb ] ~budget ~conflict_limit solver with
+  (* one bounded SAT call, true on a proof; a model refines the
+     simulation patterns *)
+  let unsat assumptions =
+    match S.solve ~assumptions ~budget ~conflict_limit solver with
+    | S.Unsat -> true
     | S.Sat ->
         add_cex ();
         false
     | S.Unknown -> false
-    | S.Unsat -> (
-        match S.solve ~assumptions:[ L.neg la; lb ] ~budget ~conflict_limit solver with
-        | S.Sat ->
-            add_cex ();
-            false
-        | S.Unknown -> false
-        | S.Unsat -> true)
+  in
+  let count_check () =
+    Budget.check budget;
+    incr sat_checks;
+    Obs.Metrics.incr c_sat_checks
+  in
+  let prove_false a =
+    count_check ();
+    unsat [ Cnf_enc.sat_lit out enc a ]
+  in
+  let prove_equal a b =
+    count_check ();
+    let la = Cnf_enc.sat_lit out enc a and lb = Cnf_enc.sat_lit out enc b in
+    unsat [ la; L.neg lb ] && unsat [ L.neg la; lb ]
+  in
+  let spent () = S.num_propagations solver >= max_propagations in
+  (* try at most [max_candidates] representatives of the class *)
+  let rec first_equal cand checked = function
+    | rep :: rest when checked < max_candidates && not (spent ()) ->
+        if prove_equal cand rep then Some rep else first_equal cand (checked + 1) rest
+    | _ -> None
   in
   (* remember nodes already proven equal to a representative *)
   let merged_to : (int, Man.lit) Hashtbl.t = Hashtbl.create 64 in
@@ -173,49 +191,30 @@ let reduce ?(seed = 0x51) ?(base_words = 6) ?(conflict_limit = 150) ?(max_candid
           else begin
             match Hashtbl.find_opt merged_to cnode with
             | Some rep -> Man.apply_sign rep ~neg:(Man.is_compl cand)
-            | None ->
-            ensure_sim cnode;
-            (* candidate equivalence class lookup *)
-            let s, flipped = normalize (edge_sim cand) in
-            let cand_n = Man.apply_sign cand ~neg:flipped in
-            let merged = ref None in
-            (* all-zero signature: try the constant-false proof first *)
-            if Array.for_all (fun w -> w = 0) s && !sat_checks < max_sat_checks then begin
-              Budget.check budget;
-              incr sat_checks;
-              Obs.Metrics.incr c_sat_checks;
-              let lc = Cnf_enc.sat_lit out enc cand_n in
-              match S.solve ~assumptions:[ lc ] ~budget ~conflict_limit solver with
-              | S.Unsat -> merged := Some Man.false_
-              | S.Sat ->
-                  add_cex ();
-                  ()
-              | S.Unknown -> ()
-            end;
-            (match Sig_tbl.find_opt classes s with
-            | None -> ()
-            | Some lst ->
-                let checked = ref 0 in
-                List.iter
-                  (fun rep ->
-                    if !merged = None && !checked < max_candidates
-                       && !sat_checks < max_sat_checks
-                       && Man.node_of rep <> Man.node_of cand_n
-                    then begin
-                      incr checked;
-                      if prove_equal cand_n rep ~compl_:false then merged := Some rep
-                    end)
-                  !lst);
-            match !merged with
-            | Some rep ->
-                Obs.Metrics.incr c_merges;
-                (* cand == rep up to the normalization flip *)
-                let res = Man.apply_sign rep ~neg:flipped in
-                Hashtbl.replace merged_to cnode (Man.apply_sign res ~neg:(Man.is_compl cand));
-                res
-            | None ->
-                register_rep cand;
-                cand
+            | None when spent () -> cand
+            | None -> (
+                ensure_sim cnode;
+                (* candidate equivalence class lookup *)
+                let s, flipped = normalize (edge_sim cand) in
+                let cand_n = Man.apply_sign cand ~neg:flipped in
+                (* all-zero signature: try the constant-false proof first *)
+                let merged =
+                  if Array.for_all (fun w -> w = 0) s && prove_false cand_n then Some Man.false_
+                  else
+                    match Sig_tbl.find_opt classes s with
+                    | None -> None
+                    | Some lst -> first_equal cand_n 0 !lst
+                in
+                match merged with
+                | Some rep ->
+                    Obs.Metrics.incr c_merges;
+                    (* cand == rep up to the normalization flip *)
+                    let res = Man.apply_sign rep ~neg:flipped in
+                    Hashtbl.replace merged_to cnode (Man.apply_sign res ~neg:(Man.is_compl cand));
+                    res
+                | None ->
+                    register_rep cand;
+                    cand)
           end
         end
       in
@@ -224,6 +223,10 @@ let reduce ?(seed = 0x51) ?(base_words = 6) ?(conflict_limit = 150) ?(max_candid
   let reduced_man, reduced_roots = Man.compact out mapped_roots in
   Obs.Span.event "fraig.done"
     ~attrs:
-      [ ("sat_checks", Obs.Int !sat_checks); ("nodes_after", Obs.Int (Man.num_nodes reduced_man)) ]
+      [
+        ("sat_checks", Obs.Int !sat_checks);
+        ("propagations", Obs.Int (S.num_propagations solver));
+        ("nodes_after", Obs.Int (Man.num_nodes reduced_man));
+      ]
     ();
   (reduced_man, reduced_roots)

@@ -9,19 +9,14 @@
     input variable ids preserved.
 
     The reduction is semantics-preserving by construction: merges happen
-    only on UNSAT (proof) answers; timeouts and conflict-limit hits merely
-    lose reduction opportunities. *)
+    only on UNSAT (proof) answers; conflict-limit hits merely lose
+    reduction opportunities.
 
-val reduce :
-  ?seed:int ->
-  ?base_words:int ->
-  ?conflict_limit:int ->
-  ?max_candidates:int ->
-  ?max_sat_checks:int ->
-  ?budget:Hqs_util.Budget.t ->
-  Man.t ->
-  Man.lit list ->
-  Man.t * Man.lit list
+    The sweep is bounded by SAT work, not by time: once its solver has made
+    a fixed number of propagations, the remaining nodes are copied through
+    unmerged. The result is therefore the same on every run. *)
+
+val reduce : ?budget:Hqs_util.Budget.t -> Man.t -> Man.lit list -> Man.t * Man.lit list
 (** [reduce man roots] returns a functionally reduced copy of the cones.
     @raise Hqs_util.Budget.Timeout if the budget expires.
     @raise Hqs_util.Budget.Out_of_memory_budget if the node limit is hit. *)

@@ -11,7 +11,7 @@ type stage =
   | Post_preprocess
   | Post_unitpure
   | Post_elimination
-  | Post_fraig
+  | Post_compact
   | Pre_backend
   | Post_solve
   | Post_certify
@@ -22,7 +22,7 @@ let stage_name = function
   | Post_preprocess -> "post-preprocess"
   | Post_unitpure -> "post-unitpure"
   | Post_elimination -> "post-elimination"
-  | Post_fraig -> "post-fraig"
+  | Post_compact -> "post-compact"
   | Pre_backend -> "pre-backend"
   | Post_solve -> "post-solve"
   | Post_certify -> "post-certify"

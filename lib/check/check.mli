@@ -24,7 +24,7 @@ type stage =
   | Post_preprocess  (** after CNF preprocessing built the formula *)
   | Post_unitpure  (** after a unit/pure round substituted variables *)
   | Post_elimination  (** after a Theorem 1/2 elimination *)
-  | Post_fraig  (** after FRAIG sweeping or cone compaction replaced the manager *)
+  | Post_compact  (** after cone compaction replaced the manager *)
   | Pre_backend  (** after linearization, before the QBF back end runs *)
   | Post_solve  (** after a verdict, when certifying a Skolem model *)
   | Post_certify  (** after a certificate artifact was materialized *)

@@ -12,8 +12,6 @@ type config = {
   use_unitpure : bool;
   use_thm2 : bool;
   use_maxsat : bool;
-  use_fraig : bool;
-  fraig_threshold : int;
   use_sat_probe : bool;
   node_limit : int option;
   qbf : Qbf.Solver.config;
@@ -38,8 +36,6 @@ let default_config =
     use_unitpure = true;
     use_thm2 = true;
     use_maxsat = true;
-    use_fraig = true;
-    fraig_threshold = 50000;
     use_sat_probe = false;
     node_limit = None;
     qbf = Qbf.Solver.default_config;
@@ -56,15 +52,9 @@ let default_config =
   }
 
 (* the bounded-restart config: keep the same resource limits but trade
-   speed for compactness — sweep aggressively and use the search back
-   end, which does not grow the AIG *)
-let degraded_config config =
-  {
-    config with
-    use_fraig = true;
-    fraig_threshold = min config.fraig_threshold 1000;
-    qbf_backend = Search_backend;
-  }
+   speed for compactness — use the search back end, which does not grow
+   the AIG *)
+let degraded_config config = { config with qbf_backend = Search_backend }
 
 type stats = { metrics : (string * float) list; degraded : string list }
 
@@ -112,7 +102,10 @@ let solve_impl ~(config : config) ~budget ~trail ~ledger ~restarts f0 =
   M.set_node_limit (F.man f) config.node_limit;
   (* on a degraded restart, squeeze the matrix before eliminating: the
      blowup that caused the memout is often pure functional redundancy *)
-  if restarts > 0 && config.use_fraig && M.cone_size (F.man f) (F.matrix f) > 64 then
+  if
+    restarts > 0 && config.qbf.Qbf.Solver.use_fraig
+    && M.cone_size (F.man f) (F.matrix f) > 64
+  then
     Degrade.attempt ledger ~chaos:config.chaos ~budget ~point:"fraig.initial" ~action:"skip"
       ~sub_seconds:5.0 ~sub_frac:0.25
       ~primary:(fun b ->
@@ -122,7 +115,6 @@ let solve_impl ~(config : config) ~budget ~trail ~ledger ~restarts f0 =
       ();
   let queue = ref [] in
   let last_size = ref (M.num_nodes (F.man f)) in
-  let fraig_floor = ref 0 in
   let first_select = ref true in
   let note_size () =
     Obs.Metrics.set_max g_peak_nodes (float_of_int (M.num_nodes (F.man f)));
@@ -130,37 +122,15 @@ let solve_impl ~(config : config) ~budget ~trail ~ledger ~restarts f0 =
   in
   (* the soundness gate at each stage boundary (free when check_level=Off) *)
   let audit ?queue stage = Check.audit_stage ~level:config.check_level ?queue stage f in
-  let compact_or_fraig () =
+  let compact_if_grown () =
     note_size ();
-    let cone = M.cone_size (F.man f) (F.matrix f) in
-    if config.use_fraig && cone > config.fraig_threshold && cone > 2 * !fraig_floor then begin
-      (* time-boxed sweep: a local timeout or node blowup degrades to a
-         plain compaction instead of aborting the solve *)
-      Degrade.attempt ledger ~chaos:config.chaos ~budget ~point:"fraig.sweep" ~action:"compact"
-        ~sub_seconds:2.0 ~sub_frac:0.2
-        ~primary:(fun b ->
-          let man, roots = Aig.Fraig.reduce ~budget:b (F.man f) [ F.matrix f ] in
-          F.replace_man f man (List.hd roots);
-          last_size := M.num_nodes man;
-          fraig_floor := M.cone_size man (F.matrix f))
-        ~fallback:(fun () ->
-          (* give up on sweeping this cone until it doubles again *)
-          fraig_floor := cone;
-          Obs.Span.with_ "aig.compact" ~attrs:[ ("nodes", Obs.Int (M.num_nodes (F.man f))) ]
-          @@ fun () ->
-          let man, roots = M.compact (F.man f) [ F.matrix f ] in
-          F.replace_man f man (List.hd roots);
-          last_size := M.num_nodes man)
-        ();
-      audit Check.Post_fraig
-    end
-    else if M.num_nodes (F.man f) > (2 * !last_size) + 1024 then begin
+    if M.num_nodes (F.man f) > (2 * !last_size) + 1024 then begin
       (Obs.Span.with_ "aig.compact" ~attrs:[ ("nodes", Obs.Int (M.num_nodes (F.man f))) ]
       @@ fun () ->
       let man, roots = M.compact (F.man f) [ F.matrix f ] in
       F.replace_man f man (List.hd roots);
       last_size := M.num_nodes man);
-      audit Check.Post_fraig
+      audit Check.Post_compact
     end
   in
   let refill_queue () =
@@ -253,7 +223,7 @@ let solve_impl ~(config : config) ~budget ~trail ~ledger ~restarts f0 =
                   end;
                   Dqbf.Elim.universal ?trail f x;
                   audit ~queue:!queue Check.Post_elimination;
-                  compact_or_fraig ()
+                  compact_if_grown ()
               | None ->
                   (* no universal left to eliminate; the dependency graph
                      must be acyclic now *)

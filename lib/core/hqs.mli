@@ -8,19 +8,22 @@
     - elimination of existentials depending on all universals (Theorem 2),
     - elimination of the next queued universal variable (Theorem 1),
       cheapest first (fewest existential copies),
-    - FRAIG compaction when the graph grows.
+    - compaction when the graph grows.
+
+    FRAIG sweeping happens in the QBF back end ({!Qbf.Solver}), switched by
+    [qbf.use_fraig].
 
     The expensive accelerators degrade gracefully instead of aborting the
     solve: each fallible stage runs under a child {!Hqs_util.Budget} with
-    a declared fallback (MaxSAT minimum set -> greedy set, FRAIG sweep ->
-    plain compaction, elimination QBF back end -> QDPLL search on a
-    node-limit blowup), and a mid-elimination node-limit memout triggers
-    one bounded restart with a degraded config (aggressive sweeping,
-    search back end) before [Out_of_memory_budget] is allowed to escape.
-    Which degradations fired is recorded in {!stats}. Every fallback path
-    can be exercised deterministically through the {!Hqs_util.Chaos}
-    injection points ["maxsat.minset"], ["fraig.sweep"], ["fraig.initial"],
-    ["qbf.elim"] and ["elim.universal"]. *)
+    a declared fallback (MaxSAT minimum set -> greedy set, elimination QBF
+    back end -> QDPLL search on a node-limit blowup), and a
+    mid-elimination node-limit memout triggers one bounded restart with a
+    degraded config (an initial FRAIG sweep of the matrix, then the search
+    back end) before [Out_of_memory_budget] is allowed to escape. Which
+    degradations fired is recorded in {!stats}. Every fallback path can be
+    exercised deterministically through the {!Hqs_util.Chaos} injection
+    points ["maxsat.minset"], ["fraig.initial"], ["qbf.elim"] and
+    ["elim.universal"]. *)
 
 type verdict = Sat | Unsat
 
@@ -40,14 +43,14 @@ type config = {
   use_unitpure : bool;
   use_thm2 : bool;  (** eliminate existentials with full dependency sets *)
   use_maxsat : bool;  (** false: eliminate all difference variables (greedy) *)
-  use_fraig : bool;
-  fraig_threshold : int;
   use_sat_probe : bool;
       (** one up-front SAT call on the matrix: if the matrix alone is
           unsatisfiable, so is the DQBF (the improvement sketched in the
           paper's Section IV discussion of iDQ's cheap refutations) *)
   node_limit : int option;  (** memout emulation *)
   qbf : Qbf.Solver.config;
+      (** the QBF back end's settings; [qbf.use_fraig] also gates the
+          degraded restart's initial FRAIG sweep *)
   qbf_backend : qbf_backend;
   chaos : Hqs_util.Chaos.t;
       (** deterministic fault injection into the degradation ladder;
@@ -78,9 +81,8 @@ type config = {
 val default_config : config
 
 val degraded_config : config -> config
-(** The bounded-restart config: same limits, aggressive FRAIG sweeping
-    ([fraig_threshold <= 1000]) and the QDPLL search back end, which does
-    not grow the AIG. *)
+(** The bounded-restart config: same limits and the QDPLL search back
+    end, which does not grow the AIG. *)
 
 type stats = {
   metrics : (string * float) list;

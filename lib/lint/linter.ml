@@ -175,8 +175,8 @@ let print_findings ~tool format findings =
       end
 
 (* The documented allowlist: [failwith] is the parse-error channel of the
-   DIMACS-family parsers, caught as [Failure] at the CLI boundary. *)
-let allowlist = [ ("lib/sat/dimacs.ml", Failwith_lib); ("lib/qbf/qdimacs.ml", Failwith_lib); ("lib/dqbf/pcnf.ml", Failwith_lib) ]
+   DQDIMACS parser, caught as [Failure] at the CLI boundary. *)
+let allowlist = [ ("lib/dqbf/pcnf.ml", Failwith_lib) ]
 
 let allowlisted path rule =
   List.exists (fun (suffix, r) -> r = rule && String.ends_with ~suffix path) allowlist
@@ -196,7 +196,7 @@ let dir_segments path =
   in
   segments (Filename.dirname path) []
 
-(* in a path like "lib/sat/dimacs.ml", is some directory segment "lib"? *)
+(* in a path like "lib/dqbf/pcnf.ml", is some directory segment "lib"? *)
 let in_lib path = List.mem "lib" (dir_segments path)
 let in_bin path = List.mem "bin" (dir_segments path)
 

@@ -60,24 +60,15 @@ let compact_if_grown st =
   end
 
 (* sweep only when the cone is big AND has doubled since the last sweep,
-   otherwise every elimination would pay for a full SAT sweep; each sweep
-   is also time-boxed — when it cannot finish quickly we keep the
-   unreduced cone instead of burning the whole budget; [cone] is the
-   root's cone size *)
+   otherwise every elimination would pay for a full SAT sweep; the sweep
+   bounds its own SAT work; [cone] is the root's cone size *)
 let fraig_if_large config budget st cone =
-  if config.use_fraig then begin
-    if cone > config.fraig_node_threshold && cone > 2 * st.fraig_floor then begin
-      let sweep_budget = Budget.of_seconds (min 2.0 (0.2 *. Budget.remaining budget)) in
-      match Aig.Fraig.reduce ~budget:sweep_budget st.man [ st.root ] with
-      | man, roots ->
-          st.man <- man;
-          st.root <- (match roots with [ r ] -> r | _ -> assert false);
-          st.last_size <- M.num_nodes man;
-          st.fraig_floor <- M.cone_size man st.root
-      | exception Budget.Timeout when not (Budget.expired budget) ->
-          (* give up on sweeping this cone until it doubles again *)
-          st.fraig_floor <- cone
-    end
+  if config.use_fraig && cone > config.fraig_node_threshold && cone > 2 * st.fraig_floor then begin
+    let man, roots = Aig.Fraig.reduce ~budget st.man [ st.root ] in
+    st.man <- man;
+    st.root <- (match roots with [ r ] -> r | _ -> assert false);
+    st.last_size <- M.num_nodes man;
+    st.fraig_floor <- M.cone_size man st.root
   end
 
 (* one unit/pure sweep; returns true if anything was eliminated *)

@@ -6,13 +6,17 @@
     elimination is localized ({!Aig.Man.exists_localized}): only the part of
     the graph that contains the variable is cofactored. Between
     eliminations the solver applies unit/pure reductions (Theorems 5-6),
-    compacts the graph, and runs FRAIG sweeps when the graph grows. Once a
-    single quantifier kind remains, a single SAT call finishes the job. *)
+    compacts the graph, and runs a FRAIG sweep ({!Aig.Fraig.reduce},
+    bounded by SAT work) when the cone is large and has doubled since the
+    last one. Once a single quantifier kind remains, a single SAT call
+    finishes the job. *)
 
 type config = {
   use_unitpure : bool;
   use_fraig : bool;
-  fraig_node_threshold : int;  (** sweep when the cone exceeds this size *)
+  fraig_node_threshold : int;
+      (** sweep when the cone exceeds this size and has doubled since the
+          last sweep *)
   sat_shortcut : bool;  (** finish single-kind prefixes with one SAT call *)
 }
 

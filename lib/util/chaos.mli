@@ -1,7 +1,7 @@
 (** Deterministic fault injection.
 
     Fallible solver stages are wired with named injection points (e.g.
-    ["maxsat.minset"], ["fraig.sweep"], ["qbf.elim"], ["elim.universal"]).
+    ["maxsat.minset"], ["fraig.initial"], ["qbf.elim"], ["elim.universal"]).
     A chaos plan arms a subset of those points with a seeded RNG; when an
     armed point fires, the caller behaves as if the stage had failed
     (stage timeout or resource blowup), so every degradation and fallback

@@ -23,7 +23,7 @@ let chaos points = Chaos.create ~seed:42 ~points ()
 
 (* x1, x2 universal; y1 depends on x1 only, y2 on x2 only. The deps are
    incomparable, so the solver must eliminate a universal, which drives
-   it through the MaxSAT / FRAIG / QBF stages. Aligned is SAT, crossed
+   it through the MaxSAT / elimination / QBF stages. Aligned is SAT, crossed
    (y1 tracking x2) is UNSAT. *)
 let example1 ~crossed =
   let f = F.create () in
@@ -52,18 +52,6 @@ let test_injected_maxsat () =
       (example1 ~crossed:true) in
   Alcotest.check verdict_t "still unsat" Hqs.Unsat v;
   check "fell back to greedy" true (degraded_mem "maxsat.minset->greedy[injected]" stats)
-
-let test_injected_fraig () =
-  (* fraig_threshold 1 so the sweep is attempted right after the first
-     universal elimination; the injected fault degrades it to a plain
-     compaction *)
-  let config =
-    { Hqs.default_config with fraig_threshold = 1; chaos = chaos [ "fraig.sweep" ] }
-  in
-  let v, stats = Hqs.solve_formula ~config (example1 ~crossed:false) in
-  Alcotest.check verdict_t "still sat" Hqs.Sat v;
-  check "fell back to compact" true (degraded_mem "fraig.sweep->compact[injected]" stats);
-  check_int "no restart" 0 (restarts stats)
 
 let test_injected_qbf_elim () =
   let config = { Hqs.default_config with chaos = chaos [ "qbf.elim" ] } in
@@ -199,6 +187,23 @@ let test_real_degraded_restart () =
   check_int "one restart" 1 (restarts stats);
   check "restart recorded" true (degraded_mem "solve->restart-degraded[node-limit]" stats)
 
+let test_injected_fraig_initial () =
+  (* the degraded restart squeezes the matrix with one FRAIG sweep before
+     eliminating; a fault injected there skips the sweep, and the restart
+     still solves. The restart's search back end never sweeps, so
+     [fraig.sat_checks] tells whether the squeeze ran. *)
+  let f = redundant_parity_formula () in
+  let solve points = Hqs.solve_formula ~config:{ Hqs.default_config with chaos = chaos points } f in
+  let v, stats = solve [ "elim.universal" ] in
+  Alcotest.check verdict_t "sat" Hqs.Sat v;
+  check_int "one restart" 1 (restarts stats);
+  check "the squeeze ran" true (Hqs.metric stats "fraig.sat_checks" > 0.0);
+  let v, stats = solve [ "elim.universal"; "fraig.initial" ] in
+  Alcotest.check verdict_t "still sat" Hqs.Sat v;
+  check_int "one restart" 1 (restarts stats);
+  check "skipped the squeeze" true (degraded_mem "fraig.initial->skip[injected]" stats);
+  check "no sweep" true (Hqs.metric stats "fraig.sat_checks" = 0.0)
+
 (* ------------------------------------------------- degradations on spans *)
 
 let test_chaos_surfaces_in_trace () =
@@ -261,16 +266,30 @@ let test_verdicts_stable_under_chaos () =
       check "chaos actually fired" true (stats.Hqs.degraded <> []))
     [ false; true ]
 
+let test_fraig_deterministic () =
+  (* the back end sweeps this instance once and spends the sweep's whole
+     propagation bound; a bound on solver work, unlike a wall-clock box,
+     gives the same sweep on every run *)
+  let inst = Fam.pec_xor ~length:15 ~boxes:3 ~fault:false in
+  let counters () =
+    let v, stats = Hqs.solve_pcnf inst.Fam.pcnf in
+    Alcotest.check verdict_t "sat" Hqs.Sat v;
+    List.map (Hqs.metric stats) [ "fraig.sat_checks"; "fraig.merges"; "aig.nodes_alloc" ]
+  in
+  let first = counters () in
+  check "the sweep ran" true (List.hd first > 0.0);
+  Alcotest.(check (list (float 0.0))) "same counters" first (counters ())
+
 let () =
   Alcotest.run "degrade"
     [
       ( "injected",
         [
           Alcotest.test_case "maxsat -> greedy" `Quick test_injected_maxsat;
-          Alcotest.test_case "fraig -> compact" `Quick test_injected_fraig;
           Alcotest.test_case "qbf elim -> search" `Quick test_injected_qbf_elim;
           Alcotest.test_case "mid-elim -> restart" `Quick test_injected_restart;
           Alcotest.test_case "no-restart propagates" `Quick test_injected_no_restart_propagates;
+          Alcotest.test_case "fraig.initial -> skip" `Quick test_injected_fraig_initial;
         ] );
       ( "real limits",
         [
@@ -283,5 +302,6 @@ let () =
         [
           Alcotest.test_case "chaos off is clean" `Quick test_chaos_off_clean;
           Alcotest.test_case "verdicts stable under chaos" `Slow test_verdicts_stable_under_chaos;
+          Alcotest.test_case "fraig sweep is deterministic" `Slow test_fraig_deterministic;
         ] );
     ]

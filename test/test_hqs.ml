@@ -150,7 +150,8 @@ let prop_sat_probe =
 
 let prop_aggressive_fraig =
   agrees
-    ~config:{ Hqs.default_config with fraig_threshold = 1 }
+    ~config:
+      { Hqs.default_config with qbf = { Qbf.Solver.default_config with fraig_node_threshold = 1 } }
     "hqs agrees (fraig every step)"
 
 let prop_search_backend =

@@ -231,8 +231,8 @@ let test_allowlist_and_walk () =
   with_tree
     [
       (* same suffix as the documented allowlist entry: failwith tolerated *)
-      ("lib/sat/dimacs.ml", "let f () = failwith \"bad token\"\n");
-      ("lib/sat/dimacs.mli", "val f : unit -> 'a\n");
+      ("lib/dqbf/pcnf.ml", "let f () = failwith \"bad token\"\n");
+      ("lib/dqbf/pcnf.mli", "val f : unit -> 'a\n");
       ("_build/lib/junk.ml", "let let let\n");
       (".hidden/junk.ml", "let let let\n");
     ]

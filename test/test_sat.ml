@@ -218,31 +218,6 @@ let prop_incremental_monotone =
       let r2 = S.solve s in
       not (r1 = S.Unsat && r2 = S.Sat))
 
-(* ----------------------------------------------------------------- dimacs *)
-
-let test_dimacs_roundtrip () =
-  let text = "c comment\np cnf 3 2\n1 -2 0\n2 3 0\n" in
-  let cnf = Sat.Dimacs.parse_string text in
-  Alcotest.(check int) "vars" 3 cnf.Sat.Dimacs.num_vars;
-  Alcotest.(check int) "clauses" 2 (List.length cnf.Sat.Dimacs.clauses);
-  let cnf2 = Sat.Dimacs.parse_string (Sat.Dimacs.to_string cnf) in
-  check "roundtrip" true (cnf = cnf2);
-  let s = S.create () in
-  Sat.Dimacs.load_into s cnf;
-  Alcotest.check result_t "loads and solves" S.Sat (S.solve s)
-
-let test_dimacs_errors () =
-  check "missing header" true
-    (try
-       ignore (Sat.Dimacs.parse_string "1 2 0\n");
-       false
-     with Failure _ -> true);
-  check "unterminated" true
-    (try
-       ignore (Sat.Dimacs.parse_string "p cnf 2 1\n1 2\n");
-       false
-     with Failure _ -> true)
-
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -269,9 +244,4 @@ let () =
             prop_assumptions_consistent;
             prop_incremental_monotone;
           ] );
-      ( "dimacs",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_dimacs_roundtrip;
-          Alcotest.test_case "errors" `Quick test_dimacs_errors;
-        ] );
     ]

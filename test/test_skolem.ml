@@ -201,7 +201,9 @@ let prop_model_greedy =
     "hqs model verifies (greedy set)"
 
 let prop_model_fraig =
-  model_agrees ~config:{ Hqs.default_config with fraig_threshold = 1 }
+  model_agrees
+    ~config:
+      { Hqs.default_config with qbf = { Qbf.Solver.default_config with fraig_node_threshold = 1 } }
     "hqs model verifies (fraig every step)"
 
 let prop_model_search_backend =

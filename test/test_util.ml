@@ -211,9 +211,9 @@ let test_chaos_off () =
   check "off fired empty" true (Chaos.fired Chaos.off = [])
 
 let test_chaos_deterministic () =
-  let seq plan = List.init 6 (fun _ -> Chaos.fire plan "fraig.sweep") in
-  let a = seq (Chaos.create ~seed:42 ~points:[ "fraig.sweep" ] ()) in
-  let b = seq (Chaos.create ~seed:42 ~points:[ "fraig.sweep" ] ()) in
+  let seq plan = List.init 6 (fun _ -> Chaos.fire plan "fraig.initial") in
+  let a = seq (Chaos.create ~seed:42 ~points:[ "fraig.initial" ] ()) in
+  let b = seq (Chaos.create ~seed:42 ~points:[ "fraig.initial" ] ()) in
   check "same seed same firing" true (a = b);
   check "fires at most limit times" true (List.length (List.filter Fun.id a) = 1)
 
@@ -233,8 +233,8 @@ let test_chaos_points_and_limit () =
 
 let test_chaos_parse_points () =
   check "parse" true
-    (Chaos.parse_points " maxsat.minset, fraig.sweep ,,qbf.elim"
-    = [ "maxsat.minset"; "fraig.sweep"; "qbf.elim" ]);
+    (Chaos.parse_points " maxsat.minset, fraig.initial ,,qbf.elim"
+    = [ "maxsat.minset"; "fraig.initial"; "qbf.elim" ]);
   check "parse empty" true (Chaos.parse_points "" = [])
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
