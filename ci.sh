@@ -29,8 +29,9 @@
 #      inprocessing engine on vs off under --check full and diff the
 #      verdict lines byte-for-byte; run `hqs analyze` on the committed
 #      fixture and assert at least one SCC merge and one subsumption
-#      were found and audited; prove the no-stdout lint rule fires on a
-#      seeded stdout write under lib/
+#      were found and audited; assert the engine finds gates on a PEC
+#      instance under --check full; prove the no-stdout lint rule fires
+#      on a seeded stdout write under lib/
 #   8. elimination gate: solve the example suite (minus the c432 SAT
 #      instance) plus adder, z4, c432 and pec_xor instances four ways
 #      under --check full — default, --search-backend, --no-fraig and
@@ -286,7 +287,18 @@ case "$ip_line" in
   exit 1
   ;;
 esac
-# 3) the no-stdout lint rule fires on a seeded stdout write under lib/
+# 3) the engine detects gates on a PEC instance, and they pass the full
+#    audit (the gate checks of Check.audit_inproc and the semantic pass)
+gates=$("$HQS_BIN" "$tmp/an/pec_xor_n3_k2_ok.dqdimacs" --check full --metrics 2>&1 \
+  | awk '$3 == "preprocess.gates" { print $4 }')
+case "$gates" in
+[1-9]*) : ;;
+*)
+  echo "== ci FAILED: no gate detected on pec_xor_n3_k2_ok (preprocess.gates = '$gates') =="
+  exit 1
+  ;;
+esac
+# 4) the no-stdout lint rule fires on a seeded stdout write under lib/
 mkdir -p "$tmp/lintbad/lib/fake"
 printf 'let f x = Printf.printf "%%d\\n" x\n' >"$tmp/lintbad/lib/fake/mod.ml"
 printf 'val f : int -> unit\n' >"$tmp/lintbad/lib/fake/mod.mli"
@@ -297,7 +309,7 @@ if [ "$nostdout_status" != 1 ] || ! grep -q 'no-stdout' "$tmp/lintbad.out"; then
   cat "$tmp/lintbad.out"
   exit 1
 fi
-echo "c inproc gate: verdicts identical, fixture merged+subsumed, no-stdout armed"
+echo "c inproc gate: verdicts identical, fixture merged+subsumed, $gates gates audited, no-stdout armed"
 
 echo "== elim =="
 # the AIG elimination back end must agree with the independent QDPLL search
@@ -306,11 +318,11 @@ echo "== elim =="
 # must come with a verified Skolem model. The instances: the analysis suite,
 # one small adder and z4 instance, the two ladder shapes on which
 # quantifier localization changes the elimination most (adder_b6_k1_ok,
-# SAT; c432_g3l5_k2_f, UNSAT), and the smallest PEC instance whose back end
-# runs a FRAIG sweep (pec_xor_n15_k3_ok, SAT); the known verdicts of the
-# last three are asserted, and so is the sweep: fraig.sat_checks > 0 by
+# SAT; c432_g3l5_k2_f, UNSAT), and the smallest PEC instance found whose
+# back end runs a FRAIG sweep (adder_b5_k3_ok, SAT); the known verdicts of
+# the last three are asserted, and so is the sweep: fraig.sat_checks > 0 by
 # default and = 0 under --no-fraig. The search back end skips those three
-# (36 s on the adder, over 70 s on the c432, over 90 s on the pec_xor), and
+# (36 s on adder_b6_k1_ok, over 70 s on the c432, over 120 s on adder_b5_k3_ok), and
 # the c432 SAT instance of the analysis suite is left out entirely: the
 # search back end needs about two minutes on it.
 mkdir -p "$tmp/el"
@@ -318,8 +330,8 @@ dune exec bin/genpec.exe -- one adder --size 2 --boxes 1 --out "$tmp/el" >/dev/n
 dune exec bin/genpec.exe -- one z4 --size 2 --boxes 1 --out "$tmp/el" >/dev/null
 dune exec bin/genpec.exe -- one adder --size 6 --boxes 1 --out "$tmp/el" >/dev/null
 dune exec bin/genpec.exe -- one c432 --size 5 --boxes 2 --fault --out "$tmp/el" >/dev/null
-dune exec bin/genpec.exe -- one pec_xor --size 15 --boxes 3 --out "$tmp/el" >/dev/null
-search_skip='^(adder_b6_k1_ok|c432_g3l5_k2_f|pec_xor_n15_k3_ok) '
+dune exec bin/genpec.exe -- one adder --size 5 --boxes 3 --out "$tmp/el" >/dev/null
+search_skip='^(adder_b6_k1_ok|c432_g3l5_k2_f|adder_b5_k3_ok) '
 for mode in default search nofraig model; do : >"$tmp/verdicts.elim-$mode"; done
 n_el=0
 for f in "$tmp/an"/*.dqdimacs "$tmp/el"/*.dqdimacs; do
@@ -352,7 +364,7 @@ for f in "$tmp/an"/*.dqdimacs "$tmp/el"/*.dqdimacs; do
       grep -v '^v ' "$tmp/el.out"
       exit 1
     fi
-    if [ "$id" = pec_xor_n15_k3_ok ]; then
+    if [ "$id" = adder_b5_k3_ok ]; then
       swept=$(awk '$3 == "fraig.sat_checks" { print ($4 > 0) ? "yes" : "no" }' "$tmp/el.out")
       case "$mode:$swept" in
       default:yes | nofraig:no | search:* | model:*) : ;;
@@ -367,7 +379,7 @@ for f in "$tmp/an"/*.dqdimacs "$tmp/el"/*.dqdimacs; do
   done
 done
 for known in 'adder_b6_k1_ok s cnf SAT' 'c432_g3l5_k2_f s cnf UNSAT' \
-  'pec_xor_n15_k3_ok s cnf SAT'; do
+  'adder_b5_k3_ok s cnf SAT'; do
   grep -qx "$known" "$tmp/verdicts.elim-default" || {
     echo "== ci FAILED: expected verdict '$known' =="
     cat "$tmp/verdicts.elim-default"

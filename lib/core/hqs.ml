@@ -12,7 +12,6 @@ type config = {
   use_unitpure : bool;
   use_thm2 : bool;
   use_maxsat : bool;
-  use_sat_probe : bool;
   node_limit : int option;
   qbf : Qbf.Solver.config;
   qbf_backend : qbf_backend;
@@ -36,7 +35,6 @@ let default_config =
     use_unitpure = true;
     use_thm2 = true;
     use_maxsat = true;
-    use_sat_probe = false;
     node_limit = None;
     qbf = Qbf.Solver.default_config;
     qbf_backend = Elim_backend;
@@ -56,19 +54,12 @@ let default_config =
    the AIG *)
 let degraded_config config = { config with qbf_backend = Search_backend }
 
+let escalated_config config =
+  { config with check_level = Check.Full; chaos = Chaos.off; restart_on_memout = false }
+
 type stats = { metrics : (string * float) list; degraded : string list }
 
 exception Done of verdict
-
-let sat_probe ~budget f =
-  (* if the matrix alone is unsatisfiable, no Skolem functions exist *)
-  let solver = Sat.Solver.create () in
-  let enc = Aig.Cnf_enc.create solver in
-  let out = Aig.Cnf_enc.sat_lit (F.man f) enc (F.matrix f) in
-  Sat.Solver.add_clause solver [ out ];
-  match Sat.Solver.solve ~budget ~conflict_limit:20000 solver with
-  | Sat.Solver.Unsat -> raise (Done Unsat)
-  | Sat.Solver.Sat | Sat.Solver.Unknown -> ()
 
 let rollback_opt trail mark =
   match (trail, mark) with
@@ -160,7 +151,6 @@ let solve_impl ~(config : config) ~budget ~trail ~ledger ~restarts f0 =
   in
   let verdict =
     try
-      if config.use_sat_probe then sat_probe ~budget f;
       let continue_ = ref true in
       while !continue_ do
         Budget.check budget;

@@ -43,10 +43,6 @@ type config = {
   use_unitpure : bool;
   use_thm2 : bool;  (** eliminate existentials with full dependency sets *)
   use_maxsat : bool;  (** false: eliminate all difference variables (greedy) *)
-  use_sat_probe : bool;
-      (** one up-front SAT call on the matrix: if the matrix alone is
-          unsatisfiable, so is the DQBF (the improvement sketched in the
-          paper's Section IV discussion of iDQ's cheap refutations) *)
   node_limit : int option;  (** memout emulation *)
   qbf : Qbf.Solver.config;
       (** the QBF back end's settings; [qbf.use_fraig] also gates the
@@ -83,6 +79,11 @@ val default_config : config
 val degraded_config : config -> config
 (** The bounded-restart config: same limits and the QDPLL search back
     end, which does not grow the AIG. *)
+
+val escalated_config : config -> config
+(** The re-solve after a certificate failed its own audit: checks at
+    [Full], fault injection off and no degraded restart, so the answer
+    is earned, not salvaged. *)
 
 type stats = {
   metrics : (string * float) list;

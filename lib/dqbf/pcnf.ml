@@ -96,23 +96,20 @@ let parse_file path =
 
 let to_string { num_vars; univs; exists; clauses } =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "p cnf %d %d\n" num_vars (List.length clauses));
-  if univs <> [] then begin
-    Buffer.add_string buf "a";
-    List.iter (fun v -> Buffer.add_string buf (Printf.sprintf " %d" (v + 1))) univs;
-    Buffer.add_string buf " 0\n"
-  end;
-  List.iter
-    (fun (y, deps) ->
-      Buffer.add_string buf (Printf.sprintf "d %d" (y + 1));
-      List.iter (fun v -> Buffer.add_string buf (Printf.sprintf " %d" (v + 1))) deps;
-      Buffer.add_string buf " 0\n")
-    exists;
-  List.iter
-    (fun clause ->
-      List.iter (fun l -> Buffer.add_string buf (Printf.sprintf "%d " l)) clause;
-      Buffer.add_string buf "0\n")
-    clauses;
+  (* [prefix], each int followed by a space, then [stop] *)
+  let line prefix ints stop =
+    Buffer.add_string buf prefix;
+    List.iter
+      (fun n ->
+        Buffer.add_string buf (string_of_int n);
+        Buffer.add_char buf ' ')
+      ints;
+    Buffer.add_string buf stop
+  in
+  line "p cnf " [ num_vars ] (string_of_int (List.length clauses) ^ "\n");
+  if univs <> [] then line "a " (List.map succ univs) "0\n";
+  List.iter (fun (y, deps) -> line "d " ((y + 1) :: List.map succ deps) "0\n") exists;
+  List.iter (fun clause -> line "" clause "0\n") clauses;
   Buffer.contents buf
 
 let validate { num_vars; univs; exists; clauses } =

@@ -11,188 +11,29 @@ let off = { gate_detection = false; inproc = Inproc.Off }
 
 type outcome = Unsat | Formula of Formula.t * stats
 
-(* the engine publishes its own inproc.* counters; gate detection is the
-   work only this module does *)
+(* the engine publishes its own inproc.* counters; the number of gates
+   substituted into the AIG is counted here *)
 let c_gates = Obs.Metrics.counter "preprocess.gates"
-
-(* working state of gate detection and the AIG build; literals use the
-   MiniSat encoding of {!Sat.Lit} *)
-type state = {
-  trail : Model_trail.t option;
-  univs : Bitset.t;
-  deps : (int, Bitset.t) Hashtbl.t; (* existential -> dependency set *)
-  mutable clauses : int list list;
-}
-
-let is_univ st v = Bitset.mem v st.univs
-let is_exist st v = Hashtbl.mem st.deps v
-
-(* -------------------------------------------------------- gate detection *)
-
-type gate_fn = G_and of int * int (* lits *) | G_xor of int * int
-
-type gate = { out_var : int; out_neg : bool; fn : gate_fn; def_clauses : int list list }
-
-let detect_gates st =
-  let clause_set = Hashtbl.create 256 in
-  List.iter (fun c -> Hashtbl.replace clause_set c ()) st.clauses;
-  let present c = Hashtbl.mem clause_set (List.sort_uniq Int.compare c) in
-  let defined : (int, unit) Hashtbl.t = Hashtbl.create 32 in
-  let gates = ref [] in
-  (* dependency legality: substituting [out] by a function of [ins] *)
-  let legal out ins =
-    is_exist st out
-    && begin
-         let d_out = Hashtbl.find st.deps out in
-         List.for_all
-           (fun w ->
-             if w = out then false
-             else if is_univ st w then Bitset.mem w d_out
-             else if is_exist st w then Bitset.subset (Hashtbl.find st.deps w) d_out
-             else false)
-           ins
-       end
-  in
-  let consume gate =
-    if (not (Hashtbl.mem defined gate.out_var)) && List.for_all present gate.def_clauses
-    then begin
-      Hashtbl.add defined gate.out_var ();
-      gates := gate :: !gates
-    end
-  in
-  (* AND gates: ternary (p|q|r) + binaries (!p|!q) (!p|!r) gives p = !q & !r *)
-  List.iter
-    (fun clause ->
-      match clause with
-      | [ _; _; _ ] ->
-          List.iter
-            (fun p ->
-              let others = List.filter (fun l -> l <> p) clause in
-              match others with
-              | [ q; r ] ->
-                  if
-                    present [ L.neg p; L.neg q ]
-                    && present [ L.neg p; L.neg r ]
-                    && legal (L.var p) [ L.var q; L.var r ]
-                  then
-                    consume
-                      {
-                        out_var = L.var p;
-                        out_neg = L.is_neg p;
-                        fn = G_and (L.neg q, L.neg r);
-                        def_clauses = [ clause; [ L.neg p; L.neg q ]; [ L.neg p; L.neg r ] ];
-                      }
-              | _ -> ())
-            clause
-      | _ -> ())
-    st.clauses;
-  (* XOR gates: the four all-odd-negation clauses over a variable triple
-     encode v0 ^ v1 ^ v2 = 0 *)
-  let triples = Hashtbl.create 64 in
-  List.iter
-    (fun clause ->
-      match List.sort_uniq Int.compare (List.map L.var clause) with
-      | [ a; b; c ] when List.length clause = 3 ->
-          let key = (a, b, c) in
-          let cur = try Hashtbl.find triples key with Not_found -> [] in
-          Hashtbl.replace triples key (clause :: cur)
-      | _ -> ())
-    st.clauses;
-  Hashtbl.iter
-    (fun (a, b, c) clauses ->
-      let sign_pattern clause =
-        List.map (fun v -> List.exists (fun l -> L.var v = L.var l && L.is_neg l) clause)
-          (List.map L.of_var [ a; b; c ])
-      in
-      let odd p = List.length (List.filter Fun.id p) mod 2 = 1 in
-      let cmp_pattern = List.compare Bool.compare in
-      let odd_patterns =
-        List.sort_uniq
-          (fun (p1, c1) (p2, c2) ->
-            let c = cmp_pattern p1 p2 in
-            if c <> 0 then c else List.compare Int.compare c1 c2)
-          (List.filter_map (fun cl ->
-            let p = sign_pattern cl in
-            if odd p then Some (p, cl) else None) clauses)
-      in
-      if List.length (List.sort_uniq cmp_pattern (List.map fst odd_patterns)) = 4 then begin
-        (* pick one defining clause per pattern *)
-        let defs =
-          List.map
-            (fun pat -> List.assoc pat odd_patterns)
-            (List.sort_uniq cmp_pattern (List.map fst odd_patterns))
-        in
-        (* choose an output among the triple *)
-        let try_out out =
-          let ins = List.filter (fun v -> v <> out) [ a; b; c ] in
-          if (not (Hashtbl.mem defined out)) && legal out ins then begin
-            match ins with
-            | [ i1; i2 ] ->
-                (* out = i1 ^ i2 since out^i1^i2 = 0 *)
-                consume
-                  {
-                    out_var = out;
-                    out_neg = false;
-                    fn = G_xor (L.of_var i1, L.of_var i2);
-                    def_clauses = defs;
-                  };
-                true
-            | _ -> false
-          end
-          else false
-        in
-        ignore (try_out a || try_out b || try_out c)
-      end)
-    triples;
-  (* keep only an acyclic subset of the candidate definitions: a gate is
-     accepted once every input that is itself a candidate output has been
-     accepted (a cycle leaves all its members rejected, keeping their
-     clauses — conservative but sound) *)
-  let candidates = List.rev !gates in
-  let cand_out = Hashtbl.create 16 in
-  List.iter (fun g -> Hashtbl.replace cand_out g.out_var g) candidates;
-  let gate_inputs g =
-    match g.fn with G_and (a, b) | G_xor (a, b) -> [ L.var a; L.var b ]
-  in
-  let accepted = Hashtbl.create 16 in
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    List.iter
-      (fun g ->
-        if
-          (not (Hashtbl.mem accepted g.out_var))
-          && List.for_all
-               (fun v -> (not (Hashtbl.mem cand_out v)) || Hashtbl.mem accepted v)
-               (gate_inputs g)
-        then begin
-          Hashtbl.add accepted g.out_var ();
-          progress := true
-        end)
-      candidates
-  done;
-  let selected = List.filter (fun g -> Hashtbl.mem accepted g.out_var) candidates in
-  List.iter
-    (fun g ->
-      List.iter (fun c -> Hashtbl.remove clause_set (List.sort_uniq Int.compare c)) g.def_clauses)
-    selected;
-  st.clauses <- Hashtbl.fold (fun c () acc -> c :: acc) clause_set [];
-  selected
 
 (* ---------------------------------------------------------------- build *)
 
-let build_formula ?node_limit st gates =
+(* the matrix conjoins the engine's surviving clauses in arena order; the
+   gates' functions are substituted for their outputs *)
+let build_formula ?node_limit ?trail (res : Inproc.result) =
   let f = Formula.create ?node_limit () in
-  Bitset.iter (Formula.add_universal f) st.univs;
+  Bitset.iter (Formula.add_universal f) res.Inproc.univs;
   (* gate outputs stay declared until substitution, then are removed *)
-  List.iter (fun (y, d) -> Formula.add_existential f y ~deps:d)
-    (Hashtbl.fold (fun y d acc -> (y, d) :: acc) st.deps [] |> List.sort (fun (a, _) (b, _) -> Int.compare a b));
+  List.iter (fun (y, d) -> Formula.add_existential f y ~deps:d) res.Inproc.deps;
   let man = Formula.man f in
   let aig_lit l = M.apply_sign (M.input man (L.var l)) ~neg:(L.is_neg l) in
-  let matrix = M.mk_and_list man (List.map (fun c -> M.mk_or_list man (List.map aig_lit c)) st.clauses) in
+  let matrix =
+    M.mk_and_list man
+      (List.map (fun c -> M.mk_or_list man (List.map aig_lit c)) res.Inproc.clauses)
+  in
+  let gates = res.Inproc.gates in
   (* resolve gate functions in topological order *)
   let gate_tbl = Hashtbl.create 16 in
-  List.iter (fun g -> Hashtbl.replace gate_tbl g.out_var g) gates;
+  List.iter (fun (g : Inproc.gate) -> Hashtbl.replace gate_tbl g.Inproc.out_var g) gates;
   let final : (int, M.lit) Hashtbl.t = Hashtbl.create 16 in
   let rec resolve_var ?(seen = []) v : M.lit =
     if List.mem v seen then M.input man v (* defensive: cycle, keep as input *)
@@ -209,11 +50,11 @@ let build_formula ?node_limit st gates =
                   M.apply_sign (resolve_var ~seen (L.var l)) ~neg:(L.is_neg l)
                 in
                 let body =
-                  match g.fn with
-                  | G_and (a, b) -> M.mk_and man (of_lit a) (of_lit b)
-                  | G_xor (a, b) -> M.mk_xor man (of_lit a) (of_lit b)
+                  match g.Inproc.fn with
+                  | Inproc.G_and (a, b) -> M.mk_and man (of_lit a) (of_lit b)
+                  | Inproc.G_xor (a, b) -> M.mk_xor man (of_lit a) (of_lit b)
                 in
-                M.apply_sign body ~neg:g.out_neg
+                M.apply_sign body ~neg:g.Inproc.out_neg
           in
           Hashtbl.replace final v l;
           l
@@ -226,10 +67,10 @@ let build_formula ?node_limit st gates =
   in
   let matrix = M.compose man matrix subst in
   List.iter
-    (fun g ->
+    (fun (g : Inproc.gate) ->
       Option.iter
         (fun trail -> Model_trail.record_def trail man g.out_var (resolve_var g.out_var))
-        st.trail;
+        trail;
       Formula.remove_existential f g.out_var)
     gates;
   Formula.set_matrix f matrix;
@@ -237,18 +78,12 @@ let build_formula ?node_limit st gates =
 
 (* -------------------------------------------------- inproc delegation *)
 
+(* undeclared variables are the engine's to declare *)
 let problem_of_pcnf (pcnf : Pcnf.t) =
-  let deps = List.map (fun (y, d) -> (y, Bitset.of_list d)) pcnf.Pcnf.exists in
-  (* undeclared variables: existential, no dependencies *)
-  let declared = Bitset.of_list (pcnf.Pcnf.univs @ List.map fst pcnf.Pcnf.exists) in
-  let undeclared = ref [] in
-  for v = pcnf.Pcnf.num_vars - 1 downto 0 do
-    if not (Bitset.mem v declared) then undeclared := (v, Bitset.empty) :: !undeclared
-  done;
   {
     Inproc.num_vars = pcnf.Pcnf.num_vars;
     univs = Bitset.of_list pcnf.Pcnf.univs;
-    deps = deps @ !undeclared;
+    deps = List.map (fun (y, d) -> (y, Bitset.of_list d)) pcnf.Pcnf.exists;
     clauses = List.map (List.map L.of_dimacs) pcnf.Pcnf.clauses;
   }
 
@@ -285,18 +120,7 @@ let replay_steps trail steps =
     steps
 
 let run_inproc ?(mode = Inproc.default_mode) (pcnf : Pcnf.t) =
-  match Inproc.run ~config:(Inproc.config_of_mode mode) (problem_of_pcnf pcnf) with
-  | Inproc.Unsat -> `Unsat
-  | Inproc.Simplified res ->
-      let simplified =
-        {
-          Pcnf.num_vars = pcnf.Pcnf.num_vars;
-          univs = Bitset.to_list res.Inproc.univs;
-          exists = List.map (fun (y, d) -> (y, Bitset.to_list d)) res.Inproc.deps;
-          clauses = List.map (List.map L.to_dimacs) res.Inproc.clauses;
-        }
-      in
-      `Done (simplified, res)
+  Inproc.run ~config:(Inproc.config_of_mode mode) (problem_of_pcnf pcnf)
 
 let run ?(config = default_config) ?node_limit ?trail ?on_inproc (pcnf : Pcnf.t) =
   Obs.Span.with_ "preprocess"
@@ -306,25 +130,18 @@ let run ?(config = default_config) ?node_limit ?trail ?on_inproc (pcnf : Pcnf.t)
         ("vars", Obs.Int pcnf.Pcnf.num_vars);
       ]
   @@ fun () ->
-  match Inproc.run ~config:(Inproc.config_of_mode config.inproc) (problem_of_pcnf pcnf) with
+  match
+    Inproc.run ~config:(Inproc.config_of_mode config.inproc) ~gates:config.gate_detection
+      (problem_of_pcnf pcnf)
+  with
   | Inproc.Unsat as outcome ->
       Option.iter (fun k -> k outcome) on_inproc;
       Unsat
   | Inproc.Simplified res as outcome ->
       Option.iter (fun k -> replay_steps k res.Inproc.steps) trail;
       Option.iter (fun k -> k outcome) on_inproc;
-      let st =
-        {
-          trail;
-          univs = res.Inproc.univs;
-          deps = Hashtbl.create 64;
-          clauses = res.Inproc.clauses;
-        }
-      in
-      List.iter (fun (y, d) -> Hashtbl.replace st.deps y d) res.Inproc.deps;
-      let gates = if config.gate_detection then detect_gates st else [] in
-      let f = build_formula ?node_limit st gates in
-      let n = List.length gates in
+      let f = build_formula ?node_limit ?trail res in
+      let n = List.length res.Inproc.gates in
       Obs.Metrics.incr ~by:n c_gates;
       Obs.Span.event "preprocess.done" ~attrs:[ ("gates", Obs.Int n) ] ();
       Formula (f, { gates = n })

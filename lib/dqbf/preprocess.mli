@@ -1,17 +1,20 @@
 (** CNF-level preprocessing (Section III-C of the paper), applied before
-    the AIG is built. One path for every mode:
+    the AIG is built: a thin PCNF -> engine -> AIG builder. One path for
+    every mode:
 
     - the {!Inproc} engine runs the CNF rules to a fixpoint: unit
       propagation (universal unit literals refute the formula),
       generalized universal reduction, equivalent-variable substitution
       adapted to DQBF (merged existentials keep the intersection of their
       dependency sets) and (self-)subsumption, plus failed-literal probing
-      and bounded variable elimination in [Full] mode; its step witnesses
+      and bounded variable elimination in [Full] mode; then, with
+      [gate_detection], it detects Henkin-legal Tseitin AND/OR/XOR gates
+      (arbitrarily negated inputs) on its occurrence lists and takes
+      their defining clauses out of the clause set. Its step witnesses
       are replayed into the model trail;
-    - Tseitin gate detection for AND/OR/XOR gates with arbitrarily negated
-      inputs then removes the detected definitions from the clause set,
-      and they are substituted structurally into the AIG
-      (dependency-legal gates only) as the {!Formula.t} is assembled. *)
+    - the matrix conjoins the surviving clauses in the engine's arena
+      order, and each gate's function is substituted structurally for its
+      output as the {!Formula.t} is assembled. *)
 
 type stats = { gates : int  (** gate definitions substituted *) }
 
@@ -42,15 +45,12 @@ val run :
   ?on_inproc:(Inproc.outcome -> unit) ->
   Pcnf.t ->
   outcome
-(** [on_inproc] fires exactly once in every mode, after trail replay,
-    with the raw engine outcome ([Off] gives [Simplified] with no steps
-    and zero rounds) — the hook the solver uses to audit the run
+(** [on_inproc] fires exactly once in every mode, after gate detection
+    and trail replay, with the raw engine outcome ([Off] gives
+    [Simplified] with no steps and zero rounds) — the hook the solver uses to audit the run
     ({!Check.audit_inproc} lives above this library). Exceptions raised
     by the callback propagate. *)
 
-val run_inproc :
-  ?mode:Inproc.mode -> Pcnf.t -> [ `Unsat | `Done of Pcnf.t * Inproc.result ]
-(** Run only the inprocessing engine on a prefixed CNF and convert the
-    result back to a {!Pcnf.t} (same [num_vars]; simplified clauses,
-    possibly narrowed prefix). Used by [hqs analyze] reports, the bench
-    reduction tables and tests; no model trail is threaded. *)
+val run_inproc : ?mode:Inproc.mode -> Pcnf.t -> Inproc.outcome
+(** Run only the inprocessing engine on a prefixed CNF: no gate
+    detection, no model trail. Used by [hqs analyze] reports and tests. *)

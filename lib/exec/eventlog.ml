@@ -34,10 +34,6 @@ let create ?(max_bytes = default_max_bytes) path =
   let size = (Unix.fstat fd).Unix.st_size in
   { path; max_bytes; fd; size; seq = 0 }
 
-let encode_line body =
-  let rendered = Json.render body in
-  Printf.sprintf "{\"c\":\"%s\",\"e\":%s}" (Journal.checksum rendered) rendered
-
 let rotate t =
   Unix.close t.fd;
   (match Unix.rename t.path (rotated_path t.path) with
@@ -55,7 +51,7 @@ let log t ~event ?trace_id ?(fields = []) () =
       @ (match trace_id with Some id -> [ ("trace", Json.Str id) ] | None -> [])
       @ fields)
   in
-  let line = Bytes.of_string (encode_line body ^ "\n") in
+  let line = Bytes.of_string (Journal.envelope body ^ "\n") in
   if t.size > 0 && t.size + Bytes.length line > t.max_bytes then rotate t;
   (match Ipc.write_all t.fd line with
   | () ->
@@ -72,23 +68,5 @@ let close t = match Unix.close t.fd with () -> () | exception Unix.Unix_error (_
 type load = { events : Json.t list; dropped : int }
 
 let load path =
-  if not (Sys.file_exists path) then { events = []; dropped = 0 }
-  else begin
-    let content = In_channel.with_open_bin path In_channel.input_all in
-    let lines = String.split_on_char '\n' content in
-    let events, dropped =
-      List.fold_left
-        (fun (acc, dropped) line ->
-          if String.trim line = "" then (acc, dropped)
-          else
-            match Json.parse line with
-            | Error _ -> (acc, dropped + 1)
-            | Ok v -> (
-                match (Json.member "c" v, Json.member "e" v) with
-                | Some (Json.Str c), Some e when c = Journal.checksum (Json.render e) ->
-                    (e :: acc, dropped)
-                | _ -> (acc, dropped + 1)))
-        ([], 0) lines
-    in
-    { events = List.rev events; dropped }
-  end
+  let events, dropped = Journal.load_lines Journal.open_envelope path in
+  { events; dropped }

@@ -11,23 +11,28 @@ let checksum s =
   String.iter (fun c -> h := (!h lxor Char.code c) * 0x100000001b3 land max_int) s;
   Printf.sprintf "%015x" !h
 
-let encode_line { task_id; data } =
-  let body = Json.render (Json.Obj [ ("id", Json.Str task_id); ("data", data) ]) in
-  Printf.sprintf "{\"c\":\"%s\",\"e\":%s}" (checksum body) body
+(* the checksummed envelope shared with Eventlog: {"c":<checksum>,"e":<body>} *)
+let envelope body =
+  let rendered = Json.render body in
+  Printf.sprintf "{\"c\":\"%s\",\"e\":%s}" (checksum rendered) rendered
 
-let decode_line line =
+let open_envelope line =
   match Json.parse line with
   | Error msg -> Error ("unparseable line: " ^ msg)
   | Ok v -> (
       match (Json.member "c" v, Json.member "e" v) with
-      | Some (Json.Str c), Some e -> (
-          let body = Json.render e in
-          if c <> checksum body then Error "checksum mismatch"
-          else
-            match (Json.member "id" e, Json.member "data" e) with
-            | Some (Json.Str task_id), Some data -> Ok { task_id; data }
-            | _ -> Error "missing id/data fields")
+      | Some (Json.Str c), Some e ->
+          if c <> checksum (Json.render e) then Error "checksum mismatch" else Ok e
       | _ -> Error "missing checksum envelope")
+
+let encode_line { task_id; data } =
+  envelope (Json.Obj [ ("id", Json.Str task_id); ("data", data) ])
+
+let decode_line line =
+  Result.bind (open_envelope line) (fun e ->
+      match (Json.member "id" e, Json.member "data" e) with
+      | Some (Json.Str task_id), Some data -> Ok { task_id; data }
+      | _ -> Error "missing id/data fields")
 
 (* ------------------------------------------------------------- appending *)
 
@@ -52,22 +57,26 @@ let close t = Unix.close t.fd
 
 (* --------------------------------------------------------------- loading *)
 
-type load = { entries : entry list; dropped : int }
-
-let load path =
-  if not (Sys.file_exists path) then { entries = []; dropped = 0 }
+let load_lines decode path =
+  if not (Sys.file_exists path) then ([], 0)
   else begin
     let content = In_channel.with_open_bin path In_channel.input_all in
-    let lines = String.split_on_char '\n' content in
-    let entries, dropped =
+    let items, dropped =
       List.fold_left
         (fun (acc, dropped) line ->
           if String.trim line = "" then (acc, dropped)
           else
-            match decode_line line with
-            | Ok e -> (e :: acc, dropped)
+            match decode line with
+            | Ok x -> (x :: acc, dropped)
             | Error _ -> (acc, dropped + 1))
-        ([], 0) lines
+        ([], 0)
+        (String.split_on_char '\n' content)
     in
-    { entries = List.rev entries; dropped }
+    (List.rev items, dropped)
   end
+
+type load = { entries : entry list; dropped : int }
+
+let load path =
+  let entries, dropped = load_lines decode_line path in
+  { entries; dropped }

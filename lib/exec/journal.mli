@@ -19,8 +19,13 @@ val encode_line : entry -> string
 val decode_line : string -> (entry, string) result
 (** Parse and checksum-verify one line. *)
 
-val checksum : string -> string
-(** The FNV-1a line checksum (hex), exposed for tests. *)
+val envelope : Obs.Json.t -> string
+(** The checksummed line envelope [{"c":"<fnv64-hex>","e":<body>}] of any
+    body, without the trailing newline; {!encode_line} wraps an entry in
+    it, and {!Eventlog} its events. *)
+
+val open_envelope : string -> (Obs.Json.t, string) result
+(** Parse one line and verify its checksum; the body on success. *)
 
 type t
 
@@ -32,6 +37,11 @@ val append : t -> entry -> unit
 
 val close : t -> unit
 val path : t -> string
+
+val load_lines : (string -> ('a, string) result) -> string -> 'a list * int
+(** [load_lines decode path]: every non-blank line of [path] that
+    [decode] accepts, in file order, and the number it rejected (torn or
+    corrupt lines). A missing file is [([], 0)]. *)
 
 type load = { entries : entry list; dropped : int }
 

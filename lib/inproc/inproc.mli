@@ -20,6 +20,11 @@
       reconstruction function for [y] — and every resolvent — never
       widens a dependency requirement.
 
+    After the fixpoint, on request, one more pass over the same arena and
+    occurrence lists detects Henkin-legal Tseitin AND/XOR gate
+    definitions and hands them back with their defining clauses (see
+    {!gate}); [Dqbf.Preprocess] substitutes them into the AIG.
+
     The engine operates on raw clause data ({!Sat.Lit}-encoded literals,
     variables as integers, dependency sets as {!Hqs_util.Bitset.t}) so
     it sits below [lib/dqbf]; [Dqbf.Preprocess] converts from and back
@@ -106,19 +111,45 @@ type stats = {
   vars_after : int;
 }
 
+(** A Tseitin gate found among the fixpoint's clauses. The output
+    variable equals [fn] over the input literals, complemented when
+    [out_neg]. *)
+type gate_fn = G_and of int * int | G_xor of int * int
+
+type gate = {
+  out_var : int;  (** existential; every input is dependency-below it *)
+  out_neg : bool;
+  fn : gate_fn;  (** over {!Sat.Lit} literals of the inputs *)
+  def_clauses : int list list;
+      (** the defining clauses, taken out of {!result.clauses}: together
+          they are equivalent to [out_var = fn] (complemented when
+          [out_neg]) *)
+}
+
 type result = {
-  clauses : int list list;  (** simplified clause set, {!Sat.Lit}-encoded *)
+  clauses : int list list;
+      (** simplified clause set minus the gates' defining clauses, in
+          arena order, {!Sat.Lit}-encoded *)
   univs : Hqs_util.Bitset.t;
   deps : (int * Hqs_util.Bitset.t) list;
       (** surviving existentials with (possibly intersected) dependency
-          sets, sorted by variable *)
+          sets, sorted by variable; gate outputs included *)
+  gates : gate list;
+      (** acyclic and in topological order: an input that is another
+          gate's output names an earlier gate. Empty unless {!run} was
+          asked for gates. *)
   steps : step list;  (** chronological *)
   stats : stats;
 }
 
 type outcome = Unsat | Simplified of result
 
-val run : ?config:config -> problem -> outcome
+val run : ?config:config -> ?gates:bool -> problem -> outcome
 (** Run the fixpoint engine. [Unsat] means a rule refuted the formula
     (empty clause, universal unit, illegal merge, failed universal
-    literal). The default config is [config_of_mode On]. *)
+    literal). The default config is [config_of_mode On]. Variables of
+    [problem] declared neither universal nor existential are existential
+    with no dependencies. With [gates] (default false), one pass after
+    the fixpoint detects Henkin-legal AND/XOR gate definitions on the
+    occurrence lists and moves their clauses from [clauses] to
+    [gates]; the [stats] clause and literal counts are taken before it. *)

@@ -118,17 +118,8 @@ let solve_job (config : config) job ~attempt =
   in
   if job.sleep_s > 0. then Unix.sleepf job.sleep_s;
   let solver =
-    (* escalated re-solve after a certificate audit failure: full checks,
-       no chaos, no degraded restart — the answer must be earned, not
-       salvaged *)
-    if job.escalate then
-      {
-        config.solver with
-        Hqs.check_level = Check.Full;
-        chaos = Chaos.off;
-        restart_on_memout = false;
-      }
-    else config.solver
+    (* escalated re-solve after a certificate audit failure *)
+    if job.escalate then Hqs.escalated_config config.solver else config.solver
   in
   let solve () =
     if not config.certify then begin

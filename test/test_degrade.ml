@@ -267,10 +267,10 @@ let test_verdicts_stable_under_chaos () =
     [ false; true ]
 
 let test_fraig_deterministic () =
-  (* the back end sweeps this instance once and spends the sweep's whole
-     propagation bound; a bound on solver work, unlike a wall-clock box,
-     gives the same sweep on every run *)
-  let inst = Fam.pec_xor ~length:15 ~boxes:3 ~fault:false in
+  (* the back end sweeps this instance (the smallest found that does)
+     and spends the sweep's whole propagation bound; a bound on solver
+     work, unlike a wall-clock box, gives the same sweep on every run *)
+  let inst = Fam.adder ~bits:5 ~boxes:3 ~fault:false in
   let counters () =
     let v, stats = Hqs.solve_pcnf inst.Fam.pcnf in
     Alcotest.check verdict_t "sat" Hqs.Sat v;

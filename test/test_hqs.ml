@@ -145,9 +145,6 @@ let prop_greedy =
 let prop_expand_all =
   agrees ~config:{ Hqs.default_config with mode = Hqs.Expand_all } "hqs agrees (expand-all baseline)"
 
-let prop_sat_probe =
-  agrees ~config:{ Hqs.default_config with use_sat_probe = true } "hqs agrees (SAT probe)"
-
 let prop_aggressive_fraig =
   agrees
     ~config:
@@ -197,7 +194,6 @@ let () =
             prop_no_thm2;
             prop_greedy;
             prop_expand_all;
-            prop_sat_probe;
             prop_aggressive_fraig;
             prop_search_backend;
             prop_pcnf_pipeline;
