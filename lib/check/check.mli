@@ -76,7 +76,10 @@ val audit_inproc :
     subsumption/strengthening witnesses really justify the deletion, an
     elimination's recorded dependency set is not widened and its
     resolvent universals respect it — plus the surviving prefix (no
-    dependency widening). At [Full] level, on instances small enough for
+    dependency widening). Each gate's output is a surviving existential
+    defined once, after any gate it reads; its inputs are
+    dependency-below it; its defining clauses are exactly the Tseitin
+    encoding of its function. At [Full] level, on instances small enough for
     the reference expansion solver, the whole run is certified
     semantically: the {!Dqbf.Reference.by_expansion} verdict of the
     simplified formula (falsity, for an [Unsat] outcome) must match the
