@@ -116,8 +116,8 @@ let load_pcnf file =
       exit 2
 
 let solve file timeout mem_limit node_limit no_preprocess no_unitpure no_maxsat no_thm2
-    expand_all no_fraig search_backend no_restart chaos_seed chaos_points check dep_scheme
-    inproc certify show_model show_stats trace show_metrics =
+    expand_all search_backend chaos_seed chaos_points check dep_scheme inproc certify show_model
+    show_stats trace show_metrics =
   install_signal_handlers ();
   let trace_file = flag_or_env trace "HQS_TRACE" in
   let certify_path = flag_or_env certify "HQS_CERTIFY" in
@@ -136,12 +136,11 @@ let solve file timeout mem_limit node_limit no_preprocess no_unitpure no_maxsat 
       use_unitpure = not no_unitpure;
       use_maxsat = not no_maxsat;
       use_thm2 = not no_thm2;
-      qbf = { Qbf.Solver.default_config with use_fraig = not no_fraig };
+      qbf = Qbf.Solver.default_config;
       mode = (if expand_all then Hqs.Expand_all else Hqs.Elimination);
       qbf_backend = (if search_backend then Hqs.Search_backend else Hqs.Elim_backend);
       node_limit;
       chaos;
-      restart_on_memout = not no_restart;
       check_level;
       dep_scheme = resolve_dep_scheme dep_scheme;
     }
@@ -172,8 +171,8 @@ let solve file timeout mem_limit node_limit no_preprocess no_unitpure no_maxsat 
   in
   (* certifying solve with the audit-failure recovery loop: a
      certificate that fails its own Post_certify audit is treated like a
-     crash — re-solve with checks escalated to Full and degradation and
-     fault injection off, under the seeded backoff schedule, and give up
+     crash — re-solve with checks escalated to Full and fault injection
+     off, under the seeded backoff schedule, and give up
      with exit 3 after bounded attempts (mirroring the serve daemon) *)
   let solve_certified path =
     let instance_text =
@@ -351,7 +350,7 @@ let certify_arg =
            Skolem-AIG on SAT, a universal-expansion refutation on small UNSAT instances, an \
            explicit UNCERTIFIED marker past the expansion cap. Verify with \
            $(b,certcheck INSTANCE FILE), which shares no solver code. A certificate failing \
-           its own audit triggers an escalated re-solve (checks full, degradation off) and \
+           its own audit triggers an escalated re-solve (checks full, fault injection off) and \
            exit 3 after 3 attempts. Overrides \\$(b,HQS_CERTIFY)")
 
 let flag names doc = Arg.(value & flag & info names ~doc)
@@ -1091,9 +1090,7 @@ let solve_term =
     $ flag [ "no-maxsat" ] "use the greedy elimination set instead of MaxSAT"
     $ flag [ "no-thm2" ] "disable elimination of fully-dependent existentials"
     $ flag [ "expand-all" ] "eliminate every universal (ICCD'13 baseline)"
-    $ flag [ "no-fraig" ] "disable FRAIG sweeping (QBF back end and degraded restart)"
     $ flag [ "search-backend" ] "use the QDPLL search back end instead of AIG elimination"
-    $ flag [ "no-restart" ] "disable the degraded restart after a node-limit memout"
     $ chaos_seed $ chaos_points $ check $ dep_scheme $ inproc $ certify_arg
     $ flag [ "model" ] "on SAT, print and verify Skolem functions"
     $ flag [ "stats" ] "print statistics to stderr (with --trace, also a flame summary)"

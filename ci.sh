@@ -33,11 +33,9 @@
 #      instance under --check full; prove the no-stdout lint rule fires
 #      on a seeded stdout write under lib/
 #   8. elimination gate: solve the example suite (minus the c432 SAT
-#      instance) plus adder, z4, c432 and pec_xor instances four ways
-#      under --check full — default, --search-backend, --no-fraig and
-#      --model — and diff the verdict lines byte-for-byte; on the one
-#      instance the back end sweeps, assert FRAIG ran by default and not
-#      under --no-fraig
+#      instance) plus adder, z4, c432 and pec_xor instances three ways
+#      under --check full — default, --search-backend and --model — and
+#      diff the verdict lines byte-for-byte
 #   9. chaos-enabled smoke solve: generate a small PEC instance and
 #      solve it with fault injection armed AND the soundness auditor at
 #      full depth (HQS_CHECK=full), proving the degradation ladder and
@@ -313,17 +311,16 @@ echo "c inproc gate: verdicts identical, fixture merged+subsumed, $gates gates a
 
 echo "== elim =="
 # the AIG elimination back end must agree with the independent QDPLL search
-# back end, with itself without FRAIG, and with itself under --model, verdict
-# byte for byte under the full auditor; every SAT verdict of the model mode
-# must come with a verified Skolem model. The instances: the analysis suite,
-# one small adder and z4 instance, the two ladder shapes on which
-# quantifier localization changes the elimination most (adder_b6_k1_ok,
-# SAT; c432_g3l5_k2_f, UNSAT), and the smallest PEC instance found whose
-# back end runs a FRAIG sweep (adder_b5_k3_ok, SAT); the known verdicts of
-# the last three are asserted, and so is the sweep: fraig.sat_checks > 0 by
-# default and = 0 under --no-fraig. The search back end skips those three
-# (36 s on adder_b6_k1_ok, over 70 s on the c432, over 120 s on adder_b5_k3_ok), and
-# the c432 SAT instance of the analysis suite is left out entirely: the
+# back end and with itself under --model, verdict byte for byte under the
+# full auditor; every SAT verdict of the model mode must come with a
+# verified Skolem model. The instances: the analysis suite, one small adder
+# and z4 instance, the two ladder shapes on which quantifier localization
+# changes the elimination most (adder_b6_k1_ok, SAT; c432_g3l5_k2_f,
+# UNSAT), and the smallest instance whose back end ran a FRAIG sweep
+# before the sweep was deleted (adder_b5_k3_ok, SAT); the known verdicts of
+# the last three are asserted. The search back end skips those three (36 s
+# on adder_b6_k1_ok, over 70 s on the c432, over 120 s on adder_b5_k3_ok),
+# and the c432 SAT instance of the analysis suite is left out entirely: the
 # search back end needs about two minutes on it.
 mkdir -p "$tmp/el"
 dune exec bin/genpec.exe -- one adder --size 2 --boxes 1 --out "$tmp/el" >/dev/null
@@ -332,25 +329,24 @@ dune exec bin/genpec.exe -- one adder --size 6 --boxes 1 --out "$tmp/el" >/dev/n
 dune exec bin/genpec.exe -- one c432 --size 5 --boxes 2 --fault --out "$tmp/el" >/dev/null
 dune exec bin/genpec.exe -- one adder --size 5 --boxes 3 --out "$tmp/el" >/dev/null
 search_skip='^(adder_b6_k1_ok|c432_g3l5_k2_f|adder_b5_k3_ok) '
-for mode in default search nofraig model; do : >"$tmp/verdicts.elim-$mode"; done
+for mode in default search model; do : >"$tmp/verdicts.elim-$mode"; done
 n_el=0
 for f in "$tmp/an"/*.dqdimacs "$tmp/el"/*.dqdimacs; do
   id=$(basename "$f" .dqdimacs)
   case "$id" in c432_*_ok) continue ;; esac
   n_el=$((n_el + 1))
-  for mode in default search nofraig model; do
+  for mode in default search model; do
     case "$mode" in
     search)
       if echo "$id " | grep -Eq "$search_skip"; then continue; fi
       flags="--search-backend"
       ;;
-    nofraig) flags="--no-fraig" ;;
     model) flags="--model" ;;
     *) flags="" ;;
     esac
     el_status=0
     # $flags is deliberately unquoted: empty for the default mode
-    "$HQS_BIN" "$f" $flags --check full --metrics --timeout 60 >"$tmp/el.out" 2>&1 || el_status=$?
+    "$HQS_BIN" "$f" $flags --check full --timeout 60 >"$tmp/el.out" 2>&1 || el_status=$?
     case "$el_status" in
     10 | 20) : ;;
     *)
@@ -364,17 +360,6 @@ for f in "$tmp/an"/*.dqdimacs "$tmp/el"/*.dqdimacs; do
       grep -v '^v ' "$tmp/el.out"
       exit 1
     fi
-    if [ "$id" = adder_b5_k3_ok ]; then
-      swept=$(awk '$3 == "fraig.sat_checks" { print ($4 > 0) ? "yes" : "no" }' "$tmp/el.out")
-      case "$mode:$swept" in
-      default:yes | nofraig:no | search:* | model:*) : ;;
-      *)
-        echo "== ci FAILED: $mode solve on $id: FRAIG sweep ran = '$swept' =="
-        grep '^c metric fraig' "$tmp/el.out" || true
-        exit 1
-        ;;
-      esac
-    fi
     grep '^s ' "$tmp/el.out" | sed "s|^|$id |" >>"$tmp/verdicts.elim-$mode"
   done
 done
@@ -387,7 +372,7 @@ for known in 'adder_b6_k1_ok s cnf SAT' 'c432_g3l5_k2_f s cnf UNSAT' \
   }
 done
 grep -Ev "$search_skip" "$tmp/verdicts.elim-default" >"$tmp/verdicts.elim-default-searched"
-for mode in search nofraig model; do
+for mode in search model; do
   expected="$tmp/verdicts.elim-default"
   [ "$mode" = search ] && expected="$tmp/verdicts.elim-default-searched"
   cmp "$expected" "$tmp/verdicts.elim-$mode" || {
@@ -396,7 +381,7 @@ for mode in search nofraig model; do
     exit 1
   }
 done
-echo "c elim gate: $n_el instances, elimination, search, no-FRAIG and model verdicts identical, FRAIG swept by default only"
+echo "c elim gate: $n_el instances, elimination, search and model verdicts identical"
 
 echo "== chaos smoke solve =="
 f=$(dune exec bin/genpec.exe -- one pec_xor --size 3 --boxes 1 --out "$tmp")

@@ -1,9 +1,9 @@
 (** Incremental Tseitin encoding of AIG cones into a SAT solver.
 
-    Used for FRAIG equivalence checks, the QBF back end's final SAT calls,
-    and semantic unit/pure checks in tests. Nodes are encoded on demand and
-    shared across calls, so repeated queries over the same manager reuse
-    clauses. *)
+    Used for the QBF back end's final SAT calls, Skolem-model verification,
+    the iDQ baseline, and semantic unit/pure checks in tests. Nodes are
+    encoded on demand and shared across calls, so repeated queries over the
+    same manager reuse clauses. *)
 
 type t
 

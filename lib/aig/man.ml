@@ -42,8 +42,8 @@ type t = {
 let false_ = 0
 let true_ = 1
 
-(* process-wide series across all managers (compaction and FRAIG replace
-   the manager; the counters keep accumulating) *)
+(* process-wide series across all managers (compaction replaces the
+   manager; the counters keep accumulating) *)
 let c_strash_hits = Obs.Metrics.counter "aig.strash_hits"
 let c_strash_misses = Obs.Metrics.counter "aig.strash_misses"
 let c_nodes_alloc = Obs.Metrics.counter "aig.nodes_alloc"
@@ -212,8 +212,8 @@ let node_vals m s =
 (* The cone of [roots] in DFS postorder (fanins first, each node once),
    written to [s.order]; returns its length. Roots are pushed in list order
    and popped last-first, and fanin1 is explored before fanin0: exactly the
-   order of the reference Hashtbl/Stack DFS, on which compaction and FRAIG
-   numbering depend. The order is complete before any caller code runs. *)
+   order of the reference Hashtbl/Stack DFS, on which compaction numbering
+   depends. The order is complete before any caller code runs. *)
 let cone_order m s roots =
   let stamp = new_stamp m in
   let mark = m.mark and f0 = m.fanin0 and f1 = m.fanin1 in
@@ -316,8 +316,6 @@ let eval_gen m roots ~leaf ~band ~bnot ~bfalse =
 
 let eval_one m root ~leaf ~band ~bnot ~bfalse =
   match eval_gen m [ root ] ~leaf ~band ~bnot ~bfalse with [ v ] -> v | _ -> assert false
-
-let sim_words m root var_word = eval_one m root ~leaf:var_word ~band:( land ) ~bnot:lnot ~bfalse:0
 
 let eval m root assignment =
   eval_one m root

@@ -4,7 +4,7 @@
     An edge (literal) is an int: [2*node + complement]. Node 0 is the
     constant-false node, so literal 0 is [false] and literal 1 is [true].
     Inputs are labelled with external variable ids (the DQBF/QBF variables),
-    which survive compaction and FRAIG reduction.
+    which survive compaction.
 
     The manager optionally enforces a node budget; exceeding it raises
     {!Hqs_util.Budget.Out_of_memory_budget}, which the benchmark harness
@@ -91,10 +91,6 @@ val cone_size : t -> lit -> int
 
 val eval : t -> lit -> (int -> bool) -> bool
 (** Evaluate under a variable assignment. *)
-
-val sim_words : t -> lit -> (int -> int) -> int
-(** Bit-parallel evaluation: the assignment maps each variable to a word of
-    patterns; returns the word of outputs. *)
 
 val iter_cone : t -> lit list -> (int -> unit) -> unit
 (** Apply a function to every node index in the cones of the given roots, in

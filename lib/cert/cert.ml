@@ -183,7 +183,7 @@ let enumerate univs =
   List.init (1 lsl n) (fun bits ->
       Array.to_list (Array.mapi (fun i v -> (v, bits land (1 lsl i) <> 0)) arr))
 
-type refute_result = Refuted | Not_refuted | Gave_up of string
+type refute_result = Refuted | Not_refuted
 
 (* Propositional core of the expansion: for each universal assignment A,
    instantiate every clause (universal literals become constants) and
@@ -248,7 +248,6 @@ let refute_expansion ?budget (p : Pcnf.t) (assigns : (int * bool) list list) =
     match Sat.Solver.solve ?budget solver with
     | Sat.Solver.Unsat -> Refuted
     | Sat.Solver.Sat -> Not_refuted
-    | Sat.Solver.Unknown -> Gave_up "refutation inconclusive"
 
 let of_unsat ?(budget = Budget.unlimited) ?(max_univs = 12) ~instance_text p =
   Obs.Span.with_ "cert.emit" (fun () ->
@@ -276,9 +275,6 @@ let of_unsat ?(budget = Budget.unlimited) ?(max_univs = 12) ~instance_text p =
             mk
               (Uncertified
                  (inconsistent_reason ^ " under full enumeration: the UNSAT verdict is suspect"))
-        | Gave_up reason ->
-            Obs.Metrics.incr c_uncertified;
-            mk (Uncertified reason)
         | exception Budget.Timeout ->
             Obs.Metrics.incr c_uncertified;
             mk (Uncertified "refutation budget exhausted"))
@@ -528,5 +524,4 @@ let check ?(budget = Budget.unlimited) ~instance_text p t =
               in
               match refute_expansion ~budget p assigns with
               | Refuted -> Ok ()
-              | Not_refuted -> Error "expansion refutation does not hold: expansion is satisfiable"
-              | Gave_up r -> Error r)))
+              | Not_refuted -> Error "expansion refutation does not hold: expansion is satisfiable")))

@@ -1,7 +1,7 @@
 (** Soundness auditor: invariant validators gating every pipeline stage.
 
     HQS's verdict is trustworthy only while each transformation (Theorem 1/2
-    eliminations, unit/pure rewrites, FRAIG merges, compaction) preserves the
+    eliminations, unit/pure rewrites, gate substitution, compaction) preserves the
     AIG's structural invariants and the Henkin dependency semantics. This
     module makes those invariants executable: {!audit_stage} is wired into
     the solver at every stage boundary and raises a structured {!Violation}

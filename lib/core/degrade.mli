@@ -1,14 +1,14 @@
 (** The graceful-degradation ladder.
 
-    The expensive sub-steps of HQS — MaxSAT minimum-set selection, FRAIG
-    sweeping, the elimination-based QBF back end — are accelerators, not
-    correctness requirements: each has a cheaper semantics-preserving
-    substitute (greedy elimination set, plain cone compaction, QDPLL
-    search). This module runs a stage under a child {!Hqs_util.Budget}
-    and, when the stage fails {e recoverably} (its own soft deadline
-    passed while the enclosing solve is alive, or an AIG node-limit
-    blowup that is not the global heap governor), records the degradation
-    and runs the declared fallback instead of aborting the whole solve.
+    Two expensive sub-steps of HQS — MaxSAT minimum-set selection and the
+    elimination-based QBF back end — are accelerators, not correctness
+    requirements: each has a cheaper semantics-preserving substitute
+    (greedy elimination set, QDPLL search). This module runs a stage under
+    a child {!Hqs_util.Budget} and, when the stage fails {e recoverably}
+    (its own soft deadline passed while the enclosing solve is alive, or
+    an AIG node-limit blowup that is not the global heap governor),
+    records the degradation and runs the declared fallback instead of
+    aborting the whole solve.
 
     A ledger collects which degradations fired; {!Hqs.stats} exposes the
     chronological labels so harness reports can show a degradation
@@ -19,10 +19,9 @@ type reason = Stage_timeout | Node_limit | Injected
 type event = { point : string; action : string; reason : reason }
 
 type t
-(** A ledger of degradation events for one solve (restarts included). *)
+(** A ledger of degradation events for one solve. *)
 
 val create : unit -> t
-val record : t -> point:string -> action:string -> reason:reason -> unit
 
 val events : t -> event list
 (** Chronological. *)

@@ -16,7 +16,6 @@ type config = {
   qbf : Qbf.Solver.config;
   qbf_backend : qbf_backend;
   chaos : Chaos.t;
-  restart_on_memout : bool;
   check_level : Check.level;
   dep_scheme : Analysis.Scheme.t;
 }
@@ -39,7 +38,6 @@ let default_config =
     qbf = Qbf.Solver.default_config;
     qbf_backend = Elim_backend;
     chaos = Chaos.off;
-    restart_on_memout = true;
     (* a malformed HQS_CHECK is reported by the CLI; library users who
        bypass it get the safe default *)
     check_level = (match Check.level_of_env () with Ok l -> l | Error _ -> Check.Off);
@@ -49,13 +47,7 @@ let default_config =
       (match Analysis.Scheme.of_env () with Ok s -> s | Error _ -> Analysis.Scheme.default);
   }
 
-(* the bounded-restart config: keep the same resource limits but trade
-   speed for compactness — use the search back end, which does not grow
-   the AIG *)
-let degraded_config config = { config with qbf_backend = Search_backend }
-
-let escalated_config config =
-  { config with check_level = Check.Full; chaos = Chaos.off; restart_on_memout = false }
+let escalated_config config = { config with check_level = Check.Full; chaos = Chaos.off }
 
 type stats = { metrics : (string * float) list; degraded : string list }
 
@@ -71,7 +63,6 @@ let g_heap = Obs.Metrics.gauge "gc.heap_words.peak"
 (* per-solve levels of the main loop. They are gauges, so [measured]
    zeroes them at the entry of every public call; counters need no reset,
    the call's delta already isolates them *)
-let g_restarts = Obs.Metrics.gauge "hqs.restarts"
 let g_peak_nodes = Obs.Metrics.gauge "hqs.peak_nodes"
 let m_unitpure_elims = Obs.Metrics.counter "hqs.unitpure_elims"
 let g_maxsat_set = Obs.Metrics.gauge "hqs.maxsat_set"
@@ -79,31 +70,14 @@ let g_maxsat_time = Obs.Metrics.gauge "hqs.maxsat_time_s"
 let g_unitpure_time = Obs.Metrics.gauge "hqs.unitpure_time_s"
 let g_qbf_time = Obs.Metrics.gauge "hqs.qbf_time_s"
 
-let per_call_gauges =
-  [ g_restarts; g_peak_nodes; g_maxsat_set; g_maxsat_time; g_unitpure_time; g_qbf_time ]
+let per_call_gauges = [ g_peak_nodes; g_maxsat_set; g_maxsat_time; g_unitpure_time; g_qbf_time ]
 
 let add_seconds g t0 = Obs.Metrics.set g (Obs.Metrics.gauge_value g +. (Budget.now () -. t0))
 
-let solve_impl ~(config : config) ~budget ~trail ~ledger ~restarts f0 =
-  Obs.Metrics.set_max g_restarts (float_of_int restarts);
-  Obs.Span.with_ "hqs.solve"
-    ~attrs:[ ("restarts", Obs.Int restarts); ("vars", Obs.Int (F.next_var f0)) ]
-  @@ fun () ->
+let solve_impl ~(config : config) ~budget ~trail ~ledger f0 =
+  Obs.Span.with_ "hqs.solve" ~attrs:[ ("vars", Obs.Int (F.next_var f0)) ] @@ fun () ->
   let f = F.copy f0 in
   M.set_node_limit (F.man f) config.node_limit;
-  (* on a degraded restart, squeeze the matrix before eliminating: the
-     blowup that caused the memout is often pure functional redundancy *)
-  if
-    restarts > 0 && config.qbf.Qbf.Solver.use_fraig
-    && M.cone_size (F.man f) (F.matrix f) > 64
-  then
-    Degrade.attempt ledger ~chaos:config.chaos ~budget ~point:"fraig.initial" ~action:"skip"
-      ~sub_seconds:5.0 ~sub_frac:0.25
-      ~primary:(fun b ->
-        let man, roots = Aig.Fraig.reduce ~budget:b (F.man f) [ F.matrix f ] in
-        F.replace_man f man (List.hd roots))
-      ~fallback:(fun () -> ())
-      ();
   let queue = ref [] in
   let last_size = ref (M.num_nodes (F.man f)) in
   let first_select = ref true in
@@ -206,11 +180,6 @@ let solve_impl ~(config : config) ~budget ~trail ~ledger ~restarts f0 =
               in
               match x with
               | Some x ->
-                  if Chaos.fire config.chaos "elim.universal" then begin
-                    Degrade.record ledger ~point:"elim.universal" ~action:"memout"
-                      ~reason:Degrade.Injected;
-                    raise Budget.Out_of_memory_budget
-                  end;
                   Dqbf.Elim.universal ?trail f x;
                   audit ~queue:!queue Check.Post_elimination;
                   compact_if_grown ()
@@ -290,23 +259,9 @@ let solve_impl ~(config : config) ~budget ~trail ~ledger ~restarts f0 =
   | _ -> ());
   verdict
 
-(* one bounded restart: a mid-elimination memout (node limit, not the
-   heap governor) retries the whole solve once with the degraded config
-   before the memout is allowed to escape *)
-let solve_recoverable ~config ~budget ~trail ~ledger f0 =
-  let mark = Option.map Dqbf.Model_trail.mark trail in
-  try solve_impl ~config ~budget ~trail ~ledger ~restarts:0 f0
-  with Budget.Out_of_memory_budget
-  when config.restart_on_memout && not (Budget.expired budget)
-       && not (Budget.mem_exceeded budget) ->
-    rollback_opt trail mark;
-    Degrade.record ledger ~point:"solve" ~action:"restart-degraded" ~reason:Degrade.Node_limit;
-    solve_impl ~config:(degraded_config config) ~budget ~trail ~ledger ~restarts:1 f0
-
 (* every public entry point runs its whole call under [measured]: the
    stats are the registry delta from entry to return, so they cover the
-   analysis, inproc, gate detection, the solve, a degraded restart and
-   certification alike *)
+   analysis, inproc, gate detection, the solve and certification alike *)
 let measured run =
   List.iter (fun g -> Obs.Metrics.set g 0.0) per_call_gauges;
   let before = Obs.Metrics.snapshot () in
@@ -320,13 +275,13 @@ let measured run =
     } )
 
 let solve_formula ?(config = default_config) ?(budget = Budget.unlimited) f0 =
-  measured (fun ledger -> solve_recoverable ~config ~budget ~trail:None ~ledger f0)
+  measured (fun ledger -> solve_impl ~config ~budget ~trail:None ~ledger f0)
 
 let solve_formula_model ?(config = default_config) ?(budget = Budget.unlimited) f0 =
   let trail = Dqbf.Model_trail.create () in
   let (verdict, model), stats =
     measured @@ fun ledger ->
-    let verdict = solve_recoverable ~config ~budget ~trail:(Some trail) ~ledger f0 in
+    let verdict = solve_impl ~config ~budget ~trail:(Some trail) ~ledger f0 in
     match verdict with
     | Unsat -> (verdict, None)
     | Sat ->
@@ -364,7 +319,7 @@ let solve_refined ~config ~budget ~trail ~ledger pcnf =
   | Dqbf.Preprocess.Unsat -> Unsat
   | Dqbf.Preprocess.Formula (f, _) ->
       Check.audit_stage ~level:config.check_level Check.Post_preprocess f;
-      solve_recoverable ~config ~budget ~trail ~ledger f
+      solve_impl ~config ~budget ~trail ~ledger f
 
 let solve_pcnf ?(config = default_config) ?(budget = Budget.unlimited) pcnf =
   measured (fun ledger -> solve_refined ~config ~budget ~trail:None ~ledger pcnf)
@@ -422,7 +377,6 @@ type stat = Count of string | Seconds of string | Dep_scheme | Inproc_mode | Cer
    one entry here *)
 let stat_columns =
   [
-    ("hqs_restarts", Count "hqs.restarts");
     ("hqs_peak_nodes", Count "hqs.peak_nodes");
     ("hqs_univ_elims", Count "elim.universal");
     ("hqs_exist_elims", Count "elim.existential");
@@ -432,7 +386,6 @@ let stat_columns =
     ("hqs_qbf_time", Seconds "hqs.qbf_time_s");
     ("hqs_sat_conflicts", Count "sat.conflicts");
     ("hqs_sat_propagations", Count "sat.propagations");
-    ("hqs_fraig_merges", Count "fraig.merges");
     ("hqs_checks", Count "check.audits");
     ("hqs_dep_scheme", Dep_scheme);
     ("hqs_analysis_edges_pruned", Count "analysis.edges_pruned");

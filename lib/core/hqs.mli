@@ -10,20 +10,18 @@
       cheapest first (fewest existential copies),
     - compaction when the graph grows.
 
-    FRAIG sweeping happens in the QBF back end ({!Qbf.Solver}), switched by
-    [qbf.use_fraig].
+    Unlike the paper, nothing converts the AIG to a FRAIG: no measured
+    instance gained from the sweeps (DESIGN.md).
 
     The expensive accelerators degrade gracefully instead of aborting the
     solve: each fallible stage runs under a child {!Hqs_util.Budget} with
     a declared fallback (MaxSAT minimum set -> greedy set, elimination QBF
-    back end -> QDPLL search on a node-limit blowup), and a
-    mid-elimination node-limit memout triggers one bounded restart with a
-    degraded config (an initial FRAIG sweep of the matrix, then the search
-    back end) before [Out_of_memory_budget] is allowed to escape. Which
-    degradations fired is recorded in {!stats}. Every fallback path can be
+    back end -> QDPLL search on a node-limit blowup). A node-limit memout
+    in the main loop escapes as [Out_of_memory_budget]: the loop is
+    deterministic, so a retry would run into the same limit. Which
+    degradations fired is recorded in {!stats}. Both fallbacks can be
     exercised deterministically through the {!Hqs_util.Chaos} injection
-    points ["maxsat.minset"], ["fraig.initial"], ["qbf.elim"] and
-    ["elim.universal"]. *)
+    points ["maxsat.minset"] and ["qbf.elim"]. *)
 
 type verdict = Sat | Unsat
 
@@ -44,17 +42,11 @@ type config = {
   use_thm2 : bool;  (** eliminate existentials with full dependency sets *)
   use_maxsat : bool;  (** false: eliminate all difference variables (greedy) *)
   node_limit : int option;  (** memout emulation *)
-  qbf : Qbf.Solver.config;
-      (** the QBF back end's settings; [qbf.use_fraig] also gates the
-          degraded restart's initial FRAIG sweep *)
+  qbf : Qbf.Solver.config;  (** the elimination QBF back end's settings *)
   qbf_backend : qbf_backend;
   chaos : Hqs_util.Chaos.t;
       (** deterministic fault injection into the degradation ladder;
           {!Hqs_util.Chaos.off} (the default) never fires *)
-  restart_on_memout : bool;
-      (** retry the solve once with {!degraded_config} when the AIG node
-          limit is hit mid-elimination (heap-governor memouts and second
-          failures still escape) *)
   check_level : Check.level;
       (** soundness-auditor depth at every stage boundary (see {!Check}):
           [Off] is free, [Cheap] scans the prefix, [Full] deep-audits the
@@ -76,25 +68,21 @@ type config = {
 
 val default_config : config
 
-val degraded_config : config -> config
-(** The bounded-restart config: same limits and the QDPLL search back
-    end, which does not grow the AIG. *)
-
 val escalated_config : config -> config
 (** The re-solve after a certificate failed its own audit: checks at
-    [Full], fault injection off and no degraded restart, so the answer
-    is earned, not salvaged. *)
+    [Full] and fault injection off, so the answer is earned, not
+    salvaged. *)
 
 type stats = {
   metrics : (string * float) list;
       (** the {!Obs.Metrics} delta over the whole public call, sorted by
           name: counters and histogram series as flows, gauges as levels.
           The per-solve gauges ([hqs.peak_nodes], [hqs.maxsat_set],
-          [hqs.restarts], [hqs.*_time_s]) start every call from zero, so
-          two solves in one process never leak into each other. *)
+          [hqs.*_time_s]) start every call from zero, so two solves in
+          one process never leak into each other. *)
   degraded : string list;
       (** chronological degradation labels, e.g.
-          ["maxsat.minset->greedy[timeout]"; "solve->restart-degraded[node-limit]"];
+          ["maxsat.minset->greedy[timeout]"; "qbf.elim->search[node-limit]"];
           empty when every stage ran at full strength *)
 }
 

@@ -47,7 +47,7 @@ let origin_of_loc (loc : Location.t) =
   }
 
 type node = {
-  n_name : string;  (* fully qualified, e.g. "Aig.Fraig.reduce" *)
+  n_name : string;  (* fully qualified, e.g. "Aig.Man.compact" *)
   n_loc : origin;
   n_is_fun : bool;  (* arrow-typed: referencing it can execute its body *)
   n_mutable : string option;  (* [Some reason] for toplevel mutable state *)
@@ -56,7 +56,7 @@ type node = {
 }
 
 type unit_info = {
-  u_unit : string;  (* normalized module path, e.g. "Aig.Fraig" *)
+  u_unit : string;  (* normalized module path, e.g. "Aig.Man" *)
   u_lib : string;
   u_source : string;
   u_nodes : node list;
@@ -65,7 +65,7 @@ type unit_info = {
 
 (* ------------------------------------------------------------ name munge *)
 
-(* "Aig__Fraig" -> ["Aig"; "Fraig"]; dune's "Hqs__" alias module ->
+(* "Aig__Man" -> ["Aig"; "Man"]; dune's "Hqs__" alias module ->
    ["Hqs"] (trailing empty segment dropped) *)
 let split_mangled s =
   let segs = ref [] and buf = Buffer.create 16 in

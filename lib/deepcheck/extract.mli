@@ -16,7 +16,7 @@ val mask_catches : mask -> string -> bool
 type origin = { o_file : string; o_line : int; o_col : int }
 
 type node = {
-  n_name : string;  (** fully qualified, e.g. ["Aig.Fraig.reduce"] *)
+  n_name : string;  (** fully qualified, e.g. ["Aig.Man.compact"] *)
   n_loc : origin;
   n_is_fun : bool;  (** arrow-typed: calling it can run its body *)
   n_mutable : string option;  (** [Some reason] for toplevel mutable state *)
@@ -25,7 +25,7 @@ type node = {
 }
 
 type unit_info = {
-  u_unit : string;  (** normalized module path, e.g. ["Aig.Fraig"] *)
+  u_unit : string;  (** normalized module path, e.g. ["Aig.Man"] *)
   u_lib : string;
   u_source : string;
   u_nodes : node list;
@@ -33,7 +33,7 @@ type unit_info = {
 }
 
 val normalize_unit_name : string -> string
-(** ["Aig__Fraig"] → ["Aig.Fraig"]; dune's ["Hqs__"] alias → ["Hqs"]. *)
+(** ["Aig__Man"] → ["Aig.Man"]; dune's ["Hqs__"] alias → ["Hqs"]. *)
 
 val stdlib_raises : string -> string list
 (** Named control-flow exceptions of a stdlib call (normalized name):

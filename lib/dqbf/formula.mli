@@ -14,7 +14,7 @@ val matrix : t -> Aig.Man.lit
 val set_matrix : t -> Aig.Man.lit -> unit
 
 val replace_man : t -> Aig.Man.t -> Aig.Man.lit -> unit
-(** Swap in a new manager and matrix (after compaction or FRAIG). *)
+(** Swap in a new manager and matrix (after compaction). *)
 
 val add_universal : t -> int -> unit
 val add_existential : t -> int -> deps:Hqs_util.Bitset.t -> unit

@@ -5,8 +5,7 @@
 
     Every elimination step that removes an existential variable records a
     definition (the cone is snapshotted into a private manager, so later
-    compaction or FRAIG rebuilds of the solver's manager cannot invalidate
-    it):
+    compaction of the solver's manager cannot invalidate it):
 
     - unit/pure and SAT-model variables record constants;
     - Theorem 2 and QBF existential elimination record the standard
@@ -44,9 +43,9 @@ val mark : t -> int
 val rollback : t -> int -> unit
 (** [rollback t m] discards every step recorded after [mark t] returned
     [m] — used when a solver stage is abandoned (timeout, node-limit
-    blowup, degraded restart) so its half-recorded eliminations cannot
-    corrupt the reconstructed model. Cones already imported into the
-    trail manager are merely garbage. *)
+    blowup) so its half-recorded eliminations cannot corrupt the
+    reconstructed model. Cones already imported into the trail manager
+    are merely garbage. *)
 
 val reconstruct : t -> Skolem.t
 (** Build concrete Skolem functions (over universal inputs) for every

@@ -74,7 +74,6 @@ let by_expansion ?(budget = Budget.unlimited) f =
     match Sat.Solver.solve ~budget solver with
     | Sat.Solver.Sat -> true
     | Sat.Solver.Unsat -> false
-    | Sat.Solver.Unknown -> assert false
   end
 
 let by_skolem_enum f =

@@ -78,6 +78,5 @@ let verify ?(budget = Budget.unlimited) f model =
       match Sat.Solver.solve ~budget solver with
       | Sat.Solver.Unsat -> Ok ()
       | Sat.Solver.Sat -> Error Not_tautology
-      | Sat.Solver.Unknown -> assert false
     end
   with Fail failure -> Error failure

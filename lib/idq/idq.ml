@@ -126,7 +126,6 @@ let solve_core ~want_model ?(budget = Budget.unlimited) ?node_limit f =
               then bits := !bits lor (1 lsl i))
             univs;
           Some (sigma_of_bits !bits)
-      | Sat.Solver.Unknown -> assert false
     end
   in
   (* on SAT: turn the candidate tables of the final round into functions *)
@@ -162,7 +161,6 @@ let solve_core ~want_model ?(budget = Budget.unlimited) ?node_limit f =
     pending := [];
     match Sat.Solver.solve ~budget solver with
     | Sat.Solver.Unsat -> answer := Some (false, None)
-    | Sat.Solver.Unknown -> assert false
     | Sat.Solver.Sat -> (
         if n = 0 then answer := Some (true, if want_model then Some (build_model ()) else None)
         else begin

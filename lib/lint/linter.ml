@@ -7,7 +7,7 @@
      [Check.Violation] and convert an abort into a wrong verdict;
    - polymorphic [compare]/[Hashtbl.hash] passed as first-class values
      silently fall back to structural comparison when a type gains a
-     non-canonical field (the Bitset/Fraig incident class);
+     non-canonical field (the Bitset incident class);
    - [failwith] inside [lib/] escapes as an untyped [Failure] that callers
      cannot distinguish from a parser error (only the DIMACS-family
      parsers use it as their documented parse-error channel);

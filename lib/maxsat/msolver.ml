@@ -31,7 +31,6 @@ let solve ?(budget = Budget.unlimited) ~num_vars ~hard ~soft () =
   in
   match S.solve ~budget solver with
   | S.Unsat -> None
-  | S.Unknown -> assert false (* no conflict limit given *)
   | S.Sat ->
       let take_model () = Array.init num_vars (S.value solver) in
       let best_model = ref (take_model ()) in
@@ -53,7 +52,6 @@ let solve ?(budget = Budget.unlimited) ~num_vars ~hard ~soft () =
               best_model := m;
               best_cost := c
           | S.Unsat -> continue := false
-          | S.Unknown -> assert false
         done
       end;
       Some { cost = !best_cost; model = !best_model }

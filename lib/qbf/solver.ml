@@ -2,15 +2,9 @@ open Hqs_util
 module M = Aig.Man
 module UP = Aig.Unitpure
 
-type config = {
-  use_unitpure : bool;
-  use_fraig : bool;
-  fraig_node_threshold : int;
-  sat_shortcut : bool;
-}
+type config = { use_unitpure : bool; sat_shortcut : bool }
 
-let default_config =
-  { use_unitpure = true; use_fraig = true; fraig_node_threshold = 50000; sat_shortcut = true }
+let default_config = { use_unitpure = true; sat_shortcut = true }
 
 (* For each variable in [vars], the number of cone nodes whose support
    contains it: a cheap proxy for elimination cost. [masks.(n)] is the set
@@ -44,12 +38,7 @@ let var_costs man root vars =
 
 exception Decided of bool
 
-type state = {
-  mutable man : M.t;
-  mutable root : M.lit;
-  mutable last_size : int;
-  mutable fraig_floor : int; (* cone size right after the last sweep *)
-}
+type state = { mutable man : M.t; mutable root : M.lit; mutable last_size : int }
 
 let compact_if_grown st =
   if M.num_nodes st.man > (2 * st.last_size) + 1024 then begin
@@ -57,18 +46,6 @@ let compact_if_grown st =
     st.man <- man;
     st.root <- (match roots with [ r ] -> r | _ -> assert false);
     st.last_size <- M.num_nodes man
-  end
-
-(* sweep only when the cone is big AND has doubled since the last sweep,
-   otherwise every elimination would pay for a full SAT sweep; the sweep
-   bounds its own SAT work; [cone] is the root's cone size *)
-let fraig_if_large config budget st cone =
-  if config.use_fraig && cone > config.fraig_node_threshold && cone > 2 * st.fraig_floor then begin
-    let man, roots = Aig.Fraig.reduce ~budget st.man [ st.root ] in
-    st.man <- man;
-    st.root <- (match roots with [ r ] -> r | _ -> assert false);
-    st.last_size <- M.num_nodes man;
-    st.fraig_floor <- M.cone_size man st.root
   end
 
 (* one unit/pure sweep; returns true if anything was eliminated *)
@@ -100,11 +77,10 @@ let unitpure_step ~notify st prefix_quant =
 
 (* Quantify one variable with the quantifier localized (see
    [M.exists_localized]); a universal one through ∀v.f = ¬∃v.¬f. [cone] is
-   the root's cone size; returns the result and its cone size. *)
+   the root's cone size. *)
 let quantify_structured man root ~cone q v =
   let neg = q = Prefix.Forall in
-  let r, size = M.exists_localized man (M.apply_sign root ~neg) ~var:v ~cone in
-  (M.apply_sign r ~neg, size)
+  M.apply_sign (fst (M.exists_localized man (M.apply_sign root ~neg) ~var:v ~cone)) ~neg
 
 (* returns the answer plus a variable valuation (meaningful on SAT) *)
 let sat_check ~budget man root ~negate =
@@ -117,7 +93,6 @@ let sat_check ~budget man root ~negate =
   | Sat.Solver.Sat ->
       (true, fun v -> Sat.Solver.lit_value solver (Aig.Cnf_enc.sat_var_of_aig_var man enc v))
   | Sat.Solver.Unsat -> (false, fun _ -> false)
-  | Sat.Solver.Unknown -> assert false
 
 let c_eliminations = Obs.Metrics.counter "qbf.elim.quantifications"
 
@@ -129,7 +104,7 @@ let solve ?(config = default_config) ?(budget = Budget.unlimited) ?on_define man
   let bound = Bitset.of_list (Prefix.variables prefix) in
   let free = Bitset.to_list (Bitset.diff (M.support man root) bound) in
   let prefix = ref (Prefix.normalize ((Prefix.Exists, free) :: prefix)) in
-  let st = { man; root; last_size = M.num_nodes man; fraig_floor = 0 } in
+  let st = { man; root; last_size = M.num_nodes man } in
   let recording = on_define <> None in
   let define v fn = match on_define with Some cb -> cb v st.man fn | None -> () in
   let define_const v b = define v (if b then M.true_ else M.false_) in
@@ -180,11 +155,9 @@ let solve ?(config = default_config) ?(budget = Budget.unlimited) ?on_define man
               (* the standard choice function: pick 1 iff phi[1/v] holds *)
               define v (M.cofactor st.man st.root ~var:v ~value:true);
             Obs.Metrics.incr c_eliminations;
-            let root, cone = quantify_structured st.man st.root ~cone q v in
-            st.root <- root;
+            st.root <- quantify_structured st.man st.root ~cone q v;
             prefix := outer @ [ (q, List.filter (fun w -> w <> v) vs) ];
-            compact_if_grown st;
-            fraig_if_large config budget st cone
+            compact_if_grown st
       end
     done;
     assert false

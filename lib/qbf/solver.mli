@@ -5,18 +5,17 @@
     or-ing, universal variables by and-ing the two cofactors. Each
     elimination is localized ({!Aig.Man.exists_localized}): only the part of
     the graph that contains the variable is cofactored. Between
-    eliminations the solver applies unit/pure reductions (Theorems 5-6),
-    compacts the graph, and runs a FRAIG sweep ({!Aig.Fraig.reduce},
-    bounded by SAT work) when the cone is large and has doubled since the
-    last one. Once a single quantifier kind remains, a single SAT call
-    finishes the job. *)
+    eliminations the solver applies unit/pure reductions (Theorems 5-6)
+    and compacts the graph when it has doubled. Once a single quantifier
+    kind remains, a single SAT call finishes the job.
+
+    AIGSOLVE also converts the graph to a FRAIG from time to time; this
+    back end does not: since quantifier localization and engine-order gate
+    detection, no measured cone carried redundancy worth the SAT checks,
+    and every sweep that still ran made its solve slower (DESIGN.md). *)
 
 type config = {
   use_unitpure : bool;
-  use_fraig : bool;
-  fraig_node_threshold : int;
-      (** sweep when the cone exceeds this size and has doubled since the
-          last sweep *)
   sat_shortcut : bool;  (** finish single-kind prefixes with one SAT call *)
 }
 

@@ -7,7 +7,7 @@ type clause = {
   mutable removed : bool;
 }
 
-type result = Sat | Unsat | Unknown
+type result = Sat | Unsat
 
 let dummy_clause = { lits = [||]; activity = 0.0; learnt = false; removed = true }
 
@@ -29,12 +29,11 @@ type t = {
   mutable var_inc : float;
   mutable cla_inc : float;
   mutable conflicts : int;
-  mutable propagations : int;
   mutable max_learnts : float;
 }
 
-(* per-process counters; every solver instance (FRAIG proofs, MaxSAT,
-   QBF back ends, iDQ) feeds the same series *)
+(* per-process counters; every solver instance (MaxSAT, QBF back ends,
+   certification, iDQ) feeds the same series *)
 let c_solves = Obs.Metrics.counter "sat.solves"
 let c_conflicts = Obs.Metrics.counter "sat.conflicts"
 let c_propagations = Obs.Metrics.counter "sat.propagations"
@@ -60,14 +59,10 @@ let create () =
     var_inc = 1.0;
     cla_inc = 1.0;
     conflicts = 0;
-    propagations = 0;
     max_learnts = 4000.0;
   }
 
 let num_vars t = Vec.size t.assigns
-let num_conflicts t = t.conflicts
-let num_propagations t = t.propagations
-let num_clauses t = Vec.size t.clauses
 let is_ok t = t.ok
 
 let new_var t =
@@ -136,7 +131,6 @@ let propagate t =
   while !confl == dummy_clause && t.qhead < Vec.size t.trail do
     let p = Vec.get t.trail t.qhead in
     t.qhead <- t.qhead + 1;
-    t.propagations <- t.propagations + 1;
     Obs.Metrics.incr c_propagations;
     let ws = watch t p in
     let n = Vec.size ws in
@@ -347,23 +341,20 @@ let pick_branch_var t =
   in
   loop ()
 
-let solve ?(assumptions = []) ?(budget = Budget.unlimited) ?conflict_limit t =
+let solve ?(assumptions = []) ?(budget = Budget.unlimited) t =
   if not t.ok then Unsat
   else begin
     Obs.Metrics.incr c_solves;
     cancel_until t 0;
     let assumptions = Array.of_list assumptions in
-    let conflict_stop =
-      match conflict_limit with None -> max_int | Some n -> t.conflicts + n
-    in
     let restart_base = 100 in
     let restart_num = ref 0 in
     let conflicts_this_restart = ref 0 in
     let restart_limit = ref (int_of_float (luby 2.0 0) * restart_base) in
     let learnt_adjust = ref (max 100 (Vec.size t.clauses / 3)) in
     t.max_learnts <- float_of_int (max 4000 !learnt_adjust);
-    let result = ref Unknown in
-    (try
+    let result =
+      try
        (* top-level propagation *)
        (match propagate t with
        | Some _ ->
@@ -400,7 +391,6 @@ let solve ?(assumptions = []) ?(budget = Budget.unlimited) ?conflict_limit t =
              end;
              var_decay t;
              cla_decay t;
-             if t.conflicts >= conflict_stop then raise (Result Unknown);
              if float_of_int (Vec.size t.learnts) > t.max_learnts then begin
                reduce_db t;
                t.max_learnts <- t.max_learnts *. 1.3
@@ -431,12 +421,14 @@ let solve ?(assumptions = []) ?(budget = Budget.unlimited) ?conflict_limit t =
                    Vec.push t.trail_lim (Vec.size t.trail);
                    enqueue t (Lit.mk v ~neg:(not (Vec.get t.polarity v))) dummy_clause
              end
-       done
-     with Result r -> result := r);
-    (match !result with
+       done;
+       assert false
+      with Result r -> r
+    in
+    (match result with
     | Sat -> () (* keep the trail: the model is read from [assigns] *)
-    | Unsat | Unknown -> cancel_until t 0);
-    !result
+    | Unsat -> cancel_until t 0);
+    result
   end
 
 let value t v =

@@ -2,14 +2,16 @@
     learning, VSIDS variable activities, phase saving, Luby restarts and
     activity-based deletion of learnt clauses.
 
-    This is the reasoning substrate for the whole reproduction: FRAIG
-    equivalence checks, the partial MaxSAT solver, the final SAT calls of the
-    QBF back end, and the instantiation-based iDQ baseline all run on it. *)
+    This is the reasoning substrate for the whole reproduction: the partial
+    MaxSAT solver, the final SAT calls of the QBF back end, certification
+    and the instantiation-based iDQ baseline all run on it. Conflicts,
+    propagations and solve calls are fed to the process-wide
+    [Obs.Metrics] series ["sat.conflicts"], ["sat.propagations"] and
+    ["sat.solves"]. *)
 
 type t
 
-type result = Sat | Unsat | Unknown
-(** [Unknown] is only returned when a conflict limit was given and hit. *)
+type result = Sat | Unsat
 
 val create : unit -> t
 
@@ -32,7 +34,6 @@ val is_ok : t -> bool
 val solve :
   ?assumptions:Lit.t list ->
   ?budget:Hqs_util.Budget.t ->
-  ?conflict_limit:int ->
   t ->
   result
 (** Decide satisfiability under the given assumptions. The solver can be
@@ -46,13 +47,3 @@ val value : t -> int -> bool
 
 val lit_value : t -> Lit.t -> bool
 val model : t -> bool array
-
-val num_conflicts : t -> int
-
-val num_propagations : t -> int
-(** Literals propagated over the solver's lifetime. Conflicts,
-    propagations and solve calls are also fed to the process-wide
-    [Obs.Metrics] series ["sat.conflicts"], ["sat.propagations"] and
-    ["sat.solves"]. *)
-
-val num_clauses : t -> int

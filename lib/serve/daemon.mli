@@ -31,7 +31,7 @@
       in-frame ({!Check.audit_certificate}); an audit failure is treated
       like a crash: the cache entry is tombstoned ([cert_audit] event,
       [serve.cert_audit_failed] metric), the job re-submitted with
-      checks escalated to [Full] and degradation off, and quarantined
+      checks escalated to [Full] and fault injection off, and quarantined
       past [max_attempts]. Clients that set the request's cert flag get
       the verified artifact inline in their verdict reply.
 

@@ -208,25 +208,6 @@ let prop_support_sound =
       done;
       !ok)
 
-let prop_sim_words =
-  QCheck.Test.make ~name:"sim_words consistent with eval" ~count:300 form_arb (fun f ->
-      let m = M.create () in
-      let root = build m f in
-      (* word: bit p of var i's word = env_p(i); here pattern p = bits of p *)
-      let var_word i =
-        let w = ref 0 in
-        for p = 0 to (1 lsl max_vars) - 1 do
-          if env_of_bits p i then w := !w lor (1 lsl p)
-        done;
-        !w
-      in
-      let word = M.sim_words m root var_word in
-      let ok = ref true in
-      for p = 0 to (1 lsl max_vars) - 1 do
-        if word land (1 lsl p) <> 0 <> M.eval m root (env_of_bits p) then ok := false
-      done;
-      !ok)
-
 let prop_compact =
   QCheck.Test.make ~name:"compact preserves semantics" ~count:300 form_arb (fun f ->
       let m = M.create () in
@@ -357,14 +338,6 @@ let prop_or_disjuncts =
       let again = M.mk_or_list m parts in
       forall_envs (fun env -> M.eval m again env = M.eval m root env))
 
-let prop_fraig_idempotent =
-  QCheck.Test.make ~name:"fraig is idempotent on node counts" ~count:100 form_arb (fun f ->
-      let m = M.create () in
-      let root = build m f in
-      let m1, r1 = Aig.Fraig.reduce m [ root ] in
-      let m2, _ = Aig.Fraig.reduce m1 r1 in
-      M.num_nodes m2 <= M.num_nodes m1)
-
 (* ------------------------------------------------------------- unit/pure *)
 
 let scan_of f =
@@ -450,62 +423,6 @@ let prop_unitpure_sound =
           && ((not st.UP.neg_pure) || implies_10))
         scans)
 
-(* ----------------------------------------------------------------- fraig *)
-
-let prop_fraig_preserves =
-  QCheck.Test.make ~name:"fraig preserves semantics" ~count:200 form_arb (fun f ->
-      let m = M.create () in
-      let root = build m f in
-      let m', roots' = Aig.Fraig.reduce m [ root ] in
-      let root' = List.hd roots' in
-      forall_envs (fun env -> M.eval m' root' env = eval_form env f))
-
-let prop_fraig_merges_equivalents =
-  QCheck.Test.make ~name:"fraig merges equivalent roots" ~count:100
-    (QCheck.pair form_arb form_arb) (fun (f, g) ->
-      (* two structurally different builds of f XOR the same g *)
-      let m = M.create () in
-      let r1 = build m (Xor (f, g)) in
-      let r2 =
-        (* xor via (f|g) & !(f&g) *)
-        let a = build m (Or (f, g)) and b = build m (And (f, g)) in
-        M.mk_and m a (M.compl_ b)
-      in
-      let m', roots' = Aig.Fraig.reduce m [ r1; r2 ] in
-      match roots' with
-      | [ a; b ] ->
-          a = b
-          && forall_envs (fun env -> M.eval m' a env = eval_form env (Xor (f, g)))
-      | _ -> false)
-
-let test_fraig_assoc () =
-  let m = M.create () in
-  let a = M.input m 0 and b = M.input m 1 and c = M.input m 2 in
-  let f = M.mk_and m (M.mk_and m a b) c in
-  let g = M.mk_and m a (M.mk_and m b c) in
-  let _, roots = Aig.Fraig.reduce m [ f; g ] in
-  match roots with
-  | [ x; y ] -> check "assoc merged" true (x = y)
-  | _ -> Alcotest.fail "bad arity"
-
-let test_fraig_constant_collapse () =
-  (* (a & !a) | (b & !b) reduces to constant false structurally, but a
-     disguised tautology needs the SAT proof: (a|!b)&(!a|b)&(a|b)&(!a|!b) *)
-  let m = M.create () in
-  let a = M.input m 0 and b = M.input m 1 in
-  let c1 = M.mk_or m a (M.compl_ b) in
-  let c2 = M.mk_or m (M.compl_ a) b in
-  let c3 = M.mk_or m a b in
-  let c4 = M.mk_or m (M.compl_ a) (M.compl_ b) in
-  let f = M.mk_and_list m [ c1; c2; c3; c4 ] in
-  let zero = M.false_ in
-  let m', roots = Aig.Fraig.reduce m [ f; zero ] in
-  match roots with
-  | [ x; y ] ->
-      check "unsat cone equals constant" true (x = y);
-      ignore m'
-  | _ -> Alcotest.fail "bad arity"
-
 (* --------------------------------------------------------------- cnf enc *)
 
 let prop_cnf_enc =
@@ -546,11 +463,9 @@ let () =
             prop_quantify;
             prop_compose;
             prop_support_sound;
-            prop_sim_words;
             prop_compact;
             prop_and_conjuncts;
             prop_or_disjuncts;
-            prop_fraig_idempotent;
           ] );
       ( "localize",
         Alcotest.test_case "exists keeps free conjuncts" `Quick test_exists_keeps_free_conjuncts
@@ -564,12 +479,6 @@ let () =
           Alcotest.test_case "paper CNF example" `Quick test_unitpure_cnf_structure;
         ]
         @ qsuite [ prop_unitpure_sound ] );
-      ( "fraig",
-        [
-          Alcotest.test_case "associativity merge" `Quick test_fraig_assoc;
-          Alcotest.test_case "disguised constant" `Quick test_fraig_constant_collapse;
-        ]
-        @ qsuite [ prop_fraig_preserves; prop_fraig_merges_equivalents ] );
       ( "traversal",
         qsuite [ prop_iter_cone_order; prop_iter_cone_nested; prop_compose_list; prop_depends_on ] );
       ("cnf_enc", qsuite [ prop_cnf_enc ]);

@@ -1,6 +1,7 @@
 (* The degradation ladder: every fallback is exercised twice — once by
-   deterministic fault injection (Chaos), once (where practical) by a
-   genuine resource blowup against a real AIG node limit. *)
+   deterministic fault injection (Chaos), once by a genuine resource
+   blowup against a real AIG node limit — and a main-loop memout is shown
+   to escape. *)
 
 open Hqs_util
 module M = Aig.Man
@@ -8,7 +9,6 @@ module F = Dqbf.Formula
 module Fam = Circuit.Families
 
 let check = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
 
 let verdict_t =
   Alcotest.testable
@@ -17,7 +17,6 @@ let verdict_t =
       match (a, b) with Hqs.Sat, Hqs.Sat | Hqs.Unsat, Hqs.Unsat -> true | _ -> false)
 
 let degraded_mem label stats = List.mem label stats.Hqs.degraded
-let restarts stats = int_of_float (Hqs.metric stats "hqs.restarts")
 
 let chaos points = Chaos.create ~seed:42 ~points ()
 
@@ -46,7 +45,6 @@ let test_injected_maxsat () =
   let v, stats = Hqs.solve_formula ~config (example1 ~crossed:false) in
   Alcotest.check verdict_t "still sat" Hqs.Sat v;
   check "fell back to greedy" true (degraded_mem "maxsat.minset->greedy[injected]" stats);
-  check_int "no restart" 0 (restarts stats);
   (* the verdict survives on the UNSAT side too *)
   let v, stats = Hqs.solve_formula ~config:{ config with chaos = chaos [ "maxsat.minset" ] }
       (example1 ~crossed:true) in
@@ -78,34 +76,6 @@ let test_injected_qbf_elim () =
   Alcotest.check verdict_t "still unsat" Hqs.Unsat v;
   check "fell back to search" true (degraded_mem "qbf.elim->search[injected]" stats)
 
-let test_injected_restart () =
-  (* a fault at the universal-elimination step is not recoverable within
-     the stage: it must trigger the bounded degraded restart *)
-  let config = { Hqs.default_config with chaos = chaos [ "elim.universal" ] } in
-  let v, stats = Hqs.solve_formula ~config (example1 ~crossed:false) in
-  Alcotest.check verdict_t "still sat" Hqs.Sat v;
-  check_int "one restart" 1 (restarts stats);
-  check "injection recorded" true (degraded_mem "elim.universal->memout[injected]" stats);
-  check "restart recorded" true (degraded_mem "solve->restart-degraded[node-limit]" stats);
-  let v, stats =
-    Hqs.solve_formula
-      ~config:{ config with chaos = chaos [ "elim.universal" ] }
-      (example1 ~crossed:true)
-  in
-  Alcotest.check verdict_t "still unsat" Hqs.Unsat v;
-  check_int "one restart" 1 (restarts stats)
-
-let test_injected_no_restart_propagates () =
-  let config =
-    {
-      Hqs.default_config with
-      chaos = chaos [ "elim.universal" ];
-      restart_on_memout = false;
-    }
-  in
-  Alcotest.check_raises "memout escapes" Budget.Out_of_memory_budget (fun () ->
-      ignore (Hqs.solve_formula ~config (example1 ~crossed:false)))
-
 (* ------------------------------------------------- genuine node limits *)
 
 (* Acyclic instance: one existential depending on every universal, with
@@ -133,12 +103,11 @@ let test_real_qbf_elim_fallback () =
   let config = { Hqs.default_config with node_limit = Some 10; use_unitpure = false } in
   let v, stats = Hqs.solve_formula ~config f in
   Alcotest.check verdict_t "solved, not memout" Hqs.Sat v;
-  check "elim fell back to search" true (degraded_mem "qbf.elim->search[node-limit]" stats);
-  check_int "no restart needed" 0 (restarts stats)
+  check "elim fell back to search" true (degraded_mem "qbf.elim->search[node-limit]" stats)
 
 (* Full Shannon expansion of x0^x1^y0^y1 over a given variable order:
    functionally the parity function, structurally a distinct ITE tree
-   per order, so hashing cannot merge the variants but FRAIG can. *)
+   per order, so structural hashing cannot merge the variants. *)
 let xor4_variant man order =
   let rec expand parity = function
     | [] -> if parity then M.true_ else M.false_
@@ -157,7 +126,7 @@ let rec permutations = function
 (* y0 may see only x0 and y1 only x1, so the incomparable deps force a
    universal elimination; the matrix is a conjunction of all 24
    expansion orders of the same parity constraint, pure functional
-   redundancy that elimination doubles but a FRAIG sweep collapses. *)
+   redundancy that elimination doubles. *)
 let redundant_parity_formula () =
   let f = F.create () in
   F.add_universal f 0;
@@ -170,39 +139,16 @@ let redundant_parity_formula () =
   f
 
 let test_real_degraded_restart () =
+  (* no degraded restart: the main loop is deterministic, so a node-limit
+     memout there escapes on the first attempt *)
   let f = redundant_parity_formula () in
   let cone = M.cone_size (F.man f) (F.matrix f) in
   check "matrix is genuinely redundant" true (cone > 100);
   (* headroom too small for eliminating a universal over the redundant
-     matrix, ample once the restart's initial FRAIG sweep has collapsed
-     the variants *)
-  let node_limit = Some (cone + 32) in
-  let config = { Hqs.default_config with node_limit } in
-  (* without the restart the limit genuinely bites *)
-  Alcotest.check_raises "memout without restart" Budget.Out_of_memory_budget (fun () ->
-      ignore (Hqs.solve_formula ~config:{ config with restart_on_memout = false } f));
-  (* with the restart (the default) the instance is solved, not Memout *)
-  let v, stats = Hqs.solve_formula ~config f in
-  Alcotest.check verdict_t "solved via restart" Hqs.Sat v;
-  check_int "one restart" 1 (restarts stats);
-  check "restart recorded" true (degraded_mem "solve->restart-degraded[node-limit]" stats)
-
-let test_injected_fraig_initial () =
-  (* the degraded restart squeezes the matrix with one FRAIG sweep before
-     eliminating; a fault injected there skips the sweep, and the restart
-     still solves. The restart's search back end never sweeps, so
-     [fraig.sat_checks] tells whether the squeeze ran. *)
-  let f = redundant_parity_formula () in
-  let solve points = Hqs.solve_formula ~config:{ Hqs.default_config with chaos = chaos points } f in
-  let v, stats = solve [ "elim.universal" ] in
-  Alcotest.check verdict_t "sat" Hqs.Sat v;
-  check_int "one restart" 1 (restarts stats);
-  check "the squeeze ran" true (Hqs.metric stats "fraig.sat_checks" > 0.0);
-  let v, stats = solve [ "elim.universal"; "fraig.initial" ] in
-  Alcotest.check verdict_t "still sat" Hqs.Sat v;
-  check_int "one restart" 1 (restarts stats);
-  check "skipped the squeeze" true (degraded_mem "fraig.initial->skip[injected]" stats);
-  check "no sweep" true (Hqs.metric stats "fraig.sat_checks" = 0.0)
+     matrix *)
+  let config = { Hqs.default_config with node_limit = Some (cone + 32) } in
+  Alcotest.check_raises "memout escapes" Budget.Out_of_memory_budget (fun () ->
+      ignore (Hqs.solve_formula ~config f))
 
 (* ------------------------------------------------- degradations on spans *)
 
@@ -247,7 +193,6 @@ let test_chaos_off_clean () =
   let v, stats = Hqs.solve_formula (example1 ~crossed:false) in
   Alcotest.check verdict_t "sat" Hqs.Sat v;
   check "no degradations" true (stats.Hqs.degraded = []);
-  check_int "no restarts" 0 (restarts stats);
   let inst = Fam.pec_xor ~length:3 ~boxes:1 ~fault:false in
   let v, stats = Hqs.solve_pcnf inst.Fam.pcnf in
   Alcotest.check verdict_t "pec sat" Hqs.Sat v;
@@ -266,20 +211,6 @@ let test_verdicts_stable_under_chaos () =
       check "chaos actually fired" true (stats.Hqs.degraded <> []))
     [ false; true ]
 
-let test_fraig_deterministic () =
-  (* the back end sweeps this instance (the smallest found that does)
-     and spends the sweep's whole propagation bound; a bound on solver
-     work, unlike a wall-clock box, gives the same sweep on every run *)
-  let inst = Fam.adder ~bits:5 ~boxes:3 ~fault:false in
-  let counters () =
-    let v, stats = Hqs.solve_pcnf inst.Fam.pcnf in
-    Alcotest.check verdict_t "sat" Hqs.Sat v;
-    List.map (Hqs.metric stats) [ "fraig.sat_checks"; "fraig.merges"; "aig.nodes_alloc" ]
-  in
-  let first = counters () in
-  check "the sweep ran" true (List.hd first > 0.0);
-  Alcotest.(check (list (float 0.0))) "same counters" first (counters ())
-
 let () =
   Alcotest.run "degrade"
     [
@@ -287,9 +218,6 @@ let () =
         [
           Alcotest.test_case "maxsat -> greedy" `Quick test_injected_maxsat;
           Alcotest.test_case "qbf elim -> search" `Quick test_injected_qbf_elim;
-          Alcotest.test_case "mid-elim -> restart" `Quick test_injected_restart;
-          Alcotest.test_case "no-restart propagates" `Quick test_injected_no_restart_propagates;
-          Alcotest.test_case "fraig.initial -> skip" `Quick test_injected_fraig_initial;
         ] );
       ( "real limits",
         [
@@ -302,6 +230,5 @@ let () =
         [
           Alcotest.test_case "chaos off is clean" `Quick test_chaos_off_clean;
           Alcotest.test_case "verdicts stable under chaos" `Slow test_verdicts_stable_under_chaos;
-          Alcotest.test_case "fraig sweep is deterministic" `Slow test_fraig_deterministic;
         ] );
     ]

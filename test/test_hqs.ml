@@ -145,12 +145,6 @@ let prop_greedy =
 let prop_expand_all =
   agrees ~config:{ Hqs.default_config with mode = Hqs.Expand_all } "hqs agrees (expand-all baseline)"
 
-let prop_aggressive_fraig =
-  agrees
-    ~config:
-      { Hqs.default_config with qbf = { Qbf.Solver.default_config with fraig_node_threshold = 1 } }
-    "hqs agrees (fraig every step)"
-
 let prop_search_backend =
   agrees
     ~config:{ Hqs.default_config with qbf_backend = Hqs.Search_backend }
@@ -194,7 +188,6 @@ let () =
             prop_no_thm2;
             prop_greedy;
             prop_expand_all;
-            prop_aggressive_fraig;
             prop_search_backend;
             prop_pcnf_pipeline;
             prop_pcnf_no_preprocess;

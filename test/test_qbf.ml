@@ -121,25 +121,15 @@ let prop_no_unitpure =
     { Qbf.Solver.default_config with use_unitpure = false }
     "solver matches brute force (no unit/pure)"
 
-let prop_aggressive_fraig =
-  prop_matches_brute
-    { Qbf.Solver.default_config with fraig_node_threshold = 1 }
-    "solver matches brute force (fraig every step)"
-
 let prop_wide_default =
   prop_matches_brute ~count:100 ~arb:wide_qbf_arb Qbf.Solver.default_config
     "wide matrices: solver matches brute force"
-
-let prop_wide_fraig =
-  prop_matches_brute ~count:100 ~arb:wide_qbf_arb
-    { Qbf.Solver.default_config with fraig_node_threshold = 1 }
-    "wide matrices: solver matches brute force (fraig every step)"
 
 (* without unit/pure and the SAT shortcut every variable is quantified by
    elimination, on wide matrices whose root conjuncts localize ∃ *)
 let prop_wide_eliminate_all =
   prop_matches_brute ~count:100 ~arb:wide_qbf_arb
-    { Qbf.Solver.default_config with use_unitpure = false; sat_shortcut = false }
+    { Qbf.Solver.use_unitpure = false; sat_shortcut = false }
     "wide matrices: solver matches brute force (every variable eliminated)"
 
 let prop_negation_flips =
@@ -250,9 +240,7 @@ let () =
             prop_default;
             prop_no_shortcut;
             prop_no_unitpure;
-            prop_aggressive_fraig;
             prop_wide_default;
-            prop_wide_fraig;
             prop_wide_eliminate_all;
             prop_negation_flips;
           ] );

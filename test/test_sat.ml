@@ -8,11 +8,8 @@ let result_t =
   Alcotest.testable
     (fun fmt r ->
       Format.pp_print_string fmt
-        (match r with S.Sat -> "SAT" | S.Unsat -> "UNSAT" | S.Unknown -> "UNKNOWN"))
-    (fun a b ->
-      match (a, b) with
-      | S.Sat, S.Sat | S.Unsat, S.Unsat | S.Unknown, S.Unknown -> true
-      | _ -> false)
+        (match r with S.Sat -> "SAT" | S.Unsat -> "UNSAT"))
+    (fun a b -> match (a, b) with S.Sat, S.Sat | S.Unsat, S.Unsat -> true | _ -> false)
 
 (* literals from DIMACS-style ints *)
 let l = L.of_dimacs
@@ -99,24 +96,6 @@ let test_incremental () =
   Alcotest.check result_t "now unsat" S.Unsat (S.solve s);
   Alcotest.check result_t "stays unsat" S.Unsat (S.solve s)
 
-let test_conflict_limit () =
-  (* php(6,5) needs many conflicts; a limit of 1 must give Unknown *)
-  let n = 6 in
-  let var i j = (i * (n - 1)) + j + 1 in
-  let s = S.create () in
-  for i = 0 to n - 1 do
-    clause s (List.init (n - 1) (fun j -> var i j))
-  done;
-  for j = 0 to n - 2 do
-    for i = 0 to n - 1 do
-      for i' = i + 1 to n - 1 do
-        clause s [ -var i j; -var i' j ]
-      done
-    done
-  done;
-  Alcotest.check result_t "limited: unknown" S.Unknown (S.solve ~conflict_limit:1 s);
-  Alcotest.check result_t "unlimited: unsat" S.Unsat (S.solve s)
-
 let test_timeout_raises () =
   let n = 9 in
   let var i j = (i * (n - 1)) + j + 1 in
@@ -186,8 +165,7 @@ let prop_agrees_with_brute_force =
       let expected = brute_force n clauses in
       match S.solve s with
       | S.Sat -> expected && eval_model (S.model s) clauses
-      | S.Unsat -> not expected
-      | S.Unknown -> false)
+      | S.Unsat -> not expected)
 
 let prop_assumptions_consistent =
   QCheck.Test.make ~name:"assumptions behave like unit clauses" ~count:200
@@ -234,7 +212,6 @@ let () =
           Alcotest.test_case "pigeonhole 3/2" `Quick test_pigeonhole_3_2;
           Alcotest.test_case "assumptions" `Quick test_assumptions;
           Alcotest.test_case "incremental" `Quick test_incremental;
-          Alcotest.test_case "conflict limit" `Quick test_conflict_limit;
           Alcotest.test_case "timeout raises" `Quick test_timeout_raises;
         ] );
       ( "properties",

@@ -554,8 +554,7 @@ let test_query_exit_code_memout () =
       let cfg =
         {
           (test_config socket) with
-          D.solver =
-            { Hqs.default_config with Hqs.node_limit = Some 64; restart_on_memout = false };
+          D.solver = { Hqs.default_config with Hqs.node_limit = Some 64 };
         }
       in
       with_daemon cfg (fun () ->

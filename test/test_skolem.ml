@@ -200,12 +200,6 @@ let prop_model_greedy =
   model_agrees ~config:{ Hqs.default_config with use_maxsat = false }
     "hqs model verifies (greedy set)"
 
-let prop_model_fraig =
-  model_agrees
-    ~config:
-      { Hqs.default_config with qbf = { Qbf.Solver.default_config with fraig_node_threshold = 1 } }
-    "hqs model verifies (fraig every step)"
-
 let prop_model_search_backend =
   model_agrees
     ~config:{ Hqs.default_config with qbf_backend = Hqs.Search_backend }
@@ -296,7 +290,6 @@ let () =
               prop_model_no_thm2;
               prop_model_expand_all;
               prop_model_greedy;
-              prop_model_fraig;
               prop_model_search_backend;
               prop_pcnf_model;
               prop_pcnf_model_no_preprocess;
