@@ -116,18 +116,13 @@ let load_pcnf file =
       exit 2
 
 let solve file timeout mem_limit node_limit no_preprocess no_unitpure no_maxsat no_thm2
-    expand_all search_backend chaos_seed chaos_points check dep_scheme inproc certify show_model
-    show_stats trace show_metrics =
+    expand_all search_backend check dep_scheme inproc certify show_model show_stats trace
+    show_metrics =
   install_signal_handlers ();
   let trace_file = flag_or_env trace "HQS_TRACE" in
   let certify_path = flag_or_env certify "HQS_CERTIFY" in
   let check_level = resolve_check_level check in
   let pcnf = load_pcnf file in
-  (* the batch solve arms chaos only with a seed *)
-  let chaos =
-    if Option.is_none chaos_seed then Hqs_util.Chaos.off
-    else armed_chaos chaos_seed chaos_points []
-  in
   let config =
     {
       Hqs.preprocess =
@@ -140,7 +135,6 @@ let solve file timeout mem_limit node_limit no_preprocess no_unitpure no_maxsat 
       mode = (if expand_all then Hqs.Expand_all else Hqs.Elimination);
       qbf_backend = (if search_backend then Hqs.Search_backend else Hqs.Elim_backend);
       node_limit;
-      chaos;
       check_level;
       dep_scheme = resolve_dep_scheme dep_scheme;
     }
@@ -169,11 +163,11 @@ let solve file timeout mem_limit node_limit no_preprocess no_unitpure no_maxsat 
         (fun (name, v) -> Printf.eprintf "c metric %s %g\n" name v)
         (Obs.Metrics.to_assoc (Obs.Metrics.snapshot ()))
   in
-  (* certifying solve with the audit-failure recovery loop: a
-     certificate that fails its own Post_certify audit is treated like a
-     crash — re-solve with checks escalated to Full and fault injection
-     off, under the seeded backoff schedule, and give up
-     with exit 3 after bounded attempts (mirroring the serve daemon) *)
+  (* certifying solve with the audit-failure recovery: a certificate
+     that fails its own Post_certify audit is treated like a crash —
+     re-solve once with checks escalated to Full, then give up with exit
+     3. The solve is deterministic and escalation idempotent, so a third
+     attempt would repeat the second. *)
   let solve_certified path =
     let instance_text =
       try In_channel.with_open_bin file In_channel.input_all
@@ -181,8 +175,7 @@ let solve file timeout mem_limit node_limit no_preprocess no_unitpure no_maxsat 
         Printf.eprintf "error: %s\n" msg;
         exit 2
     in
-    let max_attempts = 3 in
-    let rec attempt n cfg =
+    let rec attempt ~escalated cfg =
       match Hqs.solve_pcnf_certified ~config:cfg ~budget ~instance_text pcnf with
       | verdict, cert, _model, stats ->
           (match Cert.write_file path cert with
@@ -192,19 +185,17 @@ let solve file timeout mem_limit node_limit no_preprocess no_unitpure no_maxsat 
               exit 2);
           (verdict, stats)
       | exception Check.Violation ({ Check.stage = Check.Post_certify; _ } as v) ->
-          Format.eprintf "c certificate audit failed (attempt %d/%d): %a@." n max_attempts
+          Format.eprintf "c certificate audit failed%s: %a@."
+            (if escalated then " (escalated re-solve)" else "")
             Check.pp_violation v;
-          if n >= max_attempts then begin
+          if escalated then begin
             finish_obs ();
             print_endline "s cnf ERROR";
             exit 3
           end
-          else begin
-            Unix.sleepf (Exec.Backoff.delay Exec.Backoff.default ~task:"certify" ~attempt:n);
-            attempt (n + 1) (Hqs.escalated_config cfg)
-          end
+          else attempt ~escalated:true (Hqs.escalated_config cfg)
     in
-    attempt 1 config
+    attempt ~escalated:false config
   in
   let run () =
     match certify_path with
@@ -288,8 +279,7 @@ let chaos_seed =
   Arg.(
     value
     & opt (some int) None
-    & info [ "chaos-seed" ] ~docv:"SEED"
-        ~doc:"arm deterministic fault injection with this seed (testing the degradation ladder)")
+    & info [ "chaos-seed" ] ~docv:"SEED" ~doc:"arm deterministic fault injection with this seed")
 
 let chaos_points =
   Arg.(
@@ -1091,7 +1081,7 @@ let solve_term =
     $ flag [ "no-thm2" ] "disable elimination of fully-dependent existentials"
     $ flag [ "expand-all" ] "eliminate every universal (ICCD'13 baseline)"
     $ flag [ "search-backend" ] "use the QDPLL search back end instead of AIG elimination"
-    $ chaos_seed $ chaos_points $ check $ dep_scheme $ inproc $ certify_arg
+    $ check $ dep_scheme $ inproc $ certify_arg
     $ flag [ "model" ] "on SAT, print and verify Skolem functions"
     $ flag [ "stats" ] "print statistics to stderr (with --trace, also a flame summary)"
     $ trace

@@ -36,10 +36,11 @@
 #      instance) plus adder, z4, c432 and pec_xor instances three ways
 #      under --check full — default, --search-backend and --model — and
 #      diff the verdict lines byte-for-byte
-#   9. chaos-enabled smoke solve: generate a small PEC instance and
-#      solve it with fault injection armed AND the soundness auditor at
-#      full depth (HQS_CHECK=full), proving the degradation ladder and
-#      the stage audits end-to-end through the real CLI
+#   9. full-check smoke solve: generate a small PEC instance and solve
+#      it with the soundness auditor at full depth (HQS_CHECK=full),
+#      proving the stage audits end-to-end through the real CLI; then
+#      the memout gate: a node-limit blowup is a memout (exit 125)
+#      at once, not a timeout after a detour through a fallback
 #  10. traced smoke solve: solve an instance with incomparable dependency
 #      sets under --trace and validate the trace with bin/tracecheck
 #      (well-formed Chrome JSON, balanced spans, >= 6 pipeline phases)
@@ -383,10 +384,10 @@ for mode in search model; do
 done
 echo "c elim gate: $n_el instances, elimination, search and model verdicts identical"
 
-echo "== chaos smoke solve =="
+echo "== full-check smoke solve =="
 f=$(dune exec bin/genpec.exe -- one pec_xor --size 3 --boxes 1 --out "$tmp")
 status=0
-HQS_CHECK=full dune exec bin/hqs_cli.exe -- "$f" --chaos-seed 42 --timeout 60 --stats || status=$?
+HQS_CHECK=full dune exec bin/hqs_cli.exe -- "$f" --timeout 60 --stats || status=$?
 case "$status" in
 10 | 20) : ;;
 *)
@@ -394,6 +395,19 @@ case "$status" in
     exit 1
     ;;
 esac
+
+echo "== memout =="
+# adder_b3_k2_f blows a 4000-node limit in the elimination back end:
+# that is the paper's MO, reported at once (about 20 ms), not after
+# the whole 30 s budget
+f=$(dune exec bin/genpec.exe -- one adder --size 3 --boxes 2 --fault --out "$tmp")
+memout_status=0
+"$HQS_BIN" "$f" --node-limit 4000 -t 30 >"$tmp/memout.out" || memout_status=$?
+if [ "$memout_status" != 125 ]; then
+  echo "== ci FAILED: $(basename "$f") at --node-limit 4000 exited $memout_status (want 125) =="
+  cat "$tmp/memout.out"
+  exit 1
+fi
 
 echo "== traced smoke solve =="
 # boxes=2 makes the dependency sets incomparable, so the solve actually
@@ -901,4 +915,4 @@ grep -q '"ev":"retry"' "$elog3" || {
 }
 echo "c cert gate: suite certified+verified, corruption refuted, isolation asserted, daemon recovery drilled"
 
-echo "== ci OK (smoke verdict exit $status, traced exit $trace_status, sweep crash+resume verified, serve gate passed, distobs gate passed, cert gate passed, deepcheck gate passed) =="
+echo "== ci OK (smoke verdict exit $status, memout exit $memout_status, traced exit $trace_status, sweep crash+resume verified, serve gate passed, distobs gate passed, cert gate passed, deepcheck gate passed) =="

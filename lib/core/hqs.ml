@@ -15,7 +15,6 @@ type config = {
   node_limit : int option;
   qbf : Qbf.Solver.config;
   qbf_backend : qbf_backend;
-  chaos : Chaos.t;
   check_level : Check.level;
   dep_scheme : Analysis.Scheme.t;
 }
@@ -37,7 +36,6 @@ let default_config =
     node_limit = None;
     qbf = Qbf.Solver.default_config;
     qbf_backend = Elim_backend;
-    chaos = Chaos.off;
     (* a malformed HQS_CHECK is reported by the CLI; library users who
        bypass it get the safe default *)
     check_level = (match Check.level_of_env () with Ok l -> l | Error _ -> Check.Off);
@@ -47,16 +45,11 @@ let default_config =
       (match Analysis.Scheme.of_env () with Ok s -> s | Error _ -> Analysis.Scheme.default);
   }
 
-let escalated_config config = { config with check_level = Check.Full; chaos = Chaos.off }
+let escalated_config config = { config with check_level = Check.Full }
 
-type stats = { metrics : (string * float) list; degraded : string list }
+type stats = { metrics : (string * float) list }
 
 exception Done of verdict
-
-let rollback_opt trail mark =
-  match (trail, mark) with
-  | Some trail, Some m -> Dqbf.Model_trail.rollback trail m
-  | _ -> ()
 
 let g_heap = Obs.Metrics.gauge "gc.heap_words.peak"
 
@@ -74,7 +67,7 @@ let per_call_gauges = [ g_peak_nodes; g_maxsat_set; g_maxsat_time; g_unitpure_ti
 
 let add_seconds g t0 = Obs.Metrics.set g (Obs.Metrics.gauge_value g +. (Budget.now () -. t0))
 
-let solve_impl ~(config : config) ~budget ~trail ~ledger f0 =
+let solve_impl ~(config : config) ~budget ~trail f0 =
   Obs.Span.with_ "hqs.solve" ~attrs:[ ("vars", Obs.Int (F.next_var f0)) ] @@ fun () ->
   let f = F.copy f0 in
   M.set_node_limit (F.man f) config.node_limit;
@@ -107,12 +100,7 @@ let solve_impl ~(config : config) ~budget ~trail ~ledger f0 =
       match config.mode with
       | Expand_all -> Bitset.to_list (F.universals f)
       | Elimination ->
-          if config.use_maxsat then
-            Degrade.attempt ledger ~chaos:config.chaos ~budget ~point:"maxsat.minset"
-              ~action:"greedy" ~sub_seconds:5.0 ~sub_frac:0.25
-              ~primary:(fun b -> Dqbf.Elimset.minimum_set ~budget:b f)
-              ~fallback:(fun () -> Dqbf.Elimset.greedy_all f)
-              ()
+          if config.use_maxsat then Dqbf.Elimset.minimum_set ~budget f
           else Dqbf.Elimset.greedy_all f
     in
     add_seconds g_maxsat_time t0;
@@ -198,26 +186,6 @@ let solve_impl ~(config : config) ~budget ~trail ~ledger f0 =
                   Check.audit_prefix ~stage:Check.Pre_backend f prefix;
                 audit Check.Pre_backend;
                 let t0 = Budget.now () in
-                let run_elim stage_budget =
-                  let on_define =
-                    Option.map
-                      (fun trail y man fn -> Dqbf.Model_trail.record_def trail man y fn)
-                      trail
-                  in
-                  Qbf.Solver.solve ~config:config.qbf ~budget:stage_budget ?on_define (F.man f)
-                    (F.matrix f) prefix
-                in
-                let run_search stage_budget =
-                  let on_model =
-                    Option.map
-                      (fun trail mman defs ->
-                        List.iter
-                          (fun (y, fn) -> Dqbf.Model_trail.record_def trail mman y fn)
-                          defs)
-                      trail
-                  in
-                  Qbf.Qdpll.solve ~budget:stage_budget ?on_model (F.man f) (F.matrix f) prefix
-                in
                 let backend_name =
                   match config.qbf_backend with
                   | Search_backend -> "search"
@@ -232,17 +200,24 @@ let solve_impl ~(config : config) ~budget ~trail ~ledger f0 =
                       ]
                   @@ fun () ->
                   match config.qbf_backend with
-                  | Search_backend -> run_search budget
+                  | Search_backend ->
+                      let on_model =
+                        Option.map
+                          (fun trail mman defs ->
+                            List.iter
+                              (fun (y, fn) -> Dqbf.Model_trail.record_def trail mman y fn)
+                              defs)
+                          trail
+                      in
+                      Qbf.Qdpll.solve ~budget ?on_model (F.man f) (F.matrix f) prefix
                   | Elim_backend ->
-                      (* elimination can blow the node limit where search
-                         cannot: fall back rather than report a memout *)
-                      let mark = Option.map Dqbf.Model_trail.mark trail in
-                      Degrade.attempt ledger ~chaos:config.chaos ~budget ~point:"qbf.elim"
-                        ~action:"search" ~primary:run_elim
-                        ~fallback:(fun () ->
-                          rollback_opt trail mark;
-                          run_search budget)
-                        ()
+                      let on_define =
+                        Option.map
+                          (fun trail y man fn -> Dqbf.Model_trail.record_def trail man y fn)
+                          trail
+                      in
+                      Qbf.Solver.solve ~config:config.qbf ~budget ?on_define (F.man f)
+                        (F.matrix f) prefix
                 in
                 add_seconds g_qbf_time t0;
                 raise (Done (if answer then Sat else Unsat))
@@ -265,23 +240,18 @@ let solve_impl ~(config : config) ~budget ~trail ~ledger f0 =
 let measured run =
   List.iter (fun g -> Obs.Metrics.set g 0.0) per_call_gauges;
   let before = Obs.Metrics.snapshot () in
-  let ledger = Degrade.create () in
-  let result = run ledger in
+  let result = run () in
   let delta = Obs.Metrics.delta ~before ~after:(Obs.Metrics.snapshot ()) in
-  ( result,
-    {
-      metrics = Obs.Metrics.to_assoc delta;
-      degraded = List.map Degrade.event_label (Degrade.events ledger);
-    } )
+  (result, { metrics = Obs.Metrics.to_assoc delta })
 
 let solve_formula ?(config = default_config) ?(budget = Budget.unlimited) f0 =
-  measured (fun ledger -> solve_impl ~config ~budget ~trail:None ~ledger f0)
+  measured (fun () -> solve_impl ~config ~budget ~trail:None f0)
 
 let solve_formula_model ?(config = default_config) ?(budget = Budget.unlimited) f0 =
   let trail = Dqbf.Model_trail.create () in
   let (verdict, model), stats =
-    measured @@ fun ledger ->
-    let verdict = solve_impl ~config ~budget ~trail:(Some trail) ~ledger f0 in
+    measured @@ fun () ->
+    let verdict = solve_impl ~config ~budget ~trail:(Some trail) f0 in
     match verdict with
     | Unsat -> (verdict, None)
     | Sat ->
@@ -309,7 +279,7 @@ let refine_pcnf ~(config : config) ~budget pcnf =
 (* the front end shared by every PCNF entry point: refine the prefix,
    preprocess (auditing the engine run against the refined CNF it
    consumed), then solve *)
-let solve_refined ~config ~budget ~trail ~ledger pcnf =
+let solve_refined ~config ~budget ~trail pcnf =
   let refined = refine_pcnf ~config ~budget pcnf in
   let on_inproc outcome = Check.audit_inproc ~budget ~level:config.check_level refined outcome in
   match
@@ -319,18 +289,18 @@ let solve_refined ~config ~budget ~trail ~ledger pcnf =
   | Dqbf.Preprocess.Unsat -> Unsat
   | Dqbf.Preprocess.Formula (f, _) ->
       Check.audit_stage ~level:config.check_level Check.Post_preprocess f;
-      solve_impl ~config ~budget ~trail ~ledger f
+      solve_impl ~config ~budget ~trail f
 
 let solve_pcnf ?(config = default_config) ?(budget = Budget.unlimited) pcnf =
-  measured (fun ledger -> solve_refined ~config ~budget ~trail:None ~ledger pcnf)
+  measured (fun () -> solve_refined ~config ~budget ~trail:None pcnf)
 
 (* shared body of the model-producing entry points: the returned Skolem
    witness is unrestricted — it also covers variables the preprocessor
    folded away and undeclared existentials, so it certifies against the
    original (unpreprocessed) formula *)
-let solve_pcnf_witness ~config ~budget ~ledger pcnf =
+let solve_pcnf_witness ~config ~budget pcnf =
   let trail = Dqbf.Model_trail.create () in
-  match solve_refined ~config ~budget ~trail:(Some trail) ~ledger pcnf with
+  match solve_refined ~config ~budget ~trail:(Some trail) pcnf with
   | Unsat -> (Unsat, None)
   | Sat ->
       let skolem = Dqbf.Model_trail.reconstruct trail in
@@ -344,15 +314,15 @@ let restrict_to_declared pcnf skolem =
 
 let solve_pcnf_model ?(config = default_config) ?(budget = Budget.unlimited) pcnf =
   let (verdict, model), stats =
-    measured (fun ledger -> solve_pcnf_witness ~config ~budget ~ledger pcnf)
+    measured (fun () -> solve_pcnf_witness ~config ~budget pcnf)
   in
   (verdict, Option.map (restrict_to_declared pcnf) model, stats)
 
 let solve_pcnf_certified ?(config = default_config) ?(budget = Budget.unlimited)
     ~instance_text pcnf =
   let (verdict, cert, model), stats =
-    measured @@ fun ledger ->
-    let verdict, model = solve_pcnf_witness ~config ~budget ~ledger pcnf in
+    measured @@ fun () ->
+    let verdict, model = solve_pcnf_witness ~config ~budget pcnf in
     let cert =
       match (verdict, model) with
       | Sat, Some skolem -> Cert.of_skolem ~instance_text pcnf skolem
@@ -420,10 +390,9 @@ let stat_key column =
   String.map (fun c -> if c = '_' then '-' else c) (String.sub column 4 (String.length column - 4))
 
 let pp_stats ~config ~verdict fmt stats =
-  List.iter
-    (fun (column, stat) ->
-      Format.fprintf fmt "%s=%s " (stat_key column)
-        (stat_cell ~config ~verdict:(Some verdict) stats stat))
-    stat_columns;
-  Format.fprintf fmt "degraded=%s"
-    (match stats.degraded with [] -> "-" | l -> String.concat "," l)
+  Format.pp_print_string fmt
+    (String.concat " "
+       (List.map
+          (fun (column, stat) ->
+            stat_key column ^ "=" ^ stat_cell ~config ~verdict:(Some verdict) stats stat)
+          stat_columns))

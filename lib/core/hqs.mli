@@ -13,15 +13,12 @@
     Unlike the paper, nothing converts the AIG to a FRAIG: no measured
     instance gained from the sweeps (DESIGN.md).
 
-    The expensive accelerators degrade gracefully instead of aborting the
-    solve: each fallible stage runs under a child {!Hqs_util.Budget} with
-    a declared fallback (MaxSAT minimum set -> greedy set, elimination QBF
-    back end -> QDPLL search on a node-limit blowup). A node-limit memout
-    in the main loop escapes as [Out_of_memory_budget]: the loop is
-    deterministic, so a retry would run into the same limit. Which
-    degradations fired is recorded in {!stats}. Both fallbacks can be
-    exercised deterministically through the {!Hqs_util.Chaos} injection
-    points ["maxsat.minset"] and ["qbf.elim"]. *)
+    Every stage runs once, under the solve's own budget. A node-limit
+    blowup anywhere — the main loop or the elimination QBF back end —
+    escapes as [Out_of_memory_budget], the paper's memout: the solve is
+    deterministic, so a retry would run into the same limit, and the
+    QDPLL search back end that could sidestep it almost never finishes
+    inside the remaining budget (DESIGN.md §6). *)
 
 type verdict = Sat | Unsat
 
@@ -44,9 +41,6 @@ type config = {
   node_limit : int option;  (** memout emulation *)
   qbf : Qbf.Solver.config;  (** the elimination QBF back end's settings *)
   qbf_backend : qbf_backend;
-  chaos : Hqs_util.Chaos.t;
-      (** deterministic fault injection into the degradation ladder;
-          {!Hqs_util.Chaos.off} (the default) never fires *)
   check_level : Check.level;
       (** soundness-auditor depth at every stage boundary (see {!Check}):
           [Off] is free, [Cheap] scans the prefix, [Full] deep-audits the
@@ -70,8 +64,7 @@ val default_config : config
 
 val escalated_config : config -> config
 (** The re-solve after a certificate failed its own audit: checks at
-    [Full] and fault injection off, so the answer is earned, not
-    salvaged. *)
+    [Full]. *)
 
 type stats = {
   metrics : (string * float) list;
@@ -80,17 +73,14 @@ type stats = {
           The per-solve gauges ([hqs.peak_nodes], [hqs.maxsat_set],
           [hqs.*_time_s]) start every call from zero, so two solves in
           one process never leak into each other. *)
-  degraded : string list;
-      (** chronological degradation labels, e.g.
-          ["maxsat.minset->greedy[timeout]"; "qbf.elim->search[node-limit]"];
-          empty when every stage ran at full strength *)
 }
 
 val solve_formula :
   ?config:config -> ?budget:Hqs_util.Budget.t -> Dqbf.Formula.t -> verdict * stats
 (** Decides the DQBF. The input formula is copied, not mutated.
     @raise Hqs_util.Budget.Timeout on deadline.
-    @raise Hqs_util.Budget.Out_of_memory_budget when the node limit is hit. *)
+    @raise Hqs_util.Budget.Out_of_memory_budget when the node limit is hit,
+    in the main loop or the QBF back end. *)
 
 val solve_pcnf :
   ?config:config -> ?budget:Hqs_util.Budget.t -> Dqbf.Pcnf.t -> verdict * stats
@@ -156,5 +146,5 @@ val stat_cell : config:config -> verdict:verdict option -> stats -> stat -> stri
 
 val pp_stats : config:config -> verdict:verdict -> Format.formatter -> stats -> unit
 (** One [key=value] pair per {!stat_columns} entry (the column without
-    its [hqs_] prefix, underscores as dashes: [maxsat-set=2]), then
-    [degraded=]. *)
+    its [hqs_] prefix, underscores as dashes: [maxsat-set=2]),
+    space-separated. *)

@@ -28,13 +28,6 @@ let record_def t man y fn = t.steps <- Def (y, import man fn t.tman) :: t.steps
 let record_const t y b = t.steps <- Def (y, if b then M.true_ else M.false_) :: t.steps
 let record_ite t ~y ~x ~y1 = t.steps <- Ite { y; x; y1 } :: t.steps
 let num_steps t = List.length t.steps
-let mark = num_steps
-
-let rollback t m =
-  let n = num_steps t in
-  if m > n then invalid_arg "Model_trail.rollback: mark is newer than the trail";
-  let rec drop k l = if k = 0 then l else match l with [] -> [] | _ :: tl -> drop (k - 1) tl in
-  t.steps <- drop (n - m) t.steps
 
 let reconstruct t =
   let model = Skolem.create () in

@@ -37,16 +37,6 @@ val record_ite : t -> y:int -> x:int -> y1:int -> unit
 
 val num_steps : t -> int
 
-val mark : t -> int
-(** Snapshot of the trail position, for {!rollback}. *)
-
-val rollback : t -> int -> unit
-(** [rollback t m] discards every step recorded after [mark t] returned
-    [m] — used when a solver stage is abandoned (timeout, node-limit
-    blowup) so its half-recorded eliminations cannot corrupt the
-    reconstructed model. Cones already imported into the trail manager
-    are merely garbage. *)
-
 val reconstruct : t -> Skolem.t
 (** Build concrete Skolem functions (over universal inputs) for every
     variable that appears in a recorded step. *)

@@ -32,8 +32,6 @@ let summarize pick other results =
 let families results =
   List.fold_left (fun acc r -> if List.mem r.family acc then acc else acc @ [ r.family ]) [] results
 
-let degraded r = match r.hqs_stats with Some s -> s.Hqs.degraded | None -> []
-let degraded_count rs = List.length (List.filter (fun r -> degraded r <> []) rs)
 let disagreements rs = List.filter (fun r -> r.soundness <> Consistent) rs
 
 let is_crash = function Crash _ -> true | Solved _ | Timeout _ | Memout _ -> false
@@ -42,25 +40,25 @@ let crashed rs = List.filter (fun r -> is_crash r.hqs || is_crash r.idq) rs
 let table1 results =
   let buf = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  line "%-10s %5s | %6s %11s %8s %9s %10s %5s | %6s %11s %8s %9s %10s" "family" "#inst" "HQS"
-    "(SAT/UNS)" "unsolv" "(TO/MO)" "time" "degr" "iDQ" "(SAT/UNS)" "unsolv" "(TO/MO)" "time";
-  line "%s" (String.make 124 '-');
+  line "%-10s %5s | %6s %11s %8s %9s %10s | %6s %11s %8s %9s %10s" "family" "#inst" "HQS"
+    "(SAT/UNS)" "unsolv" "(TO/MO)" "time" "iDQ" "(SAT/UNS)" "unsolv" "(TO/MO)" "time";
+  line "%s" (String.make 118 '-');
   let row name rs =
     let h = summarize (fun r -> r.hqs) (fun r -> r.idq) rs in
     let i = summarize (fun r -> r.idq) (fun r -> r.hqs) rs in
-    line "%-10s %5d | %6d %11s %8d %9s %10.2f %5d | %6d %11s %8d %9s %10.2f" name (List.length rs)
+    line "%-10s %5d | %6d %11s %8d %9s %10.2f | %6d %11s %8d %9s %10.2f" name (List.length rs)
       h.solved
       (Printf.sprintf "(%d/%d)" h.sat h.unsat)
       (h.to_ + h.mo + h.crash)
       (Printf.sprintf "(%d/%d)" h.to_ h.mo)
-      h.common_time (degraded_count rs) i.solved
+      h.common_time i.solved
       (Printf.sprintf "(%d/%d)" i.sat i.unsat)
       (i.to_ + i.mo + i.crash)
       (Printf.sprintf "(%d/%d)" i.to_ i.mo)
       i.common_time
   in
   List.iter (fun fam -> row fam (List.filter (fun r -> r.family = fam) results)) (families results);
-  line "%s" (String.make 124 '-');
+  line "%s" (String.make 118 '-');
   row "total" results;
   (match disagreements results with
   | [] -> ()
@@ -155,8 +153,6 @@ let headline results =
   | l ->
       let max_s = List.fold_left max neg_infinity l in
       line "max speedup of HQS over iDQ on commonly solved: %.0fx (paper: up to 10^4)" max_s);
-  (let d = degraded_count results in
-   if d > 0 then line "HQS runs that degraded an accelerator (still solved/counted): %d" d);
   (match disagreements results with
   | [] -> ()
   | bad -> line "SOUNDNESS ALARM: verdict disagreements: %d" (List.length bad));
@@ -210,7 +206,6 @@ let csv_columns =
     ("hqs_time", fun r -> time_cell r.hqs);
     ("idq_outcome", fun r -> outcome_cell r.idq);
     ("idq_time", fun r -> time_cell r.idq);
-    ("hqs_degraded", fun r -> match degraded r with [] -> "-" | l -> String.concat ";" l);
     ("check", fun r -> match r.soundness with Consistent -> "ok" | Disagreement _ -> "DISAGREE");
   ]
   @ List.concat_map

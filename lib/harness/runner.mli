@@ -29,9 +29,9 @@ type result = {
       (** the configuration the HQS task ran under — the source of the
           configuration-echo cells of {!Report.csv} *)
   hqs_stats : Hqs.stats option;
-      (** the call's metric delta and degradation labels, [None] when the
-          run did not finish and left nothing to salvage — the source of
-          the per-solve columns of {!Report.csv} *)
+      (** the call's metric delta, [None] when the run did not finish
+          and left nothing to salvage — the source of the per-solve
+          columns of {!Report.csv} *)
   soundness : soundness;
   attempts : int;  (** worker processes spawned for the HQS solve *)
   worker_pid : int option;  (** pid of the (final) HQS worker *)
@@ -49,8 +49,8 @@ val run_hqs :
   node_limit:int ->
   Dqbf.Pcnf.t ->
   outcome * Hqs.stats option
-(** Outcome plus the solve statistics (including degradation labels, see
-    {!Hqs.stats.degraded}); [None] when the run did not finish. *)
+(** Outcome plus the solve statistics; [None] when the run did not
+    finish. *)
 
 val run_hqs_certified :
   ?config:Hqs.config ->

@@ -71,11 +71,10 @@ let stats_to_json (s : Hqs.stats) =
   Json.Obj
     [
       ("metrics", Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) s.Hqs.metrics));
-      ("degraded", Json.Arr (List.map (fun d -> Json.Str d) s.Hqs.degraded));
     ]
 
-(* older journal lines carry more keys next to [metrics] and [degraded];
-   they are ignored, so those lines still decode *)
+(* older journal lines carry more keys next to [metrics] (a [degraded]
+   array among them); they are ignored, so those lines still decode *)
 let stats_of_json j =
   match Json.member "metrics" j with
   | Some (Json.Obj kvs) ->
@@ -83,10 +82,6 @@ let stats_of_json j =
         {
           Hqs.metrics =
             List.filter_map (fun (k, v) -> Option.map (fun n -> (k, n)) (Json.to_number v)) kvs;
-          degraded =
-            (match Option.bind (Json.member "degraded" j) Json.to_list with
-            | None -> []
-            | Some l -> List.filter_map Json.to_string l);
         }
   | _ -> None
 
@@ -151,7 +146,7 @@ let stats_of_completion (c : Sup.completion) =
   | Sup.Timeout _ | Sup.Memout _ -> (
       match c.Sup.salvaged_metrics with
       | [] -> None
-      | samples -> Some { Hqs.metrics = Obs.Metrics.to_assoc samples; degraded = [] })
+      | samples -> Some { Hqs.metrics = Obs.Metrics.to_assoc samples })
   | Sup.Crash _ -> None
 
 let assemble config item ~hqs:hc ~idq:ic =

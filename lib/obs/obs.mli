@@ -216,7 +216,8 @@ module Span : sig
   val event : string -> ?attrs:(string * value) list -> unit -> unit
   (** Instant event inside the currently open span (no-op when tracing is
       disabled). This is the per-step event-log channel: elimination
-      steps, degradations and check firings are recorded this way. *)
+      steps, preprocessing summaries and the daemon's crashes and audit
+      failures are recorded this way. *)
 
   val current : unit -> string option
   (** Name of the innermost open span. *)

@@ -95,7 +95,7 @@ type job = {
   want_cert : bool;  (** the client asked for the artifact inline *)
   escalate : bool;
       (** re-solve after a certificate audit failure: the solve runs
-          under full checks with degradation disabled *)
+          under full checks *)
 }
 
 (* The body of one pool task: runs in the forked child, solves the

@@ -2,31 +2,23 @@ exception Timeout
 exception Out_of_memory_budget
 
 type t = {
-  deadline : float; (* this budget's own deadline; infinity = unlimited *)
-  hard_deadline : float; (* the root solve deadline *)
+  deadline : float; (* infinity = unlimited *)
   mem_limit_words : int; (* heap ceiling; max_int = unlimited *)
 }
 
-let unlimited = { deadline = infinity; hard_deadline = infinity; mem_limit_words = max_int }
+let unlimited = { deadline = infinity; mem_limit_words = max_int }
 
 (* monotonic, so deadlines and elapsed times are immune to NTP steps;
    see [Mono] *)
 let now () = Mono.now ()
 
-let of_seconds s =
-  let d = now () +. s in
-  { deadline = d; hard_deadline = d; mem_limit_words = max_int }
+let of_seconds s = { deadline = now () +. s; mem_limit_words = max_int }
 
-let sub ?seconds ?frac t =
-  let left = t.deadline -. now () in
-  let local =
-    match (seconds, frac) with
-    | None, None -> infinity
-    | Some s, None -> s
-    | None, Some f -> f *. left
-    | Some s, Some f -> min s (f *. left)
-  in
-  if local = infinity then t else { t with deadline = min t.deadline (now () +. local) }
+let sub ~frac t =
+  if t.deadline = infinity then t
+  else
+    let now = now () in
+    { t with deadline = min t.deadline (now +. (frac *. (t.deadline -. now))) }
 
 let words_per_mb = 1024 * 1024 / (Sys.word_size / 8)
 let with_mem_limit_mb t mb = { t with mem_limit_words = mb * words_per_mb }
@@ -38,7 +30,6 @@ let mem_limit_words t = if t.mem_limit_words = max_int then None else Some t.mem
 let heap_words () = (Gc.quick_stat ()).Gc.heap_words + (Gc.get ()).Gc.minor_heap_size
 let mem_exceeded t = t.mem_limit_words <> max_int && heap_words () > t.mem_limit_words
 let expired t = t.deadline < infinity && now () > t.deadline
-let hard_expired t = t.hard_deadline < infinity && now () > t.hard_deadline
 
 let check t =
   if expired t then raise Timeout;

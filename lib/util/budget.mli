@@ -6,12 +6,10 @@
     intervals and raise on exhaustion, so runs terminate promptly without
     signals.
 
-    Budgets form a hierarchy: {!sub} derives a child budget for one stage
-    of a solve. The child carries its own (soft) deadline but remembers
-    the root (hard) deadline and inherits the memory ceiling, so a stage
-    can time out locally — the enclosing solve catches [Timeout], asks
-    {!expired} about the {e parent} budget, and on [false] falls back to a
-    cheaper strategy instead of aborting the whole run. *)
+    {!sub} derives a child budget for one sub-task of a run (an audit, a
+    certificate): a fraction of the remaining time under the same memory
+    ceiling, so a sub-task that runs long times out without taking the
+    whole run's time. *)
 
 exception Timeout
 exception Out_of_memory_budget
@@ -21,13 +19,13 @@ type t
 val unlimited : t
 
 val of_seconds : float -> t
-(** A root budget with deadline [now + s] (both soft and hard). *)
+(** A budget with deadline [now + s]. *)
 
-val sub : ?seconds:float -> ?frac:float -> t -> t
-(** [sub ?seconds ?frac t] is a child budget for a single stage: its
-    deadline is [t]'s clipped to [now + seconds] and/or
-    [now + frac * remaining t] (the smaller wins when both are given);
-    the hard deadline and memory ceiling are inherited unchanged. *)
+val sub : frac:float -> t -> t
+(** [sub ~frac t] is a child budget: [t]'s deadline clipped to
+    [now + frac * remaining t] ([t] itself when unlimited); the memory
+    ceiling is inherited unchanged. A child never outlives its parent
+    for [frac <= 1]. *)
 
 val with_mem_limit_mb : t -> int -> t
 (** Impose a heap ceiling of [mb] megabytes (major + minor heap words as
@@ -38,12 +36,7 @@ val check : t -> unit
     @raise Out_of_memory_budget if the heap ceiling is exceeded. *)
 
 val expired : t -> bool
-(** This budget's own deadline has passed. For a stage budget built with
-    {!sub} this is the {e soft} question; ask the parent to distinguish a
-    local stage timeout from the end of the whole run. *)
-
-val hard_expired : t -> bool
-(** The root deadline has passed: nothing can be salvaged. *)
+(** This budget's own deadline has passed. *)
 
 val remaining : t -> float
 (** Seconds until this budget's deadline; [infinity] if unlimited. *)

@@ -1,13 +1,14 @@
 (** Deterministic fault injection.
 
-    Fallible stages are wired with named injection points (the solver's
-    ["maxsat.minset"] and ["qbf.elim"], the worker kills of the sweep
-    executor and the serve daemon).
-    A chaos plan arms a subset of those points with a seeded RNG; when an
-    armed point fires, the caller behaves as if the stage had failed
-    (stage timeout or resource blowup), so every degradation and fallback
-    path is exercisable from ordinary unit tests without constructing a
-    genuinely pathological instance.
+    Fallible steps of the multi-process layers are wired with named
+    injection points: the worker kills of the sweep executor
+    (["exec.worker.kill:..."]) and of the serve daemon
+    (["serve.worker.kill:..."]), and the daemon's certificate poisoning
+    (["serve.cert.poison:..."]). A chaos plan arms a subset of those
+    points with a seeded RNG; when an armed point fires, the caller
+    behaves as if the step had failed (the worker dies, the artifact is
+    corrupt), so every crash-recovery path is exercisable from ordinary
+    unit tests without a genuinely crashing solver.
 
     Injection is off by default ({!off} never fires) and fully
     deterministic: the firing sequence is a function of the seed, the
@@ -23,7 +24,7 @@ val create : ?prob:float -> ?limit:int -> seed:int -> points:string list -> unit
 (** A chaos plan. [points] restricts injection to the named points; the
     empty list arms {e every} point. Each armed point fires on a query
     with probability [prob] (default 1.0), at most [limit] times in total
-    (default 1 — so a degraded retry of the same stage is not re-faulted).
+    (default 1 — so the retry a fault provokes runs clean).
     Each point draws from its own RNG stream derived from [seed]. *)
 
 val enabled : t -> bool

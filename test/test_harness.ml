@@ -69,7 +69,7 @@ let fake_results =
       hqs = R.Solved (false, 0.2);
       idq = R.Timeout 5.0;
       hqs_config = Hqs.default_config;
-      hqs_stats = Some { Hqs.metrics = []; degraded = [ "maxsat.minset->greedy[timeout]" ] };
+      hqs_stats = Some { Hqs.metrics = [] };
       soundness = R.Consistent;
       attempts = 1;
       worker_pid = None;
@@ -160,12 +160,6 @@ let contains s needle =
     true
   with Not_found -> false
 
-let test_degradation_column () =
-  let t = Harness.Report.table1 fake_results in
-  check "degr header" true (contains t "degr");
-  let s = Harness.Report.csv fake_results in
-  check "csv degradation label" true (contains s "maxsat.minset->greedy[timeout]")
-
 let disagreeing_results =
   fake_results
   @ [
@@ -230,7 +224,7 @@ let test_csv_executor_columns () =
   let header = List.hd (String.split_on_char '\n' s) in
   (* pre-existing prefix is byte-stable; the executor block is appended *)
   check "stable prefix" true
-    (let prefix = "id,family,hqs_outcome,hqs_time,idq_outcome,idq_time,hqs_degraded" in
+    (let prefix = "id,family,hqs_outcome,hqs_time,idq_outcome,idq_time,check" in
      let n = String.length prefix in
      String.length header > n && String.sub header 0 n = prefix);
   check "executor, analysis, inproc then cert columns last" true
@@ -298,6 +292,53 @@ let test_salvaged_row () =
       Alcotest.(check string) "no artifact" "-" (cell "hqs_cert_status")
   | _ -> Alcotest.fail "csv has no data row"
 
+(* journal lines written while the solver still recorded degradations
+   carry a [degraded] array next to [metrics]; --resume over such a
+   journal must still decode them into full rows *)
+let test_old_journal_stats () =
+  let module Sup = Exec.Supervisor in
+  let module S = Harness.Sweep in
+  let value =
+    match
+      Obs.Json.parse
+        {|{"outcome":{"o":"UNSAT","t":0.5},"stats":{"metrics":{"degrade.events":1,"elim.universal":2,"hqs.peak_nodes":20},"degraded":["qbf.elim->search[node-limit]"]}}|}
+    with
+    | Ok j -> j
+    | Error msg -> Alcotest.fail msg
+  in
+  (match Option.bind (Obs.Json.member "stats" value) S.stats_of_json with
+  | None -> Alcotest.fail "old stats object did not decode"
+  | Some s ->
+      check "round trip" true (S.stats_of_json (S.stats_to_json s) = Some s);
+      check "metric kept" true (Hqs.metric s "hqs.peak_nodes" = 20.0));
+  let config = S.default_config ~timeout:1.0 ~node_limit:1000 in
+  let item = S.item_of_instance small_unsat in
+  let completion solver status =
+    {
+      Sup.task_id = S.task_id item solver;
+      status;
+      attempts = 1;
+      worker_pid = 4242;
+      elapsed_s = 0.5;
+      crash_log = [];
+      from_journal = true;
+      salvaged_metrics = [];
+    }
+  in
+  let r =
+    S.assemble config item
+      ~hqs:(completion S.Hqs_run (Sup.Value value))
+      ~idq:(completion S.Idq_run (Sup.Value (S.outcome_to_json (R.Solved (false, 0.1)))))
+  in
+  match String.split_on_char '\n' (Harness.Report.csv [ r ]) with
+  | header :: row :: _ ->
+      let cells = List.combine (String.split_on_char ',' header) (String.split_on_char ',' row) in
+      let cell name = List.assoc name cells in
+      Alcotest.(check string) "verdict" "UNSAT" (cell "hqs_outcome");
+      Alcotest.(check string) "peak nodes" "20" (cell "hqs_peak_nodes");
+      Alcotest.(check string) "universal eliminations" "2" (cell "hqs_univ_elims")
+  | _ -> Alcotest.fail "csv has no data row"
+
 let () =
   Alcotest.run "harness"
     [
@@ -314,10 +355,11 @@ let () =
           Alcotest.test_case "fig4 content" `Quick test_fig4_contains_points;
           Alcotest.test_case "headline counts" `Quick test_headline_counts;
           Alcotest.test_case "csv lines" `Quick test_csv_lines;
-          Alcotest.test_case "degradation column" `Quick test_degradation_column;
           Alcotest.test_case "disagreement reported" `Quick test_disagreement_reported;
           Alcotest.test_case "crash reported" `Quick test_crash_reported;
           Alcotest.test_case "csv executor columns" `Quick test_csv_executor_columns;
           Alcotest.test_case "salvaged row echoes the sweep config" `Quick test_salvaged_row;
         ] );
+      ( "sweep codec",
+        [ Alcotest.test_case "old journal stats with degraded decode" `Quick test_old_journal_stats ] );
     ]

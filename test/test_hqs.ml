@@ -114,6 +114,84 @@ let test_node_limit_memout () =
   Alcotest.check_raises "memout" Budget.Out_of_memory_budget (fun () ->
       ignore (Hqs.solve_formula ~config f))
 
+(* ------------------------------------------------------------- memout *)
+
+(* Acyclic instance: one existential depending on every universal, with
+   the matrix y <-> xor(x0..x7). The prefix linearizes immediately, so
+   the solve goes straight to the QBF back end; the elimination back end
+   must copy the ~24-node cone into a fresh manager and blows a 10-node
+   limit there, while the QDPLL back end encodes to clauses and never
+   allocates an AIG node. *)
+let xor_chain_formula ~nu =
+  let f = F.create () in
+  for x = 0 to nu - 1 do
+    F.add_universal f x
+  done;
+  F.add_existential f nu ~deps:(Bitset.of_list (List.init nu Fun.id));
+  let man = F.man f in
+  let xs = List.init nu (fun x -> M.input man x) in
+  let parity = List.fold_left (fun acc x -> M.mk_xor man acc x) M.false_ xs in
+  F.set_matrix f (M.mk_iff man (M.input man nu) parity);
+  f
+
+let test_backend_memout () =
+  (* unit/pure probing cofactors the matrix and would hit the limit
+     before the QBF stage; disable it to aim the blowup at the back end *)
+  let config = { Hqs.default_config with node_limit = Some 10; use_unitpure = false } in
+  Alcotest.check_raises "back-end blowup is a memout" Budget.Out_of_memory_budget (fun () ->
+      ignore (Hqs.solve_formula ~config (xor_chain_formula ~nu:8)));
+  let v, _ =
+    Hqs.solve_formula
+      ~config:{ config with qbf_backend = Hqs.Search_backend }
+      (xor_chain_formula ~nu:8)
+  in
+  Alcotest.check verdict_t "search back end solves it" Hqs.Sat v
+
+(* Full Shannon expansion of x0^x1^y0^y1 over a given variable order:
+   functionally the parity function, structurally a distinct ITE tree
+   per order, so structural hashing cannot merge the variants. *)
+let xor4_variant man order =
+  let rec expand parity = function
+    | [] -> if parity then M.true_ else M.false_
+    | v :: rest ->
+        M.mk_ite man (M.input man v) (expand (not parity) rest) (expand parity rest)
+  in
+  expand false order
+
+let rec permutations = function
+  | [] -> [ [] ]
+  | l ->
+      List.concat_map
+        (fun x -> List.map (fun p -> x :: p) (permutations (List.filter (fun y -> y <> x) l)))
+        l
+
+(* y0 may see only x0 and y1 only x1, so the incomparable deps force a
+   universal elimination; the matrix is a conjunction of all 24
+   expansion orders of the same parity constraint, pure functional
+   redundancy that elimination doubles. *)
+let redundant_parity_formula () =
+  let f = F.create () in
+  F.add_universal f 0;
+  F.add_universal f 1;
+  F.add_existential f 2 ~deps:(Bitset.singleton 0);
+  F.add_existential f 3 ~deps:(Bitset.singleton 1);
+  let man = F.man f in
+  let variants = List.map (xor4_variant man) (permutations [ 0; 1; 2; 3 ]) in
+  F.set_matrix f (M.mk_and_list man variants);
+  f
+
+let test_main_loop_memout () =
+  (* the main loop is deterministic, so a node-limit memout there
+     escapes on the first attempt *)
+  let f = redundant_parity_formula () in
+  let cone = M.cone_size (F.man f) (F.matrix f) in
+  check "matrix is genuinely redundant" true (cone > 100);
+  (* headroom too small for eliminating a universal over the redundant
+     matrix *)
+  let config = { Hqs.default_config with node_limit = Some (cone + 32) } in
+  Alcotest.check_raises "memout escapes" Budget.Out_of_memory_budget (fun () ->
+      ignore (Hqs.solve_formula ~config f))
+
 let test_trivial_matrices () =
   let f = F.create () in
   F.add_universal f 0;
@@ -179,6 +257,11 @@ let () =
           Alcotest.test_case "timeout" `Quick test_timeout;
           Alcotest.test_case "node limit memout" `Quick test_node_limit_memout;
           Alcotest.test_case "trivial matrices" `Quick test_trivial_matrices;
+        ] );
+      ( "memout",
+        [
+          Alcotest.test_case "elim back-end blowup" `Quick test_backend_memout;
+          Alcotest.test_case "main-loop memout escapes" `Quick test_main_loop_memout;
         ] );
       ( "random",
         qsuite

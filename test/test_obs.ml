@@ -370,7 +370,7 @@ let test_solve_metrics_flow () =
     (fun key ->
       let re = Str.regexp_string (key ^ "=") in
       check key true (try ignore (Str.search_forward re line 0); true with Not_found -> false))
-    [ "maxsat-set"; "univ-elims"; "inproc-rounds"; "dep-scheme"; "cert-status"; "degraded" ]
+    [ "maxsat-set"; "univ-elims"; "inproc-rounds"; "dep-scheme"; "cert-status" ]
 
 (* the integer-valued declared statistics of one call, as the CSV shows them *)
 let declared_counts stats =

@@ -176,18 +176,16 @@ let test_budget () =
 
 let test_budget_sub () =
   let parent = Budget.of_seconds 3600.0 in
-  (* a stage budget is clipped locally but remembers the root deadline *)
-  let stage = Budget.sub ~seconds:(-1.0) parent in
-  check "stage expired" true (Budget.expired stage);
-  check "parent alive" false (Budget.expired parent);
-  check "root deadline inherited" false (Budget.hard_expired stage);
-  let wide = Budget.sub ~seconds:7200.0 parent in
+  (* a child gets a fraction of the parent's remaining time *)
+  let stage = Budget.sub ~frac:0.001 parent in
+  check "stage clipped" true (Budget.remaining stage <= 3.7 && Budget.remaining stage > 3.0);
+  check "parent untouched" true (Budget.remaining parent > 3500.0);
+  let wide = Budget.sub ~frac:2.0 parent in
   check "child never outlives parent" true (Budget.remaining wide <= 3600.1);
-  (* frac of an unlimited parent: only the absolute cap applies *)
-  let capped = Budget.sub ~seconds:5.0 ~frac:0.2 Budget.unlimited in
-  check "capped remaining" true (Budget.remaining capped <= 5.1 && Budget.remaining capped > 1.0);
+  check "child of an expired parent expired" true
+    (Budget.expired (Budget.sub ~frac:0.5 (Budget.of_seconds (-1.0))));
   check "unlimited sub stays unlimited" true
-    (Budget.remaining (Budget.sub Budget.unlimited) = infinity)
+    (Budget.remaining (Budget.sub ~frac:0.25 Budget.unlimited) = infinity)
 
 let test_budget_mem_governor () =
   check "heap words positive" true (Budget.heap_words () > 0);
@@ -199,7 +197,9 @@ let test_budget_mem_governor () =
   check "tiny ceiling exceeded" true (Budget.mem_exceeded tiny);
   Alcotest.check_raises "raises memout" Budget.Out_of_memory_budget (fun () -> Budget.check tiny);
   (* inherited through sub *)
-  check "sub inherits ceiling" true (Budget.mem_exceeded (Budget.sub ~seconds:10.0 tiny));
+  check "sub inherits ceiling" true
+    (Budget.mem_exceeded
+       (Budget.sub ~frac:0.5 (Budget.with_mem_limit_mb (Budget.of_seconds 10.0) 0)));
   check "limit readable" true (Budget.mem_limit_words tiny = Some 0);
   check "no limit by default" true (Budget.mem_limit_words Budget.unlimited = None)
 
@@ -207,13 +207,14 @@ let test_budget_mem_governor () =
 
 let test_chaos_off () =
   check "off disabled" false (Chaos.enabled Chaos.off);
-  check "off never fires" false (Chaos.fire Chaos.off "maxsat.minset");
+  check "off never fires" false (Chaos.fire Chaos.off "serve.cert.poison:1#1");
   check "off fired empty" true (Chaos.fired Chaos.off = [])
 
 let test_chaos_deterministic () =
-  let seq plan = List.init 6 (fun _ -> Chaos.fire plan "qbf.elim") in
-  let a = seq (Chaos.create ~seed:42 ~points:[ "qbf.elim" ] ()) in
-  let b = seq (Chaos.create ~seed:42 ~points:[ "qbf.elim" ] ()) in
+  let point = Chaos.worker_kill_point ~task:"t0" ~attempt:1 in
+  let seq plan = List.init 6 (fun _ -> Chaos.fire plan point) in
+  let a = seq (Chaos.create ~seed:42 ~points:[ point ] ()) in
+  let b = seq (Chaos.create ~seed:42 ~points:[ point ] ()) in
   check "same seed same firing" true (a = b);
   check "fires at most limit times" true (List.length (List.filter Fun.id a) = 1)
 
@@ -233,8 +234,8 @@ let test_chaos_points_and_limit () =
 
 let test_chaos_parse_points () =
   check "parse" true
-    (Chaos.parse_points " maxsat.minset, serve.worker.kill:1#1 ,,qbf.elim"
-    = [ "maxsat.minset"; "serve.worker.kill:1#1"; "qbf.elim" ]);
+    (Chaos.parse_points " serve.cert.poison:1#1, serve.worker.kill:1#1 ,,exec.worker.kill:t0#1"
+    = [ "serve.cert.poison:1#1"; "serve.worker.kill:1#1"; "exec.worker.kill:t0#1" ]);
   check "parse empty" true (Chaos.parse_points "" = [])
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
