@@ -27,8 +27,9 @@
 #      under test/fixtures/analysis/
 #   7. inprocessing gate: re-solve the example suite with the CNF
 #      inprocessing engine on vs off under --check full and diff the
-#      verdict lines byte-for-byte; run `hqs analyze` on the committed
-#      fixture and assert at least one SCC merge and one subsumption
+#      verdict lines byte-for-byte; assert that the deleted mode
+#      `--inproc full` is a usage error (exit 2); run `hqs analyze` on
+#      the committed fixture and assert at least one SCC merge and one subsumption
 #      were found and audited; assert the engine finds gates on a PEC
 #      instance under --check full; prove the no-stdout lint rule fires
 #      on a seeded stdout write under lib/
@@ -40,7 +41,8 @@
 #      it with the soundness auditor at full depth (HQS_CHECK=full),
 #      proving the stage audits end-to-end through the real CLI; then
 #      the memout gate: a node-limit blowup is a memout (exit 125)
-#      at once, not a timeout after a detour through a fallback
+#      at once, not a timeout after a detour through a fallback, and
+#      --stats still prints the stats line on that exit
 #  10. traced smoke solve: solve an instance with incomparable dependency
 #      sets under --trace and validate the trace with bin/tracecheck
 #      (well-formed Chrome JSON, balanced spans, >= 6 pipeline phases)
@@ -239,10 +241,9 @@ fi
 echo "c analysis gate: $total_pruned edge(s) pruned, verdicts identical"
 
 echo "== inproc =="
-# 1) engine on, off and full must not move a single verdict byte under
-#    the full auditor, across the same example suite the analysis gate
-#    used
-modes="on off full"
+# 1) engine on and off must not move a single verdict byte under the
+#    full auditor, across the same example suite the analysis gate used
+modes="on off"
 for ip in $modes; do : >"$tmp/verdicts.inproc-$ip"; done
 for f in "$tmp/an"/*.dqdimacs; do
   id=$(basename "$f" .dqdimacs)
@@ -261,12 +262,26 @@ for f in "$tmp/an"/*.dqdimacs; do
     grep '^s ' "$tmp/ip.$ip.out" | sed "s|^|$id |" >>"$tmp/verdicts.inproc-$ip"
   done
 done
-for ip in off full; do
-  cmp "$tmp/verdicts.inproc-on" "$tmp/verdicts.inproc-$ip" || {
-    echo "== ci FAILED: inproc on and $ip disagree on a verdict =="
-    diff "$tmp/verdicts.inproc-on" "$tmp/verdicts.inproc-$ip" || true
+cmp "$tmp/verdicts.inproc-on" "$tmp/verdicts.inproc-off" || {
+  echo "== ci FAILED: inproc on and off disagree on a verdict =="
+  diff "$tmp/verdicts.inproc-on" "$tmp/verdicts.inproc-off" || true
+  exit 1
+}
+# the deleted full mode is a usage error, by flag and by environment
+for how in flag env; do
+  full_status=0
+  if [ "$how" = flag ]; then
+    "$HQS_BIN" "$tmp/an/pec_xor_n2_k1_ok.dqdimacs" --inproc full \
+      >"$tmp/ip.full.out" 2>&1 || full_status=$?
+  else
+    HQS_INPROC=full "$HQS_BIN" "$tmp/an/pec_xor_n2_k1_ok.dqdimacs" \
+      >"$tmp/ip.full.out" 2>&1 || full_status=$?
+  fi
+  if [ "$full_status" != 2 ]; then
+    echo "== ci FAILED: --inproc full ($how) exited $full_status (want 2) =="
+    cat "$tmp/ip.full.out"
     exit 1
-  }
+  fi
 done
 # 2) the committed fixture must exhibit (and pass the audit for) at least
 #    one SCC merge and one subsumption
@@ -399,15 +414,21 @@ esac
 echo "== memout =="
 # adder_b3_k2_f blows a 4000-node limit in the elimination back end:
 # that is the paper's MO, reported at once (about 20 ms), not after
-# the whole 30 s budget
+# the whole 30 s budget; --stats explains it with the peak node count
 f=$(dune exec bin/genpec.exe -- one adder --size 3 --boxes 2 --fault --out "$tmp")
 memout_status=0
-"$HQS_BIN" "$f" --node-limit 4000 -t 30 >"$tmp/memout.out" || memout_status=$?
+"$HQS_BIN" "$f" --node-limit 4000 -t 30 --stats >"$tmp/memout.out" 2>"$tmp/memout.err" \
+  || memout_status=$?
 if [ "$memout_status" != 125 ]; then
   echo "== ci FAILED: $(basename "$f") at --node-limit 4000 exited $memout_status (want 125) =="
-  cat "$tmp/memout.out"
+  cat "$tmp/memout.out" "$tmp/memout.err"
   exit 1
 fi
+grep -q 'peak-nodes=' "$tmp/memout.err" || {
+  echo "== ci FAILED: --stats printed no stats line on the memout exit =="
+  cat "$tmp/memout.err"
+  exit 1
+}
 
 echo "== traced smoke solve =="
 # boxes=2 makes the dependency sets incomparable, so the solve actually

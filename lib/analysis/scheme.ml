@@ -1,6 +1,6 @@
 type t = Trivial | Rp
 
-let default = Rp
+let default = Trivial
 let name = function Trivial -> "trivial" | Rp -> "rp"
 
 let of_string = function
@@ -8,7 +8,7 @@ let of_string = function
   | "rp" -> Some Rp
   | _ -> None
 
-let of_env () =
+let of_env ?(default = default) () =
   match Sys.getenv_opt "HQS_DEP_SCHEME" with
   | None | Some "" -> Ok default
   | Some s -> (

@@ -8,13 +8,17 @@
       drop [x] from [dep(y)] when no pair of resolution paths connects
       [x]/[y] in both polarities.
 
-    The solver default is [Rp], overridable per solve with
-    [--dep-scheme] or the [HQS_DEP_SCHEME] environment variable. *)
+    The solver default is [Trivial], overridable per solve with
+    [--dep-scheme] or the [HQS_DEP_SCHEME] environment variable: on the
+    generated benchmark families [Rp] almost never prunes an edge and
+    never shrinks the MaxSAT elimination set, while it costs a large
+    share of the front end on big CNFs (DESIGN.md §10). [hqs analyze]
+    reports [Rp] unless told otherwise. *)
 
 type t = Trivial | Rp
 
 val default : t
-(** [Rp]. *)
+(** [Trivial], the solver default. *)
 
 val name : t -> string
 (** ["trivial"] / ["rp"]. *)
@@ -22,6 +26,7 @@ val name : t -> string
 val of_string : string -> t option
 (** Inverse of {!name}; [None] on anything else. *)
 
-val of_env : unit -> (t, string) result
+val of_env : ?default:t -> unit -> (t, string) result
 (** Parse the [HQS_DEP_SCHEME] environment variable; unset or empty is
-    [Ok default], an unknown value is [Error] with a usable message. *)
+    [Ok default] ({!default} unless given), an unknown value is [Error]
+    with a usable message. *)

@@ -332,12 +332,6 @@ let audit_dep_pruning ?budget ?(samples = 3) ~level (pcnf : Dqbf.Pcnf.t) ~pruned
    - universal reduction only drops declared universals;
    - subsumption witnesses must really be sub-clauses, strengthening
      witnesses must really be self-subsuming resolution partners;
-   - an elimination's recorded dependency set [dep_y] must be contained
-     in the declared one, every pos/neg clause must contain the pivot
-     with the right sign, and every universal in those clauses must be
-     in [dep_y] (the universal half of Henkin-legality; the existential
-     half depends on runtime dependency sets and is left to the semantic
-     pass);
    - every gate's output is a surviving existential, every input is
      dependency-below it in the surviving prefix, no output is defined
      twice or read before its definition, and its defining clauses
@@ -414,40 +408,7 @@ let audit_inproc ?budget ~level (pcnf : Dqbf.Pcnf.t) (outcome : Inproc.outcome) 
                   let clause_rest = List.filter (fun l -> l <> removed) clause in
                   if not (subset_clause by_rest clause_rest) then
                     fail "strengthening witness is not a self-subsuming resolution partner on %d"
-                      (L.to_dimacs removed)
-              | Inproc.Eliminated { y; dep_y; pos; neg } ->
-                  if (not (is_exist y)) || Bitset.mem y univs then
-                    fail "eliminated variable %d is not existential" y;
-                  let dep_y_set = Bitset.of_list dep_y in
-                  (match Bitset.choose (Bitset.diff dep_y_set (declared_deps y)) with
-                  | Some x ->
-                      fail
-                        "elimination of %d recorded dependency %d outside its declared set \
-                         (dependency widening)"
-                        y x
-                  | None -> ());
-                  let py = L.of_var y and ny = L.neg (L.of_var y) in
-                  let side name want cs =
-                    List.iter
-                      (fun c ->
-                        if not (List.mem want c) then
-                          fail "%s-side clause of eliminated %d lacks the pivot" name y;
-                        List.iter
-                          (fun l ->
-                            let v = L.var l in
-                            if v <> y && Bitset.mem v univs && not (Bitset.mem v dep_y_set)
-                            then
-                              fail
-                                "elimination of %d is not Henkin-legal: universal %d in a \
-                                 resolvent is outside dep(%d)"
-                                y v y)
-                          c)
-                      cs
-                  in
-                  side "pos" py pos;
-                  side "neg" ny neg;
-                  if pos = [] || neg = [] then
-                    fail "elimination of %d has an empty side (pure literals are units)" y)
+                      (L.to_dimacs removed))
             res.Inproc.steps;
           (* surviving prefix sanity: no widening, no new variables *)
           List.iter

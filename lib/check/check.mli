@@ -73,11 +73,10 @@ val audit_inproc :
     the engine and the engine outcome, validate every step witness
     structurally against the declared prefix — units and merges are
     existential, merges against universals are dependency-legal,
-    subsumption/strengthening witnesses really justify the deletion, an
-    elimination's recorded dependency set is not widened and its
-    resolvent universals respect it — plus the surviving prefix (no
-    dependency widening). Each gate's output is a surviving existential
-    defined once, after any gate it reads; its inputs are
+    subsumption/strengthening witnesses really justify the deletion —
+    plus the surviving prefix (no dependency widening). Each gate's
+    output is a surviving existential defined once, after any gate it
+    reads; its inputs are
     dependency-below it; its defining clauses are exactly the Tseitin
     encoding of its function. At [Full] level, on instances small enough for
     the reference expansion solver, the whole run is certified

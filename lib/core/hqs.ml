@@ -13,7 +13,6 @@ type config = {
   use_thm2 : bool;
   use_maxsat : bool;
   node_limit : int option;
-  qbf : Qbf.Solver.config;
   qbf_backend : qbf_backend;
   check_level : Check.level;
   dep_scheme : Analysis.Scheme.t;
@@ -34,7 +33,6 @@ let default_config =
     use_thm2 = true;
     use_maxsat = true;
     node_limit = None;
-    qbf = Qbf.Solver.default_config;
     qbf_backend = Elim_backend;
     (* a malformed HQS_CHECK is reported by the CLI; library users who
        bypass it get the safe default *)
@@ -216,8 +214,7 @@ let solve_impl ~(config : config) ~budget ~trail f0 =
                           (fun trail y man fn -> Dqbf.Model_trail.record_def trail man y fn)
                           trail
                       in
-                      Qbf.Solver.solve ~config:config.qbf ~budget ?on_define (F.man f)
-                        (F.matrix f) prefix
+                      Qbf.Solver.solve ~budget ?on_define (F.man f) (F.matrix f) prefix
                 in
                 add_seconds g_qbf_time t0;
                 raise (Done (if answer then Sat else Unsat))
@@ -366,8 +363,6 @@ let stat_columns =
     ("hqs_inproc_scc_merges", Count "inproc.scc_merges");
     ("hqs_inproc_subsumed", Count "inproc.subsumed");
     ("hqs_inproc_strengthened", Count "inproc.strengthened");
-    ("hqs_inproc_failed_lits", Count "inproc.failed_lits");
-    ("hqs_inproc_bve", Count "inproc.bve_eliminated");
     ("hqs_inproc_clauses_removed", Count "inproc.clauses_removed");
     ("hqs_inproc_lits_removed", Count "inproc.lits_removed");
     ("hqs_cert_status", Cert_status);
@@ -393,6 +388,5 @@ let pp_stats ~config ~verdict fmt stats =
   Format.pp_print_string fmt
     (String.concat " "
        (List.map
-          (fun (column, stat) ->
-            stat_key column ^ "=" ^ stat_cell ~config ~verdict:(Some verdict) stats stat)
+          (fun (column, stat) -> stat_key column ^ "=" ^ stat_cell ~config ~verdict stats stat)
           stat_columns))

@@ -39,7 +39,6 @@ type config = {
   use_thm2 : bool;  (** eliminate existentials with full dependency sets *)
   use_maxsat : bool;  (** false: eliminate all difference variables (greedy) *)
   node_limit : int option;  (** memout emulation *)
-  qbf : Qbf.Solver.config;  (** the elimination QBF back end's settings *)
   qbf_backend : qbf_backend;
   check_level : Check.level;
       (** soundness-auditor depth at every stage boundary (see {!Check}):
@@ -50,14 +49,15 @@ type config = {
           Violations escape the solve as {!Check.Violation}. *)
   dep_scheme : Analysis.Scheme.t;
       (** static dependency scheme applied to the prefixed CNF before
-          preprocessing (see {!Analysis.Rp}): [Rp] (the default) prunes
-          spurious dependency edges via resolution paths, shrinking the
-          MaxSAT elimination sets and sometimes proving the prefix
-          already linearly orderable; [Trivial] keeps the prefix as
-          written. Defaults to the [HQS_DEP_SCHEME] environment variable
-          ([rp] when unset or malformed — the CLI reports malformed
-          values). Only [solve_pcnf]/[solve_pcnf_model] run the analyzer;
-          the [solve_formula] entry points take the prefix as given. *)
+          preprocessing (see {!Analysis.Rp}): [Trivial] (the default)
+          keeps the prefix as written; [Rp] prunes spurious dependency
+          edges via resolution paths, which can shrink the MaxSAT
+          elimination sets or prove the prefix already linearly
+          orderable. Defaults to the [HQS_DEP_SCHEME] environment
+          variable ([trivial] when unset or malformed — the CLI reports
+          malformed values). Only [solve_pcnf]/[solve_pcnf_model] run
+          the analyzer; the [solve_formula] entry points take the prefix
+          as given. *)
 }
 
 val default_config : config
@@ -144,7 +144,7 @@ val stat_cell : config:config -> verdict:verdict option -> stats -> stat -> stri
 (** Render one statistic of a call run under [config]; [verdict] is
     [None] for a call that did not finish (a salvaged timeout row). *)
 
-val pp_stats : config:config -> verdict:verdict -> Format.formatter -> stats -> unit
+val pp_stats : config:config -> verdict:verdict option -> Format.formatter -> stats -> unit
 (** One [key=value] pair per {!stat_columns} entry (the column without
     its [hqs_] prefix, underscores as dashes: [maxsat-set=2]),
-    space-separated. *)
+    space-separated; [verdict] as in {!stat_cell}. *)

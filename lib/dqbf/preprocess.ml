@@ -89,33 +89,16 @@ let problem_of_pcnf (pcnf : Pcnf.t) =
 
 (* Replay the engine's step witnesses into the model trail, in
    chronological order (reconstruction walks newest-first, so the Skolem
-   function of a variable merged or eliminated early correctly picks up
-   the later definitions of whatever it was rewritten to). Units and
-   merges map directly onto trail primitives; a bounded variable
-   elimination of [y] records the canonical reconstruction function
-   y := OR over positive clauses C of AND_{l in C, l <> y} !l — when
-   some positive clause is otherwise falsified [y] must be true, and the
-   resolvents guarantee the negative clauses then hold; otherwise
-   [y := false] satisfies the negative side. *)
+   function of a variable merged early correctly picks up the later
+   definitions of whatever it was rewritten to). Units and merges map
+   directly onto trail primitives. *)
 let replay_steps trail steps =
-  let scratch = lazy (M.create ()) in
   List.iter
     (fun step ->
       match step with
       | Inproc.Unit l -> Model_trail.record_const trail (L.var l) (L.is_pos l)
       | Inproc.Merged { y; rep } ->
           Model_trail.record_literal trail y ~var:(L.var rep) ~neg:(L.is_neg rep)
-      | Inproc.Eliminated { y; pos; _ } ->
-          let man = Lazy.force scratch in
-          let aig_lit l = M.apply_sign (M.input man (L.var l)) ~neg:(L.is_neg l) in
-          let falsified c =
-            M.mk_and_list man
-              (List.filter_map
-                 (fun l -> if L.var l = y then None else Some (M.compl_ (aig_lit l)))
-                 c)
-          in
-          let fn = M.mk_or_list man (List.map falsified pos) in
-          Model_trail.record_def trail man y fn
       | Inproc.Reduced _ | Inproc.Subsumed _ | Inproc.Strengthened _ -> ())
     steps
 

@@ -6,8 +6,7 @@
       propagation (universal unit literals refute the formula),
       generalized universal reduction, equivalent-variable substitution
       adapted to DQBF (merged existentials keep the intersection of their
-      dependency sets) and (self-)subsumption, plus failed-literal probing
-      and bounded variable elimination in [Full] mode; then, with
+      dependency sets) and (self-)subsumption; then, with
       [gate_detection], it detects Henkin-legal Tseitin AND/OR/XOR gates
       (arbitrarily negated inputs) on its occurrence lists and takes
       their defining clauses out of the clause set. Its step witnesses

@@ -1,15 +1,14 @@
 open Hqs_util
 module L = Sat.Lit
 
-type mode = Off | On | Full
+type mode = Off | On
 
-let mode_name = function Off -> "off" | On -> "on" | Full -> "full"
+let mode_name = function Off -> "off" | On -> "on"
 
 let mode_of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "off" | "0" -> Some Off
   | "on" | "1" -> Some On
-  | "full" | "2" -> Some Full
   | _ -> None
 
 let default_mode = On
@@ -20,7 +19,7 @@ let mode_of_env () =
   | Some s -> (
       match mode_of_string s with
       | Some m -> Ok m
-      | None -> Error (Printf.sprintf "HQS_INPROC=%S: expected off, on or full" s))
+      | None -> Error (Printf.sprintf "HQS_INPROC=%S: expected off or on" s))
 
 type config = {
   unit_propagation : bool;
@@ -28,10 +27,7 @@ type config = {
   equivalences : bool;
   subsumption : bool;
   self_subsumption : bool;
-  probe : bool;
-  bve : bool;
   max_rounds : int;
-  bve_cap : int;
 }
 
 let config_of_mode = function
@@ -42,10 +38,7 @@ let config_of_mode = function
         equivalences = false;
         subsumption = false;
         self_subsumption = false;
-        probe = false;
-        bve = false;
         max_rounds = 0;
-        bve_cap = 0;
       }
   | On ->
       {
@@ -54,22 +47,7 @@ let config_of_mode = function
         equivalences = true;
         subsumption = true;
         self_subsumption = true;
-        probe = false;
-        bve = false;
         max_rounds = 50;
-        bve_cap = 0;
-      }
-  | Full ->
-      {
-        unit_propagation = true;
-        universal_reduction = true;
-        equivalences = true;
-        subsumption = true;
-        self_subsumption = true;
-        probe = true;
-        bve = true;
-        max_rounds = 50;
-        bve_cap = 400;
       }
 
 type problem = {
@@ -85,7 +63,6 @@ type step =
   | Merged of { y : int; rep : int }
   | Subsumed of { clause : int list; by : int list }
   | Strengthened of { clause : int list; removed : int; by : int list }
-  | Eliminated of { y : int; dep_y : int list; pos : int list list; neg : int list list }
 
 type stats = {
   rounds : int;
@@ -94,8 +71,6 @@ type stats = {
   scc_merges : int;
   subsumed : int;
   strengthened : int;
-  failed_lits : int;
-  bve_eliminated : int;
   clauses_before : int;
   clauses_after : int;
   lits_before : int;
@@ -129,8 +104,6 @@ let c_units = Obs.Metrics.counter "inproc.units"
 let c_merges = Obs.Metrics.counter "inproc.scc_merges"
 let c_subsumed = Obs.Metrics.counter "inproc.subsumed"
 let c_strengthened = Obs.Metrics.counter "inproc.strengthened"
-let c_failed = Obs.Metrics.counter "inproc.failed_lits"
-let c_bve = Obs.Metrics.counter "inproc.bve_eliminated"
 let c_clauses_removed = Obs.Metrics.counter "inproc.clauses_removed"
 let c_lits_removed = Obs.Metrics.counter "inproc.lits_removed"
 
@@ -138,12 +111,8 @@ let c_lits_removed = Obs.Metrics.counter "inproc.lits_removed"
 
 (* [csig] is a 63-bit Bloom signature over the literals: a clause can
    only be a subset of another if its signature bits are contained, so
-   the quadratic subset tests behind subsumption are gated by one land.
-   [irred] distinguishes irredundant (original / resolvent) clauses from
-   redundant learned ones; the engine currently only produces irredundant
-   clauses, but the occurrence counters track both kinds so a future
-   learnt-clause feed does not change the index invariants. *)
-type cls = { mutable lits : int list; mutable alive : bool; mutable csig : int; irred : bool }
+   the quadratic subset tests behind subsumption are gated by one land. *)
+type cls = { mutable lits : int list; mutable alive : bool; mutable csig : int }
 
 let sig_of lits = List.fold_left (fun s l -> s lor (1 lsl (l mod 63))) 0 lits
 
@@ -152,41 +121,27 @@ type st = {
   nvars : int;
   mutable univs : Bitset.t;
   deps : (int, Bitset.t) Hashtbl.t;
-  mutable arena : cls array;
+  arena : cls array; (* sized to the input: rules never add a clause *)
   mutable n : int;
   value : int array; (* per var: -1 unknown, 0 false, 1 true *)
   sub : int array; (* var -> representative literal of its positive literal *)
   mutable occ : int list array; (* literal -> clause ids (stale-tolerant) *)
-  occ_irred : int array; (* literal -> live irredundant occurrence count *)
-  occ_red : int array; (* literal -> live redundant occurrence count *)
+  occ_n : int array; (* literal -> live occurrence count *)
   mutable steps : step list; (* reversed chronological *)
   mutable units : int;
   mutable reduced_lits : int;
   mutable scc_merges : int;
   mutable subsumed : int;
   mutable strengthened : int;
-  mutable failed_lits : int;
-  mutable bve_eliminated : int;
 }
 
 let is_univ st v = Bitset.mem v st.univs
 let is_exist st v = Hashtbl.mem st.deps v
 let push_step st s = st.steps <- s :: st.steps
 
-let dummy_cls = { lits = []; alive = false; csig = 0; irred = true }
-
-let grow st =
-  if st.n = Array.length st.arena then begin
-    let bigger = Array.make (max 16 (2 * st.n)) dummy_cls in
-    Array.blit st.arena 0 bigger 0 st.n;
-    st.arena <- bigger
-  end
-
-let occ_count st l = st.occ_irred.(l) + st.occ_red.(l)
-
-let bump st c by =
-  let cnt = if c.irred then st.occ_irred else st.occ_red in
-  List.iter (fun l -> cnt.(l) <- cnt.(l) + by) c.lits
+let dummy_cls = { lits = []; alive = false; csig = 0 }
+let occ_count st l = st.occ_n.(l)
+let bump st c by = List.iter (fun l -> st.occ_n.(l) <- st.occ_n.(l) + by) c.lits
 
 let kill st c =
   if c.alive then begin
@@ -198,25 +153,21 @@ let kill st c =
    are never eagerly cleaned (consumers filter), only the counters are
    exact *)
 let add_clause st lits =
-  grow st;
-  let c = { lits; alive = true; csig = sig_of lits; irred = true } in
+  let c = { lits; alive = true; csig = sig_of lits } in
   let id = st.n in
   st.arena.(id) <- c;
   st.n <- st.n + 1;
   List.iter (fun l -> st.occ.(l) <- id :: st.occ.(l)) lits;
-  bump st c 1;
-  id
+  bump st c 1
 
 let build_occ st =
   let occ = Array.make (2 * st.nvars) [] in
-  Array.fill st.occ_irred 0 (2 * st.nvars) 0;
-  Array.fill st.occ_red 0 (2 * st.nvars) 0;
+  Array.fill st.occ_n 0 (2 * st.nvars) 0;
   for i = st.n - 1 downto 0 do
     let c = st.arena.(i) in
     if c.alive then begin
       List.iter (fun l -> occ.(l) <- i :: occ.(l)) c.lits;
-      let cnt = if c.irred then st.occ_irred else st.occ_red in
-      List.iter (fun l -> cnt.(l) <- cnt.(l) + 1) c.lits
+      bump st c 1
     end
   done;
   st.occ <- occ
@@ -560,152 +511,18 @@ let subsume_pass st =
     by_len;
   !changed
 
-(* ---------------------------------------------- failed-literal probing *)
-
-(* Probe the roots of the BIG (in-degree 0, out-degree > 0): if the
-   implication closure of [r] contains a literal and its negation, then
-   matrix /\ r is unsatisfiable, so !r is implied — a unit if the
-   variable is existential, a refutation if it is universal (the matrix
-   admits no completion on the r side of that universal). Only BIG edges
-   are followed, so the closure is sound (every edge is a matrix
-   implication) but not complete — this is the cheap probe, not a SAT
-   call. *)
-let probe_pass st =
-  let nnodes = 2 * st.nvars in
-  let adj = big_adjacency st in
-  let indeg = Array.make nnodes 0 in
-  Array.iter (fun succs -> List.iter (fun w -> indeg.(w) <- indeg.(w) + 1) succs) adj;
-  let changed = ref false in
-  let seen = Array.make nnodes (-1) in
-  let stamp = ref 0 in
-  for r = 0 to nnodes - 1 do
-    if adj.(r) <> [] && indeg.(r) = 0 then begin
-      incr stamp;
-      let conflict = ref false in
-      let work = ref [ r ] in
-      seen.(r) <- !stamp;
-      while !work <> [] && not !conflict do
-        match !work with
-        | [] -> ()
-        | v :: rest ->
-            work := rest;
-            List.iter
-              (fun w ->
-                if not !conflict then
-                  if seen.(L.neg w) = !stamp then conflict := true
-                  else if seen.(w) <> !stamp then begin
-                    seen.(w) <- !stamp;
-                    work := w :: !work
-                  end)
-              adj.(v)
-      done;
-      if !conflict then begin
-        st.failed_lits <- st.failed_lits + 1;
-        (* assign raises Refuted on a universal, which is exactly the
-           semantics of a failed universal literal *)
-        assign st (find st (L.neg r));
-        changed := true
-      end
-    end
-  done;
-  !changed
-
-(* ------------------------------- bounded variable elimination (Henkin) *)
-
-(* Resolution-based elimination of an existential [y] is Henkin-legal
-   only when every other variable in a clause containing [y] is
-   dependency-below [y]: then every resolvent constrains only variables
-   [y]'s Skolem function may read, and the reconstruction function
-   (y := OR over positive clauses C of AND_{l in C\y} !l) is a legal
-   Skolem definition over D_y. Pure existentials (one empty side) are
-   eliminated unconditionally: their reconstruction is a constant. *)
+(* A variable [v] is dependency-below [D_y] when a Skolem function over
+   [D_y] may read it: a universal in [D_y], or an existential whose own
+   dependency set is contained in [D_y]. *)
 let dep_below st v d_y =
   if is_univ st v then Bitset.mem v d_y
   else match Hashtbl.find_opt st.deps v with Some dv -> Bitset.subset dv d_y | None -> false
-
-let bve_pass st =
-  let changed = ref false in
-  let exists = Hashtbl.fold (fun y _ acc -> y :: acc) st.deps [] in
-  let cheap_first =
-    List.sort
-      (fun a b ->
-        Int.compare
-          (occ_count st (L.of_var a) * occ_count st (L.neg (L.of_var a)))
-          (occ_count st (L.of_var b) * occ_count st (L.neg (L.of_var b))))
-      exists
-  in
-  List.iter
-    (fun y ->
-      if is_exist st y && st.value.(y) = -1 && st.sub.(y) = L.of_var y then begin
-        let py = L.of_var y and ny = L.neg (L.of_var y) in
-        let live l = List.filter (fun j -> List.mem l (st.arena.(j)).lits) (live_occ st l) in
-        let pl = live py and nl = live ny in
-        if pl = [] && nl = [] then ()
-        else if pl = [] then begin
-          (* pure negative: the constant-false Skolem function works *)
-          assign st ny;
-          st.bve_eliminated <- st.bve_eliminated + 1;
-          changed := true
-        end
-        else if nl = [] then begin
-          assign st py;
-          st.bve_eliminated <- st.bve_eliminated + 1;
-          changed := true
-        end
-        else if List.length pl * List.length nl <= st.cfg.bve_cap then begin
-          let d_y = Hashtbl.find st.deps y in
-          let legal =
-            List.for_all
-              (fun j ->
-                List.for_all
-                  (fun l -> L.var l = y || dep_below st (L.var l) d_y)
-                  (st.arena.(j)).lits)
-              (pl @ nl)
-          in
-          if legal then begin
-            let resolvents =
-              List.concat_map
-                (fun i ->
-                  let ci = List.filter (fun l -> l <> py) (st.arena.(i)).lits in
-                  List.filter_map
-                    (fun j ->
-                      let cj = List.filter (fun l -> l <> ny) (st.arena.(j)).lits in
-                      let r = List.sort_uniq Int.compare (ci @ cj) in
-                      if taut r then None else Some r)
-                    nl)
-                pl
-            in
-            let resolvents =
-              List.sort_uniq (List.compare Int.compare) resolvents
-            in
-            (* bounded: never let elimination grow the clause set *)
-            if List.length resolvents <= List.length pl + List.length nl then begin
-              push_step st
-                (Eliminated
-                   {
-                     y;
-                     dep_y = Bitset.to_list d_y;
-                     pos = List.map (fun j -> (st.arena.(j)).lits) pl;
-                     neg = List.map (fun j -> (st.arena.(j)).lits) nl;
-                   });
-              List.iter (fun j -> kill st st.arena.(j)) (pl @ nl);
-              List.iter (fun r -> ignore (add_clause st r)) resolvents;
-              Hashtbl.remove st.deps y;
-              st.bve_eliminated <- st.bve_eliminated + 1;
-              changed := true
-            end
-          end
-        end
-      end)
-    cheap_first;
-  !changed
 
 (* ---------------------------------------------------- gate detection *)
 
 (* Tseitin AND/XOR definitions among the fixpoint's clauses, found
    through the occurrence lists. A gate is kept only when it is
-   Henkin-legal (every input is dependency-below the output, the test BVE
-   uses), so substituting the output by its function never widens a
+   Henkin-legal (every input is dependency-below the output), so substituting the output by its function never widens a
    dependency requirement. Candidates are collected AND first, each kind
    in arena order, the first definition of an output wins; then an
    acyclic subset is accepted: a gate once every input that is itself a
@@ -882,21 +699,18 @@ let run ?config ?(gates = false) (p : problem) =
       nvars;
       univs = p.univs;
       deps = Hashtbl.create 64;
-      arena = Array.make (max 16 (List.length p.clauses)) dummy_cls;
+      arena = Array.make (List.length p.clauses) dummy_cls;
       n = 0;
       value = Array.make nvars (-1);
       sub = Array.init nvars L.of_var;
       occ = Array.make (2 * nvars) [];
-      occ_irred = Array.make (2 * nvars) 0;
-      occ_red = Array.make (2 * nvars) 0;
+      occ_n = Array.make (2 * nvars) 0;
       steps = [];
       units = 0;
       reduced_lits = 0;
       scc_merges = 0;
       subsumed = 0;
       strengthened = 0;
-      failed_lits = 0;
-      bve_eliminated = 0;
     }
   in
   List.iter (fun (y, d) -> Hashtbl.replace st.deps y d) p.deps;
@@ -905,7 +719,7 @@ let run ?config ?(gates = false) (p : problem) =
   for v = 0 to declared_vars - 1 do
     if (not (is_univ st v)) && not (is_exist st v) then Hashtbl.replace st.deps v Bitset.empty
   done;
-  List.iter (fun c -> ignore (add_clause st (List.sort_uniq Int.compare c))) p.clauses;
+  List.iter (fun c -> add_clause st (List.sort_uniq Int.compare c)) p.clauses;
   let clauses_before = List.length p.clauses in
   let lits_before = List.fold_left (fun acc c -> acc + List.length c) 0 p.clauses in
   let vars_before = Hashtbl.length st.deps + Bitset.cardinal st.univs in
@@ -922,17 +736,6 @@ let run ?config ?(gates = false) (p : problem) =
       if cfg.subsumption || cfg.self_subsumption then begin
         build_occ st;
         if subsume_pass st then begin
-          ignore (simplify st);
-          ch := true
-        end
-      end;
-      if cfg.probe && probe_pass st then begin
-        ignore (simplify st);
-        ch := true
-      end;
-      if cfg.bve then begin
-        build_occ st;
-        if bve_pass st then begin
           ignore (simplify st);
           ch := true
         end
@@ -964,8 +767,6 @@ let run ?config ?(gates = false) (p : problem) =
           scc_merges = st.scc_merges;
           subsumed = st.subsumed;
           strengthened = st.strengthened;
-          failed_lits = st.failed_lits;
-          bve_eliminated = st.bve_eliminated;
           clauses_before;
           clauses_after;
           lits_before;
@@ -979,8 +780,6 @@ let run ?config ?(gates = false) (p : problem) =
       Obs.Metrics.incr ~by:st.scc_merges c_merges;
       Obs.Metrics.incr ~by:st.subsumed c_subsumed;
       Obs.Metrics.incr ~by:st.strengthened c_strengthened;
-      Obs.Metrics.incr ~by:st.failed_lits c_failed;
-      Obs.Metrics.incr ~by:st.bve_eliminated c_bve;
       Obs.Metrics.incr ~by:(max 0 (clauses_before - clauses_after)) c_clauses_removed;
       Obs.Metrics.incr ~by:(max 0 (lits_before - lits_after)) c_lits_removed;
       Obs.Span.event "inproc.done"
@@ -991,7 +790,6 @@ let run ?config ?(gates = false) (p : problem) =
             ("merges", Obs.Int st.scc_merges);
             ("subsumed", Obs.Int st.subsumed);
             ("strengthened", Obs.Int st.strengthened);
-            ("bve", Obs.Int st.bve_eliminated);
             ("clauses_after", Obs.Int clauses_after);
           ]
         ();

@@ -4,46 +4,40 @@
     parsing and AIG construction. The machinery follows the classic SAT
     inprocessing playbook — clause arena with per-literal occurrence
     lists, a binary implication graph (BIG) whose Tarjan SCCs drive
-    equivalence substitution, signature-based subsumption and
-    self-subsumption strengthening, failed-literal probing on BIG roots,
-    and bounded variable elimination — each rule adapted to Henkin
-    (DQBF) semantics:
+    equivalence substitution, and signature-based subsumption and
+    self-subsumption strengthening — each rule adapted to Henkin (DQBF)
+    semantics:
 
     - a unit over a universal variable refutes the formula;
     - merging two equivalent existentials intersects their dependency
       sets; two universals forced equal, or an existential forced equal
-      to a universal outside its dependency set, refute;
-    - bounded variable elimination of an existential [y] is only
-      performed when it is {e Henkin-legal}: every other variable in a
-      clause containing [y] must be dependency-below [y] (universal [v]:
-      [v] in [D_y]; existential [v]: [D_v] subset of [D_y]), so the
-      reconstruction function for [y] — and every resolvent — never
-      widens a dependency requirement.
+      to a universal outside its dependency set, refute.
 
     After the fixpoint, on request, one more pass over the same arena and
-    occurrence lists detects Henkin-legal Tseitin AND/XOR gate
-    definitions and hands them back with their defining clauses (see
-    {!gate}); [Dqbf.Preprocess] substitutes them into the AIG.
+    occurrence lists detects Tseitin AND/XOR gate definitions and hands
+    them back with their defining clauses (see {!gate}); a gate is kept
+    only when it is {e Henkin-legal}: every input is dependency-below
+    the output (universal [v]: [v] in [D_y]; existential [v]: [D_v]
+    subset of [D_y]). [Dqbf.Preprocess] substitutes them into the AIG.
 
     The engine operates on raw clause data ({!Sat.Lit}-encoded literals,
     variables as integers, dependency sets as {!Hqs_util.Bitset.t}) so
     it sits below [lib/dqbf]; [Dqbf.Preprocess] converts from and back
     to [Pcnf.t] and replays the returned {!step} witnesses into the
-    Skolem model trail. Every deletion, strengthening, merge and
-    elimination is reported as a step so [Check.audit_inproc] can
+    Skolem model trail. Every deletion, strengthening and merge is
+    reported as a step so [Check.audit_inproc] can
     validate the run structurally (and semantically at [--check full]). *)
 
-type mode = Off | On | Full
+type mode = Off | On
 (** [Off]: no rule; {!run} loads the clauses and returns them unchanged
     (zero rounds, no steps). [On] (default): unit propagation, universal
     reduction, BIG/SCC equivalence substitution, subsumption and
-    self-subsumption. [Full]: additionally failed-literal probing on BIG
-    roots and Henkin-legal bounded variable elimination. *)
+    self-subsumption. *)
 
 val mode_name : mode -> string
 
 val mode_of_string : string -> mode option
-(** Accepts "off"/"0", "on"/"1", "full"/"2" (case-insensitive). *)
+(** Accepts "off"/"0", "on"/"1" (case-insensitive). *)
 
 val mode_of_env : unit -> (mode, string) result
 (** Reads [HQS_INPROC]; unset or empty means the default mode [On]. *)
@@ -56,11 +50,10 @@ type config = {
   equivalences : bool;  (** BIG + Tarjan SCC substitution *)
   subsumption : bool;
   self_subsumption : bool;
-  probe : bool;  (** failed-literal probing on BIG roots *)
-  bve : bool;  (** Henkin-legal bounded variable elimination *)
   max_rounds : int;
-  bve_cap : int;  (** skip eliminations with more than this many resolvent pairs *)
 }
+(** One switch per rule. [On] turns all of them on; a config with a
+    single rule on checks that rule alone. *)
 
 val config_of_mode : mode -> config
 
@@ -84,15 +77,6 @@ type step =
   | Strengthened of { clause : int list; removed : int; by : int list }
       (** self-subsumption: [removed] deleted from [clause], witnessed by
           the partner clause [by] containing its negation *)
-  | Eliminated of {
-      y : int;
-      dep_y : int list;  (** dependency set of [y] at elimination time *)
-      pos : int list list;  (** clauses containing [y] positively *)
-      neg : int list list;  (** clauses containing [y] negatively *)
-    }
-      (** bounded variable elimination by resolution on [y]; the [pos]
-          side is the reconstruction basis for the Skolem function of
-          [y] *)
 
 type stats = {
   rounds : int;
@@ -101,8 +85,6 @@ type stats = {
   scc_merges : int;
   subsumed : int;
   strengthened : int;
-  failed_lits : int;
-  bve_eliminated : int;
   clauses_before : int;
   clauses_after : int;
   lits_before : int;
@@ -146,8 +128,7 @@ type outcome = Unsat | Simplified of result
 
 val run : ?config:config -> ?gates:bool -> problem -> outcome
 (** Run the fixpoint engine. [Unsat] means a rule refuted the formula
-    (empty clause, universal unit, illegal merge, failed universal
-    literal). The default config is [config_of_mode On]. Variables of
+    (empty clause, universal unit, illegal merge). The default config is [config_of_mode On]. Variables of
     [problem] declared neither universal nor existential are existential
     with no dependencies. With [gates] (default false), one pass after
     the fixpoint detects Henkin-legal AND/XOR gate definitions on the

@@ -229,13 +229,13 @@ let test_csv_executor_columns () =
      String.length header > n && String.sub header 0 n = prefix);
   check "executor, analysis, inproc then cert columns last" true
     (let suffix =
-       ",outcome,attempts,worker_pid,hqs_dep_scheme,hqs_analysis_edges_pruned,hqs_analysis_linearized,hqs_inproc_mode,hqs_inproc_rounds,hqs_inproc_units,hqs_inproc_scc_merges,hqs_inproc_subsumed,hqs_inproc_strengthened,hqs_inproc_failed_lits,hqs_inproc_bve,hqs_inproc_clauses_removed,hqs_inproc_lits_removed,hqs_cert_status,cert"
+       ",outcome,attempts,worker_pid,hqs_dep_scheme,hqs_analysis_edges_pruned,hqs_analysis_linearized,hqs_inproc_mode,hqs_inproc_rounds,hqs_inproc_units,hqs_inproc_scc_merges,hqs_inproc_subsumed,hqs_inproc_strengthened,hqs_inproc_clauses_removed,hqs_inproc_lits_removed,hqs_cert_status,cert"
      in
      let n = String.length header and m = String.length suffix in
      n > m && String.sub header (n - m) m = suffix);
   check "in-process rows: solved, 1 attempt, empty pid, blank analysis/inproc/cert cells"
     true
-    (contains s ",solved,1,,,,,,,,,,,,,,,,\n")
+    (contains s ",solved,1,,,,,,,,,,,,,,\n")
 
 (* a worker killed on its wall limit sends no stats frame; the row is
    rebuilt from the salvaged samples alone, and its configuration cells
@@ -247,7 +247,7 @@ let test_salvaged_row () =
     {
       Hqs.default_config with
       Hqs.dep_scheme = Analysis.Scheme.Rp;
-      preprocess = { Dqbf.Preprocess.default_config with Dqbf.Preprocess.inproc = Inproc.Full };
+      preprocess = { Dqbf.Preprocess.default_config with Dqbf.Preprocess.inproc = Inproc.Off };
     }
   in
   let config =
@@ -286,7 +286,7 @@ let test_salvaged_row () =
       let cell name = List.assoc name cells in
       Alcotest.(check string) "outcome" "timeout" (cell "outcome");
       Alcotest.(check string) "dep scheme echo" "rp" (cell "hqs_dep_scheme");
-      Alcotest.(check string) "inproc mode echo" "full" (cell "hqs_inproc_mode");
+      Alcotest.(check string) "inproc mode echo" "off" (cell "hqs_inproc_mode");
       Alcotest.(check string) "rounds, not runs" "3" (cell "hqs_inproc_rounds");
       Alcotest.(check string) "salvaged gauge" "900" (cell "hqs_peak_nodes");
       Alcotest.(check string) "no artifact" "-" (cell "hqs_cert_status")

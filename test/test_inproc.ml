@@ -1,6 +1,6 @@
 (* Inprocessing engine (lib/inproc): hand-built cases for each rule and
    QCheck properties tying the engine to the reference expansion solver,
-   the witness auditor and the Henkin-legality contract of BVE. *)
+   the witness auditor and the Henkin-legality contract of gates. *)
 
 open Hqs_util
 module Pcnf = Dqbf.Pcnf
@@ -68,41 +68,6 @@ let test_merge_intersects_deps () =
       check_int "one merge" 1 res.Inproc.stats.Inproc.scc_merges;
       check "survivor dependency set is the intersection" true
         (List.for_all (fun (_, d) -> Bitset.is_empty d) res.Inproc.deps)
-
-let full_config = Inproc.config_of_mode Inproc.Full
-
-let test_bve_eliminates () =
-  (* y (var 1, deps {0}) in (y | x) and (!y | z): resolvent (x | z); z
-     depends on x so elimination is Henkin-legal *)
-  let p =
-    pcnf ~num_vars:3 ~univs:[ 0 ]
-      ~exists:[ (1, [ 0 ]); (2, [ 0 ]) ]
-      ~clauses:[ [ 2; 1 ]; [ -2; 3 ] ]
-  in
-  match Inproc.run ~config:full_config (problem_of_pcnf p) with
-  | Inproc.Unsat -> Alcotest.fail "satisfiable"
-  | Inproc.Simplified res ->
-      check "y eliminated" true (res.Inproc.stats.Inproc.bve_eliminated >= 1);
-      check "y gone from the prefix" true
-        (not (List.exists (fun (v, _) -> v = 1) res.Inproc.deps))
-
-let test_bve_illegal_dep_skipped () =
-  (* y (var 1, deps {}) shares both its clauses with universal x: x not
-     in D_y, so resolution on y would smuggle an x-dependency — must be
-     skipped. z (var 2, deps {0}) in the same clauses IS legal to
-     eliminate (its resolvent is a tautology). *)
-  let p =
-    pcnf ~num_vars:3 ~univs:[ 0 ]
-      ~exists:[ (1, []); (2, [ 0 ]) ]
-      ~clauses:[ [ 2; 1; 3 ]; [ -2; -1; -3 ] ]
-  in
-  match Inproc.run ~config:full_config (problem_of_pcnf p) with
-  | Inproc.Unsat -> Alcotest.fail "should not refute"
-  | Inproc.Simplified res ->
-      check "no Eliminated step on the dep-illegal variable" true
-        (List.for_all
-           (function Inproc.Eliminated { y; _ } -> y <> 1 | _ -> true)
-           res.Inproc.steps)
 
 (* gate detection: the engine's gates and the clauses it leaves behind *)
 let run_gates ?(config = Inproc.config_of_mode Inproc.On) p =
@@ -320,24 +285,20 @@ let judged p =
    expansion solver, and every witness and gate it emits survives the
    Full auditor; so does the analyzer's gate-free run from the Pcnf *)
 let prop_engine_preserves_truth =
-  QCheck.Test.make ~count:300 ~name:"inproc full preserves truth and passes audit"
+  QCheck.Test.make ~count:300 ~name:"inproc on keeps truth and passes audit"
     instance_arb (fun inst ->
       let p = to_pcnf inst in
       let judged = judged p in
-      judged (Dqbf.Preprocess.run_inproc ~mode:Inproc.Full p)
-      && judged (Inproc.run ~config:full_config ~gates:true (problem_of_pcnf p)))
+      judged (Dqbf.Preprocess.run_inproc ~mode:Inproc.On p)
+      && judged (Inproc.run ~gates:true (problem_of_pcnf p)))
 
 (* the same on instances with planted definitions, where gates are
-   actually found. Full's BVE resolves most planted definitions away
-   before gate detection runs, so gates are also detected after the On
-   rule set. *)
+   actually found *)
 let prop_gates_preserve_truth =
   QCheck.Test.make ~count:1000 ~name:"engine gates preserve truth and pass audit"
     gated_instance_arb (fun inst ->
       let p = to_pcnf inst in
-      let judged = judged p in
-      judged (Inproc.run ~config:full_config ~gates:true (problem_of_pcnf p))
-      && judged (Inproc.run ~gates:true (problem_of_pcnf p)))
+      judged p (Inproc.run ~gates:true (problem_of_pcnf p)))
 
 (* end-to-end: the solver's verdict does not depend on the engine mode *)
 let prop_solver_mode_agreement =
@@ -355,7 +316,7 @@ let prop_solver_mode_agreement =
         in
         match Hqs.solve_pcnf ~config p with Hqs.Sat, _ -> true | Hqs.Unsat, _ -> false
       in
-      solve Inproc.Off = solve Inproc.Full)
+      solve Inproc.Off = solve Inproc.On)
 
 (* every rule is sound on its own: no rule leans on another having run
    first. Each config switches one rule on over the Off rule set. *)
@@ -366,8 +327,6 @@ let single_rule_configs =
     { none with Inproc.universal_reduction = true };
     { none with Inproc.equivalences = true };
     { none with Inproc.subsumption = true; self_subsumption = true };
-    { none with Inproc.probe = true };
-    { none with Inproc.bve = true; bve_cap = full_config.Inproc.bve_cap };
   ]
 
 let prop_each_rule_alone_preserves_truth =
@@ -392,10 +351,7 @@ let subsumption_only =
     equivalences = false;
     subsumption = true;
     self_subsumption = true;
-    probe = false;
-    bve = false;
     max_rounds = 50;
-    bve_cap = 0;
   }
 
 let prop_subsumption_shrinks =
@@ -432,35 +388,6 @@ let prop_scc_idempotent =
               res2.Inproc.stats.Inproc.scc_merges = 0
               && res2.Inproc.stats.Inproc.subsumed = 0))
 
-(* every Eliminated witness respects the randomly drawn Henkin prefix:
-   its dependency snapshot never exceeds the declared set, and no
-   clause it resolved mentions a universal outside that snapshot *)
-let prop_bve_legality =
-  QCheck.Test.make ~count:300 ~name:"BVE legality respects random dependency sets"
-    instance_arb (fun inst ->
-      let p = to_pcnf inst in
-      let declared = List.map (fun (y, d) -> (y, Bitset.of_list d)) p.Pcnf.exists in
-      let univs = Bitset.of_list p.Pcnf.univs in
-      match Inproc.run ~config:full_config (problem_of_pcnf p) with
-      | Inproc.Unsat -> true
-      | Inproc.Simplified res ->
-          List.for_all
-            (function
-              | Inproc.Eliminated { y; dep_y; pos; neg } ->
-                  let dep_set = Bitset.of_list dep_y in
-                  (match List.assoc_opt y declared with
-                  | None -> false
-                  | Some d -> Bitset.subset dep_set d)
-                  && List.for_all
-                       (List.for_all (fun l ->
-                            let v = L.var l in
-                            v = y
-                            || (not (Bitset.mem v univs))
-                            || Bitset.mem v dep_set))
-                       (pos @ neg)
-              | _ -> true)
-            res.Inproc.steps)
-
 let () =
   Alcotest.run "inproc"
     [
@@ -471,8 +398,6 @@ let () =
           Alcotest.test_case "universal equivalence refutes" `Quick
             test_universal_equivalence_refutes;
           Alcotest.test_case "merge intersects deps" `Quick test_merge_intersects_deps;
-          Alcotest.test_case "bve eliminates" `Quick test_bve_eliminates;
-          Alcotest.test_case "bve illegal dep skipped" `Quick test_bve_illegal_dep_skipped;
           Alcotest.test_case "gate and found" `Quick test_gate_and_found;
           Alcotest.test_case "gate xor found" `Quick test_gate_xor_found;
           Alcotest.test_case "gate illegal input rejected" `Quick test_gate_illegal_input_rejected;
@@ -489,6 +414,5 @@ let () =
             prop_solver_mode_agreement;
             prop_subsumption_shrinks;
             prop_scc_idempotent;
-            prop_bve_legality;
           ] );
     ]

@@ -354,7 +354,8 @@ let test_solve_metrics_flow () =
      and inproc front end land next to the solve's own counters *)
   let inst = Fam.c432 ~groups:3 ~lines:3 ~boxes:3 ~fault:false in
   let _, report = Analysis.Rp.analyze ~scheme:Analysis.Scheme.Rp inst.Fam.pcnf in
-  let _, stats = Hqs.solve_pcnf inst.Fam.pcnf in
+  let config = { Hqs.default_config with Hqs.dep_scheme = Analysis.Scheme.Rp } in
+  let _, stats = Hqs.solve_pcnf ~config inst.Fam.pcnf in
   check "solve counters" true (count stats "sat.solves" >= 1);
   check_int "analysis delta" (List.length report.Analysis.Rp.pruned)
     (count stats "analysis.edges_pruned");
@@ -364,7 +365,7 @@ let test_solve_metrics_flow () =
   check "inproc work" true (count stats "inproc.clauses_removed" > 0);
   (* every declared column renders, and the --stats keys derive from it *)
   let line =
-    Format.asprintf "%a" (Hqs.pp_stats ~config:Hqs.default_config ~verdict:Hqs.Sat) stats
+    Format.asprintf "%a" (Hqs.pp_stats ~config ~verdict:(Some Hqs.Sat)) stats
   in
   List.iter
     (fun key ->
