@@ -120,7 +120,7 @@ let load_pcnf file =
       exit 2
 
 let solve file timeout mem_limit node_limit no_preprocess no_unitpure no_maxsat no_thm2
-    expand_all search_backend check dep_scheme inproc certify show_model show_stats trace
+    expand_all check dep_scheme inproc certify show_model show_stats trace
     show_metrics =
   install_signal_handlers ();
   let trace_file = flag_or_env trace "HQS_TRACE" in
@@ -136,7 +136,6 @@ let solve file timeout mem_limit node_limit no_preprocess no_unitpure no_maxsat 
       use_maxsat = not no_maxsat;
       use_thm2 = not no_thm2;
       mode = (if expand_all then Hqs.Expand_all else Hqs.Elimination);
-      qbf_backend = (if search_backend then Hqs.Search_backend else Hqs.Elim_backend);
       node_limit;
       check_level;
       dep_scheme = resolve_dep_scheme dep_scheme;
@@ -610,8 +609,6 @@ let sweep_cmd =
 (* "c inproc ..." detail lines plus one machine-greppable "s inproc ..."
    summary, mirroring the "s analysis" convention *)
 let print_inproc_report mode (outcome : Inproc.outcome) =
-  (* failed-lits=0 bve=0 name two deleted rules; they stay in the text so
-     the report keeps the format pinned by test/fixtures/analysis *)
   let mname = Inproc.mode_name mode in
   match outcome with
   | Inproc.Unsat ->
@@ -621,8 +618,7 @@ let print_inproc_report mode (outcome : Inproc.outcome) =
       let s = res.Inproc.stats in
       Printf.printf "c inproc mode=%s rounds=%d\n" mname s.Inproc.rounds;
       Printf.printf
-        "c inproc units=%d reduced-lits=%d merges=%d subsumed=%d strengthened=%d \
-         failed-lits=0 bve=0\n"
+        "c inproc units=%d reduced-lits=%d merges=%d subsumed=%d strengthened=%d\n"
         s.Inproc.units s.Inproc.reduced_lits s.Inproc.scc_merges s.Inproc.subsumed
         s.Inproc.strengthened;
       Printf.printf "c inproc clauses %d -> %d, literals %d -> %d, variables %d -> %d\n"
@@ -630,7 +626,7 @@ let print_inproc_report mode (outcome : Inproc.outcome) =
         s.Inproc.lits_after s.Inproc.vars_before s.Inproc.vars_after;
       Printf.printf
         "s inproc mode=%s rounds=%d units=%d merges=%d subsumed=%d strengthened=%d \
-         failed-lits=0 bve=0 clauses=%d->%d lits=%d->%d\n"
+         clauses=%d->%d lits=%d->%d\n"
         mname s.Inproc.rounds s.Inproc.units s.Inproc.scc_merges s.Inproc.subsumed
         s.Inproc.strengthened s.Inproc.clauses_before s.Inproc.clauses_after
         s.Inproc.lits_before s.Inproc.lits_after
@@ -1094,7 +1090,6 @@ let solve_term =
     $ flag [ "no-maxsat" ] "use the greedy elimination set instead of MaxSAT"
     $ flag [ "no-thm2" ] "disable elimination of fully-dependent existentials"
     $ flag [ "expand-all" ] "eliminate every universal (ICCD'13 baseline)"
-    $ flag [ "search-backend" ] "use the QDPLL search back end instead of AIG elimination"
     $ check $ dep_scheme $ inproc $ certify_arg
     $ flag [ "model" ] "on SAT, print and verify Skolem functions"
     $ flag [ "stats" ] "print statistics to stderr (with --trace, also a flame summary)"

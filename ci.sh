@@ -33,16 +33,19 @@
 #      were found and audited; assert the engine finds gates on a PEC
 #      instance under --check full; prove the no-stdout lint rule fires
 #      on a seeded stdout write under lib/
-#   8. elimination gate: solve the example suite (minus the c432 SAT
-#      instance) plus adder, z4, c432 and pec_xor instances three ways
-#      under --check full — default, --search-backend and --model — and
-#      diff the verdict lines byte-for-byte
+#   8. elimination gate: solve the example suite plus adder, z4 and
+#      c432 instances under --check full, plain and with --model, and
+#      diff the verdict lines byte-for-byte; every SAT verdict must
+#      carry a verified Skolem model, and every UNSAT verdict must be
+#      refuted by iDQ in one `hqs sweep` (UNSAT in both the hqs_outcome
+#      and idq_outcome columns; an iDQ timeout fails the gate)
 #   9. full-check smoke solve: generate a small PEC instance and solve
 #      it with the soundness auditor at full depth (HQS_CHECK=full),
 #      proving the stage audits end-to-end through the real CLI; then
 #      the memout gate: a node-limit blowup is a memout (exit 125)
 #      at once, not a timeout after a detour through a fallback, and
-#      --stats still prints the stats line on that exit
+#      the --stats line on that exit shows peak-nodes at the limit and
+#      a non-zero qbf-time
 #  10. traced smoke solve: solve an instance with incomparable dependency
 #      sets under --trace and validate the trace with bin/tracecheck
 #      (well-formed Chrome JSON, balanced spans, >= 6 pipeline phases)
@@ -326,40 +329,39 @@ fi
 echo "c inproc gate: verdicts identical, fixture merged+subsumed, $gates gates audited, no-stdout armed"
 
 echo "== elim =="
-# the AIG elimination back end must agree with the independent QDPLL search
-# back end and with itself under --model, verdict byte for byte under the
-# full auditor; every SAT verdict of the model mode must come with a
-# verified Skolem model. The instances: the analysis suite, one small adder
-# and z4 instance, the two ladder shapes on which quantifier localization
-# changes the elimination most (adder_b6_k1_ok, SAT; c432_g3l5_k2_f,
-# UNSAT), and the smallest instance whose back end ran a FRAIG sweep
-# before the sweep was deleted (adder_b5_k3_ok, SAT); the known verdicts of
-# the last three are asserted. The search back end skips those three (36 s
-# on adder_b6_k1_ok, over 70 s on the c432, over 120 s on adder_b5_k3_ok),
-# and the c432 SAT instance of the analysis suite is left out entirely: the
-# search back end needs about two minutes on it.
+# every verdict of the elimination pipeline is checked by code that did
+# not produce it. Each instance is solved under the full auditor twice,
+# plain and with --model, and the two verdicts must agree byte for byte;
+# every SAT verdict must come with a Skolem model verified against the
+# original matrix. Every UNSAT verdict is refuted independently by iDQ
+# (lib/idq, the paper's baseline: instantiation refinement on the original
+# PCNF) in one `hqs sweep` over the UNSAT instances, which must exit 0 with
+# UNSAT in both the hqs_outcome and the idq_outcome column of every row;
+# an iDQ timeout (TO) fails the gate. Both checks start from the input
+# file, so they cover preprocessing and the DQBF main loop as well as the
+# QBF back end. The instances: the analysis suite, one small adder and z4
+# instance, the two ladder shapes on which quantifier localization changes
+# the elimination most (adder_b6_k1_ok, SAT; c432_g3l5_k2_f, UNSAT), and
+# the smallest instance whose back end ran a FRAIG sweep before the sweep
+# was deleted (adder_b5_k3_ok, SAT); the known verdicts of the last three
+# are asserted.
 mkdir -p "$tmp/el"
 dune exec bin/genpec.exe -- one adder --size 2 --boxes 1 --out "$tmp/el" >/dev/null
 dune exec bin/genpec.exe -- one z4 --size 2 --boxes 1 --out "$tmp/el" >/dev/null
 dune exec bin/genpec.exe -- one adder --size 6 --boxes 1 --out "$tmp/el" >/dev/null
 dune exec bin/genpec.exe -- one c432 --size 5 --boxes 2 --fault --out "$tmp/el" >/dev/null
 dune exec bin/genpec.exe -- one adder --size 5 --boxes 3 --out "$tmp/el" >/dev/null
-search_skip='^(adder_b6_k1_ok|c432_g3l5_k2_f|adder_b5_k3_ok) '
-for mode in default search model; do : >"$tmp/verdicts.elim-$mode"; done
+for mode in default model; do : >"$tmp/verdicts.elim-$mode"; done
 n_el=0
+n_models=0
+el_unsat=""
+n_unsat=0
 for f in "$tmp/an"/*.dqdimacs "$tmp/el"/*.dqdimacs; do
   id=$(basename "$f" .dqdimacs)
-  case "$id" in c432_*_ok) continue ;; esac
   n_el=$((n_el + 1))
-  for mode in default search model; do
-    case "$mode" in
-    search)
-      if echo "$id " | grep -Eq "$search_skip"; then continue; fi
-      flags="--search-backend"
-      ;;
-    model) flags="--model" ;;
-    *) flags="" ;;
-    esac
+  for mode in default model; do
+    flags=""
+    [ "$mode" = model ] && flags="--model"
     el_status=0
     # $flags is deliberately unquoted: empty for the default mode
     "$HQS_BIN" "$f" $flags --check full --timeout 60 >"$tmp/el.out" 2>&1 || el_status=$?
@@ -371,10 +373,17 @@ for f in "$tmp/an"/*.dqdimacs "$tmp/el"/*.dqdimacs; do
       exit 1
       ;;
     esac
-    if [ "$mode" = model ] && [ "$el_status" = 10 ] && ! grep -qx 'c model verified' "$tmp/el.out"; then
-      echo "== ci FAILED: the model of SAT instance $id was not verified =="
-      grep -v '^v ' "$tmp/el.out"
-      exit 1
+    if [ "$mode" = model ] && [ "$el_status" = 10 ]; then
+      grep -qx 'c model verified' "$tmp/el.out" || {
+        echo "== ci FAILED: the model of SAT instance $id was not verified =="
+        grep -v '^v ' "$tmp/el.out"
+        exit 1
+      }
+      n_models=$((n_models + 1))
+    fi
+    if [ "$mode" = default ] && [ "$el_status" = 20 ]; then
+      el_unsat="$el_unsat $f"
+      n_unsat=$((n_unsat + 1))
     fi
     grep '^s ' "$tmp/el.out" | sed "s|^|$id |" >>"$tmp/verdicts.elim-$mode"
   done
@@ -387,17 +396,42 @@ for known in 'adder_b6_k1_ok s cnf SAT' 'c432_g3l5_k2_f s cnf UNSAT' \
     exit 1
   }
 done
-grep -Ev "$search_skip" "$tmp/verdicts.elim-default" >"$tmp/verdicts.elim-default-searched"
-for mode in search model; do
-  expected="$tmp/verdicts.elim-default"
-  [ "$mode" = search ] && expected="$tmp/verdicts.elim-default-searched"
-  cmp "$expected" "$tmp/verdicts.elim-$mode" || {
-    echo "== ci FAILED: the default and $mode solves disagree on a verdict =="
-    diff "$expected" "$tmp/verdicts.elim-$mode" || true
-    exit 1
+cmp "$tmp/verdicts.elim-default" "$tmp/verdicts.elim-model" || {
+  echo "== ci FAILED: the default and model solves disagree on a verdict =="
+  diff "$tmp/verdicts.elim-default" "$tmp/verdicts.elim-model" || true
+  exit 1
+}
+# iDQ refutes every UNSAT verdict; $el_unsat is deliberately unquoted
+# (the file list). The columns are looked up by header name.
+sweep_status=0
+"$HQS_BIN" sweep $el_unsat --timeout 30 -j 2 >"$tmp/elim-sweep.csv" 2>"$tmp/elim-sweep.err" \
+  || sweep_status=$?
+if [ "$sweep_status" != 0 ]; then
+  echo "== ci FAILED: the iDQ cross-check sweep exited $sweep_status =="
+  cat "$tmp/elim-sweep.err" "$tmp/elim-sweep.csv"
+  exit 1
+fi
+n_refuted=$(awk -F, '
+  NR == 1 {
+    for (i = 1; i <= NF; i++) col[$i] = i
+    if (!col["hqs_outcome"] || !col["idq_outcome"]) { missing = 1; exit }
+    next
   }
-done
-echo "c elim gate: $n_el instances, elimination, search and model verdicts identical"
+  $col["hqs_outcome"] == "UNSAT" && $col["idq_outcome"] == "UNSAT" { n++; next }
+  { print "row " $1 ": hqs_outcome=" $col["hqs_outcome"] " idq_outcome=" $col["idq_outcome"]; bad = 1 }
+  END { if (missing || bad) exit 1; print n + 0 }' "$tmp/elim-sweep.csv") || {
+  echo "== ci FAILED: iDQ did not refute every UNSAT verdict =="
+  echo "$n_refuted"
+  cat "$tmp/elim-sweep.csv"
+  exit 1
+}
+if [ "$n_refuted" != "$n_unsat" ]; then
+  echo "== ci FAILED: the iDQ sweep refuted $n_refuted of $n_unsat UNSAT verdicts =="
+  cat "$tmp/elim-sweep.csv"
+  exit 1
+fi
+echo "c elim gate: $n_el instances, default and model verdicts identical," \
+  "$n_models SAT models verified, $n_refuted UNSAT verdicts refuted by iDQ"
 
 echo "== full-check smoke solve =="
 f=$(dune exec bin/genpec.exe -- one pec_xor --size 3 --boxes 1 --out "$tmp")
@@ -424,11 +458,17 @@ if [ "$memout_status" != 125 ]; then
   cat "$tmp/memout.out" "$tmp/memout.err"
   exit 1
 fi
-grep -q 'peak-nodes=' "$tmp/memout.err" || {
-  echo "== ci FAILED: --stats printed no stats line on the memout exit =="
+# the stats line explains the memout: the peak counts the back end's own
+# manager, which stood at the limit, and the back end's time is counted
+memout_peak=$(sed -n 's/.*peak-nodes=\([0-9]*\).*/\1/p' "$tmp/memout.err")
+memout_qbf=$(sed -n 's/.*qbf-time=\([0-9.]*\).*/\1/p' "$tmp/memout.err")
+if [ -z "$memout_peak" ] || [ "$memout_peak" -lt 4000 ] || [ -z "$memout_qbf" ] \
+  || [ "$memout_qbf" = 0.000 ]; then
+  echo "== ci FAILED: the memout stats line shows peak-nodes='$memout_peak' (want >= 4000)" \
+    "and qbf-time='$memout_qbf' (want > 0) =="
   cat "$tmp/memout.err"
   exit 1
-}
+fi
 
 echo "== traced smoke solve =="
 # boxes=2 makes the dependency sets incomparable, so the solve actually

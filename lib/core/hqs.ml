@@ -4,7 +4,6 @@ module F = Dqbf.Formula
 
 type verdict = Sat | Unsat
 type mode = Elimination | Expand_all
-type qbf_backend = Elim_backend | Search_backend
 
 type config = {
   preprocess : Dqbf.Preprocess.config;
@@ -13,7 +12,6 @@ type config = {
   use_thm2 : bool;
   use_maxsat : bool;
   node_limit : int option;
-  qbf_backend : qbf_backend;
   check_level : Check.level;
   dep_scheme : Analysis.Scheme.t;
 }
@@ -33,7 +31,6 @@ let default_config =
     use_thm2 = true;
     use_maxsat = true;
     node_limit = None;
-    qbf_backend = Elim_backend;
     (* a malformed HQS_CHECK is reported by the CLI; library users who
        bypass it get the safe default *)
     check_level = (match Check.level_of_env () with Ok l -> l | Error _ -> Check.Off);
@@ -63,7 +60,14 @@ let g_qbf_time = Obs.Metrics.gauge "hqs.qbf_time_s"
 
 let per_call_gauges = [ g_peak_nodes; g_maxsat_set; g_maxsat_time; g_unitpure_time; g_qbf_time ]
 
-let add_seconds g t0 = Obs.Metrics.set g (Obs.Metrics.gauge_value g +. (Budget.now () -. t0))
+(* add [run]'s wall time to the seconds gauge [g], also when [run] raises:
+   a timeout or memout must still show where its time went *)
+let timed g run =
+  let t0 = Budget.now () in
+  Fun.protect run ~finally:(fun () ->
+      Obs.Metrics.set g (Obs.Metrics.gauge_value g +. (Budget.now () -. t0)))
+
+let note_peak nodes = Obs.Metrics.set_max g_peak_nodes (float_of_int nodes)
 
 let solve_impl ~(config : config) ~budget ~trail f0 =
   Obs.Span.with_ "hqs.solve" ~attrs:[ ("vars", Obs.Int (F.next_var f0)) ] @@ fun () ->
@@ -73,7 +77,7 @@ let solve_impl ~(config : config) ~budget ~trail f0 =
   let last_size = ref (M.num_nodes (F.man f)) in
   let first_select = ref true in
   let note_size () =
-    Obs.Metrics.set_max g_peak_nodes (float_of_int (M.num_nodes (F.man f)));
+    note_peak (M.num_nodes (F.man f));
     Obs.Metrics.set_max g_heap (float_of_int (Budget.heap_words ()))
   in
   (* the soundness gate at each stage boundary (free when check_level=Off) *)
@@ -90,18 +94,17 @@ let solve_impl ~(config : config) ~budget ~trail f0 =
     end
   in
   let refill_queue () =
-    let t0 = Budget.now () in
     Obs.Span.with_ "elim.select"
       ~attrs:[ ("universals", Obs.Int (F.num_universals f)); ("maxsat", Obs.Bool config.use_maxsat) ]
     @@ fun () ->
     let set =
+      timed g_maxsat_time @@ fun () ->
       match config.mode with
       | Expand_all -> Bitset.to_list (F.universals f)
       | Elimination ->
           if config.use_maxsat then Dqbf.Elimset.minimum_set ~budget f
           else Dqbf.Elimset.greedy_all f
     in
-    add_seconds g_maxsat_time t0;
     (* the paper's elimination-set size is that of the first selection *)
     if !first_select then begin
       first_select := false;
@@ -122,9 +125,10 @@ let solve_impl ~(config : config) ~budget ~trail f0 =
         let eliminated_up =
           if not config.use_unitpure then false
           else begin
-            let t0 = Budget.now () in
-            let r = Obs.Span.with_ "elim.unitpure" (fun () -> Dqbf.Elim.unit_pure_round ?trail f) in
-            add_seconds g_unitpure_time t0;
+            let r =
+              timed g_unitpure_time @@ fun () ->
+              Obs.Span.with_ "elim.unitpure" (fun () -> Dqbf.Elim.unit_pure_round ?trail f)
+            in
             match r with
             | `Unsat -> raise (Done Unsat)
             | `Eliminated n ->
@@ -183,46 +187,30 @@ let solve_impl ~(config : config) ~budget ~trail f0 =
                 if config.check_level <> Check.Off then
                   Check.audit_prefix ~stage:Check.Pre_backend f prefix;
                 audit Check.Pre_backend;
-                let t0 = Budget.now () in
-                let backend_name =
-                  match config.qbf_backend with
-                  | Search_backend -> "search"
-                  | Elim_backend -> "elim"
+                let on_define =
+                  Option.map
+                    (fun trail y man fn -> Dqbf.Model_trail.record_def trail man y fn)
+                    trail
                 in
                 let answer =
-                  Obs.Span.with_ "qbf.backend"
-                    ~attrs:
-                      [
-                        ("backend", Obs.Str backend_name);
-                        ("nodes", Obs.Int (M.num_nodes (F.man f)));
-                      ]
+                  timed g_qbf_time @@ fun () ->
+                  Obs.Span.with_ "qbf.backend" ~attrs:[ ("nodes", Obs.Int (M.num_nodes (F.man f))) ]
                   @@ fun () ->
-                  match config.qbf_backend with
-                  | Search_backend ->
-                      let on_model =
-                        Option.map
-                          (fun trail mman defs ->
-                            List.iter
-                              (fun (y, fn) -> Dqbf.Model_trail.record_def trail mman y fn)
-                              defs)
-                          trail
-                      in
-                      Qbf.Qdpll.solve ~budget ?on_model (F.man f) (F.matrix f) prefix
-                  | Elim_backend ->
-                      let on_define =
-                        Option.map
-                          (fun trail y man fn -> Dqbf.Model_trail.record_def trail man y fn)
-                          trail
-                      in
-                      Qbf.Solver.solve ~budget ?on_define (F.man f) (F.matrix f) prefix
+                  Qbf.Solver.solve ~budget ?on_define ~on_nodes:note_peak (F.man f) (F.matrix f)
+                    prefix
                 in
-                add_seconds g_qbf_time t0;
                 raise (Done (if answer then Sat else Unsat))
           end
         end
       done;
       assert false
-    with Done v -> v
+    with
+    | Done v -> v
+    | Budget.Out_of_memory_budget ->
+        (* a node-limit raise leaves the manager at the limit: that is
+           the peak a memout's stats line must show *)
+        note_size ();
+        raise Budget.Out_of_memory_budget
   in
   (* remaining existentials (if any) are don't-cares on a SAT verdict *)
   (match (verdict, trail) with
@@ -266,12 +254,17 @@ let solve_formula_model ?(config = default_config) ?(budget = Budget.unlimited) 
    AIG is built, so CNF preprocessing (universal reduction in particular),
    the MaxSAT elimination-set selector and linearization all see the
    smaller dependency graph. The soundness gate semantically validates a
-   sample of pruned edges at [Full] depth. *)
+   sample of pruned edges at [Full] depth. The [Trivial] scheme keeps the
+   prefix as written, so it skips the analyzer, whose report it would
+   discard. *)
 let refine_pcnf ~(config : config) ~budget pcnf =
-  let refined, report = Analysis.Rp.analyze ~scheme:config.dep_scheme pcnf in
-  Check.audit_dep_pruning ~budget ~level:config.check_level pcnf
-    ~pruned:report.Analysis.Rp.pruned;
-  refined
+  match config.dep_scheme with
+  | Analysis.Scheme.Trivial -> pcnf
+  | Analysis.Scheme.Rp ->
+      let refined, report = Analysis.Rp.analyze ~scheme:Analysis.Scheme.Rp pcnf in
+      Check.audit_dep_pruning ~budget ~level:config.check_level pcnf
+        ~pruned:report.Analysis.Rp.pruned;
+      refined
 
 (* the front end shared by every PCNF entry point: refine the prefix,
    preprocess (auditing the engine run against the refined CNF it

@@ -16,9 +16,9 @@
     Every stage runs once, under the solve's own budget. A node-limit
     blowup anywhere — the main loop or the elimination QBF back end —
     escapes as [Out_of_memory_budget], the paper's memout: the solve is
-    deterministic, so a retry would run into the same limit, and the
-    QDPLL search back end that could sidestep it almost never finishes
-    inside the remaining budget (DESIGN.md §6). *)
+    deterministic, so a retry would run into the same limit (DESIGN.md
+    §6). The [hqs.peak_nodes] gauge then reads the limit, whichever
+    manager hit it. *)
 
 type verdict = Sat | Unsat
 
@@ -28,10 +28,6 @@ type mode =
       (** the ICCD'13 baseline ([10]): eliminate every universal variable
           and finish with a SAT call *)
 
-type qbf_backend =
-  | Elim_backend  (** AIG elimination, the AIGSOLVE role (default) *)
-  | Search_backend  (** clause-level QDPLL search, the DepQBF role *)
-
 type config = {
   preprocess : Dqbf.Preprocess.config;
   mode : mode;
@@ -39,7 +35,6 @@ type config = {
   use_thm2 : bool;  (** eliminate existentials with full dependency sets *)
   use_maxsat : bool;  (** false: eliminate all difference variables (greedy) *)
   node_limit : int option;  (** memout emulation *)
-  qbf_backend : qbf_backend;
   check_level : Check.level;
       (** soundness-auditor depth at every stage boundary (see {!Check}):
           [Off] is free, [Cheap] scans the prefix, [Full] deep-audits the
@@ -53,10 +48,10 @@ type config = {
           keeps the prefix as written; [Rp] prunes spurious dependency
           edges via resolution paths, which can shrink the MaxSAT
           elimination sets or prove the prefix already linearly
-          orderable. Defaults to the [HQS_DEP_SCHEME] environment
+          orderable; only [Rp] runs the analyzer. Defaults to the [HQS_DEP_SCHEME] environment
           variable ([trivial] when unset or malformed — the CLI reports
-          malformed values). Only [solve_pcnf]/[solve_pcnf_model] run
-          the analyzer; the [solve_formula] entry points take the prefix
+          malformed values). Only the [solve_pcnf*] entry points apply
+          the scheme; the [solve_formula] entry points take the prefix
           as given. *)
 }
 

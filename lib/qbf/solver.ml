@@ -38,9 +38,15 @@ let var_costs man root vars =
 
 exception Decided of bool
 
-type state = { mutable man : M.t; mutable root : M.lit; mutable last_size : int }
+type state = {
+  mutable man : M.t;
+  mutable root : M.lit;
+  mutable last_size : int;
+  on_nodes : int -> unit;
+}
 
 let compact_if_grown st =
+  st.on_nodes (M.num_nodes st.man);
   if M.num_nodes st.man > (2 * st.last_size) + 1024 then begin
     let man, roots = M.compact st.man [ st.root ] in
     st.man <- man;
@@ -96,7 +102,8 @@ let sat_check ~budget man root ~negate =
 
 let c_eliminations = Obs.Metrics.counter "qbf.elim.quantifications"
 
-let solve ?(config = default_config) ?(budget = Budget.unlimited) ?on_define man0 root0 prefix =
+let solve ?(config = default_config) ?(budget = Budget.unlimited) ?on_define
+    ?(on_nodes = fun _ -> ()) man0 root0 prefix =
   Obs.Span.with_ "qbf.elim" ~attrs:[ ("nodes", Obs.Int (M.num_nodes man0)) ]
   @@ fun () ->
   let man, roots = M.compact man0 [ root0 ] in
@@ -104,7 +111,8 @@ let solve ?(config = default_config) ?(budget = Budget.unlimited) ?on_define man
   let bound = Bitset.of_list (Prefix.variables prefix) in
   let free = Bitset.to_list (Bitset.diff (M.support man root) bound) in
   let prefix = ref (Prefix.normalize ((Prefix.Exists, free) :: prefix)) in
-  let st = { man; root; last_size = M.num_nodes man } in
+  let st = { man; root; last_size = M.num_nodes man; on_nodes } in
+  on_nodes st.last_size;
   let recording = on_define <> None in
   let define v fn = match on_define with Some cb -> cb v st.man fn | None -> () in
   let define_const v b = define v (if b then M.true_ else M.false_) in
@@ -161,4 +169,9 @@ let solve ?(config = default_config) ?(budget = Budget.unlimited) ?on_define man
       end
     done;
     assert false
-  with Decided answer -> answer
+  with
+  | Decided answer -> answer
+  | Budget.Out_of_memory_budget ->
+      (* a node-limit raise leaves the manager at the limit *)
+      on_nodes (M.num_nodes st.man);
+      raise Budget.Out_of_memory_budget

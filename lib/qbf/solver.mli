@@ -25,6 +25,7 @@ val solve :
   ?config:config ->
   ?budget:Hqs_util.Budget.t ->
   ?on_define:(int -> Aig.Man.t -> Aig.Man.lit -> unit) ->
+  ?on_nodes:(int -> unit) ->
   Aig.Man.t ->
   Aig.Man.lit ->
   Prefix.t ->
@@ -38,5 +39,10 @@ val solve :
     of [man], to be snapshotted immediately by the callback) is a valid
     choice function for [v] in terms of the variables still present —
     enough to reconstruct Skolem functions after a [true] answer.
+
+    [on_nodes n] reports the size of the solver's own manager: after the
+    copy, after each elimination step (before any compaction), and on a
+    node-limit raise (then [n] is the limit), so a caller can track the
+    peak the copy reaches.
     @raise Hqs_util.Budget.Timeout on deadline.
     @raise Hqs_util.Budget.Out_of_memory_budget on node-limit exhaustion. *)

@@ -147,71 +147,6 @@ let prop_negation_flips =
         ==> (Qbf.Solver.solve man matrix prefix
             = not (Qbf.Solver.solve man (M.compl_ matrix) flipped))))
 
-(* ---------------------------------------------------------------- qdpll *)
-
-let prop_qdpll_matches_brute =
-  QCheck.Test.make ~name:"qdpll matches brute force" ~count:300 qbf_arb (fun inst ->
-      let man, matrix, prefix = build_qbf inst in
-      Qbf.Qdpll.solve man matrix prefix = Qbf.Brute.solve man matrix prefix)
-
-let prop_qdpll_matches_elimination =
-  QCheck.Test.make ~name:"qdpll agrees with the elimination solver" ~count:300 qbf_arb
-    (fun inst ->
-      let man, matrix, prefix = build_qbf inst in
-      Qbf.Qdpll.solve man matrix prefix = Qbf.Solver.solve man matrix prefix)
-
-let prop_qdpll_model_sound =
-  (* on a true answer, substituting the reported choice functions into the
-     matrix must leave a formula that holds for all universal assignments
-     (checked by brute evaluation) *)
-  QCheck.Test.make ~name:"qdpll choice functions are sound" ~count:200 qbf_arb (fun inst ->
-      let man, matrix, prefix = build_qbf inst in
-      let captured = ref None in
-      let answer =
-        Qbf.Qdpll.solve
-          ~on_model:(fun mman defs -> captured := Some (mman, defs))
-          man matrix prefix
-      in
-      if not answer then true
-      else begin
-        match !captured with
-        | None -> false
-        | Some (mman, defs) ->
-            (* evaluate over every universal assignment *)
-            let univs =
-              List.concat_map
-                (fun (q, vs) -> if q = P.Forall then vs else [])
-                prefix
-            in
-            let n = List.length univs in
-            let ok = ref true in
-            for bits = 0 to (1 lsl n) - 1 do
-              let uenv v =
-                match List.find_index (fun u -> u = v) univs with
-                | Some i -> bits land (1 lsl i) <> 0
-                | None -> false
-              in
-              let env v =
-                match List.assoc_opt v defs with
-                | Some fn -> M.eval mman fn uenv
-                | None -> uenv v
-              in
-              if not (M.eval man matrix env) then ok := false
-            done;
-            !ok
-      end)
-
-let test_qdpll_cnf_direct () =
-  (* forall x exists y: (x | y) & (!x | !y)  -- y = !x, true *)
-  let l = Sat.Lit.of_dimacs in
-  let prefix = [ (P.Forall, [ 0 ]); (P.Exists, [ 1 ]) ] in
-  check "sat" true
-    (Qbf.Qdpll.solve_cnf ~prefix ~num_vars:2 [ [ l 1; l 2 ]; [ l (-1); l (-2) ] ]);
-  (* exists y forall x: (x | y) & (!x | !y) -- false *)
-  let prefix = [ (P.Exists, [ 1 ]); (P.Forall, [ 0 ]) ] in
-  check "unsat" false
-    (Qbf.Qdpll.solve_cnf ~prefix ~num_vars:2 [ [ l 1; l 2 ]; [ l (-1); l (-2) ] ])
-
 let test_prefix_normalize () =
   let p = [ (P.Forall, []); (P.Forall, [ 1 ]); (P.Forall, [ 2 ]); (P.Exists, [ 3 ]) ] in
   check "merged" true (P.normalize p = [ (P.Forall, [ 1; 2 ]); (P.Exists, [ 3 ]) ]);
@@ -244,10 +179,6 @@ let () =
             prop_wide_eliminate_all;
             prop_negation_flips;
           ] );
-      ( "qdpll",
-        [ Alcotest.test_case "cnf interface" `Quick test_qdpll_cnf_direct ]
-        @ qsuite [ prop_qdpll_matches_brute; prop_qdpll_matches_elimination; prop_qdpll_model_sound ]
-      );
       (* quantifier-block operations of QDIMACS-style prefixes *)
       ("qdimacs", [ Alcotest.test_case "prefix ops" `Quick test_prefix_normalize ]);
     ]

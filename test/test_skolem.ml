@@ -200,11 +200,6 @@ let prop_model_greedy =
   model_agrees ~config:{ Hqs.default_config with use_maxsat = false }
     "hqs model verifies (greedy set)"
 
-let prop_model_search_backend =
-  model_agrees
-    ~config:{ Hqs.default_config with qbf_backend = Hqs.Search_backend }
-    "hqs model verifies (QDPLL back end)"
-
 let prop_pcnf_model =
   QCheck.Test.make ~name:"pcnf pipeline model verifies against the original" ~count:300
     instance_arb (fun inst ->
@@ -290,7 +285,6 @@ let () =
               prop_model_no_thm2;
               prop_model_expand_all;
               prop_model_greedy;
-              prop_model_search_backend;
               prop_pcnf_model;
               prop_pcnf_model_no_preprocess;
             ] );
