@@ -32,57 +32,47 @@ let install_signal_handlers () =
   handle "SIGINT" 130 Sys.sigint;
   handle "SIGTERM" 143 Sys.sigterm
 
-(* the flag overrides the environment, mirroring --check / HQS_CHECK;
-   [default] applies when neither is given *)
-let resolve_dep_scheme ?default = function
-  | Some s -> (
-      match Analysis.Scheme.of_string s with
-      | Some scheme -> scheme
-      | None ->
-          Printf.eprintf "error: --dep-scheme %s: expected trivial or rp\n" s;
-          exit 2)
-  | None -> (
-      match Analysis.Scheme.of_env ?default () with
-      | Ok scheme -> scheme
-      | Error msg ->
-          Printf.eprintf "error: %s\n" msg;
-          exit 2)
-
-(* same pattern for the inprocessing engine: --inproc beats HQS_INPROC *)
-let resolve_inproc = function
-  | Some s -> (
-      match Inproc.mode_of_string s with
-      | Some m -> m
-      | None ->
-          Printf.eprintf "error: --inproc %s: expected off or on\n" s;
-          exit 2)
-  | None -> (
-      match Inproc.mode_of_env () with
-      | Ok m -> m
-      | Error msg ->
-          Printf.eprintf "error: %s\n" msg;
-          exit 2)
-
-(* and for the auditor: --check beats HQS_CHECK *)
-let resolve_check_level = function
-  | Some s -> (
-      match Check.level_of_string s with
-      | Some l -> l
-      | None ->
-          Printf.eprintf "error: --check %s: expected off, cheap or full\n" s;
-          exit 2)
-  | None -> (
-      match Check.level_of_env () with
-      | Ok l -> l
-      | Error msg ->
-          Printf.eprintf "error: %s\n" msg;
-          exit 2)
-
 (* a flag, else a non-empty environment variable: the flag wins *)
 let flag_or_env flag var =
   match flag with
   | Some _ -> flag
   | None -> ( match Sys.getenv_opt var with None | Some "" -> None | v -> v)
+
+(* a switch's value from its flag, else its environment variable, else
+   [default]; a malformed value is a usage error *)
+let resolve ~flag ~var ~expected of_string ~default given =
+  match flag_or_env given var with
+  | None -> default
+  | Some s -> (
+      match of_string s with
+      | Some v -> v
+      | None ->
+          Printf.eprintf "error: %s: expected %s\n"
+            (if Option.is_some given then flag ^ " " ^ s else Printf.sprintf "%s=%S" var s)
+            expected;
+          exit 2)
+
+(* the library's constant default config with the three switches every
+   command shares applied: --check/HQS_CHECK, --dep-scheme/HQS_DEP_SCHEME
+   (default [scheme]) and --inproc/HQS_INPROC *)
+let solver_config ?(scheme = Analysis.Scheme.default) ~check ~dep_scheme ~inproc () =
+  let d = Hqs.default_config in
+  {
+    d with
+    Hqs.check_level =
+      resolve ~flag:"--check" ~var:"HQS_CHECK" ~expected:"off, cheap or full"
+        Check.level_of_string ~default:d.Hqs.check_level check;
+    dep_scheme =
+      resolve ~flag:"--dep-scheme" ~var:"HQS_DEP_SCHEME" ~expected:"trivial or rp"
+        Analysis.Scheme.of_string ~default:scheme dep_scheme;
+    preprocess =
+      {
+        d.Hqs.preprocess with
+        inproc =
+          resolve ~flag:"--inproc" ~var:"HQS_INPROC" ~expected:"off or on" Inproc.mode_of_string
+            ~default:d.Hqs.preprocess.inproc inproc;
+      };
+  }
 
 (* --chaos-seed and --chaos-points plus a command's own convenience
    points, armed when any of them is given *)
@@ -125,20 +115,26 @@ let solve file timeout mem_limit node_limit no_preprocess no_unitpure no_maxsat 
   install_signal_handlers ();
   let trace_file = flag_or_env trace "HQS_TRACE" in
   let certify_path = flag_or_env certify "HQS_CERTIFY" in
-  let check_level = resolve_check_level check in
+  let base = solver_config ~check ~dep_scheme ~inproc () in
   let pcnf = load_pcnf file in
+  let instance_text =
+    Option.map
+      (fun _ ->
+        try In_channel.with_open_bin file In_channel.input_all
+        with Sys_error msg ->
+          Printf.eprintf "error: %s\n" msg;
+          exit 2)
+      certify_path
+  in
   let config =
     {
-      Hqs.preprocess =
-        (if no_preprocess then Dqbf.Preprocess.off
-         else { Dqbf.Preprocess.default_config with inproc = resolve_inproc inproc });
+      base with
+      Hqs.preprocess = (if no_preprocess then Dqbf.Preprocess.off else base.Hqs.preprocess);
       use_unitpure = not no_unitpure;
       use_maxsat = not no_maxsat;
       use_thm2 = not no_thm2;
       mode = (if expand_all then Hqs.Expand_all else Hqs.Elimination);
       node_limit;
-      check_level;
-      dep_scheme = resolve_dep_scheme dep_scheme;
     }
   in
   let budget =
@@ -165,110 +161,74 @@ let solve file timeout mem_limit node_limit no_preprocess no_unitpure no_maxsat 
         (fun (name, v) -> Printf.eprintf "c metric %s %g\n" name v)
         (Obs.Metrics.to_assoc (Obs.Metrics.snapshot ()))
   in
-  (* certifying solve with the audit-failure recovery: a certificate
-     that fails its own Post_certify audit is treated like a crash —
-     re-solve once with checks escalated to Full, then give up with exit
-     3. The solve is deterministic and escalation idempotent, so a third
-     attempt would repeat the second. *)
-  let solve_certified path =
-    let instance_text =
-      try In_channel.with_open_bin file In_channel.input_all
-      with Sys_error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 2
-    in
-    let rec attempt ~escalated cfg =
-      match Hqs.solve_pcnf_certified ~config:cfg ~budget ~instance_text pcnf with
-      | verdict, cert, _model, stats ->
-          (match Cert.write_file path cert with
-          | () -> Printf.printf "c certificate: %s (%s)\n" path (Cert.status cert)
-          | exception Sys_error msg ->
-              Printf.eprintf "error: cannot write certificate: %s\n" msg;
-              exit 2);
-          (verdict, stats)
-      | exception Check.Violation ({ Check.stage = Check.Post_certify; _ } as v) ->
-          Format.eprintf "c certificate audit failed%s: %a@."
-            (if escalated then " (escalated re-solve)" else "")
-            Check.pp_violation v;
-          if escalated then begin
-            finish_obs ();
-            print_endline "s cnf ERROR";
-            exit 3
-          end
-          else attempt ~escalated:true (Hqs.escalated_config cfg)
-    in
-    attempt ~escalated:false config
+  (* a certificate that fails its own Post_certify audit is treated like
+     a crash: re-solve once with checks escalated to Full, then give up
+     with exit 3. The solve is deterministic and escalation idempotent,
+     so a third attempt would repeat the second. *)
+  let rec attempt ~escalated cfg =
+    match Hqs.run ~config:cfg ~budget ~model:show_model ?certify:instance_text pcnf with
+    | r -> r
+    | exception Check.Violation ({ Check.stage = Check.Post_certify; _ } as v) ->
+        Format.eprintf "c certificate audit failed%s: %a@."
+          (if escalated then " (escalated re-solve)" else "")
+          Check.pp_violation v;
+        if escalated then begin
+          finish_obs ();
+          print_endline "s cnf ERROR";
+          exit 3
+        end
+        else attempt ~escalated:true (Hqs.escalated_config cfg)
+    | exception Check.Violation v ->
+        finish_obs ();
+        Format.printf "c check violation: %a@." Check.pp_violation v;
+        print_endline "s cnf ERROR";
+        exit 3
   in
-  let run () =
-    match certify_path with
-    | Some path -> solve_certified path
-    | None ->
-    if show_model then begin
-      let verdict, model, stats = Hqs.solve_pcnf_model ~config ~budget pcnf in
-      (match (verdict, model) with
-      | Hqs.Sat, Some model ->
-          (* print each Skolem function as a truth table over its deps *)
-          List.iter
-            (fun (y, deps) ->
-              Printf.printf "v %d :" (y + 1);
-              let k = List.length deps in
-              if k <= 6 then
-                for bits = 0 to (1 lsl k) - 1 do
-                  let env v =
-                    match List.find_index (fun d -> d = v) deps with
-                    | Some i -> bits land (1 lsl i) <> 0
-                    | None -> false
-                  in
-                  Printf.printf " %d" (if Dqbf.Skolem.eval model y env then 1 else 0)
-                done
-              else Printf.printf " <%d-input function>" k;
-              print_newline ())
-            pcnf.Dqbf.Pcnf.exists;
-          (* independent certificate check *)
-          let original = Dqbf.Pcnf.to_formula pcnf in
-          (match Dqbf.Skolem.verify original model with
-          | Ok () -> print_endline "c model verified"
-          | Error e -> Format.printf "c MODEL REJECTED: %a@." Dqbf.Skolem.pp_failure e)
-      | _ -> ());
-      (verdict, stats)
-    end
-    else Hqs.solve_pcnf ~config ~budget pcnf
+  let r = attempt ~escalated:false config in
+  (match (certify_path, r.Hqs.cert) with
+  | Some path, Some cert -> (
+      match Cert.write_file path cert with
+      | () -> Printf.printf "c certificate: %s (%s)\n" path (Cert.status cert)
+      | exception Sys_error msg ->
+          Printf.eprintf "error: cannot write certificate: %s\n" msg;
+          exit 2)
+  | _ -> ());
+  (match r.Hqs.model with
+  | Some model when show_model ->
+      (* print each Skolem function as a truth table over its deps *)
+      List.iter
+        (fun (y, deps) ->
+          Printf.printf "v %d :" (y + 1);
+          let k = List.length deps in
+          if k <= 6 then
+            for bits = 0 to (1 lsl k) - 1 do
+              let env v =
+                match List.find_index (fun d -> d = v) deps with
+                | Some i -> bits land (1 lsl i) <> 0
+                | None -> false
+              in
+              Printf.printf " %d" (if Dqbf.Skolem.eval model y env then 1 else 0)
+            done
+          else Printf.printf " <%d-input function>" k;
+          print_newline ())
+        pcnf.Dqbf.Pcnf.exists;
+      (* independent certificate check *)
+      (match Dqbf.Skolem.verify (Dqbf.Pcnf.to_formula pcnf) model with
+      | Ok () -> print_endline "c model verified"
+      | Error e -> Format.printf "c MODEL REJECTED: %a@." Dqbf.Skolem.pp_failure e)
+  | _ -> ());
+  let verdict = match r.Hqs.outcome with Hqs.Verdict v -> Some v | _ -> None in
+  if show_stats then Format.eprintf "c %a@." (Hqs.pp_stats ~config ~verdict) r.Hqs.stats;
+  finish_obs ();
+  let line, code =
+    match r.Hqs.outcome with
+    | Hqs.Verdict Hqs.Sat -> ("SAT", 10)
+    | Hqs.Verdict Hqs.Unsat -> ("UNSAT", 20)
+    | Hqs.Timeout -> ("TIMEOUT", 124)
+    | Hqs.Memout -> ("MEMOUT", 125)
   in
-  let print_stats verdict stats =
-    if show_stats then Format.eprintf "c %a@." (Hqs.pp_stats ~config ~verdict) stats
-  in
-  (* a call that does not finish returns no stats: rebuild them from the
-     registry delta it left behind *)
-  let before = Obs.Metrics.snapshot () in
-  let unfinished () =
-    print_stats None
-      { Hqs.metrics = Obs.Metrics.(to_assoc (delta ~before ~after:(snapshot ()))) };
-    finish_obs ()
-  in
-  match run () with
-  | verdict, stats ->
-      print_stats (Some verdict) stats;
-      finish_obs ();
-      (match verdict with
-      | Hqs.Sat ->
-          print_endline "s cnf SAT";
-          exit 10
-      | Hqs.Unsat ->
-          print_endline "s cnf UNSAT";
-          exit 20)
-  | exception Hqs_util.Budget.Timeout ->
-      unfinished ();
-      print_endline "s cnf TIMEOUT";
-      exit 124
-  | exception (Hqs_util.Budget.Out_of_memory_budget | Out_of_memory) ->
-      unfinished ();
-      print_endline "s cnf MEMOUT";
-      exit 125
-  | exception Check.Violation v ->
-      finish_obs ();
-      Format.printf "c check violation: %a@." Check.pp_violation v;
-      print_endline "s cnf ERROR";
-      exit 3
+  print_endline ("s cnf " ^ line);
+  exit code
 
 let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"DQDIMACS input")
 
@@ -376,6 +336,9 @@ let family_of_path file =
 let sweep files jobs timeout node_limit retries journal resume mem_limit cpu_limit chaos_seed
     chaos_points chaos_kill dep_scheme inproc certify_dir trace =
   install_signal_handlers ();
+  (* resolved here, like solve and serve; the workers inherit it through
+     the fork. The sweep has no --check flag, only HQS_CHECK *)
+  let hqs_config = solver_config ~check:None ~dep_scheme ~inproc () in
   if files = [] then begin
     Printf.eprintf "error: no input files\n";
     exit 2
@@ -421,20 +384,7 @@ let sweep files jobs timeout node_limit retries journal resume mem_limit cpu_lim
   let config =
     {
       (Harness.Sweep.default_config ~timeout ~node_limit) with
-      (* an explicit flag pins the scheme/engine in every forked worker;
-         without it workers inherit HQS_DEP_SCHEME / HQS_INPROC through
-         the environment *)
-      Harness.Sweep.hqs_config =
-        (match (dep_scheme, inproc) with
-        | None, None -> None
-        | ds, ip ->
-            let cfg = Hqs.default_config in
-            Some
-              {
-                cfg with
-                Hqs.dep_scheme = resolve_dep_scheme ds;
-                preprocess = { cfg.Hqs.preprocess with inproc = resolve_inproc ip };
-              });
+      Harness.Sweep.hqs_config;
       Harness.Sweep.certify_dir;
       Harness.Sweep.exec =
         {
@@ -632,10 +582,11 @@ let print_inproc_report mode (outcome : Inproc.outcome) =
         s.Inproc.lits_before s.Inproc.lits_after
 
 let analyze file dep_scheme check inproc =
-  let scheme = resolve_dep_scheme ~default:Analysis.Scheme.Rp dep_scheme in
-  let check_level = resolve_check_level check in
+  let { Hqs.check_level; dep_scheme = scheme; preprocess; _ } =
+    solver_config ~scheme:Analysis.Scheme.Rp ~check ~dep_scheme ~inproc ()
+  in
+  let mode = preprocess.Dqbf.Preprocess.inproc in
   let pcnf = load_pcnf file in
-  let mode = resolve_inproc inproc in
   let _refined, report = Analysis.Rp.analyze ~scheme pcnf in
   (match
      Check.audit_dep_pruning ~level:check_level pcnf ~pruned:report.Analysis.Rp.pruned
@@ -690,7 +641,7 @@ let serve socket workers queue_cap timeout max_timeout kill_grace retries mem_li
     cache check audit_period trace event_log chaos_seed chaos_points chaos_kill certify
     chaos_cert dep_scheme inproc =
   (* no install_signal_handlers: SIGTERM/SIGINT mean "drain", not "abort" *)
-  let check_level = resolve_check_level check in
+  let solver = { (solver_config ~check ~dep_scheme ~inproc ()) with Hqs.node_limit } in
   let chaos =
     armed_chaos chaos_seed chaos_points
       ((* convenience: kill the first dispatch of one job id — the retry
@@ -705,19 +656,6 @@ let serve socket workers queue_cap timeout max_timeout kill_grace retries mem_li
       | None -> []
       | Some jid -> [ Serve.Daemon.cert_point ~jid ~attempt:1 ])
   in
-  let solver =
-    {
-      Hqs.default_config with
-      Hqs.node_limit;
-      check_level;
-      dep_scheme = resolve_dep_scheme dep_scheme;
-      preprocess =
-        {
-          Hqs.default_config.Hqs.preprocess with
-          Dqbf.Preprocess.inproc = resolve_inproc inproc;
-        };
-    }
-  in
   let config =
     {
       (Serve.Daemon.default ~socket_path:socket) with
@@ -729,7 +667,7 @@ let serve socket workers queue_cap timeout max_timeout kill_grace retries mem_li
       max_attempts = retries;
       mem_limit_mb = mem_limit;
       chaos;
-      check_level;
+      check_level = solver.Hqs.check_level;
       audit_period;
       cache_path = cache;
       trace_path = trace;

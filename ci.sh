@@ -45,7 +45,9 @@
 #      the memout gate: a node-limit blowup is a memout (exit 125)
 #      at once, not a timeout after a detour through a fallback, and
 #      the --stats line on that exit shows peak-nodes at the limit and
-#      a non-zero qbf-time
+#      a non-zero qbf-time; the same instance swept gives an MO row whose
+#      hqs_peak_nodes column reaches the limit, and a sweep under a
+#      malformed HQS_CHECK is a usage error (exit 2)
 #  10. traced smoke solve: solve an instance with incomparable dependency
 #      sets under --trace and validate the trace with bin/tracecheck
 #      (well-formed Chrome JSON, balanced spans, >= 6 pipeline phases)
@@ -467,6 +469,32 @@ if [ -z "$memout_peak" ] || [ "$memout_peak" -lt 4000 ] || [ -z "$memout_qbf" ] 
   echo "== ci FAILED: the memout stats line shows peak-nodes='$memout_peak' (want >= 4000)" \
     "and qbf-time='$memout_qbf' (want > 0) =="
   cat "$tmp/memout.err"
+  exit 1
+fi
+# the sweep's MO row carries the same stats: its hqs_peak_nodes column,
+# looked up by header name, reaches the limit
+"$HQS_BIN" sweep "$f" --node-limit 4000 -t 30 >"$tmp/memout.csv" 2>"$tmp/memout-sweep.err" || {
+  echo "== ci FAILED: the memout sweep exited non-zero =="
+  cat "$tmp/memout-sweep.err"
+  exit 1
+}
+sweep_peak=$(awk -F, 'NR == 1 { for (i = 1; i <= NF; i++) col[$i] = i; next }
+  col["hqs_outcome"] && col["hqs_peak_nodes"] { print $col["hqs_outcome"], $col["hqs_peak_nodes"] }' \
+  "$tmp/memout.csv")
+case "$sweep_peak" in
+"MO "[0-9]*) [ "${sweep_peak#MO }" -ge 4000 ] ;;
+*) false ;;
+esac || {
+  echo "== ci FAILED: the memout sweep row reads '$sweep_peak' (want MO with hqs_peak_nodes >= 4000) =="
+  cat "$tmp/memout.csv"
+  exit 1
+}
+# the sweep resolves HQS_CHECK like the solve: a malformed level is a
+# usage error, not checks silently off
+bogus_status=0
+HQS_CHECK=bogus "$HQS_BIN" sweep "$f" -t 5 >/dev/null 2>&1 || bogus_status=$?
+if [ "$bogus_status" != 2 ]; then
+  echo "== ci FAILED: HQS_CHECK=bogus hqs sweep exited $bogus_status (want 2) =="
   exit 1
 fi
 

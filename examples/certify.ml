@@ -8,13 +8,13 @@
    the circuit*: evaluating the implementation with the extracted
    functions must reproduce the specification on every input vector.
 
-   Finally the solve is repeated through the certifying entry point
-   ([Hqs.solve_pcnf_certified]): the Skolem model is materialized as a
-   self-contained certificate artifact (lib/cert), round-tripped through
-   its text grammar, and — when the path of the isolated verifier is
-   given as [argv(1)] — handed to [bin/certcheck], which re-derives the
-   verdict from the artifact and the instance bytes alone, sharing no
-   code with the solver (ci.sh drives this). *)
+   The same solve ([Hqs.run ~model:true ~certify]) also materializes the
+   Skolem model as a self-contained certificate artifact (lib/cert),
+   which is round-tripped through its text grammar and — when the path
+   of the isolated verifier is given as [argv(1)] — handed to
+   [bin/certcheck], which re-derives the verdict from the artifact and
+   the instance bytes alone, sharing no code with the solver (ci.sh
+   drives this). *)
 
 module M = Aig.Man
 module Fam = Circuit.Families
@@ -25,12 +25,11 @@ let () =
   let inst = Fam.adder ~bits:3 ~boxes:2 ~fault:false in
   Printf.printf "instance: %s\n" inst.Fam.id;
   let original = Dqbf.Pcnf.to_formula inst.Fam.pcnf in
-  let t0 = Hqs_util.Budget.now () in
-  match Hqs.solve_pcnf_model inst.Fam.pcnf with
-  | Hqs.Unsat, _, _ -> print_endline "unexpected UNSAT"
-  | Hqs.Sat, None, _ -> print_endline "no model produced"
-  | Hqs.Sat, Some model, _ ->
-      Printf.printf "HQS: REALIZABLE in %.3f s\n" (Hqs_util.Budget.now () -. t0);
+  let pcnf = inst.Fam.pcnf in
+  let instance_text = Dqbf.Pcnf.to_string pcnf in
+  match Hqs.run ~model:true ~certify:instance_text pcnf with
+  | { Hqs.outcome = Hqs.Verdict Hqs.Sat; model = Some model; cert = Some cert; elapsed_s; _ } ->
+      Printf.printf "HQS: REALIZABLE in %.3f s\n" elapsed_s;
       (* 1. independent certificate check *)
       (match Sk.verify original model with
       | Ok () -> print_endline "certificate: Skolem functions VERIFIED against the formula"
@@ -38,7 +37,6 @@ let () =
       (* 2. use the Skolem functions as the black-box implementations:
          the DQBF encodes box outputs as existentials over copies z of the
          box input signals, so s_y *is* the synthesized box logic *)
-      let pcnf = inst.Fam.pcnf in
       let n_primary = inst.Fam.spec.N.num_inputs in
       (* universal variable ids: primary inputs first, then the z copies
          box by box (the encoder allocates them in this order) *)
@@ -63,7 +61,6 @@ let () =
           (fun box -> List.map (fun _ -> let y = !next in incr next; y) box.N.bb_outputs)
           inst.Fam.impl.N.boxes
       in
-      ignore pcnf;
       let box_fn i ins =
         (* evaluate the box's Skolem functions under z := actual inputs *)
         let zs = z_of_box.(i) in
@@ -104,8 +101,6 @@ let () =
       (* 3. the externally checkable artifact: emit, round-trip through
          the text grammar, and (with a verifier path on the command
          line) check it with the isolated bin/certcheck *)
-      let instance_text = Dqbf.Pcnf.to_string pcnf in
-      let _, cert, _, _ = Hqs.solve_pcnf_certified ~instance_text pcnf in
       Printf.printf "artifact: %s certificate, instance fingerprint %s\n"
         (Cert.status cert) cert.Cert.fingerprint;
       (match Cert.parse (Cert.render cert) with
@@ -136,3 +131,4 @@ let () =
         if code <> 0 then exit 1
       end
       else print_endline "external certcheck: skipped (pass its path as argv(1))"
+  | _ -> print_endline "unexpected: no SAT verdict with a model and a certificate"

@@ -8,7 +8,7 @@
       drop [x] from [dep(y)] when no pair of resolution paths connects
       [x]/[y] in both polarities.
 
-    The solver default is [Trivial], overridable per solve with
+    The solver default is [Trivial]; the CLI overrides it per solve with
     [--dep-scheme] or the [HQS_DEP_SCHEME] environment variable: on the
     generated benchmark families [Rp] almost never prunes an edge and
     never shrinks the MaxSAT elimination set, while it costs a large
@@ -25,8 +25,3 @@ val name : t -> string
 
 val of_string : string -> t option
 (** Inverse of {!name}; [None] on anything else. *)
-
-val of_env : ?default:t -> unit -> (t, string) result
-(** Parse the [HQS_DEP_SCHEME] environment variable; unset or empty is
-    [Ok default] ({!default} unless given), an unknown value is [Error]
-    with a usable message. *)

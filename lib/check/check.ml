@@ -36,14 +36,6 @@ let level_of_string s =
   | "full" | "2" -> Some Full
   | _ -> None
 
-let level_of_env () =
-  match Sys.getenv_opt "HQS_CHECK" with
-  | None | Some "" -> Ok Off
-  | Some s -> (
-      match level_of_string s with
-      | Some l -> Ok l
-      | None -> Error (Printf.sprintf "HQS_CHECK=%s: expected off, cheap or full" s))
-
 type violation = { stage : stage; structure : string; detail : string }
 
 exception Violation of violation

@@ -35,10 +35,6 @@ val level_name : level -> string
 val level_of_string : string -> level option
 (** Accepts ["off"]/["none"]/["0"], ["cheap"]/["1"], ["full"]/["2"]. *)
 
-val level_of_env : unit -> (level, string) result
-(** Parse the [HQS_CHECK] environment variable; unset or empty is [Off],
-    an unknown value is [Error] with a usable message. *)
-
 type violation = { stage : stage; structure : string; detail : string }
 (** Where the audit tripped ([stage]), which validator ([structure]:
     ["aig-manager"], ["dqbf-formula"], ["elimination-queue"],

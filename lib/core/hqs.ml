@@ -18,26 +18,14 @@ type config = {
 
 let default_config =
   {
-    (* HQS_INPROC follows the HQS_CHECK contract: the CLI reports a
-       malformed value; library users get the engine default *)
-    preprocess =
-      {
-        Dqbf.Preprocess.default_config with
-        Dqbf.Preprocess.inproc =
-          (match Inproc.mode_of_env () with Ok m -> m | Error _ -> Inproc.default_mode);
-      };
+    preprocess = Dqbf.Preprocess.default_config;
     mode = Elimination;
     use_unitpure = true;
     use_thm2 = true;
     use_maxsat = true;
     node_limit = None;
-    (* a malformed HQS_CHECK is reported by the CLI; library users who
-       bypass it get the safe default *)
-    check_level = (match Check.level_of_env () with Ok l -> l | Error _ -> Check.Off);
-    (* same contract as HQS_CHECK: a malformed HQS_DEP_SCHEME is reported
-       by the CLI; library users get the default scheme *)
-    dep_scheme =
-      (match Analysis.Scheme.of_env () with Ok s -> s | Error _ -> Analysis.Scheme.default);
+    check_level = Check.Off;
+    dep_scheme = Analysis.Scheme.default;
   }
 
 let escalated_config config = { config with check_level = Check.Full }
@@ -116,8 +104,8 @@ let solve_impl ~(config : config) ~budget ~trail f0 =
     try
       let continue_ = ref true in
       while !continue_ do
-        Budget.check budget;
         note_size ();
+        Budget.check budget;
         if M.is_true (F.matrix f) then raise (Done Sat);
         if M.is_false (F.matrix f) then raise (Done Unsat);
         Dqbf.Elim.prune_prefix ?trail f;
@@ -221,33 +209,22 @@ let solve_impl ~(config : config) ~budget ~trail f0 =
 
 (* every public entry point runs its whole call under [measured]: the
    stats are the registry delta from entry to return, so they cover the
-   analysis, inproc, gate detection, the solve and certification alike *)
-let measured run =
+   analysis, inproc, gate detection, the solve and certification alike.
+   [run] reads the same delta when the call raises. *)
+let start_call () =
   List.iter (fun g -> Obs.Metrics.set g 0.0) per_call_gauges;
-  let before = Obs.Metrics.snapshot () in
+  Obs.Metrics.snapshot ()
+
+let stats_since before =
+  { metrics = Obs.Metrics.to_assoc (Obs.Metrics.delta ~before ~after:(Obs.Metrics.snapshot ())) }
+
+let measured run =
+  let before = start_call () in
   let result = run () in
-  let delta = Obs.Metrics.delta ~before ~after:(Obs.Metrics.snapshot ()) in
-  (result, { metrics = Obs.Metrics.to_assoc delta })
+  (result, stats_since before)
 
 let solve_formula ?(config = default_config) ?(budget = Budget.unlimited) f0 =
   measured (fun () -> solve_impl ~config ~budget ~trail:None f0)
-
-let solve_formula_model ?(config = default_config) ?(budget = Budget.unlimited) f0 =
-  let trail = Dqbf.Model_trail.create () in
-  let (verdict, model), stats =
-    measured @@ fun () ->
-    let verdict = solve_impl ~config ~budget ~trail:(Some trail) f0 in
-    match verdict with
-    | Unsat -> (verdict, None)
-    | Sat ->
-        let skolem = Dqbf.Model_trail.reconstruct trail in
-        (* certify the witness against the original matrix before handing
-           it out: a wrong Skolem function here means some stage lied *)
-        if config.check_level = Check.Full then
-          Check.audit_model ~budget ~stage:Check.Post_solve f0 skolem;
-        (verdict, Some (Dqbf.Skolem.restrict skolem ~keep:(Dqbf.Formula.is_existential f0)))
-  in
-  (verdict, model, stats)
 
 (* Static dependency-scheme refinement (lib/analysis), the first pipeline
    stage: prune spurious dependency edges on the prefixed CNF before any
@@ -280,14 +257,20 @@ let solve_refined ~config ~budget ~trail pcnf =
   | Dqbf.Preprocess.Formula (f, _) ->
       Check.audit_stage ~level:config.check_level Check.Post_preprocess f;
       solve_impl ~config ~budget ~trail f
+  | exception Budget.Out_of_memory_budget when not (Budget.mem_exceeded budget) ->
+      (* the AIG build hit the node limit: its manager stands at the
+         limit, the peak a memout's stats must show *)
+      Option.iter note_peak config.node_limit;
+      raise Budget.Out_of_memory_budget
 
 let solve_pcnf ?(config = default_config) ?(budget = Budget.unlimited) pcnf =
   measured (fun () -> solve_refined ~config ~budget ~trail:None pcnf)
 
-(* shared body of the model-producing entry points: the returned Skolem
-   witness is unrestricted — it also covers variables the preprocessor
-   folded away and undeclared existentials, so it certifies against the
-   original (unpreprocessed) formula *)
+(* the solve with its Skolem witness on Sat. The witness is
+   unrestricted — it also covers variables the preprocessor folded away
+   and undeclared existentials, so it certifies against the original
+   (unpreprocessed) formula; at [Full] it is certified before it is
+   handed out: a wrong Skolem function means some stage lied *)
 let solve_pcnf_witness ~config ~budget pcnf =
   let trail = Dqbf.Model_trail.create () in
   match solve_refined ~config ~budget ~trail:(Some trail) pcnf with
@@ -302,31 +285,53 @@ let restrict_to_declared pcnf skolem =
   let declared = Hqs_util.Bitset.of_list (List.map fst pcnf.Dqbf.Pcnf.exists) in
   Dqbf.Skolem.restrict skolem ~keep:(fun y -> Hqs_util.Bitset.mem y declared)
 
-let solve_pcnf_model ?(config = default_config) ?(budget = Budget.unlimited) pcnf =
-  let (verdict, model), stats =
-    measured (fun () -> solve_pcnf_witness ~config ~budget pcnf)
+(* the certificate of a finished solve (the witness is [Some] exactly on
+   Sat), audited before it is handed out: a failure here is the
+   recovery-loop trigger, raised as a Check.Violation *)
+let certificate ~config ~budget ~instance_text pcnf witness =
+  let cert =
+    match witness with
+    | Some skolem -> Cert.of_skolem ~instance_text pcnf skolem
+    | None -> Cert.of_unsat ~budget ~instance_text pcnf
   in
-  (verdict, Option.map (restrict_to_declared pcnf) model, stats)
+  Check.audit_certificate ~budget ~level:config.check_level ~instance_text pcnf cert;
+  cert
 
-let solve_pcnf_certified ?(config = default_config) ?(budget = Budget.unlimited)
-    ~instance_text pcnf =
-  let (verdict, cert, model), stats =
-    measured @@ fun () ->
-    let verdict, model = solve_pcnf_witness ~config ~budget pcnf in
-    let cert =
-      match (verdict, model) with
-      | Sat, Some skolem -> Cert.of_skolem ~instance_text pcnf skolem
-      | Sat, None ->
-          (* the witness entry point always reconstructs a model on Sat *)
-          assert false
-      | Unsat, _ -> Cert.of_unsat ~budget ~instance_text pcnf
-    in
-    (* audit before handing the artifact out: a failure here is the
-       recovery-loop trigger, raised as a Check.Violation *)
-    Check.audit_certificate ~budget ~level:config.check_level ~instance_text pcnf cert;
-    (verdict, cert, model)
+type outcome = Verdict of verdict | Timeout | Memout
+
+type run = {
+  outcome : outcome;
+  elapsed_s : float;
+  stats : stats;
+  model : Dqbf.Skolem.t option;
+  cert : Cert.t option;
+}
+
+let run ?(config = default_config) ?(budget = Budget.unlimited) ?(model = false) ?certify pcnf =
+  let t0 = Budget.now () in
+  let before = start_call () in
+  let solve () =
+    if (not model) && Option.is_none certify then
+      (solve_refined ~config ~budget ~trail:None pcnf, None, None)
+    else
+      let verdict, witness = solve_pcnf_witness ~config ~budget pcnf in
+      let cert instance_text = certificate ~config ~budget ~instance_text pcnf witness in
+      (verdict, witness, Option.map cert certify)
   in
-  (verdict, cert, Option.map (restrict_to_declared pcnf) model, stats)
+  let finish ?witness ?cert outcome =
+    {
+      outcome;
+      elapsed_s = Budget.now () -. t0;
+      stats = stats_since before;
+      model = Option.map (restrict_to_declared pcnf) witness;
+      cert;
+    }
+  in
+  match solve () with
+  | verdict, witness, cert -> finish ?witness ?cert (Verdict verdict)
+  | exception Budget.Timeout -> finish Timeout
+  (* real heap exhaustion is the same memout as the node limit *)
+  | exception (Budget.Out_of_memory_budget | Stdlib.Out_of_memory) -> finish Memout
 
 (* ------------------------------------------------- per-solve statistics *)
 

@@ -39,23 +39,23 @@ type config = {
       (** soundness-auditor depth at every stage boundary (see {!Check}):
           [Off] is free, [Cheap] scans the prefix, [Full] deep-audits the
           AIG manager and certifies Skolem models with an independent SAT
-          call. Defaults to the [HQS_CHECK] environment variable ([Off]
-          when unset or malformed — the CLI reports malformed values).
-          Violations escape the solve as {!Check.Violation}. *)
+          call. [Off] in {!default_config}. Violations escape the solve
+          as {!Check.Violation}. *)
   dep_scheme : Analysis.Scheme.t;
       (** static dependency scheme applied to the prefixed CNF before
           preprocessing (see {!Analysis.Rp}): [Trivial] (the default)
           keeps the prefix as written; [Rp] prunes spurious dependency
           edges via resolution paths, which can shrink the MaxSAT
           elimination sets or prove the prefix already linearly
-          orderable; only [Rp] runs the analyzer. Defaults to the [HQS_DEP_SCHEME] environment
-          variable ([trivial] when unset or malformed — the CLI reports
-          malformed values). Only the [solve_pcnf*] entry points apply
-          the scheme; the [solve_formula] entry points take the prefix
-          as given. *)
+          orderable; only [Rp] runs the analyzer. Only the PCNF entry
+          points ({!solve_pcnf}, {!run}) apply the scheme; the
+          [solve_formula] entry points take the prefix as given. *)
 }
 
 val default_config : config
+(** A constant: the library reads no environment variable. The CLI
+    resolves [--check]/[HQS_CHECK], [--dep-scheme]/[HQS_DEP_SCHEME] and
+    [--inproc]/[HQS_INPROC] into the fields it starts from. *)
 
 val escalated_config : config -> config
 (** The re-solve after a certificate failed its own audit: checks at
@@ -81,39 +81,49 @@ val solve_pcnf :
   ?config:config -> ?budget:Hqs_util.Budget.t -> Dqbf.Pcnf.t -> verdict * stats
 (** Full pipeline from a prefixed CNF, including CNF preprocessing. *)
 
-val solve_formula_model :
-  ?config:config ->
-  ?budget:Hqs_util.Budget.t ->
-  Dqbf.Formula.t ->
-  verdict * Dqbf.Skolem.t option * stats
-(** Like {!solve_formula}, additionally reconstructing Skolem functions
-    (Definition 2) on a [Sat] verdict. The model covers exactly the
-    formula's existential variables and can be checked independently with
-    {!Dqbf.Skolem.verify}. *)
+type outcome =
+  | Verdict of verdict
+  | Timeout  (** the budget's deadline fired *)
+  | Memout
+      (** the node limit, the budget's heap ceiling, or the OCaml heap
+          itself ran out — the paper's MO *)
 
-val solve_pcnf_model :
-  ?config:config ->
-  ?budget:Hqs_util.Budget.t ->
-  Dqbf.Pcnf.t ->
-  verdict * Dqbf.Skolem.t option * stats
-(** Like {!solve_pcnf} with Skolem reconstruction; preprocessing steps
-    (units, equivalences, eliminations, gate substitutions) are folded into the model. *)
+type run = {
+  outcome : outcome;
+  elapsed_s : float;  (** wall time of the whole call *)
+  stats : stats;  (** the call's metric delta, on every outcome *)
+  model : Dqbf.Skolem.t option;
+      (** on [Verdict Sat] when [~model:true] or [~certify] was given: the
+          Skolem functions (Definition 2) of the declared existentials, with the
+          preprocessing steps folded in; checkable with
+          {!Dqbf.Skolem.verify} against the original formula *)
+  cert : Cert.t option;  (** the audited certificate when [~certify] was given *)
+}
 
-val solve_pcnf_certified :
+val run :
   ?config:config ->
   ?budget:Hqs_util.Budget.t ->
-  instance_text:string ->
+  ?model:bool ->
+  ?certify:string ->
   Dqbf.Pcnf.t ->
-  verdict * Cert.t * Dqbf.Skolem.t option * stats
-(** Like {!solve_pcnf_model}, additionally materializing an externally
-    checkable certificate ({!Cert}): a Skolem-AIG artifact on [Sat], a
+  run
+(** The one solve entry point of the CLI, the sweep worker and the serve job:
+    the {!solve_pcnf} pipeline, classified into the paper's outcomes.
+    [Budget.Timeout] is [Timeout]; [Budget.Out_of_memory_budget] and
+    [Stdlib.Out_of_memory] are [Memout]. The stats are taken on every
+    outcome, so a timeout or memout shows where its time and nodes went.
+
+    [~certify:instance_text] also materializes an externally checkable
+    certificate ({!Cert}): a Skolem-AIG artifact on [Sat], a
     universal-expansion refutation (or an explicit [Uncertified] marker
-    past the expansion cap) on [Unsat]. [instance_text] must be the
-    exact bytes [pcnf] was parsed from — the artifact embeds their
+    past the expansion cap) on [Unsat]. [instance_text] must be the exact
+    bytes [pcnf] was parsed from — the artifact embeds their
     fingerprint. The artifact is audited in-process at the configured
-    {!Check.level} before being returned; an audit failure raises
-    {!Check.Violation} at the [Post_certify] stage, which callers treat
-    like a crash (re-solve escalated, evict caches, quarantine). *)
+    {!Check.level} before it is returned.
+
+    {!Check.Violation} is not caught: each caller keeps its own recovery
+    (a failed [Post_certify] audit is treated like a crash — re-solve
+    escalated, evict caches, quarantine). *)
 
 val metric : stats -> string -> float
 (** The named metric of the call, [0.] when the call never touched it. *)

@@ -29,9 +29,10 @@ type result = {
       (** the configuration the HQS task ran under — the source of the
           configuration-echo cells of {!Report.csv} *)
   hqs_stats : Hqs.stats option;
-      (** the call's metric delta, [None] when the run did not finish
-          and left nothing to salvage — the source of the per-solve
-          columns of {!Report.csv} *)
+      (** the call's metric delta — the source of the per-solve columns
+          of {!Report.csv}. An in-process timeout or memout carries its
+          own stats; [None] only for a crash, or a kernel-killed worker
+          that left nothing to salvage *)
   soundness : soundness;
   attempts : int;  (** worker processes spawned for the HQS solve *)
   worker_pid : int option;  (** pid of the (final) HQS worker *)
@@ -45,25 +46,17 @@ val time_of : outcome -> float
 
 val run_hqs :
   ?config:Hqs.config ->
-  timeout:float ->
-  node_limit:int ->
-  Dqbf.Pcnf.t ->
-  outcome * Hqs.stats option
-(** Outcome plus the solve statistics; [None] when the run did not
-    finish. *)
-
-val run_hqs_certified :
-  ?config:Hqs.config ->
-  timeout:float ->
-  node_limit:int ->
-  dir:string ->
+  ?cert_dir:string ->
   id:string ->
+  timeout:float ->
+  node_limit:int ->
   Dqbf.Pcnf.t ->
   outcome * Hqs.stats option * string option
-(** Like {!run_hqs} through {!Hqs.solve_pcnf_certified}: on a finished
-    solve, writes [<dir>/<id>.dqdimacs] (the exact fingerprinted instance
-    bytes) and [<dir>/<id>.cert] and returns the certificate path, so
-    [certcheck] can audit the pair with no other sweep state. A run that
-    times or bails out leaves no artifact ([None]). *)
+(** One {!Hqs.run} under [timeout] and [node_limit]: the outcome, the
+    call's stats (on every outcome but a [Stack_overflow] crash) and the
+    certificate path. With [?cert_dir], a finished solve writes
+    [<dir>/<id>.dqdimacs] (the fingerprinted instance bytes) and
+    [<dir>/<id>.cert], which [certcheck] audits with no other sweep
+    state; a TO or MO leaves no artifact. *)
 
 val run_idq : timeout:float -> node_limit:int -> Dqbf.Pcnf.t -> outcome

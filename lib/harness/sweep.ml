@@ -22,13 +22,19 @@ let task_id item solver = item.id ^ "/" ^ solver_suffix solver
 type config = {
   timeout : float;
   node_limit : int;
-  hqs_config : Hqs.config option;
+  hqs_config : Hqs.config;
   exec : Sup.config;
   certify_dir : string option;
 }
 
 let default_config ~timeout ~node_limit =
-  { timeout; node_limit; hqs_config = None; exec = Sup.default_config; certify_dir = None }
+  {
+    timeout;
+    node_limit;
+    hqs_config = Hqs.default_config;
+    exec = Sup.default_config;
+    certify_dir = None;
+  }
 
 type progress = {
   task : string;
@@ -89,22 +95,14 @@ let stats_of_json j =
 
 (* runs in the forked child: solve, then flatten the result to the IPC
    frame payload. The in-process timeout/node budget still governs the
-   solve (a TO/MO is a *clean* frame); the kernel limits of the executor
-   are the backstop for runs that wedge. *)
+   solve (a TO/MO is a *clean* frame that carries the call's stats); the
+   kernel limits of the executor are the backstop for runs that wedge. *)
 let worker config (item, solver) =
   match solver with
   | Hqs_run ->
       let outcome, stats, cert =
-        match config.certify_dir with
-        | None ->
-            let outcome, stats =
-              Runner.run_hqs ?config:config.hqs_config ~timeout:config.timeout
-                ~node_limit:config.node_limit item.pcnf
-            in
-            (outcome, stats, None)
-        | Some dir ->
-            Runner.run_hqs_certified ?config:config.hqs_config ~timeout:config.timeout
-              ~node_limit:config.node_limit ~dir ~id:item.id item.pcnf
+        Runner.run_hqs ~config:config.hqs_config ?cert_dir:config.certify_dir ~id:item.id
+          ~timeout:config.timeout ~node_limit:config.node_limit item.pcnf
       in
       Json.Obj
         ([
@@ -136,10 +134,11 @@ let outcome_of_completion (c : Sup.completion) =
              protocol failure rather than inventing a verdict *)
           Runner.Crash c.Sup.elapsed_s)
 
-(* a timed-out or memory-killed worker never sends its stats record,
-   but the supervisor salvages its last partial registry delta from the
-   pipe: the same record built from those samples, so TO/MO lines report
-   exactly the data that explains the blowup instead of going blank *)
+(* a worker the kernel killed on its wall or memory limit never sends
+   its stats record, but the supervisor salvages its last partial
+   registry delta from the pipe, so those TO/MO lines also report the
+   data that explains the blowup. A [null] stats (a crash, or an old
+   journal's TO/MO line) leaves the row's stat cells blank. *)
 let stats_of_completion (c : Sup.completion) =
   match c.Sup.status with
   | Sup.Value v -> Option.bind (Json.member "stats" v) stats_of_json
@@ -170,7 +169,7 @@ let assemble config item ~hqs:hc ~idq:ic =
     sat_expected = None;
     hqs;
     idq;
-    hqs_config = Option.value config.hqs_config ~default:Hqs.default_config;
+    hqs_config = config.hqs_config;
     hqs_stats;
     soundness;
     attempts = hc.Sup.attempts;

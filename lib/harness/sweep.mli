@@ -19,19 +19,22 @@
 type config = {
   timeout : float;  (** per-solve wall budget (in-process, as before) *)
   node_limit : int;  (** per-solve AIG node budget *)
-  hqs_config : Hqs.config option;
+  hqs_config : Hqs.config;
+      (** the solver configuration of every HQS task; its [node_limit] is
+          overridden by [node_limit] *)
   exec : Exec.Supervisor.config;  (** jobs, kernel limits, retries, chaos *)
   certify_dir : string option;
-      (** when set, each HQS worker solves through
-          {!Hqs.solve_pcnf_certified} and drops
+      (** when set, each HQS worker certifies its solve ({!Runner.run_hqs}
+          [?cert_dir]) and drops
           [<dir>/<id>.dqdimacs] + [<dir>/<id>.cert] there; the artifact
           path rides the result frame into {!Runner.result.cert_path},
           the journal and the CSV [cert] column *)
 }
 
 val default_config : timeout:float -> node_limit:int -> config
-(** In-process budgets as given; executor at {!Exec.Supervisor.default_config}
-    (1 job, no kernel limits, 3 attempts). *)
+(** In-process budgets as given, {!Hqs.default_config}; executor at
+    {!Exec.Supervisor.default_config} (1 job, no kernel limits, 3
+    attempts). *)
 
 type progress = {
   task : string;  (** ["<instance>/hqs"] or ["<instance>/idq"] *)
@@ -73,8 +76,7 @@ val run :
     fully-journaled sweep that forks nothing.
 
     The [attempts]/[worker_pid] of each {!Runner.result} come from the
-    instance's HQS task, its [hqs_config] from [config.hqs_config]
-    ({!Hqs.default_config} when unset, as in the workers). *)
+    instance's HQS task, its [hqs_config] from [config.hqs_config]. *)
 
 (**/**)
 
@@ -91,7 +93,7 @@ val assemble :
   idq:Exec.Supervisor.completion ->
   Runner.result
 (** The one place a {!Runner.result} is built: from the instance's two
-    task completions (a salvaged TO/MO completion yields stats from its
-    salvaged samples). Exposed for tests. *)
+    task completions (a kernel-killed TO/MO completion yields stats from
+    its salvaged samples). Exposed for tests. *)
 
 (**/**)

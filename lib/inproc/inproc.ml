@@ -13,14 +13,6 @@ let mode_of_string s =
 
 let default_mode = On
 
-let mode_of_env () =
-  match Sys.getenv_opt "HQS_INPROC" with
-  | None | Some "" -> Ok default_mode
-  | Some s -> (
-      match mode_of_string s with
-      | Some m -> Ok m
-      | None -> Error (Printf.sprintf "HQS_INPROC=%S: expected off or on" s))
-
 type config = {
   unit_propagation : bool;
   universal_reduction : bool;

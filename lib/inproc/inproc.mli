@@ -39,9 +39,6 @@ val mode_name : mode -> string
 val mode_of_string : string -> mode option
 (** Accepts "off"/"0", "on"/"1" (case-insensitive). *)
 
-val mode_of_env : unit -> (mode, string) result
-(** Reads [HQS_INPROC]; unset or empty means the default mode [On]. *)
-
 val default_mode : mode
 
 type config = {

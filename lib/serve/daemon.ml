@@ -100,8 +100,9 @@ type job = {
 
 (* The body of one pool task: runs in the forked child, solves the
    formula the daemon parsed at admission and returns the job result.
-   Every failure mode of a solve comes back as a structured result; the
-   child only dies on chaos kills, rlimit kills or genuine solver bugs,
+   Every failure mode of a solve comes back as a structured result
+   ({!Hqs.run} classifies the budget exhaustions); the child only dies
+   on chaos kills, rlimit kills or genuine solver bugs,
    which the pool classifies as crash attempts. [attempt] is the job's
    n-th dispatch, counting escalated re-solves: the chaos state is a
    fresh copy in every child, so the point names carry it. *)
@@ -122,27 +123,27 @@ let solve_job (config : config) job ~attempt =
     if job.escalate then Hqs.escalated_config config.solver else config.solver
   in
   let solve () =
-    if not config.certify then begin
-      let v, _stats = Hqs.solve_pcnf ~config:solver ~budget job.pcnf in
-      (Proto.W_sat (v = Hqs.Sat), None)
-    end
-    else begin
-      (* the solver's own Post_certify audit is disabled here: the audit
-         must run in this frame, after the chaos poison hook, so fault
-         injection exercises exactly the gate the daemon's recovery loop
-         listens to *)
-      let v, art, _model, _stats =
-        Hqs.solve_pcnf_certified
-          ~config:{ solver with Hqs.check_level = Check.Off }
-          ~budget ~instance_text:job.text job.pcnf
-      in
-      let art = if poison then poison_cert art else art in
-      let level = if job.escalate then Check.Full else config.check_level in
-      match Check.audit_certificate ~budget ~level ~instance_text:job.text job.pcnf art with
-      | () -> (Proto.W_sat (v = Hqs.Sat), Some (Cert.render art))
-      | exception Check.Violation viol ->
-          (Proto.W_cert_failed (Format.asprintf "%a" Check.pp_violation viol), None)
-    end
+    (* the solver's own Post_certify audit is disabled when certifying:
+       the audit must run in this frame, after the chaos poison hook, so
+       fault injection exercises exactly the gate the daemon's recovery
+       loop listens to *)
+    let solver = if config.certify then { solver with Hqs.check_level = Check.Off } else solver in
+    let certify = if config.certify then Some job.text else None in
+    let r = Hqs.run ~config:solver ~budget ?certify job.pcnf in
+    match (r.Hqs.outcome, r.Hqs.cert) with
+    | Hqs.Timeout, _ -> (Proto.W_timeout, None)
+    | Hqs.Memout, _ -> (Proto.W_memout, None)
+    | Hqs.Verdict v, None -> (Proto.W_sat (v = Hqs.Sat), None)
+    | Hqs.Verdict v, Some art -> (
+        let art = if poison then poison_cert art else art in
+        let level = if job.escalate then Check.Full else config.check_level in
+        match Check.audit_certificate ~budget ~level ~instance_text:job.text job.pcnf art with
+        | () -> (Proto.W_sat (v = Hqs.Sat), Some (Cert.render art))
+        | exception Check.Violation viol ->
+            (Proto.W_cert_failed (Format.asprintf "%a" Check.pp_violation viol), None)
+        (* the audit runs under the job's heap ceiling too; it abandons
+           its semantic pass at the deadline by itself *)
+        | exception Budget.Out_of_memory_budget -> (Proto.W_memout, None))
   in
   let solve () =
     if Obs.Trace.enabled () then
@@ -154,8 +155,6 @@ let solve_job (config : config) job ~attempt =
   let result, cert_blob =
     match solve () with
     | r -> r
-    | exception Budget.Timeout -> (Proto.W_timeout, None)
-    | exception Budget.Out_of_memory_budget -> (Proto.W_memout, None)
     | exception Failure msg -> (Proto.W_error msg, None)
     | exception Check.Violation v ->
         (Proto.W_error (Format.asprintf "check violation: %a" Check.pp_violation v), None)

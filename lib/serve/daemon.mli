@@ -26,8 +26,8 @@
       {!Cache}; at [Check.Full] every [audit_period]-th cache hit is
       re-solved from scratch and compared ({!Check.audit_cache_hit}) —
       a mismatch evicts the entry and tells the client;
-    - with [certify] on, every solve runs through
-      {!Hqs.solve_pcnf_certified} and the child audits the artifact
+    - with [certify] on, every solve certifies ({!Hqs.run} [~certify])
+      and the child audits the artifact
       in-frame ({!Check.audit_certificate}); an audit failure is treated
       like a crash: the cache entry is tombstoned ([cert_audit] event,
       [serve.cert_audit_failed] metric), the job re-submitted with

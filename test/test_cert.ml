@@ -41,10 +41,10 @@ let certcheck_on ~instance_text ~cert_text =
 
 let solve_model text =
   let pcnf = P.parse_string text in
-  match Hqs.solve_pcnf_model pcnf with
-  | Hqs.Sat, Some model, _ -> (pcnf, model)
-  | Hqs.Sat, None, _ -> Alcotest.fail "no model produced"
-  | Hqs.Unsat, _, _ -> Alcotest.fail "unexpected UNSAT"
+  match Hqs.run ~model:true pcnf with
+  | { Hqs.outcome = Hqs.Verdict Hqs.Sat; model = Some model; _ } -> (pcnf, model)
+  | { Hqs.outcome = Hqs.Verdict Hqs.Sat; model = None; _ } -> Alcotest.fail "no model produced"
+  | _ -> Alcotest.fail "unexpected UNSAT"
 
 let sat_cert text =
   let pcnf, model = solve_model text in

@@ -227,8 +227,8 @@ let test_solve_model_audited () =
     Dqbf.Pcnf.parse_string
       "p cnf 4 4\na 1 2 0\nd 3 1 0\nd 4 2 0\n-3 1 0\n3 -1 0\n-4 2 0\n4 -2 0\n"
   in
-  let verdict, model, _ = Hqs.solve_pcnf_model ~config:full_config pcnf in
-  check "audited pcnf model solve is SAT" true (verdict_is Hqs.Sat verdict);
+  let { Hqs.outcome; model; _ } = Hqs.run ~config:full_config ~model:true pcnf in
+  check "audited pcnf model solve is SAT" true (outcome = Hqs.Verdict Hqs.Sat);
   check "model returned" true (model <> None);
   match model with
   | Some m ->

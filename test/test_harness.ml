@@ -9,29 +9,42 @@ let small_unsat = Fam.pec_xor ~length:3 ~boxes:1 ~fault:true
 
 (* ---------------------------------------------------------------- runner *)
 
+let run_hqs ~timeout ~node_limit (inst : Fam.instance) =
+  let outcome, stats, _ = R.run_hqs ~id:inst.Fam.id ~timeout ~node_limit inst.Fam.pcnf in
+  (outcome, stats)
+
+(* an unfinished run still carries the call's own stats *)
+let peak_nodes = function
+  | Some stats -> Hqs.metric stats "hqs.peak_nodes"
+  | None -> Alcotest.fail "an unfinished run returned no stats"
+
 let test_run_hqs_solves () =
-  (match fst (R.run_hqs ~timeout:30.0 ~node_limit:400_000 small_sat.Fam.pcnf) with
+  (match fst (run_hqs ~timeout:30.0 ~node_limit:400_000 small_sat) with
   | R.Solved (true, t) -> check "positive time" true (t >= 0.0)
   | _ -> Alcotest.fail "expected SAT");
-  match fst (R.run_hqs ~timeout:30.0 ~node_limit:400_000 small_unsat.Fam.pcnf) with
+  match fst (run_hqs ~timeout:30.0 ~node_limit:400_000 small_unsat) with
   | R.Solved (false, _) -> ()
   | _ -> Alcotest.fail "expected UNSAT"
 
 let test_run_hqs_timeout () =
   let hard = Fam.adder ~bits:6 ~boxes:3 ~fault:false in
-  match fst (R.run_hqs ~timeout:0.02 ~node_limit:50_000_000 hard.Fam.pcnf) with
+  let outcome, stats = run_hqs ~timeout:0.02 ~node_limit:50_000_000 hard in
+  (match outcome with
   | R.Timeout _ -> ()
   | R.Memout _ -> () (* also acceptable on a tiny machine *)
   | R.Solved _ -> Alcotest.fail "expected an abort"
-  | R.Crash _ -> Alcotest.fail "expected an abort, got a crash"
+  | R.Crash _ -> Alcotest.fail "expected an abort, got a crash");
+  check "peak nodes counted" true (peak_nodes stats > 0.0)
 
 let test_run_hqs_memout () =
   let inst = Fam.adder ~bits:4 ~boxes:2 ~fault:false in
-  match fst (R.run_hqs ~timeout:60.0 ~node_limit:64 inst.Fam.pcnf) with
+  let outcome, stats = run_hqs ~timeout:60.0 ~node_limit:64 inst in
+  (match outcome with
   | R.Memout _ -> ()
   | R.Timeout _ -> Alcotest.fail "expected memout, got timeout"
   | R.Solved _ -> Alcotest.fail "expected memout, got solved"
-  | R.Crash _ -> Alcotest.fail "expected memout, got crash"
+  | R.Crash _ -> Alcotest.fail "expected memout, got crash");
+  check "peak nodes reach the limit" true (peak_nodes stats >= 64.0)
 
 let test_run_instance_agreement () =
   let config = Harness.Sweep.default_config ~timeout:20.0 ~node_limit:400_000 in
@@ -237,6 +250,23 @@ let test_csv_executor_columns () =
     true
     (contains s ",solved,1,,,,,,,,,,,,,,\n")
 
+(* an in-process memout is a clean frame: the row crosses the fork with
+   the call's own stats, and every stat column is filled *)
+let test_memout_row_stats () =
+  let config = Harness.Sweep.default_config ~timeout:20.0 ~node_limit:64 in
+  let inst = Fam.adder ~bits:4 ~boxes:2 ~fault:false in
+  let rows = (Harness.Sweep.run ~config [ Harness.Sweep.item_of_instance inst ]).Harness.Sweep.results in
+  match String.split_on_char '\n' (Harness.Report.csv rows) with
+  | header :: row :: _ ->
+      let cells = List.combine (String.split_on_char ',' header) (String.split_on_char ',' row) in
+      let cell name = List.assoc name cells in
+      Alcotest.(check string) "outcome" "MO" (cell "hqs_outcome");
+      List.iter
+        (fun (name, _) -> check (name ^ " filled") true (cell name <> ""))
+        Hqs.stat_columns;
+      check "peak nodes reach the limit" true (int_of_string (cell "hqs_peak_nodes") >= 64)
+  | _ -> Alcotest.fail "csv has no data row"
+
 (* a worker killed on its wall limit sends no stats frame; the row is
    rebuilt from the salvaged samples alone, and its configuration cells
    echo the sweep's own config instead of invented defaults *)
@@ -251,7 +281,7 @@ let test_salvaged_row () =
     }
   in
   let config =
-    { (S.default_config ~timeout:1.0 ~node_limit:1000) with S.hqs_config = Some hqs_config }
+    { (S.default_config ~timeout:1.0 ~node_limit:1000) with S.hqs_config }
   in
   let item = S.item_of_instance small_unsat in
   let completion solver status salvaged_metrics =
@@ -293,8 +323,9 @@ let test_salvaged_row () =
   | _ -> Alcotest.fail "csv has no data row"
 
 (* journal lines written while the solver still recorded degradations
-   carry a [degraded] array next to [metrics]; --resume over such a
-   journal must still decode them into full rows *)
+   carry a [degraded] array next to [metrics], and older TO/MO lines a
+   [null] stats; --resume over such a journal must still decode them,
+   into full rows and blank stat cells respectively *)
 let test_old_journal_stats () =
   let module Sup = Exec.Supervisor in
   let module S = Harness.Sweep in
@@ -325,19 +356,31 @@ let test_old_journal_stats () =
       salvaged_metrics = [];
     }
   in
-  let r =
-    S.assemble config item
-      ~hqs:(completion S.Hqs_run (Sup.Value value))
-      ~idq:(completion S.Idq_run (Sup.Value (S.outcome_to_json (R.Solved (false, 0.1)))))
+  let row_of value =
+    let r =
+      S.assemble config item
+        ~hqs:(completion S.Hqs_run (Sup.Value value))
+        ~idq:(completion S.Idq_run (Sup.Value (S.outcome_to_json (R.Solved (false, 0.1)))))
+    in
+    match String.split_on_char '\n' (Harness.Report.csv [ r ]) with
+    | header :: row :: _ ->
+        let cells = List.combine (String.split_on_char ',' header) (String.split_on_char ',' row) in
+        fun name -> List.assoc name cells
+    | _ -> Alcotest.fail "csv has no data row"
   in
-  match String.split_on_char '\n' (Harness.Report.csv [ r ]) with
-  | header :: row :: _ ->
-      let cells = List.combine (String.split_on_char ',' header) (String.split_on_char ',' row) in
-      let cell name = List.assoc name cells in
-      Alcotest.(check string) "verdict" "UNSAT" (cell "hqs_outcome");
-      Alcotest.(check string) "peak nodes" "20" (cell "hqs_peak_nodes");
-      Alcotest.(check string) "universal eliminations" "2" (cell "hqs_univ_elims")
-  | _ -> Alcotest.fail "csv has no data row"
+  let cell = row_of value in
+  Alcotest.(check string) "verdict" "UNSAT" (cell "hqs_outcome");
+  Alcotest.(check string) "peak nodes" "20" (cell "hqs_peak_nodes");
+  Alcotest.(check string) "universal eliminations" "2" (cell "hqs_univ_elims");
+  (* a TO line written before in-process TO/MO rows carried stats *)
+  let cell =
+    match Obs.Json.parse {|{"outcome":{"o":"TO","t":1.0},"stats":null}|} with
+    | Ok j -> row_of j
+    | Error msg -> Alcotest.fail msg
+  in
+  Alcotest.(check string) "null stats: outcome" "TO" (cell "hqs_outcome");
+  Alcotest.(check string) "null stats: blank peak" "" (cell "hqs_peak_nodes");
+  Alcotest.(check string) "null stats: blank cert status" "" (cell "hqs_cert_status")
 
 let () =
   Alcotest.run "harness"
@@ -359,6 +402,7 @@ let () =
           Alcotest.test_case "crash reported" `Quick test_crash_reported;
           Alcotest.test_case "csv executor columns" `Quick test_csv_executor_columns;
           Alcotest.test_case "salvaged row echoes the sweep config" `Quick test_salvaged_row;
+          Alcotest.test_case "memout row carries its stats" `Quick test_memout_row_stats;
         ] );
       ( "sweep codec",
         [ Alcotest.test_case "old journal stats with degraded decode" `Quick test_old_journal_stats ] );

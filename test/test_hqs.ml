@@ -250,6 +250,21 @@ let prop_pcnf_no_preprocess =
       let v, _ = Hqs.solve_pcnf ~config pcnf in
       (v = Hqs.Sat) = expected)
 
+(* [run] goes through the same pipeline as [solve_pcnf]: same verdict,
+   same work counters *)
+let prop_run_matches_solve_pcnf =
+  QCheck.Test.make ~name:"run agrees with solve_pcnf on verdict and counts" ~count:200
+    instance_arb (fun inst ->
+      let pcnf = pcnf_of_instance inst in
+      let v, stats = Hqs.solve_pcnf pcnf in
+      let r = Hqs.run pcnf in
+      r.Hqs.outcome = Hqs.Verdict v
+      && List.for_all
+           (function
+             | _, Hqs.Count name -> Hqs.metric r.Hqs.stats name = Hqs.metric stats name
+             | _, (Hqs.Seconds _ | Hqs.Dep_scheme | Hqs.Inproc_mode | Hqs.Cert_status) -> true)
+           Hqs.stat_columns)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -278,5 +293,6 @@ let () =
             prop_expand_all;
             prop_pcnf_pipeline;
             prop_pcnf_no_preprocess;
+            prop_run_matches_solve_pcnf;
           ] );
     ]

@@ -152,10 +152,16 @@ let test_trail_literal () =
 
 (* --------------------------------------------------------- HQS models *)
 
+(* Example 1 as a PCNF: y1 (3) depends on x1 (1), y2 (4) on x2 (2) *)
+let example1_pcnf ~crossed =
+  Dqbf.Pcnf.parse_string
+    (if crossed then "p cnf 4 4\na 1 2 0\nd 3 1 0\nd 4 2 0\n-3 2 0\n3 -2 0\n-4 1 0\n4 -1 0\n"
+     else "p cnf 4 4\na 1 2 0\nd 3 1 0\nd 4 2 0\n-3 1 0\n3 -1 0\n-4 2 0\n4 -2 0\n")
+
 let test_hqs_model_example1 () =
   let f = example1 ~crossed:false in
-  match Hqs.solve_formula_model f with
-  | Hqs.Sat, Some model, _ ->
+  match Hqs.run ~model:true (example1_pcnf ~crossed:false) with
+  | { Hqs.outcome = Hqs.Verdict Hqs.Sat; model = Some model; _ } ->
       check "verifies" true (Sk.verify f model = Ok ());
       (* the only valid Skolem functions here are y1 = x1, y2 = x2 *)
       List.iter
@@ -164,23 +170,28 @@ let test_hqs_model_example1 () =
           check "y1 = x1" (env 0) (Sk.eval model 2 env);
           check "y2 = x2" (env 1) (Sk.eval model 3 env))
         [ 0; 1; 2; 3 ]
-  | Hqs.Sat, None, _ -> Alcotest.fail "expected a model"
-  | Hqs.Unsat, _, _ -> Alcotest.fail "expected SAT"
+  | { Hqs.outcome = Hqs.Verdict Hqs.Sat; model = None; _ } -> Alcotest.fail "expected a model"
+  | _ -> Alcotest.fail "expected SAT"
 
 let test_hqs_model_unsat_none () =
-  match Hqs.solve_formula_model (example1 ~crossed:true) with
-  | Hqs.Unsat, None, _ -> ()
-  | Hqs.Unsat, Some _, _ -> Alcotest.fail "no model expected on UNSAT"
-  | Hqs.Sat, _, _ -> Alcotest.fail "expected UNSAT"
+  match Hqs.run ~model:true (example1_pcnf ~crossed:true) with
+  | { Hqs.outcome = Hqs.Verdict Hqs.Unsat; model = None; _ } -> ()
+  | { Hqs.outcome = Hqs.Verdict Hqs.Unsat; model = Some _; _ } ->
+      Alcotest.fail "no model expected on UNSAT"
+  | _ -> Alcotest.fail "expected UNSAT"
 
+(* the main loop's own model reconstruction: preprocessing off, so every
+   Skolem function comes from the eliminations *)
 let model_agrees ?(config = Hqs.default_config) name =
   QCheck.Test.make ~name ~count:300 instance_arb (fun inst ->
       let f = build inst in
       let expected = Dqbf.Reference.by_expansion f in
-      match Hqs.solve_formula_model ~config f with
-      | Hqs.Sat, Some model, _ -> expected && Sk.verify f model = Ok ()
-      | Hqs.Sat, None, _ -> false
-      | Hqs.Unsat, _, _ -> not expected)
+      let config = { config with Hqs.preprocess = Dqbf.Preprocess.off } in
+      match Hqs.run ~config ~model:true (pcnf_of_instance inst) with
+      | { Hqs.outcome = Hqs.Verdict Hqs.Sat; model = Some model; _ } ->
+          expected && Sk.verify f model = Ok ()
+      | { Hqs.outcome = Hqs.Verdict Hqs.Unsat; _ } -> not expected
+      | _ -> false)
 
 let prop_model_default = model_agrees "hqs model verifies (default)"
 
@@ -206,10 +217,11 @@ let prop_pcnf_model =
       let pcnf = pcnf_of_instance inst in
       let original = Dqbf.Pcnf.to_formula pcnf in
       let expected = Dqbf.Reference.by_expansion original in
-      match Hqs.solve_pcnf_model pcnf with
-      | Hqs.Sat, Some model, _ -> expected && Sk.verify original model = Ok ()
-      | Hqs.Sat, None, _ -> false
-      | Hqs.Unsat, _, _ -> not expected)
+      match Hqs.run ~model:true pcnf with
+      | { Hqs.outcome = Hqs.Verdict Hqs.Sat; model = Some model; _ } ->
+          expected && Sk.verify original model = Ok ()
+      | { Hqs.outcome = Hqs.Verdict Hqs.Unsat; _ } -> not expected
+      | _ -> false)
 
 let prop_pcnf_model_no_preprocess =
   QCheck.Test.make ~name:"pcnf model verifies (preprocessing off)" ~count:200 instance_arb
@@ -217,10 +229,11 @@ let prop_pcnf_model_no_preprocess =
       let pcnf = pcnf_of_instance inst in
       let original = Dqbf.Pcnf.to_formula pcnf in
       let config = { Hqs.default_config with preprocess = Dqbf.Preprocess.off } in
-      match Hqs.solve_pcnf_model ~config pcnf with
-      | Hqs.Sat, Some model, _ -> Sk.verify original model = Ok ()
-      | Hqs.Sat, None, _ -> false
-      | Hqs.Unsat, _, _ -> not (Dqbf.Reference.by_expansion original))
+      match Hqs.run ~config ~model:true pcnf with
+      | { Hqs.outcome = Hqs.Verdict Hqs.Sat; model = Some model; _ } ->
+          Sk.verify original model = Ok ()
+      | { Hqs.outcome = Hqs.Verdict Hqs.Unsat; _ } -> not (Dqbf.Reference.by_expansion original)
+      | _ -> false)
 
 (* ---------------------------------------------------------- iDQ models *)
 
@@ -249,14 +262,15 @@ let test_pec_models_verify () =
   List.iter
     (fun (inst : Circuit.Families.instance) ->
       let original = Dqbf.Pcnf.to_formula inst.Circuit.Families.pcnf in
-      match Hqs.solve_pcnf_model inst.Circuit.Families.pcnf with
-      | Hqs.Sat, Some model, _ ->
-          (match Sk.verify original model with
+      match Hqs.run ~model:true inst.Circuit.Families.pcnf with
+      | { Hqs.outcome = Hqs.Verdict Hqs.Sat; model = Some model; _ } -> (
+          match Sk.verify original model with
           | Ok () -> ()
           | Error e ->
               Alcotest.failf "%s: model rejected: %a" inst.Circuit.Families.id Sk.pp_failure e)
-      | Hqs.Sat, None, _ -> Alcotest.failf "%s: no model" inst.Circuit.Families.id
-      | Hqs.Unsat, _, _ -> Alcotest.failf "%s: expected SAT" inst.Circuit.Families.id)
+      | { Hqs.outcome = Hqs.Verdict Hqs.Sat; model = None; _ } ->
+          Alcotest.failf "%s: no model" inst.Circuit.Families.id
+      | _ -> Alcotest.failf "%s: expected SAT" inst.Circuit.Families.id)
     cases
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
