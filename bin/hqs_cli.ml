@@ -74,14 +74,6 @@ let solver_config ?(scheme = Analysis.Scheme.default) ~check ~dep_scheme ~inproc
       };
   }
 
-(* --chaos-seed and --chaos-points plus a command's own convenience
-   points, armed when any of them is given *)
-let armed_chaos seed points extra =
-  let listed = match points with None -> [] | Some s -> Hqs_util.Chaos.parse_points s in
-  match (seed, listed @ extra) with
-  | None, [] -> Hqs_util.Chaos.off
-  | seed, points -> Hqs_util.Chaos.create ~seed:(Option.value seed ~default:0) ~points ()
-
 (* stop tracing and write the Chrome trace, reported on stderr *)
 let write_trace path =
   Obs.Trace.stop ();
@@ -248,19 +240,6 @@ let node_limit =
     & opt (some int) None
     & info [ "node-limit" ] ~docv:"N" ~doc:"AIG node budget (memout emulation)")
 
-let chaos_seed =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "chaos-seed" ] ~docv:"SEED" ~doc:"arm deterministic fault injection with this seed")
-
-let chaos_points =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "chaos-points" ] ~docv:"P1,P2,..."
-        ~doc:"restrict injection to these points (default: all points)")
-
 let check =
   Arg.(
     value
@@ -333,8 +312,8 @@ let family_of_path file =
   | "." | ".." | "/" | "" -> "files"
   | d -> d
 
-let sweep files jobs timeout node_limit retries journal resume mem_limit cpu_limit chaos_seed
-    chaos_points chaos_kill dep_scheme inproc certify_dir trace =
+let sweep files jobs timeout node_limit retries journal resume mem_limit cpu_limit chaos_kill
+    dep_scheme inproc certify_dir trace =
   install_signal_handlers ();
   (* resolved here, like solve and serve; the workers inherit it through
      the fork. The sweep has no --check flag, only HQS_CHECK *)
@@ -372,10 +351,10 @@ let sweep files jobs timeout node_limit retries journal resume mem_limit cpu_lim
        end;
        Hashtbl.replace seen it.Harness.Sweep.id ())
      items);
+  (* arm the worker-kill point for every attempt of one task, so a
+     quarantine is reproducible from the command line *)
   let chaos =
-    armed_chaos chaos_seed chaos_points
-      (* convenience: arm the worker-kill point for every attempt of one
-         task, so a quarantine is reproducible from the command line *)
+    Hqs_util.Chaos.arm
       (match chaos_kill with
       | None -> []
       | Some task ->
@@ -526,7 +505,7 @@ let sweep_cmd =
     (Cmd.info "sweep" ~doc ~man)
     Term.(
       const sweep $ sweep_files $ jobs $ sweep_timeout $ sweep_node_limit $ retries $ journal
-      $ resume $ sweep_mem_limit $ cpu_limit $ chaos_seed $ chaos_points $ chaos_kill
+      $ resume $ sweep_mem_limit $ cpu_limit $ chaos_kill
       $ dep_scheme $ inproc
       $ Arg.(
           value
@@ -638,17 +617,17 @@ let analyze_cmd =
    SIGINT drain, 2 on usage errors (bad bounds, unbindable socket). *)
 
 let serve socket workers queue_cap timeout max_timeout kill_grace retries mem_limit node_limit
-    cache check audit_period trace event_log chaos_seed chaos_points chaos_kill certify
-    chaos_cert dep_scheme inproc =
+    cache check audit_period trace event_log chaos_kill certify chaos_cert dep_scheme inproc =
   (* no install_signal_handlers: SIGTERM/SIGINT mean "drain", not "abort" *)
   let solver = { (solver_config ~check ~dep_scheme ~inproc ()) with Hqs.node_limit } in
   let chaos =
-    armed_chaos chaos_seed chaos_points
-      ((* convenience: kill the first dispatch of one job id — the retry
-          then succeeds, which is the structured-reply-after-crash path *)
+    Hqs_util.Chaos.arm
+      ((* kill the first dispatch of one job id — the retry then
+          succeeds, which is the structured-reply-after-crash path *)
        (match chaos_kill with
        | None -> []
-       | Some jid -> [ Serve.Daemon.kill_point ~jid ~attempt:1 ])
+       | Some jid ->
+           [ Hqs_util.Chaos.worker_kill_point ~task:(Serve.Daemon.task_id ~jid) ~attempt:1 ])
       @
       (* same shape for the certificate recovery loop: poison the first
          dispatch's artifact, so the escalated re-solve then verifies *)
@@ -667,7 +646,6 @@ let serve socket workers queue_cap timeout max_timeout kill_grace retries mem_li
       max_attempts = retries;
       mem_limit_mb = mem_limit;
       chaos;
-      check_level = solver.Hqs.check_level;
       audit_period;
       cache_path = cache;
       trace_path = trace;
@@ -769,7 +747,6 @@ let serve_cmd =
                  crashes, retries, quarantines, timeouts, cache audits, drain) \
                  with per-request trace ids; the file is size-rotated to $(i,FILE).1 at 1 \
                  MiB")
-      $ chaos_seed $ chaos_points
       $ Arg.(
           value
           & opt (some int) None
@@ -955,7 +932,7 @@ let query_cmd =
           & opt float 0.0
           & info [ "sleep" ] ~docv:"SECONDS"
               ~doc:
-                "test hook: make the worker sleep this long (outside the solve budget) \
+                "test hook: make the worker sleep this long (inside the solve budget) \
                  before solving — deterministic deadline and overload scenarios")
       $ Arg.(
           value

@@ -597,7 +597,7 @@ dune exec bin/genpec.exe -- sweep pec_xor --sizes=2,3 --boxes-list=1,2 --out "$t
 # SIGKILLed mid-request and the client must still get a verdict via the
 # retry
 "$HQS_BIN" serve --socket "$sock" --workers 2 --cache "$tmp/serve_cache.jsonl" \
-  --trace "$tmp/serve_trace.json" --chaos-kill 2 --chaos-seed 7 \
+  --trace "$tmp/serve_trace.json" --chaos-kill 2 \
   >"$tmp/serve.log" 2>&1 &
 serve_pid=$!
 i=0
@@ -744,7 +744,7 @@ dune exec bin/benchdiff.exe -- BENCH_layers.json BENCH_layers.json \
 #    and leave a correlatable JSONL event trail behind
 sock2="$tmp/hqs2.sock"
 elog="$tmp/serve_events.jsonl"
-"$HQS_BIN" serve --socket "$sock2" --workers 2 --chaos-kill 2 --chaos-seed 7 \
+"$HQS_BIN" serve --socket "$sock2" --workers 2 --chaos-kill 2 \
   --event-log "$elog" >"$tmp/serve2.log" 2>&1 &
 serve2_pid=$!
 i=0
@@ -942,7 +942,7 @@ grep -q 'external certcheck: exit 0' "$tmp/certify_example.out" || {
 sock3="$tmp/hqs3.sock"
 elog3="$tmp/cert_events.jsonl"
 "$HQS_BIN" serve --socket "$sock3" --workers 2 --certify --check full \
-  --chaos-cert 1 --chaos-seed 7 --event-log "$elog3" >"$tmp/serve3.log" 2>&1 &
+  --chaos-cert 1 --event-log "$elog3" >"$tmp/serve3.log" 2>&1 &
 serve3_pid=$!
 i=0
 until "$HQS_BIN" query --socket "$sock3" --ping >/dev/null 2>&1; do

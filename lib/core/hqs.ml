@@ -250,8 +250,8 @@ let solve_refined ~config ~budget ~trail pcnf =
   let refined = refine_pcnf ~config ~budget pcnf in
   let on_inproc outcome = Check.audit_inproc ~budget ~level:config.check_level refined outcome in
   match
-    Dqbf.Preprocess.run ~config:config.preprocess ?node_limit:config.node_limit ?trail ~on_inproc
-      refined
+    Dqbf.Preprocess.run ~config:config.preprocess ~budget ?node_limit:config.node_limit ?trail
+      ~on_inproc refined
   with
   | Dqbf.Preprocess.Unsat -> Unsat
   | Dqbf.Preprocess.Formula (f, _) ->

@@ -105,7 +105,7 @@ let replay_steps trail steps =
 let run_inproc ?(mode = Inproc.default_mode) (pcnf : Pcnf.t) =
   Inproc.run ~config:(Inproc.config_of_mode mode) (problem_of_pcnf pcnf)
 
-let run ?(config = default_config) ?node_limit ?trail ?on_inproc (pcnf : Pcnf.t) =
+let run ?(config = default_config) ?budget ?node_limit ?trail ?on_inproc (pcnf : Pcnf.t) =
   Obs.Span.with_ "preprocess"
     ~attrs:
       [
@@ -114,8 +114,8 @@ let run ?(config = default_config) ?node_limit ?trail ?on_inproc (pcnf : Pcnf.t)
       ]
   @@ fun () ->
   match
-    Inproc.run ~config:(Inproc.config_of_mode config.inproc) ~gates:config.gate_detection
-      (problem_of_pcnf pcnf)
+    Inproc.run ~config:(Inproc.config_of_mode config.inproc) ?budget
+      ~gates:config.gate_detection (problem_of_pcnf pcnf)
   with
   | Inproc.Unsat as outcome ->
       Option.iter (fun k -> k outcome) on_inproc;
@@ -123,6 +123,7 @@ let run ?(config = default_config) ?node_limit ?trail ?on_inproc (pcnf : Pcnf.t)
   | Inproc.Simplified res as outcome ->
       Option.iter (fun k -> replay_steps k res.Inproc.steps) trail;
       Option.iter (fun k -> k outcome) on_inproc;
+      Option.iter Hqs_util.Budget.check budget;
       let f = build_formula ?node_limit ?trail res in
       let n = List.length res.Inproc.gates in
       Obs.Metrics.incr ~by:n c_gates;

@@ -39,6 +39,7 @@ type outcome =
 
 val run :
   ?config:config ->
+  ?budget:Hqs_util.Budget.t ->
   ?node_limit:int ->
   ?trail:Model_trail.t ->
   ?on_inproc:(Inproc.outcome -> unit) ->
@@ -48,7 +49,10 @@ val run :
     and trail replay, with the raw engine outcome ([Off] gives
     [Simplified] with no steps and zero rounds) — the hook the solver uses to audit the run
     ({!Check.audit_inproc} lives above this library). Exceptions raised
-    by the callback propagate. *)
+    by the callback propagate. [budget] (default unlimited) is checked
+    by the engine at the top of each fixpoint round and before gate
+    detection, and here once more before the AIG build; its exhaustion
+    raises out of [run]. *)
 
 val run_inproc : ?mode:Inproc.mode -> Pcnf.t -> Inproc.outcome
 (** Run only the inprocessing engine on a prefixed CNF: no gate

@@ -1,24 +1,7 @@
-type policy = { base_s : float; factor : float; max_s : float; jitter : float; seed : int }
+type policy = { base_s : float; max_s : float }
 
-let default = { base_s = 0.05; factor = 2.0; max_s = 2.0; jitter = 0.25; seed = 0 }
+let default = { base_s = 0.05; max_s = 2.0 }
 
-(* FNV-1a, as in Chaos: the task name only picks the jitter stream *)
-let hash_name s =
-  let h = ref 0x811c9dc5 in
-  String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land max_int) s;
-  !h
-
-let delay policy ~task ~attempt =
+let delay policy ~attempt =
   if attempt < 1 then invalid_arg "Backoff.delay: attempt is 1-based";
-  let raw = policy.base_s *. (policy.factor ** float_of_int (attempt - 1)) in
-  let capped = Float.min policy.max_s raw in
-  let jitter =
-    if policy.jitter = 0.0 then 0.0
-    else begin
-      (* a fresh stream per (seed, task, attempt): deterministic, and
-         re-runs of the same schedule reproduce it exactly *)
-      let rng = Hqs_util.Rng.create (policy.seed lxor hash_name task lxor (attempt * 0x9e3779b9)) in
-      policy.jitter *. (Hqs_util.Rng.float rng 2.0 -. 1.0)
-    end
-  in
-  Float.max 0.0 (capped *. (1.0 +. jitter))
+  Float.min policy.max_s (policy.base_s *. (2.0 ** float_of_int (attempt - 1)))

@@ -1,22 +1,15 @@
-(** Bounded exponential backoff with deterministic jitter for crash
-    retries.
-
-    The schedule is a pure function of [(policy, task, attempt)] — no
-    global RNG, no wall clock — so a retried sweep reproduces the exact
-    same delays (and the unit tests can assert them). *)
+(** Bounded exponential backoff for crash retries: the delay doubles per
+    attempt from [base_s] up to [max_s]. *)
 
 type policy = {
   base_s : float;  (** delay before the first retry *)
-  factor : float;  (** exponential growth per attempt *)
-  max_s : float;  (** cap on the un-jittered delay *)
-  jitter : float;  (** relative jitter amplitude in [0,1): ±jitter·delay *)
-  seed : int;  (** jitter stream seed *)
+  max_s : float;  (** cap on the delay *)
 }
 
 val default : policy
-(** 50 ms base, ×2 per attempt, capped at 2 s, ±25 % jitter. *)
+(** 50 ms base, capped at 2 s. *)
 
-val delay : policy -> task:string -> attempt:int -> float
-(** Seconds to wait before re-spawning [task] after its [attempt]-th
-    failure (1-based). Always non-negative.
+val delay : policy -> attempt:int -> float
+(** Seconds to wait before re-spawning a task after its [attempt]-th
+    failure (1-based): [min max_s (base_s * 2^(attempt - 1))].
     @raise Invalid_argument if [attempt < 1]. *)

@@ -337,8 +337,7 @@ let crash_attempt pool proc detail elapsed =
   pool.events <- Crashed (task.key, task.spawned, detail) :: pool.events;
   if task.spawned >= pool.config.max_attempts then finish pool proc (Crash elapsed) elapsed
   else begin
-    task.ready_at <-
-      Clock.now () +. Backoff.delay pool.config.backoff ~task:task.id ~attempt:task.spawned;
+    task.ready_at <- Clock.now () +. Backoff.delay pool.config.backoff ~attempt:task.spawned;
     pool.delayed <- task :: pool.delayed
   end
 

@@ -96,12 +96,12 @@ val submit :
 (** [submit t ~id key body] queues a task; [body ~attempt] runs in the
     child (attempts count from 1) and returns its result as JSON, or
     raises — [Out_of_memory] becomes {!Memout}, anything else a crash
-    attempt. [id] names the task in chaos points, backoff streams and
-    trace rows. [?wall_s] overrides [config.limits.wall_s] as this
-    task's deadline, counted from each fork. [?spent] (default 0) is the
-    number of attempts the task already used elsewhere: the first fork
-    is attempt [spent + 1], [max_attempts] counts them, and the task
-    queues ahead of fresh ones, like a crash retry. *)
+    attempt. [id] names the task in chaos points and trace rows.
+    [?wall_s] overrides [config.limits.wall_s] as this task's deadline,
+    counted from each fork. [?spent] (default 0) is the number of
+    attempts the task already used elsewhere: the first fork is attempt
+    [spent + 1], [max_attempts] counts them, and the task queues ahead
+    of fresh ones, like a crash retry. *)
 
 val wait :
   'k t ->

@@ -673,7 +673,7 @@ let live_counts st =
   done;
   (!cl, !li)
 
-let run ?config ?(gates = false) (p : problem) =
+let run ?config ?(budget = Budget.unlimited) ?(gates = false) (p : problem) =
   let cfg = match config with Some c -> c | None -> config_of_mode default_mode in
   let declared_vars =
     List.fold_left
@@ -719,6 +719,7 @@ let run ?config ?(gates = false) (p : problem) =
     let rounds = ref 0 in
     let continue_ = ref (cfg.max_rounds > 0) in
     while !continue_ && !rounds < cfg.max_rounds do
+      Budget.check budget;
       incr rounds;
       let ch = ref (simplify st) in
       if cfg.equivalences && scc_pass st then begin
@@ -741,7 +742,13 @@ let run ?config ?(gates = false) (p : problem) =
       Unsat
   | rounds ->
       let clauses_after, lits_after = live_counts st in
-      let gates = if gates then detect_gates st else [] in
+      let gates =
+        if gates then begin
+          Budget.check budget;
+          detect_gates st
+        end
+        else []
+      in
       let clauses = ref [] in
       for i = st.n - 1 downto 0 do
         let c = st.arena.(i) in

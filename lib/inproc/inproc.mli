@@ -123,11 +123,14 @@ type result = {
 
 type outcome = Unsat | Simplified of result
 
-val run : ?config:config -> ?gates:bool -> problem -> outcome
+val run : ?config:config -> ?budget:Hqs_util.Budget.t -> ?gates:bool -> problem -> outcome
 (** Run the fixpoint engine. [Unsat] means a rule refuted the formula
-    (empty clause, universal unit, illegal merge). The default config is [config_of_mode On]. Variables of
-    [problem] declared neither universal nor existential are existential
-    with no dependencies. With [gates] (default false), one pass after
-    the fixpoint detects Henkin-legal AND/XOR gate definitions on the
-    occurrence lists and moves their clauses from [clauses] to
-    [gates]; the [stats] clause and literal counts are taken before it. *)
+    (empty clause, universal unit, illegal merge). The default config is
+    [config_of_mode On]. Variables of [problem] declared neither
+    universal nor existential are existential with no dependencies. With
+    [gates] (default false), one pass after the fixpoint detects
+    Henkin-legal AND/XOR gate definitions on the occurrence lists and
+    moves their clauses from [clauses] to [gates]; the [stats] clause
+    and literal counts are taken before it. [budget] (default unlimited)
+    is checked at the top of every fixpoint round and before gate
+    detection; its exhaustion raises out of [run]. *)

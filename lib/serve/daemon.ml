@@ -19,7 +19,6 @@ type config = {
   mem_limit_mb : int option;
   backoff : Exec.Backoff.policy;
   chaos : Chaos.t;
-  check_level : Check.level;
   audit_period : int;
   cache_path : string option;
   trace_path : string option;
@@ -40,7 +39,6 @@ let default ~socket_path =
     mem_limit_mb = None;
     backoff = Exec.Backoff.default;
     chaos = Chaos.off;
-    check_level = Check.Off;
     audit_period = 4;
     cache_path = None;
     trace_path = None;
@@ -49,7 +47,7 @@ let default ~socket_path =
     certify = false;
   }
 
-let kill_point ~jid ~attempt = Printf.sprintf "serve.worker.kill:%d#%d" jid attempt
+let task_id ~jid = Printf.sprintf "serve.job%d" jid
 let cert_point ~jid ~attempt = Printf.sprintf "serve.cert.poison:%d#%d" jid attempt
 
 (* deterministic certificate corruption behind the chaos poison hook: a
@@ -102,13 +100,11 @@ type job = {
    formula the daemon parsed at admission and returns the job result.
    Every failure mode of a solve comes back as a structured result
    ({!Hqs.run} classifies the budget exhaustions); the child only dies
-   on chaos kills, rlimit kills or genuine solver bugs,
+   on the pool's chaos kills, rlimit kills or genuine solver bugs,
    which the pool classifies as crash attempts. [attempt] is the job's
-   n-th dispatch, counting escalated re-solves: the chaos state is a
-   fresh copy in every child, so the point names carry it. *)
+   n-th dispatch, counting escalated re-solves, as in the pool's point
+   names. *)
 let solve_job (config : config) job ~attempt =
-  if Chaos.fire config.chaos (kill_point ~jid:job.jid ~attempt) then
-    Unix.kill (Unix.getpid ()) Sys.sigkill;
   let poison = config.certify && Chaos.fire config.chaos (cert_point ~jid:job.jid ~attempt) in
   let t0 = Budget.now () in
   let budget = Budget.of_seconds job.timeout_s in
@@ -127,16 +123,16 @@ let solve_job (config : config) job ~attempt =
        the audit must run in this frame, after the chaos poison hook, so
        fault injection exercises exactly the gate the daemon's recovery
        loop listens to *)
-    let solver = if config.certify then { solver with Hqs.check_level = Check.Off } else solver in
+    let stages = if config.certify then { solver with Hqs.check_level = Check.Off } else solver in
     let certify = if config.certify then Some job.text else None in
-    let r = Hqs.run ~config:solver ~budget ?certify job.pcnf in
+    let r = Hqs.run ~config:stages ~budget ?certify job.pcnf in
     match (r.Hqs.outcome, r.Hqs.cert) with
     | Hqs.Timeout, _ -> (Proto.W_timeout, None)
     | Hqs.Memout, _ -> (Proto.W_memout, None)
     | Hqs.Verdict v, None -> (Proto.W_sat (v = Hqs.Sat), None)
     | Hqs.Verdict v, Some art -> (
         let art = if poison then poison_cert art else art in
-        let level = if job.escalate then Check.Full else config.check_level in
+        let level = solver.Hqs.check_level in
         match Check.audit_certificate ~budget ~level ~instance_text:job.text job.pcnf art with
         | () -> (Proto.W_sat (v = Hqs.Sat), Some (Cert.render art))
         | exception Check.Violation viol ->
@@ -246,8 +242,7 @@ let run (config : config) =
           };
         max_attempts = config.max_attempts;
         backoff = config.backoff;
-        (* the daemon's chaos points are queried inside [solve_job] *)
-        chaos = Chaos.off;
+        chaos = config.chaos;
       }
   in
   let next_jid = ref 0 in
@@ -262,7 +257,7 @@ let run (config : config) =
      not slow *)
   let dispatch ?spent job =
     Pool.submit pool ~wall_s:(job.timeout_s +. config.kill_grace_s) ?spent
-      ~id:(Printf.sprintf "serve.job%d" job.jid) job (solve_job config job);
+      ~id:(task_id ~jid:job.jid) job (solve_job config job);
     update_depth ()
   in
 
@@ -336,8 +331,8 @@ let run (config : config) =
               ~fields:[ ("key", Json.Str job.key.Dqbf.Canon.h1) ];
             let verdict_matches =
               match
-                Check.audit_cache_hit ~level:config.check_level ~key:job.key.Dqbf.Canon.h1
-                  ~cached_sat:cached.Cache.sat ~fresh_sat:sat
+                Check.audit_cache_hit ~level:config.solver.Hqs.check_level
+                  ~key:job.key.Dqbf.Canon.h1 ~cached_sat:cached.Cache.sat ~fresh_sat:sat
               with
               | () -> true
               | exception Check.Violation _ -> false
@@ -545,7 +540,7 @@ let run (config : config) =
                       incr hit_count;
                       Metrics.incr m_cache_hits;
                       let audit =
-                        config.check_level = Check.Full
+                        config.solver.Hqs.check_level = Check.Full
                         && config.audit_period > 0
                         && !hit_count mod config.audit_period = 0
                         && queue_depth () < config.queue_cap

@@ -13,7 +13,7 @@
       [timeout]/[memout], a solve still running at deadline + grace is
       SIGKILLed and answered with [timeout]; never a hung or torn
       connection;
-    - crash retries wait out the seeded exponential {!Exec.Backoff}
+    - crash retries wait out the exponential {!Exec.Backoff}
       delay and then run ahead of newly admitted jobs, so a poisoned
       instance cannot turn the pool into a fork bomb;
     - admission is bounded: past [queue_cap] queued jobs, new solves are
@@ -31,8 +31,7 @@
       in-frame ({!Check.audit_certificate}); an audit failure is treated
       like a crash: the cache entry is tombstoned ([cert_audit] event,
       [serve.cert_audit_failed] metric), the job re-submitted with
-      checks escalated to [Full] and fault injection off, and quarantined
-      past [max_attempts]. Clients that set the request's cert flag get
+      checks escalated to [Full], and quarantined past [max_attempts]. Clients that set the request's cert flag get
       the verified artifact inline in their verdict reply.
 
     Everything observable is metered under [serve.*] in {!Obs.Metrics}
@@ -49,14 +48,13 @@ type config = {
   mem_limit_mb : int option;  (** per-request heap budget; rlimit backstop at 2x *)
   backoff : Exec.Backoff.policy;  (** crash-retry delay schedule *)
   chaos : Hqs_util.Chaos.t;
-      (** arms ["serve.worker.kill:<jid>#<attempt>"] points — a fired
-          point makes that dispatch's child SIGKILL itself mid-request —
-          and, with [certify] on, ["serve.cert.poison:<jid>#<attempt>"]
-          points, which corrupt the child's certificate before its audit
-          to drive the recovery loop deterministically. Both are queried
-          in the child, on its fresh copy of the chaos state, so the
-          attempt in the name is the job's n-th dispatch *)
-  check_level : Check.level;  (** [Full] enables sampled cache-hit audits *)
+      (** handed to the pool, whose
+          {!Hqs_util.Chaos.worker_kill_point} for [task_id ~jid] makes
+          that dispatch's child SIGKILL itself before it solves; with
+          [certify] on, {!cert_point}s corrupt the child's certificate
+          before its audit to drive the recovery loop deterministically.
+          The attempt in both names is the job's n-th dispatch, escalated
+          re-solves included *)
   audit_period : int;  (** re-solve every Nth cache hit (0 disables) *)
   cache_path : string option;  (** persistent cache journal *)
   trace_path : string option;
@@ -68,17 +66,19 @@ type config = {
           sheds, crashes, retries, quarantines, timeouts, cache audits,
           drain), each tagged with the request's trace id *)
   solver : Hqs.config;
+      (** the solve configuration; its [check_level] at [Full] also
+          enables the sampled cache-hit audits *)
   certify : bool;
       (** solve through the certifying entry point and audit every
-          artifact in the child, at [check_level] ([Full] when the job
-          is an escalated re-solve) *)
+          artifact in the child, at [solver.check_level] ([Full] when the
+          job is an escalated re-solve) *)
 }
 
 val default : socket_path:string -> config
 
-val kill_point : jid:int -> attempt:int -> string
-(** Chaos point name for one dispatch, mirroring
-    {!Hqs_util.Chaos.worker_kill_point}. *)
+val task_id : jid:int -> string
+(** The pool task id of job [jid] (job ids count from 1 in admission
+    order): the [~task] of its {!Hqs_util.Chaos.worker_kill_point}s. *)
 
 val cert_point : jid:int -> attempt:int -> string
 (** Chaos point name for one dispatch's certificate-poison fault:

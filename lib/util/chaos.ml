@@ -1,64 +1,6 @@
-type point_state = { rng : Rng.t; mutable queried : int; mutable fired : int }
+type t = string list
 
-type armed = {
-  seed : int;
-  prob : float;
-  limit : int;
-  all_points : bool;
-  allowed : (string, unit) Hashtbl.t;
-  states : (string, point_state) Hashtbl.t;
-}
-
-type t = Off | Armed of armed
-
-let off = Off
-
-(* FNV-1a: point names must hash identically across runs and OCaml
-   versions, since they seed the per-point fault streams *)
-let hash_name s =
-  let h = ref 0x811c9dc5 in
-  String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land max_int) s;
-  !h
-
-let create ?(prob = 1.0) ?(limit = 1) ~seed ~points () =
-  let allowed = Hashtbl.create 8 in
-  List.iter (fun p -> Hashtbl.replace allowed p ()) points;
-  Armed { seed; prob; limit; all_points = points = []; allowed; states = Hashtbl.create 8 }
-
-let enabled = function Off -> false | Armed _ -> true
-
-let state a name =
-  match Hashtbl.find_opt a.states name with
-  | Some s -> s
-  | None ->
-      (* independent stream per point: the name only picks the stream *)
-      let s = { rng = Rng.create (a.seed lxor hash_name name); queried = 0; fired = 0 } in
-      Hashtbl.replace a.states name s;
-      s
-
-let fire t name =
-  match t with
-  | Off -> false
-  | Armed a ->
-      if not (a.all_points || Hashtbl.mem a.allowed name) then false
-      else begin
-        let s = state a name in
-        s.queried <- s.queried + 1;
-        let hit = s.fired < a.limit && Rng.float s.rng 1.0 < a.prob in
-        if hit then s.fired <- s.fired + 1;
-        hit
-      end
-
-let fired = function
-  | Off -> []
-  | Armed a ->
-      Hashtbl.fold (fun k s acc -> if s.fired > 0 then (k, s.fired) :: acc else acc) a.states []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let parse_points s =
-  String.split_on_char ',' s |> List.map String.trim |> List.filter (fun p -> p <> "")
-
-(* one injection point per (task, attempt): each forked worker inherits a
-   fresh copy of the chaos state, so per-process fire counts cannot
-   distinguish attempts — the attempt number must be part of the name *)
+let off = []
+let arm points = points
+let fire t point = List.mem point t
 let worker_kill_point ~task ~attempt = Printf.sprintf "exec.worker.kill:%s#%d" task attempt

@@ -52,7 +52,7 @@ let test_value_roundtrip () =
       | _ -> Alcotest.failf "task %d: expected Value, got %s" i (status_label c.Sup.status))
     report.completions
 
-let fast_backoff = { Backoff.default with base_s = 0.01; max_s = 0.02 }
+let fast_backoff = { Backoff.base_s = 0.01; max_s = 0.02 }
 
 let test_chaos_kill_quarantine () =
   (* arm the kill point for every attempt of t1: it must be quarantined
@@ -61,7 +61,7 @@ let test_chaos_kill_quarantine () =
   let points =
     List.init max_attempts (fun i -> Chaos.worker_kill_point ~task:"t1" ~attempt:(i + 1))
   in
-  let chaos = Chaos.create ~seed:7 ~points () in
+  let chaos = Chaos.arm points in
   let config = { Sup.default_config with jobs = 2; max_attempts; chaos; backoff = fast_backoff } in
   let report = Sup.run ~config ~worker:square [ ("t0", 2); ("t1", 3); ("t2", 4) ] in
   let c1 = find_completion report "t1" in
@@ -88,7 +88,7 @@ let test_chaos_kill_quarantine () =
 
 let test_retry_recovers () =
   (* kill only attempt 1: the retry must succeed with attempts = 2 *)
-  let chaos = Chaos.create ~seed:7 ~points:[ Chaos.worker_kill_point ~task:"t0" ~attempt:1 ] () in
+  let chaos = Chaos.arm [ Chaos.worker_kill_point ~task:"t0" ~attempt:1 ] in
   let config = { Sup.default_config with max_attempts = 3; chaos; backoff = fast_backoff } in
   let report = Sup.run ~config ~worker:square [ ("t0", 6) ] in
   let c = find_completion report "t0" in
@@ -306,10 +306,8 @@ let test_pool_submit_while_running () =
 let test_pool_retry_ahead_of_queued () =
   (* one slot; "a" is killed on its first attempt while "b" waits in the
      queue: a's retry (zero backoff) is forked before b *)
-  let chaos =
-    Chaos.create ~seed:1 ~points:[ Chaos.worker_kill_point ~task:"a" ~attempt:1 ] ()
-  in
-  let backoff = { Backoff.default with base_s = 0.0; jitter = 0.0 } in
+  let chaos = Chaos.arm [ Chaos.worker_kill_point ~task:"a" ~attempt:1 ] in
+  let backoff = { Backoff.default with base_s = 0.0 } in
   let pool = Pool.create { Pool.default_config with jobs = 1; chaos; backoff } in
   Pool.submit pool ~id:"a" "a" (fun ~attempt -> Json.Num (float_of_int attempt));
   Pool.submit pool ~id:"b" "b" (fun ~attempt:_ -> Json.Num 0.0);
@@ -407,33 +405,24 @@ let test_eventlog_rotation_and_torn_tail () =
 
 (* --------------------------------------------------------------- backoff *)
 
-let test_backoff_deterministic () =
-  let policy = { Backoff.default with seed = 42 } in
-  let d1 = Backoff.delay policy ~task:"inst/hqs" ~attempt:2 in
-  let d2 = Backoff.delay policy ~task:"inst/hqs" ~attempt:2 in
-  Alcotest.(check (float 0.0)) "same (seed, task, attempt) => same delay" d1 d2;
-  let other = Backoff.delay policy ~task:"other/hqs" ~attempt:2 in
-  Alcotest.(check bool) "different task => different jitter" true (d1 <> other)
-
-let test_backoff_exact_without_jitter () =
-  let policy = { Backoff.default with jitter = 0.0; base_s = 0.05; factor = 2.0; max_s = 2.0 } in
-  let d attempt = Backoff.delay policy ~task:"t" ~attempt in
+let test_backoff_exact () =
+  let policy = { Backoff.base_s = 0.05; max_s = 2.0 } in
+  let d attempt = Backoff.delay policy ~attempt in
   Alcotest.(check (float 1e-12)) "attempt 1" 0.05 (d 1);
   Alcotest.(check (float 1e-12)) "attempt 2" 0.1 (d 2);
   Alcotest.(check (float 1e-12)) "attempt 3" 0.2 (d 3);
   Alcotest.(check (float 1e-12)) "capped" 2.0 (d 20)
 
 let test_backoff_bounds () =
-  let policy = { Backoff.default with seed = 9 } in
+  let policy = Backoff.default in
   for attempt = 1 to 12 do
-    let d = Backoff.delay policy ~task:"b" ~attempt in
+    let d = Backoff.delay policy ~attempt in
     Alcotest.(check bool) "non-negative" true (d >= 0.0);
-    Alcotest.(check bool) "within jittered cap" true
-      (d <= policy.max_s *. (1.0 +. policy.jitter) +. 1e-9)
+    Alcotest.(check bool) "within cap" true (d <= policy.max_s)
   done;
   Alcotest.check_raises "attempt is 1-based"
     (Invalid_argument "Backoff.delay: attempt is 1-based") (fun () ->
-      ignore (Backoff.delay policy ~task:"b" ~attempt:0))
+      ignore (Backoff.delay policy ~attempt:0))
 
 (* --------------------------------------------------------------- journal *)
 
@@ -578,9 +567,7 @@ let () =
         ] );
       ( "backoff",
         [
-          Alcotest.test_case "deterministic" `Quick test_backoff_deterministic;
-          Alcotest.test_case "exact schedule without jitter" `Quick
-            test_backoff_exact_without_jitter;
+          Alcotest.test_case "exact schedule" `Quick test_backoff_exact;
           Alcotest.test_case "bounds and 1-based attempts" `Quick test_backoff_bounds;
         ] );
       ( "journal",

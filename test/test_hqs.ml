@@ -108,6 +108,17 @@ let test_timeout () =
   Alcotest.check_raises "timeout" Budget.Timeout (fun () ->
       ignore (Hqs.solve_formula ~budget:(Budget.of_seconds (-1.0)) f))
 
+(* an expired budget ends the solve before preprocessing does any work:
+   the inproc engine checks it at the top of every fixpoint round *)
+let test_run_expired_budget () =
+  let pcnf =
+    Dqbf.Pcnf.parse_string
+      "p cnf 4 4\na 1 2 0\nd 3 1 0\nd 4 2 0\n3 -1 4 0\n-3 1 4 0\n4 -2 -3 0\n-4 2 3 0\n"
+  in
+  let r = Hqs.run ~budget:(Budget.of_seconds (-1.0)) pcnf in
+  check "timeout" true (r.Hqs.outcome = Hqs.Timeout);
+  Alcotest.(check (float 0.0)) "no inproc round" 0.0 (Hqs.metric r.Hqs.stats "inproc.rounds")
+
 let test_node_limit_memout () =
   let config = { Hqs.default_config with node_limit = Some 8 } in
   let f = example1 ~crossed:false in
@@ -275,6 +286,7 @@ let () =
           Alcotest.test_case "example 1" `Quick test_example1;
           Alcotest.test_case "input not mutated" `Quick test_input_not_mutated;
           Alcotest.test_case "timeout" `Quick test_timeout;
+          Alcotest.test_case "run expired budget" `Quick test_run_expired_budget;
           Alcotest.test_case "node limit memout" `Quick test_node_limit_memout;
           Alcotest.test_case "trivial matrices" `Quick test_trivial_matrices;
         ] );

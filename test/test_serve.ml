@@ -35,7 +35,7 @@ let test_config ?(workers = 2) ?(queue_cap = 16) socket_path =
     default_timeout_s = 10.;
     max_timeout_s = 20.;
     kill_grace_s = 0.5;
-    backoff = { Exec.Backoff.default with Exec.Backoff.base_s = 0.01; max_s = 0.05 };
+    backoff = { Exec.Backoff.base_s = 0.01; max_s = 0.05 };
   }
 
 let wait_ready socket =
@@ -202,7 +202,7 @@ let test_audit_catches_poisoned_cache () =
         {
           (test_config socket) with
           D.cache_path = Some cache;
-          check_level = Check.Full;
+          solver = { Hqs.default_config with Hqs.check_level = Check.Full };
           audit_period = 1;
         }
         (fun () ->
@@ -254,11 +254,9 @@ let test_stuck_worker_killed () =
 
 let chaos_config ?(attempts = [ 1 ]) socket =
   (* the first solve request in a fresh daemon gets jid 1 *)
-  let points = List.map (fun a -> D.kill_point ~jid:1 ~attempt:a) attempts in
-  {
-    (test_config socket) with
-    D.chaos = Hqs_util.Chaos.create ~limit:(List.length attempts) ~seed:7 ~points ();
-  }
+  let task = D.task_id ~jid:1 in
+  let points = List.map (fun a -> Hqs_util.Chaos.worker_kill_point ~task ~attempt:a) attempts in
+  { (test_config socket) with D.chaos = Hqs_util.Chaos.arm points }
 
 let test_chaos_kill_recovers () =
   let socket = fresh_socket () in
@@ -429,7 +427,11 @@ let test_serve_metrics_present () =
 (* ---------------------------------------------------------- certification *)
 
 let certify_config ?(check_level = Check.Cheap) socket =
-  { (test_config socket) with D.certify = true; check_level }
+  {
+    (test_config socket) with
+    D.certify = true;
+    solver = { Hqs.default_config with Hqs.check_level };
+  }
 
 let test_certified_solve_ships_artifact () =
   let socket = fresh_socket () in
@@ -460,10 +462,7 @@ let test_cert_poison_recovers () =
   let cfg =
     {
       (certify_config socket) with
-      D.chaos =
-        Hqs_util.Chaos.create ~limit:1 ~seed:7
-          ~points:[ D.cert_point ~jid:1 ~attempt:1 ]
-          ();
+      D.chaos = Hqs_util.Chaos.arm [ D.cert_point ~jid:1 ~attempt:1 ];
     }
   in
   with_daemon cfg (fun () ->
@@ -487,7 +486,7 @@ let test_cert_poison_exhausts_attempts () =
   let cfg =
     {
       (certify_config socket) with
-      D.chaos = Hqs_util.Chaos.create ~limit:3 ~seed:7 ~points ();
+      D.chaos = Hqs_util.Chaos.arm points;
     }
   in
   with_daemon cfg (fun () ->
@@ -618,7 +617,7 @@ let test_query_exit_code_audit_failure () =
         {
           (test_config socket) with
           D.cache_path = Some cache;
-          check_level = Check.Full;
+          solver = { Hqs.default_config with Hqs.check_level = Check.Full };
           audit_period = 1;
         }
         (fun () -> check_int "cache-audit failure exits 3" 3 (query_code ~socket sat_file)))

@@ -206,37 +206,20 @@ let test_budget_mem_governor () =
 (* ---------------------------------------------------------------- Chaos *)
 
 let test_chaos_off () =
-  check "off disabled" false (Chaos.enabled Chaos.off);
   check "off never fires" false (Chaos.fire Chaos.off "serve.cert.poison:1#1");
-  check "off fired empty" true (Chaos.fired Chaos.off = [])
+  check "off never fires a kill" false
+    (Chaos.fire Chaos.off (Chaos.worker_kill_point ~task:"t0" ~attempt:1))
 
-let test_chaos_deterministic () =
+let test_chaos_armed_points () =
   let point = Chaos.worker_kill_point ~task:"t0" ~attempt:1 in
-  let seq plan = List.init 6 (fun _ -> Chaos.fire plan point) in
-  let a = seq (Chaos.create ~seed:42 ~points:[ point ] ()) in
-  let b = seq (Chaos.create ~seed:42 ~points:[ point ] ()) in
-  check "same seed same firing" true (a = b);
-  check "fires at most limit times" true (List.length (List.filter Fun.id a) = 1)
-
-let test_chaos_points_and_limit () =
-  let plan = Chaos.create ~limit:2 ~seed:7 ~points:[ "a"; "b" ] () in
-  check "unarmed point never fires" false (Chaos.fire plan "c");
-  let fires_a = List.init 5 (fun _ -> Chaos.fire plan "a") in
-  check "limit respected" true (List.length (List.filter Fun.id fires_a) = 2);
-  ignore (Chaos.fire plan "b");
-  check "fired counts" true (Chaos.fired plan = [ ("a", 2); ("b", 1) ]);
-  (* prob 0 never fires even when armed *)
-  let never = Chaos.create ~prob:0.0 ~seed:1 ~points:[] () in
-  check "prob 0" false (Chaos.fire never "a");
-  (* empty points = every point armed *)
-  let all = Chaos.create ~seed:1 ~points:[] () in
-  check "arm-all fires" true (Chaos.fire all "anything")
-
-let test_chaos_parse_points () =
-  check "parse" true
-    (Chaos.parse_points " serve.cert.poison:1#1, serve.worker.kill:1#1 ,,exec.worker.kill:t0#1"
-    = [ "serve.cert.poison:1#1"; "serve.worker.kill:1#1"; "exec.worker.kill:t0#1" ]);
-  check "parse empty" true (Chaos.parse_points "" = [])
+  let plan = Chaos.arm [ point; "serve.cert.poison:1#1" ] in
+  check "armed point fires on every query" true
+    (List.for_all Fun.id (List.init 5 (fun _ -> Chaos.fire plan point)));
+  check "other armed point fires" true (Chaos.fire plan "serve.cert.poison:1#1");
+  check "next attempt is unarmed" false
+    (Chaos.fire plan (Chaos.worker_kill_point ~task:"t0" ~attempt:2));
+  check "unarmed point never fires" false
+    (List.exists Fun.id (List.init 5 (fun _ -> Chaos.fire plan "c")))
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -279,8 +262,6 @@ let () =
       ( "chaos",
         [
           Alcotest.test_case "off" `Quick test_chaos_off;
-          Alcotest.test_case "deterministic" `Quick test_chaos_deterministic;
-          Alcotest.test_case "points and limit" `Quick test_chaos_points_and_limit;
-          Alcotest.test_case "parse points" `Quick test_chaos_parse_points;
+          Alcotest.test_case "armed points" `Quick test_chaos_armed_points;
         ] );
     ]
