@@ -232,7 +232,11 @@ let mem_limit =
     value
     & opt (some int) None
     & info [ "mem-limit" ] ~docv:"MB"
-        ~doc:"heap ceiling in megabytes (sampled from the OCaml GC; exceeding it is a memout)")
+        ~doc:
+          "heap ceiling in megabytes for each solve, sampled from the OCaml GC; exceeding it \
+           is a memout. A forked sweep or serve worker counts the heap it inherited from its \
+           parent, such as the sweep's parsed inputs. For a kernel cap on a whole run, use \
+           the shell's $(b,ulimit -v)")
 
 let node_limit =
   Arg.(
@@ -299,7 +303,7 @@ let flag names doc = Arg.(value & flag & info names ~doc)
 (* -------------------------------------------------------- sweep command *)
 
 (* hqs sweep: supervised benchmark sweep over DQDIMACS files. Each
-   (file, solver) task runs in a forked worker under kernel limits; see
+   (file, solver) task runs in a forked worker under a wall backstop; see
    Exec.Supervisor for the crash taxonomy. Exit codes:
      0  sweep completed; every task solved, timed out or memed out
      1  internal error (uncaught exception)
@@ -312,7 +316,7 @@ let family_of_path file =
   | "." | ".." | "/" | "" -> "files"
   | d -> d
 
-let sweep files jobs timeout node_limit retries journal resume mem_limit cpu_limit chaos_kill
+let sweep files jobs timeout node_limit retries journal resume mem_limit chaos_kill
     dep_scheme inproc certify_dir trace =
   install_signal_handlers ();
   (* resolved here, like solve and serve; the workers inherit it through
@@ -365,20 +369,16 @@ let sweep files jobs timeout node_limit retries journal resume mem_limit cpu_lim
       (Harness.Sweep.default_config ~timeout ~node_limit) with
       Harness.Sweep.hqs_config;
       Harness.Sweep.certify_dir;
+      Harness.Sweep.mem_limit_mb = mem_limit;
       Harness.Sweep.exec =
         {
           Exec.Supervisor.jobs;
           max_attempts = retries;
           backoff = Exec.Backoff.default;
           chaos;
-          limits =
-            {
-              (* the kernel wall limit is a backstop over the in-process
-                 budget: generous enough to never fire first *)
-              Exec.Limits.wall_s = Some ((2.0 *. timeout) +. 10.0);
-              cpu_s = cpu_limit;
-              mem_bytes = Option.map (fun mb -> mb * 1024 * 1024) mem_limit;
-            };
+          (* the wall kill is a backstop over the in-process budget:
+             generous enough to never fire first *)
+          wall_s = Some ((2.0 *. timeout) +. 10.0);
         };
     }
   in
@@ -462,20 +462,6 @@ let resume =
            lines from a killed run are detected and re-executed. May name the same file as \
            $(b,--journal)")
 
-let sweep_mem_limit =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "mem-limit" ] ~docv:"MB"
-        ~doc:"kernel address-space limit (RLIMIT_AS) per worker; exceeding it is a memout")
-
-let cpu_limit =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "cpu-limit" ] ~docv:"SECONDS"
-        ~doc:"kernel CPU limit (RLIMIT_CPU) per worker; exceeding it is a timeout")
-
 let chaos_kill =
   Arg.(
     value
@@ -492,10 +478,11 @@ let sweep_cmd =
       `S Manpage.s_description;
       `P
         "Runs HQS and iDQ on every $(i,FILE), each (file, solver) task in its own forked \
-         worker process under kernel resource limits. Worker deaths the result protocol \
-         cannot explain are retried with exponential backoff and eventually quarantined as \
-         CRASH rows instead of aborting the sweep. The per-instance CSV goes to stdout; \
-         progress, Table I, the Fig. 4 scatter and the headline summary go to stderr.";
+         worker process under the $(b,--timeout) and $(b,--mem-limit) budgets. Worker \
+         deaths the result protocol cannot explain are retried with exponential backoff and \
+         eventually quarantined as CRASH rows instead of aborting the sweep. The \
+         per-instance CSV goes to stdout; progress, Table I, the Fig. 4 scatter and the \
+         headline summary go to stderr.";
       `S "EXIT STATUS";
       `P "0 on a clean sweep; 2 on usage or input errors; 3 when the sweep finished but \
           contains CRASH rows or an HQS/iDQ verdict disagreement; 1 on internal errors.";
@@ -505,7 +492,7 @@ let sweep_cmd =
     (Cmd.info "sweep" ~doc ~man)
     Term.(
       const sweep $ sweep_files $ jobs $ sweep_timeout $ sweep_node_limit $ retries $ journal
-      $ resume $ sweep_mem_limit $ cpu_limit $ chaos_kill
+      $ resume $ mem_limit $ chaos_kill
       $ dep_scheme $ inproc
       $ Arg.(
           value
@@ -721,7 +708,7 @@ let serve_cmd =
           & opt int 3
           & info [ "retries" ] ~docv:"K"
               ~doc:"dispatches per request before a structured `crash' reply")
-      $ sweep_mem_limit $ node_limit
+      $ mem_limit $ node_limit
       $ Arg.(
           value
           & opt (some string) None
@@ -812,8 +799,7 @@ let query socket file ping stats health timeout sleep certify =
   install_signal_handlers ();
   let request =
     if ping then Serve.Proto.Ping
-    else if stats then Serve.Proto.Stats
-    else if health then Serve.Proto.Health
+    else if stats || health then Serve.Proto.Health
     else
       match file with
       | Some f -> (
@@ -837,9 +823,12 @@ let query socket file ping stats health timeout sleep certify =
       | Serve.Proto.Pong ->
           print_endline "c pong";
           exit 0
-      | Serve.Proto.Stats_reply { workers; queue_depth; metrics } ->
-          Printf.printf "c workers %d\nc queue_depth %d\n" workers queue_depth;
-          List.iter (fun (name, v) -> Printf.printf "c metric %s %g\n" name v) metrics;
+      | Serve.Proto.Health_reply h when stats ->
+          Printf.printf "c workers %d\nc queue_depth %d\n" h.Serve.Proto.live_workers
+            h.Serve.Proto.h_queue_depth;
+          List.iter
+            (fun (name, v) -> Printf.printf "c metric %s %g\n" name v)
+            h.Serve.Proto.h_metrics;
           exit 0
       | Serve.Proto.Health_reply h ->
           render_health h;

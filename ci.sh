@@ -47,7 +47,8 @@
 #      the --stats line on that exit shows peak-nodes at the limit and
 #      a non-zero qbf-time; the same instance swept gives an MO row whose
 #      hqs_peak_nodes column reaches the limit, and a sweep under a
-#      malformed HQS_CHECK is a usage error (exit 2)
+#      malformed HQS_CHECK, or given the deleted --cpu-limit, is a usage
+#      error (exit 2)
 #  10. traced smoke solve: solve an instance with incomparable dependency
 #      sets under --trace and validate the trace with bin/tracecheck
 #      (well-formed Chrome JSON, balanced spans, >= 6 pipeline phases)
@@ -63,7 +64,9 @@
 #      duplicates), assert every client gets a structured verdict, a
 #      sequential duplicate is served from the cache, the serve.*
 #      metrics counted the crash and the hits, SIGTERM drains to exit 0,
-#      and the emitted trace tracecheck-validates with serve.* events
+#      and the emitted trace tracecheck-validates with serve.* events;
+#      the daemon runs under --mem-limit 100, a heap budget per solve
+#      that leaves the worker's inherited address space uncounted
 #  13. distobs gate: a traced chaos-kill sweep must merge worker span
 #      buffers under their own pid rows with cross-pid parent links
 #      (tracecheck --min-pids/--min-cross-links); benchdiff passes on
@@ -497,6 +500,13 @@ if [ "$bogus_status" != 2 ]; then
   echo "== ci FAILED: HQS_CHECK=bogus hqs sweep exited $bogus_status (want 2) =="
   exit 1
 fi
+# the time limits are -t and the wall backstop; --cpu-limit is gone
+cpu_status=0
+"$HQS_BIN" sweep --cpu-limit 5 "$f" >/dev/null 2>&1 || cpu_status=$?
+if [ "$cpu_status" != 2 ]; then
+  echo "== ci FAILED: hqs sweep --cpu-limit 5 exited $cpu_status (want 2) =="
+  exit 1
+fi
 
 echo "== traced smoke solve =="
 # boxes=2 makes the dependency sets incomparable, so the solve actually
@@ -595,9 +605,10 @@ mkdir -p "$tmp/srv"
 dune exec bin/genpec.exe -- sweep pec_xor --sizes=2,3 --boxes-list=1,2 --out "$tmp/srv" >/dev/null
 # --chaos-kill 2 arms the second solve's first dispatch: that worker is
 # SIGKILLed mid-request and the client must still get a verdict via the
-# retry
+# retry. --mem-limit 100 is each solve's heap budget; the worker's
+# address space, a copy of the daemon's, does not count against it
 "$HQS_BIN" serve --socket "$sock" --workers 2 --cache "$tmp/serve_cache.jsonl" \
-  --trace "$tmp/serve_trace.json" --chaos-kill 2 \
+  --trace "$tmp/serve_trace.json" --chaos-kill 2 --mem-limit 100 \
   >"$tmp/serve.log" 2>&1 &
 serve_pid=$!
 i=0

@@ -158,7 +158,6 @@ let mk_and m a b =
   end
 
 let mk_or m a b = compl_ (mk_and m (compl_ a) (compl_ b))
-let mk_implies m a b = mk_or m (compl_ a) b
 
 let mk_xor m a b =
   (* (a and not b) or (not a and b) *)

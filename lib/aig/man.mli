@@ -61,7 +61,6 @@ val mk_and : t -> lit -> lit -> lit
 val mk_or : t -> lit -> lit -> lit
 val mk_xor : t -> lit -> lit -> lit
 val mk_iff : t -> lit -> lit -> lit
-val mk_implies : t -> lit -> lit -> lit
 val mk_ite : t -> lit -> lit -> lit -> lit
 
 val mk_and_list : t -> lit list -> lit

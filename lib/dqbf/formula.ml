@@ -68,8 +68,6 @@ let existentials t =
   Hashtbl.fold (fun v d acc -> (v, d) :: acc) t.dep_tbl []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-let num_existentials t = Hashtbl.length t.dep_tbl
-
 let remove_universal t v =
   t.univs <- Bitset.remove v t.univs;
   Hashtbl.iter (fun y d -> if Bitset.mem v d then Hashtbl.replace t.dep_tbl y (Bitset.remove v d)) t.dep_tbl

@@ -41,8 +41,6 @@ val set_deps : t -> int -> Hqs_util.Bitset.t -> unit
 val existentials : t -> (int * Hqs_util.Bitset.t) list
 (** Sorted by variable id. *)
 
-val num_existentials : t -> int
-
 val remove_universal : t -> int -> unit
 (** Remove from the prefix and from every dependency set. *)
 

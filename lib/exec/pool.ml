@@ -19,7 +19,7 @@ type result = {
 
 type config = {
   jobs : int;
-  limits : Limits.t;
+  wall_s : float option;
   max_attempts : int;
   backoff : Backoff.policy;
   chaos : Hqs_util.Chaos.t;
@@ -28,7 +28,7 @@ type config = {
 let default_config =
   {
     jobs = 1;
-    limits = Limits.none;
+    wall_s = None;
     max_attempts = 3;
     backoff = Backoff.default;
     chaos = Hqs_util.Chaos.off;
@@ -128,7 +128,6 @@ let run_child pool task fd ~attempt ~parent_span =
   (* own session => own process group, so the parent's wall-clock
      SIGKILL takes out any grandchildren too *)
   (try ignore (Unix.setsid ()) with Unix.Unix_error (_, _, _) -> ());
-  Limits.apply_in_child pool.config.limits;
   (* drop the parent's buffered events/open spans (they belong to the
      parent's rows of the merged trace, not this child's), clear any
      inherited flush hook and reset the fallback clock mark *)
@@ -169,7 +168,7 @@ let run_child pool task fd ~attempt ~parent_span =
     match result with
     | Ok v -> with_obs [ ("status", Json.Str "ok"); ("value", v) ]
     | Error Stdlib.Out_of_memory ->
-        (* the rlimit (or heap governor) said no: a clean memout *)
+        (* the runtime's allocator said no: a clean memout *)
         with_obs [ ("status", Json.Str "memout") ]
     | Error Stack_overflow ->
         with_obs [ ("status", Json.Str "error"); ("detail", Json.Str "Stack_overflow") ]
@@ -217,7 +216,7 @@ let submit pool ?wall_s ?(spent = 0) ~id key body =
       id;
       seq = pool.submitted;
       body;
-      wall_s = (match wall_s with Some _ -> wall_s | None -> pool.config.limits.Limits.wall_s);
+      wall_s = (match wall_s with Some _ -> wall_s | None -> pool.config.wall_s);
       spawned = spent;
       log = [];
       ready_at = 0.0;
@@ -234,7 +233,6 @@ let spawned pool = pool.forks
 let signal_name s =
   if s = Sys.sigkill then "SIGKILL"
   else if s = Sys.sigsegv then "SIGSEGV"
-  else if s = Sys.sigxcpu then "SIGXCPU"
   else if s = Sys.sigabrt then "SIGABRT"
   else if s = Sys.sigbus then "SIGBUS"
   else if s = Sys.sigterm then "SIGTERM"
@@ -275,9 +273,16 @@ let spawn pool task =
   flush stderr;
   let r, w = Unix.pipe () in
   match Unix.fork () with
-  | 0 ->
+  | 0 -> (
       Unix.close r;
-      run_child pool task w ~attempt:task.spawned ~parent_span:span_id
+      (* [run_child] guards only the task body. Whatever raises before
+         it ([?at_fork], the fork reset, the chaos query, the first
+         metrics snapshot) must end the child here too, not unwind into
+         the parent's copied stack and its handlers; the parent
+         classifies the nonzero exit as a crash attempt *)
+      match run_child pool task w ~attempt:task.spawned ~parent_span:span_id with
+      | () -> ()
+      | exception _ -> Unix._exit 2)
   | pid ->
       Unix.close w;
       let now = Clock.now () in
@@ -408,10 +413,6 @@ let classify pool proc wstatus elapsed =
         let msg = Option.value proc.torn ~default:"missing final frame" in
         crash_attempt pool proc ("protocol: " ^ msg) elapsed
     | Unix.WEXITED code -> crash_attempt pool proc (Printf.sprintf "exit %d" code) elapsed
-    | Unix.WSIGNALED s when s = Sys.sigxcpu ->
-        (* the soft RLIMIT_CPU fired: a kernel-enforced timeout *)
-        let salvaged = salvage_partial proc proc.partial in
-        finish pool ~salvaged proc (Timeout elapsed) elapsed
     | Unix.WSIGNALED s ->
         (* a crash may be retried: keep the trace row, skip the metric
            absorb so retries cannot double-count *)

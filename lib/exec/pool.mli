@@ -1,17 +1,18 @@
 (** The one forked worker pool: every sweep task and every serve job runs
     here, one freshly forked child per attempt.
 
-    A child starts in its own session/process group, applies the kernel
-    limits ({!Limits}), runs the caller's task body and ships the result
-    back over a pipe as length-prefixed JSON frames ({!Ipc}): any number
-    of throttled ["partial"] state flushes (latest metric delta plus span
-    buffer, written at span exits) followed by one final result frame.
+    A child starts in its own session/process group, runs the caller's
+    task body and ships the result back over a pipe as length-prefixed
+    JSON frames ({!Ipc}): any number of throttled ["partial"] state
+    flushes (latest metric delta plus span buffer, written at span exits)
+    followed by one final result frame.
     The parent uses the newest partial only when the final frame never
     arrives (the attempt was killed), salvaging the metrics and trace of
-    a timed-out child. Because each attempt is a fresh process, a
-    per-task [RLIMIT_CPU] classifies as a timeout, the number of forks
-    is the number of attempts, and no state carries from one task to the
-    next.
+    a timed-out child. Because each attempt is a fresh process, the
+    number of forks is the number of attempts, and no state carries from
+    one task to the next. The pool sets no kernel limits: the task body's
+    own {!Hqs_util.Budget} decides a timeout or memout, and the parent's
+    wall-clock kill is the one backstop for a child that wedges.
 
     When tracing is enabled in the parent, every attempt is stitched into
     one multi-process trace: the parent emits a [sup.task] span per
@@ -33,21 +34,22 @@
     [_exit]s 0 after writing it — and the child is reaped afterwards:
     - ["ok"] frame — {!Value} (child metric deltas are
       {!Obs.Metrics.absorb}ed into the parent registry)
-    - ["memout"] frame — {!Memout} (the child's allocator hit
-      [RLIMIT_AS] or the in-process governor and raised
-      [Out_of_memory])
+    - ["memout"] frame — {!Memout} (the task body raised
+      [Out_of_memory]: the runtime's allocator failed, e.g. under a
+      shell's [ulimit -v])
     - wall-deadline SIGKILL of the process group — {!Timeout}
-    - death by [SIGXCPU] (soft [RLIMIT_CPU]) — {!Timeout}
     - anything else — ["error"] frame (task exception, incl.
-      [Stack_overflow]), nonzero exit, other fatal signal, or exit
-      without a final frame (torn or missing) — is a crash {e attempt}:
+      [Stack_overflow]), nonzero exit (incl. an exception raised in the
+      child before the task body, e.g. by [?at_fork]), fatal signal, or
+      exit without a final frame (torn or missing) — is a crash
+      {e attempt}:
       reported as {!Crashed}, retried after backoff ahead of every task
       not yet started, and {!Crash} once [max_attempts] are exhausted. *)
 
 type status =
   | Value of Obs.Json.t  (** the task body returned this payload *)
-  | Timeout of float  (** wall or CPU limit hit after [s] seconds *)
-  | Memout of float  (** memory limit hit after [s] seconds *)
+  | Timeout of float  (** wall deadline hit after [s] seconds *)
+  | Memout of float  (** the body raised [Out_of_memory] after [s] seconds *)
   | Crash of float  (** quarantined after exhausting retries *)
 
 type result = {
@@ -63,7 +65,9 @@ type result = {
 
 type config = {
   jobs : int;  (** concurrent children, >= 1 *)
-  limits : Limits.t;  (** per-child kernel limits; [wall_s] is the default deadline *)
+  wall_s : float option;
+      (** the default deadline of a task, counted from each fork; the
+          parent SIGKILLs the child's process group past it *)
   max_attempts : int;  (** attempts before quarantine, >= 1 *)
   backoff : Backoff.policy;  (** retry delay schedule *)
   chaos : Hqs_util.Chaos.t;
@@ -72,7 +76,7 @@ type config = {
 }
 
 val default_config : config
-(** 1 job, no limits, 3 attempts, {!Backoff.default}, chaos off. *)
+(** 1 job, no deadline, 3 attempts, {!Backoff.default}, chaos off. *)
 
 type 'k event =
   | Crashed of 'k * int * string
@@ -97,7 +101,7 @@ val submit :
     child (attempts count from 1) and returns its result as JSON, or
     raises — [Out_of_memory] becomes {!Memout}, anything else a crash
     attempt. [id] names the task in chaos points and trace rows.
-    [?wall_s] overrides [config.limits.wall_s] as this task's deadline,
+    [?wall_s] overrides [config.wall_s] as this task's deadline,
     counted from each fork. [?spent] (default 0) is the number of
     attempts the task already used elsewhere: the first fork is attempt
     [spent + 1], [max_attempts] counts them, and the task queues ahead

@@ -13,14 +13,14 @@ type completion = {
   crash_log : string list;
   from_journal : bool;
   salvaged_metrics : Obs.Metrics.sample list;
-      (* the worker's last partial registry delta, recovered from the
-         pipe when the attempt ended in a kill (timeout/memout) instead
-         of a result frame; [] for clean completions and journal rows *)
+      (* on a timeout or memout, the worker's last registry delta: from
+         its memout frame, or from the newest partial frame a wall-killed
+         worker flushed; [] for clean completions and journal rows *)
 }
 
 type config = Pool.config = {
   jobs : int;
-  limits : Limits.t;
+  wall_s : float option;
   max_attempts : int;
   backoff : Backoff.policy;
   chaos : Hqs_util.Chaos.t;

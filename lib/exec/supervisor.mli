@@ -2,8 +2,8 @@
     {!Pool}, plus the crash-safe journal that lets an interrupted sweep
     resume.
 
-    Every task runs in its own forked child under kernel resource limits,
-    with the pool's crash taxonomy, throttled partial frames and salvage,
+    Every task runs in its own forked child under the pool's wall-clock
+    deadline, with its crash taxonomy, throttled partial frames and salvage,
     per-task backoff retry and quarantine, and [sup.task]/[sup.child]
     trace stitching (see {!Pool}). This module adds the batch view: tasks
     are given up front, completions come back in input order, and with
@@ -13,8 +13,8 @@
 
 type status = Pool.status =
   | Value of Obs.Json.t  (** worker returned this payload *)
-  | Timeout of float  (** wall or CPU limit hit after [s] seconds *)
-  | Memout of float  (** memory limit hit after [s] seconds *)
+  | Timeout of float  (** wall deadline hit after [s] seconds *)
+  | Memout of float  (** the body raised [Out_of_memory] after [s] seconds *)
   | Crash of float  (** quarantined after exhausting retries *)
 
 type completion = {
@@ -35,14 +35,14 @@ type completion = {
 
 type config = Pool.config = {
   jobs : int;  (** concurrent workers, >= 1 *)
-  limits : Limits.t;  (** per-child kernel limits *)
+  wall_s : float option;  (** per-attempt deadline; the parent kills past it *)
   max_attempts : int;  (** spawns before quarantine, >= 1 *)
   backoff : Backoff.policy;  (** retry delay schedule *)
   chaos : Hqs_util.Chaos.t;  (** fault plan forwarded into children *)
 }
 
 val default_config : config
-(** 1 job, no limits, 3 attempts, {!Backoff.default}, chaos off. *)
+(** 1 job, no deadline, 3 attempts, {!Backoff.default}, chaos off. *)
 
 type report = {
   completions : completion list;  (** one per task, in input order *)

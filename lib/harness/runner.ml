@@ -6,7 +6,6 @@ type soundness = Consistent | Disagreement of { hqs_sat : bool; idq_sat : bool }
 type result = {
   id : string;
   family : string;
-  sat_expected : bool option;
   hqs : outcome;
   idq : outcome;
   hqs_config : Hqs.config;
@@ -30,11 +29,19 @@ let write_artifacts ~dir ~id ~instance_text cert =
   Cert.write_file (stem ^ ".cert") cert;
   stem ^ ".cert"
 
-let run_hqs ?(config = Hqs.default_config) ?cert_dir ~id ~timeout ~node_limit pcnf =
+(* the wall budget, under the heap ceiling when one is given *)
+let budget ~timeout ~mem_limit_mb =
+  let b = Budget.of_seconds timeout in
+  match mem_limit_mb with Some mb -> Budget.with_mem_limit_mb b mb | None -> b
+
+let run_hqs ?(config = Hqs.default_config) ?cert_dir ?mem_limit_mb ~id ~timeout ~node_limit pcnf
+    =
   let config = { config with Hqs.node_limit = Some node_limit } in
   let instance_text = Option.map (fun _ -> Dqbf.Pcnf.to_string pcnf) cert_dir in
   let t0 = Budget.now () in
-  match Hqs.run ~config ~budget:(Budget.of_seconds timeout) ?certify:instance_text pcnf with
+  match
+    Hqs.run ~config ~budget:(budget ~timeout ~mem_limit_mb) ?certify:instance_text pcnf
+  with
   | r ->
       let t = r.Hqs.elapsed_s in
       let outcome =
@@ -53,9 +60,9 @@ let run_hqs ?(config = Hqs.default_config) ?cert_dir ~id ~timeout ~node_limit pc
   (* one pathological instance must not take down a whole sweep *)
   | exception Stack_overflow -> (Crash (Budget.now () -. t0), None, None)
 
-let run_idq ~timeout ~node_limit pcnf =
+let run_idq ?mem_limit_mb ~timeout ~node_limit pcnf =
   let t0 = Budget.now () in
-  let budget = Budget.of_seconds timeout in
+  let budget = budget ~timeout ~mem_limit_mb in
   match fst (Idq.solve_pcnf ~budget ~node_limit pcnf) with
   | verdict -> Solved (verdict, Budget.now () -. t0)
   | exception Budget.Timeout -> Timeout (Budget.now () -. t0)

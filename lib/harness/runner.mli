@@ -1,6 +1,6 @@
 (** Timed solver runs with the paper's abort criteria (Section IV): a
     wall-clock timeout and a memory cap, the latter emulated by an AIG node
-    budget. *)
+    budget and, when given, a heap ceiling. *)
 
 type outcome =
   | Solved of bool * float  (** verdict, seconds *)
@@ -22,7 +22,6 @@ type soundness =
 type result = {
   id : string;
   family : string;
-  sat_expected : bool option;  (** ground truth when known *)
   hqs : outcome;
   idq : outcome;
   hqs_config : Hqs.config;
@@ -31,7 +30,7 @@ type result = {
   hqs_stats : Hqs.stats option;
       (** the call's metric delta — the source of the per-solve columns
           of {!Report.csv}. An in-process timeout or memout carries its
-          own stats; [None] only for a crash, or a kernel-killed worker
+          own stats; [None] only for a crash, or a wall-killed worker
           that left nothing to salvage *)
   soundness : soundness;
   attempts : int;  (** worker processes spawned for the HQS solve *)
@@ -47,16 +46,19 @@ val time_of : outcome -> float
 val run_hqs :
   ?config:Hqs.config ->
   ?cert_dir:string ->
+  ?mem_limit_mb:int ->
   id:string ->
   timeout:float ->
   node_limit:int ->
   Dqbf.Pcnf.t ->
   outcome * Hqs.stats option * string option
-(** One {!Hqs.run} under [timeout] and [node_limit]: the outcome, the
+(** One {!Hqs.run} under [timeout], [node_limit] and the heap ceiling
+    [?mem_limit_mb] (none by default): the outcome, the
     call's stats (on every outcome but a [Stack_overflow] crash) and the
     certificate path. With [?cert_dir], a finished solve writes
     [<dir>/<id>.dqdimacs] (the fingerprinted instance bytes) and
     [<dir>/<id>.cert], which [certcheck] audits with no other sweep
     state; a TO or MO leaves no artifact. *)
 
-val run_idq : timeout:float -> node_limit:int -> Dqbf.Pcnf.t -> outcome
+val run_idq : ?mem_limit_mb:int -> timeout:float -> node_limit:int -> Dqbf.Pcnf.t -> outcome
+(** One iDQ solve under the same budgets as {!run_hqs}. *)

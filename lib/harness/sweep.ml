@@ -23,6 +23,7 @@ type config = {
   timeout : float;
   node_limit : int;
   hqs_config : Hqs.config;
+  mem_limit_mb : int option;
   exec : Sup.config;
   certify_dir : string option;
 }
@@ -32,6 +33,7 @@ let default_config ~timeout ~node_limit =
     timeout;
     node_limit;
     hqs_config = Hqs.default_config;
+    mem_limit_mb = None;
     exec = Sup.default_config;
     certify_dir = None;
   }
@@ -94,15 +96,16 @@ let stats_of_json j =
 (* ---------------------------------------------------------------- worker *)
 
 (* runs in the forked child: solve, then flatten the result to the IPC
-   frame payload. The in-process timeout/node budget still governs the
+   frame payload. The in-process wall, heap and node budgets govern the
    solve (a TO/MO is a *clean* frame that carries the call's stats); the
-   kernel limits of the executor are the backstop for runs that wedge. *)
+   executor's wall kill is the backstop for runs that wedge. *)
 let worker config (item, solver) =
   match solver with
   | Hqs_run ->
       let outcome, stats, cert =
-        Runner.run_hqs ~config:config.hqs_config ?cert_dir:config.certify_dir ~id:item.id
-          ~timeout:config.timeout ~node_limit:config.node_limit item.pcnf
+        Runner.run_hqs ~config:config.hqs_config ?cert_dir:config.certify_dir
+          ?mem_limit_mb:config.mem_limit_mb ~id:item.id ~timeout:config.timeout
+          ~node_limit:config.node_limit item.pcnf
       in
       Json.Obj
         ([
@@ -112,7 +115,8 @@ let worker config (item, solver) =
         @ match cert with Some path -> [ ("cert", Json.Str path) ] | None -> [])
   | Idq_run ->
       let outcome =
-        Runner.run_idq ~timeout:config.timeout ~node_limit:config.node_limit item.pcnf
+        Runner.run_idq ?mem_limit_mb:config.mem_limit_mb ~timeout:config.timeout
+          ~node_limit:config.node_limit item.pcnf
       in
       Json.Obj [ ("outcome", outcome_to_json outcome) ]
 
@@ -134,11 +138,12 @@ let outcome_of_completion (c : Sup.completion) =
              protocol failure rather than inventing a verdict *)
           Runner.Crash c.Sup.elapsed_s)
 
-(* a worker the kernel killed on its wall or memory limit never sends
-   its stats record, but the supervisor salvages its last partial
-   registry delta from the pipe, so those TO/MO lines also report the
-   data that explains the blowup. A [null] stats (a crash, or an old
-   journal's TO/MO line) leaves the row's stat cells blank. *)
+(* a worker the pool killed at its wall deadline (or whose runtime ran
+   out of memory outside the solve) never sends its stats record, but
+   the supervisor salvages its last partial registry delta from the
+   pipe, so those TO/MO lines also report the data that explains the
+   blowup. A [null] stats (a crash, or an old journal's TO/MO line)
+   leaves the row's stat cells blank. *)
 let stats_of_completion (c : Sup.completion) =
   match c.Sup.status with
   | Sup.Value v -> Option.bind (Json.member "stats" v) stats_of_json
@@ -166,7 +171,6 @@ let assemble config item ~hqs:hc ~idq:ic =
   {
     Runner.id = item.id;
     family = item.family;
-    sat_expected = None;
     hqs;
     idq;
     hqs_config = config.hqs_config;

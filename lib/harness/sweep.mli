@@ -2,12 +2,12 @@
 
     Every [(instance, solver)] pair becomes one supervised task —
     ["<instance>/hqs"] and ["<instance>/idq"] — executed in a forked
-    worker under kernel resource limits. The worker runs the ordinary
-    in-process {!Runner} entry point (so the paper's wall/node budgets
-    still classify TO/MO cleanly) and ships the outcome, {!Hqs.stats} and
-    {!Obs.Metrics} deltas back over the IPC pipe; the parent reassembles
-    per-instance {!Runner.result}s, cross-checks HQS against iDQ for
-    soundness, and absorbs the child metric deltas into its own registry.
+    worker. The worker runs the ordinary in-process {!Runner} entry
+    point, whose wall, heap and node budgets classify TO/MO cleanly, and
+    ships the outcome, {!Hqs.stats} and {!Obs.Metrics} deltas back over
+    the IPC pipe; the parent reassembles per-instance {!Runner.result}s,
+    cross-checks HQS against iDQ for soundness, and absorbs the child
+    metric deltas into its own registry.
 
     A worker death the frame cannot explain (segfault, chaos kill, torn
     frame) is retried with backoff and eventually surfaces as
@@ -22,7 +22,12 @@ type config = {
   hqs_config : Hqs.config;
       (** the solver configuration of every HQS task; its [node_limit] is
           overridden by [node_limit] *)
-  exec : Exec.Supervisor.config;  (** jobs, kernel limits, retries, chaos *)
+  mem_limit_mb : int option;
+      (** per-solve heap ceiling in MB ({!Hqs_util.Budget.with_mem_limit_mb});
+          exceeding it is an in-process MO whose row carries its stats.
+          A worker's heap starts with what it inherited from the sweep
+          parent: the parsed inputs count against it *)
+  exec : Exec.Supervisor.config;  (** jobs, wall backstop, retries, chaos *)
   certify_dir : string option;
       (** when set, each HQS worker certifies its solve ({!Runner.run_hqs}
           [?cert_dir]) and drops
@@ -32,9 +37,9 @@ type config = {
 }
 
 val default_config : timeout:float -> node_limit:int -> config
-(** In-process budgets as given, {!Hqs.default_config}; executor at
-    {!Exec.Supervisor.default_config} (1 job, no kernel limits, 3
-    attempts). *)
+(** In-process budgets as given, no heap ceiling, {!Hqs.default_config};
+    executor at {!Exec.Supervisor.default_config} (1 job, no wall
+    backstop, 3 attempts). *)
 
 type progress = {
   task : string;  (** ["<instance>/hqs"] or ["<instance>/idq"] *)
@@ -93,7 +98,7 @@ val assemble :
   idq:Exec.Supervisor.completion ->
   Runner.result
 (** The one place a {!Runner.result} is built: from the instance's two
-    task completions (a kernel-killed TO/MO completion yields stats from
+    task completions (a wall-killed TO completion yields stats from
     its salvaged samples). Exposed for tests. *)
 
 (**/**)

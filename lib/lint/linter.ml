@@ -30,7 +30,7 @@
      through the harness or the Obs sinks;
    - a [Unix.fork] under [lib/] or [bin/] outside [lib/exec/pool.ml]
      grows a second forked-process executor next to the pool, without
-     its rlimits, fork-state reset, descriptor hygiene and crash
+     its fork-state reset, descriptor hygiene, wall-clock kill and crash
      classification.
 
    Diagnostics can be suppressed by a comment containing
@@ -104,8 +104,8 @@ let rule_doc = function
        solver stdout is a machine-readable channel (verdict lines, CSV, JSON baselines)."
   | Fork_site ->
       "Unix.fork under lib/ or bin/ outside lib/exec/pool.ml: every forked child goes \
-       through Exec.Pool, the one place that applies rlimits, resets fork-inherited state, \
-       closes the parent's descriptors and classifies the child's death."
+       through Exec.Pool, the one place that resets fork-inherited state, closes the parent's \
+       descriptors, enforces the wall-clock kill and classifies the child's death."
   | Cert_isolation ->
       "a module-qualified reference, open or module alias rooted in any repo library inside \
        bin/certcheck.ml: the independent certificate verifier must share no code with the \
@@ -113,9 +113,6 @@ let rule_doc = function
   | Syntax -> "the file does not parse (also covers unreadable files)."
 
 type diag = { file : string; line : int; col : int; rule : rule; msg : string }
-
-let pp_diag fmt d =
-  Format.fprintf fmt "%s:%d:%d: [%s] %s" d.file d.line d.col (rule_name d.rule) d.msg
 
 (* ------------------------------------------------- tool-neutral findings *)
 

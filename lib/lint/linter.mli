@@ -29,8 +29,9 @@
       library code must report through the harness or the Obs sinks;
     - [Fork_site] — [Unix.fork] under [lib/] or [bin/] outside
       [lib/exec/pool.ml]: [Exec.Pool] is the one fork site, the one
-      place that applies rlimits, resets fork-inherited state, closes
-      the parent's descriptors and classifies the child's death;
+      place that resets fork-inherited state, closes the parent's
+      descriptors, enforces the wall-clock kill and classifies the
+      child's death;
     - [Cert_isolation] — a module-qualified reference, [open] or module
       alias rooted in any repo library inside [bin/certcheck.ml]: the
       independent certificate verifier's trust story is that it shares
@@ -73,9 +74,6 @@ val rule_doc : rule -> string
 
 type diag = { file : string; line : int; col : int; rule : rule; msg : string }
 
-val pp_diag : Format.formatter -> diag -> unit
-(** [file:line:col: [rule] message]. *)
-
 (** {2 Tool-neutral findings}
 
     [bin/lint] and [bin/deepcheck] share one diagnostic surface: the
@@ -90,7 +88,7 @@ val finding_of_diag : diag -> finding
 type format = Human | Json
 
 val pp_finding : Format.formatter -> finding -> unit
-(** Same line shape as {!pp_diag}. *)
+(** [file:line:col: [rule] message]. *)
 
 val render_json : tool:string -> finding list -> string
 (** One-line JSON document

@@ -17,7 +17,6 @@ let restrict blocks ~keep =
   normalize (List.map (fun (q, vs) -> (q, List.filter keep vs)) blocks)
 
 let variables blocks = List.concat_map snd blocks
-let num_blocks blocks = List.length (normalize blocks)
 
 let quant_of blocks v =
   List.find_map (fun (q, vs) -> if List.mem v vs then Some q else None) blocks

@@ -13,6 +13,5 @@ val restrict : t -> keep:(int -> bool) -> t
 (** Keep only the variables satisfying [keep], then normalize. *)
 
 val variables : t -> int list
-val num_blocks : t -> int
 val quant_of : t -> int -> quant option
 val pp : Format.formatter -> t -> unit

@@ -2,11 +2,11 @@ module Json = Obs.Json
 
 type entry = { sat : bool; elapsed_s : float; h2 : string }
 
-type t = {
-  tbl : (string, entry) Hashtbl.t;
-  journal : Exec.Journal.t option;
-  mutable loaded_dropped : int;
-}
+type t = { tbl : (string, entry) Hashtbl.t; journal : Exec.Journal.t option }
+
+(* torn or undecodable journal lines skipped at load: a killed daemon
+   leaves at most one, so a larger count is worth a look *)
+let m_dropped = Obs.Metrics.counter "serve.cache_dropped"
 
 let entry_to_json ~removed { sat; elapsed_s; h2 } =
   Json.Obj
@@ -27,7 +27,6 @@ let entry_of_json j =
 
 let open_ ?path () =
   let tbl = Hashtbl.create 64 in
-  let loaded_dropped = ref 0 in
   (match path with
   | None -> ()
   | Some path ->
@@ -35,18 +34,17 @@ let open_ ?path () =
          tombstone (an audit failure evicting a poisoned entry) must
          survive restarts just like a store does *)
       let { Exec.Journal.entries; dropped } = Exec.Journal.load path in
-      loaded_dropped := dropped;
+      Obs.Metrics.incr ~by:dropped m_dropped;
       List.iter
         (fun { Exec.Journal.task_id; data } ->
           match entry_of_json data with
           | Some (true, _) -> Hashtbl.remove tbl task_id
           | Some (false, e) -> Hashtbl.replace tbl task_id e
-          | None -> incr loaded_dropped)
+          | None -> Obs.Metrics.incr m_dropped)
         entries);
   let journal = Option.map Exec.Journal.open_append path in
-  { tbl; journal; loaded_dropped = !loaded_dropped }
+  { tbl; journal }
 
-let loaded_dropped t = t.loaded_dropped
 let size t = Hashtbl.length t.tbl
 
 let find t (key : Dqbf.Canon.key) =

@@ -16,15 +16,13 @@ type t
 
 val open_ : ?path:string -> unit -> t
 (** In-memory cache, preloaded from (and persisted to) the journal at
-    [path] when given. *)
+    [path] when given. The torn or undecodable journal lines the load
+    skips are counted on the [serve.cache_dropped] counter. *)
 
 val find : t -> Dqbf.Canon.key -> entry option
 val store : t -> Dqbf.Canon.key -> sat:bool -> elapsed_s:float -> unit
 val remove : t -> Dqbf.Canon.key -> unit
 
 val size : t -> int
-
-val loaded_dropped : t -> int
-(** Torn or undecodable journal lines dropped at [open_]. *)
 
 val close : t -> unit

@@ -100,7 +100,7 @@ type job = {
    formula the daemon parsed at admission and returns the job result.
    Every failure mode of a solve comes back as a structured result
    ({!Hqs.run} classifies the budget exhaustions); the child only dies
-   on the pool's chaos kills, rlimit kills or genuine solver bugs,
+   on the pool's chaos and wall kills or genuine solver bugs,
    which the pool classifies as crash attempts. [attempt] is the job's
    n-th dispatch, counting escalated re-solves, as in the pool's point
    names. *)
@@ -231,15 +231,7 @@ let run (config : config) =
     Pool.create ~at_fork
       {
         Pool.jobs = config.workers;
-        (* hard address-space backstop at 2x the soft heap budget: the
-           Budget governor raises a clean, recoverable memout first in
-           the common case; the rlimit catches runaway native allocations *)
-        limits =
-          {
-            Exec.Limits.none with
-            Exec.Limits.mem_bytes =
-              Option.map (fun mb -> 2 * mb * 1024 * 1024) config.mem_limit_mb;
-          };
+        wall_s = None;
         max_attempts = config.max_attempts;
         backoff = config.backoff;
         chaos = config.chaos;
@@ -443,7 +435,8 @@ let run (config : config) =
             | Ok wr -> complete job ~attempts:r.attempts wr
             | Error msg -> quarantine job ("protocol: " ^ msg))
         | Pool.Memout elapsed ->
-            (* the rlimit backstop fired in the child *)
+            (* the child's allocator failed outside the solve (a
+               shell's [ulimit -v], say) *)
             complete job ~attempts:r.attempts
               { Proto.result = Proto.W_memout; w_elapsed_s = elapsed; cert_blob = None }
         | Pool.Timeout _ ->
@@ -467,14 +460,6 @@ let run (config : config) =
     Span.with_ "serve.request" @@ fun () ->
     match req with
     | Proto.Ping -> send_reply cid Proto.Pong
-    | Proto.Stats ->
-        send_reply cid
-          (Proto.Stats_reply
-             {
-               workers = config.workers;
-               queue_depth = queue_depth ();
-               metrics = Metrics.to_assoc (Metrics.snapshot ());
-             })
     | Proto.Health ->
         let busy = Pool.running pool in
         send_reply cid

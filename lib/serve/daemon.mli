@@ -45,7 +45,7 @@ type config = {
   max_timeout_s : float;  (** ceiling on client-requested budgets *)
   kill_grace_s : float;  (** SIGKILL a solve this long past its request deadline *)
   max_attempts : int;  (** dispatches per job before a [crash] reply *)
-  mem_limit_mb : int option;  (** per-request heap budget; rlimit backstop at 2x *)
+  mem_limit_mb : int option;  (** per-request heap budget, in MB *)
   backoff : Exec.Backoff.policy;  (** crash-retry delay schedule *)
   chaos : Hqs_util.Chaos.t;
       (** handed to the pool, whose

@@ -5,7 +5,6 @@ module Json = Obs.Json
 type request =
   | Solve of { text : string; timeout_s : float option; sleep_s : float; want_cert : bool }
   | Ping
-  | Stats
   | Health
 
 type failure = F_timeout | F_memout | F_crash
@@ -37,7 +36,6 @@ type reply =
   | Draining
   | Invalid of string
   | Pong
-  | Stats_reply of { workers : int; queue_depth : int; metrics : (string * float) list }
   | Health_reply of health
   | Audit_failed of { cached_sat : bool; fresh_sat : bool }
 
@@ -57,13 +55,11 @@ let request_to_json = function
         @ (if sleep_s > 0. then [ ("sleep_s", Json.Num sleep_s) ] else [])
         @ if want_cert then [ ("cert", Json.Bool true) ] else [])
   | Ping -> Json.Obj [ ("op", Json.Str "ping") ]
-  | Stats -> Json.Obj [ ("op", Json.Str "stats") ]
   | Health -> Json.Obj [ ("op", Json.Str "health") ]
 
 let request_of_json j =
   match Json.member "op" j with
   | Some (Json.Str "ping") -> Ok Ping
-  | Some (Json.Str "stats") -> Ok Stats
   | Some (Json.Str "health") -> Ok Health
   | Some (Json.Str "solve") -> (
       match Json.member "dqdimacs" j with
@@ -108,15 +104,6 @@ let reply_to_json = function
   | Draining -> Json.Obj [ ("r", Json.Str "draining") ]
   | Invalid msg -> Json.Obj [ ("r", Json.Str "invalid"); ("msg", Json.Str msg) ]
   | Pong -> Json.Obj [ ("r", Json.Str "pong") ]
-  | Stats_reply { workers; queue_depth; metrics } ->
-      Json.Obj
-        [
-          ("r", Json.Str "stats");
-          ("workers", Json.Num (float_of_int workers));
-          ("queue_depth", Json.Num (float_of_int queue_depth));
-          ( "metrics",
-            Json.Obj (List.map (fun (name, v) -> (name, Json.Num v)) metrics) );
-        ]
   | Health_reply h ->
       Json.Obj
         ([
@@ -170,18 +157,6 @@ let reply_of_json j =
   | Some "invalid" -> (
       match str "msg" with Some msg -> Ok (Invalid msg) | None -> Error "malformed invalid reply")
   | Some "pong" -> Ok Pong
-  | Some "stats" -> (
-      match (num "workers", num "queue_depth", Json.member "metrics" j) with
-      | Some w, Some d, Some (Json.Obj fields) ->
-          let metrics =
-            List.filter_map
-              (fun (name, v) -> Option.map (fun v -> (name, v)) (Json.to_number v))
-              fields
-          in
-          Ok
-            (Stats_reply
-               { workers = int_of_float w; queue_depth = int_of_float d; metrics })
-      | _ -> Error "malformed stats reply")
   | Some "health" -> (
       match (num "workers", num "queue_depth", num "in_flight", bool "draining") with
       | Some w, Some d, Some f, Some draining ->

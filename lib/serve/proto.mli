@@ -23,8 +23,10 @@ type request =
               certification on) *)
     }
   | Ping
-  | Stats
-  | Health  (** live introspection snapshot for [hqs top] *)
+  | Health
+      (** live introspection snapshot: pool occupancy, latency quantiles
+          and the daemon's metric registry, for [hqs top] and
+          [hqs query --stats] *)
 
 type failure = F_timeout | F_memout | F_crash
 
@@ -63,7 +65,6 @@ type reply =
   | Draining  (** daemon is shutting down; new work refused *)
   | Invalid of string  (** unparsable request or instance *)
   | Pong
-  | Stats_reply of { workers : int; queue_depth : int; metrics : (string * float) list }
   | Health_reply of health
   | Audit_failed of { cached_sat : bool; fresh_sat : bool }
       (** a sampled cache-hit re-solve disagreed with the memoized verdict *)

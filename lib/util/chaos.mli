@@ -28,6 +28,6 @@ val fire : t -> string -> bool
 val worker_kill_point : task:string -> attempt:int -> string
 (** Name of the pool's worker-kill fault point for one fork:
     ["exec.worker.kill:<task>#<attempt>"]. A forked worker queries it
-    right after applying its resource limits and, if it fires, kills its
+    before its task body runs and, if it fires, kills its
     own process group with SIGKILL — the supervised analogue of a solver
     segfault. *)

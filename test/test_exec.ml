@@ -1,11 +1,10 @@
-(* Tests for lib/exec: process-isolated supervised execution, resource
-   limits, deterministic backoff, and the crash-safe resume journal. *)
+(* Tests for lib/exec: process-isolated supervised execution, wall
+   deadlines, deterministic backoff, and the crash-safe resume journal. *)
 
 module Json = Obs.Json
 module Sup = Exec.Supervisor
 module Journal = Exec.Journal
 module Backoff = Exec.Backoff
-module Limits = Exec.Limits
 module Chaos = Hqs_util.Chaos
 
 let tmp_file name =
@@ -98,20 +97,14 @@ let test_retry_recovers () =
   Alcotest.(check int) "second attempt succeeded" 2 c.attempts;
   Alcotest.(check int) "both spawns counted" 2 report.executed
 
-let test_rlimit_memout () =
-  (* under a 64 MiB address-space cap the child's big allocation raises
-     Out_of_memory, which must come back as a clean Memout frame *)
-  let worker () =
-    let chunks = ref [] in
-    for _ = 1 to 1024 do
-      chunks := Bytes.create (16 * 1024 * 1024) :: !chunks
-    done;
-    Json.Num (float_of_int (List.length !chunks))
-  in
-  let limits = { Limits.none with mem_bytes = Some (64 * 1024 * 1024) } in
-  let config = { Sup.default_config with limits; max_attempts = 1 } in
-  let report = Sup.run ~config ~worker [ ("big", ()) ] in
-  match (find_completion report "big").status with
+let test_out_of_memory_memout () =
+  (* a body whose allocation fails raises Out_of_memory (the runtime
+     does so under a shell's [ulimit -v]); it must come back as a clean
+     Memout frame, not a crash *)
+  let worker () = raise Out_of_memory in
+  let config = { Sup.default_config with max_attempts = 1 } in
+  let report = Sup.run ~config ~worker [ ("oom", ()) ] in
+  match (find_completion report "oom").status with
   | Sup.Memout _ -> ()
   | s -> Alcotest.failf "expected Memout, got %s" (status_label s)
 
@@ -120,8 +113,7 @@ let test_wall_timeout () =
     Unix.sleepf 30.0;
     Json.Null
   in
-  let limits = { Limits.none with wall_s = Some 0.2 } in
-  let config = { Sup.default_config with limits; max_attempts = 1 } in
+  let config = { Sup.default_config with wall_s = Some 0.2; max_attempts = 1 } in
   let t0 = Hqs_util.Mono.now () in
   let report = Sup.run ~config ~worker [ ("sleeper", ()) ] in
   let wall = Hqs_util.Mono.now () -. t0 in
@@ -219,8 +211,7 @@ let test_timeout_salvages_partial_metrics () =
     Unix.sleepf 30.0;
     Json.Null
   in
-  let limits = { Limits.none with wall_s = Some 1.0 } in
-  let config = { Sup.default_config with limits; max_attempts = 1 } in
+  let config = { Sup.default_config with wall_s = Some 1.0; max_attempts = 1 } in
   let report = Sup.run ~config ~worker [ ("slow", ()) ] in
   let comp = find_completion report "slow" in
   (match comp.status with
@@ -280,6 +271,27 @@ let test_pool_per_task_deadlines () =
   match (finished events "long").Pool.status with
   | Pool.Value (Json.Str "done") -> ()
   | s -> Alcotest.failf "long: expected Value, got %s" (status_label s)
+
+exception At_fork_failed
+
+let test_pool_at_fork_raises () =
+  (* an exception raised in the child before the task body must end the
+     child there, as a crash attempt. Unwinding into the copied stack
+     would reach the handler below in the child, which exits 99 *)
+  let pool =
+    Pool.create ~at_fork:(fun () -> raise At_fork_failed)
+      { Pool.default_config with max_attempts = 1 }
+  in
+  Pool.submit pool ~id:"t" "t" (fun ~attempt:_ -> Json.Null);
+  let events = match drain pool with e -> e | exception At_fork_failed -> Unix._exit 99 in
+  match events with
+  | [ Pool.Crashed ("t", 1, detail); Pool.Finished ("t", { Pool.status = Pool.Crash _; _ }) ]
+    ->
+      Alcotest.(check bool)
+        (Printf.sprintf "a nonzero exit, not the test's handler: %s" detail)
+        true
+        (contains ~needle:"exit " detail && not (contains ~needle:"99" detail))
+  | _ -> Alcotest.failf "expected one crash attempt and a Crash, got %d events" (List.length events)
 
 let test_pool_submit_while_running () =
   (* a task submitted while another runs gets the free slot at once and
@@ -539,7 +551,7 @@ let () =
           Alcotest.test_case "value roundtrip, jobs=2" `Quick test_value_roundtrip;
           Alcotest.test_case "chaos kill quarantines after K" `Quick test_chaos_kill_quarantine;
           Alcotest.test_case "transient kill recovers on retry" `Quick test_retry_recovers;
-          Alcotest.test_case "rlimit memout classified" `Slow test_rlimit_memout;
+          Alcotest.test_case "out-of-memory body is memout" `Quick test_out_of_memory_memout;
           Alcotest.test_case "wall timeout kills sleeper" `Slow test_wall_timeout;
           Alcotest.test_case "nonzero exit crashes" `Quick test_crash_exit_code;
           Alcotest.test_case "duplicate ids rejected" `Quick test_duplicate_ids_rejected;
@@ -555,6 +567,7 @@ let () =
         [
           Alcotest.test_case "per-task wall deadlines" `Quick test_pool_per_task_deadlines;
           Alcotest.test_case "submit while a task runs" `Quick test_pool_submit_while_running;
+          Alcotest.test_case "raising at_fork is a crash attempt" `Quick test_pool_at_fork_raises;
           Alcotest.test_case "crash retry ahead of queued task" `Quick
             test_pool_retry_ahead_of_queued;
           Alcotest.test_case "wait returns ready caller fds" `Quick

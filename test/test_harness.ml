@@ -65,7 +65,6 @@ let fake_results =
     {
       R.id = "a1";
       family = "adder";
-      sat_expected = None;
       hqs = R.Solved (true, 0.1);
       idq = R.Solved (true, 2.0);
       hqs_config = Hqs.default_config;
@@ -78,7 +77,6 @@ let fake_results =
     {
       R.id = "a2";
       family = "adder";
-      sat_expected = None;
       hqs = R.Solved (false, 0.2);
       idq = R.Timeout 5.0;
       hqs_config = Hqs.default_config;
@@ -91,7 +89,6 @@ let fake_results =
     {
       R.id = "b1";
       family = "bitcell";
-      sat_expected = None;
       hqs = R.Memout 3.0;
       idq = R.Solved (false, 0.5);
       hqs_config = Hqs.default_config;
@@ -179,7 +176,6 @@ let disagreeing_results =
       {
         R.id = "x1";
         family = "adder";
-        sat_expected = None;
         hqs = R.Solved (true, 0.1);
         idq = R.Solved (false, 0.1);
         hqs_config = Hqs.default_config;
@@ -208,7 +204,6 @@ let crashy_results =
       {
         R.id = "c1";
         family = "bitcell";
-        sat_expected = None;
         hqs = R.Crash 0.4;
         idq = R.Solved (false, 0.5);
         hqs_config = Hqs.default_config;
@@ -266,6 +261,24 @@ let test_memout_row_stats () =
         Hqs.stat_columns;
       check "peak nodes reach the limit" true (int_of_string (cell "hqs_peak_nodes") >= 64)
   | _ -> Alcotest.fail "csv has no data row"
+
+(* the sweep's heap ceiling is the solve's own budget: a zero ceiling
+   is an in-process MO on both solvers, and the HQS row keeps its stats *)
+let test_heap_limit_memout () =
+  let config =
+    {
+      (Harness.Sweep.default_config ~timeout:20.0 ~node_limit:400_000) with
+      mem_limit_mb = Some 0;
+    }
+  in
+  let items = [ Harness.Sweep.item_of_instance small_sat ] in
+  match (Harness.Sweep.run ~config items).Harness.Sweep.results with
+  | [ r ] ->
+      (match (r.R.hqs, r.R.idq) with
+      | R.Memout _, R.Memout _ -> ()
+      | _ -> Alcotest.fail "expected MO on both solvers");
+      check "hqs stats crossed the fork" true (Option.is_some r.R.hqs_stats)
+  | rs -> Alcotest.failf "expected one result, got %d" (List.length rs)
 
 (* a worker killed on its wall limit sends no stats frame; the row is
    rebuilt from the salvaged samples alone, and its configuration cells
@@ -403,6 +416,8 @@ let () =
           Alcotest.test_case "csv executor columns" `Quick test_csv_executor_columns;
           Alcotest.test_case "salvaged row echoes the sweep config" `Quick test_salvaged_row;
           Alcotest.test_case "memout row carries its stats" `Quick test_memout_row_stats;
+          Alcotest.test_case "heap-limit memout row carries its stats" `Quick
+            test_heap_limit_memout;
         ] );
       ( "sweep codec",
         [ Alcotest.test_case "old journal stats with degraded decode" `Quick test_old_journal_stats ] );

@@ -74,11 +74,10 @@ let with_daemon cfg f =
 let solve ?timeout_s ?(sleep_s = 0.) ?(want_cert = false) ~socket text =
   C.roundtrip ~socket (P.Solve { text; timeout_s; sleep_s; want_cert })
 
-(* Stats_reply carries an inlined record; destructure to a tuple of
-   (workers, queue_depth, metrics) *)
+(* the daemon's one status reply, as (workers, queue_depth, metrics) *)
 let stats ~socket =
-  match C.roundtrip ~socket P.Stats with
-  | Ok (P.Stats_reply { workers; queue_depth; metrics }) -> (workers, queue_depth, metrics)
+  match C.roundtrip ~socket P.Health with
+  | Ok (P.Health_reply h) -> (h.P.live_workers, h.P.h_queue_depth, h.P.h_metrics)
   | Ok _ -> Alcotest.fail "stats: unexpected reply"
   | Error e -> Alcotest.failf "stats: %s" e
 
@@ -182,6 +181,31 @@ let test_cache_persists_across_restart () =
           match solve ~socket:socket2 unsat_text with
           | Ok (P.Verdict { sat = false; cached = true; _ }) -> ()
           | _ -> Alcotest.fail "second daemon: preloaded cache hit expected"))
+
+(* a daemon killed mid-append leaves a torn last line: the reload drops
+   it, keeps the entries before it and says so on a counter *)
+let test_cache_torn_line_counted () =
+  let cache = Filename.temp_file "serve_cache" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists cache then Sys.remove cache)
+    (fun () ->
+      let key =
+        (Dqbf.Canon.canonicalize (Dqbf.Pcnf.parse_string unsat_text)).Dqbf.Canon.key
+      in
+      let c = Serve.Cache.open_ ~path:cache () in
+      Serve.Cache.store c key ~sat:false ~elapsed_s:0.1;
+      Serve.Cache.close c;
+      Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 cache (fun oc ->
+          Out_channel.output_string oc "{\"task_id\":\"torn");
+      let socket = fresh_socket () in
+      with_daemon
+        { (test_config socket) with D.cache_path = Some cache }
+        (fun () ->
+          Alcotest.(check (float 0.)) "one torn line dropped" 1.
+            (metric ~socket "serve.cache_dropped");
+          match solve ~socket unsat_text with
+          | Ok (P.Verdict { sat = false; cached = true; _ }) -> ()
+          | _ -> Alcotest.fail "the entry before the torn line was lost"))
 
 (* poison the persistent cache with a wrong verdict, then let the Full-
    check audit catch it: the sampled re-solve must disagree, evict the
@@ -354,6 +378,19 @@ let test_large_instance () =
       | r -> Alcotest.failf "large instance: expected UNSAT verdict, got %s" (reply_str r));
       check "miss counted" true
         (eventually_metric ~socket "serve.cache_misses" (fun v -> v >= 1.)))
+
+(* [mem_limit_mb] is the solve's heap budget, which a small solve stays
+   far inside; nothing caps the worker's address space, which starts as
+   a copy of the daemon's *)
+let test_heap_budget_verdict () =
+  let inst = Circuit.Families.pec_xor ~length:4 ~boxes:1 ~fault:false in
+  let socket = fresh_socket () in
+  with_daemon
+    { (test_config socket) with D.mem_limit_mb = Some 100 }
+    (fun () ->
+      match solve ~socket (Dqbf.Pcnf.to_string inst.Circuit.Families.pcnf) with
+      | Ok (P.Verdict { sat = true; _ }) -> ()
+      | r -> Alcotest.failf "expected a SAT verdict, got %s" (reply_str r))
 
 (* ------------------------------------------------------------------ drain *)
 
@@ -656,6 +693,7 @@ let () =
           Alcotest.test_case "cache hit same verdict" `Quick test_cache_hit_same_verdict;
           Alcotest.test_case "cache persists across restart" `Quick
             test_cache_persists_across_restart;
+          Alcotest.test_case "torn cache line counted" `Quick test_cache_torn_line_counted;
           Alcotest.test_case "audit catches poisoned cache" `Quick
             test_audit_catches_poisoned_cache;
         ] );
@@ -670,6 +708,7 @@ let () =
           Alcotest.test_case "client disconnect mid-reply" `Quick
             test_client_disconnect_mid_reply;
           Alcotest.test_case "large instance verdict" `Quick test_large_instance;
+          Alcotest.test_case "heap budget answers a verdict" `Quick test_heap_budget_verdict;
           Alcotest.test_case "sigterm drain finishes in-flight" `Quick
             test_sigterm_drain_finishes_inflight;
           Alcotest.test_case "serve metrics present" `Quick test_serve_metrics_present;
