@@ -48,7 +48,9 @@
 #      a non-zero qbf-time; the same instance swept gives an MO row whose
 #      hqs_peak_nodes column reaches the limit, and a sweep under a
 #      malformed HQS_CHECK, or given the deleted --cpu-limit, is a usage
-#      error (exit 2)
+#      error (exit 2); then the Table I gate: solve all 154 `genpec
+#      suite` instances at three node limits (test/table1.sh) and diff
+#      each exit code and maxsat-set= against test/fixtures/table1.expected
 #  10. traced smoke solve: solve an instance with incomparable dependency
 #      sets under --trace and validate the trace with bin/tracecheck
 #      (well-formed Chrome JSON, balanced spans, >= 6 pipeline phases)
@@ -507,6 +509,19 @@ if [ "$cpu_status" != 2 ]; then
   echo "== ci FAILED: hqs sweep --cpu-limit 5 exited $cpu_status (want 2) =="
   exit 1
 fi
+
+echo "== table1 =="
+# the verdicts of the paper's Table I suite are pinned: every instance's
+# exit code (SAT, UNSAT or MO) and its MaxSAT elimination-set size at the
+# node limits 400000, 30000 and 4000 must match the committed fixture
+mkdir -p "$tmp/suite"
+dune exec bin/genpec.exe -- suite --out "$tmp/suite" >/dev/null
+sh test/table1.sh "$HQS_BIN" "$tmp/suite" >"$tmp/table1.got"
+diff test/fixtures/table1.expected "$tmp/table1.got" || {
+  echo "== ci FAILED: Table I exit codes or maxsat-set= differ from test/fixtures/table1.expected =="
+  exit 1
+}
+echo "c table1 gate: $(wc -l <"$tmp/table1.got") lines identical to the fixture"
 
 echo "== traced smoke solve =="
 # boxes=2 makes the dependency sets incomparable, so the solve actually
