@@ -345,11 +345,11 @@ echo "== elim =="
 # PCNF) in one `hqs sweep` over the UNSAT instances, which must exit 0 with
 # UNSAT in both the hqs_outcome and the idq_outcome column of every row;
 # an iDQ timeout (TO) fails the gate. Both checks start from the input
-# file, so they cover preprocessing and the DQBF main loop as well as the
-# QBF back end. The instances: the analysis suite, one small adder and z4
+# file, so they cover preprocessing and the DQBF main loop before and after
+# linearization. The instances: the analysis suite, one small adder and z4
 # instance, the two ladder shapes on which quantifier localization changes
 # the elimination most (adder_b6_k1_ok, SAT; c432_g3l5_k2_f, UNSAT), and
-# the smallest instance whose back end ran a FRAIG sweep before the sweep
+# the smallest instance whose QBF back end ran a FRAIG sweep before the sweep
 # was deleted (adder_b5_k3_ok, SAT); the known verdicts of the last three
 # are asserted.
 mkdir -p "$tmp/el"
@@ -453,7 +453,7 @@ case "$status" in
 esac
 
 echo "== memout =="
-# adder_b3_k2_f blows a 4000-node limit in the elimination back end:
+# adder_b3_k2_f blows a 4000-node limit after linearization:
 # that is the paper's MO, reported at once (about 20 ms), not after
 # the whole 30 s budget; --stats explains it with the peak node count
 f=$(dune exec bin/genpec.exe -- one adder --size 3 --boxes 2 --fault --out "$tmp")
@@ -465,8 +465,8 @@ if [ "$memout_status" != 125 ]; then
   cat "$tmp/memout.out" "$tmp/memout.err"
   exit 1
 fi
-# the stats line explains the memout: the peak counts the back end's own
-# manager, which stood at the limit, and the back end's time is counted
+# the stats line explains the memout: the peak counts the manager, which
+# stood at the limit, and the time after linearization is counted
 memout_peak=$(sed -n 's/.*peak-nodes=\([0-9]*\).*/\1/p' "$tmp/memout.err")
 memout_qbf=$(sed -n 's/.*qbf-time=\([0-9.]*\).*/\1/p' "$tmp/memout.err")
 if [ -z "$memout_peak" ] || [ "$memout_peak" -lt 4000 ] || [ -z "$memout_qbf" ] \
@@ -526,7 +526,7 @@ echo "c table1 gate: $(wc -l <"$tmp/table1.got") lines identical to the fixture"
 echo "== traced smoke solve =="
 # boxes=2 makes the dependency sets incomparable, so the solve actually
 # runs elimination-set selection and universal expansion before the
-# back end — the trace must cover the whole pipeline
+# linear prefix is eliminated — the trace must cover the whole pipeline
 f2=$(dune exec bin/genpec.exe -- one pec_xor --size 3 --boxes 2 --out "$tmp")
 trace_status=0
 dune exec bin/hqs_cli.exe -- "$f2" --trace "$tmp/trace.json" --metrics --timeout 60 2>"$tmp/trace.err" || trace_status=$?

@@ -1,6 +1,6 @@
 (** Incremental Tseitin encoding of AIG cones into a SAT solver.
 
-    Used for the QBF back end's final SAT calls, Skolem-model verification,
+    Used for the HQS main loop's final SAT call, Skolem-model verification,
     the iDQ baseline, and semantic unit/pure checks in tests. Nodes are
     encoded on demand and shared across calls, so repeated queries over the
     same manager reuse clauses. *)

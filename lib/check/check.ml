@@ -12,7 +12,7 @@ type stage =
   | Post_unitpure
   | Post_elimination
   | Post_compact
-  | Pre_backend
+  | Post_linearize
   | Post_solve
   | Post_certify
 
@@ -23,7 +23,7 @@ let stage_name = function
   | Post_unitpure -> "post-unitpure"
   | Post_elimination -> "post-elimination"
   | Post_compact -> "post-compact"
-  | Pre_backend -> "pre-backend"
+  | Post_linearize -> "post-linearize"
   | Post_solve -> "post-solve"
   | Post_certify -> "post-certify"
 
@@ -174,45 +174,6 @@ let audit_queue ~stage f queue =
         Hashtbl.add seen x ()
       end)
     queue
-
-(* ------------------------------------------------------------- QBF prefix *)
-
-let audit_prefix ~stage f prefix =
-  let fail fmt = violation stage "qbf-prefix" fmt in
-  let seen = Hashtbl.create 64 in
-  List.iter
-    (fun (q, vs) ->
-      if vs = [] then fail "prefix contains an empty quantifier block";
-      List.iter
-        (fun v ->
-          if Hashtbl.mem seen v then fail "variable %d appears twice in the prefix" v;
-          Hashtbl.add seen v ();
-          match q with
-          | Qbf.Prefix.Forall ->
-              if not (F.is_universal f v) then
-                fail "prefix declares %d universal but the formula does not" v
-          | Qbf.Prefix.Exists ->
-              if not (F.is_existential f v) then
-                fail "prefix declares %d existential but the formula does not" v)
-        vs)
-    prefix;
-  let rec alternates = function
-    | (q1, _) :: ((q2, _) :: _ as rest) ->
-        (match (q1, q2) with
-        | Qbf.Prefix.Forall, Qbf.Prefix.Forall | Qbf.Prefix.Exists, Qbf.Prefix.Exists ->
-            fail "prefix is not normalized: adjacent blocks share a quantifier"
-        | _ -> ());
-        alternates rest
-    | [ _ ] | [] -> ()
-  in
-  alternates prefix;
-  Bitset.iter
-    (fun x -> if not (Hashtbl.mem seen x) then fail "universal %d is missing from the prefix" x)
-    (F.universals f);
-  List.iter
-    (fun (y, _) ->
-      if not (Hashtbl.mem seen y) then fail "existential %d is missing from the prefix" y)
-    (F.existentials f)
 
 (* ----------------------------------------------------------- Skolem model *)
 

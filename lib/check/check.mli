@@ -25,7 +25,7 @@ type stage =
   | Post_unitpure  (** after a unit/pure round substituted variables *)
   | Post_elimination  (** after a Theorem 1/2 elimination *)
   | Post_compact  (** after cone compaction replaced the manager *)
-  | Pre_backend  (** after linearization, before the QBF back end runs *)
+  | Post_linearize  (** once the dependency graph is acyclic (a linear prefix) *)
   | Post_solve  (** after a verdict, when certifying a Skolem model *)
   | Post_certify  (** after a certificate artifact was materialized *)
 
@@ -38,7 +38,7 @@ val level_of_string : string -> level option
 type violation = { stage : stage; structure : string; detail : string }
 (** Where the audit tripped ([stage]), which validator ([structure]:
     ["aig-manager"], ["dqbf-formula"], ["elimination-queue"],
-    ["qbf-prefix"], ["skolem-model"]), and a minimized description of the
+    ["skolem-model"]), and a minimized description of the
     broken invariant with the offending indices. *)
 
 exception Violation of violation
@@ -104,11 +104,6 @@ val audit_queue : stage:stage -> Dqbf.Formula.t -> int list -> unit
 (** Elimination-queue consistency: ids in range, no still-universal
     variable queued twice (stale eliminated entries are legal — the solver
     skips them). *)
-
-val audit_prefix : stage:stage -> Dqbf.Formula.t -> Qbf.Prefix.t -> unit
-(** Linearized-prefix well-formedness: normalized non-empty alternating
-    blocks, no duplicate variables, quantifier kinds agreeing with the
-    formula, and both-direction coverage of the remaining variables. *)
 
 val audit_model :
   ?budget:Hqs_util.Budget.t -> stage:stage -> Dqbf.Formula.t -> Dqbf.Skolem.t -> unit

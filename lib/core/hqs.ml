@@ -32,8 +32,6 @@ let escalated_config config = { config with check_level = Check.Full }
 
 type stats = { metrics : (string * float) list }
 
-exception Done of verdict
-
 let g_heap = Obs.Metrics.gauge "gc.heap_words.peak"
 
 (* per-solve levels of the main loop. They are gauges, so [measured]
@@ -57,6 +55,18 @@ let timed g run =
 
 let note_peak nodes = Obs.Metrics.set_max g_peak_nodes (float_of_int nodes)
 
+(* one SAT call on the matrix, or on its negation; with the model's
+   variable values on a satisfiable answer *)
+let sat_check ~budget man root ~negate =
+  let solver = Sat.Solver.create () in
+  let enc = Aig.Cnf_enc.create solver in
+  let out = Aig.Cnf_enc.sat_lit man enc root in
+  Sat.Solver.add_clause solver [ (if negate then Sat.Lit.neg out else out) ];
+  match Sat.Solver.solve ~budget solver with
+  | Sat.Solver.Sat ->
+      (true, fun v -> Sat.Solver.lit_value solver (Aig.Cnf_enc.sat_var_of_aig_var man enc v))
+  | Sat.Solver.Unsat -> (false, fun _ -> false)
+
 let solve_impl ~(config : config) ~budget ~trail f0 =
   Obs.Span.with_ "hqs.solve" ~attrs:[ ("vars", Obs.Int (F.next_var f0)) ] @@ fun () ->
   let f = F.copy f0 in
@@ -64,22 +74,27 @@ let solve_impl ~(config : config) ~budget ~trail f0 =
   let queue = ref [] in
   let last_size = ref (M.num_nodes (F.man f)) in
   let first_select = ref true in
+  let note_heap () = Obs.Metrics.set_max g_heap (float_of_int (Budget.heap_words ())) in
+  (* the heap gauge samples the rounds before linearization only, the
+     points it had while a separate back end ran the acyclic phase *)
+  let linear = ref false in
   let note_size () =
     note_peak (M.num_nodes (F.man f));
-    Obs.Metrics.set_max g_heap (float_of_int (Budget.heap_words ()))
+    if not !linear then note_heap ()
   in
   (* the soundness gate at each stage boundary (free when check_level=Off) *)
   let audit ?queue stage = Check.audit_stage ~level:config.check_level ?queue stage f in
+  let compact () =
+    (Obs.Span.with_ "aig.compact" ~attrs:[ ("nodes", Obs.Int (M.num_nodes (F.man f))) ]
+    @@ fun () ->
+    let man, roots = M.compact (F.man f) [ F.matrix f ] in
+    F.replace_man f man (List.hd roots);
+    last_size := M.num_nodes man);
+    audit Check.Post_compact
+  in
   let compact_if_grown () =
     note_size ();
-    if M.num_nodes (F.man f) > (2 * !last_size) + 1024 then begin
-      (Obs.Span.with_ "aig.compact" ~attrs:[ ("nodes", Obs.Int (M.num_nodes (F.man f))) ]
-      @@ fun () ->
-      let man, roots = M.compact (F.man f) [ F.matrix f ] in
-      F.replace_man f man (List.hd roots);
-      last_size := M.num_nodes man);
-      audit Check.Post_compact
-    end
+    if M.num_nodes (F.man f) > (2 * !last_size) + 1024 then compact ()
   in
   let refill_queue () =
     Obs.Span.with_ "elim.select"
@@ -100,105 +115,127 @@ let solve_impl ~(config : config) ~budget ~trail f0 =
     end;
     queue := Dqbf.Elimset.ordered_queue f set
   in
-  let verdict =
-    try
-      let continue_ = ref true in
-      while !continue_ do
-        note_size ();
-        Budget.check budget;
-        if M.is_true (F.matrix f) then raise (Done Sat);
-        if M.is_false (F.matrix f) then raise (Done Unsat);
-        Dqbf.Elim.prune_prefix ?trail f;
-        (* unit / pure elimination (Theorems 5-6) *)
-        let eliminated_up =
-          if not config.use_unitpure then false
-          else begin
-            let r =
-              timed g_unitpure_time @@ fun () ->
-              Obs.Span.with_ "elim.unitpure" (fun () -> Dqbf.Elim.unit_pure_round ?trail f)
-            in
-            match r with
-            | `Unsat -> raise (Done Unsat)
-            | `Eliminated n ->
-                Obs.Metrics.incr ~by:n m_unitpure_elims;
-                true
-            | `None -> false
-          end
+  let rec next_univ () =
+    match !queue with
+    | x :: rest ->
+        queue := rest;
+        if F.is_universal f x then Some x else next_univ ()
+    | [] -> None
+  in
+  (* the cyclic phase: Theorem 2 on fully-dependent existentials, then one
+     universal elimination (Theorem 1) from the MaxSAT elimination set,
+     until the dependency graph is acyclic (Theorem 4) *)
+  let cyclic_step () =
+    let must_linearize =
+      match config.mode with
+      | Elimination -> not (Dqbf.Depgraph.is_acyclic f)
+      | Expand_all -> not (Bitset.is_empty (F.universals f))
+    in
+    if not must_linearize then `Linear
+    else begin
+      if config.use_thm2 then begin
+        let k =
+          Obs.Span.with_ "elim.thm2" (fun () -> Dqbf.Elim.eliminate_full_existentials ?trail f)
         in
-        if eliminated_up then audit Check.Post_unitpure
-        else begin
-          let must_linearize =
-            match config.mode with
-            | Elimination -> not (Dqbf.Depgraph.is_acyclic f)
-            | Expand_all -> not (Bitset.is_empty (F.universals f))
-          in
-          if must_linearize then begin
-            (* Theorem 2 on fully-dependent existentials, then one
-               universal elimination (Theorem 1) *)
-            if config.use_thm2 then begin
-              let k =
-                Obs.Span.with_ "elim.thm2" (fun () -> Dqbf.Elim.eliminate_full_existentials ?trail f)
-              in
-              if k > 0 then audit Check.Post_elimination
-            end;
-            if not (M.is_const (F.matrix f)) then begin
-              let rec next_univ () =
-                match !queue with
-                | x :: rest ->
-                    queue := rest;
-                    if F.is_universal f x then Some x else next_univ ()
-                | [] -> None
-              in
-              let x =
-                match next_univ () with
-                | Some x -> Some x
-                | None ->
-                    refill_queue ();
-                    next_univ ()
-              in
-              match x with
-              | Some x ->
-                  Dqbf.Elim.universal ?trail f x;
-                  audit ~queue:!queue Check.Post_elimination;
-                  compact_if_grown ()
-              | None ->
-                  (* no universal left to eliminate; the dependency graph
-                     must be acyclic now *)
-                  assert (Dqbf.Depgraph.is_acyclic f)
-            end
-          end
-          else begin
-            (* linear prefix: hand over to the QBF back end *)
-            match Dqbf.Depgraph.qbf_prefix f with
-            | None -> assert false
-            | Some prefix ->
-                if config.check_level <> Check.Off then
-                  Check.audit_prefix ~stage:Check.Pre_backend f prefix;
-                audit Check.Pre_backend;
-                let on_define =
-                  Option.map
-                    (fun trail y man fn -> Dqbf.Model_trail.record_def trail man y fn)
-                    trail
-                in
-                let answer =
-                  timed g_qbf_time @@ fun () ->
-                  Obs.Span.with_ "qbf.backend" ~attrs:[ ("nodes", Obs.Int (M.num_nodes (F.man f))) ]
-                  @@ fun () ->
-                  Qbf.Solver.solve ~budget ?on_define ~on_nodes:note_peak (F.man f) (F.matrix f)
-                    prefix
-                in
-                raise (Done (if answer then Sat else Unsat))
-          end
-        end
-      done;
-      assert false
-    with
-    | Done v -> v
-    | Budget.Out_of_memory_budget ->
-        (* a node-limit raise leaves the manager at the limit: that is
-           the peak a memout's stats line must show *)
-        note_size ();
-        raise Budget.Out_of_memory_budget
+        if k > 0 then audit Check.Post_elimination
+      end;
+      (if not (M.is_const (F.matrix f)) then
+         let x =
+           match next_univ () with
+           | Some x -> Some x
+           | None ->
+               refill_queue ();
+               next_univ ()
+         in
+         match x with
+         | Some x ->
+             Dqbf.Elim.universal ?trail f x;
+             audit ~queue:!queue Check.Post_elimination;
+             compact_if_grown ()
+         | None ->
+             (* no universal left to eliminate; the dependency graph
+                must be acyclic now *)
+             assert (Dqbf.Depgraph.is_acyclic f));
+      `Continue
+    end
+  in
+  (* the acyclic phase: a linear prefix. With one quantifier kind left, one
+     SAT call decides; otherwise the innermost block loses its cheapest
+     variable *)
+  let acyclic_step () =
+    if Bitset.is_empty (F.universals f) then begin
+      let answer, value = sat_check ~budget (F.man f) (F.matrix f) ~negate:false in
+      if answer then
+        Option.iter
+          (fun trail ->
+            List.iter (fun (y, _) -> Dqbf.Model_trail.record_const trail y (value y)) (F.existentials f))
+          trail;
+      `Decided (if answer then Sat else Unsat)
+    end
+    else if F.existentials f = [] then begin
+      let counterexample, _ = sat_check ~budget (F.man f) (F.matrix f) ~negate:true in
+      `Decided (if counterexample then Unsat else Sat)
+    end
+    else begin
+      Dqbf.Elim.innermost ?trail f;
+      audit Check.Post_elimination;
+      compact_if_grown ();
+      `Continue
+    end
+  in
+  let unit_pure () =
+    timed g_unitpure_time @@ fun () ->
+    Obs.Span.with_ "elim.unitpure" (fun () -> Dqbf.Elim.unit_pure_round ?trail f)
+  in
+  (* the rounds of the main loop, up to the verdict: each checks the
+     budget and the matrix, prunes the prefix and runs unit/pure
+     elimination (Theorems 5-6); when that eliminates nothing, it takes
+     [step] *)
+  let rec rounds step =
+    note_size ();
+    Budget.check budget;
+    if M.is_true (F.matrix f) then Sat
+    else if M.is_false (F.matrix f) then Unsat
+    else begin
+      Dqbf.Elim.prune_prefix ?trail f;
+      match if config.use_unitpure then unit_pure () else `None with
+      | `Unsat -> Unsat
+      | `Eliminated n ->
+          Obs.Metrics.incr ~by:n m_unitpure_elims;
+          audit Check.Post_unitpure;
+          compact_if_grown ();
+          rounds step
+      | `None -> (
+          match step () with
+          | `Continue -> rounds step
+          | `Decided v -> v
+          | `Linear -> linear_phase ())
+    end
+  (* the switch to the acyclic phase, once: eliminations never make two
+     dependency sets incomparable, so the graph stays acyclic *)
+  and linear_phase () =
+    timed g_qbf_time @@ fun () ->
+    Obs.Span.with_ "qbf.backend" ~attrs:[ ("nodes", Obs.Int (M.num_nodes (F.man f))) ] @@ fun () ->
+    Obs.Span.with_ "qbf.elim" ~attrs:[ ("nodes", Obs.Int (M.num_nodes (F.man f))) ] @@ fun () ->
+    linear := true;
+    (* matrix variables the prefix does not bind are outermost existentials *)
+    Bitset.iter
+      (fun v ->
+        if not (F.is_universal f v || F.is_existential f v) then
+          F.add_existential f v ~deps:Bitset.empty)
+      (M.support (F.man f) (F.matrix f));
+    compact ();
+    audit Check.Post_linearize;
+    rounds acyclic_step
+  in
+  let verdict =
+    try rounds cyclic_step
+    with Budget.Out_of_memory_budget ->
+      (* a node-limit raise leaves the manager at the limit: that is the
+         peak a memout's stats line must show *)
+      note_peak (M.num_nodes (F.man f));
+      note_heap ();
+      raise Budget.Out_of_memory_budget
   in
   (* remaining existentials (if any) are don't-cares on a SAT verdict *)
   (match (verdict, trail) with

@@ -1,24 +1,28 @@
 (** HQS — the paper's solver (Fig. 3): decide a DQBF by eliminating a
     minimum set of universal variables (chosen by partial MaxSAT over the
-    dependency graph) until the prefix is linearly orderable, then hand the
-    AIG to the QBF back end.
+    dependency graph) until the prefix is linearly orderable, then
+    eliminate the rest of the linear prefix, innermost block first.
 
-    The main loop interleaves, exactly as in the paper:
+    The main loop interleaves, as in the paper:
     - unit/pure detection on the AIG (Theorems 5-6),
     - elimination of existentials depending on all universals (Theorem 2),
     - elimination of the next queued universal variable (Theorem 1),
       cheapest first (fewest existential copies),
     - compaction when the graph grows.
 
+    Once the dependency graph is acyclic, the same loop takes the role of
+    the paper's QBF back end: each round quantifies the cheapest variable
+    of the innermost block ({!Dqbf.Elim.innermost}), and one SAT call
+    decides once a single quantifier kind is left.
+
     Unlike the paper, nothing converts the AIG to a FRAIG: no measured
     instance gained from the sweeps (DESIGN.md).
 
     Every stage runs once, under the solve's own budget. A node-limit
-    blowup anywhere — the main loop or the elimination QBF back end —
-    escapes as [Out_of_memory_budget], the paper's memout: the solve is
-    deterministic, so a retry would run into the same limit (DESIGN.md
-    §6). The [hqs.peak_nodes] gauge then reads the limit, whichever
-    manager hit it. *)
+    blowup anywhere escapes as [Out_of_memory_budget], the paper's
+    memout: the solve is deterministic, so a retry would run into the
+    same limit (DESIGN.md §6). The [hqs.peak_nodes] gauge then reads the
+    limit. *)
 
 type verdict = Sat | Unsat
 
@@ -74,8 +78,7 @@ val solve_formula :
   ?config:config -> ?budget:Hqs_util.Budget.t -> Dqbf.Formula.t -> verdict * stats
 (** Decides the DQBF. The input formula is copied, not mutated.
     @raise Hqs_util.Budget.Timeout on deadline.
-    @raise Hqs_util.Budget.Out_of_memory_budget when the node limit is hit,
-    in the main loop or the QBF back end. *)
+    @raise Hqs_util.Budget.Out_of_memory_budget when the node limit is hit. *)
 
 val solve_pcnf :
   ?config:config -> ?budget:Hqs_util.Budget.t -> Dqbf.Pcnf.t -> verdict * stats

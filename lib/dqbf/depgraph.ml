@@ -26,36 +26,12 @@ let incomparable_pairs f =
   in
   loop [] exs
 
-let is_acyclic f = incomparable_pairs f = []
+let incomparable (_, d) (_, d') = (not (Bitset.subset d d')) && not (Bitset.subset d' d)
 
-let qbf_prefix f =
-  (* group existentials by dependency set, order by cardinality, check the
-     chain property, then interleave universal blocks *)
-  let groups : (Bitset.t * int list ref) list ref = ref [] in
-  List.iter
-    (fun (y, d) ->
-      match List.find_opt (fun (d', _) -> Bitset.equal d d') !groups with
-      | Some (_, l) -> l := y :: !l
-      | None -> groups := (d, ref [ y ]) :: !groups)
-    (Formula.existentials f);
-  let groups =
-    List.sort (fun (d1, _) (d2, _) -> Int.compare (Bitset.cardinal d1) (Bitset.cardinal d2)) !groups
+(* the first incomparable pair ends the search *)
+let is_acyclic f =
+  let rec go = function
+    | [] -> true
+    | e :: rest -> (not (List.exists (incomparable e) rest)) && go rest
   in
-  let rec chain_ok = function
-    | (d1, _) :: ((d2, _) :: _ as rest) -> Bitset.subset d1 d2 && chain_ok rest
-    | [ _ ] | [] -> true
-  in
-  if not (chain_ok groups) then None
-  else begin
-    let blocks = ref [] in
-    let placed = ref Bitset.empty in
-    List.iter
-      (fun (d, ys) ->
-        let fresh_univs = Bitset.diff d !placed in
-        placed := Bitset.union !placed fresh_univs;
-        blocks := (Qbf.Prefix.Exists, List.rev !ys) :: (Qbf.Prefix.Forall, Bitset.to_list fresh_univs) :: !blocks)
-      groups;
-    let rest = Bitset.diff (Formula.universals f) !placed in
-    blocks := (Qbf.Prefix.Forall, Bitset.to_list rest) :: !blocks;
-    Some (Qbf.Prefix.normalize (List.rev !blocks))
-  end
+  go (Formula.existentials f)

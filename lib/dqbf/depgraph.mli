@@ -13,9 +13,4 @@ val incomparable_pairs : Formula.t -> (int * int) list
     incomparable dependency sets; each pair reported once with y < y'. *)
 
 val is_acyclic : Formula.t -> bool
-(** Theorem 4: acyclic iff no incomparable pair. *)
-
-val qbf_prefix : Formula.t -> Qbf.Prefix.t option
-(** The equivalent QBF prefix from the proof of Theorem 3, or [None] when
-    the graph is cyclic. Universal variables not in any dependency set are
-    placed in the innermost universal block. *)
+(** Theorem 4: acyclic iff no incomparable pair; stops at the first one. *)

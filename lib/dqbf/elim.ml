@@ -78,6 +78,72 @@ let eliminate_full_existentials ?trail f =
   done;
   !count
 
+(* For each variable in [vars], the number of cone nodes whose support
+   contains it: a cheap proxy for elimination cost. [masks.(n)] is the set
+   of positions (in [vars]) of the variables node [n] depends on. Also
+   returns the cone's AND count, which the elimination guard needs. *)
+let var_costs man root vars =
+  let index = Hashtbl.create 16 in
+  List.iteri (fun i v -> Hashtbl.replace index v i) vars;
+  let counts = Array.make (List.length vars) 0 in
+  let masks = Array.make (M.num_nodes man) Bitset.empty in
+  let cone = ref 0 in
+  M.iter_cone man [ root ] (fun n ->
+      let mask =
+        if n = 0 then Bitset.empty
+        else if M.is_input man (n * 2) then begin
+          match Hashtbl.find_opt index (M.var_of_input man (n * 2)) with
+          | Some i -> Bitset.singleton i
+          | None -> Bitset.empty
+        end
+        else begin
+          incr cone;
+          let e0, e1 = M.fanins man (n * 2) in
+          let a = masks.(M.node_of e0) and b = masks.(M.node_of e1) in
+          (* most nodes share a fanin's set: reuse it instead of copying *)
+          if Bitset.subset a b then b else if Bitset.subset b a then a else Bitset.union a b
+        end
+      in
+      Bitset.iter (fun i -> counts.(i) <- counts.(i) + 1) mask;
+      masks.(n) <- mask);
+  ((fun v -> match Hashtbl.find_opt index v with Some i -> counts.(i) | None -> 0), !cone)
+
+let c_quantifications = Obs.Metrics.counter "qbf.elim.quantifications"
+
+let innermost ?trail f =
+  let man = Formula.man f in
+  let matrix = Formula.matrix f in
+  let univs = Formula.universals f in
+  let exs = Formula.existentials f in
+  (* the innermost block: the existentials that depend on every universal,
+     else the universals no existential depends on *)
+  let full = List.filter_map (fun (y, d) -> if Bitset.equal d univs then Some y else None) exs in
+  let block =
+    if full <> [] then full
+    else
+      Bitset.to_list
+        (Bitset.diff univs (List.fold_left (fun acc (_, d) -> Bitset.union acc d) Bitset.empty exs))
+  in
+  let cost, cone = var_costs man matrix block in
+  let first = match block with v :: _ -> v | [] -> invalid_arg "Dqbf.Elim.innermost" in
+  let v = List.fold_left (fun best v -> if cost v < cost best then v else best) first block in
+  Obs.Metrics.incr c_quantifications;
+  (* the quantifier is localized (see [M.exists_localized]); a universal
+     one through forall v.phi = not (exists v. not phi), Theorem 1 with
+     nothing to copy *)
+  if full <> [] then begin
+    (* the choice function of Theorem 2: pick 1 exactly when phi[1/v] holds *)
+    Option.iter
+      (fun trail -> Model_trail.record_def trail man v (M.cofactor man matrix ~var:v ~value:true))
+      trail;
+    Formula.set_matrix f (fst (M.exists_localized man matrix ~var:v ~cone));
+    Formula.remove_existential f v
+  end
+  else begin
+    Formula.set_matrix f (M.compl_ (fst (M.exists_localized man (M.compl_ matrix) ~var:v ~cone)));
+    Formula.remove_universal f v
+  end
+
 let unit_pure_round ?trail f =
   let man = Formula.man f in
   let scans = UP.scan man (Formula.matrix f) in

@@ -22,6 +22,16 @@ val eliminate_full_existentials : ?trail:Model_trail.t -> Formula.t -> int
 (** Apply Theorem 2 to every eligible existential; returns how many were
     eliminated. *)
 
+val innermost : ?trail:Model_trail.t -> Formula.t -> unit
+(** One elimination under a linear prefix: the dependency graph is
+    acyclic, every prefix variable is in the matrix, and the matrix is not
+    constant. Quantifies the cheapest variable of the innermost block (the
+    fewest cone nodes depend on it, ties to the lowest id) with the
+    quantifier localized ({!Aig.Man.exists_localized}). That block is the
+    existentials depending on every universal (Theorem 2) or, if there are
+    none, the universals no existential depends on (Theorem 1 with nothing
+    to copy). Counts [qbf.elim.quantifications]. *)
+
 val unit_pure_round :
   ?trail:Model_trail.t -> Formula.t -> [ `Unsat | `Eliminated of int | `None ]
 (** One scan of the matrix (Theorem 6) followed by the eliminations of

@@ -32,8 +32,8 @@ type t = {
   mutable max_learnts : float;
 }
 
-(* per-process counters; every solver instance (MaxSAT, QBF back ends,
-   certification, iDQ) feeds the same series *)
+(* per-process counters; every solver instance (MaxSAT, the main loop's
+   final SAT call, certification, iDQ) feeds the same series *)
 let c_solves = Obs.Metrics.counter "sat.solves"
 let c_conflicts = Obs.Metrics.counter "sat.conflicts"
 let c_propagations = Obs.Metrics.counter "sat.propagations"

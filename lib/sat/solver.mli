@@ -3,7 +3,7 @@
     activity-based deletion of learnt clauses.
 
     This is the reasoning substrate for the whole reproduction: the partial
-    MaxSAT solver, the final SAT calls of the QBF back end, certification
+    MaxSAT solver, the final SAT call of the HQS main loop, certification
     and the instantiation-based iDQ baseline all run on it. Conflicts,
     propagations and solve calls are fed to the process-wide
     [Obs.Metrics] series ["sat.conflicts"], ["sat.propagations"] and

@@ -4,10 +4,6 @@ type entry = { sat : bool; elapsed_s : float; h2 : string }
 
 type t = { tbl : (string, entry) Hashtbl.t; journal : Exec.Journal.t option }
 
-(* torn or undecodable journal lines skipped at load: a killed daemon
-   leaves at most one, so a larger count is worth a look *)
-let m_dropped = Obs.Metrics.counter "serve.cache_dropped"
-
 let entry_to_json ~removed { sat; elapsed_s; h2 } =
   Json.Obj
     ([ ("sat", Json.Bool sat); ("elapsed_s", Json.Num elapsed_s); ("h2", Json.Str h2) ]
@@ -27,6 +23,9 @@ let entry_of_json j =
 
 let open_ ?path () =
   let tbl = Hashtbl.create 64 in
+  (* torn or undecodable journal lines skipped at load: a killed daemon
+     leaves at most one, so a larger count is worth a look *)
+  let m_dropped = Obs.Metrics.counter "serve.cache_dropped" in
   (match path with
   | None -> ()
   | Some path ->

@@ -57,26 +57,6 @@ let poison_cert (c : Cert.t) =
   if Bytes.length fp > 0 then Bytes.set fp 0 (if Bytes.get fp 0 = '0' then '1' else '0');
   { c with Cert.fingerprint = Bytes.to_string fp }
 
-(* --------------------------------------------------------------- metrics *)
-
-let m_requests = Metrics.counter "serve.requests"
-let m_queue_depth = Metrics.gauge "serve.queue_depth"
-let m_shed = Metrics.counter "serve.shed"
-let m_crashes = Metrics.counter "serve.worker_crashes"
-let m_cache_hits = Metrics.counter "serve.cache_hits"
-let m_cache_misses = Metrics.counter "serve.cache_misses"
-let m_audits = Metrics.counter "serve.cache_audits"
-let m_audit_failures = Metrics.counter "serve.cache_audit_failures"
-let m_cert_audits = Metrics.counter "serve.cert_audits"
-let m_cert_audit_failures = Metrics.counter "serve.cert_audit_failed"
-let m_timeouts = Metrics.counter "serve.timeouts"
-let m_latency = Metrics.histogram "serve.request_latency_s"
-
-(* rolling window behind the health reply's p50/p95/p99 — same series as
-   the histogram, but windowed so a long-lived daemon reports *recent*
-   latency, not its lifetime average *)
-let w_latency = Metrics.window "serve.request_latency_s"
-
 (* ------------------------------------------------------------------ jobs *)
 
 type job = {
@@ -195,6 +175,25 @@ let run (config : config) =
   if config.max_attempts < 1 then invalid_arg "Daemon.run: max_attempts must be >= 1";
   Ipc.ignore_sigpipe ();
   (match config.trace_path with Some _ -> Obs.Trace.start () | None -> ());
+  (* the serve metrics are registered here, at daemon start: a process
+     that never serves (a plain solve, a sweep and its workers) carries
+     no serve.* rows *)
+  let m_requests = Metrics.counter "serve.requests" in
+  let m_queue_depth = Metrics.gauge "serve.queue_depth" in
+  let m_shed = Metrics.counter "serve.shed" in
+  let m_crashes = Metrics.counter "serve.worker_crashes" in
+  let m_cache_hits = Metrics.counter "serve.cache_hits" in
+  let m_cache_misses = Metrics.counter "serve.cache_misses" in
+  let m_audits = Metrics.counter "serve.cache_audits" in
+  let m_audit_failures = Metrics.counter "serve.cache_audit_failures" in
+  let m_cert_audits = Metrics.counter "serve.cert_audits" in
+  let m_cert_audit_failures = Metrics.counter "serve.cert_audit_failed" in
+  let m_timeouts = Metrics.counter "serve.timeouts" in
+  let m_latency = Metrics.histogram "serve.request_latency_s" in
+  (* rolling window behind the health reply's p50/p95/p99 — same series as
+     the histogram, but windowed so a long-lived daemon reports *recent*
+     latency, not its lifetime average *)
+  let w_latency = Metrics.window "serve.request_latency_s" in
   let t_start = Budget.now () in
   let daemon_pid = Unix.getpid () in
   let elog = Option.map Exec.Eventlog.create config.event_log in

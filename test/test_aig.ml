@@ -139,7 +139,8 @@ let prop_quantify =
           && M.eval m fa env = (eval_form (ef false) f && eval_form (ef true) f)))
 
 (* Each localized rule, and its dual through ∀v.f = ¬∃v.¬f (the way
-   [Qbf.Solver] quantifies universals), must equal plain cofactoring. *)
+   [Dqbf.Elim.innermost] quantifies universals), must equal plain
+   cofactoring. *)
 let prop_localized_quantify =
   QCheck.Test.make ~name:"localized quantification matches exists/forall" ~count:500
     (QCheck.pair form_arb (QCheck.int_bound (max_vars - 1))) (fun (f, v) ->

@@ -155,22 +155,6 @@ let linear_formula () =
   F.set_matrix f (M.mk_iff man (M.input man 1) (M.input man 0));
   f
 
-let test_prefix () =
-  let f = linear_formula () in
-  let open Qbf.Prefix in
-  Check.audit_prefix ~stage f [ (Forall, [ 0 ]); (Exists, [ 1 ]) ];
-  check "well-formed prefix passes" true true;
-  check "empty block trips" true
-    (trips (fun () -> Check.audit_prefix ~stage f [ (Forall, [ 0 ]); (Exists, []); (Exists, [ 1 ]) ]));
-  check "duplicate variable trips" true
-    (trips (fun () -> Check.audit_prefix ~stage f [ (Forall, [ 0; 0 ]); (Exists, [ 1 ]) ]));
-  check "wrong quantifier trips" true
-    (trips (fun () -> Check.audit_prefix ~stage f [ (Exists, [ 0 ]); (Exists, [ 1 ]) ]));
-  check "missing existential trips" true
-    (trips (fun () -> Check.audit_prefix ~stage f [ (Forall, [ 0 ]) ]));
-  check "non-alternating blocks trip" true
-    (trips (fun () -> Check.audit_prefix ~stage f [ (Forall, [ 0 ]); (Exists, [ 1 ]); (Exists, []) ]))
-
 (* -------------------------------------------------------------- skolem *)
 
 let test_skolem_model () =
@@ -256,7 +240,6 @@ let () =
           Alcotest.test_case "levels" `Quick test_audit_stage_levels;
           Alcotest.test_case "queue" `Quick test_queue;
         ] );
-      ("prefix", [ Alcotest.test_case "well-formedness" `Quick test_prefix ]);
       ("skolem", [ Alcotest.test_case "certification" `Quick test_skolem_model ]);
       ( "end-to-end",
         [

@@ -85,14 +85,14 @@ let test_example1_depgraph () =
   let f = example1 ~crossed:false in
   check "cyclic" false (Dqbf.Depgraph.is_acyclic f);
   check_int "one incomparable pair" 1 (List.length (Dqbf.Depgraph.incomparable_pairs f));
-  check "no qbf prefix" true (Dqbf.Depgraph.qbf_prefix f = None);
   (* edges both ways between y1 and y2 *)
   let es = Dqbf.Depgraph.edges f in
   check "y1->y2" true (List.mem (2, 3) es);
   check "y2->y1" true (List.mem (3, 2) es)
 
 let test_acyclic_prefix () =
-  (* chain deps: y1(), y2(x1), y3(x1 x2) -> QBF-expressible *)
+  (* chain deps: y2(), y3(x0), y4(x0 x1) -> QBF-expressible as
+     exists y2 forall x0 exists y3 forall x1 exists y4 *)
   let f = F.create () in
   F.add_universal f 0;
   F.add_universal f 1;
@@ -100,20 +100,24 @@ let test_acyclic_prefix () =
   F.add_existential f 3 ~deps:(Bitset.singleton 0);
   F.add_existential f 4 ~deps:(Bitset.of_list [ 0; 1 ]);
   let man = F.man f in
-  F.set_matrix f (M.mk_or_list man (List.map (M.input man) [ 2; 3; 4 ]));
+  let v = M.input man in
+  let clause lits = M.mk_or_list man lits in
+  F.set_matrix f
+    (M.mk_and_list man
+       [
+         clause [ v 0; v 2 ];
+         clause [ v 1; v 3 ];
+         clause [ M.compl_ (v 0); v 4 ];
+         clause [ M.compl_ (v 1); M.compl_ (v 4) ];
+         clause [ v 3; M.compl_ (v 2) ];
+       ]);
   check "acyclic" true (Dqbf.Depgraph.is_acyclic f);
-  match Dqbf.Depgraph.qbf_prefix f with
-  | None -> Alcotest.fail "expected a prefix"
-  | Some p ->
-      check "prefix shape" true
-        (p
-        = [
-            (Qbf.Prefix.Exists, [ 2 ]);
-            (Qbf.Prefix.Forall, [ 0 ]);
-            (Qbf.Prefix.Exists, [ 3 ]);
-            (Qbf.Prefix.Forall, [ 1 ]);
-            (Qbf.Prefix.Exists, [ 4 ]);
-          ])
+  (* the innermost block goes first: y4, then x1, y3, x0 *)
+  List.iter
+    (fun x ->
+      Dqbf.Elim.innermost f;
+      check (Printf.sprintf "%d eliminated" x) false (F.is_universal f x || F.is_existential f x))
+    [ 4; 1; 3; 0 ]
 
 (* ------------------------------------------------ reference cross-checks *)
 
@@ -185,6 +189,26 @@ let prop_prune_preserves =
       let before = Dqbf.Reference.by_expansion f in
       Dqbf.Elim.prune_prefix f;
       Dqbf.Reference.by_expansion f = before)
+
+(* one innermost elimination under a linear prefix keeps the verdict *)
+let prop_innermost_preserves =
+  QCheck.Test.make ~name:"innermost elimination preserves truth" ~count:300 instance_arb
+    (fun inst ->
+      let f = build inst in
+      Dqbf.Elim.prune_prefix f;
+      QCheck.assume
+        (Dqbf.Depgraph.is_acyclic f
+        && (not (Bitset.is_empty (F.universals f)))
+        && F.existentials f <> []);
+      let before = Dqbf.Reference.by_expansion f in
+      Dqbf.Elim.innermost f;
+      Dqbf.Reference.by_expansion f = before)
+
+let prop_acyclic_matches_pairs =
+  QCheck.Test.make ~name:"is_acyclic iff no incomparable pair" ~count:300 instance_arb
+    (fun inst ->
+      let f = build inst in
+      Dqbf.Depgraph.is_acyclic f = (Dqbf.Depgraph.incomparable_pairs f = []))
 
 (* ------------------------------------------------------- elimination set *)
 
@@ -459,7 +483,9 @@ let () =
             prop_thm2_requires_full_deps;
             prop_unitpure_preserves;
             prop_prune_preserves;
+            prop_innermost_preserves;
           ] );
+      ("depgraph", qsuite [ prop_acyclic_matches_pairs ]);
       ( "elimset",
         qsuite [ prop_elimset_linearizes; prop_elimset_minimum; prop_greedy_linearizes ] );
       ( "pcnf",

@@ -133,8 +133,8 @@ let gauge name = Option.value ~default:0.0 (Obs.Metrics.find (Obs.Metrics.snapsh
 (* Acyclic instance: eight existentials y0..y7, each depending on all
    eight universals, under the matrix AND_i ((y_i xor x_i) | (y_i+1 & x_i+2))
    (indices mod 8). The prefix linearizes at once, so the solve goes
-   straight to the QBF back end, whose existential eliminations grow the
-   64-node matrix to about 250 nodes in the back end's own manager. *)
+   straight to the acyclic phase, whose existential eliminations grow the
+   64-node matrix to about 250 nodes. *)
 let growing_formula () =
   let f = F.create () in
   for x = 0 to 7 do
@@ -162,8 +162,8 @@ let test_backend_memout () =
   Alcotest.check_raises "back-end blowup is a memout" Budget.Out_of_memory_budget (fun () ->
       ignore (Hqs.solve_formula ~config f));
   (* the per-call gauges keep what the raising call left: the peak is
-     that of the back end's own manager, which stood at the limit, and
-     the back end's time was counted *)
+     that of the one manager, which stood at the limit, and the time
+     after linearization was counted *)
   check "peak nodes reach the limit" true (gauge "hqs.peak_nodes" >= float_of_int limit);
   check "back-end time counted" true (gauge "hqs.qbf_time_s" > 0.0)
 
@@ -220,6 +220,159 @@ let test_trivial_matrices () =
   Alcotest.check verdict_t "true matrix" Hqs.Sat (fst (Hqs.solve_formula f));
   F.set_matrix f M.false_;
   Alcotest.check verdict_t "false matrix" Hqs.Unsat (fst (Hqs.solve_formula f))
+
+(* ----------------------------------------------------- linear prefixes *)
+
+(* A QBF as a DQBF: [blocks] outermost first, [true] for a universal
+   block; each existential depends on every universal bound before it *)
+let linear blocks matrix =
+  let f = F.create () in
+  ignore
+    (List.fold_left
+       (fun outer (forall, vs) ->
+         if forall then begin
+           List.iter (F.add_universal f) vs;
+           Bitset.union outer (Bitset.of_list vs)
+         end
+         else begin
+           List.iter (fun y -> F.add_existential f y ~deps:outer) vs;
+           outer
+         end)
+       Bitset.empty blocks);
+  F.set_matrix f (matrix (F.man f));
+  f
+
+let solves name expected f = Alcotest.check verdict_t name expected (fst (Hqs.solve_formula f))
+let iff_xy man = M.mk_iff man (M.input man 0) (M.input man 1)
+
+let test_forall_exists_iff () =
+  solves "forall x exists y: x <-> y" Hqs.Sat (linear [ (true, [ 0 ]); (false, [ 1 ]) ] iff_xy)
+
+let test_exists_forall_iff () =
+  solves "exists y forall x: x <-> y" Hqs.Unsat (linear [ (false, [ 1 ]); (true, [ 0 ]) ] iff_xy)
+
+(* matrix variables the prefix does not bind are outermost existentials *)
+let test_free_vars_existential () =
+  let x man = M.input man 0 and z man = M.input man 2 in
+  solves "x & y" Hqs.Sat (linear [] (fun man -> M.mk_and man (x man) (M.input man 1)));
+  solves "exists x forall z: x | z" Hqs.Sat
+    (linear [ (true, [ 2 ]) ] (fun man -> M.mk_or man (x man) (z man)));
+  solves "exists x forall z: (x | z) & (!x | z)" Hqs.Unsat
+    (linear [ (true, [ 2 ]) ] (fun man ->
+         M.mk_and man (M.mk_or man (x man) (z man)) (M.mk_or man (M.compl_ (x man)) (z man))))
+
+let test_constant_matrices () =
+  solves "true matrix" Hqs.Sat (linear [ (true, [ 0 ]) ] (fun _ -> M.true_));
+  solves "false matrix" Hqs.Unsat (linear [ (false, [ 0 ]) ] (fun _ -> M.false_))
+
+let test_forall_tautology () =
+  (* (x|y) | (!x&!y) is valid without collapsing in the AIG; x|y is not *)
+  let x man = M.input man 0 and y man = M.input man 1 in
+  solves "valid" Hqs.Sat
+    (linear [ (true, [ 0; 1 ]) ] (fun man ->
+         M.mk_or man (M.mk_or man (x man) (y man))
+           (M.mk_and man (M.compl_ (x man)) (M.compl_ (y man)))));
+  solves "not valid" Hqs.Unsat
+    (linear [ (true, [ 0; 1 ]) ] (fun man -> M.mk_or man (x man) (y man)))
+
+let test_three_level () =
+  (* forall x exists y forall z: (x <-> y) | (y <-> z) *)
+  let f =
+    linear [ (true, [ 0 ]); (false, [ 1 ]); (true, [ 2 ]) ] (fun man ->
+        let v = M.input man in
+        M.mk_or man (M.mk_iff man (v 0) (v 1)) (M.mk_iff man (v 1) (v 2)))
+  in
+  check "matches expansion" (Dqbf.Reference.by_expansion f) (fst (Hqs.solve_formula f) = Hqs.Sat)
+
+(* random CNFs under a random linear prefix: a quantifier and a position
+   per variable *)
+let qbf_gen_sized ~vars:(lo, hi) ~clauses:(cmin, cmax) ~width:(wmin, wmax) =
+  QCheck.Gen.(
+    int_range lo hi >>= fun n ->
+    list_size (int_range cmin cmax)
+      (list_size (int_range wmin wmax) (map2 (fun v s -> (v, s)) (int_bound (n - 1)) bool))
+    >>= fun clauses ->
+    list_repeat n bool >>= fun quants ->
+    (* permutation of vars via sorting by random keys *)
+    list_repeat n (int_bound 1000) >>= fun keys ->
+    let order =
+      List.mapi (fun i k -> (k, i)) keys
+      |> List.sort (fun (k1, i1) (k2, i2) -> if k1 <> k2 then Int.compare k1 k2 else Int.compare i1 i2)
+      |> List.map snd
+    in
+    return (n, clauses, quants, order))
+
+let qbf_print (n, clauses, quants, order) =
+  Printf.sprintf "n=%d order=%s quants=%s clauses=%s" n
+    (String.concat "," (List.map string_of_int order))
+    (String.concat "" (List.map (fun q -> if q then "A" else "E") quants))
+    (String.concat ";"
+       (List.map
+          (fun c ->
+            String.concat ","
+              (List.map (fun (v, s) -> string_of_int (if s then -(v + 1) else v + 1)) c))
+          clauses))
+
+let qbf_arb = QCheck.make ~print:qbf_print (qbf_gen_sized ~vars:(2, 6) ~clauses:(1, 20) ~width:(1, 3))
+
+(* wide matrices: dozens of root conjuncts sharing subgraphs, so one
+   elimination cofactors many parts through the shared memo; clauses of 4-6
+   literals keep about a fifth of the instances true and leave several
+   eliminations per solve *)
+let wide_qbf_arb =
+  QCheck.make ~print:qbf_print (qbf_gen_sized ~vars:(8, 12) ~clauses:(20, 60) ~width:(4, 6))
+
+let qbf_pcnf ?(negate = false) (n, clauses, quants, order) =
+  let quant = Array.of_list quants in
+  let forall v = quant.(v) <> negate in
+  let univs = List.filter forall order in
+  let rec exists outer = function
+    | [] -> []
+    | v :: rest when forall v -> exists (v :: outer) rest
+    | y :: rest -> (y, List.rev outer) :: exists outer rest
+  in
+  let clause c = List.map (fun (v, s) -> if s then -(v + 1) else v + 1) c in
+  { Dqbf.Pcnf.num_vars = n; univs; exists = exists [] order; clauses = List.map clause clauses }
+
+(* the verdict agrees with expansion, and a SAT verdict's witness from
+   the model-recording run verifies *)
+let prop_matches_brute ?(count = 300) ?(arb = qbf_arb) config name =
+  QCheck.Test.make ~name ~count arb (fun inst ->
+      let pcnf = qbf_pcnf inst in
+      let f = Dqbf.Pcnf.to_formula pcnf in
+      let sat = fst (Hqs.solve_formula ~config f) = Hqs.Sat in
+      sat = Dqbf.Reference.by_expansion f
+      && ((not sat)
+         ||
+         let config = { config with Hqs.preprocess = Dqbf.Preprocess.off } in
+         match Hqs.run ~config ~model:true pcnf with
+         | { Hqs.outcome = Hqs.Verdict Hqs.Sat; model = Some m; _ } ->
+             Dqbf.Skolem.verify f m = Ok ()
+         | _ -> false))
+
+let no_unitpure = { Hqs.default_config with use_unitpure = false }
+let prop_linear_default = prop_matches_brute Hqs.default_config "solver matches brute force"
+
+let prop_linear_no_unitpure =
+  prop_matches_brute no_unitpure "solver matches brute force (no unit/pure)"
+
+let prop_wide_default =
+  prop_matches_brute ~count:100 ~arb:wide_qbf_arb Hqs.default_config
+    "wide matrices: solver matches brute force"
+
+let prop_wide_no_unitpure =
+  prop_matches_brute ~count:100 ~arb:wide_qbf_arb no_unitpure
+    "wide matrices: solver matches brute force (no unit/pure)"
+
+(* every variable is bound, so negating the matrix and flipping every
+   quantifier negates the verdict *)
+let prop_negation_flips =
+  QCheck.Test.make ~name:"negating matrix and flipping quantifiers negates result" ~count:200
+    qbf_arb (fun inst ->
+      let flipped = Dqbf.Pcnf.to_formula (qbf_pcnf ~negate:true inst) in
+      F.set_matrix flipped (M.compl_ (F.matrix flipped));
+      let sat f = fst (Hqs.solve_formula f) = Hqs.Sat in
+      sat (Dqbf.Pcnf.to_formula (qbf_pcnf inst)) = not (sat flipped))
 
 (* ------------------------------------------------------------- random *)
 
@@ -289,6 +442,12 @@ let () =
           Alcotest.test_case "run expired budget" `Quick test_run_expired_budget;
           Alcotest.test_case "node limit memout" `Quick test_node_limit_memout;
           Alcotest.test_case "trivial matrices" `Quick test_trivial_matrices;
+          Alcotest.test_case "forall-exists iff" `Quick test_forall_exists_iff;
+          Alcotest.test_case "exists-forall iff" `Quick test_exists_forall_iff;
+          Alcotest.test_case "free vars" `Quick test_free_vars_existential;
+          Alcotest.test_case "constant matrices" `Quick test_constant_matrices;
+          Alcotest.test_case "forall tautology" `Quick test_forall_tautology;
+          Alcotest.test_case "three level" `Quick test_three_level;
         ] );
       ( "memout",
         [
@@ -306,5 +465,10 @@ let () =
             prop_pcnf_pipeline;
             prop_pcnf_no_preprocess;
             prop_run_matches_solve_pcnf;
+            prop_linear_default;
+            prop_linear_no_unitpure;
+            prop_wide_default;
+            prop_wide_no_unitpure;
+            prop_negation_flips;
           ] );
     ]

@@ -555,6 +555,26 @@ let run_cmd cmd =
   | Unix.WEXITED n -> n
   | Unix.WSIGNALED n | Unix.WSTOPPED n -> 128 + n
 
+(* the serve metrics belong to the daemon: a plain solve (and so every
+   sweep worker) prints no serve.* row *)
+let test_plain_solve_no_serve_metrics () =
+  let sat_file = write_tmp "serve_sat" sat_text in
+  let out = Filename.temp_file "serve_metrics" ".txt" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove sat_file;
+      Sys.remove out)
+    (fun () ->
+      check "SAT exits 10" true
+        (Unix.system (Printf.sprintf "%s %s --metrics >%s 2>&1" cli sat_file out) = Unix.WEXITED 10);
+      let lines = String.split_on_char '\n' (In_channel.with_open_bin out In_channel.input_all) in
+      let metrics = List.filter (String.starts_with ~prefix:"c metric ") lines in
+      check "metrics printed" true (metrics <> []);
+      List.iter
+        (fun l ->
+          check (l ^ " is not a serve metric") false (String.starts_with ~prefix:"c metric serve." l))
+        metrics)
+
 let query_code ~socket args = run_cmd (Printf.sprintf "%s query --socket %s %s" cli socket args)
 
 let test_query_exit_codes_verdicts () =
@@ -712,6 +732,8 @@ let () =
           Alcotest.test_case "sigterm drain finishes in-flight" `Quick
             test_sigterm_drain_finishes_inflight;
           Alcotest.test_case "serve metrics present" `Quick test_serve_metrics_present;
+          Alcotest.test_case "plain solve has no serve metrics" `Quick
+            test_plain_solve_no_serve_metrics;
         ] );
       ( "certification",
         [
