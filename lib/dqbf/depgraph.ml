@@ -10,23 +10,16 @@ let edges f =
         exs)
     exs
 
+let incomparable (_, d) (_, d') = (not (Bitset.subset d d')) && not (Bitset.subset d' d)
+
 let incomparable_pairs f =
-  let exs = Formula.existentials f in
   let rec loop acc = function
     | [] -> List.rev acc
-    | (y, dy) :: rest ->
-        let acc =
-          List.fold_left
-            (fun acc (y', dy') ->
-              if (not (Bitset.subset dy dy')) && not (Bitset.subset dy' dy) then (y, y') :: acc
-              else acc)
-            acc rest
-        in
-        loop acc rest
+    | ((y, _) as e) :: rest ->
+        let pair acc ((y', _) as e') = if incomparable e e' then (y, y') :: acc else acc in
+        loop (List.fold_left pair acc rest) rest
   in
-  loop [] exs
-
-let incomparable (_, d) (_, d') = (not (Bitset.subset d d')) && not (Bitset.subset d' d)
+  loop [] (Formula.existentials f)
 
 (* the first incomparable pair ends the search *)
 let is_acyclic f =
