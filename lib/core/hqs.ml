@@ -75,8 +75,9 @@ let solve_impl ~(config : config) ~budget ~trail f0 =
   let last_size = ref (M.num_nodes (F.man f)) in
   let first_select = ref true in
   let note_heap () = Obs.Metrics.set_max g_heap (float_of_int (Budget.heap_words ())) in
-  (* the heap gauge samples the rounds before linearization only, the
-     points it had while a separate back end ran the acyclic phase *)
+  (* the heap gauge samples only the rounds before linearization, so it
+     stays comparable with the committed perfbench baselines (DESIGN.md
+     §8.2) *)
   let linear = ref false in
   let note_size () =
     note_peak (M.num_nodes (F.man f));
