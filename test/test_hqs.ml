@@ -362,7 +362,7 @@ let prop_wide_default =
 
 let prop_wide_no_unitpure =
   prop_matches_brute ~count:100 ~arb:wide_qbf_arb no_unitpure
-    "wide matrices: solver matches brute force (no unit/pure)"
+    "wide matrices: brute force (no unit/pure)"
 
 (* every variable is bound, so negating the matrix and flipping every
    quantifier negates the verdict *)
