@@ -30,7 +30,9 @@
 #      verdict lines byte-for-byte; assert that the deleted mode
 #      `--inproc full` is a usage error (exit 2); run `hqs analyze` on
 #      the committed fixture and assert at least one SCC merge and one subsumption
-#      were found and audited; assert the engine finds gates on a PEC
+#      were found and audited; run it on a generated z4 instance and
+#      assert at least one self-subsuming strengthening was found and
+#      audited; assert the engine finds gates on a PEC
 #      instance under --check full; prove the no-stdout lint rule fires
 #      on a seeded stdout write under lib/
 #   8. elimination gate: solve the example suite plus adder, z4 and
@@ -311,7 +313,19 @@ case "$ip_line" in
   exit 1
   ;;
 esac
-# 3) the engine detects gates on a PEC instance, and they pass the full
+# 3) the fixture strengthens nothing, so a z4 instance, whose rules do,
+#    puts self-subsuming strengthening under the full audit
+dune exec bin/genpec.exe -- one z4 --size 1 --boxes 1 --out "$tmp" >/dev/null
+st_line=$("$HQS_BIN" analyze "$tmp/z4_c1_k1_ok.dqdimacs" --check full \
+  | sed -n 's/^s inproc //p')
+case "$st_line" in
+*"strengthened="[1-9]*) : ;;
+*)
+  echo "== ci FAILED: no strengthening on z4_c1_k1_ok ($st_line) =="
+  exit 1
+  ;;
+esac
+# 4) the engine detects gates on a PEC instance, and they pass the full
 #    audit (the gate checks of Check.audit_inproc and the semantic pass)
 gates=$("$HQS_BIN" "$tmp/an/pec_xor_n3_k2_ok.dqdimacs" --check full --metrics 2>&1 \
   | awk '$3 == "preprocess.gates" { print $4 }')
@@ -322,7 +336,7 @@ case "$gates" in
   exit 1
   ;;
 esac
-# 4) the no-stdout lint rule fires on a seeded stdout write under lib/
+# 5) the no-stdout lint rule fires on a seeded stdout write under lib/
 mkdir -p "$tmp/lintbad/lib/fake"
 printf 'let f x = Printf.printf "%%d\\n" x\n' >"$tmp/lintbad/lib/fake/mod.ml"
 printf 'val f : int -> unit\n' >"$tmp/lintbad/lib/fake/mod.mli"
@@ -333,7 +347,7 @@ if [ "$nostdout_status" != 1 ] || ! grep -q 'no-stdout' "$tmp/lintbad.out"; then
   cat "$tmp/lintbad.out"
   exit 1
 fi
-echo "c inproc gate: verdicts identical, fixture merged+subsumed, $gates gates audited, no-stdout armed"
+echo "c inproc gate: verdicts identical, fixture merged+subsumed, z4 strengthened, $gates gates audited, no-stdout armed"
 
 echo "== elim =="
 # every verdict of the elimination pipeline is checked by code that did

@@ -5,27 +5,58 @@ type t = {
   clauses : int list list;
 }
 
-(* [f] on the tokens of each non-empty, non-comment line, in order. Lines
-   are cut one at a time, so a line's tokens die young instead of the
-   whole file's token lists being promoted and left to the major GC. *)
-let iter_token_lines f s =
-  let len = String.length s in
-  let rec go i =
-    if i <= len then begin
-      let j = Option.value (String.index_from_opt s i '\n') ~default:len in
-      let line = String.sub s i (j - i) in
-      let trimmed = String.trim line in
-      if not (String.length trimmed = 0 || trimmed.[0] = 'c') then
-        f
-          (String.split_on_char ' ' line
-          |> List.concat_map (String.split_on_char '\t')
-          |> List.filter (fun tok -> tok <> ""));
-      go (j + 1)
-    end
-  in
-  go 0
+(* the value of the decimal digits [s.[k..j)] after [acc], or -1 if one
+   of those bytes is not a digit *)
+let rec digits s j k acc =
+  if k = j then acc
+  else
+    match s.[k] with
+    | '0' .. '9' as ch -> digits s j (k + 1) ((acc * 10) + Char.code ch - Char.code '0')
+    | _ -> -1
 
+(* A byte-level scanner: integers are read straight out of [s], and only
+   the lists of [t] are allocated. Tokens are separated by spaces, tabs
+   and carriage returns, so CRLF files read like LF ones. A line that is
+   blank or whose first visible character is [c] is a comment. A token
+   that is plain [-?[0-9]+] (at most 18 digits) is read in place; any
+   other goes through [int_of_string], so [+2] and [0x2] are accepted
+   and a bad token is reported by its text. *)
 let parse_string s =
+  let len = String.length s in
+  let pos = ref 0 in
+  let is_sep = function ' ' | '\t' | '\r' -> true | _ -> false in
+  (* skip separators; is a token of the current line left? *)
+  let more () =
+    while !pos < len && is_sep s.[!pos] do
+      incr pos
+    done;
+    !pos < len && s.[!pos] <> '\n'
+  in
+  let token_end () =
+    let j = ref !pos in
+    while !j < len && (not (is_sep s.[!j])) && s.[!j] <> '\n' do
+      incr j
+    done;
+    !j
+  in
+  let next_line () =
+    while !pos < len && s.[!pos] <> '\n' do
+      incr pos
+    done;
+    incr pos
+  in
+  (* the integer token at [!pos]; moves past it *)
+  let int_tok () =
+    let i = !pos in
+    let j = token_end () in
+    pos := j;
+    let d0 = if s.[i] = '-' then i + 1 else i in
+    let n = if j > d0 && j - d0 <= 18 then digits s j d0 0 else -1 in
+    if n >= 0 then if d0 > i then -n else n
+    else
+      let tok = String.sub s i (j - i) in
+      try int_of_string tok with Failure _ -> failwith ("Dqdimacs: bad token " ^ tok)
+  in
   let num_vars = ref 0 in
   (* prefix lists are accumulated reversed and reversed once at the end;
      [univs_so_far] is the declaration-order list an [e] line depends on,
@@ -42,45 +73,83 @@ let parse_string s =
         univs_so_far := Some l;
         l
   in
-  let int_of tok = try int_of_string tok with Failure _ -> failwith ("Dqdimacs: bad token " ^ tok) in
-  let var_of tok =
-    let i = int_of tok in
-    if i <= 0 then failwith "Dqdimacs: non-positive variable in prefix";
-    num_vars := max !num_vars i;
-    i - 1
+  (* the variables of the rest of a prefix line, 0-based, zeros skipped *)
+  let vars () =
+    let rec go acc =
+      if not (more ()) then List.rev acc
+      else
+        match int_tok () with
+        | 0 -> go acc
+        | i ->
+            if i < 0 then failwith "Dqdimacs: non-positive variable in prefix";
+            num_vars := max !num_vars i;
+            go ((i - 1) :: acc)
+    in
+    go []
   in
-  let vars_of toks = List.filter_map (fun tok -> if int_of tok = 0 then None else Some (var_of tok)) toks in
-  iter_token_lines
-    (fun line ->
-      match line with
-      | [] -> ()
-      | "p" :: "cnf" :: nv :: _ -> num_vars := max !num_vars (int_of nv)
-      | "a" :: rest ->
-          univs_rev := List.rev_append (vars_of rest) !univs_rev;
-          univs_so_far := None
-      | "e" :: rest ->
-          let deps = declared_univs () in
-          List.iter (fun v -> exists_rev := (v, deps) :: !exists_rev) (vars_of rest)
-      | "d" :: rest -> (
-          match vars_of rest with
-          | y :: deps -> exists_rev := (y, deps) :: !exists_rev
-          | [] -> failwith "Dqdimacs: empty d-line")
-      | toks ->
-          let current = ref [] in
-          List.iter
-            (fun tok ->
-              let i = int_of tok in
-              if i = 0 then begin
-                clauses := List.rev !current :: !clauses;
-                current := []
-              end
-              else begin
-                num_vars := max !num_vars (abs i);
-                current := i :: !current
-              end)
-            toks;
-          if !current <> [] then failwith "Dqdimacs: clause not terminated by 0")
-    s;
+  let clause_line () =
+    let rec go current =
+      if more () then
+        match int_tok () with
+        | 0 ->
+            clauses := List.rev current :: !clauses;
+            go []
+        | i ->
+            num_vars := max !num_vars (abs i);
+            go (i :: current)
+      else if current <> [] then failwith "Dqdimacs: clause not terminated by 0"
+    in
+    go []
+  in
+  (* N of a [p cnf N ...] line, past its [p]; the rest is ignored *)
+  let p_cnf () =
+    incr pos;
+    if more () && token_end () = !pos + 3 && String.sub s !pos 3 = "cnf" then begin
+      pos := !pos + 3;
+      if more () then Some (int_tok ()) else None
+    end
+    else None
+  in
+  let line () =
+    let start = !pos in
+    let word = if token_end () = start + 1 then s.[start] else ' ' in
+    match word with
+    | 'a' ->
+        incr pos;
+        univs_rev := List.rev_append (vars ()) !univs_rev;
+        univs_so_far := None
+    | 'e' ->
+        incr pos;
+        let deps = declared_univs () in
+        List.iter (fun v -> exists_rev := (v, deps) :: !exists_rev) (vars ())
+    | 'd' -> (
+        incr pos;
+        match vars () with
+        | y :: deps -> exists_rev := (y, deps) :: !exists_rev
+        | [] -> failwith "Dqdimacs: empty d-line")
+    | 'p' -> (
+        match p_cnf () with
+        | Some nv -> num_vars := max !num_vars nv
+        | None ->
+            (* not [p cnf N]: read as a clause line, whose [p] is a bad token *)
+            pos := start;
+            clause_line ())
+    | _ -> clause_line ()
+  in
+  (* the first character that String.trim keeps tells a blank line or a
+     comment *)
+  let is_blank = function ' ' | '\t' | '\r' | '\012' -> true | _ -> false in
+  while !pos < len do
+    let i = ref !pos in
+    while !i < len && is_blank s.[!i] do
+      incr i
+    done;
+    if !i < len && s.[!i] <> '\n' && s.[!i] <> 'c' then begin
+      ignore (more ());
+      line ()
+    end;
+    next_line ()
+  done;
   {
     num_vars = !num_vars;
     univs = declared_univs ();

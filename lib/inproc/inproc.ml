@@ -101,12 +101,18 @@ let c_lits_removed = Obs.Metrics.counter "inproc.lits_removed"
 
 (* -------------------------------------------------------- clause arena *)
 
-(* [csig] is a 63-bit Bloom signature over the literals: a clause can
-   only be a subset of another if its signature bits are contained, so
-   the quadratic subset tests behind subsumption are gated by one land. *)
+(* [csig] is a 63-bit Bloom signature over the variables: a clause can
+   only subsume or strengthen another if its variables are among the
+   other's, so that is first tested on the signatures with one land. *)
 type cls = { mutable lits : int list; mutable alive : bool; mutable csig : int }
 
-let sig_of lits = List.fold_left (fun s l -> s lor (1 lsl (l mod 63))) 0 lits
+let sig_of lits = List.fold_left (fun s l -> s lor (1 lsl (L.var l mod 63))) 0 lits
+
+(* [st.mark] bits of a clause since the last subsumption pass:
+   [queued] for the next one, [rewritten] by [simplify] (which queues
+   the clause and every clause sharing a variable with it) *)
+let queued = 1
+let rewritten = 2
 
 type st = {
   cfg : config;
@@ -119,6 +125,8 @@ type st = {
   sub : int array; (* var -> representative literal of its positive literal *)
   mutable occ : int list array; (* literal -> clause ids (stale-tolerant) *)
   occ_n : int array; (* literal -> live occurrence count *)
+  mark : int array; (* clause -> [queued] / [rewritten] bits *)
+  mutable binaries_changed : bool; (* a binary clause made or rewritten since the last SCC pass *)
   mutable steps : step list; (* reversed chronological *)
   mutable units : int;
   mutable reduced_lits : int;
@@ -252,6 +260,8 @@ let simplify st =
               c.lits <- lits;
               c.csig <- sig_of lits;
               bump st c 1;
+              st.mark.(i) <- st.mark.(i) lor rewritten;
+              (match lits with [ _; _ ] -> st.binaries_changed <- true | _ -> ());
               changed := true
             end;
             match lits with
@@ -417,91 +427,109 @@ let scc_pass st =
 
 (* ------------------------------------- subsumption / self-subsumption *)
 
-(* sorted-list subset test *)
-let rec subset a b =
-  match (a, b) with
-  | [], _ -> true
-  | _, [] -> false
+(* How clause [c] bears on clause [d], both sorted and tautology-free,
+   in one walk over their variables: every variable of [c] must occur
+   in [d], with the same sign except for at most one literal [l] of [c].
+   Then [c] subsumes [d], or strengthens it: the resolvent on [l] is [d]
+   without [!l] and subsumes [d]. [flip] is that [l] so far, -1 for none. *)
+type relation = Unrelated | Subsumes | Strengthens of int
+
+let rec relate flip c d =
+  match (c, d) with
+  | [], _ -> if flip < 0 then Subsumes else Strengthens flip
+  | _, [] -> Unrelated
   | x :: xs, y :: ys ->
-      if x = y then subset xs ys else if x > y then subset a ys else false
+      if L.var x > L.var y then relate flip c ys
+      else if L.var x < L.var y then Unrelated
+      else if x = y then relate flip xs ys
+      else if flip < 0 then relate x xs ys
+      else Unrelated
 
-let live_occ st l = List.filter (fun j -> (st.arena.(j)).alive) st.occ.(l)
+let touch st j = st.mark.(j) <- st.mark.(j) lor queued
 
-let min_occ_lit st lits =
-  List.fold_left
-    (fun best l -> if occ_count st l < occ_count st best then l else best)
-    (List.hd lits) lits
-
-let subsume_pass st =
-  let changed = ref false in
-  let ids = ref [] in
-  for i = st.n - 1 downto 0 do
-    if (st.arena.(i)).alive then ids := i :: !ids
-  done;
-  let by_len =
-    List.sort
-      (fun i j ->
-        Int.compare (List.length (st.arena.(i)).lits) (List.length (st.arena.(j)).lits))
-      !ids
+(* clause [i] deletes every clause it subsumes and strengthens every
+   clause it can, all found in the two occurrence lists of its
+   least-occurring variable; true if it changed any *)
+let subsume_with st i =
+  let c = st.arena.(i) in
+  let var_occ l = occ_count st l + occ_count st (L.neg l) in
+  let pivot =
+    List.fold_left (fun a l -> if var_occ l < var_occ a then l else a) (List.hd c.lits) c.lits
   in
-  List.iter
-    (fun i ->
-      let c = st.arena.(i) in
-      if c.alive then begin
-        (* forward subsumption: c removes every superset, searched through
-           the occurrence list of its rarest literal *)
-        if st.cfg.subsumption then begin
-          let pivot = min_occ_lit st c.lits in
-          List.iter
-            (fun j ->
-              if j <> i then begin
-                let d = st.arena.(j) in
-                if
-                  d.alive
-                  && List.length d.lits >= List.length c.lits
-                  && c.csig land lnot d.csig = 0
-                  && subset c.lits d.lits
-                then begin
-                  push_step st (Subsumed { clause = d.lits; by = c.lits });
-                  kill st d;
-                  st.subsumed <- st.subsumed + 1;
-                  changed := true
-                end
-              end)
-            (live_occ st pivot)
-        end;
-        (* self-subsumption: if c \ {l} subsumes d \ {!l}, the resolvent
-           on l subsumes d, so !l can be struck from d *)
-        if st.cfg.self_subsumption && c.alive then
-          List.iter
-            (fun l ->
-              let rest = List.filter (fun k -> k <> l) c.lits in
-              let rest_sig = sig_of rest in
-              List.iter
-                (fun j ->
-                  let d = st.arena.(j) in
-                  if
-                    j <> i && d.alive && c.alive
-                    && List.length d.lits >= List.length c.lits
-                    && rest_sig land lnot d.csig = 0
-                    && List.mem (L.neg l) d.lits
-                    && subset rest (List.filter (fun k -> k <> L.neg l) d.lits)
-                  then begin
-                    push_step st
-                      (Strengthened { clause = d.lits; removed = L.neg l; by = c.lits });
-                    bump st d (-1);
-                    d.lits <- List.filter (fun k -> k <> L.neg l) d.lits;
-                    d.csig <- sig_of d.lits;
-                    bump st d 1;
-                    st.strengthened <- st.strengthened + 1;
-                    changed := true;
-                    if d.lits = [] then raise Refuted
-                  end)
-                (live_occ st (L.neg l)))
-            c.lits
-      end)
-    by_len;
+  let changed = ref false in
+  let scan j =
+    let d = st.arena.(j) in
+    if j <> i && d.alive && c.csig land lnot d.csig = 0 then
+      match relate (-1) c.lits d.lits with
+      | Unrelated -> ()
+      | Subsumes ->
+          if st.cfg.subsumption then begin
+            push_step st (Subsumed { clause = d.lits; by = c.lits });
+            kill st d;
+            st.subsumed <- st.subsumed + 1;
+            changed := true
+          end
+      | Strengthens l ->
+          if st.cfg.self_subsumption then begin
+            push_step st (Strengthened { clause = d.lits; removed = L.neg l; by = c.lits });
+            bump st d (-1);
+            d.lits <- List.filter (fun k -> k <> L.neg l) d.lits;
+            d.csig <- sig_of d.lits;
+            bump st d 1;
+            touch st j;
+            (match d.lits with
+            | [] -> raise Refuted
+            | [ _; _ ] -> st.binaries_changed <- true
+            | _ -> ());
+            st.strengthened <- st.strengthened + 1;
+            changed := true
+          end
+  in
+  List.iter scan st.occ.(pivot);
+  List.iter scan st.occ.(L.neg pivot);
   !changed
+
+(* Backward subsumption and self-subsuming strengthening, MiniSat
+   style: the queued clauses, shortest first, each through
+   [subsume_with]. The first pass ([all]) queues every clause. A later
+   one queues the clauses rewritten or strengthened since the last
+   pass, and every clause sharing a variable with one that [simplify]
+   rewrote: substitution can add literals to it, so an untouched clause
+   may now subsume it. No other clause can have gained a partner, since
+   clauses otherwise only shrink. A clause strengthened before its turn
+   is taken at its turn, one strengthened after it in the next pass. *)
+let subsume_pass st ~all =
+  if (not all) && Array.for_all (fun m -> m = 0) st.mark then false
+  else begin
+    build_occ st;
+    for i = 0 to st.n - 1 do
+      let c = st.arena.(i) in
+      if c.alive && st.mark.(i) land rewritten <> 0 then
+        List.iter
+          (fun l ->
+            List.iter (touch st) st.occ.(l);
+            List.iter (touch st) st.occ.(L.neg l))
+          c.lits
+    done;
+    (* the turns: live ids keyed by (length, id), packed in one int *)
+    let keys = ref [] in
+    for i = st.n - 1 downto 0 do
+      let c = st.arena.(i) in
+      st.mark.(i) <- (if c.alive then st.mark.(i) land queued else 0);
+      if c.alive then keys := ((List.length c.lits lsl 31) lor i) :: !keys
+    done;
+    let keys = Array.of_list !keys in
+    Array.sort Int.compare keys;
+    Array.fold_left
+      (fun changed key ->
+        let i = key land ((1 lsl 31) - 1) in
+        if (st.arena.(i)).alive && (all || st.mark.(i) <> 0) then begin
+          st.mark.(i) <- 0;
+          subsume_with st i || changed
+        end
+        else changed)
+      false keys
+  end
 
 (* A variable [v] is dependency-below [D_y] when a Skolem function over
    [D_y] may read it: a universal in [D_y], or an existential whose own
@@ -697,6 +725,8 @@ let run ?config ?(budget = Budget.unlimited) ?(gates = false) (p : problem) =
       sub = Array.init nvars L.of_var;
       occ = Array.make (2 * nvars) [];
       occ_n = Array.make (2 * nvars) 0;
+      mark = Array.make (List.length p.clauses) 0;
+      binaries_changed = true;
       steps = [];
       units = 0;
       reduced_lits = 0;
@@ -721,18 +751,22 @@ let run ?config ?(budget = Budget.unlimited) ?(gates = false) (p : problem) =
     while !continue_ && !rounds < cfg.max_rounds do
       Budget.check budget;
       incr rounds;
-      let ch = ref (simplify st) in
-      if cfg.equivalences && scc_pass st then begin
-        ignore (simplify st);
-        ch := true
-      end;
-      if cfg.subsumption || cfg.self_subsumption then begin
-        build_occ st;
-        if subsume_pass st then begin
+      (* a later round starts where the last one ended, on a closed
+         [simplify]: running it again would find nothing *)
+      let ch = ref (!rounds = 1 && simplify st) in
+      (* the SCCs of an unchanged implication graph are all merged *)
+      if cfg.equivalences && st.binaries_changed then begin
+        st.binaries_changed <- false;
+        if scc_pass st then begin
           ignore (simplify st);
           ch := true
         end
       end;
+      if cfg.subsumption || cfg.self_subsumption then
+        if subsume_pass st ~all:(!rounds = 1) then begin
+          ignore (simplify st);
+          ch := true
+        end;
       continue_ := !ch
     done;
     !rounds

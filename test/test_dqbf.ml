@@ -303,6 +303,42 @@ let test_pcnf_validate_errors () =
   let bad2 = { Dqbf.Pcnf.num_vars = 2; univs = [ 0 ]; exists = [ (1, [ 1 ]) ]; clauses = [] } in
   check "dep not universal" true (Result.is_error (Dqbf.Pcnf.validate bad2))
 
+(* every malformed input is a [Failure] naming what is wrong *)
+let test_pcnf_parse_errors () =
+  let fails_with msg text =
+    Alcotest.check_raises (Printf.sprintf "%S" text) (Failure msg) (fun () ->
+        ignore (Dqbf.Pcnf.parse_string text))
+  in
+  fails_with "Dqdimacs: bad token x" "p cnf 2 1\n1 x 0\n";
+  fails_with "Dqdimacs: bad token 1x" "p cnf 2 1\n1x 2 0\n";
+  fails_with "Dqdimacs: bad token 0x" "p cnf 2 1\na 1 0x\n";
+  (* a clause split across lines stays an error *)
+  fails_with "Dqdimacs: clause not terminated by 0" "p cnf 2 1\n1 2\n0\n";
+  fails_with "Dqdimacs: clause not terminated by 0" "p cnf 2 2\n1 0 2";
+  fails_with "Dqdimacs: non-positive variable in prefix" "p cnf 2 1\na -1 0\n1 2 0\n";
+  fails_with "Dqdimacs: non-positive variable in prefix" "p cnf 2 1\nd 2 -1 0\n";
+  fails_with "Dqdimacs: empty d-line" "p cnf 2 1\nd 0\n1 2 0\n"
+
+(* the layouts a writer may choose all read as the plain LF file *)
+let test_pcnf_parse_accepts () =
+  let plain = Dqbf.Pcnf.parse_string "p cnf 3 2\na 1 0\nd 2 1 0\n1 -2 0\n2 3 0\n" in
+  let same name text = check name true (Dqbf.Pcnf.parse_string text = plain) in
+  same "tabs" "p\tcnf 3\t2\na\t1 0\nd 2\t1\t0\n1\t-2 0\n\t2 3\t0\n";
+  same "comments between clauses" "c head\np cnf 3 2\na 1 0\nd 2 1 0\nc one\n1 -2 0\n  c two\n2 3 0\n";
+  same "no final newline" "p cnf 3 2\na 1 0\nd 2 1 0\n1 -2 0\n2 3 0";
+  same "blank lines" "\np cnf 3 2\n\na 1 0\nd 2 1 0\n \n1 -2 0\n2 3 0\n\n";
+  same "two clauses on a line" "p cnf 3 2\na 1 0\nd 2 1 0\n1 -2 0 2 3 0\n";
+  (* tokens that are not plain decimals still go through int_of_string *)
+  same "+2 and 0x2" "p cnf 3 2\na 1 0\nd +2 1 0\n1 -0x2 0\n0x2 3 0\n";
+  same "CRLF" "p cnf 3 2\r\na 1 0\r\nd 2 1 0\r\n1 -2 0\r\n2 3 0\r\n";
+  check "num_vars from the p line" true
+    ((Dqbf.Pcnf.parse_string "p cnf 5 0\n").Dqbf.Pcnf.num_vars = 5)
+
+(* a frontend-sized instance (about 1 MB of text) survives a round trip *)
+let test_pcnf_roundtrip_frontend () =
+  let p = (Circuit.Families.lookahead ~cells:64 ~boxes:2 ~fault:true).Circuit.Families.pcnf in
+  check "parse (to_string p) = p" true (Dqbf.Pcnf.parse_string (Dqbf.Pcnf.to_string p) = p)
+
 let pcnf_of_instance inst =
   {
     Dqbf.Pcnf.num_vars = inst.nu + inst.ne;
@@ -493,6 +529,9 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_pcnf_roundtrip;
           Alcotest.test_case "e-line dependencies" `Quick test_pcnf_e_line_deps;
           Alcotest.test_case "validation errors" `Quick test_pcnf_validate_errors;
+          Alcotest.test_case "parse errors" `Quick test_pcnf_parse_errors;
+          Alcotest.test_case "accepted layouts" `Quick test_pcnf_parse_accepts;
+          Alcotest.test_case "frontend-sized roundtrip" `Quick test_pcnf_roundtrip_frontend;
         ]
         @ qsuite [ prop_pcnf_to_formula_matches ] );
       ( "preprocess",

@@ -365,6 +365,68 @@ let prop_subsumption_shrinks =
           s.Inproc.clauses_after <= s.Inproc.clauses_before
           && List.length res.Inproc.clauses <= List.length p.Pcnf.clauses)
 
+(* all rules, subsumption alone, self-subsumption alone *)
+let closure_configs =
+  [
+    Inproc.config_of_mode Inproc.On;
+    { subsumption_only with Inproc.self_subsumption = false };
+    { subsumption_only with Inproc.subsumption = false };
+  ]
+
+let subsumes c d = List.for_all (fun l -> List.mem l d) c
+
+let strengthens c d =
+  List.exists
+    (fun l -> List.mem (L.neg l) d && List.for_all (fun k -> k = l || List.mem k d) c)
+    c
+
+(* the fixpoint is closed under the rules [config] switches on: no
+   surviving clause subsumes another or strengthens it by
+   self-subsuming resolution, checked by brute force over the pairs. A
+   run that stopped at [max_rounds] is no fixpoint and passes. *)
+let closed (config : Inproc.config) = function
+  | Inproc.Unsat -> true
+  | Inproc.Simplified res when res.Inproc.stats.Inproc.rounds >= config.Inproc.max_rounds -> true
+  | Inproc.Simplified res ->
+      let cs = List.mapi (fun i c -> (i, c)) res.Inproc.clauses in
+      List.for_all
+        (fun (i, c) ->
+          List.for_all
+            (fun (j, d) ->
+              i = j
+              || (not (config.Inproc.subsumption && subsumes c d))
+                 && not (config.Inproc.self_subsumption && strengthens c d))
+            cs)
+        cs
+
+let prop_fixpoint_closed =
+  QCheck.Test.make ~count:300 ~name:"fixpoint has no (self-)subsumption" wide_instance_arb
+    (fun inst ->
+      let p = problem_of_pcnf (to_pcnf inst) in
+      List.for_all (fun config -> closed config (Inproc.run ~config p)) closure_configs)
+
+(* A merge in round 2 rewrites (1|3|4) into (1|2|4), which the
+   untouched (1|2) subsumes: round 1 strengthens (3|-2|-5) by (3|-2|5)
+   into the binary (3|-2) that, with (-3|2), makes 2 <-> 3. Only a
+   queue that takes the rewritten clause's neighbours finds it. *)
+let test_queue_reaches_untouched_subsumer () =
+  let p =
+    pcnf ~num_vars:5 ~univs:[] ~exists:[]
+      ~clauses:[ [ 1; 2 ]; [ 1; 3; 4 ]; [ -3; 2 ]; [ 3; -2; 5 ]; [ 3; -2; -5 ] ]
+  in
+  let config = Inproc.config_of_mode Inproc.On in
+  let outcome = Inproc.run ~config (problem_of_pcnf p) in
+  (match outcome with
+  | Inproc.Unsat -> Alcotest.fail "satisfiable"
+  | Inproc.Simplified res ->
+      check_int "one merge" 1 res.Inproc.stats.Inproc.scc_merges;
+      check "(1|2|4) subsumed" true
+        (List.exists
+           (function
+             | Inproc.Subsumed { clause; _ } -> List.map L.to_dimacs clause = [ 1; 2; 4 ] | _ -> false)
+           res.Inproc.steps));
+  check "closed" true (closed config outcome)
+
 (* a second run over the engine's own output finds no further
    equivalences: SCC substitution is idempotent *)
 let prop_scc_idempotent =
@@ -404,6 +466,8 @@ let () =
           Alcotest.test_case "gate cycle rejected" `Quick test_gate_cycle_rejected;
           Alcotest.test_case "seeded illegal gate trips audit" `Quick
             test_seeded_illegal_gate_trips_audit;
+          Alcotest.test_case "queue reaches untouched subsumer" `Quick
+            test_queue_reaches_untouched_subsumer;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -413,6 +477,7 @@ let () =
             prop_each_rule_alone_preserves_truth;
             prop_solver_mode_agreement;
             prop_subsumption_shrinks;
+            prop_fixpoint_closed;
             prop_scc_idempotent;
           ] );
     ]
