@@ -322,6 +322,13 @@ let sweep files jobs timeout node_limit retries journal resume mem_limit chaos_k
   (* resolved here, like solve and serve; the workers inherit it through
      the fork. The sweep has no --check flag, only HQS_CHECK *)
   let hqs_config = solver_config ~check:None ~dep_scheme ~inproc () in
+  List.iter
+    (fun (flag, n) ->
+      if n < 1 then begin
+        Printf.eprintf "error: %s %d: expected a count of at least 1\n" flag n;
+        exit 2
+      end)
+    [ ("--jobs", jobs); ("--retries", retries) ];
   if files = [] then begin
     Printf.eprintf "error: no input files\n";
     exit 2
@@ -940,7 +947,7 @@ let query_cmd =
 
 let top socket interval once =
   install_signal_handlers ();
-  let rec loop first =
+  let rec loop () =
     (match Serve.Client.roundtrip ~socket Serve.Proto.Health with
     | Error msg ->
         Printf.eprintf "error: %s\n" msg;
@@ -952,14 +959,13 @@ let top socket interval once =
     | Ok _ ->
         Printf.eprintf "error: daemon sent an unexpected reply to a health request\n";
         exit 2);
-    ignore first;
     if once then exit 0
     else begin
       Unix.sleepf interval;
-      loop false
+      loop ()
     end
   in
-  loop true
+  loop ()
 
 let top_cmd =
   let doc = "live introspection view of a running hqs serve daemon" in

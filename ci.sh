@@ -49,8 +49,8 @@
 #      the --stats line on that exit shows peak-nodes at the limit and
 #      a non-zero qbf-time; the same instance swept gives an MO row whose
 #      hqs_peak_nodes column reaches the limit, and a sweep under a
-#      malformed HQS_CHECK, or given the deleted --cpu-limit, is a usage
-#      error (exit 2); then the Table I gate: solve all 154 `genpec
+#      malformed HQS_CHECK, given the deleted --cpu-limit, or given
+#      --jobs 0 or --retries 0, is a usage error (exit 2); then the Table I gate: solve all 154 `genpec
 #      suite` instances at three node limits (test/table1.sh) and diff
 #      each exit code and maxsat-set= against test/fixtures/table1.expected
 #  10. traced smoke solve: solve an instance with incomparable dependency
@@ -362,16 +362,18 @@ echo "== elim =="
 # file, so they cover preprocessing and the DQBF main loop before and after
 # linearization. The instances: the analysis suite, one small adder and z4
 # instance, the two ladder shapes on which quantifier localization changes
-# the elimination most (adder_b6_k1_ok, SAT; c432_g3l5_k2_f, UNSAT), and
-# the smallest instance whose QBF back end ran a FRAIG sweep before the sweep
-# was deleted (adder_b5_k3_ok, SAT); the known verdicts of the last three
-# are asserted.
+# the elimination most (adder_b6_k1_ok, SAT; c432_g3l5_k2_f, UNSAT), the
+# smallest instance whose QBF back end ran a FRAIG sweep before the sweep
+# was deleted (adder_b5_k3_ok, SAT), and a frontier instance whose cyclic
+# phase leans on the localized, cheapest-first Theorem-2 step
+# (adder_b6_k2_ok, SAT); the known verdicts of the last four are asserted.
 mkdir -p "$tmp/el"
 dune exec bin/genpec.exe -- one adder --size 2 --boxes 1 --out "$tmp/el" >/dev/null
 dune exec bin/genpec.exe -- one z4 --size 2 --boxes 1 --out "$tmp/el" >/dev/null
 dune exec bin/genpec.exe -- one adder --size 6 --boxes 1 --out "$tmp/el" >/dev/null
 dune exec bin/genpec.exe -- one c432 --size 5 --boxes 2 --fault --out "$tmp/el" >/dev/null
 dune exec bin/genpec.exe -- one adder --size 5 --boxes 3 --out "$tmp/el" >/dev/null
+dune exec bin/genpec.exe -- one adder --size 6 --boxes 2 --out "$tmp/el" >/dev/null
 for mode in default model; do : >"$tmp/verdicts.elim-$mode"; done
 n_el=0
 n_models=0
@@ -410,7 +412,7 @@ for f in "$tmp/an"/*.dqdimacs "$tmp/el"/*.dqdimacs; do
   done
 done
 for known in 'adder_b6_k1_ok s cnf SAT' 'c432_g3l5_k2_f s cnf UNSAT' \
-  'adder_b5_k3_ok s cnf SAT'; do
+  'adder_b5_k3_ok s cnf SAT' 'adder_b6_k2_ok s cnf SAT'; do
   grep -qx "$known" "$tmp/verdicts.elim-default" || {
     echo "== ci FAILED: expected verdict '$known' =="
     cat "$tmp/verdicts.elim-default"
@@ -467,10 +469,10 @@ case "$status" in
 esac
 
 echo "== memout =="
-# adder_b3_k2_f blows a 4000-node limit after linearization:
+# adder_b4_k2_f blows a 4000-node limit after linearization:
 # that is the paper's MO, reported at once (about 20 ms), not after
 # the whole 30 s budget; --stats explains it with the peak node count
-f=$(dune exec bin/genpec.exe -- one adder --size 3 --boxes 2 --fault --out "$tmp")
+f=$(dune exec bin/genpec.exe -- one adder --size 4 --boxes 2 --fault --out "$tmp")
 memout_status=0
 "$HQS_BIN" "$f" --node-limit 4000 -t 30 --stats >"$tmp/memout.out" 2>"$tmp/memout.err" \
   || memout_status=$?
@@ -523,6 +525,18 @@ if [ "$cpu_status" != 2 ]; then
   echo "== ci FAILED: hqs sweep --cpu-limit 5 exited $cpu_status (want 2) =="
   exit 1
 fi
+# a worker count or attempt budget below 1 is a usage error, refused
+# before any worker is forked
+for bad in "--jobs 0" "--retries 0"; do
+  bad_status=0
+  # $bad is deliberately unquoted: a flag and its value
+  "$HQS_BIN" sweep $bad "$f" >/dev/null 2>"$tmp/bad.err" || bad_status=$?
+  if [ "$bad_status" != 2 ] || ! grep -q '^error: ' "$tmp/bad.err"; then
+    echo "== ci FAILED: hqs sweep $bad exited $bad_status (want 2 with an error: line) =="
+    cat "$tmp/bad.err"
+    exit 1
+  fi
+done
 
 echo "== table1 =="
 # the verdicts of the paper's Table I suite are pinned: every instance's

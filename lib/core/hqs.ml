@@ -123,9 +123,10 @@ let solve_impl ~(config : config) ~budget ~trail f0 =
         if F.is_universal f x then Some x else next_univ ()
     | [] -> None
   in
-  (* the cyclic phase: Theorem 2 on fully-dependent existentials, then one
-     universal elimination (Theorem 1) from the MaxSAT elimination set,
-     until the dependency graph is acyclic (Theorem 4) *)
+  (* the cyclic phase: one Theorem-2 step while an existential depends on
+     every universal, else one universal elimination (Theorem 1) from the
+     MaxSAT elimination set, until the dependency graph is acyclic
+     (Theorem 4) *)
   let cyclic_step () =
     let must_linearize =
       match config.mode with
@@ -133,30 +134,28 @@ let solve_impl ~(config : config) ~budget ~trail f0 =
       | Expand_all -> not (Bitset.is_empty (F.universals f))
     in
     if not must_linearize then `Linear
+    else if config.use_thm2 && Obs.Span.with_ "elim.thm2" (fun () -> Dqbf.Elim.theorem2 ?trail f)
+    then begin
+      audit Check.Post_elimination;
+      `Continue
+    end
     else begin
-      if config.use_thm2 then begin
-        let k =
-          Obs.Span.with_ "elim.thm2" (fun () -> Dqbf.Elim.eliminate_full_existentials ?trail f)
-        in
-        if k > 0 then audit Check.Post_elimination
-      end;
-      (if not (M.is_const (F.matrix f)) then
-         let x =
-           match next_univ () with
-           | Some x -> Some x
-           | None ->
-               refill_queue ();
-               next_univ ()
-         in
-         match x with
-         | Some x ->
-             Dqbf.Elim.universal ?trail f x;
-             audit ~queue:!queue Check.Post_elimination;
-             compact_if_grown ()
-         | None ->
-             (* no universal left to eliminate; the dependency graph
-                must be acyclic now *)
-             assert (Dqbf.Depgraph.is_acyclic f));
+      let x =
+        match next_univ () with
+        | Some x -> Some x
+        | None ->
+            refill_queue ();
+            next_univ ()
+      in
+      (match x with
+      | Some x ->
+          Dqbf.Elim.universal ?trail f x;
+          audit ~queue:!queue Check.Post_elimination;
+          compact_if_grown ()
+      | None ->
+          (* no universal left to eliminate; the dependency graph must be
+             acyclic now *)
+          assert (Dqbf.Depgraph.is_acyclic f));
       `Continue
     end
   in

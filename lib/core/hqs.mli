@@ -5,15 +5,18 @@
 
     The main loop interleaves, as in the paper:
     - unit/pure detection on the AIG (Theorems 5-6),
-    - elimination of existentials depending on all universals (Theorem 2),
-    - elimination of the next queued universal variable (Theorem 1),
+    - elimination of one existential depending on all universals
+      (Theorem 2, {!Dqbf.Elim.theorem2}): the cheapest, with the
+      quantifier localized,
+    - else elimination of the next queued universal variable (Theorem 1),
       cheapest first (fewest existential copies),
     - compaction when the graph grows.
 
     Once the dependency graph is acyclic, the same loop takes the role of
     the paper's QBF back end: each round quantifies the cheapest variable
-    of the innermost block ({!Dqbf.Elim.innermost}), and one SAT call
-    decides once a single quantifier kind is left.
+    of the innermost block ({!Dqbf.Elim.innermost}, a Theorem-2 step
+    while there is one), and one SAT call decides once a single
+    quantifier kind is left.
 
     Unlike the paper, nothing converts the AIG to a FRAIG: no measured
     instance gained from the sweeps (DESIGN.md).
@@ -36,7 +39,9 @@ type config = {
   preprocess : Dqbf.Preprocess.config;
   mode : mode;
   use_unitpure : bool;
-  use_thm2 : bool;  (** eliminate existentials with full dependency sets *)
+  use_thm2 : bool;
+      (** take Theorem-2 steps before linearization; the acyclic phase
+          takes them regardless *)
   use_maxsat : bool;  (** false: eliminate all difference variables (greedy) *)
   node_limit : int option;  (** memout emulation *)
   check_level : Check.level;

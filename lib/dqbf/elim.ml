@@ -43,41 +43,6 @@ let universal ?trail f x =
       ]
     ()
 
-let existential ?trail f y =
-  let deps = try Formula.deps f y with Not_found -> invalid_arg "Dqbf.Elim.existential" in
-  if not (Bitset.equal deps (Formula.universals f)) then
-    invalid_arg "Dqbf.Elim.existential: dependency set is not the full universal set";
-  let man = Formula.man f in
-  let matrix = Formula.matrix f in
-  let phi0 = M.cofactor man matrix ~var:y ~value:false in
-  let phi1 = M.cofactor man matrix ~var:y ~value:true in
-  (* choice function: pick 1 exactly when phi[1/y] holds *)
-  Option.iter (fun trail -> Model_trail.record_def trail man y phi1) trail;
-  Formula.set_matrix f (M.mk_or man phi0 phi1);
-  Formula.remove_existential f y;
-  Obs.Metrics.incr c_exist_elims
-
-let eliminate_full_existentials ?trail f =
-  let count = ref 0 in
-  let continue_ = ref true in
-  while !continue_ do
-    let support = M.support (Formula.man f) (Formula.matrix f) in
-    let eligible =
-      List.filter
-        (fun (y, d) -> Bitset.mem y support && Bitset.equal d (Formula.universals f))
-        (Formula.existentials f)
-    in
-    match eligible with
-    | [] -> continue_ := false
-    | l ->
-        List.iter
-          (fun (y, _) ->
-            existential ?trail f y;
-            incr count)
-          l
-  done;
-  !count
-
 (* For each variable in [vars], the number of cone nodes whose support
    contains it: a cheap proxy for elimination cost. [masks.(n)] is the set
    of positions (in [vars]) of the variables node [n] depends on. Also
@@ -110,28 +75,17 @@ let var_costs man root vars =
 
 let c_quantifications = Obs.Metrics.counter "qbf.elim.quantifications"
 
-let innermost ?trail f =
+(* Quantify the cheapest variable of [block] (the fewest cone nodes depend
+   on it, ties to the first in prefix order) with the quantifier localized
+   (see [M.exists_localized]); a universal one through
+   forall v.phi = not (exists v. not phi), Theorem 1 with nothing to copy *)
+let quantify_cheapest ?trail f block =
   let man = Formula.man f in
   let matrix = Formula.matrix f in
-  let univs = Formula.universals f in
-  let exs = Formula.existentials f in
-  (* the innermost block: the existentials that depend on every universal,
-     else the universals no existential depends on *)
-  let full = List.filter_map (fun (y, d) -> if Bitset.equal d univs then Some y else None) exs in
-  let block =
-    if full <> [] then full
-    else
-      Bitset.to_list
-        (Bitset.diff univs (List.fold_left (fun acc (_, d) -> Bitset.union acc d) Bitset.empty exs))
-  in
   let cost, cone = var_costs man matrix block in
   let first = match block with v :: _ -> v | [] -> invalid_arg "Dqbf.Elim.innermost" in
   let v = List.fold_left (fun best v -> if cost v < cost best then v else best) first block in
-  Obs.Metrics.incr c_quantifications;
-  (* the quantifier is localized (see [M.exists_localized]); a universal
-     one through forall v.phi = not (exists v. not phi), Theorem 1 with
-     nothing to copy *)
-  if full <> [] then begin
+  if Formula.is_existential f v then begin
     (* the choice function of Theorem 2: pick 1 exactly when phi[1/v] holds *)
     Option.iter
       (fun trail -> Model_trail.record_def trail man v (M.cofactor man matrix ~var:v ~value:true))
@@ -143,6 +97,30 @@ let innermost ?trail f =
     Formula.set_matrix f (M.compl_ (fst (M.exists_localized man (M.compl_ matrix) ~var:v ~cone)));
     Formula.remove_universal f v
   end
+
+let theorem2 ?trail f =
+  let univs = Formula.universals f in
+  match
+    List.filter_map
+      (fun (y, d) -> if Bitset.equal d univs then Some y else None)
+      (Formula.existentials f)
+  with
+  | [] -> false
+  | full ->
+      quantify_cheapest ?trail f full;
+      Obs.Metrics.incr c_exist_elims;
+      true
+
+let innermost ?trail f =
+  Obs.Metrics.incr c_quantifications;
+  (* the innermost block: the existentials that depend on every universal,
+     else the universals no existential depends on *)
+  if not (theorem2 ?trail f) then
+    let exs = Formula.existentials f in
+    quantify_cheapest ?trail f
+      (Bitset.to_list
+         (Bitset.diff (Formula.universals f)
+            (List.fold_left (fun acc (_, d) -> Bitset.union acc d) Bitset.empty exs)))
 
 let unit_pure_round ?trail f =
   let man = Formula.man f in

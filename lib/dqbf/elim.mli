@@ -12,25 +12,21 @@ val universal : ?trail:Model_trail.t -> Formula.t -> int -> unit
     existential in E_x; dependency sets lose [x].
     @raise Invalid_argument if [x] is not universal. *)
 
-val existential : ?trail:Model_trail.t -> Formula.t -> int -> unit
-(** Theorem 2. Eliminates existential [y] depending on all universals:
-    the matrix becomes [phi[0/y] or phi[1/y]].
-    @raise Invalid_argument if [y]'s dependency set is not the full
-    universal set. *)
-
-val eliminate_full_existentials : ?trail:Model_trail.t -> Formula.t -> int
-(** Apply Theorem 2 to every eligible existential; returns how many were
-    eliminated. *)
+val theorem2 : ?trail:Model_trail.t -> Formula.t -> bool
+(** Theorem 2, one step: of the existentials depending on every universal,
+    quantifies the cheapest (the fewest cone nodes depend on it, ties to
+    the first in prefix order) with the quantifier localized
+    ({!Aig.Man.exists_localized}), recording its positive cofactor as the
+    Skolem definition. Counts [elim.existential]. [false] when no
+    existential has full dependencies; the formula is then unchanged. *)
 
 val innermost : ?trail:Model_trail.t -> Formula.t -> unit
 (** One elimination under a linear prefix: the dependency graph is
     acyclic, every prefix variable is in the matrix, and the matrix is not
-    constant. Quantifies the cheapest variable of the innermost block (the
-    fewest cone nodes depend on it, ties to the lowest id) with the
-    quantifier localized ({!Aig.Man.exists_localized}). That block is the
-    existentials depending on every universal (Theorem 2) or, if there are
-    none, the universals no existential depends on (Theorem 1 with nothing
-    to copy). Counts [qbf.elim.quantifications]. *)
+    constant. Takes a {!theorem2} step or, if no existential depends on
+    every universal, quantifies the cheapest of the universals no
+    existential depends on in the same way (Theorem 1 with nothing to
+    copy). Counts [qbf.elim.quantifications]. *)
 
 val unit_pure_round :
   ?trail:Model_trail.t -> Formula.t -> [ `Unsat | `Eliminated of int | `None ]

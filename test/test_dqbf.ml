@@ -160,19 +160,31 @@ let prop_thm2_preserves =
       in
       let f = build inst in
       let before = Dqbf.Reference.by_expansion f in
-      Dqbf.Elim.existential f inst.nu;
-      Dqbf.Reference.by_expansion f = before)
+      Dqbf.Elim.theorem2 f && Dqbf.Reference.by_expansion f = before)
 
-let prop_thm2_requires_full_deps =
-  QCheck.Test.make ~name:"Theorem 2 rejects partial dependency sets" ~count:50 instance_arb
-    (fun inst ->
-      QCheck.assume (inst.nu >= 1);
-      let inst = { inst with dep_masks = 0 :: List.tl inst.dep_masks } in
-      let f = build inst in
-      try
-        Dqbf.Elim.existential f inst.nu;
-        false
-      with Invalid_argument _ -> true)
+(* forall x0 exists y1(x0) y2(x0): (y1 | x0) & (~y1 | ~x0) & (y1 | y2). y1
+   lies in every AND node of the cone, y2 in two: the cheaper y2 goes
+   first, although y1 has the lower id *)
+let test_thm2_cheapest_first () =
+  let f = F.create () in
+  F.add_universal f 0;
+  F.add_existential f 1 ~deps:(Bitset.singleton 0);
+  F.add_existential f 2 ~deps:(Bitset.singleton 0);
+  let man = F.man f in
+  let v = M.input man in
+  F.set_matrix f
+    (M.mk_and_list man
+       [
+         M.mk_or man (v 1) (v 0);
+         M.mk_or man (M.compl_ (v 1)) (M.compl_ (v 0));
+         M.mk_or man (v 1) (v 2);
+       ]);
+  check "first step" true (Dqbf.Elim.theorem2 f);
+  check "y2 eliminated" false (F.is_existential f 2);
+  check "y1 kept" true (F.is_existential f 1);
+  check "second step" true (Dqbf.Elim.theorem2 f);
+  check "no existential left" false (Dqbf.Elim.theorem2 f);
+  check "satisfiable" true (M.is_true (F.matrix f))
 
 let prop_unitpure_preserves =
   QCheck.Test.make ~name:"Theorem 5 (unit/pure elimination) preserves truth" ~count:300
@@ -511,16 +523,9 @@ let () =
         ] );
       ("references", qsuite [ prop_expansion_vs_skolem ]);
       ( "eliminations",
-        qsuite
-          [
-            prop_thm1_preserves;
-            prop_thm1_repeated;
-            prop_thm2_preserves;
-            prop_thm2_requires_full_deps;
-            prop_unitpure_preserves;
-            prop_prune_preserves;
-            prop_innermost_preserves;
-          ] );
+        qsuite [ prop_thm1_preserves; prop_thm1_repeated; prop_thm2_preserves ]
+        @ [ Alcotest.test_case "Theorem 2 takes the cheapest first" `Quick test_thm2_cheapest_first ]
+        @ qsuite [ prop_unitpure_preserves; prop_prune_preserves; prop_innermost_preserves ] );
       ("depgraph", qsuite [ prop_acyclic_matches_pairs ]);
       ( "elimset",
         qsuite [ prop_elimset_linearizes; prop_elimset_minimum; prop_greedy_linearizes ] );

@@ -213,6 +213,19 @@ let test_main_loop_memout () =
       ignore (Hqs.solve_formula ~config f));
   check "peak nodes reach the limit" true (gauge "hqs.peak_nodes" >= float_of_int (cone + 32))
 
+(* Two generated PEC instances whose cyclic phase leans on Theorem 2:
+   with its steps localized and cheapest first, adder_b6_k2_f peaks near
+   14k nodes and adder_b3_k2_f fits under 4000 *)
+let test_thm2_localized_fits () =
+  let unsat_under limit ~bits =
+    let inst = Circuit.Families.adder ~bits ~boxes:2 ~fault:true in
+    let r = Hqs.run ~config:{ Hqs.default_config with node_limit = Some limit } inst.pcnf in
+    check (inst.id ^ " unsat") true (r.Hqs.outcome = Hqs.Verdict Hqs.Unsat);
+    Hqs.metric r.Hqs.stats "hqs.peak_nodes"
+  in
+  check "adder_b6_k2_f peak under 50000" true (unsat_under 400_000 ~bits:6 < 50_000.0);
+  ignore (unsat_under 4000 ~bits:3)
+
 let test_trivial_matrices () =
   let f = F.create () in
   F.add_universal f 0;
@@ -453,6 +466,7 @@ let () =
         [
           Alcotest.test_case "elim back-end blowup" `Quick test_backend_memout;
           Alcotest.test_case "main-loop memout escapes" `Quick test_main_loop_memout;
+          Alcotest.test_case "localized Theorem 2 fits the limit" `Quick test_thm2_localized_fits;
         ] );
       ( "random",
         qsuite
