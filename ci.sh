@@ -52,7 +52,8 @@
 #      malformed HQS_CHECK, given the deleted --cpu-limit, or given
 #      --jobs 0 or --retries 0, is a usage error (exit 2); then the Table I gate: solve all 154 `genpec
 #      suite` instances at three node limits (test/table1.sh) and diff
-#      each exit code and maxsat-set= against test/fixtures/table1.expected
+#      each exit code, maxsat-set= and peak-nodes= against
+#      test/fixtures/table1.expected
 #  10. traced smoke solve: solve an instance with incomparable dependency
 #      sets under --trace and validate the trace with bin/tracecheck
 #      (well-formed Chrome JSON, balanced spans, >= 6 pipeline phases)
@@ -540,13 +541,14 @@ done
 
 echo "== table1 =="
 # the verdicts of the paper's Table I suite are pinned: every instance's
-# exit code (SAT, UNSAT or MO) and its MaxSAT elimination-set size at the
-# node limits 400000, 30000 and 4000 must match the committed fixture
+# exit code (SAT, UNSAT or MO), its MaxSAT elimination-set size and its
+# peak node count at the node limits 400000, 30000 and 4000 must match
+# the committed fixture
 mkdir -p "$tmp/suite"
 dune exec bin/genpec.exe -- suite --out "$tmp/suite" >/dev/null
 sh test/table1.sh "$HQS_BIN" "$tmp/suite" >"$tmp/table1.got"
 diff test/fixtures/table1.expected "$tmp/table1.got" || {
-  echo "== ci FAILED: Table I exit codes or maxsat-set= differ from test/fixtures/table1.expected =="
+  echo "== ci FAILED: Table I exit codes, maxsat-set= or peak-nodes= differ from test/fixtures/table1.expected =="
   exit 1
 }
 echo "c table1 gate: $(wc -l <"$tmp/table1.got") lines identical to the fixture"

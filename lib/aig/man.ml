@@ -107,6 +107,9 @@ let fanins m l =
   if not (node_is_and m n) then invalid_arg "Aig.fanins";
   (m.fanin0.(n), m.fanin1.(n))
 
+let node_fanin0 m n = m.fanin0.(n)
+let node_fanin1 m n = m.fanin1.(n)
+
 let grow a cap =
   let b = Array.make cap min_int in
   Array.blit a 0 b 0 (Array.length a);
@@ -268,6 +271,12 @@ let walk m roots k =
   give m s;
   r
 
+let with_node_buffer m k =
+  let s = take m in
+  let r = k (node_vals m s) in
+  give m s;
+  r
+
 let iter_cone m roots f =
   walk m roots (fun s len ->
       for i = 0 to len - 1 do
@@ -291,6 +300,75 @@ let cone_size m root =
         if n > 0 && m.fanin0.(n) >= 0 then incr count
       done;
       !count)
+
+(* Bit-sliced support counts, one pass over the cone per word of
+   [bits_per_word] variables of [vars]. In the pass for word [k],
+   [masks.(n)] is node [n]'s support restricted to variables [k *
+   bits_per_word] to [k * bits_per_word + bits_per_word - 1] of [vars], one
+   bit each, and is added into vertical counters: [planes.((k *
+   count_planes) + p)] holds bit [p] of each of those variables' counts. A
+   carry ripples up only as far as it reaches, about two word operations
+   per node and word. *)
+let bits_per_word = Sys.int_size - 1
+let count_planes = 31 (* a cone has fewer than 2^31 nodes *)
+
+let support_counts m root vars =
+  let s = take m in
+  let len = cone_order m s [ root ] in
+  let stamp = m.stamp in
+  let order = s.order and masks = node_vals m s in
+  let f0 = m.fanin0 and f1 = m.fanin1 in
+  (* the input nodes of [vars] in the cone, [-1] for the others *)
+  let nodes =
+    Array.of_list
+      (List.map
+         (fun v ->
+           let n = if v < Vec.size m.input_of_var then Vec.get m.input_of_var v else -1 in
+           if n >= 0 && m.mark.(n) = stamp then n else -1)
+         vars)
+  in
+  let nv = Array.length nodes in
+  let nw = (nv + bits_per_word - 1) / bits_per_word in
+  let planes = Array.make (nw * count_planes) 0 in
+  (* set the input masks of word [k]; [on:false] clears them again *)
+  let seed k ~on =
+    for j = k * bits_per_word to Int.min nv ((k + 1) * bits_per_word) - 1 do
+      let n = nodes.(j) in
+      if n >= 0 then masks.(n) <- (if on then masks.(n) lor (1 lsl (j mod bits_per_word)) else 0)
+    done
+  in
+  let cone = ref 0 in
+  for i = 0 to len - 1 do
+    let n = order.(i) in
+    if n > 0 && f0.(n) >= 0 then incr cone else masks.(n) <- 0
+  done;
+  for k = 0 to nw - 1 do
+    seed k ~on:true;
+    let base = k * count_planes in
+    for i = 0 to len - 1 do
+      let n = order.(i) in
+      let a = f0.(n) in
+      if n > 0 && a >= 0 then masks.(n) <- masks.(a lsr 1) lor masks.(f1.(n) lsr 1);
+      let carry = ref masks.(n) and p = ref base in
+      while !carry <> 0 do
+        let c = planes.(!p) in
+        planes.(!p) <- c lxor !carry;
+        carry := c land !carry;
+        incr p
+      done
+    done;
+    seed k ~on:false
+  done;
+  give m s;
+  let cost j =
+    let base = j / bits_per_word * count_planes and bit = j mod bits_per_word in
+    let c = ref 0 in
+    for p = count_planes - 1 downto 0 do
+      c := (!c lsl 1) lor ((planes.(base + p) lsr bit) land 1)
+    done;
+    !c
+  in
+  (Array.init nv cost, !cone)
 
 (* Bottom-up evaluation over the cone of [roots], sharing one memo across
    them: each node gets an int from its fanins' ints. [leaf] gives the
@@ -322,10 +400,18 @@ let eval m root assignment =
     ~band:( land ) ~bnot:(fun b -> 1 - b) ~bfalse:0
   = 1
 
+(* [vals.(n)] is 1 when node [n] depends on [v]: the OR of the fanins' *)
 let depends_on m roots v =
-  List.map
-    (fun d -> d = 1)
-    (eval_gen m roots ~leaf:(fun w -> if w = v then 1 else 0) ~band:( lor ) ~bnot:Fun.id ~bfalse:0)
+  walk m roots (fun s len ->
+      let vals = node_vals m s and f0 = m.fanin0 and f1 = m.fanin1 in
+      for i = 0 to len - 1 do
+        let n = s.order.(i) in
+        let a = f0.(n) in
+        vals.(n) <-
+          (if a >= 0 then vals.(a lsr 1) lor vals.(f1.(n) lsr 1)
+           else Bool.to_int (a = -1 && f1.(n) = v))
+      done;
+      List.map (fun r -> vals.(node_of r) = 1) roots)
 
 (* Walks the top AND-tree through non-complemented edges. A literal is seen
    once: [vals.(n)] holds the polarities of node [n] seen so far, valid
@@ -360,8 +446,31 @@ let or_disjuncts m root = List.map compl_ (and_conjuncts m (compl_ root))
 (* the cone of [roots] rebuilt bottom-up in manager [dst], inputs mapped by [leaf] *)
 let rebuild m roots dst ~leaf = eval_gen m roots ~leaf ~band:(mk_and dst) ~bnot:compl_ ~bfalse:false_
 
+(* [rebuild] within [m], except that an AND whose two fanin values are
+   its own fanins is kept in place: [mk_and] would find the node itself in
+   the strash, so it counts as that strash hit. The fanin arrays are read
+   afresh per node: building nodes may reallocate them. *)
 let compose_list m roots subst =
-  rebuild m roots m ~leaf:(fun var -> match subst var with Some f -> f | None -> input m var)
+  walk m roots (fun s len ->
+      let vals = node_vals m s in
+      let get e = vals.(e lsr 1) lxor (e land 1) in
+      for i = 0 to len - 1 do
+        let n = s.order.(i) in
+        let a = m.fanin0.(n) in
+        vals.(n) <-
+          (if n = 0 then false_
+           else if a = -1 then (match subst m.fanin1.(n) with Some f -> f | None -> n * 2)
+           else begin
+             let b = m.fanin1.(n) in
+             let a' = get a and b' = get b in
+             if a' = a && b' = b then begin
+               Obs.Metrics.incr c_strash_hits;
+               n * 2
+             end
+             else mk_and m a' b'
+           end)
+      done;
+      List.map get roots)
 
 let compose m root subst =
   match compose_list m [ root ] subst with [ r ] -> r | _ -> assert false

@@ -51,6 +51,16 @@ val var_of_input : t -> lit -> int
 val fanins : t -> lit -> lit * lit
 (** Fanin edges of an AND node. @raise Invalid_argument otherwise. *)
 
+val node_fanin0 : t -> int -> int
+(** The fanin-0 slot of node [n] (a node index, not a literal), with no
+    range or kind check: the fanin edge of an AND node, [-1] for an input,
+    [-2] for the constant node. For walks over nodes reached from a root,
+    where {!fanins}' check and tuple would cost more than the read. *)
+
+val node_fanin1 : t -> int -> int
+(** The fanin-1 slot of node [n], unchecked: the fanin edge of an AND node,
+    the variable of an input. *)
+
 (* --------------------------------------------------------- construction *)
 
 val input : t -> int -> lit
@@ -88,8 +98,23 @@ val or_disjuncts : t -> lit -> lit list
 val cone_size : t -> lit -> int
 (** Number of AND nodes in the cone. *)
 
+val support_counts : t -> lit -> int list -> int array * int
+(** [support_counts m root vars] is [(costs, cone)]: [costs.(i)] is the
+    number of nodes in the cone of [root] (inputs included) whose
+    {!support} contains the [i]-th variable of [vars], 0 for a variable
+    outside the cone, and [cone] is {!cone_size}[ m root]. One walk: the
+    nodes' supports restricted to [vars] are flat bit masks in walk-local
+    scratch, tallied by bit-sliced counters. *)
+
 val eval : t -> lit -> (int -> bool) -> bool
 (** Evaluate under a variable assignment. *)
+
+val with_node_buffer : t -> (int array -> 'a) -> 'a
+(** [with_node_buffer m k] runs [k] on a node-indexed int buffer from the
+    manager's scratch pool: it covers every node of [m] when [k] starts,
+    and its contents are unspecified. The buffer is only valid while [k]
+    runs; a walk [k] starts gets buffers of its own. For read-only passes
+    that would otherwise allocate a manager-sized array per call. *)
 
 val iter_cone : t -> lit list -> (int -> unit) -> unit
 (** Apply a function to every node index in the cones of the given roots, in
@@ -105,7 +130,11 @@ val cofactor : t -> lit -> var:int -> value:bool -> lit
 
 val compose : t -> lit -> (int -> lit option) -> lit
 (** Simultaneous substitution of input variables by functions. Variables
-    mapped to [None] stay. *)
+    mapped to [None] stay. An AND node whose fanins both keep their values
+    is kept in place, without a strash lookup; it counts as the strash hit
+    that lookup would have been, so the result, the nodes built and the
+    [aig.strash_hits]/[aig.strash_misses] counters are those of rebuilding
+    every node with {!mk_and}. *)
 
 val compose_list : t -> lit list -> (int -> lit option) -> lit list
 (** [compose] applied to each root, in one walk whose memo is shared across

@@ -14,49 +14,45 @@ let unit_neg = 8 (* negation-free path ending in a complemented edge *)
    only three states are reachable; we encode them as 0 = (even, negfree),
    1 = (even, not negfree), 2 = (odd, not negfree) and keep a 3-bit visited
    mask per node. *)
-let state ~parity ~negfree = if negfree then 0 else if parity = 0 then 1 else 2
+
+(* the state after an edge with complement bit [c], from state [s] *)
+let next_state s c = if c = 0 then s else if s = 2 then 1 else 2
 
 let scan man root =
   let size = Man.num_nodes man in
-  let marks = Array.make size 0 in
+  Man.with_node_buffer man @@ fun marks ->
+  Array.fill marks 0 size 0;
   (* pending AND nodes as [node * 4 + state] *)
   let stack = Hqs_util.Vec.create ~dummy:0 () in
-  (* visit an edge from a context with the given parity/negfree state *)
-  let push_edge edge ~parity ~negfree =
-    let c = Man.is_compl edge in
-    let n = Man.node_of edge in
-    let parity' = parity lxor if c then 1 else 0 in
-    let negfree' = negfree && not c in
-    if Man.is_input man (n * 2) then begin
-      let bits =
-        (if parity' = 0 then seen_even else seen_odd)
-        lor (if negfree' then unit_pos else 0)
-        lor if negfree && c then unit_neg else 0
-      in
-      marks.(n) <- marks.(n) lor bits
-    end
-    else if Man.is_and man (n * 2) then begin
-      let s = state ~parity:parity' ~negfree:negfree' in
-      if marks.(n) land (1 lsl s) = 0 then begin
-        marks.(n) <- marks.(n) lor (1 lsl s);
-        Hqs_util.Vec.push stack ((n * 4) + s)
-      end
+  (* visit an edge from a context in state [s]; fanins are read raw, the
+     nodes reached from [root] being valid *)
+  let push_edge edge s =
+    let c = edge land 1 and n = edge lsr 1 in
+    let s' = next_state s c in
+    let a = Man.node_fanin0 man n in
+    if a = -1 then
+      marks.(n) <-
+        marks.(n)
+        lor (if s' = 2 then seen_odd else seen_even)
+        lor (if s' = 0 then unit_pos else 0)
+        lor if s = 0 && c = 1 then unit_neg else 0
+    else if a >= 0 && marks.(n) land (1 lsl s') = 0 then begin
+      marks.(n) <- marks.(n) lor (1 lsl s');
+      Hqs_util.Vec.push stack ((n * 4) + s')
     end
     (* constant node: nothing to record *)
   in
-  push_edge root ~parity:0 ~negfree:true;
+  push_edge root 0;
   while not (Hqs_util.Vec.is_empty stack) do
     let e = Hqs_util.Vec.pop stack in
-    let n = e / 4 and s = e land 3 in
-    let parity = if s = 2 then 1 else 0 and negfree = s = 0 in
-    let e0, e1 = Man.fanins man (n * 2) in
-    push_edge e0 ~parity ~negfree;
-    push_edge e1 ~parity ~negfree
+    let n = e lsr 2 and s = e land 3 in
+    push_edge (Man.node_fanin0 man n) s;
+    push_edge (Man.node_fanin1 man n) s
   done;
   let acc = ref [] in
   for n = size - 1 downto 1 do
     let m = marks.(n) in
-    if m <> 0 && Man.is_input man (n * 2) then begin
+    if m <> 0 && Man.node_fanin0 man n = -1 then begin
       let has bit = m land bit <> 0 in
       let st =
         {
@@ -66,7 +62,7 @@ let scan man root =
           neg_pure = has seen_odd && not (has seen_even);
         }
       in
-      acc := (Man.var_of_input man (n * 2), st) :: !acc
+      acc := (Man.node_fanin1 man n, st) :: !acc
     end
   done;
   !acc

@@ -22,5 +22,10 @@ type status = {
 val no_status : status
 
 val scan : Man.t -> Man.lit -> (int * status) list
-(** Classify every variable in the support of the root. Variables outside
-    the support are not reported. A constant root reports nothing. *)
+(** Classify every variable in the support of the root, in increasing
+    order of input node. The scan reaches every node of the root's cone,
+    so the variables reported are exactly {!Man.support}: one scan serves
+    prefix pruning as well as unit/pure elimination. Variables outside the
+    support are not reported. A constant root reports nothing. Fanins are
+    read through {!Man.node_fanin0}/{!Man.node_fanin1}, unchecked, and the
+    per-node marks live in a {!Man.with_node_buffer} buffer. *)

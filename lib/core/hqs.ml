@@ -183,22 +183,25 @@ let solve_impl ~(config : config) ~budget ~trail f0 =
       `Continue
     end
   in
-  let unit_pure () =
+  (* one unit/pure scan of the matrix (Theorem 6) serves the round's
+     prefix pruning and, unless disabled, its eliminations (Theorem 5) *)
+  let prune_and_unit_pure () =
     timed g_unitpure_time @@ fun () ->
-    Obs.Span.with_ "elim.unitpure" (fun () -> Dqbf.Elim.unit_pure_round ?trail f)
+    Obs.Span.with_ "elim.unitpure" @@ fun () ->
+    let scan = Aig.Unitpure.scan (F.man f) (F.matrix f) in
+    Dqbf.Elim.prune_prefix ?trail f scan;
+    if config.use_unitpure then Dqbf.Elim.unit_pure_round ?trail f scan else `None
   in
   (* the rounds of the main loop, up to the verdict: each checks the
      budget and the matrix, prunes the prefix and runs unit/pure
-     elimination (Theorems 5-6); when that eliminates nothing, it takes
-     [step] *)
+     elimination; when that eliminates nothing, it takes [step] *)
   let rec rounds step =
     note_size ();
     Budget.check budget;
     if M.is_true (F.matrix f) then Sat
     else if M.is_false (F.matrix f) then Unsat
     else begin
-      Dqbf.Elim.prune_prefix ?trail f;
-      match if config.use_unitpure then unit_pure () else `None with
+      match prune_and_unit_pure () with
       | `Unsat -> Unsat
       | `Eliminated n ->
           Obs.Metrics.incr ~by:n m_unitpure_elims;

@@ -43,36 +43,6 @@ let universal ?trail f x =
       ]
     ()
 
-(* For each variable in [vars], the number of cone nodes whose support
-   contains it: a cheap proxy for elimination cost. [masks.(n)] is the set
-   of positions (in [vars]) of the variables node [n] depends on. Also
-   returns the cone's AND count, which the elimination guard needs. *)
-let var_costs man root vars =
-  let index = Hashtbl.create 16 in
-  List.iteri (fun i v -> Hashtbl.replace index v i) vars;
-  let counts = Array.make (List.length vars) 0 in
-  let masks = Array.make (M.num_nodes man) Bitset.empty in
-  let cone = ref 0 in
-  M.iter_cone man [ root ] (fun n ->
-      let mask =
-        if n = 0 then Bitset.empty
-        else if M.is_input man (n * 2) then begin
-          match Hashtbl.find_opt index (M.var_of_input man (n * 2)) with
-          | Some i -> Bitset.singleton i
-          | None -> Bitset.empty
-        end
-        else begin
-          incr cone;
-          let e0, e1 = M.fanins man (n * 2) in
-          let a = masks.(M.node_of e0) and b = masks.(M.node_of e1) in
-          (* most nodes share a fanin's set: reuse it instead of copying *)
-          if Bitset.subset a b then b else if Bitset.subset b a then a else Bitset.union a b
-        end
-      in
-      Bitset.iter (fun i -> counts.(i) <- counts.(i) + 1) mask;
-      masks.(n) <- mask);
-  ((fun v -> match Hashtbl.find_opt index v with Some i -> counts.(i) | None -> 0), !cone)
-
 let c_quantifications = Obs.Metrics.counter "qbf.elim.quantifications"
 
 (* Quantify the cheapest variable of [block] (the fewest cone nodes depend
@@ -82,9 +52,11 @@ let c_quantifications = Obs.Metrics.counter "qbf.elim.quantifications"
 let quantify_cheapest ?trail f block =
   let man = Formula.man f in
   let matrix = Formula.matrix f in
-  let cost, cone = var_costs man matrix block in
-  let first = match block with v :: _ -> v | [] -> invalid_arg "Dqbf.Elim.innermost" in
-  let v = List.fold_left (fun best v -> if cost v < cost best then v else best) first block in
+  if block = [] then invalid_arg "Dqbf.Elim.innermost";
+  let costs, cone = M.support_counts man matrix block in
+  let best = ref 0 in
+  Array.iteri (fun i c -> if c < costs.(!best) then best := i) costs;
+  let v = List.nth block !best in
   if Formula.is_existential f v then begin
     (* the choice function of Theorem 2: pick 1 exactly when phi[1/v] holds *)
     Option.iter
@@ -122,9 +94,8 @@ let innermost ?trail f =
          (Bitset.diff (Formula.universals f)
             (List.fold_left (fun acc (_, d) -> Bitset.union acc d) Bitset.empty exs)))
 
-let unit_pure_round ?trail f =
+let unit_pure_round ?trail f scan =
   let man = Formula.man f in
-  let scans = UP.scan man (Formula.matrix f) in
   let subst : (int, M.lit) Hashtbl.t = Hashtbl.create 8 in
   let unsat = ref false in
   let assign_exists v value =
@@ -145,7 +116,7 @@ let unit_pure_round ?trail f =
           else if st.UP.neg_unit || st.UP.neg_pure then assign_exists v false
         end
       end)
-    scans;
+    scan;
   if !unsat then begin
     Formula.set_matrix f M.false_;
     `Unsat
@@ -162,8 +133,8 @@ let unit_pure_round ?trail f =
     `Eliminated (Hashtbl.length subst)
   end
 
-let prune_prefix ?trail f =
-  let support = M.support (Formula.man f) (Formula.matrix f) in
+let prune_prefix ?trail f scan =
+  let support = Bitset.of_list (List.map fst scan) in
   Bitset.iter
     (fun x -> if not (Bitset.mem x support) then Formula.remove_universal f x)
     (Formula.universals f);

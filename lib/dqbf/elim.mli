@@ -14,8 +14,9 @@ val universal : ?trail:Model_trail.t -> Formula.t -> int -> unit
 
 val theorem2 : ?trail:Model_trail.t -> Formula.t -> bool
 (** Theorem 2, one step: of the existentials depending on every universal,
-    quantifies the cheapest (the fewest cone nodes depend on it, ties to
-    the first in prefix order) with the quantifier localized
+    quantifies the cheapest (the fewest cone nodes depend on it, counted
+    in one {!Aig.Man.support_counts} walk; ties to the first in prefix
+    order) with the quantifier localized
     ({!Aig.Man.exists_localized}), recording its positive cofactor as the
     Skolem definition. Counts [elim.existential]. [false] when no
     existential has full dependencies; the formula is then unchanged. *)
@@ -29,12 +30,19 @@ val innermost : ?trail:Model_trail.t -> Formula.t -> unit
     copy). Counts [qbf.elim.quantifications]. *)
 
 val unit_pure_round :
-  ?trail:Model_trail.t -> Formula.t -> [ `Unsat | `Eliminated of int | `None ]
-(** One scan of the matrix (Theorem 6) followed by the eliminations of
-    Theorem 5. [`Unsat] signals a universal unit variable (or an
-    existential that is both positive and negative unit). *)
+  ?trail:Model_trail.t ->
+  Formula.t ->
+  (int * Aig.Unitpure.status) list ->
+  [ `Unsat | `Eliminated of int | `None ]
+(** The eliminations of Theorem 5, given {!Aig.Unitpure.scan} of the
+    current matrix (Theorem 6). [`Unsat] signals a universal unit variable
+    (or an existential that is both positive and negative unit). *)
 
-val prune_prefix : ?trail:Model_trail.t -> Formula.t -> unit
+val prune_prefix :
+  ?trail:Model_trail.t -> Formula.t -> (int * Aig.Unitpure.status) list -> unit
 (** Remove prefix variables outside the matrix support (the paper's final
-    remark in Section III-C). Pruned existentials are don't-cares and
-    record constant Skolem functions. *)
+    remark in Section III-C), given {!Aig.Unitpure.scan} of the current
+    matrix: the support is the set of variables the scan reached. Pruned
+    existentials are don't-cares and record constant Skolem functions.
+    One scan serves a round's pruning and its {!unit_pure_round}: pruning
+    leaves the matrix as it is. *)

@@ -3,8 +3,8 @@
 #
 #   sh test/table1.sh HQS_BIN SUITE_DIR
 #
-# One line per instance and node limit, `id limit exit maxsat-set=N`,
-# from `hqs FILE -t 30 --node-limit LIMIT --stats`. The limits run
+# One line per instance and node limit, `id limit exit maxsat-set=N
+# peak-nodes=N`, from `hqs FILE -t 30 --node-limit LIMIT --stats`. The limits run
 # 400000, 30000, 4000; the instances in id order within each. ci.sh
 # diffs this output against test/fixtures/table1.expected; regenerate
 # the fixture with the same command redirected into it.
@@ -18,6 +18,7 @@ for limit in 400000 30000 4000; do
     status=0
     out=$("$hqs" "$f" -t 30 --node-limit "$limit" --stats 2>&1) || status=$?
     ms=$(printf '%s\n' "$out" | tr ' ' '\n' | grep '^maxsat-set=' || true)
-    echo "$id $limit $status $ms"
+    pn=$(printf '%s\n' "$out" | tr ' ' '\n' | grep '^peak-nodes=' || true)
+    echo "$id $limit $status $ms $pn"
   done
 done

@@ -316,6 +316,107 @@ let prop_depends_on =
             (List.map (fun r -> Bitset.mem v (M.support m r)) roots))
         (List.init (max_vars + 2) Fun.id))
 
+(* A random AIG over up to 200 variables, so a block of variables spans
+   several 62-bit words: ANDs over random earlier literals, and a root
+   that is sometimes a constant. The block mixes variables of the cone,
+   variables whose input is outside it and variables with no input. *)
+let random_wide_aig seed =
+  let rng = Random.State.make [| seed |] in
+  let m = M.create () in
+  let nv = 1 + Random.State.int rng 200 in
+  let lits =
+    ref (Array.init (1 + Random.State.int rng 100) (fun _ -> M.input m (Random.State.int rng nv)))
+  in
+  for _ = 1 to Random.State.int rng 300 do
+    let pick () =
+      let a = !lits in
+      M.apply_sign a.(Random.State.int rng (Array.length a)) ~neg:(Random.State.bool rng)
+    in
+    lits := Array.append !lits [| M.mk_and m (pick ()) (pick ()) |]
+  done;
+  let root =
+    match Random.State.int rng 10 with
+    | 0 -> M.false_
+    | 1 -> M.true_
+    | _ ->
+        let a = !lits in
+        M.apply_sign a.(Random.State.int rng (Array.length a)) ~neg:(Random.State.bool rng)
+  in
+  let block = List.filter (fun _ -> Random.State.int rng 3 > 0) (List.init (nv + 10) Fun.id) in
+  (m, root, block)
+
+(* [support_counts] against a count of the cone nodes whose support
+   contains each variable *)
+let prop_support_counts =
+  QCheck.Test.make ~name:"support_counts equals a brute count"
+    ~count:300 QCheck.small_nat (fun seed ->
+      let m, root, block = random_wide_aig seed in
+      let supports = List.map (fun n -> M.support m (2 * n)) (cone_list m [ root ]) in
+      let costs, cone = M.support_counts m root block in
+      cone = M.cone_size m root
+      && List.equal Int.equal (Array.to_list costs)
+           (List.map
+              (fun v -> List.length (List.filter (fun s -> Bitset.mem v s) supports))
+              block))
+
+(* the substitution as a plain rebuild of every node with [mk_and] *)
+let reference_compose m roots subst =
+  let memo = Hashtbl.create 64 in
+  let value e = M.apply_sign (Hashtbl.find memo (M.node_of e)) ~neg:(M.is_compl e) in
+  M.iter_cone m roots (fun n ->
+      let l = 2 * n in
+      Hashtbl.replace memo n
+        (if M.is_const l then M.false_
+         else if M.is_input m l then Option.value (subst (M.var_of_input m l)) ~default:l
+         else
+           let a, b = M.fanins m l in
+           M.mk_and m (value a) (value b)));
+  List.map value roots
+
+let strash_hits = Obs.Metrics.counter "aig.strash_hits"
+let strash_misses = Obs.Metrics.counter "aig.strash_misses"
+
+(* the result of [run] on a manager, its node count and strash deltas *)
+let with_strash_deltas m run =
+  let hits = Obs.Metrics.counter_value strash_hits
+  and misses = Obs.Metrics.counter_value strash_misses in
+  let r = run m in
+  ( r,
+    M.num_nodes m,
+    Obs.Metrics.counter_value strash_hits - hits,
+    Obs.Metrics.counter_value strash_misses - misses )
+
+(* [compose], [cofactor] and [compose_list] keep unchanged nodes in place,
+   yet return, build and count exactly what the rebuild does; two copies
+   of one random AIG, one per side *)
+let prop_compose_in_place =
+  QCheck.Test.make ~name:"in-place compose matches a rebuild" ~count:300 QCheck.small_nat
+    (fun seed ->
+      let setup () =
+        let m, roots, rng = random_aig seed in
+        let images =
+          Array.init max_vars (fun _ ->
+              match Random.State.int rng 5 with
+              | 0 | 1 -> None
+              | 2 -> Some (if Random.State.bool rng then M.true_ else M.false_)
+              | 3 -> Some (M.compl_ (M.input m (Random.State.int rng max_vars)))
+              | _ -> Some (M.mk_and m (M.input m 0) (M.input m (Random.State.int rng max_vars))))
+        in
+        let var = Random.State.int rng max_vars and value = Random.State.bool rng in
+        (m, roots, (fun v -> images.(v)), var, value)
+      in
+      let m, roots, subst, var, value = setup () in
+      let m', roots', subst', _, _ = setup () in
+      let c = if value then M.true_ else M.false_ in
+      let root = List.hd roots and root' = List.hd roots' in
+      with_strash_deltas m (fun m -> M.compose_list m roots subst)
+      = with_strash_deltas m' (fun m -> reference_compose m roots' subst')
+      && with_strash_deltas m (fun m -> M.compose m root subst)
+         = with_strash_deltas m' (fun m -> List.hd (reference_compose m [ root' ] subst'))
+      && with_strash_deltas m (fun m -> M.cofactor m root ~var ~value)
+         = with_strash_deltas m' (fun m ->
+               List.hd (reference_compose m [ root' ] (fun v -> if v = var then Some c else None))))
+
 (* -------------------------------------------------------- decompositions *)
 
 let prop_and_conjuncts =
@@ -481,6 +582,14 @@ let () =
         ]
         @ qsuite [ prop_unitpure_sound ] );
       ( "traversal",
-        qsuite [ prop_iter_cone_order; prop_iter_cone_nested; prop_compose_list; prop_depends_on ] );
+        qsuite
+          [
+            prop_iter_cone_order;
+            prop_iter_cone_nested;
+            prop_compose_list;
+            prop_depends_on;
+            prop_support_counts;
+            prop_compose_in_place;
+          ] );
       ("cnf_enc", qsuite [ prop_cnf_enc ]);
     ]

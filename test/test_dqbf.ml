@@ -186,12 +186,15 @@ let test_thm2_cheapest_first () =
   check "no existential left" false (Dqbf.Elim.theorem2 f);
   check "satisfiable" true (M.is_true (F.matrix f))
 
+(* the unit/pure scan of the current matrix *)
+let scan f = Aig.Unitpure.scan (F.man f) (F.matrix f)
+
 let prop_unitpure_preserves =
   QCheck.Test.make ~name:"Theorem 5 (unit/pure elimination) preserves truth" ~count:300
     instance_arb (fun inst ->
       let f = build inst in
       let before = Dqbf.Reference.by_expansion f in
-      match Dqbf.Elim.unit_pure_round f with
+      match Dqbf.Elim.unit_pure_round f (scan f) with
       | `Unsat -> before = false
       | `Eliminated _ | `None -> Dqbf.Reference.by_expansion f = before)
 
@@ -199,15 +202,53 @@ let prop_prune_preserves =
   QCheck.Test.make ~name:"prefix pruning preserves truth" ~count:200 instance_arb (fun inst ->
       let f = build inst in
       let before = Dqbf.Reference.by_expansion f in
-      Dqbf.Elim.prune_prefix f;
+      Dqbf.Elim.prune_prefix f (scan f);
       Dqbf.Reference.by_expansion f = before)
+
+(* a random instance, after one universal elimination when it has a
+   universal in some dependency set: its matrix is no longer a CNF *)
+let build_expanded inst =
+  let f = build inst in
+  (match List.find_opt (fun (_, d) -> not (Bitset.is_empty d)) (F.existentials f) with
+  | Some (_, d) -> Dqbf.Elim.universal f (List.hd (Bitset.to_list d))
+  | None -> ());
+  f
+
+let prop_scan_reaches_support =
+  QCheck.Test.make ~name:"unit/pure scan reaches the support" ~count:300 instance_arb
+    (fun inst ->
+      let f = build_expanded inst in
+      Bitset.equal
+        (Bitset.of_list (List.map fst (scan f)))
+        (M.support (F.man f) (F.matrix f)))
+
+(* the round's one shared scan against a fresh scan per call, on two
+   copies built alike: same outcome, prefix, matrix, nodes and trail *)
+let prop_shared_scan =
+  QCheck.Test.make ~name:"one shared scan acts as two scans" ~count:300
+    instance_arb (fun inst ->
+      let round shared =
+        let f = build_expanded inst and trail = Dqbf.Model_trail.create () in
+        let s = scan f in
+        Dqbf.Elim.prune_prefix ~trail f s;
+        let outcome = Dqbf.Elim.unit_pure_round ~trail f (if shared then s else scan f) in
+        let skolem = Dqbf.Model_trail.reconstruct trail in
+        ( outcome,
+          F.matrix f,
+          M.num_nodes (F.man f),
+          Bitset.to_list (F.universals f),
+          List.map (fun (y, d) -> (y, Bitset.to_list d)) (F.existentials f),
+          Dqbf.Model_trail.num_steps trail,
+          Dqbf.Skolem.bindings skolem )
+      in
+      round true = round false)
 
 (* one innermost elimination under a linear prefix keeps the verdict *)
 let prop_innermost_preserves =
   QCheck.Test.make ~name:"innermost elimination preserves truth" ~count:300 instance_arb
     (fun inst ->
       let f = build inst in
-      Dqbf.Elim.prune_prefix f;
+      Dqbf.Elim.prune_prefix f (scan f);
       QCheck.assume
         (Dqbf.Depgraph.is_acyclic f
         && (not (Bitset.is_empty (F.universals f)))
@@ -525,7 +566,14 @@ let () =
       ( "eliminations",
         qsuite [ prop_thm1_preserves; prop_thm1_repeated; prop_thm2_preserves ]
         @ [ Alcotest.test_case "Theorem 2 takes the cheapest first" `Quick test_thm2_cheapest_first ]
-        @ qsuite [ prop_unitpure_preserves; prop_prune_preserves; prop_innermost_preserves ] );
+        @ qsuite
+             [
+               prop_unitpure_preserves;
+               prop_prune_preserves;
+               prop_innermost_preserves;
+               prop_scan_reaches_support;
+               prop_shared_scan;
+             ] );
       ("depgraph", qsuite [ prop_acyclic_matches_pairs ]);
       ( "elimset",
         qsuite [ prop_elimset_linearizes; prop_elimset_minimum; prop_greedy_linearizes ] );
