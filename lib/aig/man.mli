@@ -102,8 +102,9 @@ val support_counts : t -> lit -> int list -> int array * int
 (** [support_counts m root vars] is [(costs, cone)]: [costs.(i)] is the
     number of nodes in the cone of [root] (inputs included) whose
     {!support} contains the [i]-th variable of [vars], 0 for a variable
-    outside the cone, and [cone] is {!cone_size}[ m root]. One walk: the
-    nodes' supports restricted to [vars] are flat bit masks in walk-local
+    outside the cone, and [cone] is {!cone_size}[ m root]. One cone walk,
+    then one pass over its order per 62 variables: each node's support
+    restricted to those variables is one int word in the manager's
     scratch, tallied by bit-sliced counters. *)
 
 val eval : t -> lit -> (int -> bool) -> bool
