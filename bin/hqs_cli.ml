@@ -302,9 +302,10 @@ let flag names doc = Arg.(value & flag & info names ~doc)
 
 (* -------------------------------------------------------- sweep command *)
 
-(* hqs sweep: supervised benchmark sweep over DQDIMACS files. Each
-   (file, solver) task runs in a forked worker under a wall backstop; see
-   Exec.Supervisor for the crash taxonomy. Exit codes:
+(* hqs sweep: benchmark sweep over DQDIMACS files. Each (file, solver)
+   task runs in a forked Exec.Pool worker under a wall backstop; see
+   Exec.Pool for the crash taxonomy and Harness.Sweep for the journal.
+   Exit codes:
      0  sweep completed; every task solved, timed out or memed out
      1  internal error (uncaught exception)
      2  usage error / unreadable or invalid input file
@@ -379,7 +380,7 @@ let sweep files jobs timeout node_limit retries journal resume mem_limit chaos_k
       Harness.Sweep.mem_limit_mb = mem_limit;
       Harness.Sweep.exec =
         {
-          Exec.Supervisor.jobs;
+          Exec.Pool.jobs;
           max_attempts = retries;
           backoff = Exec.Backoff.default;
           chaos;
@@ -411,7 +412,7 @@ let sweep files jobs timeout node_limit retries journal resume mem_limit chaos_k
   Printf.eprintf "c sweep: %d tasks executed, %d from journal%s\n%!"
     rep.Harness.Sweep.executed rep.Harness.Sweep.journaled
     (if rep.Harness.Sweep.journal_dropped > 0 then
-       Printf.sprintf ", %d torn journal lines dropped" rep.Harness.Sweep.journal_dropped
+       Printf.sprintf ", %d unusable journal lines dropped" rep.Harness.Sweep.journal_dropped
      else "");
   let results = rep.Harness.Sweep.results in
   prerr_string (Harness.Report.table1 results);

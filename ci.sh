@@ -63,7 +63,9 @@
 #      solve; then kill a journaled sweep midway (SIGKILL, torn tail and
 #      all) and prove --resume completes exactly the remaining tasks and
 #      that a second resume executes nothing and reproduces the report
-#      byte-for-byte
+#      byte-for-byte; the finished journal holds exactly two lines per
+#      instance, each with the data.value.outcome.o and data.attempts
+#      keys the benchmark driver reads
 #  12. serve gate: start the persistent daemon with a cache, a trace and
 #      a chaos-armed worker kill; fire 8 concurrent queries (with
 #      duplicates), assert every client gets a structured verdict, a
@@ -643,6 +645,29 @@ cmp "$tmp/r1.csv" "$tmp/r2.csv" || {
   echo "== ci FAILED: resumed reports are not byte-identical =="
   exit 1
 }
+# the journal line is the sweep row, and perfbench reads it: every line
+# carries data.value.outcome.o and data.attempts, and each instance has
+# exactly its two lines, <inst>/hqs and <inst>/idq
+no_outcome=$(grep -cv '"value":{"outcome":{"o":"[A-Z]*"' "$journal" || true)
+no_attempts=$(grep -cv '"attempts":[0-9]' "$journal" || true)
+if [ "$no_outcome" != 0 ] || [ "$no_attempts" != 0 ]; then
+  echo "== ci FAILED: journal lines without data.value.outcome.o: $no_outcome, without data.attempts: $no_attempts =="
+  cat "$journal"
+  exit 1
+fi
+if [ "$(wc -l <"$journal")" -ne "$total_tasks" ]; then
+  echo "== ci FAILED: the journal has $(wc -l <"$journal") lines for $total_tasks tasks =="
+  exit 1
+fi
+for f in "$tmp/sweep"/*.dqdimacs; do
+  inst=$(basename "$f" .dqdimacs)
+  for solver in hqs idq; do
+    if [ "$(grep -c "\"id\":\"$inst/$solver\"" "$journal")" != 1 ]; then
+      echo "== ci FAILED: the journal does not hold exactly one $inst/$solver line =="
+      exit 1
+    fi
+  done
+done
 
 echo "== serve (daemon: concurrency, cache, chaos, drain) =="
 sock="$tmp/hqs.sock"

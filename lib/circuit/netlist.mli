@@ -36,8 +36,6 @@ val eval_with_boxes : t -> box_fn:(int -> bool list -> bool list) -> bool array 
 (** Evaluate with concrete black-box implementations: [box_fn i ins] must
     return one value per output port of box [i]. *)
 
-val eval_gate : kind -> bool list -> bool
-
 val counts : t -> int * int
 (** (gate count, black-box count). *)
 

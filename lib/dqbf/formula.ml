@@ -1,11 +1,14 @@
 open Hqs_util
 module M = Aig.Man
+module Int_map = Map.Make (Int)
 
+(* the dependency sets live in an immutable map, so [existentials] comes
+   out in variable order with no sort and [copy] shares it *)
 type t = {
   mutable man : M.t;
   mutable matrix : M.lit;
   mutable univs : Bitset.t;
-  dep_tbl : (int, Bitset.t) Hashtbl.t;
+  mutable dep_map : Bitset.t Int_map.t;
   mutable next_var : int;
 }
 
@@ -14,7 +17,7 @@ let create ?node_limit () =
     man = M.create ?node_limit ();
     matrix = M.true_;
     univs = Bitset.empty;
-    dep_tbl = Hashtbl.create 64;
+    dep_map = Int_map.empty;
     next_var = 0;
   }
 
@@ -29,7 +32,7 @@ let replace_man t man matrix =
 let bump t v = if v >= t.next_var then t.next_var <- v + 1
 
 let is_universal t v = Bitset.mem v t.univs
-let is_existential t v = Hashtbl.mem t.dep_tbl v
+let is_existential t v = Int_map.mem v t.dep_map
 
 let add_universal t v =
   if is_universal t v || is_existential t v then
@@ -42,7 +45,7 @@ let add_existential t v ~deps =
     invalid_arg "Dqbf.Formula.add_existential: variable already quantified";
   if not (Bitset.subset deps t.univs) then
     invalid_arg "Dqbf.Formula.add_existential: dependency is not universal";
-  Hashtbl.replace t.dep_tbl v deps;
+  t.dep_map <- Int_map.add v deps t.dep_map;
   bump t v
 
 let fresh_var t =
@@ -55,34 +58,28 @@ let next_var t = t.next_var
 let universals t = t.univs
 let num_universals t = Bitset.cardinal t.univs
 
-let deps t v =
-  match Hashtbl.find_opt t.dep_tbl v with
-  | Some d -> d
-  | None -> raise Not_found
+let deps t v = Int_map.find v t.dep_map
 
 let set_deps t v d =
-  if not (Hashtbl.mem t.dep_tbl v) then invalid_arg "Dqbf.Formula.set_deps";
-  Hashtbl.replace t.dep_tbl v d
+  if not (is_existential t v) then invalid_arg "Dqbf.Formula.set_deps";
+  t.dep_map <- Int_map.add v d t.dep_map
 
-let existentials t =
-  Hashtbl.fold (fun v d acc -> (v, d) :: acc) t.dep_tbl []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+let existentials t = Int_map.bindings t.dep_map
 
 let remove_universal t v =
   t.univs <- Bitset.remove v t.univs;
-  Hashtbl.iter (fun y d -> if Bitset.mem v d then Hashtbl.replace t.dep_tbl y (Bitset.remove v d)) t.dep_tbl
+  t.dep_map <- Int_map.map (fun d -> if Bitset.mem v d then Bitset.remove v d else d) t.dep_map
 
-let remove_existential t v = Hashtbl.remove t.dep_tbl v
+let remove_existential t v = t.dep_map <- Int_map.remove v t.dep_map
 let input t v = M.input t.man v
 
 let copy t =
   let man, roots = M.compact t.man [ t.matrix ] in
-  let dep_tbl = Hashtbl.copy t.dep_tbl in
   {
     man;
     matrix = (match roots with [ r ] -> r | _ -> assert false);
     univs = t.univs;
-    dep_tbl;
+    dep_map = t.dep_map;
     next_var = t.next_var;
   }
 

@@ -4,8 +4,9 @@
     One line per completed task:
     [{"c":"<fnv64-hex>","e":{"id":"<task>","data":<payload>}}] where
     ["c"] is an FNV-1a checksum of the canonical {!Obs.Json.render}ing of
-    ["e"]. {!append} builds the whole line in memory, hands it to the
-    kernel as a single [O_APPEND] write and fsyncs, so a supervisor
+    ["e"], and [data] is the caller's (the sweep writes its rows there).
+    {!append} builds the whole line in memory, hands it to the
+    kernel as a single [O_APPEND] write and fsyncs, so a sweep
     killed mid-append leaves at most one torn trailing line; {!load}
     verifies every line's checksum and silently skips (but counts) the
     torn ones, so a resumed sweep re-runs exactly the tasks with no valid

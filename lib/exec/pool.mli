@@ -26,8 +26,9 @@
     is one step of a select loop — it forks queued tasks into free slots,
     waits on the children's pipes {e and} on caller-supplied descriptors,
     classifies finished attempts, reaps children, enforces wall deadlines, and
-    returns what happened plus the caller's ready descriptors. The sweep
-    supervisor and the serve daemon are both loops around {!wait}.
+    returns what happened plus the caller's ready descriptors.
+    [Harness.Sweep.run] and the serve daemon are both loops around
+    {!wait}.
 
     Crash taxonomy (how an attempt maps to a {!status}). A complete
     final frame settles the attempt when it arrives — the child only
@@ -131,8 +132,3 @@ val idle : 'k t -> bool
 
 val spawned : 'k t -> int
 (** Children forked so far. *)
-
-val samples_to_json : Obs.Metrics.sample list -> Obs.Json.t
-val samples_of_json : Obs.Json.t -> Obs.Metrics.sample list
-(** The metric-delta codec of the result frames (malformed items are
-    dropped), shared with the supervisor's journal. *)

@@ -1,20 +1,28 @@
-(** Process-isolated benchmark sweeps over {!Exec.Supervisor}.
+(** Process-isolated benchmark sweeps over {!Exec.Pool}.
 
-    Every [(instance, solver)] pair becomes one supervised task —
+    Every [(instance, solver)] pair becomes one pool task —
     ["<instance>/hqs"] and ["<instance>/idq"] — executed in a forked
     worker. The worker runs the ordinary in-process {!Runner} entry
     point, whose wall, heap and node budgets classify TO/MO cleanly, and
     ships the outcome, {!Hqs.stats} and {!Obs.Metrics} deltas back over
-    the IPC pipe; the parent reassembles per-instance {!Runner.result}s,
-    cross-checks HQS against iDQ for soundness, and absorbs the child
-    metric deltas into its own registry.
+    the IPC pipe. The parent maps each finished task to its {!row},
+    reassembles per-instance {!Runner.result}s, cross-checks HQS against
+    iDQ for soundness, and absorbs the child metric deltas into its own
+    registry.
 
     A worker death the frame cannot explain (segfault, chaos kill, torn
     frame) is retried with backoff and eventually surfaces as
     {!Runner.Crash} — the sweep always terminates with one result per
     instance. With [?journal]/[?resume], an interrupted sweep can be
     rerun and will fork workers only for the tasks that have no
-    checksum-valid journal line. *)
+    usable journal line.
+
+    The journal ({!Exec.Journal}, one checksummed line per finished
+    task) holds the rows themselves: the line of task ["<inst>/hqs"]
+    carries [{"value": {"outcome": {"o": "SAT"|"UNSAT"|"TO"|"MO"|"CRASH",
+    "t": seconds}, "stats": {"metrics": {...}}, "cert": path},
+    "attempts": n, "pid": p}], [stats] and [cert] only when present.
+    This module is the one encoder and decoder of that shape. *)
 
 type config = {
   timeout : float;  (** per-solve wall budget (in-process, as before) *)
@@ -27,7 +35,7 @@ type config = {
           exceeding it is an in-process MO whose row carries its stats.
           A worker's heap starts with what it inherited from the sweep
           parent: the parsed inputs count against it *)
-  exec : Exec.Supervisor.config;  (** jobs, wall backstop, retries, chaos *)
+  exec : Exec.Pool.config;  (** jobs, wall backstop, retries, chaos *)
   certify_dir : string option;
       (** when set, each HQS worker certifies its solve ({!Runner.run_hqs}
           [?cert_dir]) and drops
@@ -38,8 +46,8 @@ type config = {
 
 val default_config : timeout:float -> node_limit:int -> config
 (** In-process budgets as given, no heap ceiling, {!Hqs.default_config};
-    executor at {!Exec.Supervisor.default_config} (1 job, no wall
-    backstop, 3 attempts). *)
+    pool at {!Exec.Pool.default_config} (1 job, no wall backstop,
+    3 attempts). *)
 
 type progress = {
   task : string;  (** ["<instance>/hqs"] or ["<instance>/idq"] *)
@@ -52,7 +60,7 @@ type sweep_report = {
   results : Runner.result list;  (** one per instance, in input order *)
   executed : int;  (** workers actually forked *)
   journaled : int;  (** tasks replayed from the resume journal *)
-  journal_dropped : int;  (** torn/corrupt journal lines skipped *)
+  journal_dropped : int;  (** torn, corrupt or undecodable journal lines skipped *)
 }
 
 type item = { id : string; family : string; pcnf : Dqbf.Pcnf.t }
@@ -75,13 +83,22 @@ val run :
   ?on_progress:(progress -> unit) ->
   item list ->
   sweep_report
-(** Supervised sweep over the instances. [?journal], [?resume] and the
-    retry/chaos machinery behave as in {!Exec.Supervisor.run}; the same
-    path may be passed to both so repeated invocations converge on a
-    fully-journaled sweep that forks nothing.
+(** Sweep over the instances, each task in a forked {!Exec.Pool} worker
+    under [config.exec].
+
+    [?journal] appends each task's row to a crash-safe JSONL file as it
+    finishes. [?resume] pre-loads rows from such a file: a task with a
+    checksum-valid line that decodes to a row is reported [from_journal]
+    and never forked; a line that fails its checksum or decodes to no row
+    counts in [journal_dropped], and its task runs again. The same path
+    may be given for both, so repeated invocations converge on a
+    fully-journaled sweep that forks nothing. [?on_progress] observes
+    every task as it lands, journaled ones first.
 
     The [attempts]/[worker_pid] of each {!Runner.result} come from the
-    instance's HQS task, its [hqs_config] from [config.hqs_config]. *)
+    instance's HQS task, its [hqs_config] from [config.hqs_config].
+
+    @raise Invalid_argument on two items with the same id. *)
 
 (**/**)
 
@@ -91,14 +108,27 @@ val stats_to_json : Hqs.stats -> Obs.Json.t
 val stats_of_json : Obs.Json.t -> Hqs.stats option
 (** Wire codecs, exposed for tests. *)
 
-val assemble :
-  config ->
-  item ->
-  hqs:Exec.Supervisor.completion ->
-  idq:Exec.Supervisor.completion ->
-  Runner.result
+type row = {
+  outcome : Runner.outcome;
+  stats : Hqs.stats option;
+  cert : string option;
+  attempts : int;  (** worker processes spawned for the task *)
+  worker_pid : int;  (** pid of the final attempt *)
+}
+(** One task's half of a {!Runner.result}, and its journal line. *)
+
+val row_of_result : Exec.Pool.result -> row
+(** A {!Exec.Pool.Value} frame gives the worker's own outcome, stats and
+    certificate path; a {!Exec.Pool.Timeout} or {!Exec.Pool.Memout} gives
+    the pool's time and stats from the salvaged samples; a
+    {!Exec.Pool.Crash} gives a crash row with no stats. *)
+
+val row_to_json : row -> Obs.Json.t
+val row_of_json : Obs.Json.t -> row option
+(** The journal codec; [None] if the line has no row's shape. *)
+
+val assemble : config -> item -> hqs:row -> idq:row -> Runner.result
 (** The one place a {!Runner.result} is built: from the instance's two
-    task completions (a wall-killed TO completion yields stats from
-    its salvaged samples). Exposed for tests. *)
+    task rows. *)
 
 (**/**)

@@ -157,15 +157,6 @@ module Trace : sig
   (** Whether any merged worker batch was cut short by a mid-span death
       (reported as ["truncated": true] in the Chrome [otherData]). *)
 
-  val fork_child : unit -> unit
-  (** Drops the parent's buffered events and open-span stack but keeps
-      the enabled flag and the clock origin (the Budget clock is
-      machine-wide monotonic, so child timestamps merge directly into
-      the parent's timeline), and rebinds the recorded pid to the child.
-      Worker entry points should call the top-level {!fork_reinit},
-      which also clears the inherited flush hook and fallback-clock
-      mark; this lower-level reset leaves both in place. *)
-
   val emit : ?tid:int -> ?attrs:(string * value) list -> string -> ph -> unit
   (** Stack-free event emission for code multiplexing overlapping logical
       tasks (one [tid] row each), where {!Span.with_}'s strict nesting
@@ -227,13 +218,16 @@ module Span : sig
       with tracing disabled, where {!with_} costs one extra branch. A
       forked worker installs a throttled partial-state flusher here so a
       SIGKILL between spans still leaves a recent metric/trace snapshot
-      on the supervisor's side of the pipe. Exceptions raised by the hook
+      on the parent's side of the pipe. Exceptions raised by the hook
       are swallowed: a dead parent must not take the solve down. *)
 end
 
 val fork_reinit : unit -> unit
-(** Call first thing in every freshly forked worker. Runs
-    {!Trace.fork_child}, clears the {!Span.set_flush_hook} hook (an
+(** Call first thing in every freshly forked worker. Drops the parent's
+    buffered trace events and open-span stack but keeps the enabled flag
+    and the clock origin (the Budget clock is machine-wide monotonic, so
+    child timestamps merge directly into the parent's timeline), rebinds
+    the recorded pid to the child, clears the {!Span.set_flush_hook} hook (an
     inherited hook would write partial frames onto a pipe fd the child
     does not own), and resets the [Mono] fallback clock's high-water
     mark — so no child observability state aliases the parent's. The

@@ -24,9 +24,8 @@ val ensure_var : t -> int -> unit
 val num_vars : t -> int
 
 val add_clause : t -> Lit.t list -> unit
-val add_clause_a : t -> Lit.t array -> unit
 (** Add a clause (level-0 simplification applied: true clauses dropped,
-    false literals removed, tautologies dropped). The array is not kept. *)
+    false literals removed, tautologies dropped). The list is not kept. *)
 
 val is_ok : t -> bool
 (** False once the clause database is known unsatisfiable at level 0. *)

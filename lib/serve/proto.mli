@@ -69,9 +69,6 @@ type reply =
   | Audit_failed of { cached_sat : bool; fresh_sat : bool }
       (** a sampled cache-hit re-solve disagreed with the memoized verdict *)
 
-val failure_name : failure -> string
-val failure_of_name : string -> failure option
-
 val request_to_json : request -> Obs.Json.t
 val request_of_json : Obs.Json.t -> (request, string) result
 val reply_to_json : reply -> Obs.Json.t

@@ -7,7 +7,6 @@ type t
 val create : int -> t
 (** [create seed] returns an independent generator. *)
 
-val next64 : t -> int64
 val bits : t -> int
 (** 62 uniformly random non-negative bits. *)
 

@@ -1,8 +1,9 @@
-(* Tests for lib/exec: process-isolated supervised execution, wall
-   deadlines, deterministic backoff, and the crash-safe resume journal. *)
+(* Tests for lib/exec: process-isolated execution on the forked worker
+   pool, wall deadlines, deterministic backoff, and the crash-safe
+   journal. *)
 
 module Json = Obs.Json
-module Sup = Exec.Supervisor
+module Pool = Exec.Pool
 module Journal = Exec.Journal
 module Backoff = Exec.Backoff
 module Chaos = Hqs_util.Chaos
@@ -13,20 +14,41 @@ let tmp_file name =
   path
 
 let status_label = function
-  | Sup.Value _ -> "ok"
-  | Sup.Timeout _ -> "timeout"
-  | Sup.Memout _ -> "memout"
-  | Sup.Crash _ -> "crash"
+  | Pool.Value _ -> "ok"
+  | Pool.Timeout _ -> "timeout"
+  | Pool.Memout _ -> "memout"
+  | Pool.Crash _ -> "crash"
 
 let contains ~needle hay =
   let n = String.length needle and h = String.length hay in
   let rec go i = i + n <= h && (String.equal (String.sub hay i n) needle || go (i + 1)) in
   go 0
 
-let find_completion report id =
-  match List.find_opt (fun c -> String.equal c.Sup.task_id id) report.Sup.completions with
-  | Some c -> c
-  | None -> Alcotest.failf "no completion for %s" id
+(* step a pool until it is idle, collecting its events in order *)
+let drain pool =
+  let rec go acc =
+    if Pool.idle pool then List.rev acc
+    else
+      let events, _, _ = Pool.wait pool 0.5 in
+      go (List.rev_append events acc)
+  in
+  go []
+
+let finished events key =
+  match
+    List.find_map
+      (function Pool.Finished (k, r) when String.equal k key -> Some r | _ -> None)
+      events
+  with
+  | Some r -> r
+  | None -> Alcotest.failf "no Finished event for %s" key
+
+(* a batch of [(id, payload)] tasks on a fresh pool, drained: the pool,
+   and its events in order *)
+let run_batch config worker tasks =
+  let pool = Pool.create config in
+  List.iter (fun (id, x) -> Pool.submit pool ~id id (fun ~attempt:_ -> worker x)) tasks;
+  (pool, drain pool)
 
 (* ------------------------------------------------------------ supervisor *)
 
@@ -35,21 +57,19 @@ let square n = Json.Num (float_of_int (n * n))
 
 let test_value_roundtrip () =
   let tasks = List.init 5 (fun i -> (Printf.sprintf "t%d" i, i)) in
-  let config = { Sup.default_config with jobs = 2 } in
-  let report = Sup.run ~config ~worker:square tasks in
-  Alcotest.(check int) "all tasks completed" 5 (List.length report.completions);
-  Alcotest.(check int) "all executed" 5 report.executed;
-  Alcotest.(check int) "none journaled" 0 report.journaled;
-  List.iteri
-    (fun i c ->
-      Alcotest.(check string) "input order" (Printf.sprintf "t%d" i) c.Sup.task_id;
-      Alcotest.(check int) "one attempt" 1 c.Sup.attempts;
-      Alcotest.(check bool) "live" false c.Sup.from_journal;
-      match c.Sup.status with
-      | Sup.Value (Json.Num v) ->
+  let pool, events = run_batch { Pool.default_config with jobs = 2 } square tasks in
+  Alcotest.(check int) "all tasks finished once" 5
+    (List.length (List.filter (function Pool.Finished _ -> true | Pool.Crashed _ -> false) events));
+  Alcotest.(check int) "all executed" 5 (Pool.spawned pool);
+  List.iter
+    (fun (id, i) ->
+      let r = finished events id in
+      Alcotest.(check int) "one attempt" 1 r.Pool.attempts;
+      match r.Pool.status with
+      | Pool.Value (Json.Num v) ->
           Alcotest.(check (float 0.0)) "squared in child" (float_of_int (i * i)) v
-      | _ -> Alcotest.failf "task %d: expected Value, got %s" i (status_label c.Sup.status))
-    report.completions
+      | s -> Alcotest.failf "task %s: expected Value, got %s" id (status_label s))
+    tasks
 
 let fast_backoff = { Backoff.base_s = 0.01; max_s = 0.02 }
 
@@ -61,51 +81,50 @@ let test_chaos_kill_quarantine () =
     List.init max_attempts (fun i -> Chaos.worker_kill_point ~task:"t1" ~attempt:(i + 1))
   in
   let chaos = Chaos.arm points in
-  let config = { Sup.default_config with jobs = 2; max_attempts; chaos; backoff = fast_backoff } in
-  let report = Sup.run ~config ~worker:square [ ("t0", 2); ("t1", 3); ("t2", 4) ] in
-  let c1 = find_completion report "t1" in
-  (match c1.status with
-  | Sup.Crash _ -> ()
+  let config = { Pool.default_config with jobs = 2; max_attempts; chaos; backoff = fast_backoff } in
+  let _, events = run_batch config square [ ("t0", 2); ("t1", 3); ("t2", 4) ] in
+  let c1 = finished events "t1" in
+  (match c1.Pool.status with
+  | Pool.Crash _ -> ()
   | s -> Alcotest.failf "expected Crash, got %s" (status_label s));
-  Alcotest.(check int) "quarantined after max_attempts" max_attempts c1.attempts;
+  Alcotest.(check int) "quarantined after max_attempts" max_attempts c1.Pool.attempts;
   Alcotest.(check int) "one log line per failed attempt" max_attempts
-    (List.length c1.crash_log);
+    (List.length c1.Pool.crash_log);
   List.iter
     (fun line ->
       Alcotest.(check bool)
         (Printf.sprintf "log mentions SIGKILL: %s" line)
         true
         (contains ~needle:"SIGKILL" line))
-    c1.crash_log;
+    c1.Pool.crash_log;
   (* the bystanders still finish cleanly *)
   List.iter
     (fun id ->
-      match (find_completion report id).status with
-      | Sup.Value _ -> ()
+      match (finished events id).Pool.status with
+      | Pool.Value _ -> ()
       | s -> Alcotest.failf "%s: expected Value, got %s" id (status_label s))
     [ "t0"; "t2" ]
 
 let test_retry_recovers () =
   (* kill only attempt 1: the retry must succeed with attempts = 2 *)
   let chaos = Chaos.arm [ Chaos.worker_kill_point ~task:"t0" ~attempt:1 ] in
-  let config = { Sup.default_config with max_attempts = 3; chaos; backoff = fast_backoff } in
-  let report = Sup.run ~config ~worker:square [ ("t0", 6) ] in
-  let c = find_completion report "t0" in
-  (match c.status with
-  | Sup.Value (Json.Num v) -> Alcotest.(check (float 0.0)) "recovered value" 36.0 v
+  let config = { Pool.default_config with max_attempts = 3; chaos; backoff = fast_backoff } in
+  let pool, events = run_batch config square [ ("t0", 6) ] in
+  let c = finished events "t0" in
+  (match c.Pool.status with
+  | Pool.Value (Json.Num v) -> Alcotest.(check (float 0.0)) "recovered value" 36.0 v
   | s -> Alcotest.failf "expected Value, got %s" (status_label s));
-  Alcotest.(check int) "second attempt succeeded" 2 c.attempts;
-  Alcotest.(check int) "both spawns counted" 2 report.executed
+  Alcotest.(check int) "second attempt succeeded" 2 c.Pool.attempts;
+  Alcotest.(check int) "both spawns counted" 2 (Pool.spawned pool)
 
 let test_out_of_memory_memout () =
   (* a body whose allocation fails raises Out_of_memory (the runtime
      does so under a shell's [ulimit -v]); it must come back as a clean
      Memout frame, not a crash *)
   let worker () = raise Out_of_memory in
-  let config = { Sup.default_config with max_attempts = 1 } in
-  let report = Sup.run ~config ~worker [ ("oom", ()) ] in
-  match (find_completion report "oom").status with
-  | Sup.Memout _ -> ()
+  let _, events = run_batch { Pool.default_config with max_attempts = 1 } worker [ ("oom", ()) ] in
+  match (finished events "oom").Pool.status with
+  | Pool.Memout _ -> ()
   | s -> Alcotest.failf "expected Memout, got %s" (status_label s)
 
 let test_wall_timeout () =
@@ -113,13 +132,13 @@ let test_wall_timeout () =
     Unix.sleepf 30.0;
     Json.Null
   in
-  let config = { Sup.default_config with wall_s = Some 0.2; max_attempts = 1 } in
+  let config = { Pool.default_config with wall_s = Some 0.2; max_attempts = 1 } in
   let t0 = Hqs_util.Mono.now () in
-  let report = Sup.run ~config ~worker [ ("sleeper", ()) ] in
+  let _, events = run_batch config worker [ ("sleeper", ()) ] in
   let wall = Hqs_util.Mono.now () -. t0 in
   Alcotest.(check bool) "killed promptly, not after 30 s" true (wall < 10.0);
-  match (find_completion report "sleeper").status with
-  | Sup.Timeout _ -> ()
+  match (finished events "sleeper").Pool.status with
+  | Pool.Timeout _ -> ()
   | s -> Alcotest.failf "expected Timeout, got %s" (status_label s)
 
 let test_crash_exit_code () =
@@ -127,32 +146,31 @@ let test_crash_exit_code () =
   let worker () =
     Unix._exit 3 [@warning "-20"]
   in
-  let config = { Sup.default_config with max_attempts = 2; backoff = fast_backoff } in
-  let report = Sup.run ~config ~worker [ ("dier", ()) ] in
-  let c = find_completion report "dier" in
-  (match c.status with
-  | Sup.Crash _ -> ()
+  let config = { Pool.default_config with max_attempts = 2; backoff = fast_backoff } in
+  let _, events = run_batch config worker [ ("dier", ()) ] in
+  let c = finished events "dier" in
+  (match c.Pool.status with
+  | Pool.Crash _ -> ()
   | s -> Alcotest.failf "expected Crash, got %s" (status_label s));
-  Alcotest.(check int) "retried then quarantined" 2 c.attempts
-
-let test_duplicate_ids_rejected () =
-  Alcotest.check_raises "duplicate ids"
-    (Invalid_argument "Supervisor.run: duplicate task id a")
-    (fun () -> ignore (Sup.run ~worker:square [ ("a", 1); ("a", 2) ]))
+  Alcotest.(check int) "retried then quarantined" 2 c.Pool.attempts
 
 (* ------------------------------------------------------------ fork traces *)
 
 let test_trace_spans_fork () =
   (* with tracing on, worker spans recorded inside the forked child must
-     come back through the completion frame and merge under the worker's
-     own pid row, parented to the supervisor's per-task span *)
+     come back through the result frame and merge under the worker's
+     own pid row, parented to the pool's per-task span *)
   Obs.Trace.reset ();
   Obs.Trace.start ();
   let worker n = Obs.Span.with_ "w.solve" (fun () -> square n) in
-  let config = { Sup.default_config with jobs = 2 } in
-  let report = Sup.run ~config ~worker [ ("t0", 2); ("t1", 3) ] in
+  let _, events = run_batch { Pool.default_config with jobs = 2 } worker [ ("t0", 2); ("t1", 3) ] in
   Obs.Trace.stop ();
-  Alcotest.(check int) "both tasks completed" 2 (List.length report.completions);
+  List.iter
+    (fun id ->
+      match (finished events id).Pool.status with
+      | Pool.Value _ -> ()
+      | s -> Alcotest.failf "%s: expected Value, got %s" id (status_label s))
+    [ "t0"; "t1" ];
   let json =
     match Json.parse (Obs.Trace.to_chrome_json ()) with
     | Ok j -> j
@@ -201,7 +219,7 @@ let test_trace_spans_fork () =
 let test_timeout_salvages_partial_metrics () =
   (* a worker killed by the wall limit mid-run: the throttled partial
      frames it flushed on span exits must surface as salvaged_metrics on
-     the Timeout completion *)
+     the Timeout result *)
   let c = Obs.Metrics.counter "t.salvage.steps" in
   let worker () =
     for _ = 1 to 10 do
@@ -211,39 +229,18 @@ let test_timeout_salvages_partial_metrics () =
     Unix.sleepf 30.0;
     Json.Null
   in
-  let config = { Sup.default_config with wall_s = Some 1.0; max_attempts = 1 } in
-  let report = Sup.run ~config ~worker [ ("slow", ()) ] in
-  let comp = find_completion report "slow" in
-  (match comp.status with
-  | Sup.Timeout _ -> ()
+  let config = { Pool.default_config with wall_s = Some 1.0; max_attempts = 1 } in
+  let _, events = run_batch config worker [ ("slow", ()) ] in
+  let r = finished events "slow" in
+  (match r.Pool.status with
+  | Pool.Timeout _ -> ()
   | s -> Alcotest.failf "expected Timeout, got %s" (status_label s));
-  Alcotest.(check bool) "partial metrics salvaged" true (comp.salvaged_metrics <> []);
-  match Obs.Metrics.find comp.salvaged_metrics "t.salvage.steps" with
+  Alcotest.(check bool) "partial metrics salvaged" true (r.Pool.salvaged_metrics <> []);
+  match Obs.Metrics.find r.Pool.salvaged_metrics "t.salvage.steps" with
   | None -> Alcotest.fail "salvaged delta misses the child-side counter"
   | Some v -> Alcotest.(check bool) "a flushed prefix of the steps" true (v >= 1.0)
 
 (* ------------------------------------------------------------------ pool *)
-
-module Pool = Exec.Pool
-
-(* step a pool until it is idle, collecting its events in order *)
-let drain pool =
-  let rec go acc =
-    if Pool.idle pool then List.rev acc
-    else
-      let events, _, _ = Pool.wait pool 0.5 in
-      go (List.rev_append events acc)
-  in
-  go []
-
-let finished events key =
-  match
-    List.find_map
-      (function Pool.Finished (k, r) when String.equal k key -> Some r | _ -> None)
-      events
-  with
-  | Some r -> r
-  | None -> Alcotest.failf "no Finished event for %s" key
 
 (* position of a task's Finished event in the event stream *)
 let finish_rank events key =
@@ -484,65 +481,6 @@ let test_journal_missing_file () =
   Alcotest.(check int) "no entries" 0 (List.length entries);
   Alcotest.(check int) "nothing dropped" 0 dropped
 
-(* ---------------------------------------------------------------- resume *)
-
-let test_resume_skips_journaled () =
-  let path = tmp_file "hqs_test_resume.jsonl" in
-  let tasks = List.init 4 (fun i -> (Printf.sprintf "t%d" i, i)) in
-  let first = Sup.run ~journal:path ~worker:square tasks in
-  Alcotest.(check int) "first run executes all" 4 first.executed;
-  let second = Sup.run ~journal:path ~resume:path ~worker:square tasks in
-  Alcotest.(check int) "resume executes none" 0 second.executed;
-  Alcotest.(check int) "all from journal" 4 second.journaled;
-  List.iter2
-    (fun a b ->
-      Alcotest.(check string) "same task" a.Sup.task_id b.Sup.task_id;
-      Alcotest.(check string) "same status" (status_label a.Sup.status)
-        (status_label b.Sup.status);
-      Alcotest.(check bool) "marked journaled" true b.Sup.from_journal)
-    first.completions second.completions;
-  Sys.remove path
-
-let test_resume_runs_remaining () =
-  (* journal a strict subset, then resume over the full task list: only
-     the tail may execute *)
-  let path = tmp_file "hqs_test_resume_partial.jsonl" in
-  let tasks = List.init 4 (fun i -> (Printf.sprintf "t%d" i, i)) in
-  let subset = [ List.nth tasks 0; List.nth tasks 2 ] in
-  let _ = Sup.run ~journal:path ~worker:square subset in
-  let executed_ids = ref [] in
-  let on_complete c =
-    if not c.Sup.from_journal then executed_ids := c.Sup.task_id :: !executed_ids
-  in
-  let report = Sup.run ~resume:path ~on_complete ~worker:square tasks in
-  Alcotest.(check int) "exactly the missing tasks ran" 2 report.executed;
-  Alcotest.(check (list string)) "the right ones" [ "t1"; "t3" ]
-    (List.sort String.compare !executed_ids);
-  Alcotest.(check int) "rest came from the journal" 2 report.journaled;
-  Sys.remove path
-
-let test_completion_json_roundtrip () =
-  let c =
-    {
-      Sup.task_id = "x/idq";
-      status = Sup.Crash 1.25;
-      attempts = 3;
-      worker_pid = 4242;
-      elapsed_s = 1.25;
-      crash_log = [ "attempt 1: SIGKILL"; "attempt 2: exit 3" ];
-      from_journal = false;
-      salvaged_metrics = [];
-    }
-  in
-  match Sup.completion_of_json ~task_id:c.task_id (Sup.completion_to_json c) with
-  | None -> Alcotest.fail "roundtrip decode failed"
-  | Some c' ->
-      Alcotest.(check string) "status" (status_label c.status) (status_label c'.status);
-      Alcotest.(check int) "attempts" c.attempts c'.attempts;
-      Alcotest.(check int) "pid" c.worker_pid c'.worker_pid;
-      Alcotest.(check (list string)) "crash log" c.crash_log c'.crash_log;
-      Alcotest.(check bool) "decoded entries are journal-marked" true c'.from_journal
-
 let () =
   Alcotest.run "exec"
     [
@@ -554,7 +492,6 @@ let () =
           Alcotest.test_case "out-of-memory body is memout" `Quick test_out_of_memory_memout;
           Alcotest.test_case "wall timeout kills sleeper" `Slow test_wall_timeout;
           Alcotest.test_case "nonzero exit crashes" `Quick test_crash_exit_code;
-          Alcotest.test_case "duplicate ids rejected" `Quick test_duplicate_ids_rejected;
         ] );
       ( "fork-traces",
         [
@@ -589,11 +526,5 @@ let () =
           Alcotest.test_case "corruption detected" `Quick test_journal_detects_corruption;
           Alcotest.test_case "torn write recovery" `Quick test_journal_torn_write_recovery;
           Alcotest.test_case "missing file is empty" `Quick test_journal_missing_file;
-        ] );
-      ( "resume",
-        [
-          Alcotest.test_case "full journal: zero executions" `Quick test_resume_skips_journaled;
-          Alcotest.test_case "partial journal: tail only" `Quick test_resume_runs_remaining;
-          Alcotest.test_case "completion json roundtrip" `Quick test_completion_json_roundtrip;
         ] );
     ]

@@ -284,7 +284,6 @@ let test_heap_limit_memout () =
    rebuilt from the salvaged samples alone, and its configuration cells
    echo the sweep's own config instead of invented defaults *)
 let test_salvaged_row () =
-  let module Sup = Exec.Supervisor in
   let module S = Harness.Sweep in
   let hqs_config =
     {
@@ -297,17 +296,16 @@ let test_salvaged_row () =
     { (S.default_config ~timeout:1.0 ~node_limit:1000) with S.hqs_config }
   in
   let item = S.item_of_instance small_unsat in
-  let completion solver status salvaged_metrics =
-    {
-      Sup.task_id = S.task_id item solver;
-      status;
-      attempts = 1;
-      worker_pid = 4242;
-      elapsed_s = 1.0;
-      crash_log = [];
-      from_journal = false;
-      salvaged_metrics;
-    }
+  let result status salvaged_metrics =
+    S.row_of_result
+      {
+        Exec.Pool.status;
+        attempts = 1;
+        worker_pid = 4242;
+        elapsed_s = 1.0;
+        crash_log = [];
+        salvaged_metrics;
+      }
   in
   let sample name kind v = { Obs.Metrics.name; kind; v } in
   let salvaged =
@@ -317,10 +315,11 @@ let test_salvaged_row () =
       sample "inproc.runs" Obs.Metrics.Counter 1.0;
     ]
   in
+  let idq_value = Obs.Json.Obj [ ("outcome", S.outcome_to_json (R.Solved (false, 0.1))) ] in
   let r =
     S.assemble config item
-      ~hqs:(completion S.Hqs_run (Sup.Timeout 1.0) salvaged)
-      ~idq:(completion S.Idq_run (Sup.Value (S.outcome_to_json (R.Solved (false, 0.1)))) [])
+      ~hqs:(result (Exec.Pool.Timeout 1.0) salvaged)
+      ~idq:(result (Exec.Pool.Value idq_value) [])
   in
   check "salvaged stats" true (Option.is_some r.R.hqs_stats);
   match String.split_on_char '\n' (Harness.Report.csv [ r ]) with
@@ -328,6 +327,7 @@ let test_salvaged_row () =
       let cells = List.combine (String.split_on_char ',' header) (String.split_on_char ',' row) in
       let cell name = List.assoc name cells in
       Alcotest.(check string) "outcome" "timeout" (cell "outcome");
+      Alcotest.(check string) "idq verdict" "UNSAT" (cell "idq_outcome");
       Alcotest.(check string) "dep scheme echo" "rp" (cell "hqs_dep_scheme");
       Alcotest.(check string) "inproc mode echo" "off" (cell "hqs_inproc_mode");
       Alcotest.(check string) "rounds, not runs" "3" (cell "hqs_inproc_rounds");
@@ -335,20 +335,19 @@ let test_salvaged_row () =
       Alcotest.(check string) "no artifact" "-" (cell "hqs_cert_status")
   | _ -> Alcotest.fail "csv has no data row"
 
+let parse_json text =
+  match Obs.Json.parse text with Ok j -> j | Error msg -> Alcotest.fail msg
+
 (* journal lines written while the solver still recorded degradations
    carry a [degraded] array next to [metrics], and older TO/MO lines a
-   [null] stats; --resume over such a journal must still decode them,
-   into full rows and blank stat cells respectively *)
+   [null] stats; both wrap the row in the pool's status keys. --resume
+   over such a journal must still decode them, into full rows and blank
+   stat cells respectively *)
 let test_old_journal_stats () =
-  let module Sup = Exec.Supervisor in
   let module S = Harness.Sweep in
   let value =
-    match
-      Obs.Json.parse
-        {|{"outcome":{"o":"UNSAT","t":0.5},"stats":{"metrics":{"degrade.events":1,"elim.universal":2,"hqs.peak_nodes":20},"degraded":["qbf.elim->search[node-limit]"]}}|}
-    with
-    | Ok j -> j
-    | Error msg -> Alcotest.fail msg
+    parse_json
+      {|{"outcome":{"o":"UNSAT","t":0.5},"stats":{"metrics":{"degrade.events":1,"elim.universal":2,"hqs.peak_nodes":20},"degraded":["qbf.elim->search[node-limit]"]}}|}
   in
   (match Option.bind (Obs.Json.member "stats" value) S.stats_of_json with
   | None -> Alcotest.fail "old stats object did not decode"
@@ -357,23 +356,26 @@ let test_old_journal_stats () =
       check "metric kept" true (Hqs.metric s "hqs.peak_nodes" = 20.0));
   let config = S.default_config ~timeout:1.0 ~node_limit:1000 in
   let item = S.item_of_instance small_unsat in
-  let completion solver status =
-    {
-      Sup.task_id = S.task_id item solver;
-      status;
-      attempts = 1;
-      worker_pid = 4242;
-      elapsed_s = 0.5;
-      crash_log = [];
-      from_journal = true;
-      salvaged_metrics = [];
-    }
+  let old_line value =
+    let line =
+      Obs.Json.Obj
+        [
+          ("status", Obs.Json.Str "ok");
+          ("elapsed_s", Obs.Json.Num 0.5);
+          ("attempts", Obs.Json.Num 1.0);
+          ("pid", Obs.Json.Num 4242.0);
+          ("value", value);
+          ("log", Obs.Json.Arr []);
+        ]
+    in
+    match S.row_of_json line with
+    | Some row -> row
+    | None -> Alcotest.fail "old journal line did not decode"
   in
   let row_of value =
     let r =
-      S.assemble config item
-        ~hqs:(completion S.Hqs_run (Sup.Value value))
-        ~idq:(completion S.Idq_run (Sup.Value (S.outcome_to_json (R.Solved (false, 0.1)))))
+      S.assemble config item ~hqs:(old_line value)
+        ~idq:(old_line (Obs.Json.Obj [ ("outcome", S.outcome_to_json (R.Solved (false, 0.1))) ]))
     in
     match String.split_on_char '\n' (Harness.Report.csv [ r ]) with
     | header :: row :: _ ->
@@ -386,14 +388,137 @@ let test_old_journal_stats () =
   Alcotest.(check string) "peak nodes" "20" (cell "hqs_peak_nodes");
   Alcotest.(check string) "universal eliminations" "2" (cell "hqs_univ_elims");
   (* a TO line written before in-process TO/MO rows carried stats *)
-  let cell =
-    match Obs.Json.parse {|{"outcome":{"o":"TO","t":1.0},"stats":null}|} with
-    | Ok j -> row_of j
-    | Error msg -> Alcotest.fail msg
-  in
+  let cell = row_of (parse_json {|{"outcome":{"o":"TO","t":1.0},"stats":null}|}) in
   Alcotest.(check string) "null stats: outcome" "TO" (cell "hqs_outcome");
   Alcotest.(check string) "null stats: blank peak" "" (cell "hqs_peak_nodes");
   Alcotest.(check string) "null stats: blank cert status" "" (cell "hqs_cert_status")
+
+(* --------------------------------------------------------------- resume *)
+
+module S = Harness.Sweep
+
+let tmp_journal name =
+  let path = Filename.concat (Filename.get_temp_dir_name ()) name in
+  if Sys.file_exists path then Sys.remove path;
+  path
+
+let sweep_config = S.default_config ~timeout:20.0 ~node_limit:400_000
+let tiny_items = [ S.item_of_instance small_sat; S.item_of_instance small_unsat ]
+
+(* a sweep, with the progress records it reported in order *)
+let sweep_with_progress ?journal ?resume items =
+  let seen = ref [] in
+  let on_progress p = seen := p :: !seen in
+  let report = S.run ~config:sweep_config ?journal ?resume ~on_progress items in
+  (report, List.rev !seen)
+
+let test_resume_skips_journaled () =
+  let path = tmp_journal "hqs_test_sweep_resume.jsonl" in
+  let first, _ = sweep_with_progress ~journal:path tiny_items in
+  check_int "first run executes all" 4 first.S.executed;
+  check_int "first run journals nothing it read" 0 first.S.journaled;
+  let second, progress = sweep_with_progress ~journal:path ~resume:path tiny_items in
+  check_int "resume executes none" 0 second.S.executed;
+  check_int "all from journal" 4 second.S.journaled;
+  check_int "nothing dropped" 0 second.S.journal_dropped;
+  check_int "one progress record per task" 4 (List.length progress);
+  check "all marked journaled" true (List.for_all (fun p -> p.S.from_journal) progress);
+  Alcotest.(check (list string)) "results in input order"
+    (List.map (fun (i : S.item) -> i.S.id) tiny_items)
+    (List.map (fun r -> r.R.id) second.S.results);
+  Alcotest.(check string) "the resumed report is byte-identical"
+    (Harness.Report.csv first.S.results)
+    (Harness.Report.csv second.S.results);
+  Sys.remove path
+
+let test_resume_runs_remaining () =
+  (* journal a strict subset, then resume over the full item list: only
+     the missing tasks may execute *)
+  let path = tmp_journal "hqs_test_sweep_resume_partial.jsonl" in
+  let _ = S.run ~config:sweep_config ~journal:path [ List.hd tiny_items ] in
+  let report, progress = sweep_with_progress ~resume:path tiny_items in
+  check_int "exactly the missing tasks ran" 2 report.S.executed;
+  let unsat = S.item_of_instance small_unsat in
+  Alcotest.(check (list string)) "the right ones"
+    [ S.task_id unsat S.Hqs_run; S.task_id unsat S.Idq_run ]
+    (List.sort String.compare
+       (List.filter_map (fun p -> if p.S.from_journal then None else Some p.S.task) progress));
+  check_int "rest came from the journal" 2 report.S.journaled;
+  Alcotest.(check (list string)) "results in input order"
+    (List.map (fun (i : S.item) -> i.S.id) tiny_items)
+    (List.map (fun r -> r.R.id) report.S.results);
+  Sys.remove path
+
+let test_row_json_roundtrip () =
+  let crash =
+    { S.outcome = R.Crash 1.25; stats = None; cert = None; attempts = 3; worker_pid = 4242 }
+  in
+  let solved =
+    {
+      S.outcome = R.Solved (true, 0.5);
+      stats = Some { Hqs.metrics = [ ("hqs.peak_nodes", 57.0); ("elim.universal", 2.0) ] };
+      cert = Some "certs/x.cert";
+      attempts = 1;
+      worker_pid = 77;
+    }
+  in
+  List.iter
+    (fun row ->
+      let json = S.row_to_json row in
+      check "row survives the journal codec" true (S.row_of_json json = Some row);
+      (* the keys the benchmark driver reads off each journal line *)
+      let field path =
+        List.fold_left (fun j key -> Option.bind j (Obs.Json.member key)) (Some json) path
+      in
+      check "value.outcome.o" true
+        (Option.is_some (Option.bind (field [ "value"; "outcome"; "o" ]) Obs.Json.to_string));
+      check "value.outcome.t" true
+        (Option.is_some (Option.bind (field [ "value"; "outcome"; "t" ]) Obs.Json.to_number));
+      check "attempts" true
+        (Option.bind (field [ "attempts" ]) Obs.Json.to_number = Some (float_of_int row.S.attempts)))
+    [ crash; solved ]
+
+let test_resume_drops_undecodable () =
+  (* a checksum-valid line whose data is no row (an old journal's TO
+     line: the pool's status keys around a [null] value) counts as
+     dropped, and its task runs again *)
+  let path = tmp_journal "hqs_test_sweep_resume_shape.jsonl" in
+  let item = S.item_of_instance small_unsat in
+  let hqs_id = S.task_id item S.Hqs_run in
+  let _ = S.run ~config:sweep_config ~journal:path [ item ] in
+  let { Exec.Journal.entries; dropped } = Exec.Journal.load path in
+  check_int "clean journal" 0 dropped;
+  Sys.remove path;
+  let j = Exec.Journal.open_append path in
+  List.iter
+    (fun (e : Exec.Journal.entry) ->
+      if String.equal e.Exec.Journal.task_id hqs_id then
+        Exec.Journal.append j
+          {
+            e with
+            Exec.Journal.data =
+              parse_json
+                {|{"status":"timeout","elapsed_s":1.0,"attempts":1,"pid":7,"value":null,"log":[]}|};
+          }
+      else Exec.Journal.append j e)
+    entries;
+  Exec.Journal.close j;
+  let report, progress = sweep_with_progress ~resume:path [ item ] in
+  check_int "the undecodable line is dropped" 1 report.S.journal_dropped;
+  check_int "its task ran again" 1 report.S.executed;
+  check_int "the other came from the journal" 1 report.S.journaled;
+  Alcotest.(check (list string)) "the rerun task" [ hqs_id ]
+    (List.filter_map (fun p -> if p.S.from_journal then None else Some p.S.task) progress);
+  (match report.S.results with
+  | [ r ] -> check "rerun solved" true (R.is_solved r.R.hqs)
+  | rs -> Alcotest.failf "expected one result, got %d" (List.length rs));
+  Sys.remove path
+
+let test_duplicate_ids_rejected () =
+  let item = S.item_of_instance small_sat in
+  Alcotest.check_raises "duplicate ids"
+    (Invalid_argument ("Sweep.run: duplicate task id " ^ S.task_id item S.Hqs_run))
+    (fun () -> ignore (S.run [ item; item ]))
 
 let () =
   Alcotest.run "harness"
@@ -421,4 +546,14 @@ let () =
         ] );
       ( "sweep codec",
         [ Alcotest.test_case "old journal stats with degraded decode" `Quick test_old_journal_stats ] );
+      ( "sweep",
+        [ Alcotest.test_case "duplicate ids rejected" `Quick test_duplicate_ids_rejected ] );
+      ( "resume",
+        [
+          Alcotest.test_case "full journal: zero executions" `Quick test_resume_skips_journaled;
+          Alcotest.test_case "partial journal: tail only" `Quick test_resume_runs_remaining;
+          Alcotest.test_case "completion json roundtrip" `Quick test_row_json_roundtrip;
+          Alcotest.test_case "undecodable line is dropped and rerun" `Quick
+            test_resume_drops_undecodable;
+        ] );
     ]
