@@ -1,14 +1,14 @@
 open Hqs_util
 module M = Aig.Man
-module Int_map = Map.Make (Int)
 
-(* the dependency sets live in an immutable map, so [existentials] comes
-   out in variable order with no sort and [copy] shares it *)
+(* the dependency sets live in an array indexed by variable ([None]: not
+   an existential), so [existentials] comes out in variable order with
+   no sort, and an update allocates nothing but the new set *)
 type t = {
   mutable man : M.t;
   mutable matrix : M.lit;
   mutable univs : Bitset.t;
-  mutable dep_map : Bitset.t Int_map.t;
+  mutable dep_sets : Bitset.t option array;
   mutable next_var : int;
 }
 
@@ -17,7 +17,7 @@ let create ?node_limit () =
     man = M.create ?node_limit ();
     matrix = M.true_;
     univs = Bitset.empty;
-    dep_map = Int_map.empty;
+    dep_sets = [||];
     next_var = 0;
   }
 
@@ -32,7 +32,8 @@ let replace_man t man matrix =
 let bump t v = if v >= t.next_var then t.next_var <- v + 1
 
 let is_universal t v = Bitset.mem v t.univs
-let is_existential t v = Int_map.mem v t.dep_map
+let find t v = if v < Array.length t.dep_sets then t.dep_sets.(v) else None
+let is_existential t v = Option.is_some (find t v)
 
 let add_universal t v =
   if is_universal t v || is_existential t v then
@@ -45,7 +46,13 @@ let add_existential t v ~deps =
     invalid_arg "Dqbf.Formula.add_existential: variable already quantified";
   if not (Bitset.subset deps t.univs) then
     invalid_arg "Dqbf.Formula.add_existential: dependency is not universal";
-  t.dep_map <- Int_map.add v deps t.dep_map;
+  let n = Array.length t.dep_sets in
+  if v >= n then begin
+    let grown = Array.make (max (v + 1) (2 * n)) None in
+    Array.blit t.dep_sets 0 grown 0 n;
+    t.dep_sets <- grown
+  end;
+  t.dep_sets.(v) <- Some deps;
   bump t v
 
 let fresh_var t =
@@ -58,19 +65,28 @@ let next_var t = t.next_var
 let universals t = t.univs
 let num_universals t = Bitset.cardinal t.univs
 
-let deps t v = Int_map.find v t.dep_map
+let deps t v = match find t v with Some d -> d | None -> raise Not_found
 
 let set_deps t v d =
   if not (is_existential t v) then invalid_arg "Dqbf.Formula.set_deps";
-  t.dep_map <- Int_map.add v d t.dep_map
+  t.dep_sets.(v) <- Some d
 
-let existentials t = Int_map.bindings t.dep_map
+let existentials t =
+  let acc = ref [] in
+  for v = Array.length t.dep_sets - 1 downto 0 do
+    match t.dep_sets.(v) with Some d -> acc := (v, d) :: !acc | None -> ()
+  done;
+  !acc
 
 let remove_universal t v =
   t.univs <- Bitset.remove v t.univs;
-  t.dep_map <- Int_map.map (fun d -> if Bitset.mem v d then Bitset.remove v d else d) t.dep_map
+  Array.iteri
+    (fun y -> function
+      | Some d when Bitset.mem v d -> t.dep_sets.(y) <- Some (Bitset.remove v d)
+      | Some _ | None -> ())
+    t.dep_sets
 
-let remove_existential t v = t.dep_map <- Int_map.remove v t.dep_map
+let remove_existential t v = if is_existential t v then t.dep_sets.(v) <- None
 let input t v = M.input t.man v
 
 let copy t =
@@ -79,7 +95,7 @@ let copy t =
     man;
     matrix = (match roots with [ r ] -> r | _ -> assert false);
     univs = t.univs;
-    dep_map = t.dep_map;
+    dep_sets = Array.copy t.dep_sets;
     next_var = t.next_var;
   }
 
