@@ -243,7 +243,7 @@ let run ?(config = default_config ~timeout:5.0 ~node_limit:200_000) ?journal ?re
               | None -> dropped + 1)
           dropped entries
   in
-  let report id row ~from_journal =
+  let notify id row ~from_journal =
     Option.iter
       (fun f -> f { task = id; outcome = row.outcome; attempts = row.attempts; from_journal })
       on_progress
@@ -253,7 +253,7 @@ let run ?(config = default_config ~timeout:5.0 ~node_limit:200_000) ?journal ?re
     (fun (item, solver) ->
       let id = task_id item solver in
       match Hashtbl.find_opt rows id with
-      | Some row -> report id row ~from_journal:true
+      | Some row -> notify id row ~from_journal:true
       | None -> Pool.submit pool ~id id (fun ~attempt:_ -> worker config item solver))
     tasks;
   let journaled = Hashtbl.length rows in
@@ -269,7 +269,7 @@ let run ?(config = default_config ~timeout:5.0 ~node_limit:200_000) ?journal ?re
               (fun j -> Exec.Journal.append j { Exec.Journal.task_id = id; data = row_to_json row })
               jnl;
             Hashtbl.replace rows id row;
-            report id row ~from_journal:false)
+            notify id row ~from_journal:false)
       events
   done;
   Option.iter Exec.Journal.close jnl;

@@ -52,6 +52,9 @@ let run_batch config worker tasks =
 
 (* ------------------------------------------------------------ supervisor *)
 
+(* the pool supervising a batch: values, quarantine, retry and the crash
+   taxonomy, each task run to its final Finished event *)
+
 (* a worker that squares its payload in the child and sends it back *)
 let square n = Json.Num (float_of_int (n * n))
 
