@@ -7,7 +7,7 @@
      2         usage error / invalid input (incl. command-line errors)
      1         internal error (uncaught exception)
      3         soundness-check violation     ("s cnf ERROR"; an invariant
-               audit armed with --check / HQS_CHECK tripped)
+               audit armed with --check tripped)
      124       wall-clock timeout            ("s cnf TIMEOUT")
      125       memory exhausted              ("s cnf MEMOUT"; AIG node
                limit, --mem-limit heap governor, or the OCaml heap
@@ -32,44 +32,36 @@ let install_signal_handlers () =
   handle "SIGINT" 130 Sys.sigint;
   handle "SIGTERM" 143 Sys.sigterm
 
-(* a flag, else a non-empty environment variable: the flag wins *)
-let flag_or_env flag var =
-  match flag with
-  | Some _ -> flag
-  | None -> ( match Sys.getenv_opt var with None | Some "" -> None | v -> v)
-
-(* a switch's value from its flag, else its environment variable, else
-   [default]; a malformed value is a usage error *)
-let resolve ~flag ~var ~expected of_string ~default given =
-  match flag_or_env given var with
+(* a switch's value from its flag, else [default]; a malformed value is
+   a usage error *)
+let resolve ~flag ~expected of_string ~default given =
+  match given with
   | None -> default
   | Some s -> (
       match of_string s with
       | Some v -> v
       | None ->
-          Printf.eprintf "error: %s: expected %s\n"
-            (if Option.is_some given then flag ^ " " ^ s else Printf.sprintf "%s=%S" var s)
-            expected;
+          Printf.eprintf "error: %s %s: expected %s\n" flag s expected;
           exit 2)
 
 (* the library's constant default config with the three switches every
-   command shares applied: --check/HQS_CHECK, --dep-scheme/HQS_DEP_SCHEME
-   (default [scheme]) and --inproc/HQS_INPROC *)
+   command shares applied: --check, --dep-scheme (default [scheme]) and
+   --inproc *)
 let solver_config ?(scheme = Analysis.Scheme.default) ~check ~dep_scheme ~inproc () =
   let d = Hqs.default_config in
   {
     d with
     Hqs.check_level =
-      resolve ~flag:"--check" ~var:"HQS_CHECK" ~expected:"off, cheap or full"
-        Check.level_of_string ~default:d.Hqs.check_level check;
+      resolve ~flag:"--check" ~expected:"off, cheap or full" Check.level_of_string
+        ~default:d.Hqs.check_level check;
     dep_scheme =
-      resolve ~flag:"--dep-scheme" ~var:"HQS_DEP_SCHEME" ~expected:"trivial or rp"
-        Analysis.Scheme.of_string ~default:scheme dep_scheme;
+      resolve ~flag:"--dep-scheme" ~expected:"trivial or rp" Analysis.Scheme.of_string
+        ~default:scheme dep_scheme;
     preprocess =
       {
         d.Hqs.preprocess with
         inproc =
-          resolve ~flag:"--inproc" ~var:"HQS_INPROC" ~expected:"off or on" Inproc.mode_of_string
+          resolve ~flag:"--inproc" ~expected:"off or on" Inproc.mode_of_string
             ~default:d.Hqs.preprocess.inproc inproc;
       };
   }
@@ -102,11 +94,9 @@ let load_pcnf file =
       exit 2
 
 let solve file timeout mem_limit node_limit no_preprocess no_unitpure no_maxsat no_thm2
-    expand_all check dep_scheme inproc certify show_model show_stats trace
+    expand_all check dep_scheme inproc certify_path show_model show_stats trace_file
     show_metrics =
   install_signal_handlers ();
-  let trace_file = flag_or_env trace "HQS_TRACE" in
-  let certify_path = flag_or_env certify "HQS_CERTIFY" in
   let base = solver_config ~check ~dep_scheme ~inproc () in
   let pcnf = load_pcnf file in
   let instance_text =
@@ -130,14 +120,11 @@ let solve file timeout mem_limit node_limit no_preprocess no_unitpure no_maxsat 
     }
   in
   let budget =
-    match timeout with
-    | None -> Hqs_util.Budget.unlimited
-    | Some s -> Hqs_util.Budget.of_seconds s
-  in
-  let budget =
-    match mem_limit with
-    | None -> budget
-    | Some mb -> Hqs_util.Budget.with_mem_limit_mb budget mb
+    Hqs_util.Budget.with_mem_limit_mb
+      (match timeout with
+      | None -> Hqs_util.Budget.unlimited
+      | Some s -> Hqs_util.Budget.of_seconds s)
+      mem_limit
   in
   if Option.is_some trace_file then Obs.Trace.start ();
   (* emit the observability artifacts on every exit path — a timeout or
@@ -251,7 +238,7 @@ let check =
     & info [ "check" ] ~docv:"LEVEL"
         ~doc:
           "soundness-auditor depth at every stage boundary: off, cheap (prefix invariants) or \
-           full (deep AIG audit + Skolem certification); overrides \\$(b,HQS_CHECK)")
+           full (deep AIG audit + Skolem certification)")
 
 let trace =
   Arg.(
@@ -260,9 +247,8 @@ let trace =
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
           "record hierarchical spans of the solve pipeline and write them as Chrome trace_event \
-           JSON (open in chrome://tracing or Perfetto); the \\$(b,HQS_TRACE) environment variable \
-           names a file with the same effect. Tracing is off by default and costs one branch per \
-           span when disabled")
+           JSON (open in chrome://tracing or Perfetto). Tracing is off by default and costs one \
+           branch per span when disabled")
 
 let dep_scheme =
   Arg.(
@@ -272,7 +258,7 @@ let dep_scheme =
         ~doc:
           "static dependency scheme applied to the prefix before solving: trivial (keep the \
            prefix as written; the default when solving) or rp (resolution-path pruning; the \
-           default of $(b,hqs analyze)); overrides \\$(b,HQS_DEP_SCHEME)")
+           default of $(b,hqs analyze))")
 
 let inproc =
   Arg.(
@@ -283,7 +269,7 @@ let inproc =
           "CNF inprocessing engine run between parsing and AIG construction: off (no CNF \
            rule; gate detection and AIG build only) or on (unit propagation, universal \
            reduction, BIG/SCC equivalence substitution, subsumption and self-subsumption; \
-           the default); overrides \\$(b,HQS_INPROC)")
+           the default)")
 
 let certify_arg =
   Arg.(
@@ -296,7 +282,7 @@ let certify_arg =
            explicit UNCERTIFIED marker past the expansion cap. Verify with \
            $(b,certcheck INSTANCE FILE), which shares no solver code. A certificate failing \
            its own audit triggers one re-solve with checks escalated to full; if that \
-           certificate fails its audit too, the exit is 3. Overrides \\$(b,HQS_CERTIFY)")
+           certificate fails its audit too, the exit is 3")
 
 let flag names doc = Arg.(value & flag & info names ~doc)
 
@@ -304,7 +290,8 @@ let flag names doc = Arg.(value & flag & info names ~doc)
 
 (* hqs sweep: benchmark sweep over DQDIMACS files. Each (file, solver)
    task runs in a forked Exec.Pool worker under a wall backstop; see
-   Exec.Pool for the crash taxonomy and Harness.Sweep for the journal.
+   Exec.Pool for the crash taxonomy and Harness.Sweep for the backstop
+   and the journal.
    Exit codes:
      0  sweep completed; every task solved, timed out or memed out
      1  internal error (uncaught exception)
@@ -317,12 +304,12 @@ let family_of_path file =
   | "." | ".." | "/" | "" -> "files"
   | d -> d
 
-let sweep files jobs timeout node_limit retries journal resume mem_limit chaos_kill
+let sweep files jobs timeout node_limit retries journal resume mem_limit chaos_kill check
     dep_scheme inproc certify_dir trace =
   install_signal_handlers ();
   (* resolved here, like solve and serve; the workers inherit it through
-     the fork. The sweep has no --check flag, only HQS_CHECK *)
-  let hqs_config = solver_config ~check:None ~dep_scheme ~inproc () in
+     the fork *)
+  let hqs_config = solver_config ~check ~dep_scheme ~inproc () in
   List.iter
     (fun (flag, n) ->
       if n < 1 then begin
@@ -378,16 +365,7 @@ let sweep files jobs timeout node_limit retries journal resume mem_limit chaos_k
       Harness.Sweep.hqs_config;
       Harness.Sweep.certify_dir;
       Harness.Sweep.mem_limit_mb = mem_limit;
-      Harness.Sweep.exec =
-        {
-          Exec.Pool.jobs;
-          max_attempts = retries;
-          backoff = Exec.Backoff.default;
-          chaos;
-          (* the wall kill is a backstop over the in-process budget:
-             generous enough to never fire first *)
-          wall_s = Some ((2.0 *. timeout) +. 10.0);
-        };
+      Harness.Sweep.exec = { Exec.Pool.jobs; max_attempts = retries; chaos };
     }
   in
   let n = 2 * List.length items in
@@ -486,9 +464,10 @@ let sweep_cmd =
       `S Manpage.s_description;
       `P
         "Runs HQS and iDQ on every $(i,FILE), each (file, solver) task in its own forked \
-         worker process under the $(b,--timeout) and $(b,--mem-limit) budgets. Worker \
-         deaths the result protocol cannot explain are retried with exponential backoff and \
-         eventually quarantined as CRASH rows instead of aborting the sweep. The \
+         worker process under the $(b,--timeout) and $(b,--mem-limit) budgets; a worker \
+         still running at twice $(b,--timeout) plus 10 s is killed and reported as TO. Worker \
+         deaths the result protocol cannot explain are retried at once and, after \
+         $(b,--retries) attempts, quarantined as CRASH rows instead of aborting the sweep. The \
          per-instance CSV goes to stdout; progress, Table I, the Fig. 4 scatter and the \
          headline summary go to stderr.";
       `S "EXIT STATUS";
@@ -500,8 +479,7 @@ let sweep_cmd =
     (Cmd.info "sweep" ~doc ~man)
     Term.(
       const sweep $ sweep_files $ jobs $ sweep_timeout $ sweep_node_limit $ retries $ journal
-      $ resume $ mem_limit $ chaos_kill
-      $ dep_scheme $ inproc
+      $ resume $ mem_limit $ chaos_kill $ check $ dep_scheme $ inproc
       $ Arg.(
           value
           & opt (some string) None
@@ -676,9 +654,9 @@ let serve_cmd =
       `P
         "Listens on a Unix-domain socket and solves each DQDIMACS request in its own forked \
          child, at most $(b,--workers) at a time, under per-request wall/heap budgets. A \
-         crashed solve is retried after an exponential backoff, ahead of newly admitted \
-         requests; clients always receive a structured reply (verdict, timeout, memout, crash, \
-         overloaded, draining) — never a hung connection. Verdicts are memoized under a \
+         crashed solve is retried at once, ahead of newly admitted requests, up to \
+         $(b,--retries) dispatches; clients always receive a structured reply (verdict, \
+         timeout, memout, crash, overloaded, draining) — never a hung connection. Verdicts are memoized under a \
          canonical form of the instance (variable renaming + clause reordering invariant); \
          with $(b,--check full), every $(b,--audit-period)-th cache hit is re-solved and \
          compared. SIGTERM drains gracefully: in-flight requests finish, new ones are \
@@ -780,7 +758,7 @@ let serve_cmd =
      2         usage error, invalid instance, or daemon unreachable
      0         --ping / --stats *)
 
-(* one introspection snapshot, shared by `hqs top` and `hqs query --health` *)
+(* one introspection snapshot, as `hqs top` prints it *)
 let render_health (h : Serve.Proto.health) =
   let m name =
     match List.assoc_opt name h.Serve.Proto.h_metrics with Some v -> v | None -> 0.
@@ -803,11 +781,11 @@ let render_health (h : Serve.Proto.health) =
   Printf.printf "c cert audits %.0f  audit_failures %.0f\n%!" (m "serve.cert_audits")
     (m "serve.cert_audit_failed")
 
-let query socket file ping stats health timeout sleep certify =
+let query socket file ping stats timeout sleep certify =
   install_signal_handlers ();
   let request =
     if ping then Serve.Proto.Ping
-    else if stats || health then Serve.Proto.Health
+    else if stats then Serve.Proto.Health
     else
       match file with
       | Some f -> (
@@ -831,15 +809,12 @@ let query socket file ping stats health timeout sleep certify =
       | Serve.Proto.Pong ->
           print_endline "c pong";
           exit 0
-      | Serve.Proto.Health_reply h when stats ->
+      | Serve.Proto.Health_reply h ->
           Printf.printf "c workers %d\nc queue_depth %d\n" h.Serve.Proto.live_workers
             h.Serve.Proto.h_queue_depth;
           List.iter
             (fun (name, v) -> Printf.printf "c metric %s %g\n" name v)
             h.Serve.Proto.h_metrics;
-          exit 0
-      | Serve.Proto.Health_reply h ->
-          render_health h;
           exit 0
       | Serve.Proto.Verdict { sat; elapsed_s; cached; audited; cert } ->
           Printf.printf "c elapsed %.3fs%s%s\n" elapsed_s
@@ -898,7 +873,8 @@ let query_cmd =
       `P
         "Submits the DQDIMACS $(i,FILE) to the daemon at $(b,--socket) and prints the \
          structured reply with the usual verdict exit codes; $(b,--ping) and $(b,--stats) \
-         probe liveness and the serve.* metric registry instead.";
+         probe liveness and the serve.* metric registry instead. The rendered health \
+         snapshot is $(b,hqs top --once).";
       `S "EXIT STATUS";
       `P
         "10 SAT; 20 UNSAT; 124 timeout; 125 memout; 5 crash; 75 overloaded or draining \
@@ -913,13 +889,6 @@ let query_cmd =
       $ Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"DQDIMACS input")
       $ Arg.(value & flag & info [ "ping" ] ~doc:"liveness probe")
       $ Arg.(value & flag & info [ "stats" ] ~doc:"print worker/queue/metric state")
-      $ Arg.(
-          value
-          & flag
-          & info [ "health" ]
-              ~doc:
-                "print one live introspection snapshot (pool states, latency quantiles, \
-                 crash/cache counters) — the single-shot form of $(b,hqs top)")
       $ Arg.(
           value
           & opt (some float) None

@@ -39,14 +39,11 @@ let solve file timeout mem_limit node_limit show_stats =
       Printf.eprintf "invalid input: %s\n" msg;
       exit 2);
   let budget =
-    match timeout with
-    | None -> Hqs_util.Budget.unlimited
-    | Some s -> Hqs_util.Budget.of_seconds s
-  in
-  let budget =
-    match mem_limit with
-    | None -> budget
-    | Some mb -> Hqs_util.Budget.with_mem_limit_mb budget mb
+    Hqs_util.Budget.with_mem_limit_mb
+      (match timeout with
+      | None -> Hqs_util.Budget.unlimited
+      | Some s -> Hqs_util.Budget.of_seconds s)
+      mem_limit
   in
   match Idq.solve_pcnf ~budget ?node_limit pcnf with
   | answer, stats ->

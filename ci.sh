@@ -42,15 +42,17 @@
 #      refuted by iDQ in one `hqs sweep` (UNSAT in both the hqs_outcome
 #      and idq_outcome columns; an iDQ timeout fails the gate)
 #   9. full-check smoke solve: generate a small PEC instance and solve
-#      it with the soundness auditor at full depth (HQS_CHECK=full),
+#      it with the soundness auditor at full depth (--check full),
 #      proving the stage audits end-to-end through the real CLI; then
 #      the memout gate: a node-limit blowup is a memout (exit 125)
 #      at once, not a timeout after a detour through a fallback, and
 #      the --stats line on that exit shows peak-nodes at the limit and
 #      a non-zero qbf-time; the same instance swept gives an MO row whose
-#      hqs_peak_nodes column reaches the limit, and a sweep under a
-#      malformed HQS_CHECK, given the deleted --cpu-limit, or given
-#      --jobs 0 or --retries 0, is a usage error (exit 2); then the Table I gate: solve all 154 `genpec
+#      hqs_peak_nodes column reaches the limit; a sweep given
+#      --check full audits the smoke instance (non-zero hqs_checks
+#      cell), and a sweep given a malformed --check level, the deleted
+#      --cpu-limit, --jobs 0 or --retries 0 is a usage error (exit 2);
+#      then the Table I gate: solve all 154 `genpec
 #      suite` instances at three node limits (test/table1.sh) and diff
 #      each exit code, maxsat-set= and peak-nodes= against
 #      test/fixtures/table1.expected
@@ -94,7 +96,10 @@
 #      drill the daemon recovery path: a chaos-poisoned certificate must
 #      tombstone the cache entry, re-solve under the escalated config,
 #      ship a verifiable artifact to the client, and leave the failure
-#      visible in the event log (cert_audit) and hqs top
+#      visible in the event log (cert_audit) and hqs top; finally sweep
+#      an adder instance and its UNSAT twin with --certify-dir and
+#      verify each (instance, certificate) pair the CSV cert column
+#      names with certcheck
 set -eu
 cd "$(dirname "$0")"
 
@@ -282,22 +287,15 @@ cmp "$tmp/verdicts.inproc-on" "$tmp/verdicts.inproc-off" || {
   diff "$tmp/verdicts.inproc-on" "$tmp/verdicts.inproc-off" || true
   exit 1
 }
-# the deleted full mode is a usage error, by flag and by environment
-for how in flag env; do
-  full_status=0
-  if [ "$how" = flag ]; then
-    "$HQS_BIN" "$tmp/an/pec_xor_n2_k1_ok.dqdimacs" --inproc full \
-      >"$tmp/ip.full.out" 2>&1 || full_status=$?
-  else
-    HQS_INPROC=full "$HQS_BIN" "$tmp/an/pec_xor_n2_k1_ok.dqdimacs" \
-      >"$tmp/ip.full.out" 2>&1 || full_status=$?
-  fi
-  if [ "$full_status" != 2 ]; then
-    echo "== ci FAILED: --inproc full ($how) exited $full_status (want 2) =="
-    cat "$tmp/ip.full.out"
-    exit 1
-  fi
-done
+# the deleted full mode is a usage error
+full_status=0
+"$HQS_BIN" "$tmp/an/pec_xor_n2_k1_ok.dqdimacs" --inproc full \
+  >"$tmp/ip.full.out" 2>&1 || full_status=$?
+if [ "$full_status" != 2 ]; then
+  echo "== ci FAILED: --inproc full exited $full_status (want 2) =="
+  cat "$tmp/ip.full.out"
+  exit 1
+fi
 # 2) the committed fixture must exhibit (and pass the audit for) at least
 #    one SCC merge and one subsumption
 ip_line=$("$HQS_BIN" analyze test/fixtures/inproc_basic.dqdimacs --check full \
@@ -461,8 +459,9 @@ echo "c elim gate: $n_el instances, default and model verdicts identical," \
 
 echo "== full-check smoke solve =="
 f=$(dune exec bin/genpec.exe -- one pec_xor --size 3 --boxes 1 --out "$tmp")
+smoke=$f
 status=0
-HQS_CHECK=full dune exec bin/hqs_cli.exe -- "$f" --timeout 60 --stats || status=$?
+dune exec bin/hqs_cli.exe -- "$f" --check full --timeout 60 --stats || status=$?
 case "$status" in
 10 | 20) : ;;
 *)
@@ -513,12 +512,27 @@ esac || {
   cat "$tmp/memout.csv"
   exit 1
 }
-# the sweep resolves HQS_CHECK like the solve: a malformed level is a
+# the sweep takes --check like the solve: at full, its workers audit
+# every stage (a non-zero hqs_checks cell), and a malformed level is a
 # usage error, not checks silently off
+"$HQS_BIN" sweep --check full "$smoke" -t 30 >"$tmp/check.csv" 2>"$tmp/check-sweep.err" || {
+  echo "== ci FAILED: the --check full sweep exited non-zero =="
+  cat "$tmp/check-sweep.err"
+  exit 1
+}
+sweep_checks=$(awk -F, 'NR == 1 { for (i = 1; i <= NF; i++) col[$i] = i; next }
+  col["hqs_checks"] { print $col["hqs_checks"] }' "$tmp/check.csv")
+case "$sweep_checks" in
+"" | *[!0-9]* | 0) false ;;
+esac || {
+  echo "== ci FAILED: the --check full sweep row reads hqs_checks='$sweep_checks' (want > 0) =="
+  cat "$tmp/check.csv"
+  exit 1
+}
 bogus_status=0
-HQS_CHECK=bogus "$HQS_BIN" sweep "$f" -t 5 >/dev/null 2>&1 || bogus_status=$?
+"$HQS_BIN" sweep --check bogus "$f" -t 5 >/dev/null 2>&1 || bogus_status=$?
 if [ "$bogus_status" != 2 ]; then
-  echo "== ci FAILED: HQS_CHECK=bogus hqs sweep exited $bogus_status (want 2) =="
+  echo "== ci FAILED: hqs sweep --check bogus exited $bogus_status (want 2) =="
   exit 1
 fi
 # the time limits are -t and the wall backstop; --cpu-limit is gone
@@ -1083,6 +1097,37 @@ grep -q '"ev":"retry"' "$elog3" || {
   cat "$elog3"
   exit 1
 }
-echo "c cert gate: suite certified+verified, corruption refuted, isolation asserted, daemon recovery drilled"
+# 6) sweep certification: --certify-dir drops one (instance, certificate)
+#    pair per HQS task, the CSV cert column names it, and certcheck
+#    verifies each pair with no other sweep state. -t 1 keeps the gate
+#    short; iDQ times out on the SAT twin, which does not fail a sweep.
+mkdir -p "$tmp/csweep"
+cs_sat=$(dune exec bin/genpec.exe -- one adder --size 2 --boxes 1 --out "$tmp/csweep")
+cs_unsat=$(dune exec bin/genpec.exe -- one adder --size 2 --boxes 1 --fault --out "$tmp/csweep")
+"$HQS_BIN" sweep "$cs_sat" "$cs_unsat" -t 1 -j 2 --certify-dir "$tmp/csweep/certs" \
+  >"$tmp/csweep.csv" 2>"$tmp/csweep.err" || {
+  echo "== ci FAILED: the --certify-dir sweep exited non-zero =="
+  cat "$tmp/csweep.err"
+  exit 1
+}
+for id in adder_b2_k1_ok adder_b2_k1_f; do
+  cs_cert=$(awk -F, -v id="$id" 'NR == 1 { for (i = 1; i <= NF; i++) col[$i] = i; next }
+    $col["id"] == id { print $col["cert"] }' "$tmp/csweep.csv")
+  if [ "$cs_cert" != "$tmp/csweep/certs/$id.cert" ]; then
+    echo "== ci FAILED: the sweep CSV cert cell of $id reads '$cs_cert'" \
+      "(want $tmp/csweep/certs/$id.cert) =="
+    cat "$tmp/csweep.csv"
+    exit 1
+  fi
+  cs_status=0
+  "$CERTCHECK" "$tmp/csweep/certs/$id.dqdimacs" "$cs_cert" >"$tmp/csweep.cc" 2>&1 \
+    || cs_status=$?
+  if [ "$cs_status" != 0 ]; then
+    echo "== ci FAILED: certcheck on the swept pair of $id exited $cs_status (want 0) =="
+    cat "$tmp/csweep.cc"
+    exit 1
+  fi
+done
+echo "c cert gate: suite certified+verified, corruption refuted, isolation asserted, daemon recovery drilled, sweep pairs verified"
 
 echo "== ci OK (smoke verdict exit $status, memout exit $memout_status, traced exit $trace_status, sweep crash+resume verified, serve gate passed, distobs gate passed, cert gate passed, deepcheck gate passed) =="

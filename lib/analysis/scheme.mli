@@ -9,8 +9,7 @@
       [x]/[y] in both polarities.
 
     The solver default is [Trivial]; the CLI overrides it per solve with
-    [--dep-scheme] or the [HQS_DEP_SCHEME] environment variable: on the
-    generated benchmark families [Rp] almost never prunes an edge and
+    [--dep-scheme]: on the generated benchmark families [Rp] almost never prunes an edge and
     never shrinks the MaxSAT elimination set, while it costs a large
     share of the front end on big CNFs (DESIGN.md §10). [hqs analyze]
     reports [Rp] unless told otherwise. *)

@@ -63,8 +63,8 @@ type config = {
 
 val default_config : config
 (** A constant: the library reads no environment variable. The CLI
-    resolves [--check]/[HQS_CHECK], [--dep-scheme]/[HQS_DEP_SCHEME] and
-    [--inproc]/[HQS_INPROC] into the fields it starts from. *)
+    applies its [--check], [--dep-scheme] and [--inproc] flags to the
+    fields it starts from. *)
 
 val escalated_config : config -> config
 (** The re-solve after a certificate failed its own audit: checks at

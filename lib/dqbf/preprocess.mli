@@ -27,7 +27,7 @@ type config = {
 
 val default_config : config
 (** [inproc] defaults to {!Inproc.default_mode} ([On]); callers that
-    resolve [HQS_INPROC] / [--inproc] override the field. *)
+    resolve [--inproc] override the field. *)
 
 val off : config
 (** No CNF rule and no gate detection: the clauses go into the AIG

@@ -17,22 +17,9 @@ type result = {
   salvaged_metrics : Obs.Metrics.sample list;
 }
 
-type config = {
-  jobs : int;
-  wall_s : float option;
-  max_attempts : int;
-  backoff : Backoff.policy;
-  chaos : Hqs_util.Chaos.t;
-}
+type config = { jobs : int; max_attempts : int; chaos : Hqs_util.Chaos.t }
 
-let default_config =
-  {
-    jobs = 1;
-    wall_s = None;
-    max_attempts = 3;
-    backoff = Backoff.default;
-    chaos = Hqs_util.Chaos.off;
-  }
+let default_config = { jobs = 1; max_attempts = 3; chaos = Hqs_util.Chaos.off }
 
 type 'k event = Crashed of 'k * int * string | Finished of 'k * result
 
@@ -44,7 +31,6 @@ type 'k task = {
   wall_s : float option;
   mutable spawned : int;  (* attempts consumed so far *)
   mutable log : string list;  (* failed-attempt descriptions, newest first *)
-  mutable ready_at : float;  (* backoff gate for the next fork *)
 }
 
 type 'k proc = {
@@ -65,9 +51,8 @@ type 'k t = {
   config : config;
   at_fork : unit -> unit;
   trace_id : string;
-  retries : 'k task Queue.t;  (* ready crash retries: forked first *)
+  retries : 'k task Queue.t;  (* crash retries: forked first *)
   fresh : 'k task Queue.t;
-  mutable delayed : 'k task list;  (* retries whose backoff gate is in the future *)
   mutable procs : 'k proc list;
   mutable forks : int;
   mutable submitted : int;
@@ -170,11 +155,8 @@ let run_child pool task fd ~attempt ~parent_span =
     | Error Stdlib.Out_of_memory ->
         (* the runtime's allocator said no: a clean memout *)
         with_obs [ ("status", Json.Str "memout") ]
-    | Error Stack_overflow ->
-        with_obs [ ("status", Json.Str "error"); ("detail", Json.Str "Stack_overflow") ]
-    (* arbitrary task failures were converted into [Error e] above;
-       nothing is swallowed, the parent classifies the failure as a
-       crash attempt *)
+    (* every other task failure, [Stack_overflow] included: nothing is
+       swallowed, the parent classifies it as a crash attempt *)
     | Error e ->
         with_obs [ ("status", Json.Str "error"); ("detail", Json.Str (Printexc.to_string e)) ]
   in
@@ -201,7 +183,6 @@ let create ?(at_fork = fun () -> ()) config =
         (int_of_float (Float.rem (Clock.now () *. 1e3) 16777216.0));
     retries = Queue.create ();
     fresh = Queue.create ();
-    delayed = [];
     procs = [];
     forks = 0;
     submitted = 0;
@@ -216,17 +197,16 @@ let submit pool ?wall_s ?(spent = 0) ~id key body =
       id;
       seq = pool.submitted;
       body;
-      wall_s = (match wall_s with Some _ -> wall_s | None -> pool.config.wall_s);
+      wall_s;
       spawned = spent;
       log = [];
-      ready_at = 0.0;
     }
   in
   pool.submitted <- pool.submitted + 1;
   Queue.add task (if spent > 0 then pool.retries else pool.fresh)
 
 let running pool = List.length pool.procs
-let queued pool = Queue.length pool.retries + Queue.length pool.fresh + List.length pool.delayed
+let queued pool = Queue.length pool.retries + Queue.length pool.fresh
 let idle pool = pool.procs = [] && queued pool = 0
 let spawned pool = pool.forks
 
@@ -341,10 +321,7 @@ let crash_attempt pool proc detail elapsed =
   task.log <- Printf.sprintf "attempt %d: %s" task.spawned detail :: task.log;
   pool.events <- Crashed (task.key, task.spawned, detail) :: pool.events;
   if task.spawned >= pool.config.max_attempts then finish pool proc (Crash elapsed) elapsed
-  else begin
-    task.ready_at <- Clock.now () +. Backoff.delay pool.config.backoff ~attempt:task.spawned;
-    pool.delayed <- task :: pool.delayed
-  end
+  else Queue.add task pool.retries
 
 (* a killed attempt left no result frame, but usually a recent partial
    one: salvage its metric delta (absorbed into this registry and kept
@@ -456,13 +433,8 @@ let read_ready pool fds =
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()))
     fds
 
-(* promote retries whose backoff gate has passed, then fill free slots,
-   retries first *)
+(* fill free slots, retries first *)
 let dispatch pool =
-  let now = Clock.now () in
-  let ready, still = List.partition (fun t -> t.ready_at <= now) pool.delayed in
-  pool.delayed <- still;
-  List.iter (fun t -> Queue.add t pool.retries) (List.rev ready);
   let rec fill () =
     if List.length pool.procs < pool.config.jobs then
       match Queue.take_opt pool.retries with
@@ -481,12 +453,7 @@ let dispatch pool =
 let wait pool ?(read = []) ?(write = []) timeout =
   dispatch pool;
   let now = Clock.now () in
-  let next =
-    List.fold_left
-      (fun acc t -> Float.min acc t.ready_at)
-      (List.fold_left (fun acc p -> Float.min acc p.deadline) infinity pool.procs)
-      pool.delayed
-  in
+  let next = List.fold_left (fun acc p -> Float.min acc p.deadline) infinity pool.procs in
   let timeout = Float.max 0.0 (Float.min timeout (next -. now)) in
   let pipes = List.map (fun p -> p.fd) pool.procs in
   let readable, writable =

@@ -44,8 +44,11 @@
       child before the task body, e.g. by [?at_fork]), fatal signal, or
       exit without a final frame (torn or missing) — is a crash
       {e attempt}:
-      reported as {!Crashed}, retried after backoff ahead of every task
-      not yet started, and {!Crash} once [max_attempts] are exhausted. *)
+      reported as {!Crashed}, forked again at once ahead of every task
+      not yet started, and {!Crash} once [max_attempts] are exhausted.
+      A retry is not delayed: at most [jobs] children run at a time, so
+      retries cannot stampede, and a chaos kill or a segfault repeats
+      whatever the delay. *)
 
 type status =
   | Value of Obs.Json.t  (** the task body returned this payload *)
@@ -66,18 +69,14 @@ type result = {
 
 type config = {
   jobs : int;  (** concurrent children, >= 1 *)
-  wall_s : float option;
-      (** the default deadline of a task, counted from each fork; the
-          parent SIGKILLs the child's process group past it *)
   max_attempts : int;  (** attempts before quarantine, >= 1 *)
-  backoff : Backoff.policy;  (** retry delay schedule *)
   chaos : Hqs_util.Chaos.t;
       (** queried in each child at {!Hqs_util.Chaos.worker_kill_point}; a
           fired point SIGKILLs the child before its task body runs *)
 }
 
 val default_config : config
-(** 1 job, no deadline, 3 attempts, {!Backoff.default}, chaos off. *)
+(** 1 job, 3 attempts, chaos off. *)
 
 type 'k event =
   | Crashed of 'k * int * string
@@ -102,11 +101,12 @@ val submit :
     child (attempts count from 1) and returns its result as JSON, or
     raises — [Out_of_memory] becomes {!Memout}, anything else a crash
     attempt. [id] names the task in chaos points and trace rows.
-    [?wall_s] overrides [config.wall_s] as this task's deadline,
-    counted from each fork. [?spent] (default 0) is the number of
-    attempts the task already used elsewhere: the first fork is attempt
-    [spent + 1], [max_attempts] counts them, and the task queues ahead
-    of fresh ones, like a crash retry. *)
+    [?wall_s] is this task's deadline (none by default), counted from
+    each fork: past it the parent SIGKILLs the child's process group.
+    [?spent] (default 0) is the number of attempts the task already used
+    elsewhere: the first fork is attempt [spent + 1], [max_attempts]
+    counts them, and the task queues ahead of fresh ones, like a crash
+    retry. *)
 
 val wait :
   'k t ->
@@ -117,7 +117,7 @@ val wait :
 (** [wait t ~read ~write timeout] forks queued tasks into free slots
     (retries first), then selects over the children's pipes and the
     caller's [read]/[write] descriptors for at most [timeout] seconds
-    (less when a deadline or backoff gate comes first). It returns the
+    (less when a deadline comes first). It returns the
     events of children that finished meanwhile, in order, and the
     caller's ready readable and writable descriptors. *)
 
@@ -125,7 +125,7 @@ val running : 'k t -> int
 (** Children alive now. *)
 
 val queued : 'k t -> int
-(** Tasks submitted but not running: waiting for a slot or in backoff. *)
+(** Tasks submitted but not running: waiting for a slot. *)
 
 val idle : 'k t -> bool
 (** Nothing queued and nothing running. *)

@@ -29,43 +29,31 @@ let write_artifacts ~dir ~id ~instance_text cert =
   Cert.write_file (stem ^ ".cert") cert;
   stem ^ ".cert"
 
-(* the wall budget, under the heap ceiling when one is given *)
-let budget ~timeout ~mem_limit_mb =
-  let b = Budget.of_seconds timeout in
-  match mem_limit_mb with Some mb -> Budget.with_mem_limit_mb b mb | None -> b
-
 let run_hqs ?(config = Hqs.default_config) ?cert_dir ?mem_limit_mb ~id ~timeout ~node_limit pcnf
     =
   let config = { config with Hqs.node_limit = Some node_limit } in
   let instance_text = Option.map (fun _ -> Dqbf.Pcnf.to_string pcnf) cert_dir in
-  let t0 = Budget.now () in
-  match
-    Hqs.run ~config ~budget:(budget ~timeout ~mem_limit_mb) ?certify:instance_text pcnf
-  with
-  | r ->
-      let t = r.Hqs.elapsed_s in
-      let outcome =
-        match r.Hqs.outcome with
-        | Hqs.Verdict v -> Solved (v = Hqs.Sat, t)
-        | Hqs.Timeout -> Timeout t
-        | Hqs.Memout -> Memout t
-      in
-      let cert_path =
-        match (cert_dir, instance_text, r.Hqs.cert) with
-        | Some dir, Some instance_text, Some cert ->
-            Some (write_artifacts ~dir ~id ~instance_text cert)
-        | _ -> None
-      in
-      (outcome, Some r.Hqs.stats, cert_path)
-  (* one pathological instance must not take down a whole sweep *)
-  | exception Stack_overflow -> (Crash (Budget.now () -. t0), None, None)
+  let budget = Budget.with_mem_limit_mb (Budget.of_seconds timeout) mem_limit_mb in
+  let r = Hqs.run ~config ~budget ?certify:instance_text pcnf in
+  let t = r.Hqs.elapsed_s in
+  let outcome =
+    match r.Hqs.outcome with
+    | Hqs.Verdict v -> Solved (v = Hqs.Sat, t)
+    | Hqs.Timeout -> Timeout t
+    | Hqs.Memout -> Memout t
+  in
+  let cert_path =
+    match (cert_dir, instance_text, r.Hqs.cert) with
+    | Some dir, Some instance_text, Some cert -> Some (write_artifacts ~dir ~id ~instance_text cert)
+    | _ -> None
+  in
+  (outcome, r.Hqs.stats, cert_path)
 
 let run_idq ?mem_limit_mb ~timeout ~node_limit pcnf =
   let t0 = Budget.now () in
-  let budget = budget ~timeout ~mem_limit_mb in
+  let budget = Budget.with_mem_limit_mb (Budget.of_seconds timeout) mem_limit_mb in
   match fst (Idq.solve_pcnf ~budget ~node_limit pcnf) with
   | verdict -> Solved (verdict, Budget.now () -. t0)
   | exception Budget.Timeout -> Timeout (Budget.now () -. t0)
   (* real resource exhaustion inside the solver is recorded, not fatal *)
   | exception (Budget.Out_of_memory_budget | Stdlib.Out_of_memory) -> Memout (Budget.now () -. t0)
-  | exception Stack_overflow -> Crash (Budget.now () -. t0)

@@ -7,10 +7,10 @@ type outcome =
   | Timeout of float  (** seconds burned before the deadline fired *)
   | Memout of float
   | Crash of float
-      (** the solve died without a classified result: a [Stack_overflow]
-          in-process, or — under the supervised executor ({!Sweep}) — a
-          worker that exhausted its retry budget (segfault, chaos kill,
-          torn result frame) *)
+      (** the solve's forked worker ({!Sweep}) exhausted its retry
+          budget without a classified result: an exception such as
+          [Stack_overflow], a segfault, a chaos kill or a torn result
+          frame ({!Exec.Pool}'s crash taxonomy) *)
 
 type soundness =
   | Consistent
@@ -51,14 +51,16 @@ val run_hqs :
   timeout:float ->
   node_limit:int ->
   Dqbf.Pcnf.t ->
-  outcome * Hqs.stats option * string option
+  outcome * Hqs.stats * string option
 (** One {!Hqs.run} under [timeout], [node_limit] and the heap ceiling
-    [?mem_limit_mb] (none by default): the outcome, the
-    call's stats (on every outcome but a [Stack_overflow] crash) and the
-    certificate path. With [?cert_dir], a finished solve writes
-    [<dir>/<id>.dqdimacs] (the fingerprinted instance bytes) and
+    [?mem_limit_mb] (none by default): the outcome, the call's stats and
+    the certificate path. It never returns {!Crash}: an exception such
+    as [Stack_overflow] propagates, and the {!Exec.Pool} worker that runs
+    it classifies it as a crash attempt. With [?cert_dir], a finished
+    solve writes [<dir>/<id>.dqdimacs] (the fingerprinted instance bytes) and
     [<dir>/<id>.cert], which [certcheck] audits with no other sweep
     state; a TO or MO leaves no artifact. *)
 
 val run_idq : ?mem_limit_mb:int -> timeout:float -> node_limit:int -> Dqbf.Pcnf.t -> outcome
-(** One iDQ solve under the same budgets as {!run_hqs}. *)
+(** One iDQ solve under the same budgets as {!run_hqs}; like it, never
+    {!Crash}. *)

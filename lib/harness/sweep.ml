@@ -182,7 +182,7 @@ let worker config item solver =
           ?mem_limit_mb:config.mem_limit_mb ~id:item.id ~timeout:config.timeout
           ~node_limit:config.node_limit item.pcnf
       in
-      value_to_json outcome stats cert
+      value_to_json outcome (Some stats) cert
   | Idq_run ->
       let outcome =
         Runner.run_idq ?mem_limit_mb:config.mem_limit_mb ~timeout:config.timeout
@@ -249,12 +249,15 @@ let run ?(config = default_config ~timeout:5.0 ~node_limit:200_000) ?journal ?re
       on_progress
   in
   let pool = Pool.create config.exec in
+  (* the wall kill is a backstop over the in-process budget: generous
+     enough to never fire first *)
+  let wall_s = (2.0 *. config.timeout) +. 10.0 in
   List.iter
     (fun (item, solver) ->
       let id = task_id item solver in
       match Hashtbl.find_opt rows id with
       | Some row -> notify id row ~from_journal:true
-      | None -> Pool.submit pool ~id id (fun ~attempt:_ -> worker config item solver))
+      | None -> Pool.submit pool ~wall_s ~id id (fun ~attempt:_ -> worker config item solver))
     tasks;
   let journaled = Hashtbl.length rows in
   let jnl = Option.map Exec.Journal.open_append journal in

@@ -10,8 +10,9 @@
     iDQ for soundness, and absorbs the child metric deltas into its own
     registry.
 
-    A worker death the frame cannot explain (segfault, chaos kill, torn
-    frame) is retried with backoff and eventually surfaces as
+    A worker death the frame cannot explain (an exception such as
+    [Stack_overflow], a segfault, a chaos kill, a torn frame) is retried
+    at once and, after [exec.max_attempts] attempts, surfaces as
     {!Runner.Crash} — the sweep always terminates with one result per
     instance. With [?journal]/[?resume], an interrupted sweep can be
     rerun and will fork workers only for the tasks that have no
@@ -35,7 +36,7 @@ type config = {
           exceeding it is an in-process MO whose row carries its stats.
           A worker's heap starts with what it inherited from the sweep
           parent: the parsed inputs count against it *)
-  exec : Exec.Pool.config;  (** jobs, wall backstop, retries, chaos *)
+  exec : Exec.Pool.config;  (** jobs, retries, chaos *)
   certify_dir : string option;
       (** when set, each HQS worker certifies its solve ({!Runner.run_hqs}
           [?cert_dir]) and drops
@@ -46,8 +47,7 @@ type config = {
 
 val default_config : timeout:float -> node_limit:int -> config
 (** In-process budgets as given, no heap ceiling, {!Hqs.default_config};
-    pool at {!Exec.Pool.default_config} (1 job, no wall backstop,
-    3 attempts). *)
+    pool at {!Exec.Pool.default_config} (1 job, 3 attempts). *)
 
 type progress = {
   task : string;  (** ["<instance>/hqs"] or ["<instance>/idq"] *)
@@ -84,7 +84,9 @@ val run :
   item list ->
   sweep_report
 (** Sweep over the instances, each task in a forked {!Exec.Pool} worker
-    under [config.exec].
+    under [config.exec]. Each task's wall backstop is
+    [2 * config.timeout + 10] seconds, past which the pool kills the
+    worker and the row is a timeout.
 
     [?journal] appends each task's row to a crash-safe JSONL file as it
     finishes. [?resume] pre-loads rows from such a file: a task with a

@@ -14,9 +14,10 @@
    - a missing [.mli] leaks mutable internals that the auditor assumes
      only the public API can touch;
    - a raw [Unix.openfile]/[Unix.pipe]/[Unix.socket] outside [lib/exec]
-     creates file descriptors with none of the supervisor's close-on-exec
-     and cleanup discipline (the fd-leak surface that poisons forked
-     sweep workers);
+     creates file descriptors that nothing closes in a forked child:
+     [Exec.Pool.run_child] closes only the pool's other pipes and what
+     the caller's [at_fork] closes (the daemon's sockets), so any other
+     descriptor leaks into every forked sweep or serve worker;
    - a wall-clock read ([Unix.gettimeofday]/[Unix.time]) outside
      [lib/util] silently breaks budgets and trace timestamps under clock
      steps — solver paths must use the monotonic [Budget.now];
@@ -90,8 +91,9 @@ let rule_doc = function
        auditor assumes only the public API can touch."
   | Raw_fd ->
       "raw Unix.openfile/pipe/socket/socketpair/accept outside lib/exec or lib/serve: \
-       descriptors opened elsewhere have none of the supervisor's close-on-exec and cleanup \
-       discipline and leak into forked workers."
+       a forked child closes only the pool's other pipes and what the caller's at_fork \
+       closes (Exec.Pool.run_child), so descriptors opened elsewhere leak into forked \
+       workers."
   | Wall_clock ->
       "Unix.gettimeofday/Unix.time outside lib/util: wall time breaks budgets and trace \
        timestamps under clock steps — use the monotonic Budget.now."
@@ -296,8 +298,9 @@ let collect_structure ~path structure =
         | "Unix.openfile" | "Unix.pipe" | "Unix.socket" | "Unix.socketpair" | "Unix.accept" ->
             if not (in_lib_sub "exec" path || in_lib_sub "serve" path) then
               add Raw_fd
-                "raw file descriptor outside lib/exec or lib/serve: use the supervisor's \
-                 wrappers (leaked fds survive the fork into sweep workers)"
+                "raw file descriptor outside lib/exec or lib/serve: open it there, where \
+                 Exec.Pool.run_child or the caller's at_fork closes it in forked workers \
+                 (leaked fds survive the fork)"
                 loc
         | "Unix.gettimeofday" | "Unix.time" ->
             if not (in_lib_sub "util" path) then

@@ -13,9 +13,10 @@
       parse-error channel;
     - [Missing_mli] — a [lib/] implementation without a sibling [.mli];
     - [Raw_fd] — raw [Unix.openfile]/[Unix.pipe]/[Unix.socket] outside
-      [lib/exec]: descriptors opened elsewhere have none of the
-      supervisor's close-on-exec and cleanup discipline and leak into
-      forked sweep workers;
+      [lib/exec]: a forked child closes only the pool's other pipes
+      ([Exec.Pool.run_child]) and what the caller's [at_fork] closes (the
+      daemon's sockets), so descriptors opened elsewhere leak into
+      forked sweep and serve workers;
     - [Wall_clock] — [Unix.gettimeofday]/[Unix.time] outside [lib/util]:
       solver paths must use the monotonic [Budget.now], wall time breaks
       budgets and trace timestamps under clock steps;

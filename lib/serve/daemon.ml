@@ -17,7 +17,6 @@ type config = {
   kill_grace_s : float;
   max_attempts : int;
   mem_limit_mb : int option;
-  backoff : Exec.Backoff.policy;
   chaos : Chaos.t;
   audit_period : int;
   cache_path : string option;
@@ -37,7 +36,6 @@ let default ~socket_path =
     kill_grace_s = 2.;
     max_attempts = 3;
     mem_limit_mb = None;
-    backoff = Exec.Backoff.default;
     chaos = Chaos.off;
     audit_period = 4;
     cache_path = None;
@@ -87,12 +85,7 @@ type job = {
 let solve_job (config : config) job ~attempt =
   let poison = config.certify && Chaos.fire config.chaos (cert_point ~jid:job.jid ~attempt) in
   let t0 = Budget.now () in
-  let budget = Budget.of_seconds job.timeout_s in
-  let budget =
-    match config.mem_limit_mb with
-    | Some mb -> Budget.with_mem_limit_mb budget mb
-    | None -> budget
-  in
+  let budget = Budget.with_mem_limit_mb (Budget.of_seconds job.timeout_s) config.mem_limit_mb in
   if job.sleep_s > 0. then Unix.sleepf job.sleep_s;
   let solver =
     (* escalated re-solve after a certificate audit failure *)
@@ -228,13 +221,7 @@ let run (config : config) =
   in
   let pool =
     Pool.create ~at_fork
-      {
-        Pool.jobs = config.workers;
-        wall_s = None;
-        max_attempts = config.max_attempts;
-        backoff = config.backoff;
-        chaos = config.chaos;
-      }
+      { Pool.jobs = config.workers; max_attempts = config.max_attempts; chaos = config.chaos }
   in
   let next_jid = ref 0 in
   let next_cid = ref 0 in

@@ -13,9 +13,10 @@
       [timeout]/[memout], a solve still running at deadline + grace is
       SIGKILLed and answered with [timeout]; never a hung or torn
       connection;
-    - crash retries wait out the exponential {!Exec.Backoff}
-      delay and then run ahead of newly admitted jobs, so a poisoned
-      instance cannot turn the pool into a fork bomb;
+    - a crash retry is forked at once, ahead of newly admitted jobs,
+      and a job is quarantined after [max_attempts] dispatches; with at
+      most [workers] children alive, a poisoned instance cannot turn the
+      pool into a fork bomb;
     - admission is bounded: past [queue_cap] queued jobs, new solves are
       shed with an explicit [overloaded] reply and counted;
     - SIGTERM/SIGINT drain gracefully: in-flight jobs finish, new solves
@@ -46,7 +47,6 @@ type config = {
   kill_grace_s : float;  (** SIGKILL a solve this long past its request deadline *)
   max_attempts : int;  (** dispatches per job before a [crash] reply *)
   mem_limit_mb : int option;  (** per-request heap budget, in MB *)
-  backoff : Exec.Backoff.policy;  (** crash-retry delay schedule *)
   chaos : Hqs_util.Chaos.t;
       (** handed to the pool, whose
           {!Hqs_util.Chaos.worker_kill_point} for [task_id ~jid] makes

@@ -21,7 +21,9 @@ let sub ~frac t =
     { t with deadline = min t.deadline (now +. (frac *. (t.deadline -. now))) }
 
 let words_per_mb = 1024 * 1024 / (Sys.word_size / 8)
-let with_mem_limit_mb t mb = { t with mem_limit_words = mb * words_per_mb }
+let with_mem_limit_mb t = function
+  | None -> t
+  | Some mb -> { t with mem_limit_words = mb * words_per_mb }
 let mem_limit_words t = if t.mem_limit_words = max_int then None else Some t.mem_limit_words
 (* [quick_stat] covers only the major heap, which is 0 early in a run
    (OCaml 5 promotes lazily); add the mapped minor arena so the governor

@@ -27,9 +27,10 @@ val sub : frac:float -> t -> t
     ceiling is inherited unchanged. A child never outlives its parent
     for [frac <= 1]. *)
 
-val with_mem_limit_mb : t -> int -> t
-(** Impose a heap ceiling of [mb] megabytes (major + minor heap words as
-    reported by [Gc.quick_stat]). Inherited by {!sub}-budgets. *)
+val with_mem_limit_mb : t -> int option -> t
+(** [with_mem_limit_mb t (Some mb)] imposes a heap ceiling of [mb]
+    megabytes (major + minor heap words as reported by [Gc.quick_stat]),
+    inherited by {!sub}-budgets; [None] returns [t] unchanged. *)
 
 val check : t -> unit
 (** @raise Timeout if the deadline has passed.

@@ -1,11 +1,9 @@
 (* Tests for lib/exec: process-isolated execution on the forked worker
-   pool, wall deadlines, deterministic backoff, and the crash-safe
-   journal. *)
+   pool, wall deadlines, crash retries, and the crash-safe journal. *)
 
 module Json = Obs.Json
 module Pool = Exec.Pool
 module Journal = Exec.Journal
-module Backoff = Exec.Backoff
 module Chaos = Hqs_util.Chaos
 
 let tmp_file name =
@@ -43,11 +41,11 @@ let finished events key =
   | Some r -> r
   | None -> Alcotest.failf "no Finished event for %s" key
 
-(* a batch of [(id, payload)] tasks on a fresh pool, drained: the pool,
-   and its events in order *)
-let run_batch config worker tasks =
+(* a batch of [(id, payload)] tasks on a fresh pool, each under the
+   deadline [?wall_s], drained: the pool, and its events in order *)
+let run_batch ?wall_s config worker tasks =
   let pool = Pool.create config in
-  List.iter (fun (id, x) -> Pool.submit pool ~id id (fun ~attempt:_ -> worker x)) tasks;
+  List.iter (fun (id, x) -> Pool.submit pool ?wall_s ~id id (fun ~attempt:_ -> worker x)) tasks;
   (pool, drain pool)
 
 (* ------------------------------------------------------------ supervisor *)
@@ -74,8 +72,6 @@ let test_value_roundtrip () =
       | s -> Alcotest.failf "task %s: expected Value, got %s" id (status_label s))
     tasks
 
-let fast_backoff = { Backoff.base_s = 0.01; max_s = 0.02 }
-
 let test_chaos_kill_quarantine () =
   (* arm the kill point for every attempt of t1: it must be quarantined
      as Crash after exactly max_attempts spawns *)
@@ -84,7 +80,7 @@ let test_chaos_kill_quarantine () =
     List.init max_attempts (fun i -> Chaos.worker_kill_point ~task:"t1" ~attempt:(i + 1))
   in
   let chaos = Chaos.arm points in
-  let config = { Pool.default_config with jobs = 2; max_attempts; chaos; backoff = fast_backoff } in
+  let config = { Pool.jobs = 2; max_attempts; chaos } in
   let _, events = run_batch config square [ ("t0", 2); ("t1", 3); ("t2", 4) ] in
   let c1 = finished events "t1" in
   (match c1.Pool.status with
@@ -111,7 +107,7 @@ let test_chaos_kill_quarantine () =
 let test_retry_recovers () =
   (* kill only attempt 1: the retry must succeed with attempts = 2 *)
   let chaos = Chaos.arm [ Chaos.worker_kill_point ~task:"t0" ~attempt:1 ] in
-  let config = { Pool.default_config with max_attempts = 3; chaos; backoff = fast_backoff } in
+  let config = { Pool.default_config with max_attempts = 3; chaos } in
   let pool, events = run_batch config square [ ("t0", 6) ] in
   let c = finished events "t0" in
   (match c.Pool.status with
@@ -135,9 +131,9 @@ let test_wall_timeout () =
     Unix.sleepf 30.0;
     Json.Null
   in
-  let config = { Pool.default_config with wall_s = Some 0.2; max_attempts = 1 } in
+  let config = { Pool.default_config with max_attempts = 1 } in
   let t0 = Hqs_util.Mono.now () in
-  let _, events = run_batch config worker [ ("sleeper", ()) ] in
+  let _, events = run_batch ~wall_s:0.2 config worker [ ("sleeper", ()) ] in
   let wall = Hqs_util.Mono.now () -. t0 in
   Alcotest.(check bool) "killed promptly, not after 30 s" true (wall < 10.0);
   match (finished events "sleeper").Pool.status with
@@ -145,17 +141,28 @@ let test_wall_timeout () =
   | s -> Alcotest.failf "expected Timeout, got %s" (status_label s)
 
 let test_crash_exit_code () =
-  (* a worker that _exits nonzero without a frame is a crash attempt *)
-  let worker () =
-    Unix._exit 3 [@warning "-20"]
+  (* a worker that _exits nonzero without a frame, and a body that
+     raises [Stack_overflow], are each a crash attempt, retried and then
+     quarantined *)
+  let dier () = Unix._exit 3 [@warning "-20"] in
+  let overflow () = raise Stack_overflow in
+  let config = { Pool.default_config with max_attempts = 2 } in
+  let _, events =
+    run_batch config (fun body -> body ()) [ ("dier", dier); ("overflow", overflow) ]
   in
-  let config = { Pool.default_config with max_attempts = 2; backoff = fast_backoff } in
-  let _, events = run_batch config worker [ ("dier", ()) ] in
-  let c = finished events "dier" in
-  (match c.Pool.status with
-  | Pool.Crash _ -> ()
-  | s -> Alcotest.failf "expected Crash, got %s" (status_label s));
-  Alcotest.(check int) "retried then quarantined" 2 c.Pool.attempts
+  List.iter
+    (fun (id, needle) ->
+      let c = finished events id in
+      (match c.Pool.status with
+      | Pool.Crash _ -> ()
+      | s -> Alcotest.failf "%s: expected Crash, got %s" id (status_label s));
+      Alcotest.(check int) (id ^ ": retried then quarantined") 2 c.Pool.attempts;
+      List.iter
+        (fun line ->
+          Alcotest.(check bool) (Printf.sprintf "%s: log names the fault: %s" id line) true
+            (contains ~needle line))
+        c.Pool.crash_log)
+    [ ("dier", "exit 3"); ("overflow", "Stack overflow") ]
 
 (* ------------------------------------------------------------ fork traces *)
 
@@ -232,8 +239,8 @@ let test_timeout_salvages_partial_metrics () =
     Unix.sleepf 30.0;
     Json.Null
   in
-  let config = { Pool.default_config with wall_s = Some 1.0; max_attempts = 1 } in
-  let _, events = run_batch config worker [ ("slow", ()) ] in
+  let config = { Pool.default_config with max_attempts = 1 } in
+  let _, events = run_batch ~wall_s:1.0 config worker [ ("slow", ()) ] in
   let r = finished events "slow" in
   (match r.Pool.status with
   | Pool.Timeout _ -> ()
@@ -317,10 +324,9 @@ let test_pool_submit_while_running () =
 
 let test_pool_retry_ahead_of_queued () =
   (* one slot; "a" is killed on its first attempt while "b" waits in the
-     queue: a's retry (zero backoff) is forked before b *)
+     queue: a's retry is forked before b *)
   let chaos = Chaos.arm [ Chaos.worker_kill_point ~task:"a" ~attempt:1 ] in
-  let backoff = { Backoff.default with base_s = 0.0 } in
-  let pool = Pool.create { Pool.default_config with jobs = 1; chaos; backoff } in
+  let pool = Pool.create { Pool.default_config with jobs = 1; chaos } in
   Pool.submit pool ~id:"a" "a" (fun ~attempt -> Json.Num (float_of_int attempt));
   Pool.submit pool ~id:"b" "b" (fun ~attempt:_ -> Json.Num 0.0);
   let events = drain pool in
@@ -415,27 +421,6 @@ let test_eventlog_rotation_and_torn_tail () =
   Sys.remove path;
   Sys.remove rotated
 
-(* --------------------------------------------------------------- backoff *)
-
-let test_backoff_exact () =
-  let policy = { Backoff.base_s = 0.05; max_s = 2.0 } in
-  let d attempt = Backoff.delay policy ~attempt in
-  Alcotest.(check (float 1e-12)) "attempt 1" 0.05 (d 1);
-  Alcotest.(check (float 1e-12)) "attempt 2" 0.1 (d 2);
-  Alcotest.(check (float 1e-12)) "attempt 3" 0.2 (d 3);
-  Alcotest.(check (float 1e-12)) "capped" 2.0 (d 20)
-
-let test_backoff_bounds () =
-  let policy = Backoff.default in
-  for attempt = 1 to 12 do
-    let d = Backoff.delay policy ~attempt in
-    Alcotest.(check bool) "non-negative" true (d >= 0.0);
-    Alcotest.(check bool) "within cap" true (d <= policy.max_s)
-  done;
-  Alcotest.check_raises "attempt is 1-based"
-    (Invalid_argument "Backoff.delay: attempt is 1-based") (fun () ->
-      ignore (Backoff.delay policy ~attempt:0))
-
 (* --------------------------------------------------------------- journal *)
 
 let entry id v = { Journal.task_id = id; data = Json.Obj [ ("v", Json.Num v) ] }
@@ -517,11 +502,6 @@ let () =
         [
           Alcotest.test_case "rotation and torn tail" `Quick
             test_eventlog_rotation_and_torn_tail;
-        ] );
-      ( "backoff",
-        [
-          Alcotest.test_case "exact schedule" `Quick test_backoff_exact;
-          Alcotest.test_case "bounds and 1-based attempts" `Quick test_backoff_bounds;
         ] );
       ( "journal",
         [

@@ -14,9 +14,7 @@ let run_hqs ~timeout ~node_limit (inst : Fam.instance) =
   (outcome, stats)
 
 (* an unfinished run still carries the call's own stats *)
-let peak_nodes = function
-  | Some stats -> Hqs.metric stats "hqs.peak_nodes"
-  | None -> Alcotest.fail "an unfinished run returned no stats"
+let peak_nodes stats = Hqs.metric stats "hqs.peak_nodes"
 
 let test_run_hqs_solves () =
   (match fst (run_hqs ~timeout:30.0 ~node_limit:400_000 small_sat) with

@@ -25,8 +25,7 @@ let fresh_socket =
     incr n;
     Printf.sprintf "/tmp/hqs_serve_test_%d_%d.sock" (Unix.getpid ()) !n
 
-(* fast test pool: tight grace and backoff so failure cases resolve
-   quickly *)
+(* fast test pool: tight grace so failure cases resolve quickly *)
 let test_config ?(workers = 2) ?(queue_cap = 16) socket_path =
   {
     (D.default ~socket_path) with
@@ -35,7 +34,6 @@ let test_config ?(workers = 2) ?(queue_cap = 16) socket_path =
     default_timeout_s = 10.;
     max_timeout_s = 20.;
     kill_grace_s = 0.5;
-    backoff = { Exec.Backoff.base_s = 0.01; max_s = 0.05 };
   }
 
 let wait_ready socket =
@@ -594,7 +592,9 @@ let test_query_exit_codes_verdicts () =
           check_int "SAT exits 10" 10 (query_code ~socket sat_file);
           check_int "UNSAT exits 20" 20 (query_code ~socket unsat_file);
           check_int "ping exits 0" 0 (query_code ~socket "--ping");
-          check_int "health exits 0" 0 (query_code ~socket "--health"));
+          check_int "top --once exits 0" 0
+            (run_cmd (Printf.sprintf "%s top --socket %s --once" cli socket));
+          check_int "query --health is a usage error" 2 (query_code ~socket "--health"));
       check_int "unreachable daemon exits 2" 2 (query_code ~socket:"/tmp/no_such.sock" "--ping"))
 
 let test_query_exit_code_memout () =

@@ -189,19 +189,21 @@ let test_budget_sub () =
 
 let test_budget_mem_governor () =
   check "heap words positive" true (Budget.heap_words () > 0);
-  let roomy = Budget.with_mem_limit_mb Budget.unlimited 1_000_000 in
+  let roomy = Budget.with_mem_limit_mb Budget.unlimited (Some 1_000_000) in
   Budget.check roomy;
   check "not exceeded" false (Budget.mem_exceeded roomy);
   (* the live heap of a running test is far beyond a 0 MB ceiling *)
-  let tiny = Budget.with_mem_limit_mb Budget.unlimited 0 in
+  let tiny = Budget.with_mem_limit_mb Budget.unlimited (Some 0) in
   check "tiny ceiling exceeded" true (Budget.mem_exceeded tiny);
   Alcotest.check_raises "raises memout" Budget.Out_of_memory_budget (fun () -> Budget.check tiny);
   (* inherited through sub *)
   check "sub inherits ceiling" true
     (Budget.mem_exceeded
-       (Budget.sub ~frac:0.5 (Budget.with_mem_limit_mb (Budget.of_seconds 10.0) 0)));
+       (Budget.sub ~frac:0.5 (Budget.with_mem_limit_mb (Budget.of_seconds 10.0) (Some 0))));
   check "limit readable" true (Budget.mem_limit_words tiny = Some 0);
-  check "no limit by default" true (Budget.mem_limit_words Budget.unlimited = None)
+  check "no limit by default" true (Budget.mem_limit_words Budget.unlimited = None);
+  check "None imposes no limit" true
+    (Budget.mem_limit_words (Budget.with_mem_limit_mb Budget.unlimited None) = None)
 
 (* ---------------------------------------------------------------- Chaos *)
 
