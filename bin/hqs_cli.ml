@@ -476,7 +476,7 @@ let sweep_cmd =
     ]
   in
   Cmd.v
-    (Cmd.info "sweep" ~doc ~man)
+    (Cmd.info "hqs sweep" ~doc ~man)
     Term.(
       const sweep $ sweep_files $ jobs $ sweep_timeout $ sweep_node_limit $ retries $ journal
       $ resume $ mem_limit $ chaos_kill $ check $ dep_scheme $ inproc
@@ -580,7 +580,7 @@ let analyze_cmd =
     ]
   in
   Cmd.v
-    (Cmd.info "analyze" ~doc ~man)
+    (Cmd.info "hqs analyze" ~doc ~man)
     Term.(const analyze $ file $ dep_scheme $ check $ inproc)
 
 (* -------------------------------------------------------- serve command *)
@@ -666,7 +666,7 @@ let serve_cmd =
     ]
   in
   Cmd.v
-    (Cmd.info "serve" ~doc ~man)
+    (Cmd.info "hqs serve" ~doc ~man)
     Term.(
       const serve $ socket_arg
       $ Arg.(value & opt int 2 & info [ "workers"; "j" ] ~docv:"N" ~doc:"concurrent forked solves (pool size)")
@@ -883,7 +883,7 @@ let query_cmd =
     ]
   in
   Cmd.v
-    (Cmd.info "query" ~doc ~man)
+    (Cmd.info "hqs query" ~doc ~man)
     Term.(
       const query $ socket_arg
       $ Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"DQDIMACS input")
@@ -953,7 +953,7 @@ let top_cmd =
     ]
   in
   Cmd.v
-    (Cmd.info "top" ~doc ~man)
+    (Cmd.info "hqs top" ~doc ~man)
     Term.(
       const top $ socket_arg
       $ Arg.(
@@ -982,33 +982,21 @@ let solve_cmd =
 
 (* `Cmd.group ~default` would swallow the FILE positional of the plain
    solve invocation as an unknown command name, so dispatch by hand:
-   `hqs sweep ...` evaluates the sweep command with argv shifted past
-   the subcommand token, anything else keeps the historical `hqs FILE`
-   interface intact. *)
-let subcommands =
-  [
-    ("sweep", sweep_cmd);
-    ("analyze", analyze_cmd);
-    ("serve", serve_cmd);
-    ("query", query_cmd);
-    ("top", top_cmd);
-  ]
+   `hqs sweep ...` evaluates the command named "hqs sweep" with argv
+   shifted past the subcommand token, anything else keeps the historical
+   `hqs FILE` interface intact. *)
+let subcommands = [ sweep_cmd; analyze_cmd; serve_cmd; query_cmd; top_cmd ]
 
 let () =
   let argv = Sys.argv in
   let sub =
     if Array.length argv < 2 then None
-    else
-      List.find_map
-        (fun (name, cmd) -> if String.equal name argv.(1) then Some cmd else None)
-        subcommands
+    else List.find_opt (fun cmd -> String.equal (Cmd.name cmd) ("hqs " ^ argv.(1))) subcommands
   in
   let eval_result =
     match sub with
     | Some cmd ->
-        let shifted =
-          Array.append [| "hqs " ^ argv.(1) |] (Array.sub argv 2 (Array.length argv - 2))
-        in
+        let shifted = Array.append [| Cmd.name cmd |] (Array.sub argv 2 (Array.length argv - 2)) in
         Cmd.eval_value ~argv:shifted cmd
     | None -> Cmd.eval_value ~argv solve_cmd
   in

@@ -148,11 +148,11 @@ dune exec bin/lint.exe -- --json lib bin test examples >"$tmp/lint.json"
 dune exec bin/tracecheck.exe -- "$tmp/lint.json" --json-only
 # 3) seeded escape: drop one allowlisted exception and the exn-escape
 #    rule must fire — an allowlist edit nobody notices is not a gate
-grep -v 'Cert.Parse_error' deepcheck.escapes >"$tmp/escapes.seeded"
+grep -v 'Cert.Bad' deepcheck.escapes >"$tmp/escapes.seeded"
 esc_status=0
 "$DEEPCHECK" --escapes "$tmp/escapes.seeded" >"$tmp/dc.escape.out" 2>&1 || esc_status=$?
 if [ "$esc_status" != 1 ] || ! grep -q 'exn-escape' "$tmp/dc.escape.out" \
-  || ! grep -q 'Cert.Parse_error' "$tmp/dc.escape.out"; then
+  || ! grep -q 'Cert.Bad' "$tmp/dc.escape.out"; then
   echo "== ci FAILED: seeded escape not flagged (exit $esc_status) =="
   cat "$tmp/dc.escape.out"
   exit 1

@@ -26,3 +26,23 @@ let sat_lit man enc root =
   edge_lit root
 
 let sat_var_of_aig_var man enc v = sat_lit man enc (Man.input man v)
+
+let solve ?budget man root =
+  if Man.is_false root then None
+  else if Man.is_true root then Some (fun _ -> false)
+  else begin
+    let solver = S.create () in
+    let enc = create solver in
+    S.add_clause solver [ sat_lit man enc root ];
+    match S.solve ?budget solver with
+    | S.Unsat -> None
+    | S.Sat ->
+        (* the encoded nodes are exactly the cone: read its inputs' values *)
+        let values = Hashtbl.create 64 in
+        Hashtbl.iter
+          (fun n v ->
+            if n > 0 && Man.is_input man (n * 2) then
+              Hashtbl.replace values (Man.var_of_input man (n * 2)) (S.value solver v))
+          enc.map;
+        Some (fun v -> Option.value (Hashtbl.find_opt values v) ~default:false)
+  end

@@ -173,10 +173,17 @@ val exists_localized : t -> lit -> var:int -> cone:int -> lit * int
     {!exists_pushed}, and the one with the smaller cone. Returns the result
     and its {!cone_size}. *)
 
+val rebuild : t -> lit list -> t -> leaf:(int -> lit) -> lit list
+(** [rebuild src roots dst ~leaf] copies the cones of [roots] into the
+    manager [dst]: each input of variable [v] becomes [leaf v], each AND
+    node one {!mk_and} in [dst], in {!iter_cone}'s order. Returns the images
+    of the roots. [dst] must not be [src]. With [~leaf:(input dst)] it is a
+    plain copy that preserves input variable ids. *)
+
 val compact : t -> lit list -> t * lit list
-(** Copy the cones of the given roots into a fresh manager (dropping garbage
-    nodes); input variable ids are preserved. The new manager inherits the
-    node limit. *)
+(** {!rebuild} of the given roots into a fresh manager (dropping garbage
+    nodes), inputs kept as they are. The new manager inherits the node
+    limit. *)
 
 val set_node_limit : t -> int option -> unit
 

@@ -109,27 +109,14 @@ let close_model (p : Pcnf.t) model =
                     let v = M.var_of_input sman (2 * n) in
                     if Hashtbl.mem existential v then ignore (close_var v)
                   end);
-              let table = Hashtbl.create 64 in
-              let get e = M.apply_sign (Hashtbl.find table (M.node_of e)) ~neg:(M.is_compl e) in
-              M.iter_cone sman [ root ] (fun n ->
-                  let v =
-                    if n = 0 then M.false_
-                    else if M.is_input sman (2 * n) then begin
-                      let var = M.var_of_input sman (2 * n) in
-                      match
-                        if Hashtbl.mem existential var then Hashtbl.find_opt closed var else None
-                      with
-                      | Some l -> l
-                      | None -> M.input cman var
-                    end
-                    else begin
-                      let e0, e1 = M.fanins sman (2 * n) in
-                      M.mk_and cman (get e0) (get e1)
-                    end
-                  in
-                  Hashtbl.replace table n v);
+              (* [closed] binds existentials only *)
+              let leaf var =
+                match Hashtbl.find_opt closed var with Some l -> l | None -> M.input cman var
+              in
+              let l =
+                match M.rebuild sman [ root ] cman ~leaf with [ l ] -> l | _ -> assert false
+              in
               Hashtbl.remove visiting y;
-              let l = get root in
               Hashtbl.replace closed y l;
               Some l
   in
@@ -316,122 +303,16 @@ let render t =
   | Uncertified reason -> line "r %s" reason);
   Buffer.contents buf
 
-(* ------------------------------------------------------------ parsing *)
-
-exception Parse_error of string
-
-let parse text =
-  let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt in
-  let int_of s =
-    match int_of_string_opt s with Some i -> i | None -> fail "not an integer: %s" s
-  in
-  let zero_terminated toks =
-    let rec split acc = function
-      | [ "0" ] -> List.rev acc
-      | [] -> fail "missing 0 terminator"
-      | tk :: rest -> split (int_of tk :: acc) rest
-    in
-    split [] toks
-  in
-  try
-    let stat = ref "" in
-    let fp = ref "" in
-    let univs = ref None in
-    let deps = ref [] in
-    let num_nodes = ref 0 in
-    let inputs = ref [] in
-    let gates = ref [] in
-    let outputs = ref [] in
-    let xcount = ref (-1) in
-    let ulines = ref [] in
-    let reason = ref None in
-    List.iteri
-      (fun i line ->
-        let toks =
-          String.split_on_char ' ' (String.trim line) |> List.filter (fun s -> s <> "")
-        in
-        match toks with
-        | [] -> ()
-        | "c" :: _ -> ()
-        | [ "s"; "cert"; st ] -> stat := st
-        | [ "h"; h ] -> fp := String.lowercase_ascii h
-        | "a" :: rest -> univs := Some (zero_terminated rest)
-        | "d" :: y :: rest -> deps := (int_of y, zero_terminated rest) :: !deps
-        | [ "n"; k ] -> num_nodes := int_of k
-        | [ "i"; nd; u ] -> inputs := (int_of nd, int_of u) :: !inputs
-        | [ "g"; nd; a; b ] -> gates := (int_of nd, int_of a, int_of b) :: !gates
-        | [ "o"; y; l ] -> outputs := (int_of y, int_of l) :: !outputs
-        | [ "x"; k ] -> xcount := int_of k
-        | "u" :: rest -> ulines := zero_terminated rest :: !ulines
-        | "r" :: rest -> reason := Some (String.concat " " rest)
-        | _ -> fail "line %d: unrecognized" (i + 1))
-      (String.split_on_char '\n' text);
-    if String.length !fp = 0 then fail "missing h line";
-    let univs = match !univs with Some u -> List.sort Int.compare u | None -> fail "missing a line" in
-    let deps =
-      List.rev_map (fun (y, ds) -> (y, List.sort Int.compare ds)) !deps
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-    in
-    let body =
-      match !stat with
-      | "SAT" ->
-          let inputs = List.rev !inputs in
-          let gates = List.rev !gates in
-          let n = !num_nodes in
-          if n < 1 then fail "SAT certificate without a node count";
-          if List.length inputs + List.length gates <> n - 1 then
-            fail "node count disagrees with the i/g lines";
-          let seen = Array.make n false in
-          let def nd =
-            if nd < 1 || nd >= n then fail "node id %d out of range" nd;
-            if seen.(nd) then fail "node %d defined twice" nd;
-            seen.(nd) <- true
-          in
-          List.iter (fun (nd, _) -> def nd) inputs;
-          let lit_ok l = l >= 0 && l < 2 * n in
-          List.iter
-            (fun (nd, f0, f1) ->
-              def nd;
-              if not (lit_ok f0 && lit_ok f1) then fail "gate %d: fanin literal out of range" nd;
-              if f0 / 2 >= nd || f1 / 2 >= nd then
-                fail "gate %d references a node not yet defined" nd)
-            gates;
-          let outputs = List.rev !outputs in
-          if outputs = [] then fail "SAT certificate without outputs";
-          List.iter
-            (fun (y, l) ->
-              if y < 1 then fail "output for non-positive variable %d" y;
-              if not (lit_ok l) then fail "output of %d: literal out of range" y)
-            outputs;
-          Sat_cert { num_nodes = n; inputs; gates; outputs }
-      | "UNSAT" ->
-          let lines = List.rev !ulines in
-          if !xcount <> List.length lines then fail "x count disagrees with the u lines";
-          Unsat_cert lines
-      | "UNCERTIFIED" -> (
-          match !reason with
-          | Some r -> Uncertified r
-          | None -> fail "UNCERTIFIED certificate without an r line")
-      | "" -> fail "missing s cert line"
-      | st -> fail "unknown certificate status %s" st
-    in
-    Ok { fingerprint = !fp; univs; deps; body }
-  with Parse_error msg -> Error msg
-
 let write_file path t =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (render t))
-
-let read_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | content -> parse content
-  | exception Sys_error msg -> Error msg
 
 (* ----------------------------------------------------------- checking *)
 
 let subset a b = List.for_all (fun x -> List.mem x b) a
 
 (* Per-node universal support of the certificate AIG, by one pass in
-   node order (gates only reference smaller ids, enforced at parse). *)
+   node order (gates only reference smaller ids: [export] numbers nodes
+   in topological order). *)
 let aig_supports aig =
   let sup = Array.make aig.num_nodes IntSet.empty in
   List.iter (fun (nd, u) -> sup.(nd) <- IntSet.singleton u) aig.inputs;

@@ -93,13 +93,11 @@ val of_unsat :
     reason spelled out. *)
 
 val render : t -> string
-val parse : string -> (t, string) result
-(** Inverse of {!render}; also accepts foreign artifacts in the same
-    grammar. Structural sanity (node numbering, gate ordering, literal
-    ranges) is enforced here. *)
+(** The artifact text. This library has no reader for it: [bin/certcheck],
+    which shares no code with the solver, is the one parser of the grammar
+    (DESIGN.md §15.2). *)
 
 val write_file : string -> t -> unit
-val read_file : string -> (t, string) result
 
 val check_structural : instance_text:string -> Dqbf.Pcnf.t -> t -> (unit, string) result
 (** The cheap half of {!check}: fingerprint match, header/prefix

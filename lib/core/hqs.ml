@@ -55,18 +55,6 @@ let timed g run =
 
 let note_peak nodes = Obs.Metrics.set_max g_peak_nodes (float_of_int nodes)
 
-(* one SAT call on the matrix, or on its negation; with the model's
-   variable values on a satisfiable answer *)
-let sat_check ~budget man root ~negate =
-  let solver = Sat.Solver.create () in
-  let enc = Aig.Cnf_enc.create solver in
-  let out = Aig.Cnf_enc.sat_lit man enc root in
-  Sat.Solver.add_clause solver [ (if negate then Sat.Lit.neg out else out) ];
-  match Sat.Solver.solve ~budget solver with
-  | Sat.Solver.Sat ->
-      (true, fun v -> Sat.Solver.lit_value solver (Aig.Cnf_enc.sat_var_of_aig_var man enc v))
-  | Sat.Solver.Unsat -> (false, fun _ -> false)
-
 let solve_impl ~(config : config) ~budget ~trail f0 =
   Obs.Span.with_ "hqs.solve" ~attrs:[ ("vars", Obs.Int (F.next_var f0)) ] @@ fun () ->
   let f = F.copy f0 in
@@ -164,17 +152,19 @@ let solve_impl ~(config : config) ~budget ~trail f0 =
      variable *)
   let acyclic_step () =
     if Bitset.is_empty (F.universals f) then begin
-      let answer, value = sat_check ~budget (F.man f) (F.matrix f) ~negate:false in
-      if answer then
-        Option.iter
-          (fun trail ->
-            List.iter (fun (y, _) -> Dqbf.Model_trail.record_const trail y (value y)) (F.existentials f))
-          trail;
-      `Decided (if answer then Sat else Unsat)
+      match Aig.Cnf_enc.solve ~budget (F.man f) (F.matrix f) with
+      | None -> `Decided Unsat
+      | Some value ->
+          Option.iter
+            (fun trail ->
+              List.iter (fun (y, _) -> Dqbf.Model_trail.record_const trail y (value y)) (F.existentials f))
+            trail;
+          `Decided Sat
     end
     else if F.existentials f = [] then begin
-      let counterexample, _ = sat_check ~budget (F.man f) (F.matrix f) ~negate:true in
-      `Decided (if counterexample then Unsat else Sat)
+      match Aig.Cnf_enc.solve ~budget (F.man f) (M.compl_ (F.matrix f)) with
+      | None -> `Decided Sat
+      | Some _ -> `Decided Unsat
     end
     else begin
       Dqbf.Elim.innermost ?trail f;

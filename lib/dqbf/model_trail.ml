@@ -8,21 +8,9 @@ type t = { tman : M.t; mutable steps : step list (* newest first *) }
 
 let create () = { tman = M.create (); steps = [] }
 
-(* copy a cone into the trail manager, preserving input variable ids *)
+(* copy a cone into [dst], preserving input variable ids *)
 let import src root dst =
-  let table = Hashtbl.create 64 in
-  let get e = M.apply_sign (Hashtbl.find table (M.node_of e)) ~neg:(M.is_compl e) in
-  M.iter_cone src [ root ] (fun n ->
-      let v =
-        if n = 0 then M.false_
-        else if M.is_input src (n * 2) then M.input dst (M.var_of_input src (n * 2))
-        else begin
-          let e0, e1 = M.fanins src (n * 2) in
-          M.mk_and dst (get e0) (get e1)
-        end
-      in
-      Hashtbl.replace table n v);
-  get root
+  match M.rebuild src [ root ] dst ~leaf:(M.input dst) with [ r ] -> r | _ -> assert false
 
 let record_def t man y fn = t.steps <- Def (y, import man fn t.tman) :: t.steps
 let record_const t y b = t.steps <- Def (y, if b then M.true_ else M.false_) :: t.steps

@@ -15,22 +15,9 @@ let by_expansion ?(budget = Budget.unlimited) f =
   let man = M.create () in
   (* rebuild the matrix inside a private manager *)
   let matrix =
-    let table = Hashtbl.create 256 in
-    let get e = M.apply_sign (Hashtbl.find table (M.node_of e)) ~neg:(M.is_compl e) in
-    M.iter_cone (Formula.man f)
-      [ Formula.matrix f ]
-      (fun nd ->
-        let v =
-          if nd = 0 then M.false_
-          else if M.is_input (Formula.man f) (nd * 2) then
-            M.input man (M.var_of_input (Formula.man f) (nd * 2))
-          else begin
-            let e0, e1 = M.fanins (Formula.man f) (nd * 2) in
-            M.mk_and man (get e0) (get e1)
-          end
-        in
-        Hashtbl.replace table nd v);
-    get (Formula.matrix f)
+    match M.rebuild (Formula.man f) [ Formula.matrix f ] man ~leaf:(M.input man) with
+    | [ r ] -> r
+    | _ -> assert false
   in
   let exists = Formula.existentials f in
   (* ground variables: fresh ids above everything in use *)
@@ -63,18 +50,7 @@ let by_expansion ?(budget = Budget.unlimited) f =
     in
     copies := M.compose man matrix subst :: !copies
   done;
-  let conj = M.mk_and_list man !copies in
-  if M.is_true conj then true
-  else if M.is_false conj then false
-  else begin
-    let solver = Sat.Solver.create () in
-    let enc = Aig.Cnf_enc.create solver in
-    let out = Aig.Cnf_enc.sat_lit man enc conj in
-    Sat.Solver.add_clause solver [ out ];
-    match Sat.Solver.solve ~budget solver with
-    | Sat.Solver.Sat -> true
-    | Sat.Solver.Unsat -> false
-  end
+  Option.is_some (Aig.Cnf_enc.solve ~budget man (M.mk_and_list man !copies))
 
 let by_skolem_enum f =
   let univs = Bitset.to_list (Formula.universals f) in

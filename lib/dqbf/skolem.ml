@@ -31,19 +31,7 @@ let pp_failure fmt = function
 
 (* copy a cone between managers, preserving input variable ids *)
 let import src root dst =
-  let table = Hashtbl.create 256 in
-  let get e = M.apply_sign (Hashtbl.find table (M.node_of e)) ~neg:(M.is_compl e) in
-  M.iter_cone src [ root ] (fun n ->
-      let v =
-        if n = 0 then M.false_
-        else if M.is_input src (n * 2) then M.input dst (M.var_of_input src (n * 2))
-        else begin
-          let e0, e1 = M.fanins src (n * 2) in
-          M.mk_and dst (get e0) (get e1)
-        end
-      in
-      Hashtbl.replace table n v);
-  get root
+  match M.rebuild src [ root ] dst ~leaf:(M.input dst) with [ r ] -> r | _ -> assert false
 
 let verify ?(budget = Budget.unlimited) f model =
   let exception Fail of failure in
@@ -68,15 +56,7 @@ let verify ?(budget = Budget.unlimited) f model =
       else None
     in
     let substituted = M.compose work matrix subst in
-    if M.is_true substituted then Ok ()
-    else if M.is_false substituted then Error Not_tautology
-    else begin
-      let solver = Sat.Solver.create () in
-      let enc = Aig.Cnf_enc.create solver in
-      let out = Aig.Cnf_enc.sat_lit work enc substituted in
-      Sat.Solver.add_clause solver [ Sat.Lit.neg out ];
-      match Sat.Solver.solve ~budget solver with
-      | Sat.Solver.Unsat -> Ok ()
-      | Sat.Solver.Sat -> Error Not_tautology
-    end
+    match Aig.Cnf_enc.solve ~budget work (M.compl_ substituted) with
+    | None -> Ok ()
+    | Some _ -> Error Not_tautology
   with Fail failure -> Error failure

@@ -114,8 +114,8 @@ let run_child pool task fd ~attempt ~parent_span =
      SIGKILL takes out any grandchildren too *)
   (try ignore (Unix.setsid ()) with Unix.Unix_error (_, _, _) -> ());
   (* drop the parent's buffered events/open spans (they belong to the
-     parent's rows of the merged trace, not this child's), clear any
-     inherited flush hook and reset the fallback clock mark *)
+     parent's rows of the merged trace, not this child's) and clear any
+     inherited flush hook *)
   Obs.fork_reinit ();
   if
     Hqs_util.Chaos.fire pool.config.chaos

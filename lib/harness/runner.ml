@@ -55,5 +55,4 @@ let run_idq ?mem_limit_mb ~timeout ~node_limit pcnf =
   match fst (Idq.solve_pcnf ~budget ~node_limit pcnf) with
   | verdict -> Solved (verdict, Budget.now () -. t0)
   | exception Budget.Timeout -> Timeout (Budget.now () -. t0)
-  (* real resource exhaustion inside the solver is recorded, not fatal *)
-  | exception (Budget.Out_of_memory_budget | Stdlib.Out_of_memory) -> Memout (Budget.now () -. t0)
+  | exception Budget.Out_of_memory_budget -> Memout (Budget.now () -. t0)

@@ -62,5 +62,8 @@ val run_hqs :
     state; a TO or MO leaves no artifact. *)
 
 val run_idq : ?mem_limit_mb:int -> timeout:float -> node_limit:int -> Dqbf.Pcnf.t -> outcome
-(** One iDQ solve under the same budgets as {!run_hqs}; like it, never
-    {!Crash}. *)
+(** One iDQ solve under the same budgets as {!run_hqs}. It never returns
+    {!Crash}: a budget expiry is {!Timeout} or {!Memout}, and any other
+    exception propagates to the {!Exec.Pool} worker, which turns a real
+    [Out_of_memory] into a memout and anything else into a crash
+    attempt. *)

@@ -9,22 +9,6 @@ type stats = {
   mutable total_time : float;
 }
 
-(* copy a cone from [src] into [dst], preserving input variable ids *)
-let import src root dst =
-  let table = Hashtbl.create 256 in
-  let get e = M.apply_sign (Hashtbl.find table (M.node_of e)) ~neg:(M.is_compl e) in
-  M.iter_cone src [ root ] (fun n ->
-      let v =
-        if n = 0 then M.false_
-        else if M.is_input src (n * 2) then M.input dst (M.var_of_input src (n * 2))
-        else begin
-          let e0, e1 = M.fanins src (n * 2) in
-          M.mk_and dst (get e0) (get e1)
-        end
-      in
-      Hashtbl.replace table n v);
-  get root
-
 let solve_core ~want_model ?(budget = Budget.unlimited) ?node_limit f =
   let t_start = Budget.now () in
   let stats = { rounds = 0; ground_vars = 0; instance_nodes = 0; total_time = 0.0 } in
@@ -35,9 +19,15 @@ let solve_core ~want_model ?(budget = Budget.unlimited) ?node_limit f =
   let next = ref 0 in
   List.iter (fun v -> next := max !next (v + 1)) univs;
   List.iter (fun (y, _) -> next := max !next (y + 1)) exists;
+  (* the matrix copied into a manager of its own *)
+  let copy_matrix () =
+    let man = M.create ?node_limit () in
+    match M.rebuild (F.man f) [ F.matrix f ] man ~leaf:(M.input man) with
+    | [ r ] -> (man, r)
+    | _ -> assert false
+  in
   (* persistent ground instance: manager + incremental SAT encoding *)
-  let gman = M.create ?node_limit () in
-  let gmatrix = import (F.man f) (F.matrix f) gman in
+  let gman, gmatrix = copy_matrix () in
   let solver = Sat.Solver.create () in
   let enc = Aig.Cnf_enc.create solver in
   let ground : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
@@ -77,77 +67,43 @@ let solve_core ~want_model ?(budget = Budget.unlimited) ?node_limit f =
   in
   (* SAT variable of a ground AIG input (it was encoded with its copy) *)
   let sat_var_of gv = Sat.Lit.var (Aig.Cnf_enc.sat_var_of_aig_var gman enc gv) in
-  (* candidate-check: build Skolem tables from the model, search for a
+  (* the candidate Skolem table of [y] in [man], read off the ground
+     model: an OR over the model-true entries of an indicator of each
+     projection *)
+  let table_circuit man y deps =
+    let dep_list = Bitset.to_list deps in
+    let entries =
+      Hashtbl.fold
+        (fun (y', proj) v acc ->
+          if y' = y && Sat.Solver.value solver (sat_var_of v) then proj :: acc else acc)
+        ground []
+    in
+    let indicator proj =
+      M.mk_and_list man
+        (List.mapi (fun i x -> M.apply_sign (M.input man x) ~neg:(proj land (1 lsl i) = 0)) dep_list)
+    in
+    M.mk_or_list man (List.map indicator entries)
+  in
+  (* candidate-check: substitute the tables into the matrix, search for a
      falsifying universal assignment *)
   let counterexample () =
-    let cman = M.create ?node_limit () in
-    let cmatrix = import (F.man f) (F.matrix f) cman in
-    let table_circuit y deps =
-      (* OR over the model-true entries of an indicator of each projection *)
-      let dep_list = Bitset.to_list deps in
-      let entries =
-        Hashtbl.fold
-          (fun (y', proj) v acc ->
-            if y' = y && Sat.Solver.value solver (sat_var_of v) then proj :: acc else acc)
-          ground []
-      in
-      let indicator proj =
-        M.mk_and_list cman
-          (List.mapi
-             (fun i x ->
-               M.apply_sign (M.input cman x) ~neg:(proj land (1 lsl i) = 0))
-             dep_list)
-      in
-      M.mk_or_list cman (List.map indicator entries)
-    in
+    let cman, cmatrix = copy_matrix () in
     let subst v =
       if F.is_universal f v then None
-      else begin
-        match List.assoc_opt v exists with
-        | Some deps -> Some (table_circuit v deps)
-        | None -> None
-      end
+      else Option.map (table_circuit cman v) (List.assoc_opt v exists)
     in
-    let falsified = M.compl_ (M.compose cman cmatrix subst) in
-    if M.is_false falsified then None
-    else if M.is_true falsified then Some (sigma_of_bits 0)
-    else begin
-      let csolver = Sat.Solver.create () in
-      let cenc = Aig.Cnf_enc.create csolver in
-      let out = Aig.Cnf_enc.sat_lit cman cenc falsified in
-      Sat.Solver.add_clause csolver [ out ];
-      match Sat.Solver.solve ~budget csolver with
-      | Sat.Solver.Unsat -> None
-      | Sat.Solver.Sat ->
-          let bits = ref 0 in
-          List.iteri
-            (fun i x ->
-              if Sat.Solver.lit_value csolver (Aig.Cnf_enc.sat_var_of_aig_var cman cenc x)
-              then bits := !bits lor (1 lsl i))
-            univs;
-          Some (sigma_of_bits !bits)
-    end
+    match Aig.Cnf_enc.solve ~budget cman (M.compl_ (M.compose cman cmatrix subst)) with
+    | None -> None
+    | Some value ->
+        let bits = ref 0 in
+        List.iteri (fun i x -> if value x then bits := !bits lor (1 lsl i)) univs;
+        Some (sigma_of_bits !bits)
   in
   (* on SAT: turn the candidate tables of the final round into functions *)
   let build_model () =
     let model = Dqbf.Skolem.create () in
-    let sman = Dqbf.Skolem.man model in
     List.iter
-      (fun (y, deps) ->
-        let dep_list = Bitset.to_list deps in
-        let entries =
-          Hashtbl.fold
-            (fun (y', proj) v acc ->
-              if y' = y && Sat.Solver.value solver (sat_var_of v) then proj :: acc else acc)
-            ground []
-        in
-        let indicator proj =
-          M.mk_and_list sman
-            (List.mapi
-               (fun i x -> M.apply_sign (M.input sman x) ~neg:(proj land (1 lsl i) = 0))
-               dep_list)
-        in
-        Dqbf.Skolem.define model y (M.mk_or_list sman (List.map indicator entries)))
+      (fun (y, deps) -> Dqbf.Skolem.define model y (table_circuit (Dqbf.Skolem.man model) y deps))
       exists;
     model
   in

@@ -856,11 +856,9 @@ end
    serve pool worker) must call this before doing any work. It drops the
    parent's span buffer and open-span stack (Trace.fork_child), clears
    the parent's partial-state flush hook — an inherited hook would write
-   frames onto a pipe fd the child does not own — and resets the Mono
-   fallback clock's high-water mark. The deepcheck fork-safety analysis
-   sanctions the underlying mutable globals on the strength of this
-   reset running on every worker entry path. *)
+   frames onto a pipe fd the child does not own. The deepcheck
+   fork-safety analysis sanctions the underlying mutable globals on the
+   strength of this reset running on every worker entry path. *)
 let fork_reinit () =
   Trace.fork_child ();
-  Span.set_flush_hook None;
-  Hqs_util.Mono.fork_reinit ()
+  Span.set_flush_hook None

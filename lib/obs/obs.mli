@@ -229,8 +229,8 @@ val fork_reinit : unit -> unit
     child timestamps merge directly into the parent's timeline), rebinds
     the recorded pid to the child, clears the {!Span.set_flush_hook} hook (an
     inherited hook would write partial frames onto a pipe fd the child
-    does not own), and resets the [Mono] fallback clock's high-water
-    mark — so no child observability state aliases the parent's. The
+    does not own) — so no child observability state aliases the
+    parent's. The
     deepcheck fork-safety analysis sanctions the underlying mutable
     globals on the strength of this reset running on every worker entry
     path. *)

@@ -121,13 +121,7 @@ let solve_job (config : config) job ~attempt =
         solve
     else solve ()
   in
-  let result, cert_blob =
-    match solve () with
-    | r -> r
-    | exception Failure msg -> (Proto.W_error msg, None)
-    | exception Check.Violation v ->
-        (Proto.W_error (Format.asprintf "check violation: %a" Check.pp_violation v), None)
-  in
+  let result, cert_blob = solve () in
   Proto.wreply_to_json { Proto.result; w_elapsed_s = Budget.now () -. t0; cert_blob }
 
 (* --------------------------------------------------------------- clients *)
@@ -294,7 +288,6 @@ let run (config : config) =
               | Proto.W_sat false -> "unsat"
               | Proto.W_timeout -> "timeout"
               | Proto.W_memout -> "memout"
-              | Proto.W_error _ -> "error"
               | Proto.W_cert_failed _ -> "cert_failed") );
           ("elapsed_s", Json.Num wr.Proto.w_elapsed_s);
         ];
@@ -364,10 +357,6 @@ let run (config : config) =
                elapsed_s = wr.Proto.w_elapsed_s;
                detail = "memory budget exceeded";
              })
-    | Proto.W_error msg ->
-        send_reply job.cid
-          (Proto.Failed
-             { failure = Proto.F_crash; elapsed_s = wr.Proto.w_elapsed_s; detail = msg })
     | Proto.W_cert_failed detail ->
         (* the child's certificate audit tripped: treat like a crash —
            tombstone the canonical-form cache entry (the verdict is now
@@ -439,7 +428,9 @@ let run (config : config) =
                    detail = "deadline expired; worker killed";
                  })
         | Pool.Crash _ ->
-            quarantine job (Printf.sprintf "worker crashed (%d attempts)" r.attempts))
+            (* the last attempt's line names the signal or the exception *)
+            let last = List.fold_left (fun _ line -> line) "" r.crash_log in
+            quarantine job (Printf.sprintf "worker crashed (%d attempts): %s" r.attempts last))
   in
 
   let admit cid (req : Proto.request) =

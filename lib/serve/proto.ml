@@ -204,7 +204,6 @@ type wresult =
   | W_sat of bool
   | W_timeout
   | W_memout
-  | W_error of string
   | W_cert_failed of string
 
 type wreply = {
@@ -217,7 +216,6 @@ let wresult_to_json = function
   | W_sat b -> Json.Str (if b then "sat" else "unsat")
   | W_timeout -> Json.Str "timeout"
   | W_memout -> Json.Str "memout"
-  | W_error msg -> Json.Obj [ ("error", Json.Str msg) ]
   | W_cert_failed msg -> Json.Obj [ ("cert_failed", Json.Str msg) ]
 
 let wresult_of_json = function
@@ -226,9 +224,8 @@ let wresult_of_json = function
   | Json.Str "timeout" -> Ok W_timeout
   | Json.Str "memout" -> Ok W_memout
   | Json.Obj _ as o -> (
-      match (Json.member "error" o, Json.member "cert_failed" o) with
-      | Some (Json.Str msg), _ -> Ok (W_error msg)
-      | _, Some (Json.Str msg) -> Ok (W_cert_failed msg)
+      match Json.member "cert_failed" o with
+      | Some (Json.Str msg) -> Ok (W_cert_failed msg)
       | _ -> Error "malformed worker result")
   | _ -> Error "malformed worker result"
 

@@ -80,7 +80,6 @@ type wresult =
   | W_sat of bool
   | W_timeout
   | W_memout
-  | W_error of string
   | W_cert_failed of string
       (** the in-worker certificate audit tripped ({!Check.Violation} at
           the [Post_certify] stage) — the daemon treats this like a

@@ -1,26 +1,3 @@
 external clock_ns : unit -> int64 = "hqs_mono_clock_ns"
 
-(* evaluated once at module init: does the OS clock work? *)
-let available = Int64.compare (clock_ns ()) 0L >= 0
-
-(* fallback: monotonicize the wall clock by never letting it go
-   backwards. A backwards NTP step freezes the reading until the wall
-   clock catches up, which keeps elapsed times non-negative (the property
-   the harness needs) at the cost of under-reporting during the jump. *)
-let fallback_last = ref neg_infinity
-
-let fallback_now () =
-  let t = Unix.gettimeofday () in
-  let m = if t > !fallback_last then t else !fallback_last in
-  fallback_last := m;
-  m
-
-let now () = if available then Int64.to_float (clock_ns ()) *. 1e-9 else fallback_now ()
-
-(* a forked child inherits the parent's high-water mark; on the fallback
-   path that mark is parent observability state the child must not keep
-   extending (the deepcheck fork-safety analysis sanctions this ref only
-   because this reset runs on every worker entry). Resetting to
-   [neg_infinity] is safe: monotonicity is a per-process property and the
-   next reading re-seeds the mark. *)
-let fork_reinit () = fallback_last := neg_infinity
+let now () = Int64.to_float (clock_ns ()) *. 1e-9

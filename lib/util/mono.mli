@@ -7,21 +7,12 @@
     module reads [clock_gettime(CLOCK_MONOTONIC)] through a C stub
     instead. CLOCK_MONOTONIC counts seconds since boot, system-wide, so
     timestamps are comparable between the sweep supervisor and its forked
-    workers. On the (unexpected) platform where the syscall fails, a
-    monotonicized wall clock — one that refuses to go backwards — is used
-    as a degraded fallback. *)
+    workers. The module holds no state, so a forked child has nothing to
+    reset. *)
 
 val now : unit -> float
 (** Seconds from an arbitrary fixed origin (boot time on Linux).
     Non-decreasing within and across the processes of one machine. Use
-    only for differences, never as a calendar time. *)
-
-val available : bool
-(** Whether the OS monotonic clock answered at startup; [false] means
-    {!now} is running on the monotonicized-wall-clock fallback. *)
-
-val fork_reinit : unit -> unit
-(** Call in a freshly forked worker: drop the fallback clock's inherited
-    high-water mark so the child never keeps extending parent state.
-    A no-op in effect when {!available} (the normal case); part of the
-    fork-reinit discipline checked by [bin/deepcheck]. *)
+    only for differences, never as a calendar time.
+    @raise Failure if [clock_gettime(CLOCK_MONOTONIC)] fails, which no
+    supported platform does. *)

@@ -3,6 +3,7 @@
    forked worker processes read comparable timestamps. */
 #include <caml/mlvalues.h>
 #include <caml/alloc.h>
+#include <caml/fail.h>
 #include <time.h>
 #include <stdint.h>
 
@@ -11,6 +12,6 @@ CAMLprim value hqs_mono_clock_ns(value unit)
   struct timespec ts;
   (void)unit;
   if (clock_gettime(CLOCK_MONOTONIC, &ts) != 0)
-    return caml_copy_int64(-1);
+    caml_failwith("clock_gettime(CLOCK_MONOTONIC) failed");
   return caml_copy_int64((int64_t)ts.tv_sec * 1000000000 + (int64_t)ts.tv_nsec);
 }

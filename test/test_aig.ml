@@ -59,9 +59,9 @@ let form_arb = QCheck.make ~print:form_print form_gen
 
 let env_of_bits bits i = bits land (1 lsl i) <> 0
 
-let forall_envs f =
+let forall_envs ?(vars = max_vars) f =
   let ok = ref true in
-  for bits = 0 to (1 lsl max_vars) - 1 do
+  for bits = 0 to (1 lsl vars) - 1 do
     if not (f (env_of_bits bits)) then ok := false
   done;
   !ok
@@ -222,12 +222,15 @@ let prop_compact =
 
 (* ------------------------------------------------------------- traversal *)
 
-(* A random AIG with shared subgraphs: ANDs over random earlier literals,
+(* A random AIG with shared subgraphs over [inputs] variables: ANDs over
+   random earlier literals (the constants among them with [~consts]),
    plus a few random roots. *)
-let random_aig seed =
+let random_aig ?(inputs = max_vars) ?(consts = false) seed =
   let rng = Random.State.make [| seed |] in
   let m = M.create () in
-  let lits = ref (Array.init max_vars (fun v -> M.input m v)) in
+  let lits =
+    ref (Array.append (if consts then [| M.false_ |] else [||]) (Array.init inputs (M.input m)))
+  in
   for _ = 1 to 5 + Random.State.int rng 40 do
     let pick () =
       let a = !lits in
@@ -544,6 +547,29 @@ let prop_cnf_enc =
           let r = Sat.Solver.solve ~assumptions:(assumptions @ [ Sat.Lit.apply_sign out ~neg:(not expect) ]) solver in
           r = Sat.Solver.Sat))
 
+let prop_rebuild =
+  QCheck.Test.make ~name:"rebuild copies a cone node for node" ~count:300 QCheck.small_nat
+    (fun seed ->
+      let m, roots, _ = random_aig seed in
+      List.for_all
+        (fun r ->
+          let dst = M.create () in
+          let r' = List.hd (M.rebuild m [ r ] dst ~leaf:(M.input dst)) in
+          M.num_ands dst = M.cone_size m r
+          && forall_envs (fun env -> M.eval dst r' env = M.eval m r env))
+        roots)
+
+let prop_solve =
+  QCheck.Test.make ~name:"solve agrees with exhaustive eval" ~count:300
+    (QCheck.pair QCheck.small_nat (QCheck.int_range 1 8)) (fun (seed, inputs) ->
+      let m, roots, _ = random_aig ~inputs ~consts:true seed in
+      List.for_all
+        (fun r ->
+          match Aig.Cnf_enc.solve m r with
+          | None -> forall_envs ~vars:inputs (fun env -> not (M.eval m r env))
+          | Some value -> M.eval m r value)
+        roots)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -590,6 +616,7 @@ let () =
             prop_depends_on;
             prop_support_counts;
             prop_compose_in_place;
+            prop_rebuild;
           ] );
-      ("cnf_enc", qsuite [ prop_cnf_enc ]);
+      ("cnf_enc", qsuite [ prop_cnf_enc; prop_solve ]);
     ]

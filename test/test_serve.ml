@@ -295,7 +295,8 @@ let test_chaos_kill_exhausts_attempts () =
       (* every attempt dies: the client still gets a structured reply *)
       (match solve ~socket sat_text with
       | Ok (P.Failed { failure = P.F_crash; detail; _ }) ->
-          check "detail mentions attempts" true (contains detail "attempt")
+          check "detail mentions attempts" true (contains detail "attempt");
+          check "detail names the last attempt's signal" true (contains detail "SIGKILL")
       | _ -> Alcotest.fail "expected structured crash reply");
       (* the pool recovered: a fresh (jid 2) solve passes *)
       match solve ~socket sat_text with
@@ -459,6 +460,21 @@ let test_serve_metrics_present () =
       check "latency histogram saw the requests" true
         (metric ~socket "serve.request_latency_s.count" >= 2.))
 
+(* the installed CLI and the isolated certificate verifier; tests run from
+   _build/default/test, so the binaries sit one directory up *)
+let cli = "../bin/hqs_cli.exe"
+let certcheck = "../bin/certcheck.exe"
+
+let write_tmp tag text =
+  let path = Filename.temp_file tag ".dqdimacs" in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text);
+  path
+
+let run_cmd cmd =
+  match Unix.system (cmd ^ " >/dev/null 2>&1") with
+  | Unix.WEXITED n -> n
+  | Unix.WSIGNALED n | Unix.WSTOPPED n -> 128 + n
+
 (* ---------------------------------------------------------- certification *)
 
 let certify_config ?(check_level = Check.Cheap) socket =
@@ -474,14 +490,16 @@ let test_certified_solve_ships_artifact () =
       (match solve ~socket ~want_cert:true sat_text with
       | Ok (P.Verdict { sat = true; cert = Some blob; _ }) -> (
           check "artifact is a SAT certificate" true (contains blob "s cert SAT");
-          (* the shipped blob is independently parsable and checks out
+          (* the isolated verifier parses the shipped blob and checks it
              against the exact instance bytes the daemon solved *)
-          match Cert.parse blob with
-          | Ok c -> (
-              match Cert.check ~instance_text:sat_text (Dqbf.Pcnf.parse_string sat_text) c with
-              | Ok () -> ()
-              | Error e -> Alcotest.failf "shipped certificate rejected: %s" e)
-          | Error e -> Alcotest.failf "shipped certificate unparsable: %s" e)
+          let sat_file = write_tmp "serve_sat" sat_text and cert_file = write_tmp "serve_cert" blob in
+          Fun.protect
+            ~finally:(fun () ->
+              Sys.remove sat_file;
+              Sys.remove cert_file)
+            (fun () ->
+              check_int "external verifier accepts the shipped certificate" 0
+                (run_cmd (Printf.sprintf "%s %s %s" certcheck sat_file cert_file))))
       | r -> Alcotest.failf "expected a certificate-carrying verdict, got %s" (reply_str r));
       (* a client that does not ask gets no blob *)
       (match solve ~socket unsat_text with
@@ -536,22 +554,8 @@ let test_cert_poison_exhausts_attempts () =
 
 (* ------------------------------------------------- hqs query exit codes *)
 
-(* drive the installed CLI against a forked daemon and assert the full
-   documented exit-code surface (10/20/124/125/5/75/3/2, certificate
-   round trip); tests run from _build/default/test, so the binaries sit
-   one directory up *)
-let cli = "../bin/hqs_cli.exe"
-let certcheck = "../bin/certcheck.exe"
-
-let write_tmp tag text =
-  let path = Filename.temp_file tag ".dqdimacs" in
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text);
-  path
-
-let run_cmd cmd =
-  match Unix.system (cmd ^ " >/dev/null 2>&1") with
-  | Unix.WEXITED n -> n
-  | Unix.WSIGNALED n | Unix.WSTOPPED n -> 128 + n
+(* drive the CLI against a forked daemon and assert the full documented
+   exit-code surface (10/20/124/125/5/75/3/2, certificate round trip) *)
 
 (* the serve metrics belong to the daemon: a plain solve (and so every
    sweep worker) prints no serve.* row *)
@@ -594,7 +598,16 @@ let test_query_exit_codes_verdicts () =
           check_int "ping exits 0" 0 (query_code ~socket "--ping");
           check_int "top --once exits 0" 0
             (run_cmd (Printf.sprintf "%s top --socket %s --once" cli socket));
-          check_int "query --health is a usage error" 2 (query_code ~socket "--health"));
+          let err = Filename.temp_file "serve_query" ".err" in
+          Fun.protect
+            ~finally:(fun () -> Sys.remove err)
+            (fun () ->
+              check "query --health is a usage error" true
+                (Unix.system
+                   (Printf.sprintf "%s query --socket %s --health 2>%s" cli socket err)
+                = Unix.WEXITED 2);
+              check "the usage error names hqs query" true
+                (contains (In_channel.with_open_bin err In_channel.input_all) "hqs query: ")));
       check_int "unreachable daemon exits 2" 2 (query_code ~socket:"/tmp/no_such.sock" "--ping"))
 
 let test_query_exit_code_memout () =
