@@ -45,25 +45,20 @@ let solve file timeout mem_limit node_limit show_stats =
       | Some s -> Hqs_util.Budget.of_seconds s)
       mem_limit
   in
-  match Idq.solve_pcnf ~budget ?node_limit pcnf with
-  | answer, stats ->
-      if show_stats then
-        Printf.eprintf "c rounds=%d ground-vars=%d instance-nodes=%d total=%.3fs\n"
-          stats.Idq.rounds stats.Idq.ground_vars stats.Idq.instance_nodes stats.Idq.total_time;
-      if answer then begin
-        print_endline "s cnf SAT";
-        exit 10
-      end
-      else begin
-        print_endline "s cnf UNSAT";
-        exit 20
-      end
-  | exception Hqs_util.Budget.Timeout ->
-      print_endline "s cnf TIMEOUT";
-      exit 124
-  | exception Hqs_util.Budget.Out_of_memory_budget ->
-      print_endline "s cnf MEMOUT";
-      exit 125
+  let stats = Idq.new_stats () in
+  (* the counters go out on every outcome, as hqs --stats does *)
+  let finish line code =
+    if show_stats then
+      Printf.eprintf "c rounds=%d ground-vars=%d instance-nodes=%d total=%.3fs\n" stats.Idq.rounds
+        stats.Idq.ground_vars stats.Idq.instance_nodes stats.Idq.total_time;
+    print_endline line;
+    exit code
+  in
+  match Idq.solve_pcnf ~budget ?node_limit ~stats pcnf with
+  | true, _ -> finish "s cnf SAT" 10
+  | false, _ -> finish "s cnf UNSAT" 20
+  | exception Hqs_util.Budget.Timeout -> finish "s cnf TIMEOUT" 124
+  | exception Hqs_util.Budget.Out_of_memory_budget -> finish "s cnf MEMOUT" 125
 
 let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"DQDIMACS input")
 

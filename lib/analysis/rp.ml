@@ -107,8 +107,7 @@ let make_report ~scheme ~(pcnf : Pcnf.t) ~before ~after ~pruned refinements =
     linearized = incomparable_after = 0 && incomparable_before > 0;
   }
 
-let dep_sets (pcnf : Pcnf.t) =
-  Array.of_list (List.map (fun (_, deps) -> Bitset.of_list deps) pcnf.Pcnf.exists)
+let dep_sets pcnf = Array.of_list (List.map snd (Pcnf.dep_sets pcnf))
 
 let trivial (pcnf : Pcnf.t) =
   let refinements =

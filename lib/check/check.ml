@@ -308,9 +308,7 @@ let audit_inproc ?budget ~level (pcnf : Dqbf.Pcnf.t) (outcome : Inproc.outcome) 
       let fail fmt = violation stage "inproc" fmt in
       let univs = Bitset.of_list pcnf.Dqbf.Pcnf.univs in
       let declared = Hashtbl.create 16 in
-      List.iter
-        (fun (y, deps) -> Hashtbl.replace declared y (Bitset.of_list deps))
-        pcnf.Dqbf.Pcnf.exists;
+      List.iter (fun (y, deps) -> Hashtbl.replace declared y deps) (Dqbf.Pcnf.dep_sets pcnf);
       (* variables never declared are existential with no dependencies *)
       let is_exist v = Hashtbl.mem declared v || not (Bitset.mem v univs) in
       let declared_deps v =

@@ -73,19 +73,48 @@ let parse_string s =
         univs_so_far := Some l;
         l
   in
+  (* a nonzero prefix token as a 0-based variable *)
+  let prefix_var i =
+    if i < 0 then failwith "Dqdimacs: non-positive variable in prefix";
+    num_vars := max !num_vars i;
+    i - 1
+  in
   (* the variables of the rest of a prefix line, 0-based, zeros skipped *)
   let vars () =
     let rec go acc =
       if not (more ()) then List.rev acc
-      else
-        match int_tok () with
-        | 0 -> go acc
-        | i ->
-            if i < 0 then failwith "Dqdimacs: non-positive variable in prefix";
-            num_vars := max !num_vars i;
-            go ((i - 1) :: acc)
+      else match int_tok () with 0 -> go acc | i -> go (prefix_var i :: acc)
     in
     go []
+  in
+  (* the first variable of the rest of a prefix line, zeros skipped *)
+  let rec first_var () =
+    if not (more ()) then None
+    else match int_tok () with 0 -> first_var () | i -> Some (prefix_var i)
+  in
+  (* The dependency list of a [d] line is [vars ()] of the bytes after its
+     first variable. A line whose bytes there equal the previous [d]
+     line's, [s.[prev_start..prev_stop)], would read the same list, so it
+     shares that list: PEC instances repeat one dependency set over
+     thousands of lines. *)
+  let prev_deps = ref [] and prev_start = ref 0 and prev_stop = ref 0 in
+  let d_deps () =
+    let start = !pos and n = !prev_stop - !prev_start in
+    let rec same k =
+      k = n || (start + k < len && s.[start + k] = s.[!prev_start + k] && same (k + 1))
+    in
+    (* the previous tail holds no newline, so neither do these n bytes *)
+    if same 0 && (start + n = len || s.[start + n] = '\n') then begin
+      pos := start + n;
+      !prev_deps
+    end
+    else begin
+      let deps = vars () in
+      prev_deps := deps;
+      prev_start := start;
+      prev_stop := !pos;
+      deps
+    end
   in
   let clause_line () =
     let rec go current =
@@ -124,9 +153,9 @@ let parse_string s =
         List.iter (fun v -> exists_rev := (v, deps) :: !exists_rev) (vars ())
     | 'd' -> (
         incr pos;
-        match vars () with
-        | y :: deps -> exists_rev := (y, deps) :: !exists_rev
-        | [] -> failwith "Dqdimacs: empty d-line")
+        match first_var () with
+        | Some y -> exists_rev := (y, d_deps ()) :: !exists_rev
+        | None -> failwith "Dqdimacs: empty d-line")
     | 'p' -> (
         match p_cnf () with
         | Some nv -> num_vars := max !num_vars nv
@@ -199,11 +228,17 @@ let validate { num_vars; univs; exists; clauses } =
   | Error _ as e -> e
   | Ok () ->
       let univ_set = Hqs_util.Bitset.of_list univs in
-      let bad_dep =
-        List.find_opt
-          (fun (_, deps) -> List.exists (fun d -> not (Hqs_util.Bitset.mem d univ_set)) deps)
-          exists
+      (* a list shared with the previous existential's passed with it *)
+      let last_ok = ref [] in
+      let is_bad (_, deps) =
+        if deps == !last_ok then false
+        else if List.for_all (fun d -> Hqs_util.Bitset.mem d univ_set) deps then begin
+          last_ok := deps;
+          false
+        end
+        else true
       in
+      let bad_dep = List.find_opt is_bad exists in
       (match bad_dep with
       | Some (y, _) -> err "existential %d depends on a non-universal" (y + 1)
       | None ->
@@ -214,12 +249,21 @@ let validate { num_vars; univs; exists; clauses } =
           then err "clause literal out of range"
           else Ok ())
 
+let dep_sets { exists; _ } =
+  let last = ref [] and last_set = ref Hqs_util.Bitset.empty in
+  List.map
+    (fun (y, deps) ->
+      if deps != !last then begin
+        last := deps;
+        last_set := Hqs_util.Bitset.of_list deps
+      end;
+      (y, !last_set))
+    exists
+
 let to_formula ?node_limit pcnf =
   let f = Formula.create ?node_limit () in
   List.iter (Formula.add_universal f) pcnf.univs;
-  List.iter
-    (fun (y, deps) -> Formula.add_existential f y ~deps:(Hqs_util.Bitset.of_list deps))
-    pcnf.exists;
+  List.iter (fun (y, deps) -> Formula.add_existential f y ~deps) (dep_sets pcnf);
   (* undeclared variables: existential with empty dependencies *)
   let declared = Hqs_util.Bitset.of_list (pcnf.univs @ List.map fst pcnf.exists) in
   for v = 0 to pcnf.num_vars - 1 do

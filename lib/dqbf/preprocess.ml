@@ -83,7 +83,7 @@ let problem_of_pcnf (pcnf : Pcnf.t) =
   {
     Inproc.num_vars = pcnf.Pcnf.num_vars;
     univs = Bitset.of_list pcnf.Pcnf.univs;
-    deps = List.map (fun (y, d) -> (y, Bitset.of_list d)) pcnf.Pcnf.exists;
+    deps = Pcnf.dep_sets pcnf;
     clauses = List.map (List.map L.of_dimacs) pcnf.Pcnf.clauses;
   }
 

@@ -9,9 +9,9 @@ type stats = {
   mutable total_time : float;
 }
 
-let solve_core ~want_model ?(budget = Budget.unlimited) ?node_limit f =
-  let t_start = Budget.now () in
-  let stats = { rounds = 0; ground_vars = 0; instance_nodes = 0; total_time = 0.0 } in
+let new_stats () = { rounds = 0; ground_vars = 0; instance_nodes = 0; total_time = 0.0 }
+
+let solve_core ~want_model ?(budget = Budget.unlimited) ?node_limit ~stats f =
   let univs = Bitset.to_list (F.universals f) in
   let n = List.length univs in
   let exists = F.existentials f in
@@ -125,14 +125,21 @@ let solve_core ~want_model ?(budget = Budget.unlimited) ?node_limit f =
           | Some sigma -> pending := [ sigma ]
         end)
   done;
-  stats.total_time <- Budget.now () -. t_start;
-  (Option.get !answer, stats)
+  Option.get !answer
 
-let solve ?budget ?node_limit f =
-  let (answer, _), stats = solve_core ~want_model:false ?budget ?node_limit f in
+(* [stats] is filled in as the solve goes, so a caller that passed it
+   reads the counters of a solve that raised too *)
+let timed ?(stats = new_stats ()) solve =
+  let t_start = Budget.now () in
+  Fun.protect
+    ~finally:(fun () -> stats.total_time <- Budget.now () -. t_start)
+    (fun () -> (solve ~stats, stats))
+
+let solve ?budget ?node_limit ?stats f =
+  let (answer, _), stats = timed ?stats (solve_core ~want_model:false ?budget ?node_limit f) in
   (answer, stats)
 
-let solve_with_model ?budget ?node_limit f = solve_core ~want_model:true ?budget ?node_limit f
+let solve_with_model ?budget ?node_limit f = timed (solve_core ~want_model:true ?budget ?node_limit f)
 
-let solve_pcnf ?budget ?node_limit pcnf =
-  solve ?budget ?node_limit (Dqbf.Pcnf.to_formula pcnf)
+let solve_pcnf ?budget ?node_limit ?stats pcnf =
+  solve ?budget ?node_limit ?stats (Dqbf.Pcnf.to_formula pcnf)

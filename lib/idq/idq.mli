@@ -25,18 +25,26 @@ type stats = {
   mutable total_time : float;
 }
 
+val new_stats : unit -> stats
+(** All counters zero. *)
+
 val solve :
   ?budget:Hqs_util.Budget.t ->
   ?node_limit:int ->
+  ?stats:stats ->
   Dqbf.Formula.t ->
   bool * stats
-(** @raise Hqs_util.Budget.Timeout on deadline.
+(** The returned stats are [stats] when given (a fresh record otherwise),
+    filled in as the solve goes and timed on every exit, so the caller
+    reads them after an exception too.
+    @raise Hqs_util.Budget.Timeout on deadline.
     @raise Hqs_util.Budget.Out_of_memory_budget when the ground instance
     exceeds [node_limit] AIG nodes (memout emulation). *)
 
 val solve_pcnf :
   ?budget:Hqs_util.Budget.t ->
   ?node_limit:int ->
+  ?stats:stats ->
   Dqbf.Pcnf.t ->
   bool * stats
 

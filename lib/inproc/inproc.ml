@@ -701,6 +701,9 @@ let live_counts st =
   done;
   (!cl, !li)
 
+(* each rule pass of [run] is a span of its own *)
+let phase name pass st = Obs.Span.with_ name (fun () -> pass st)
+
 let run ?config ?(budget = Budget.unlimited) ?(gates = false) (p : problem) =
   let cfg = match config with Some c -> c | None -> config_of_mode default_mode in
   let declared_vars =
@@ -753,18 +756,18 @@ let run ?config ?(budget = Budget.unlimited) ?(gates = false) (p : problem) =
       incr rounds;
       (* a later round starts where the last one ended, on a closed
          [simplify]: running it again would find nothing *)
-      let ch = ref (!rounds = 1 && simplify st) in
+      let ch = ref (!rounds = 1 && phase "inproc.simplify" simplify st) in
       (* the SCCs of an unchanged implication graph are all merged *)
       if cfg.equivalences && st.binaries_changed then begin
         st.binaries_changed <- false;
-        if scc_pass st then begin
-          ignore (simplify st);
+        if phase "inproc.scc" scc_pass st then begin
+          ignore (phase "inproc.simplify" simplify st);
           ch := true
         end
       end;
       if cfg.subsumption || cfg.self_subsumption then
-        if subsume_pass st ~all:(!rounds = 1) then begin
-          ignore (simplify st);
+        if phase "inproc.subsume" (subsume_pass ~all:(!rounds = 1)) st then begin
+          ignore (phase "inproc.simplify" simplify st);
           ch := true
         end;
       continue_ := !ch
@@ -779,7 +782,7 @@ let run ?config ?(budget = Budget.unlimited) ?(gates = false) (p : problem) =
       let gates =
         if gates then begin
           Budget.check budget;
-          detect_gates st
+          phase "inproc.gates" detect_gates st
         end
         else []
       in

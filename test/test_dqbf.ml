@@ -354,7 +354,16 @@ let test_pcnf_validate_errors () =
   let bad = { Dqbf.Pcnf.num_vars = 2; univs = [ 0; 0 ]; exists = []; clauses = [] } in
   check "dup decl" true (Result.is_error (Dqbf.Pcnf.validate bad));
   let bad2 = { Dqbf.Pcnf.num_vars = 2; univs = [ 0 ]; exists = [ (1, [ 1 ]) ]; clauses = [] } in
-  check "dep not universal" true (Result.is_error (Dqbf.Pcnf.validate bad2))
+  check "dep not universal" true (Result.is_error (Dqbf.Pcnf.validate bad2));
+  (* a list shared by several existentials names the first of them *)
+  let ok = [ 0 ] and non_univ = [ 0; 1 ] in
+  let shared exists = { Dqbf.Pcnf.num_vars = 6; univs = [ 0 ]; exists; clauses = [] } in
+  check "shared bad list after a shared good one" true
+    (Dqbf.Pcnf.validate (shared [ (2, ok); (3, ok); (4, non_univ); (5, non_univ) ])
+    = Error "existential 5 depends on a non-universal");
+  check "shared bad list first" true
+    (Dqbf.Pcnf.validate (shared [ (2, non_univ); (3, non_univ); (4, ok) ])
+    = Error "existential 3 depends on a non-universal")
 
 (* every malformed input is a [Failure] naming what is wrong *)
 let test_pcnf_parse_errors () =
@@ -387,6 +396,96 @@ let test_pcnf_parse_accepts () =
   check "num_vars from the p line" true
     ((Dqbf.Pcnf.parse_string "p cnf 5 0\n").Dqbf.Pcnf.num_vars = 5)
 
+(* repeated [d] lines written oddly read as the plain file: zero tokens,
+   [+n], tabs, CRLF, extra spaces, a missing final 0 *)
+let test_pcnf_d_line_values () =
+  let head = "p cnf 5 0\na 1 2 0\n" in
+  let plain = Dqbf.Pcnf.parse_string (head ^ "d 3 1 2 0\nd 4 1 2 0\nd 5 2 0\n") in
+  check "plain values" true (plain.Dqbf.Pcnf.exists = [ (2, [ 0; 1 ]); (3, [ 0; 1 ]); (4, [ 1 ]) ]);
+  let same name d_lines = check name true (Dqbf.Pcnf.parse_string (head ^ d_lines) = plain) in
+  same "zero before the first variable" "d 3 1 2 0\nd 0 4 1 2 0\nd 5 2 0\n";
+  same "zero after the first variable" "d 3 1 2 0\nd 4 0 1 2 0\nd 5 0 2 0\n";
+  same "zero among the dependencies" "d 3 1 0 2 0\nd 4 1 0 2 0\nd 5 2 0 0\n";
+  same "+n first variable" "d 3 1 2 0\nd +4 1 2 0\nd 5 2 0\n";
+  same "+n dependency" "d 3 1 +2 0\nd 4 1 +2 0\nd 5 +2 0\n";
+  same "tabs" "d\t3 1\t2 0\nd\t4 1\t2 0\nd 5\t2\t0\n";
+  same "CRLF on one line" "d 3 1 2 0\nd 4 1 2 0\r\nd 5 2 0\n";
+  same "CRLF on every line" "d 3 1 2 0\r\nd 4 1 2 0\r\nd 5 2 0\r\n";
+  same "repeat differing in spacing" "d 3 1 2 0\nd 4  1 2 0\nd 5 2 0 \n";
+  same "no final 0" "d 3 1 2\nd 4 1 2\nd 5 2\n";
+  (* a repeated tail after a line with another tail *)
+  check "alternating tails" true
+    ((Dqbf.Pcnf.parse_string (head ^ "d 3 1 2 0\nd 4 2 0\nd 5 1 2 0\n")).Dqbf.Pcnf.exists
+    = [ (2, [ 0; 1 ]); (3, [ 1 ]); (4, [ 0; 1 ]) ])
+
+(* a bad [d] line fails with its message, after an equal-tailed good
+   line too *)
+let test_pcnf_d_line_errors () =
+  let fails_with msg text =
+    Alcotest.check_raises (Printf.sprintf "%S" text) (Failure msg) (fun () ->
+        ignore (Dqbf.Pcnf.parse_string text))
+  in
+  let head = "p cnf 4 0\na 1 0\n" in
+  fails_with "Dqdimacs: bad token x" (head ^ "d 2 1 x 0\nd 3 1 x 0\n");
+  fails_with "Dqdimacs: bad token x" (head ^ "d 2 1 0\nd 3 1 x 0\n");
+  fails_with "Dqdimacs: bad token x" (head ^ "d 2 1 0\nd x 1 0\n");
+  fails_with "Dqdimacs: bad token 1x" (head ^ "d 2 1 0\nd 3 1x 0\n");
+  fails_with "Dqdimacs: non-positive variable in prefix" (head ^ "d 2 1 0\nd -3 1 0\n");
+  fails_with "Dqdimacs: non-positive variable in prefix" (head ^ "d 2 -1 0\nd 3 -1 0\n");
+  fails_with "Dqdimacs: empty d-line" (head ^ "d 2 1 0\nd 0\n");
+  fails_with "Dqdimacs: empty d-line" (head ^ "d 2 0\nd 0 0\n")
+
+(* a prefix whose dependency sets come in runs: equal consecutive lists,
+   structurally equal lists far apart, and empty ones *)
+let pcnf_with_runs runs =
+  let nu = 4 in
+  let next = ref nu in
+  let exists =
+    List.concat_map
+      (fun (k, deps) ->
+        List.init k (fun _ ->
+            let y = !next in
+            incr next;
+            (y, deps)))
+      runs
+  in
+  { Dqbf.Pcnf.num_vars = !next; univs = List.init nu Fun.id; exists; clauses = [ [ 1; nu + 1 ] ] }
+
+let test_pcnf_roundtrip_runs () =
+  let p =
+    pcnf_with_runs
+      [ (3, [ 0; 1 ]); (1, [ 2 ]); (2, [ 0; 1 ]); (2, []); (1, [ 3; 0 ]); (3, [ 3; 0 ]); (1, []) ]
+  in
+  check "parse (to_string p) = p" true (Dqbf.Pcnf.parse_string (Dqbf.Pcnf.to_string p) = p)
+
+(* consecutive [d] lines with equal bytes after [y] share one list *)
+let test_pcnf_d_line_sharing () =
+  let p =
+    Dqbf.Pcnf.parse_string
+      "p cnf 7 0\na 1 2 0\nd 3 1 2 0\nd 4 1 2 0\nd 5 1  2 0\nd 6 1 2 0\nd 7 1 2 0\n"
+  in
+  match List.map snd p.Dqbf.Pcnf.exists with
+  | [ a; b; c; d; e ] ->
+      check "equal bytes share" true (a == b);
+      check "other spacing reads its own list" true (c != b && c = b);
+      check "the line after reads its own list" true (d != c && d != b && d = b);
+      check "and is shared again" true (e == d)
+  | _ -> Alcotest.fail "five existentials expected"
+
+(* on a generated instance, every pair of consecutive equal dependency
+   lists is one shared list *)
+let test_pcnf_sharing_frontend () =
+  let p = (Circuit.Families.lookahead ~cells:64 ~boxes:2 ~fault:true).Circuit.Families.pcnf in
+  let parsed = Dqbf.Pcnf.parse_string (Dqbf.Pcnf.to_string p) in
+  let rec pairs = function
+    | (_, a) :: ((_, b) :: _ as rest) -> (a, b) :: pairs rest
+    | _ -> []
+  in
+  let ps = pairs parsed.Dqbf.Pcnf.exists in
+  check "equal neighbours are shared" true (List.for_all (fun (a, b) -> a == b || a <> b) ps);
+  check "most neighbours are equal" true
+    (List.length (List.filter (fun (a, b) -> a == b) ps) > List.length ps / 2)
+
 (* a frontend-sized instance (about 1 MB of text) survives a round trip *)
 let test_pcnf_roundtrip_frontend () =
   let p = (Circuit.Families.lookahead ~cells:64 ~boxes:2 ~fault:true).Circuit.Families.pcnf in
@@ -411,6 +510,45 @@ let prop_pcnf_to_formula_matches =
       let f1 = build inst in
       let f2 = Dqbf.Pcnf.to_formula (pcnf_of_instance inst) in
       Dqbf.Reference.by_expansion f1 = Dqbf.Reference.by_expansion f2)
+
+(* prefixes made of runs of existentials over 5 universals: a run either
+   shares one list or builds a structurally equal one per existential *)
+let runs_arb =
+  QCheck.make
+    ~print:(fun runs ->
+      String.concat ";"
+        (List.map (fun (k, mask, shared) -> Printf.sprintf "%dx%d%s" k mask (if shared then "s" else "")) runs))
+    QCheck.Gen.(list_size (int_range 0 8) (triple (int_range 1 4) (int_bound 31) bool))
+
+let pcnf_of_runs runs =
+  let deps_of mask = List.filter (fun x -> mask land (1 lsl x) <> 0) [ 3; 0; 4; 1; 2 ] in
+  let next = ref 5 in
+  let exists =
+    List.concat_map
+      (fun (k, mask, shared) ->
+        let one = deps_of mask in
+        List.init k (fun _ ->
+            let y = !next in
+            incr next;
+            (y, if shared then one else deps_of mask)))
+      runs
+  in
+  { Dqbf.Pcnf.num_vars = !next; univs = List.init 5 Fun.id; exists; clauses = [] }
+
+let prop_dep_sets_match =
+  QCheck.Test.make ~name:"dep_sets matches Bitset.of_list per existential" ~count:500 runs_arb
+    (fun runs ->
+      let expect (p : Dqbf.Pcnf.t) =
+        List.map (fun (y, d) -> (y, Bitset.of_list d)) p.Dqbf.Pcnf.exists
+      in
+      let same p =
+        List.equal
+          (fun (y, a) (z, b) -> y = z && Bitset.equal a b)
+          (Dqbf.Pcnf.dep_sets p) (expect p)
+      in
+      let p = pcnf_of_runs runs in
+      let parsed = Dqbf.Pcnf.parse_string (Dqbf.Pcnf.to_string p) in
+      same p && same parsed && parsed = p)
 
 (* ---------------------------------------------------------- preprocessing *)
 
@@ -584,9 +722,14 @@ let () =
           Alcotest.test_case "validation errors" `Quick test_pcnf_validate_errors;
           Alcotest.test_case "parse errors" `Quick test_pcnf_parse_errors;
           Alcotest.test_case "accepted layouts" `Quick test_pcnf_parse_accepts;
+          Alcotest.test_case "odd d lines keep their values" `Quick test_pcnf_d_line_values;
+          Alcotest.test_case "bad repeated d lines" `Quick test_pcnf_d_line_errors;
+          Alcotest.test_case "roundtrip with dependency runs" `Quick test_pcnf_roundtrip_runs;
+          Alcotest.test_case "equal d lines share a list" `Quick test_pcnf_d_line_sharing;
+          Alcotest.test_case "frontend-sized sharing" `Quick test_pcnf_sharing_frontend;
           Alcotest.test_case "frontend-sized roundtrip" `Quick test_pcnf_roundtrip_frontend;
         ]
-        @ qsuite [ prop_pcnf_to_formula_matches ] );
+        @ qsuite [ prop_pcnf_to_formula_matches; prop_dep_sets_match ] );
       ( "preprocess",
         [
           Alcotest.test_case "universal unit refutes" `Quick test_preprocess_universal_unit;

@@ -95,6 +95,52 @@ let test_memout () =
   Alcotest.check_raises "memout" Budget.Out_of_memory_budget (fun () ->
       ignore (Idq.solve ~node_limit:4 (example1 ~crossed:false)))
 
+(* a solve that raises leaves its counters in the caller's record: some
+   node limit lets the crossed example run a round before the memout *)
+let test_stats_after_memout () =
+  let _, full = Idq.solve (example1 ~crossed:true) in
+  check "the full solve runs rounds" true (full.Idq.rounds >= 2);
+  let memout_after_a_round limit =
+    let stats = Idq.new_stats () in
+    match Idq.solve ~node_limit:limit ~stats (example1 ~crossed:true) with
+    | _ -> false
+    | exception Budget.Out_of_memory_budget -> stats.Idq.rounds >= 1 && stats.Idq.instance_nodes > 0
+  in
+  check "counters survive the memout" true
+    (List.exists memout_after_a_round (List.init full.Idq.instance_nodes Fun.id))
+
+(* idq --stats prints its counters on a TIMEOUT and a MEMOUT too *)
+let test_cli_stats_every_outcome () =
+  let run args =
+    let out = Filename.temp_file "idq" ".out" and err = Filename.temp_file "idq" ".err" in
+    let code =
+      Sys.command
+        (Filename.quote_command "../bin/idq_cli.exe" ~stdout:out ~stderr:err
+           ("fixtures/inproc_basic.dqdimacs" :: "--stats" :: args))
+    in
+    let read path = In_channel.with_open_bin path In_channel.input_all in
+    let r = (code, read out, read err) in
+    Sys.remove out;
+    Sys.remove err;
+    r
+  in
+  List.iter
+    (fun (args, code, line) ->
+      let c, out, err = run args in
+      let name = String.concat " " args in
+      Alcotest.(check int) (name ^ " exit") code c;
+      Alcotest.(check string) (name ^ " verdict") (line ^ "\n") out;
+      check (name ^ " counters") true
+        (String.starts_with ~prefix:"c rounds=" err
+        && List.for_all
+             (fun key -> Str.string_match (Str.regexp (".* " ^ key ^ "=")) err 0)
+             [ "ground-vars"; "instance-nodes"; "total" ]))
+    [
+      ([], 10, "s cnf SAT");
+      ([ "-t"; "0" ], 124, "s cnf TIMEOUT");
+      ([ "--node-limit"; "4" ], 125, "s cnf MEMOUT");
+    ]
+
 let prop_agrees =
   QCheck.Test.make ~name:"idq agrees with expansion" ~count:400 instance_arb (fun inst ->
       let f = build inst in
@@ -124,6 +170,8 @@ let () =
           Alcotest.test_case "no universals" `Quick test_no_universals;
           Alcotest.test_case "timeout" `Quick test_timeout;
           Alcotest.test_case "memout" `Quick test_memout;
+          Alcotest.test_case "stats after a memout" `Quick test_stats_after_memout;
+          Alcotest.test_case "cli stats on every outcome" `Quick test_cli_stats_every_outcome;
         ] );
       ( "random",
         List.map QCheck_alcotest.to_alcotest

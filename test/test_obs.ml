@@ -347,6 +347,34 @@ let test_end_to_end_solve () =
   check "summary lists hqs.solve" true (contains summary "hqs.solve");
   check "summary lists qbf.backend" true (contains summary "qbf.backend")
 
+(* the engine's rule passes are spans of their own inside inproc.run *)
+let test_inproc_rule_spans () =
+  let pcnf = Dqbf.Pcnf.parse_file "fixtures/inproc_basic.dqdimacs" in
+  let verdict = with_tracing (fun () -> fst (Hqs.solve_pcnf pcnf)) in
+  check "solved sat" true (verdict = Hqs.Sat);
+  let rules = [ "inproc.simplify"; "inproc.scc"; "inproc.subsume"; "inproc.gates" ] in
+  (* each rule span's enclosing spans, at its Begin *)
+  let enclosing = Hashtbl.create 8 in
+  ignore
+    (List.fold_left
+       (fun stack e ->
+         match e.Obs.Trace.ph with
+         | Obs.Trace.Begin ->
+             if List.mem e.Obs.Trace.name rules then
+               Hashtbl.add enclosing e.Obs.Trace.name stack;
+             e.Obs.Trace.name :: stack
+         | Obs.Trace.End -> List.tl stack
+         | Obs.Trace.Instant -> stack)
+       [] (Obs.Trace.events ()));
+  List.iter
+    (fun rule ->
+      match Hashtbl.find_all enclosing rule with
+      | [] -> Alcotest.failf "span %s missing from trace" rule
+      | stacks ->
+          check (rule ^ " nested under inproc.run") true
+            (List.for_all (fun stack -> List.mem "inproc.run" stack) stacks))
+    rules
+
 let count stats name = int_of_float (Hqs.metric stats name)
 
 let test_solve_metrics_flow () =
@@ -424,6 +452,7 @@ let () =
       ( "end-to-end",
         [
           Alcotest.test_case "pipeline span order" `Quick test_end_to_end_solve;
+          Alcotest.test_case "inproc rule spans" `Quick test_inproc_rule_spans;
           Alcotest.test_case "metrics flow into stats" `Quick test_solve_metrics_flow;
           Alcotest.test_case "stats are per call" `Quick test_stats_per_call;
         ] );
