@@ -55,7 +55,10 @@
 #      then the Table I gate: solve all 154 `genpec
 #      suite` instances at three node limits (test/table1.sh) and diff
 #      each exit code, maxsat-set= and peak-nodes= against
-#      test/fixtures/table1.expected
+#      test/fixtures/table1.expected; then the inproc fixture gate:
+#      the same suite plus five front-end instances (test/inproc.sh),
+#      each instance's inproc-* --stats keys and preprocess.gates
+#      metric diffed against test/fixtures/inproc.expected
 #  10. traced smoke solve: solve an instance with incomparable dependency
 #      sets under --trace and validate the trace with bin/tracecheck
 #      (well-formed Chrome JSON, balanced spans, >= 6 pipeline phases)
@@ -568,6 +571,25 @@ diff test/fixtures/table1.expected "$tmp/table1.got" || {
   exit 1
 }
 echo "c table1 gate: $(wc -l <"$tmp/table1.got") lines identical to the fixture"
+
+echo "== inproc fixture =="
+# the engine's output is pinned: every suite instance's and five
+# front-end instances' rounds, units, merges, subsumptions,
+# strengthenings, removed clauses and literals, and detected gates
+# must match the committed fixture
+mkdir -p "$tmp/suite/frontend"
+gen_frontend() { dune exec bin/genpec.exe -- one "$@" --out "$tmp/suite/frontend" >/dev/null; }
+gen_frontend lookahead --size 64 --boxes 2 --fault
+gen_frontend lookahead --size 64 --boxes 1 --fault
+gen_frontend lookahead --size 56 --boxes 2
+gen_frontend lookahead --size 48 --boxes 2
+gen_frontend bitcell --size 128 --boxes 1
+sh test/inproc.sh "$HQS_BIN" "$tmp/suite" >"$tmp/inproc.got"
+diff test/fixtures/inproc.expected "$tmp/inproc.got" || {
+  echo "== ci FAILED: inproc-* stats or preprocess.gates differ from test/fixtures/inproc.expected =="
+  exit 1
+}
+echo "c inproc fixture gate: $(wc -l <"$tmp/inproc.got") lines identical to the fixture"
 
 echo "== traced smoke solve =="
 # boxes=2 makes the dependency sets incomparable, so the solve actually
