@@ -98,6 +98,7 @@ let c_subsumed = Obs.Metrics.counter "inproc.subsumed"
 let c_strengthened = Obs.Metrics.counter "inproc.strengthened"
 let c_clauses_removed = Obs.Metrics.counter "inproc.clauses_removed"
 let c_lits_removed = Obs.Metrics.counter "inproc.lits_removed"
+let c_simplify_visits = Obs.Metrics.counter "inproc.simplify_visits"
 
 (* -------------------------------------------------------- clause arena *)
 
@@ -118,14 +119,18 @@ type st = {
   cfg : config;
   nvars : int;
   mutable univs : Bitset.t;
-  deps : (int, Bitset.t) Hashtbl.t;
+  deps : Bitset.t option array; (* var -> dependency set of a live existential *)
+  mutable n_exist : int; (* live existentials *)
   arena : cls array; (* sized to the input: rules never add a clause *)
   mutable n : int;
   value : int array; (* per var: -1 unknown, 0 false, 1 true *)
   sub : int array; (* var -> representative literal of its positive literal *)
   mutable occ : int list array; (* literal -> clause ids (stale-tolerant) *)
+  mutable occ_sorted : bool; (* every [occ] list ascending, without duplicates *)
   occ_n : int array; (* literal -> live occurrence count *)
   mark : int array; (* clause -> [queued] / [rewritten] bits *)
+  pending : Bytes.t; (* clause -> '\001' when [simplify] must visit it *)
+  mutable visits : int; (* clauses [simplify] visited *)
   mutable binaries_changed : bool; (* a binary clause made or rewritten since the last SCC pass *)
   mutable steps : step list; (* reversed chronological *)
   mutable units : int;
@@ -136,7 +141,18 @@ type st = {
 }
 
 let is_univ st v = Bitset.mem v st.univs
-let is_exist st v = Hashtbl.mem st.deps v
+let is_exist st v = Option.is_some st.deps.(v)
+let deps_of st v = match st.deps.(v) with Some d -> d | None -> raise Not_found
+
+let set_deps st v d =
+  if not (is_exist st v) then st.n_exist <- st.n_exist + 1;
+  st.deps.(v) <- Some d
+
+let remove_exist st v =
+  if is_exist st v then begin
+    st.n_exist <- st.n_exist - 1;
+    st.deps.(v) <- None
+  end
 let push_step st s = st.steps <- s :: st.steps
 
 let dummy_cls = { lits = []; alive = false; csig = 0 }
@@ -149,17 +165,12 @@ let kill st c =
     bump st c (-1)
   end
 
-(* append a clause and index it; the occurrence lists of dead clauses
-   are never eagerly cleaned (consumers filter), only the counters are
-   exact *)
-let add_clause st lits =
-  let c = { lits; alive = true; csig = sig_of lits } in
-  let id = st.n in
-  st.arena.(id) <- c;
-  st.n <- st.n + 1;
-  List.iter (fun l -> st.occ.(l) <- id :: st.occ.(l)) lits;
-  bump st c 1
-
+(* [occ.(l)] holds every live clause containing [l], and may hold dead
+   clauses and clauses that have since lost [l]: consumers check. Only
+   the counters are exact. [build_occ] makes the lists exact and
+   ascending; until a rewrite adds a literal to a clause ([add_occ]),
+   they stay ascending, so a scan of them visits the clauses that
+   contain the literal in the order the exact lists would. *)
 let build_occ st =
   let occ = Array.make (2 * st.nvars) [] in
   Array.fill st.occ_n 0 (2 * st.nvars) 0;
@@ -170,7 +181,21 @@ let build_occ st =
       bump st c 1
     end
   done;
-  st.occ <- occ
+  st.occ <- occ;
+  st.occ_sorted <- true
+
+let add_occ st l i =
+  st.occ.(l) <- i :: st.occ.(l);
+  st.occ_sorted <- false
+
+(* [simplify] visits a pending clause; whoever changes what a visit
+   reads (a clause's literals, or the value, representative or
+   dependency set of one of its variables) marks the clause *)
+let mark_occ st l = List.iter (fun j -> Bytes.unsafe_set st.pending j '\001') st.occ.(l)
+
+let mark_var st v =
+  mark_occ st (L.of_var v);
+  mark_occ st (L.neg (L.of_var v))
 
 (* ------------------------------------------------------- substitution *)
 
@@ -195,7 +220,8 @@ let assign st l =
       st.value.(v) <- (if L.is_pos l then 1 else 0);
       st.units <- st.units + 1;
       push_step st (Unit l);
-      Hashtbl.remove st.deps v
+      remove_exist st v;
+      mark_var st v
   | x -> if (x = 1) <> L.is_pos l then raise Refuted
 
 (* truth value of a representative literal, if assigned *)
@@ -210,20 +236,41 @@ let rec taut = function
 
 (* universal reduction: a universal literal stays only if some
    existential in the clause depends on it *)
-let ureduce st lits =
-  let needed u =
-    List.exists
-      (fun l ->
-        match Hashtbl.find_opt st.deps (L.var l) with
-        | Some d -> Bitset.mem u d
-        | None -> false)
-      lits
-  in
-  List.partition (fun l -> (not (is_univ st (L.var l))) || needed (L.var l)) lits
+let rec needed st u = function
+  | [] -> false
+  | l :: rest -> (
+      match st.deps.(L.var l) with
+      | Some d when Bitset.mem u d -> true
+      | Some _ | None -> needed st u rest)
 
-(* apply substitution + assignments to every clause, normalize, reduce,
-   propagate units; loops until no new assignment. The occurrence index
-   is stale after this pass — phases that need it rebuild it. *)
+let droppable st lits l = is_univ st (L.var l) && not (needed st (L.var l) lits)
+
+let ureduce st lits =
+  if List.exists (droppable st lits) lits then
+    List.partition (fun l -> not (droppable st lits l)) lits
+  else (lits, [])
+
+(* no variable of the clause assigned or merged away *)
+let rec plain st = function
+  | [] -> true
+  | l :: rest ->
+      let v = L.var l in
+      st.sub.(v) = L.of_var v && st.value.(v) < 0 && plain st rest
+
+(* a clause's literals under the substitution and the assignment,
+   sorted and deduplicated, or [None] when one of them is true *)
+let assigned_and_mapped st lits =
+  let mapped = List.map (find st) lits in
+  if List.exists (fun l -> lit_value st l = Some true) mapped then None
+  else Some (List.filter (fun l -> lit_value st l <> Some false) mapped |> List.sort_uniq Int.compare)
+
+(* apply substitution + assignments to every pending clause in arena
+   order, normalize, reduce, propagate units; loops until a sweep
+   assigns nothing. Every clause is pending from the load on, and again
+   when one of its variables is assigned or merged away, when it holds
+   the representative of a merge whose dependency set shrank, or when
+   subsumption strengthens it; any other live clause is normalized
+   already, so a visit would change nothing. *)
 let simplify st =
   let changed = ref false in
   let continue_ = ref true in
@@ -231,47 +278,44 @@ let simplify st =
     continue_ := false;
     for i = 0 to st.n - 1 do
       let c = st.arena.(i) in
-      if c.alive then begin
-        let mapped = List.map (find st) c.lits in
-        if List.exists (fun l -> lit_value st l = Some true) mapped then begin
-          kill st c;
-          changed := true
-        end
-        else begin
-          let lits =
-            List.filter (fun l -> lit_value st l <> Some false) mapped
-            |> List.sort_uniq Int.compare
-          in
-          if taut lits then begin
-            kill st c;
-            changed := true
-          end
-          else begin
-            let lits, dropped =
-              if st.cfg.universal_reduction then ureduce st lits else (lits, [])
-            in
-            if dropped <> [] then begin
-              st.reduced_lits <- st.reduced_lits + List.length dropped;
-              push_step st (Reduced { clause = lits @ dropped; dropped })
-            end;
-            if lits = [] then raise Refuted;
-            if lits <> c.lits then begin
-              bump st c (-1);
-              c.lits <- lits;
-              c.csig <- sig_of lits;
-              bump st c 1;
-              st.mark.(i) <- st.mark.(i) lor rewritten;
-              (match lits with [ _; _ ] -> st.binaries_changed <- true | _ -> ());
+      if Bytes.unsafe_get st.pending i <> '\000' then begin
+        Bytes.unsafe_set st.pending i '\000';
+        if c.alive then begin
+          st.visits <- st.visits + 1;
+          match if plain st c.lits then Some c.lits else assigned_and_mapped st c.lits with
+          | None ->
+              kill st c;
               changed := true
-            end;
-            match lits with
-            | [ l ] when st.cfg.unit_propagation ->
-                assign st l;
-                kill st c;
-                continue_ := true;
+          | Some lits when taut lits ->
+              kill st c;
+              changed := true
+          | Some lits -> (
+              let lits, dropped =
+                if st.cfg.universal_reduction then ureduce st lits else (lits, [])
+              in
+              if dropped <> [] then begin
+                st.reduced_lits <- st.reduced_lits + List.length dropped;
+                push_step st (Reduced { clause = lits @ dropped; dropped })
+              end;
+              if lits = [] then raise Refuted;
+              if lits != c.lits && lits <> c.lits then begin
+                (* a substitution can bring a literal in *)
+                List.iter (fun l -> if not (List.mem l c.lits) then add_occ st l i) lits;
+                bump st c (-1);
+                c.lits <- lits;
+                c.csig <- sig_of lits;
+                bump st c 1;
+                st.mark.(i) <- st.mark.(i) lor rewritten;
+                (match lits with [ _; _ ] -> st.binaries_changed <- true | _ -> ());
                 changed := true
-            | _ -> ()
-          end
+              end;
+              match lits with
+              | [ l ] when st.cfg.unit_propagation ->
+                  assign st l;
+                  kill st c;
+                  continue_ := true;
+                  changed := true
+              | _ -> ())
         end
       end
     done
@@ -296,7 +340,8 @@ let big_adjacency st =
   adj
 
 (* iterative Tarjan over the literal graph; returns the component id of
-   every literal (-1 for unvisited isolated nodes keeps them singleton) *)
+   every literal (-1 for unvisited isolated nodes keeps them singleton)
+   and the number of components *)
 let tarjan_scc nnodes adj =
   let index = Array.make nnodes (-1) in
   let lowlink = Array.make nnodes 0 in
@@ -353,7 +398,7 @@ let tarjan_scc nnodes adj =
   for v = 0 to nnodes - 1 do
     if index.(v) = -1 && adj.(v) <> [] then visit v
   done;
-  comp
+  (comp, !next_comp)
 
 (* Equivalence substitution driven by the SCCs of the BIG. DQBF-adapted
    merge legality:
@@ -368,7 +413,11 @@ let tarjan_scc nnodes adj =
 let scc_pass st =
   let nnodes = 2 * st.nvars in
   let adj = big_adjacency st in
-  let comp = tarjan_scc nnodes adj in
+  let comp, ncomps = tarjan_scc nnodes adj in
+  (* as many components as visited literals: all singletons, no merge *)
+  let visited = Array.fold_left (fun k c -> if c >= 0 then k + 1 else k) 0 comp in
+  if ncomps = visited then false
+  else
   let classes : (int, int list ref) Hashtbl.t = Hashtbl.create 16 in
   for l = 0 to nnodes - 1 do
     if comp.(l) >= 0 then begin
@@ -394,7 +443,8 @@ let scc_pass st =
             let rep_for_y = L.apply_sign rep ~neg:(L.is_neg m) in
             st.sub.(y) <- rep_for_y;
             push_step st (Merged { y; rep = rep_for_y });
-            Hashtbl.remove st.deps y;
+            remove_exist st y;
+            mark_var st y;
             st.scc_merges <- st.scc_merges + 1;
             merged := true
           in
@@ -404,7 +454,7 @@ let scc_pass st =
               List.iter
                 (fun m ->
                   if L.var m <> L.var u then begin
-                    if not (Bitset.mem (L.var u) (Hashtbl.find st.deps (L.var m))) then
+                    if not (Bitset.mem (L.var u) (deps_of st (L.var m))) then
                       raise Refuted;
                     merge_into u m
                   end)
@@ -414,13 +464,15 @@ let scc_pass st =
                 List.fold_left (fun a b -> if L.var b < L.var a then b else a)
                   (List.hd members) members
               in
+              let d_rep = deps_of st (L.var rep) in
               let inter =
                 List.fold_left
-                  (fun acc m -> Bitset.inter acc (Hashtbl.find st.deps (L.var m)))
-                  (Hashtbl.find st.deps (L.var rep))
-                  members
+                  (fun acc m -> Bitset.inter acc (deps_of st (L.var m)))
+                  d_rep members
               in
-              Hashtbl.replace st.deps (L.var rep) inter;
+              set_deps st (L.var rep) inter;
+              (* universal reduction may now drop more from its clauses *)
+              if not (Bitset.equal inter d_rep) then mark_var st (L.var rep);
               List.iter (fun m -> if L.var m <> L.var rep then merge_into rep m) members))
     classes;
   !merged
@@ -477,6 +529,7 @@ let subsume_with st i =
             d.csig <- sig_of d.lits;
             bump st d 1;
             touch st j;
+            Bytes.unsafe_set st.pending j '\001';
             (match d.lits with
             | [] -> raise Refuted
             | [ _; _ ] -> st.binaries_changed <- true
@@ -489,6 +542,33 @@ let subsume_with st i =
   List.iter scan st.occ.(L.neg pivot);
   !changed
 
+(* the live clause ids, shortest first, ties in arena order (a
+   counting sort on the length) *)
+let by_length st =
+  let len = Array.make st.n (-1) in
+  let longest = ref 0 in
+  for i = 0 to st.n - 1 do
+    let c = st.arena.(i) in
+    if c.alive then begin
+      len.(i) <- List.length c.lits;
+      longest := max !longest len.(i)
+    end
+  done;
+  let next = Array.make (!longest + 2) 0 in
+  Array.iter (fun k -> if k >= 0 then next.(k + 1) <- next.(k + 1) + 1) len;
+  for k = 1 to !longest + 1 do
+    next.(k) <- next.(k) + next.(k - 1)
+  done;
+  let order = Array.make next.(!longest + 1) 0 in
+  Array.iteri
+    (fun i k ->
+      if k >= 0 then begin
+        order.(next.(k)) <- i;
+        next.(k) <- next.(k) + 1
+      end)
+    len;
+  order
+
 (* Backward subsumption and self-subsuming strengthening, MiniSat
    style: the queued clauses, shortest first, each through
    [subsume_with]. The first pass ([all]) queues every clause. A later
@@ -497,38 +577,34 @@ let subsume_with st i =
    rewrote: substitution can add literals to it, so an untouched clause
    may now subsume it. No other clause can have gained a partner, since
    clauses otherwise only shrink. A clause strengthened before its turn
-   is taken at its turn, one strengthened after it in the next pass. *)
+   is taken at its turn, one strengthened after it in the next pass.
+   The occurrence lists are rebuilt only when a rewrite added to them
+   out of order; stale entries are skipped. *)
 let subsume_pass st ~all =
   if (not all) && Array.for_all (fun m -> m = 0) st.mark then false
   else begin
-    build_occ st;
+    if not st.occ_sorted then build_occ st;
+    let touch_with l j = if List.mem l (st.arena.(j)).lits then touch st j in
     for i = 0 to st.n - 1 do
       let c = st.arena.(i) in
       if c.alive && st.mark.(i) land rewritten <> 0 then
         List.iter
           (fun l ->
-            List.iter (touch st) st.occ.(l);
-            List.iter (touch st) st.occ.(L.neg l))
+            List.iter (touch_with l) st.occ.(l);
+            List.iter (touch_with (L.neg l)) st.occ.(L.neg l))
           c.lits
     done;
-    (* the turns: live ids keyed by (length, id), packed in one int *)
-    let keys = ref [] in
-    for i = st.n - 1 downto 0 do
-      let c = st.arena.(i) in
-      st.mark.(i) <- (if c.alive then st.mark.(i) land queued else 0);
-      if c.alive then keys := ((List.length c.lits lsl 31) lor i) :: !keys
+    for i = 0 to st.n - 1 do
+      st.mark.(i) <- (if (st.arena.(i)).alive then st.mark.(i) land queued else 0)
     done;
-    let keys = Array.of_list !keys in
-    Array.sort Int.compare keys;
     Array.fold_left
-      (fun changed key ->
-        let i = key land ((1 lsl 31) - 1) in
+      (fun changed i ->
         if (st.arena.(i)).alive && (all || st.mark.(i) <> 0) then begin
           st.mark.(i) <- 0;
           subsume_with st i || changed
         end
         else changed)
-      false keys
+      false (by_length st)
   end
 
 (* A variable [v] is dependency-below [D_y] when a Skolem function over
@@ -536,7 +612,7 @@ let subsume_pass st ~all =
    dependency set is contained in [D_y]. *)
 let dep_below st v d_y =
   if is_univ st v then Bitset.mem v d_y
-  else match Hashtbl.find_opt st.deps v with Some dv -> Bitset.subset dv d_y | None -> false
+  else match st.deps.(v) with Some dv -> Bitset.subset dv d_y | None -> false
 
 (* ---------------------------------------------------- gate detection *)
 
@@ -554,46 +630,55 @@ let gate_inputs g = match g.fn with G_and (a, b) | G_xor (a, b) -> [ L.var a; L.
 
 (* bit i set iff the i-th literal of the clause is negated *)
 let sign_mask lits =
-  List.fold_left (fun (m, bit) l -> ((if L.is_neg l then m lor bit else m), bit lsl 1)) (0, 1) lits
-  |> fst
+  let rec go bit = function [] -> 0 | l :: rest -> (if L.is_neg l then bit else 0) lor go (bit lsl 1) rest in
+  go 1 lits
+
+(* The first live binary clause (l | m) by arena id, for every pair:
+   an open-addressing table keyed by the pair, filled in arena order,
+   so a pair keeps its first clause. [partner t l m] is that clause's
+   id, or -1. *)
+type binaries = { keys : int array; ids : int array; nlits : int }
+
+let pair_slot t key =
+  let mask = Array.length t.keys - 1 in
+  let h = key * 0x9E3779B97F4A7C1 in
+  let rec probe s = if t.keys.(s) = key || t.keys.(s) < 0 then s else probe ((s + 1) land mask) in
+  probe ((h lxor (h lsr 32)) land mask)
+
+let pair_key t l m = if l < m then (l * t.nlits) + m else (m * t.nlits) + l
+
+let binaries st =
+  let count = ref 0 in
+  for i = 0 to st.n - 1 do
+    match st.arena.(i) with { lits = [ _; _ ]; alive = true; _ } -> incr count | _ -> ()
+  done;
+  let cap = ref 16 in
+  while !cap < 2 * !count do
+    cap := 2 * !cap
+  done;
+  let t = { keys = Array.make !cap (-1); ids = Array.make !cap (-1); nlits = 2 * st.nvars } in
+  for i = 0 to st.n - 1 do
+    match st.arena.(i) with
+    | { lits = [ a; b ]; alive = true; _ } ->
+        let key = pair_key t a b in
+        let s = pair_slot t key in
+        if t.keys.(s) < 0 then begin
+          t.keys.(s) <- key;
+          t.ids.(s) <- i
+        end
+    | _ -> ()
+  done;
+  t
+
+let partner t l m = t.ids.(pair_slot t (pair_key t l m))
 
 let detect_gates st =
-  build_occ st;
-  (* (m, id) for every live binary clause (l | m), sorted by m, one
-     occurrence scan per literal; equal partners keep occurrence order *)
-  let partners = Array.make (2 * st.nvars) None in
-  let binaries l =
-    match partners.(l) with
-    | Some ms -> ms
-    | None ->
-        let ms =
-          List.filter_map
-            (fun j ->
-              match (st.arena.(j)).lits with
-              | [ a; b ] -> Some ((if a = l then b else a), j)
-              | _ -> None)
-            st.occ.(l)
-          |> Array.of_list
-        in
-        Array.stable_sort (fun (a, _) (b, _) -> Int.compare a b) ms;
-        partners.(l) <- Some ms;
-        ms
-  in
-  (* the first binary (l | m) among [binaries l], by binary search *)
-  let partner ms m =
-    let rec leftmost lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if fst ms.(mid) < m then leftmost (mid + 1) hi else leftmost lo mid
-    in
-    let k = leftmost 0 (Array.length ms) in
-    if k < Array.length ms && fst ms.(k) = m then Some (snd ms.(k)) else None
-  in
-  let legal out ins =
-    match Hashtbl.find_opt st.deps out with
+  let bins = binaries st in
+  (* [out] is a live existential and both inputs are dependency-below it *)
+  let legal out a b =
+    match st.deps.(out) with
     | None -> false
-    | Some d_out -> List.for_all (fun w -> w <> out && dep_below st w d_out) ins
+    | Some d_out -> a <> out && dep_below st a d_out && b <> out && dep_below st b d_out
   in
   let defined = Array.make st.nvars false in
   let cands = ref [] in
@@ -604,22 +689,19 @@ let detect_gates st =
       cands := ({ out_var; out_neg; fn; def_clauses }, ids) :: !cands
     end
   in
-  (* AND: ternary (p|q|r) plus binaries (!p|!q) (!p|!r) in occ(!p)
-     gives p = !q & !r *)
+  (* AND: ternary (p|q|r) plus binaries (!p|!q) (!p|!r) gives
+     p = !q & !r *)
+  let and_at i p q r =
+    let jq = partner bins (L.neg p) (L.neg q) and jr = partner bins (L.neg p) (L.neg r) in
+    if jq >= 0 && jr >= 0 && legal (L.var p) (L.var q) (L.var r) then
+      consume (L.var p) (L.is_neg p) (G_and (L.neg q, L.neg r)) [ i; jq; jr ]
+  in
   for i = 0 to st.n - 1 do
     match (st.arena.(i)).lits with
-    | [ _; _; _ ] as lits when (st.arena.(i)).alive ->
-        List.iter
-          (fun p ->
-            match List.filter (fun l -> l <> p) lits with
-            | [ q; r ] -> (
-                let bs = binaries (L.neg p) in
-                match (partner bs (L.neg q), partner bs (L.neg r)) with
-                | Some jq, Some jr when legal (L.var p) [ L.var q; L.var r ] ->
-                    consume (L.var p) (L.is_neg p) (G_and (L.neg q, L.neg r)) [ i; jq; jr ]
-                | _ -> ())
-            | _ -> ())
-          lits
+    | [ a; b; c ] when (st.arena.(i)).alive ->
+        and_at i a b c;
+        and_at i b a c;
+        and_at i c a b
     | _ -> ()
   done;
   (* XOR: the four odd-sign ternaries over a variable triple a < b < c
@@ -628,41 +710,43 @@ let detect_gates st =
      its rarest variable; the output is the first of a, b, c that is
      still undefined and legal, out = the other two XORed. *)
   let odd m = m = 1 || m = 2 || m = 4 || m = 7 in
+  let occ_var v = occ_count st (L.of_var v) + occ_count st (L.neg (L.of_var v)) in
+  (* per sign mask, the first clause over the triple with that mask *)
+  let first = Array.make 8 max_int in
   for i = 0 to st.n - 1 do
     let c = st.arena.(i) in
     match c.lits with
     | [ l0; l1; l2 ]
       when c.alive && L.var l0 < L.var l1 && L.var l1 < L.var l2 && odd (sign_mask c.lits) -> (
-        let vars = [ L.var l0; L.var l1; L.var l2 ] in
-        let occ_var v = occ_count st (L.of_var v) + occ_count st (L.neg (L.of_var v)) in
-        let pivot =
-          List.fold_left (fun a v -> if occ_var v < occ_var a then v else a) (List.hd vars) vars
+        let v0 = L.var l0 and v1 = L.var l1 and v2 = L.var l2 in
+        let pivot = if occ_var v1 < occ_var v0 then v1 else v0 in
+        let pivot = if occ_var v2 < occ_var pivot then v2 else pivot in
+        Array.fill first 0 8 max_int;
+        let lowest = ref max_int in
+        let note j =
+          let d = st.arena.(j) in
+          match d.lits with
+          | [ k0; k1; k2 ] when d.alive && L.var k0 = v0 && L.var k1 = v1 && L.var k2 = v2 ->
+              let m = sign_mask d.lits in
+              if odd m then begin
+                lowest := min !lowest j;
+                first.(m) <- min first.(m) j
+              end
+          | _ -> ()
         in
-        let group =
-          List.filter_map
-            (fun j ->
-              let lits = (st.arena.(j)).lits in
-              let m = sign_mask lits in
-              if List.map L.var lits = vars && odd m then Some (j, m) else None)
-            (st.occ.(L.of_var pivot) @ st.occ.(L.neg (L.of_var pivot)))
-          |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-        in
-        let first m = List.find_map (fun (j, m') -> if m' = m then Some j else None) group in
-        match (group, List.filter_map first [ 1; 2; 4; 7 ]) with
-        | (j, _) :: _, ([ _; _; _; _ ] as ids) when j = i ->
-            let try_out out =
-              let ins = List.filter (fun v -> v <> out) vars in
-              (not defined.(out))
-              && legal out ins
-              &&
-              match ins with
-              | [ i1; i2 ] ->
-                  consume out false (G_xor (L.of_var i1, L.of_var i2)) ids;
-                  true
-              | _ -> false
-            in
-            ignore (List.exists try_out vars)
-        | _ -> ())
+        List.iter note st.occ.(L.of_var pivot);
+        List.iter note st.occ.(L.neg (L.of_var pivot));
+        if !lowest = i && List.for_all (fun m -> first.(m) < max_int) [ 1; 2; 4; 7 ] then begin
+          let ids = [ first.(1); first.(2); first.(4); first.(7) ] in
+          let try_out out a b =
+            (not defined.(out))
+            && legal out a b
+            &&
+            (consume out false (G_xor (L.of_var a, L.of_var b)) ids;
+             true)
+          in
+          ignore (try_out v0 v1 v2 || try_out v1 v0 v2 || try_out v2 v0 v1)
+        end)
     | _ -> ()
   done;
   let cands = List.rev !cands in
@@ -721,14 +805,18 @@ let run ?config ?(budget = Budget.unlimited) ?(gates = false) (p : problem) =
       cfg;
       nvars;
       univs = p.univs;
-      deps = Hashtbl.create 64;
+      deps = Array.make (List.fold_left (fun k (y, _) -> max k (y + 1)) nvars p.deps) None;
+      n_exist = 0;
       arena = Array.make (List.length p.clauses) dummy_cls;
       n = 0;
       value = Array.make nvars (-1);
       sub = Array.init nvars L.of_var;
-      occ = Array.make (2 * nvars) [];
+      occ = [||];
+      occ_sorted = true;
       occ_n = Array.make (2 * nvars) 0;
       mark = Array.make (List.length p.clauses) 0;
+      pending = Bytes.make (List.length p.clauses) '\001';
+      visits = 0;
       binaries_changed = true;
       steps = [];
       units = 0;
@@ -738,16 +826,22 @@ let run ?config ?(budget = Budget.unlimited) ?(gates = false) (p : problem) =
       strengthened = 0;
     }
   in
-  List.iter (fun (y, d) -> Hashtbl.replace st.deps y d) p.deps;
+  List.iter (fun (y, d) -> set_deps st y d) p.deps;
   (* variables declared nowhere are existential with no dependencies,
      mirroring Pcnf.to_formula *)
   for v = 0 to declared_vars - 1 do
-    if (not (is_univ st v)) && not (is_exist st v) then Hashtbl.replace st.deps v Bitset.empty
+    if (not (is_univ st v)) && not (is_exist st v) then set_deps st v Bitset.empty
   done;
-  List.iter (fun c -> add_clause st (List.sort_uniq Int.compare c)) p.clauses;
+  List.iter
+    (fun c ->
+      let lits = List.sort_uniq Int.compare c in
+      st.arena.(st.n) <- { lits; alive = true; csig = sig_of lits };
+      st.n <- st.n + 1)
+    p.clauses;
+  build_occ st;
   let clauses_before = List.length p.clauses in
   let lits_before = List.fold_left (fun acc c -> acc + List.length c) 0 p.clauses in
-  let vars_before = Hashtbl.length st.deps + Bitset.cardinal st.univs in
+  let vars_before = st.n_exist + Bitset.cardinal st.univs in
   match
     let rounds = ref 0 in
     let continue_ = ref (cfg.max_rounds > 0) in
@@ -791,10 +885,10 @@ let run ?config ?(budget = Budget.unlimited) ?(gates = false) (p : problem) =
         let c = st.arena.(i) in
         if c.alive then clauses := c.lits :: !clauses
       done;
-      let deps =
-        Hashtbl.fold (fun y d acc -> (y, d) :: acc) st.deps []
-        |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-      in
+      let deps = ref [] in
+      for y = Array.length st.deps - 1 downto 0 do
+        Option.iter (fun d -> deps := (y, d) :: !deps) st.deps.(y)
+      done;
       let stats =
         {
           rounds;
@@ -808,10 +902,11 @@ let run ?config ?(budget = Budget.unlimited) ?(gates = false) (p : problem) =
           lits_before;
           lits_after;
           vars_before;
-          vars_after = Hashtbl.length st.deps + Bitset.cardinal st.univs;
+          vars_after = st.n_exist + Bitset.cardinal st.univs;
         }
       in
       Obs.Metrics.incr ~by:rounds c_rounds;
+      Obs.Metrics.incr ~by:st.visits c_simplify_visits;
       Obs.Metrics.incr ~by:st.units c_units;
       Obs.Metrics.incr ~by:st.scc_merges c_merges;
       Obs.Metrics.incr ~by:st.subsumed c_subsumed;
@@ -830,4 +925,4 @@ let run ?config ?(budget = Budget.unlimited) ?(gates = false) (p : problem) =
           ]
         ();
       Simplified
-        { clauses = !clauses; univs = st.univs; deps; gates; steps = List.rev st.steps; stats }
+        { clauses = !clauses; univs = st.univs; deps = !deps; gates; steps = List.rev st.steps; stats }
