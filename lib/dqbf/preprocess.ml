@@ -84,7 +84,7 @@ let problem_of_pcnf (pcnf : Pcnf.t) =
     Inproc.num_vars = pcnf.Pcnf.num_vars;
     univs = Bitset.of_list pcnf.Pcnf.univs;
     deps = Pcnf.dep_sets pcnf;
-    clauses = List.map (List.map L.of_dimacs) pcnf.Pcnf.clauses;
+    clauses = List.map Inproc.clause_of_dimacs pcnf.Pcnf.clauses;
   }
 
 (* Replay the engine's step witnesses into the model trail, in

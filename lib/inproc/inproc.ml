@@ -102,6 +102,25 @@ let c_simplify_visits = Obs.Metrics.counter "inproc.simplify_visits"
 
 (* -------------------------------------------------------- clause arena *)
 
+(* the literals of a DIMACS clause in ascending order, duplicates kept;
+   two and three literals are ordered by hand *)
+let clause_of_dimacs = function
+  | [ a; b ] ->
+      let a = L.of_dimacs a and b = L.of_dimacs b in
+      [ min a b; max a b ]
+  | [ a; b; c ] ->
+      let a = L.of_dimacs a and b = L.of_dimacs b and c = L.of_dimacs c in
+      let lo = min a (min b c) and hi = max a (max b c) in
+      [ lo; a + b + c - lo - hi; hi ]
+  | c -> List.sort Int.compare (List.map L.of_dimacs c)
+
+let rec ascending = function
+  | a :: (b :: _ as rest) -> a < b && ascending rest
+  | [ _ ] | [] -> true
+
+(* a clause as the arena holds it: sorted, without duplicates *)
+let sorted_lits c = if ascending c then c else List.sort_uniq Int.compare c
+
 (* [csig] is a 63-bit Bloom signature over the variables: a clause can
    only subsume or strengthen another if its variables are among the
    other's, so that is first tested on the signatures with one land. *)
@@ -157,7 +176,13 @@ let push_step st s = st.steps <- s :: st.steps
 
 let dummy_cls = { lits = []; alive = false; csig = 0 }
 let occ_count st l = st.occ_n.(l)
-let bump st c by = List.iter (fun l -> st.occ_n.(l) <- st.occ_n.(l) + by) c.lits
+let rec bump_lits occ_n by = function
+  | [] -> ()
+  | l :: rest ->
+      occ_n.(l) <- occ_n.(l) + by;
+      bump_lits occ_n by rest
+
+let bump st c by = bump_lits st.occ_n by c.lits
 
 let kill st c =
   if c.alive then begin
@@ -177,7 +202,13 @@ let build_occ st =
   for i = st.n - 1 downto 0 do
     let c = st.arena.(i) in
     if c.alive then begin
-      List.iter (fun l -> occ.(l) <- i :: occ.(l)) c.lits;
+      let rec index = function
+        | [] -> ()
+        | l :: rest ->
+            occ.(l) <- i :: occ.(l);
+            index rest
+      in
+      index c.lits;
       bump st c 1
     end
   done;
@@ -245,8 +276,12 @@ let rec needed st u = function
 
 let droppable st lits l = is_univ st (L.var l) && not (needed st (L.var l) lits)
 
+let rec any_droppable st lits = function
+  | [] -> false
+  | l :: rest -> droppable st lits l || any_droppable st lits rest
+
 let ureduce st lits =
-  if List.exists (droppable st lits) lits then
+  if any_droppable st lits lits then
     List.partition (fun l -> not (droppable st lits l)) lits
   else (lits, [])
 
@@ -324,79 +359,92 @@ let simplify st =
 
 (* ------------------------------------------- BIG + SCC (equivalences) *)
 
-(* binary implication graph: clause (a | b) contributes !a -> b and
-   !b -> a *)
+(* binary implication graph, the successors of literal [x] at
+   [succ.(start.(x)) .. succ.(start.(x + 1) - 1)]: clause (a | b)
+   contributes !a -> b and !b -> a, the last clause's edges first *)
 let big_adjacency st =
-  let adj = Array.make (2 * st.nvars) [] in
+  let nnodes = 2 * st.nvars in
+  let start = Array.make (nnodes + 1) 0 in
   for i = 0 to st.n - 1 do
-    let c = st.arena.(i) in
-    if c.alive then
-      match c.lits with
-      | [ a; b ] ->
-          adj.(L.neg a) <- b :: adj.(L.neg a);
-          adj.(L.neg b) <- a :: adj.(L.neg b)
-      | _ -> ()
+    match st.arena.(i) with
+    | { lits = [ a; b ]; alive = true; _ } ->
+        start.(L.neg a + 1) <- start.(L.neg a + 1) + 1;
+        start.(L.neg b + 1) <- start.(L.neg b + 1) + 1
+    | _ -> ()
   done;
-  adj
+  for x = 1 to nnodes do
+    start.(x) <- start.(x) + start.(x - 1)
+  done;
+  let succ = Array.make start.(nnodes) 0 in
+  let fill = Array.sub start 0 nnodes in
+  let add x y =
+    succ.(fill.(x)) <- y;
+    fill.(x) <- fill.(x) + 1
+  in
+  for i = st.n - 1 downto 0 do
+    match st.arena.(i) with
+    | { lits = [ a; b ]; alive = true; _ } ->
+        add (L.neg a) b;
+        add (L.neg b) a
+    | _ -> ()
+  done;
+  (start, succ)
 
 (* iterative Tarjan over the literal graph; returns the component id of
    every literal (-1 for unvisited isolated nodes keeps them singleton)
    and the number of components *)
-let tarjan_scc nnodes adj =
+let tarjan_scc nnodes (start, succ) =
   let index = Array.make nnodes (-1) in
   let lowlink = Array.make nnodes 0 in
   let on_stack = Array.make nnodes false in
   let comp = Array.make nnodes (-1) in
-  let stack = ref [] in
+  let stack = Array.make nnodes 0 and sp = ref 0 in
+  (* explicit call stack, and per node its next successor *)
+  let calls = Array.make nnodes 0 and depth = ref 0 in
+  let next = Array.copy start in
   let next_index = ref 0 in
   let next_comp = ref 0 in
-  let visit root =
-    (* explicit call stack: (node, remaining successors) *)
-    let calls = ref [ (root, adj.(root)) ] in
-    index.(root) <- !next_index;
-    lowlink.(root) <- !next_index;
+  let enter v =
+    index.(v) <- !next_index;
+    lowlink.(v) <- !next_index;
     incr next_index;
-    stack := root :: !stack;
-    on_stack.(root) <- true;
-    while !calls <> [] do
-      match !calls with
-      | [] -> ()
-      | (v, succs) :: rest -> (
-          match succs with
-          | w :: more ->
-              calls := (v, more) :: rest;
-              if index.(w) = -1 then begin
-                index.(w) <- !next_index;
-                lowlink.(w) <- !next_index;
-                incr next_index;
-                stack := w :: !stack;
-                on_stack.(w) <- true;
-                calls := (w, adj.(w)) :: !calls
-              end
-              else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w)
-          | [] ->
-              calls := rest;
-              (match rest with
-              | (p, _) :: _ -> lowlink.(p) <- min lowlink.(p) lowlink.(v)
-              | [] -> ());
-              if lowlink.(v) = index.(v) then begin
-                let cid = !next_comp in
-                incr next_comp;
-                let rec pop () =
-                  match !stack with
-                  | w :: tl ->
-                      stack := tl;
-                      on_stack.(w) <- false;
-                      comp.(w) <- cid;
-                      if w <> v then pop ()
-                  | [] -> ()
-                in
-                pop ()
-              end)
+    stack.(!sp) <- v;
+    incr sp;
+    on_stack.(v) <- true;
+    calls.(!depth) <- v;
+    incr depth
+  in
+  let visit root =
+    enter root;
+    while !depth > 0 do
+      let v = calls.(!depth - 1) in
+      if next.(v) < start.(v + 1) then begin
+        let w = succ.(next.(v)) in
+        next.(v) <- next.(v) + 1;
+        if index.(w) = -1 then enter w
+        else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w)
+      end
+      else begin
+        decr depth;
+        if !depth > 0 then begin
+          let p = calls.(!depth - 1) in
+          lowlink.(p) <- min lowlink.(p) lowlink.(v)
+        end;
+        if lowlink.(v) = index.(v) then begin
+          let popped = ref (-1) in
+          while !popped <> v do
+            decr sp;
+            popped := stack.(!sp);
+            on_stack.(!popped) <- false;
+            comp.(!popped) <- !next_comp
+          done;
+          incr next_comp
+        end
+      end
     done
   in
   for v = 0 to nnodes - 1 do
-    if index.(v) = -1 && adj.(v) <> [] then visit v
+    if index.(v) = -1 && start.(v + 1) > start.(v) then visit v
   done;
   (comp, !next_comp)
 
@@ -499,48 +547,59 @@ let rec relate flip c d =
 
 let touch st j = st.mark.(j) <- st.mark.(j) lor queued
 
+(* clause [i] ([c]) against clause [j]: deletes it if [c] subsumes
+   it, strengthens it if it can; true if it changed it *)
+let subsume_one st i c j =
+  let d = st.arena.(j) in
+  if j <> i && d.alive && c.csig land lnot d.csig = 0 then
+    match relate (-1) c.lits d.lits with
+    | Unrelated -> false
+    | Subsumes ->
+        st.cfg.subsumption
+        && begin
+             push_step st (Subsumed { clause = d.lits; by = c.lits });
+             kill st d;
+             st.subsumed <- st.subsumed + 1;
+             true
+           end
+    | Strengthens l ->
+        st.cfg.self_subsumption
+        && begin
+             push_step st (Strengthened { clause = d.lits; removed = L.neg l; by = c.lits });
+             bump st d (-1);
+             d.lits <- List.filter (fun k -> k <> L.neg l) d.lits;
+             d.csig <- sig_of d.lits;
+             bump st d 1;
+             touch st j;
+             Bytes.unsafe_set st.pending j '\001';
+             (match d.lits with
+             | [] -> raise Refuted
+             | [ _; _ ] -> st.binaries_changed <- true
+             | _ -> ());
+             st.strengthened <- st.strengthened + 1;
+             true
+           end
+  else false
+
+let rec subsume_all st i c changed = function
+  | [] -> changed
+  | j :: rest -> subsume_all st i c (subsume_one st i c j || changed) rest
+
+(* the first literal of the clause whose variable occurs least *)
+let rec rarest st best best_n = function
+  | [] -> best
+  | l :: rest ->
+      let k = occ_count st l + occ_count st (L.neg l) in
+      if k < best_n then rarest st l k rest else rarest st best best_n rest
+
 (* clause [i] deletes every clause it subsumes and strengthens every
    clause it can, all found in the two occurrence lists of its
    least-occurring variable; true if it changed any *)
 let subsume_with st i =
   let c = st.arena.(i) in
-  let var_occ l = occ_count st l + occ_count st (L.neg l) in
-  let pivot =
-    List.fold_left (fun a l -> if var_occ l < var_occ a then l else a) (List.hd c.lits) c.lits
-  in
-  let changed = ref false in
-  let scan j =
-    let d = st.arena.(j) in
-    if j <> i && d.alive && c.csig land lnot d.csig = 0 then
-      match relate (-1) c.lits d.lits with
-      | Unrelated -> ()
-      | Subsumes ->
-          if st.cfg.subsumption then begin
-            push_step st (Subsumed { clause = d.lits; by = c.lits });
-            kill st d;
-            st.subsumed <- st.subsumed + 1;
-            changed := true
-          end
-      | Strengthens l ->
-          if st.cfg.self_subsumption then begin
-            push_step st (Strengthened { clause = d.lits; removed = L.neg l; by = c.lits });
-            bump st d (-1);
-            d.lits <- List.filter (fun k -> k <> L.neg l) d.lits;
-            d.csig <- sig_of d.lits;
-            bump st d 1;
-            touch st j;
-            Bytes.unsafe_set st.pending j '\001';
-            (match d.lits with
-            | [] -> raise Refuted
-            | [ _; _ ] -> st.binaries_changed <- true
-            | _ -> ());
-            st.strengthened <- st.strengthened + 1;
-            changed := true
-          end
-  in
-  List.iter scan st.occ.(pivot);
-  List.iter scan st.occ.(L.neg pivot);
-  !changed
+  let pivot = rarest st (-1) max_int c.lits in
+  let changed = subsume_all st i c false st.occ.(pivot) in
+  subsume_all st i c changed st.occ.(L.neg pivot)
 
 (* the live clause ids, shortest first, ties in arena order (a
    counting sort on the length) *)
@@ -639,11 +698,12 @@ let sign_mask lits =
    id, or -1. *)
 type binaries = { keys : int array; ids : int array; nlits : int }
 
+let rec probe keys key s =
+  if keys.(s) = key || keys.(s) < 0 then s else probe keys key ((s + 1) land (Array.length keys - 1))
+
 let pair_slot t key =
-  let mask = Array.length t.keys - 1 in
   let h = key * 0x9E3779B97F4A7C1 in
-  let rec probe s = if t.keys.(s) = key || t.keys.(s) < 0 then s else probe ((s + 1) land mask) in
-  probe ((h lxor (h lsr 32)) land mask)
+  probe t.keys key ((h lxor (h lsr 32)) land (Array.length t.keys - 1))
 
 let pair_key t l m = if l < m then (l * t.nlits) + m else (m * t.nlits) + l
 
@@ -834,7 +894,7 @@ let run ?config ?(budget = Budget.unlimited) ?(gates = false) (p : problem) =
   done;
   List.iter
     (fun c ->
-      let lits = List.sort_uniq Int.compare c in
+      let lits = sorted_lits c in
       st.arena.(st.n) <- { lits; alive = true; csig = sig_of lits };
       st.n <- st.n + 1)
     p.clauses;

@@ -61,6 +61,12 @@ type problem = {
   clauses : int list list;  (** {!Sat.Lit}-encoded *)
 }
 
+val clause_of_dimacs : int list -> int list
+(** A DIMACS clause {!Sat.Lit}-encoded, in ascending order, duplicate
+    literals kept. {!run} sorts each clause of a {!problem} and drops
+    its duplicates; it takes a clause already ascending and without
+    duplicates as it is. *)
+
 (** Auditable witness of one rule application, in chronological order.
     All literals are {!Sat.Lit}-encoded; clause fields are snapshots of
     the clause at the time the rule fired. *)
