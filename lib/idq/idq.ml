@@ -20,14 +20,21 @@ let solve_core ~want_model ?(budget = Budget.unlimited) ?node_limit ~stats f =
   List.iter (fun v -> next := max !next (v + 1)) univs;
   List.iter (fun (y, _) -> next := max !next (y + 1)) exists;
   (* the matrix copied into a manager of its own *)
-  let copy_matrix () =
-    let man = M.create ?node_limit () in
+  let copy_matrix man =
     match M.rebuild (F.man f) [ F.matrix f ] man ~leaf:(M.input man) with
-    | [ r ] -> (man, r)
+    | [ r ] -> r
     | _ -> assert false
   in
   (* persistent ground instance: manager + incremental SAT encoding *)
-  let gman, gmatrix = copy_matrix () in
+  let gman = M.create ?node_limit () in
+  (* a memout while the ground manager grows reports its node count *)
+  let growing k =
+    try k ()
+    with Budget.Out_of_memory_budget as e ->
+      stats.instance_nodes <- M.num_nodes gman;
+      raise e
+  in
+  let gmatrix = growing (fun () -> copy_matrix gman) in
   let solver = Sat.Solver.create () in
   let enc = Aig.Cnf_enc.create solver in
   let ground : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
@@ -61,7 +68,7 @@ let solve_core ~want_model ?(budget = Budget.unlimited) ?node_limit ~stats f =
         | None -> None
       end
     in
-    let copy = M.compose gman gmatrix subst in
+    let copy = growing (fun () -> M.compose gman gmatrix subst) in
     stats.instance_nodes <- M.num_nodes gman;
     Sat.Solver.add_clause solver [ Aig.Cnf_enc.sat_lit gman enc copy ]
   in
@@ -87,7 +94,8 @@ let solve_core ~want_model ?(budget = Budget.unlimited) ?node_limit ~stats f =
   (* candidate-check: substitute the tables into the matrix, search for a
      falsifying universal assignment *)
   let counterexample () =
-    let cman, cmatrix = copy_matrix () in
+    let cman = M.create ?node_limit () in
+    let cmatrix = copy_matrix cman in
     let subst v =
       if F.is_universal f v then None
       else Option.map (table_circuit cman v) (List.assoc_opt v exists)

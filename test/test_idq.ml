@@ -109,7 +109,9 @@ let test_stats_after_memout () =
   check "counters survive the memout" true
     (List.exists memout_after_a_round (List.init full.Idq.instance_nodes Fun.id))
 
-(* idq --stats prints its counters on a TIMEOUT and a MEMOUT too *)
+(* idq --stats prints its counters on a TIMEOUT and a MEMOUT too; the
+   memout, raised while copying the matrix into the ground manager,
+   reports that manager's node count *)
 let test_cli_stats_every_outcome () =
   let run args =
     let out = Filename.temp_file "idq" ".out" and err = Filename.temp_file "idq" ".err" in
@@ -124,8 +126,16 @@ let test_cli_stats_every_outcome () =
     Sys.remove err;
     r
   in
+  let instance_nodes err =
+    let key = "instance-nodes=" in
+    String.split_on_char ' ' (String.trim err)
+    |> List.find_map (fun w ->
+           if String.starts_with ~prefix:key w then
+             int_of_string_opt (String.sub w (String.length key) (String.length w - String.length key))
+           else None)
+  in
   List.iter
-    (fun (args, code, line) ->
+    (fun (args, code, line, nodes) ->
       let c, out, err = run args in
       let name = String.concat " " args in
       Alcotest.(check int) (name ^ " exit") code c;
@@ -134,11 +144,14 @@ let test_cli_stats_every_outcome () =
         (String.starts_with ~prefix:"c rounds=" err
         && List.for_all
              (fun key -> Str.string_match (Str.regexp (".* " ^ key ^ "=")) err 0)
-             [ "ground-vars"; "instance-nodes"; "total" ]))
+             [ "ground-vars"; "instance-nodes"; "total" ]);
+      if nodes then
+        check (name ^ " instance-nodes > 0") true
+          (match instance_nodes err with Some k -> k > 0 | None -> false))
     [
-      ([], 10, "s cnf SAT");
-      ([ "-t"; "0" ], 124, "s cnf TIMEOUT");
-      ([ "--node-limit"; "4" ], 125, "s cnf MEMOUT");
+      ([], 10, "s cnf SAT", true);
+      ([ "-t"; "0" ], 124, "s cnf TIMEOUT", false);
+      ([ "--node-limit"; "4" ], 125, "s cnf MEMOUT", true);
     ]
 
 let prop_agrees =

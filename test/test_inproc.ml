@@ -69,6 +69,43 @@ let test_merge_intersects_deps () =
       check "survivor dependency set is the intersection" true
         (List.for_all (fun (_, d) -> Bitset.is_empty d) res.Inproc.deps)
 
+(* u1 leaves (u1 | y2 | y4) only once y2 <-> y3 merges: the
+   representative y2 keeps the intersection {u0} of the two dependency
+   sets, and the closing simplify must revisit the clause over y2 *)
+let test_merge_then_reduce () =
+  let p =
+    pcnf ~num_vars:5 ~univs:[ 0; 1 ]
+      ~exists:[ (2, [ 0; 1 ]); (3, [ 0 ]); (4, [ 0 ]) ]
+      ~clauses:[ [ 3; -4 ]; [ -3; 4 ]; [ 2; 3; 5 ] ]
+  in
+  match Inproc.run (problem_of_pcnf p) with
+  | Inproc.Unsat -> Alcotest.fail "satisfiable"
+  | Inproc.Simplified res ->
+      check_int "one merge" 1 res.Inproc.stats.Inproc.scc_merges;
+      check "u1 reduced" true
+        (List.exists
+           (function
+             | Inproc.Reduced { dropped; _ } -> List.map L.to_dimacs dropped = [ 2 ] | _ -> false)
+           res.Inproc.steps);
+      check "(y2 | y4) left" true
+        (List.map (List.map L.to_dimacs) res.Inproc.clauses = [ [ 3; 5 ] ])
+
+(* (a | b) strengthens (a | -b) into the unit (a), which then
+   strengthens (-a | c | e): the closing simplify must revisit the
+   strengthened clauses and propagate a *)
+let test_strengthened_unit_propagates () =
+  let p =
+    pcnf ~num_vars:4 ~univs:[] ~exists:[]
+      ~clauses:[ [ 1; 2 ]; [ 1; -2 ]; [ -1; 3; 4 ] ]
+  in
+  match Inproc.run (problem_of_pcnf p) with
+  | Inproc.Unsat -> Alcotest.fail "satisfiable"
+  | Inproc.Simplified res ->
+      check "a propagated" true
+        (List.mem (Inproc.Unit (L.of_dimacs 1)) res.Inproc.steps);
+      check "(c | e) left" true
+        (List.map (List.map L.to_dimacs) res.Inproc.clauses = [ [ 3; 4 ] ])
+
 (* gate detection: the engine's gates and the clauses it leaves behind *)
 let run_gates ?(config = Inproc.config_of_mode Inproc.On) p =
   match Inproc.run ~config ~gates:true (problem_of_pcnf p) with
@@ -405,6 +442,44 @@ let prop_fixpoint_closed =
       let p = problem_of_pcnf (to_pcnf inst) in
       List.for_all (fun config -> closed config (Inproc.run ~config p)) closure_configs)
 
+(* the result is a fixpoint of normalization: every surviving clause
+   has its literals over strictly ascending variables (sorted, no
+   duplicate, no tautology), is no unit, holds only variables still in
+   the prefix (none assigned or merged away) and no universal literal
+   that universal reduction would drop *)
+let normalized (res : Inproc.result) =
+  let deps v = List.assoc_opt v res.Inproc.deps in
+  let in_prefix v = Bitset.mem v res.Inproc.univs || Option.is_some (deps v) in
+  let needed c u =
+    List.exists (fun k -> match deps (L.var k) with Some d -> Bitset.mem u d | None -> false) c
+  in
+  let rec ascending = function
+    | a :: (b :: _ as rest) -> L.var a < L.var b && ascending rest
+    | [ _ ] | [] -> true
+  in
+  List.for_all
+    (fun c ->
+      ascending c
+      && List.compare_length_with c 1 > 0
+      && List.for_all
+           (fun l ->
+             let v = L.var l in
+             in_prefix v && ((not (Bitset.mem v res.Inproc.univs)) || needed c v))
+           c)
+    res.Inproc.clauses
+
+let prop_normalized =
+  QCheck.Test.make ~count:500 ~name:"result is a normalization fixpoint"
+    (QCheck.oneof [ instance_arb; gated_instance_arb ])
+    (fun inst ->
+      let p = problem_of_pcnf (to_pcnf inst) in
+      List.for_all
+        (fun gates ->
+          match Inproc.run ~gates p with
+          | Inproc.Unsat -> true
+          | Inproc.Simplified res -> normalized res)
+        [ false; true ])
+
 (* A merge in round 2 rewrites (1|3|4) into (1|2|4), which the
    untouched (1|2) subsumes: round 1 strengthens (3|-2|-5) by (3|-2|5)
    into the binary (3|-2) that, with (-3|2), makes 2 <-> 3. Only a
@@ -460,6 +535,9 @@ let () =
           Alcotest.test_case "universal equivalence refutes" `Quick
             test_universal_equivalence_refutes;
           Alcotest.test_case "merge intersects deps" `Quick test_merge_intersects_deps;
+          Alcotest.test_case "merge then reduce" `Quick test_merge_then_reduce;
+          Alcotest.test_case "strengthened unit propagates" `Quick
+            test_strengthened_unit_propagates;
           Alcotest.test_case "gate and found" `Quick test_gate_and_found;
           Alcotest.test_case "gate xor found" `Quick test_gate_xor_found;
           Alcotest.test_case "gate illegal input rejected" `Quick test_gate_illegal_input_rejected;
@@ -479,5 +557,6 @@ let () =
             prop_subsumption_shrinks;
             prop_fixpoint_closed;
             prop_scc_idempotent;
+            prop_normalized;
           ] );
     ]
