@@ -30,9 +30,9 @@ let solve_core ~want_model ?(budget = Budget.unlimited) ?node_limit ~stats f =
   (* a memout while the ground manager grows reports its node count *)
   let growing k =
     try k ()
-    with Budget.Out_of_memory_budget as e ->
+    with Budget.Out_of_memory_budget ->
       stats.instance_nodes <- M.num_nodes gman;
-      raise e
+      raise Budget.Out_of_memory_budget
   in
   let gmatrix = growing (fun () -> copy_matrix gman) in
   let solver = Sat.Solver.create () in

@@ -856,8 +856,9 @@ let run ?config ?(budget = Budget.unlimited) ?(gates = false) (p : problem) =
       p.num_vars p.clauses
   in
   let nvars = max 1 declared_vars in
+  let clauses_before = List.length p.clauses in
   Obs.Span.with_ "inproc.run"
-    ~attrs:[ ("clauses", Obs.Int (List.length p.clauses)); ("vars", Obs.Int nvars) ]
+    ~attrs:[ ("clauses", Obs.Int clauses_before); ("vars", Obs.Int nvars) ]
   @@ fun () ->
   Obs.Metrics.incr c_runs;
   let st =
@@ -867,15 +868,15 @@ let run ?config ?(budget = Budget.unlimited) ?(gates = false) (p : problem) =
       univs = p.univs;
       deps = Array.make (List.fold_left (fun k (y, _) -> max k (y + 1)) nvars p.deps) None;
       n_exist = 0;
-      arena = Array.make (List.length p.clauses) dummy_cls;
+      arena = Array.make clauses_before dummy_cls;
       n = 0;
       value = Array.make nvars (-1);
       sub = Array.init nvars L.of_var;
       occ = [||];
       occ_sorted = true;
       occ_n = Array.make (2 * nvars) 0;
-      mark = Array.make (List.length p.clauses) 0;
-      pending = Bytes.make (List.length p.clauses) '\001';
+      mark = Array.make clauses_before 0;
+      pending = Bytes.make clauses_before '\001';
       visits = 0;
       binaries_changed = true;
       steps = [];
@@ -899,7 +900,6 @@ let run ?config ?(budget = Budget.unlimited) ?(gates = false) (p : problem) =
       st.n <- st.n + 1)
     p.clauses;
   build_occ st;
-  let clauses_before = List.length p.clauses in
   let lits_before = List.fold_left (fun acc c -> acc + List.length c) 0 p.clauses in
   let vars_before = st.n_exist + Bitset.cardinal st.univs in
   match
