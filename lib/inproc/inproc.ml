@@ -685,7 +685,7 @@ let dep_below st v d_y =
    rejected, keeping their clauses — conservative but sound). The
    accepted gates' defining clauses leave the arena. *)
 
-let gate_inputs g = match g.fn with G_and (a, b) | G_xor (a, b) -> [ L.var a; L.var b ]
+let gate_inputs g = match g.fn with G_and (a, b) | G_xor (a, b) -> (L.var a, L.var b)
 
 (* bit i set iff the i-th literal of the clause is negated *)
 let sign_mask lits =
@@ -813,16 +813,15 @@ let detect_gates st =
   let is_out = Array.make st.nvars false in
   List.iter (fun (g, _) -> is_out.(g.out_var) <- true) cands;
   let accepted = Array.make st.nvars false in
+  let ready v = (not is_out.(v)) || accepted.(v) in
   let selected = ref [] in
   let progress = ref true in
   while !progress do
     progress := false;
     List.iter
       (fun (g, ids) ->
-        if
-          (not accepted.(g.out_var))
-          && List.for_all (fun v -> (not is_out.(v)) || accepted.(v)) (gate_inputs g)
-        then begin
+        let a, b = gate_inputs g in
+        if (not accepted.(g.out_var)) && ready a && ready b then begin
           accepted.(g.out_var) <- true;
           selected := g :: !selected;
           List.iter (fun j -> kill st st.arena.(j)) ids;
