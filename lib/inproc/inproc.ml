@@ -172,10 +172,12 @@ let remove_exist st v =
     st.n_exist <- st.n_exist - 1;
     st.deps.(v) <- None
   end
+
 let push_step st s = st.steps <- s :: st.steps
 
 let dummy_cls = { lits = []; alive = false; csig = 0 }
 let occ_count st l = st.occ_n.(l)
+
 let rec bump_lits occ_n by = function
   | [] -> ()
   | l :: rest ->
@@ -196,19 +198,19 @@ let kill st c =
    ascending; until a rewrite adds a literal to a clause ([add_occ]),
    they stay ascending, so a scan of them visits the clauses that
    contain the literal in the order the exact lists would. *)
+let rec index occ i = function
+  | [] -> ()
+  | l :: rest ->
+      occ.(l) <- i :: occ.(l);
+      index occ i rest
+
 let build_occ st =
   let occ = Array.make (2 * st.nvars) [] in
   Array.fill st.occ_n 0 (2 * st.nvars) 0;
   for i = st.n - 1 downto 0 do
     let c = st.arena.(i) in
     if c.alive then begin
-      let rec index = function
-        | [] -> ()
-        | l :: rest ->
-            occ.(l) <- i :: occ.(l);
-            index rest
-      in
-      index c.lits;
+      index occ i c.lits;
       bump st c 1
     end
   done;
@@ -676,7 +678,8 @@ let dep_below st v d_y =
 (* ---------------------------------------------------- gate detection *)
 
 (* Tseitin AND/XOR definitions among the fixpoint's clauses, found
-   through the occurrence lists. A gate is kept only when it is
+   through a table of the binary clauses (AND) and the occurrence lists
+   (XOR). A gate is kept only when it is
    Henkin-legal (every input is dependency-below the output), so substituting the output by its function never widens a
    dependency requirement. Candidates are collected AND first, each kind
    in arena order, the first definition of an output wins; then an
