@@ -460,14 +460,7 @@ let tarjan_scc nnodes (start, succ) =
    - merged existentials keep the intersection of their dependency sets
      (each Skolem function must agree with the others on every universal
      assignment, so it can only read the shared inputs). *)
-let scc_pass st =
-  let nnodes = 2 * st.nvars in
-  let adj = big_adjacency st in
-  let comp, ncomps = tarjan_scc nnodes adj in
-  (* as many components as visited literals: all singletons, no merge *)
-  let visited = Array.fold_left (fun k c -> if c >= 0 then k + 1 else k) 0 comp in
-  if ncomps = visited then false
-  else
+let merge_components st nnodes comp =
   let classes : (int, int list ref) Hashtbl.t = Hashtbl.create 16 in
   for l = 0 to nnodes - 1 do
     if comp.(l) >= 0 then begin
@@ -526,6 +519,13 @@ let scc_pass st =
               List.iter (fun m -> if L.var m <> L.var rep then merge_into rep m) members))
     classes;
   !merged
+
+let scc_pass st =
+  let nnodes = 2 * st.nvars in
+  let comp, ncomps = tarjan_scc nnodes (big_adjacency st) in
+  (* as many components as visited literals: all singletons, no merge *)
+  let visited = Array.fold_left (fun k c -> if c >= 0 then k + 1 else k) 0 comp in
+  ncomps < visited && merge_components st nnodes comp
 
 (* ------------------------------------- subsumption / self-subsumption *)
 
